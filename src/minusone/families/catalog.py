@@ -135,10 +135,6 @@ def _sgn(x, mp):
     return mp.mpf(0)
 
 
-def _abs_gamma_sq(z, mp):
-    return abs(mp.gamma(z)) ** 2
-
-
 # ----------------------------------------------------------------------
 # recurrence coefficients (b_n, u_n), with (A_n, C_n) where printed
 

@@ -185,22 +185,6 @@ def _w_big_m1j(params, ctx):
     )
 
 
-def _gamma_ratio_weight(shifts_num, denom_shift, ctx):
-    """|prod Gamma(a_j + i t x) / Gamma(c + i s x)|^2 with the x = 0 limit handled."""
-    mp = ctx.mp
-
-    def dens(x):
-        ix = mp.mpc(0, 1) * x
-        num = mp.mpc(1)
-        for (a, t) in shifts_num:
-            num *= mp.gamma(a + t * ix)
-        c, s = denom_shift
-        den = mp.gamma(c + s * ix)
-        return abs(num / den) ** 2
-
-    return dens
-
-
 def _w_gsbi(params, ctx):
     mp = ctx.mp
     a = get_param(params, "a", ctx)

@@ -1,161 +1,51 @@
 """Gram matrices against the printed norms, Favard scans, and moment cross-checks.
 
-Gram entries share one set of quadrature nodes per family: the density is
-evaluated once per node, then every <P_n, P_m> is a weighted dot product.
-The table is refined until the mass and the highest needed moment both
-stabilize; per-entry error estimates come from comparing the finest grid
-with its half-density subgrid.  All integration runs in a context boosted
-well past the requested digits so that endpoint tails of singular weights
-stay below the comparison tolerances.
+Gram entries share one quadrature node table per family: the density is
+evaluated once per node, then every <P_n, P_m> is a weighted dot product,
+with a per-entry error estimate from the table's embedded coarse sum.  The
+moment check integrates x^k over the same kind of table and compares with
+the moments implied by the recurrence alone.  Favard scans read positivity
+straight off the recurrence coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import families
+from . import families, quadrature
 from .precision import PrecisionContext
-from .quadrature import NODE_CAP, _component_map
 
 
-@dataclass
-class NodeTable:
-    xs: list
-    weights: list          # h * phi'(t) * density(x), final-mesh scaling folded in
-    coarse: list           # True where the node already existed on the previous mesh
-    h: object
-    levels: int
-    converged: bool
-
-    def dot(self, values):
-        total = 0
-        for w, v in zip(self.weights, values):
-            total += w * v
-        return total
-
-    def dot_coarse(self, values):
-        total = 0
-        for w, c, v in zip(self.weights, self.coarse, values):
-            if c:
-                total += w * v
-        return 2 * total
+def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
+    """Node table of a weight spec: its support pieces and density in the DE engine."""
+    return quadrature.build_node_table(spec.total_support(), spec.density, ctx, tol, max_degree)
 
 
-def build_node_table(spec, ctx: PrecisionContext, tol, max_degree, max_levels=12):
-    """Quadrature nodes for every support component of a weight.
+def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
+    """Weight spec and node table for polynomial factors up to max_degree.
 
-    The guard integrand density * (1+x^2)**ceil(max_degree/2) controls both
-    the sweep truncation and the level-to-level convergence test, so the
-    table is valid for polynomial factors up to max_degree.  (The guard must
-    be smooth: a |x|**d factor would spoil the double-exponential trapezoid
-    convergence with its kink.)
+    Integration runs 30 digits past ctx so that endpoint tails of singular
+    weights stay below the comparison tolerances.  Singular-endpoint
+    densities evaluated naively floor out near half the working digits, so
+    the node tolerance stays safely above that.  Returns (work, spec, table)
+    with work the boosted context.
     """
-    mp = ctx.mp
-    tol = mp.mpf(tol)
-    eps_term = ctx.tol(-10)
-    xs, ws, coarse = [], [], []
-    levels_used = 0
-    converged_all = True
-
-    h = mp.mpf(1)
-    for comp in spec.components:
-        phi = _component_map(mp.mpf(comp.lo), mp.mpf(comp.hi), mp)
-        pts = {}          # integer multiple of current h -> (x, w*density)
-        h = mp.mpf(1)
-        guard_prev = None
-        converged = False
-        level = 0
-        while True:
-            gd = (max_degree + 1) // 2
-            _sweep_level(phi, h, level, pts, spec.density, mp, eps_term, max_degree)
-            guard = h * sum(w * (1 + x * x) ** gd for (x, w) in pts.values())
-            if guard_prev is not None and abs(guard - guard_prev) <= tol * max(abs(guard), mp.mpf(1)):
-                converged = True
-                break
-            if level + 1 >= max_levels or len(pts) >= NODE_CAP:
-                break
-            guard_prev = guard
-            h = h / 2
-            level += 1
-        levels_used = max(levels_used, level + 1)
-        converged_all = converged_all and converged
-        for key, (x, w) in sorted(pts.items()):
-            xs.append(x)
-            ws.append(h * w)
-            coarse.append(key % 2 == 0)
-    return NodeTable(xs=xs, weights=ws, coarse=coarse, h=h, levels=levels_used,
-                     converged=converged_all)
+    work = PrecisionContext(ctx.digits + 30)
+    tol = work.mp.mpf(10) ** (-(ctx.digits // 2 + 15))
+    spec = families.weight_spec(fid, params, work)
+    table = build_node_table(spec, work, tol, max_degree)
+    return work, spec, table
 
 
-def _sweep_level(phi, h, level, pts, density, mp, eps_term, max_degree):
-    """Add this level's nodes to pts, sweeping outward until terms die off.
-
-    Keys are integer multiples of the current mesh h; on refinement the
-    existing keys double, so final-key parity marks membership in the
-    previous mesh (used for the embedded coarse estimate).
-    """
-    gd = (max_degree + 1) // 2
-
-    def handle(k):
-        node = phi(k * h)
-        if node is None:       # abscissa saturated onto an endpoint
-            return None
-        x, w = node
-        wd = w * density(x)
-        pts[k] = (x, wd)
-        return abs(wd) * (1 + x * x) ** gd
-
-    if level == 0:
-        step = 1
-        if handle(0) is None:
-            return True
-    else:
-        _double_keys(pts)
-        step = 2
-
-    for direction in (1, -1):
-        small_run = 0
-        peak = mp.mpf(0)
-        k = step * direction if level == 0 else direction
-        while True:
-            r = handle(k)
-            if r is None:
-                break
-            peak = max(peak, r)
-            if r < eps_term * max(peak, eps_term):
-                small_run += 1
-                if small_run >= 4:
-                    break
-            else:
-                small_run = 0
-            k += step * direction
-            if len(pts) >= NODE_CAP:
-                return False
-    return True
-
-
-def _double_keys(pts):
-    for key in sorted(pts.keys(), key=abs, reverse=True):
-        pts[2 * key] = pts.pop(key)
-
-
-def gram(family, params, N, ctx: PrecisionContext, tol=None, boost=30):
+def gram(family, params, N, ctx: PrecisionContext):
     """Gram matrix <P_n, P_m> for 0 <= m, n <= N against the printed norms.
 
     Returns a report with the raised-precision matrix, the maximum relative
     off-diagonal entry (scaled by sqrt(h_n h_m)) and the worst diagonal
     deviation from the printed norm formula.
     """
-    work = PrecisionContext(ctx.digits + boost)
-    mp = work.mp
-    if tol is None:
-        # singular-endpoint densities evaluated naively floor out near half
-        # the working digits; the default stays safely above that
-        tol = mp.mpf(10) ** (-(ctx.digits // 2 + 15))
     fid = families.resolve_family(family)
-    spec = families.weight_spec(fid, params, work)
+    work, spec, table = _boosted_table(fid, params, ctx, 2 * N)
+    mp = work.mp
     polys = families.generate(fid, params, N, work)
-    table = build_node_table(spec, work, tol, 2 * N)
 
     values = []
     for n in range(N + 1):
@@ -168,8 +58,8 @@ def gram(family, params, N, ctx: PrecisionContext, tol=None, boost=30):
     for n in range(N + 1):
         for m in range(n + 1):
             prod = [a * b for a, b in zip(values[n], values[m])]
-            fine = table.dot(prod) * pref
-            crude = table.dot_coarse(prod) * pref
+            fine, crude = table.dot(prod)
+            fine, crude = fine * pref, crude * pref
             matrix[n][m] = matrix[m][n] = fine
             entry_err = max(entry_err, abs(fine - crude) / max(abs(fine), mp.mpf(1)))
 
@@ -253,18 +143,16 @@ def moments_from_recurrence(family, params, K, ctx: PrecisionContext):
     return moments
 
 
-def moment_crosscheck(family, params, K, ctx: PrecisionContext, boost=30):
+def moment_crosscheck(family, params, K, ctx: PrecisionContext):
     """Quadrature moments vs recurrence-implied moments for k <= K."""
-    work = PrecisionContext(ctx.digits + boost)
-    mp = work.mp
     fid = families.resolve_family(family)
-    spec = families.weight_spec(fid, params, work)
-    table = build_node_table(spec, work, mp.mpf(10) ** (-(ctx.digits // 2 + 15)), K)
+    work, spec, table = _boosted_table(fid, params, ctx, K)
+    mp = work.mp
     predicted = moments_from_recurrence(fid, params, K, work)
     worst = mp.mpf(0)
     pref = spec.measure_prefactor
     for k in range(K + 1):
-        got = table.dot([x ** k for x in table.xs]) * pref
+        got = table.dot([x ** k for x in table.xs])[0] * pref
         scale = max(abs(predicted[k]), mp.sqrt(abs(predicted[0]) * abs(predicted[min(2 * k, K)])), mp.mpf(1))
         worst = max(worst, abs(got - predicted[k]) / scale)
     return {"family": fid, "K": K, "max_relative_error": float(worst)}

@@ -154,9 +154,6 @@ class Poly:
             out.append(mp.mpc(mp.re(c), 0) if abs(mp.im(c)) <= cut else c)
         return Poly(out)
 
-    def max_imag(self):
-        return max(abs(getattr(c, "imag", 0)) for c in self.coeffs)
-
     def __repr__(self):
         return "Poly(%s)" % (list(self.coeffs),)
 
@@ -259,10 +256,6 @@ class RationalFunction:
             den = Poly.constant(1)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls(p)
 
     def __add__(self, other):
         other = _as_rational(other)

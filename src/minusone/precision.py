@@ -102,17 +102,6 @@ def gamma(z, ctx: PrecisionContext):
     return value
 
 
-def gammaprod(numerators, denominators, ctx: PrecisionContext):
-    """Product of gammas over product of gammas, each factor pole-checked."""
-    mp = ctx.mp
-    value = mp.mpc(1)
-    for a in numerators:
-        value *= gamma(a, ctx)
-    for b in denominators:
-        value /= gamma(b, ctx)
-    return value
-
-
 def pochhammer(a, n: int, ctx: PrecisionContext):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:

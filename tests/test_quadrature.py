@@ -65,3 +65,15 @@ def test_weight_spec_integration_interface():
     r = integrate(spec, lambda x: x * x, CTX, tol=CTX.tol(8))
     assert r.converged
     assert abs(r.value - MP.mpf(2) / 3) < CTX.tol(4)
+
+
+def test_multi_piece_and_gamma_modulus_masses():
+    # two gaussian half-lines, two algebraic pieces (twice), |Gamma|^2 on the whole line
+    for fid in ("generalized-hermite", "chihara", "big-minus1-jacobi",
+                "continuous-minus1-hahn-1"):
+        params = F.make_params(fid, CTX, **F.fixture_points(fid)[0])
+        spec = F.weight_spec(fid, params, CTX)
+        r = integrate(spec, lambda x: 1, CTX, tol=CTX.tol(12))
+        mass = F.norm(fid, params, 0, CTX)
+        assert r.converged, fid
+        assert abs(r.value * spec.measure_prefactor - mass) <= MP.mpf("1e-40") * abs(mass), fid
