@@ -207,8 +207,9 @@ def _family_results(fid, params, ctx, checks, nmax=None):
             results.append(_result(fid, "orthogonality", status,
                                    max(rep["max_offdiag"], rep["max_diag_error"]),
                                    off_tol, info.anchor,
-                                   "offdiag %.3g diag %.3g over %d nodes" % (
-                                       rep["max_offdiag"], rep["max_diag_error"], rep["nodes"])))
+                                   "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
+                                       rep["max_offdiag"], rep["max_diag_error"], rep["nodes"],
+                                       rep["working_digits"])))
 
     if "eigen" in checks:
         if not info.has_eigen:

@@ -17,7 +17,9 @@ map, double-exponential against both the gaussian and the |Gamma|^2
   multiples, reusing every earlier node.
 - Embedded coarse estimate.  Nodes that already sat on the previous mesh are
   flagged, so ``NodeTable.dot`` returns the fine sum and the previous mesh's
-  sum from one pass over the nodes.
+  sum while summing each node once.
+- One dot product.  ``NodeTable.dot`` is the only summation over a table:
+  ``integrate``, the Gram matrix and the moment check all go through it.
 - Node cap.  A piece stops refining at 2**20 nodes, which turns a runaway
   integrand into an explicit non-convergence report.
 
@@ -29,6 +31,8 @@ guard sums, which are then exactly the last two trapezoid estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from .precision import PrecisionContext
 
@@ -59,16 +63,26 @@ class NodeTable:
     converged: bool
     last_two: tuple        # guard sums of the last two meshes, summed over the pieces
     error: object          # sum over the pieces of |last - previous guard sum|
+    mp: object             # the mpmath context the table was built in
 
-    def dot(self, values):
-        """(fine, coarse): the sum of weight * value and its previous-mesh estimate."""
-        fine = coarse = 0
-        for w, c, v in zip(self.weights, self.coarse, values):
-            term = w * v
-            fine += term
-            if c:
-                coarse += term
-        return fine, 2 * coarse
+    def dot(self, a, b=None):
+        """(fine, coarse): sum over the nodes of a * b (b = 1 when omitted) and its
+        previous-mesh estimate.
+
+        Callers fold the weights into ``a`` (``dot(table.weights)`` is the
+        integral of the density).  Each half of the nodes is summed by
+        mpmath's ``fsum``/``fdot``, which add exact products and round once;
+        the fine sum adds the halves, the coarse estimate doubles the half
+        that sat on the previous mesh.
+        """
+        mp, coarse = self.mp, self.coarse
+        if b is None:
+            old = mp.fsum(compress(a, coarse))
+            new = mp.fsum(compress(a, map(not_, coarse)))
+        else:
+            old = mp.fdot(compress(a, coarse), compress(b, coarse))
+            new = mp.fdot(compress(a, map(not_, coarse)), compress(b, map(not_, coarse)))
+        return old + new, 2 * old
 
 
 def _map_tanh_sinh(lo, hi, mp):
@@ -172,7 +186,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
             ws.append(h * w)
             coarse.append(key % 2 == 0)
     return NodeTable(xs=xs, weights=ws, coarse=coarse, levels=levels_used,
-                     converged=converged_all, last_two=last_two, error=error)
+                     converged=converged_all, last_two=last_two, error=error, mp=mp)
 
 
 def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
@@ -225,7 +239,7 @@ def _double_keys(pts):
 
 
 def _result(table):
-    value, _ = table.dot([1] * len(table.xs))
+    value, _ = table.dot(table.weights)
     return QuadratureResult(value=value, error_estimate=table.error,
                             node_count=len(table.xs), converged=table.converged,
                             levels=table.levels, last_two=table.last_two)

@@ -1,3 +1,8 @@
+import math
+
+import pytest
+
+from minusone.polynomials import Poly
 from minusone.precision import PrecisionContext
 from minusone import families as F
 from minusone import orthogonality as orth
@@ -67,3 +72,57 @@ def test_moments_from_recurrence_hermite():
     assert abs(moments[1]) < CTX.tol(8)
     assert abs(moments[2] - rt_pi / 2) < CTX.tol(8)
     assert abs(moments[4] - 3 * rt_pi / 4) < CTX.tol(8)
+
+
+def test_recurrence_gram_matches_horner_gram(monkeypatch):
+    # the Gram from recurrence values against one from generate + Horner on the same table;
+    # continuous-bannai-ito has complex recurrence coefficients, generalized-hermite the most nodes
+    def no_horner(*args):
+        raise AssertionError("gram evaluated a monomial-basis polynomial")
+
+    N = 8
+    horner = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate", no_horner)
+    for fid in ("continuous-bannai-ito", "generalized-hermite"):
+        params = F.make_params(fid, CTX, **F.fixture_points(fid)[0])
+        rep = orth.gram(fid, params, N, CTX)
+        work, spec, table = orth._boosted_table(fid, params, CTX, 2 * N)
+        mp = work.mp
+        assert rep["nodes"] == len(table.xs)
+        values = [[mp.re(horner(p, x)) for x in table.xs] for p in F.generate(fid, params, N, work)]
+        ref = [[spec.measure_prefactor * mp.fsum(w * a * b for w, a, b in
+                                                 zip(table.weights, values[n], values[m]))
+                for m in range(N + 1)] for n in range(N + 1)]
+        for n in range(N + 1):
+            for m in range(N + 1):
+                scale = mp.sqrt(ref[n][n] * ref[m][m])
+                assert abs(rep["matrix"][n][m] - ref[n][m]) <= MP.mpf("1e-40") * scale, (fid, n, m)
+
+
+def _headroom(tol, err):
+    return math.inf if err == 0 else math.log10(tol / err)
+
+
+def _assert_gram_sweep(digits):
+    # every orthogonal family passes the CLI gates with >= 15 digits to spare
+    ctx = PrecisionContext(digits)
+    off_tol, diag_tol = 10.0 ** -(digits / 2), 10.0 ** -(digits / 2 - 8)
+    for fid in F.orthogonal_ids():
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        rep = orth.gram(fid, params, 8, ctx)
+        assert rep["converged"], (digits, fid)
+        assert rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol, (digits, fid)
+        headroom = min(_headroom(off_tol, rep["max_offdiag"]),
+                       _headroom(diag_tol, rep["max_diag_error"]))
+        assert headroom >= 15, (digits, fid, headroom)
+
+
+@pytest.mark.parametrize("digits", [15, 20])
+def test_gram_sweep_low_precision(digits):
+    _assert_gram_sweep(digits)
+
+
+@pytest.mark.slow
+def test_gram_sweep_high_precision():
+    for digits in (30, 100):
+        _assert_gram_sweep(digits)
