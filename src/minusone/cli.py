@@ -216,24 +216,9 @@ def _family_results(fid, params, ctx, checks, nmax=None):
             results.append(_result(fid, "eigen", "pass", anchor=info.anchor,
                                    notes="no eigenvalue equation on record (skipped)"))
         else:
-            N = nmax if nmax is not None else 10
-            worst = 0.0
-            status = "pass"
-            for free in ("0.5", "2"):
-                for n in range(N + 1):
-                    rep = operators.verify_eigen(fid, params, n, ctx, free=free)
-                    if rep["status"] == "inconclusive":
-                        status = "inconclusive"
-                    elif rep["status"] == "fail":
-                        status = "fail"
-                    if rep["residual"] is not None:
-                        worst = max(worst, rep["residual"])
-            diag = operators.check_diagonality(fid, params, 8, ctx)
-            if max(diag["max_offdiag"], diag["max_diag_error"]) > diag["tolerance"]:
-                status = "fail"
-            results.append(_result(fid, "eigen", status, worst, float(ctx.tol(10)),
-                                   info.anchor,
-                                   "n <= %d at two free-parameter values; basis matrix diagonal" % N))
+            rep = operators.eigen_check(fid, params, nmax if nmax is not None else 10, ctx)
+            results.append(_result(fid, "eigen", rep["status"], rep["residual"], rep["tolerance"],
+                                   info.anchor, rep["notes"]))
 
     if "favard" in checks:
         if info.kind == "quasi":

@@ -91,7 +91,6 @@ class EigenSystem:
     eigenvalue: Callable             # n -> lambda_n (free parameter already bound)
     free_name: str | None = None     # "sigma" / "epsilon" when the eigenvalue carries one
     free_value: object = None
-    variable_scale: object = 1       # operator acts on P_n(s*x)/s**n
     notes: str = ""
 
 

@@ -3,25 +3,32 @@ polynomials exactly, and verify the eigenvalue equations as identities.
 
 Operators are sums of (rational coefficient) x (basis symbol) terms, the
 symbols being the identity I, the reflection R, the imaginary shifts S+/S-,
-their compositions with R, and derivatives.  Application happens over
-rational functions; only afterwards is the result tested for polynomial
-collapse, so "the singular parts cancel" is checked rather than assumed.
+their compositions with R, and derivatives.  At construction an operator
+brings its terms over one common denominator D, the plain product of the
+distinct term denominators, so that L p = (sum_j N_j symbol_j(p)) / D.  D
+needs no gcd: a tolerant gcd of Chihara's dxR coefficient is already
+ambiguous at 15 digits.  An image then costs one polynomial division by D,
+and its remainder is classified by the two-threshold rule of
+:func:`remainder_class` against the largest summed term N_j symbol_j(p),
+not against the cancelled sum, whose rounding would otherwise read as a
+pole.  So "the singular parts cancel" is checked rather than assumed.
 
 Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
-operators, for the sign of the [R - I] bracket); the passing reading is
-resolved empirically on low degrees and cached per family.  The continuous
-Bannai-Ito block additionally needs the eigenfunction variable halved
-relative to the recurrence normalization; the resolver discovers the scale
-as well and the reports record every resolved choice.
+operators, for the sign of the [R - I] bracket); for the continuous
+Bannai-Ito block the printed A coefficient has a second reading with beta
+and delta doubled.  The passing reading of each family is catalog data,
+:data:`RESOLVED_READINGS`; :func:`_resolve_variant` is the search on low
+degrees that finds it, and the tests hold the table to the search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .precision import PrecisionContext
-from .polynomials import Poly, RationalFunction, ReductionAmbiguityError
+from .polynomials import (Poly, RationalFunction, ReductionAmbiguityError, divmod_poly,
+                          remainder_class)
 from .families.base import EigenSystem, NoEigenSystemError, get_param
 
 SYMBOLS = ("I", "R", "S+", "S-", "S+R", "S-R", "dx", "dxR", "dx2")
@@ -33,12 +40,31 @@ OUTER_DIFF = "outer-diff"                      # (dxR f)(x) = d/dx f(-x) = -f'(-
 OUTER_REFLECT = "outer-reflect"                # (dxR f)(x) = f'(-x)
 
 
+def _product(polys):
+    out = Poly.constant(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
 @dataclass
 class DunklOperator:
     terms: list                               # [(RationalFunction, symbol), ...]
     shift: object                             # step of S+/S- (i throughout)
     composition: str = SHIFT_AFTER_REFLECT
     dxr_order: str = OUTER_DIFF
+    den: Poly = field(init=False, repr=False)           # common denominator D
+    numerators: list = field(init=False, repr=False)    # N_j = coeff_j * D
+
+    def __post_init__(self):
+        dens = []
+        for coeff, _ in self.terms:
+            if all(coeff.den.coeffs != d.coeffs for d in dens):
+                dens.append(coeff.den)
+        self.den = _product(dens)
+        self.numerators = [
+            coeff.num * _product(d for d in dens if d.coeffs != coeff.den.coeffs)
+            for coeff, _ in self.terms]
 
     def symbol_apply(self, symbol: str, p: Poly):
         i = self.shift
@@ -69,13 +95,27 @@ class DunklOperator:
         raise ValueError("unknown symbol %r" % symbol)
 
 
+def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
+    """L p = num / D by one division: (num, quotient, remainder class).
+
+    The class is 'zero' when L p is the quotient polynomial, 'nonzero' when
+    a pole survives and 'ambiguous' in between; the remainder is judged
+    against the largest summed term.
+    """
+    parts = [n * op.symbol_apply(symbol, p) for n, (_, symbol) in zip(op.numerators, op.terms)]
+    num = sum(parts[1:], parts[0])
+    quot, rem = divmod_poly(num, op.den, ctx)
+    return num, quot, remainder_class(rem, max(part.coeff_norm() for part in parts), ctx)
+
+
 def apply(op: DunklOperator, p: Poly, ctx: PrecisionContext) -> RationalFunction:
     """Sum of coefficient x (symbol applied to p), reduced."""
-    total = RationalFunction(Poly.constant(ctx.mp.mpc(0)))
-    for coeff, symbol in op.terms:
-        acted = op.symbol_apply(symbol, p)
-        total = total + coeff * RationalFunction(acted)
-    return total.reduce(ctx)
+    num, quot, cls = _image(op, p, ctx)
+    if cls == "zero":
+        return RationalFunction(quot)
+    if cls == "ambiguous":
+        raise ReductionAmbiguityError("singular part of the image is neither cleanly zero nor nonzero")
+    return RationalFunction(num, op.den).reduce(ctx)
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +424,27 @@ FIRST_ORDER_REFLECT_FAMILIES = ("big-minus1-jacobi", "little-minus1-jacobi",
 # families with a dxR term inside a second-order operator
 DXR_FAMILIES = ("chihara", "minus1-meixner-pollaczek")
 
-_RESOLVED = {}
+# the reading of the printed operator that satisfies the eigen equation,
+# as found by _resolve_variant (the tests hold this table to the search)
+RESOLVED_READINGS = {
+    "hermite": {},
+    "generalized-hermite": {},
+    "gegenbauer": {},
+    "generalized-gegenbauer": {},
+    "chihara": {"dxr": OUTER_DIFF},
+    "minus1-meixner-pollaczek": {"dxr": OUTER_DIFF},
+    "big-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
+    "little-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
+    "special-little-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
+    "continuous-bannai-ito": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
+    "continuous-minus1-hahn-1": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
+    "continuous-minus1-hahn-2": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
+    "generalized-symmetric-bannai-ito": {},
+    "symmetric-bannai-ito": {},
+}
+
+# degree of the basis P_0..P_N whose operator matrix the CLI checks for diagonality
+DIAGONALITY_N = 8
 
 
 def _candidate_variants(fid):
@@ -405,59 +465,55 @@ def _operator_for_variant(fid, params, free, variant, ctx):
     op = DunklOperator(terms=terms, shift=ctx.mp.mpc(0, 1),
                        composition=variant.get("composition", SHIFT_AFTER_REFLECT),
                        dxr_order=variant.get("dxr", OUTER_DIFF))
-    return op, lam, ctx.mp.mpf(variant.get("scale", 1))
+    return op, lam
 
 
-def _eigen_residual(op, lam, scale, polys, n, ctx):
-    """Relative residual of (L - lambda_n) on the scale-s eigenfunction of P_n."""
+def _check_degree(op, lam, p, ctx):
+    """L p = lam p: (image, relative residual, status); image None at a dead end.
+
+    A dead end is an image that is not polynomial: 'inconclusive' when the
+    remainder is ambiguous, 'fail' when a pole survives.
+    """
+    _, image, cls = _image(op, p, ctx)
+    if cls != "zero":
+        return None, None, "inconclusive" if cls == "ambiguous" else "fail"
     mp = ctx.mp
-    q = polys[n].dilate(scale).scale(mp.mpf(1) / scale ** n)
-    r = apply(op, q, ctx) - RationalFunction(q.scale(lam(n)))
-    collapsed = r.reduce(ctx).is_polynomial(ctx)
-    if collapsed is None:
-        return None
-    norm_scale = q.coeff_norm() * max(mp.mpf(1), abs(lam(n)))
-    return collapsed.coeff_norm() / norm_scale
+    residual = (image - p.scale(lam)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(lam)))
+    return image, residual, "pass" if residual <= ctx.tol(10) else "fail"
+
+
+def _variant_outcomes(fid, params, ctx):
+    """Every candidate reading tried on L P_n = lambda_n P_n, n = 1..3, at free = 1/2."""
+    from . import families as F
+
+    polys = F.generate(fid, params, 3, ctx)
+    outcomes = []
+    for variant in _candidate_variants(fid):
+        op, lam = _operator_for_variant(fid, params, ctx.mp.mpf(1) / 2, variant, ctx)
+        residuals = []
+        for n in range(1, 4):
+            _, res, status = _check_degree(op, lam(n), polys[n], ctx)
+            residuals.append(float(res) if status == "pass" else None)
+        outcomes.append({"variant": variant, "passes": None not in residuals,
+                         "residuals": residuals})
+    return outcomes
 
 
 def _resolve_variant(fid, ctx):
-    """Pick the reading of the printed operator that satisfies the eigen equation."""
+    """Search the readings of the printed operator at the first fixture point."""
     from . import families as F
 
-    if fid in _RESOLVED:
-        return _RESOLVED[fid]
-    point = F.fixture_points(fid)[0]
-    params = F.make_params(fid, ctx, **point)
-    free = ctx.mp.mpf(1) / 2
-    polys = F.generate(fid, params, 4, ctx)
-    outcomes = []
-    chosen = None
-    for variant in _candidate_variants(fid):
-        op, lam, scale = _operator_for_variant(fid, params, free, variant, ctx)
-        ok = True
-        worst = ctx.mp.mpf(0)
-        for n in range(1, 4):
-            try:
-                res = _eigen_residual(op, lam, scale, polys, n, ctx)
-            except ReductionAmbiguityError:
-                res = None
-            if res is None or res > ctx.tol(10):
-                ok = False
-                break
-            worst = max(worst, res)
-        outcomes.append({"variant": dict(variant), "passes": ok,
-                         "max_residual": float(worst) if ok else None})
-        if ok and chosen is None:
-            chosen = dict(variant)
-    if chosen is None:
+    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+    outcomes = _variant_outcomes(fid, params, ctx)
+    passing = [o["variant"] for o in outcomes if o["passes"]]
+    if not passing:
         raise NoEigenSystemError(
             "no reading of the printed operator for %s satisfies its eigen equation" % fid)
-    _RESOLVED[fid] = {"variant": chosen, "outcomes": outcomes}
-    return _RESOLVED[fid]
+    return {"variant": passing[0], "outcomes": outcomes}
 
 
 def resolve_composition_convention(family, params, ctx: PrecisionContext):
-    """Test both readings of S+R (and the variable scale) on n = 1..3.
+    """Test both readings of S+R (and of the A coefficient) on n = 1..3.
 
     Returns a report listing each candidate and whether it satisfies the
     eigen equation; the catalog operator is fixed to the passing one.
@@ -467,24 +523,7 @@ def resolve_composition_convention(family, params, ctx: PrecisionContext):
     fid = F.resolve_family(family)
     if fid not in SHIFT_REFLECT_FAMILIES:
         raise ValueError("composition resolution applies to the S+R families, not %s" % fid)
-    free = ctx.mp.mpf(1) / 2
-    polys = F.generate(fid, params, 4, ctx)
-    outcomes = []
-    for variant in _candidate_variants(fid):
-        op, lam, scale = _operator_for_variant(fid, params, free, variant, ctx)
-        residuals = []
-        ok = True
-        for n in range(1, 4):
-            try:
-                res = _eigen_residual(op, lam, scale, polys, n, ctx)
-            except ReductionAmbiguityError:
-                res = None
-            if res is None or res > ctx.tol(10):
-                ok = False
-                residuals.append(None)
-            else:
-                residuals.append(float(res))
-        outcomes.append({"variant": variant, "passes": ok, "residuals": residuals})
+    outcomes = _variant_outcomes(fid, params, ctx)
     passing = [o for o in outcomes if o["passes"]]
     if not passing:
         raise NoEigenSystemError(
@@ -501,14 +540,14 @@ def build_eigen_system(fid, params, ctx: PrecisionContext, free=None) -> EigenSy
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    resolved = _resolve_variant(fid, ctx)["variant"]
-    op, lam, scale = _operator_for_variant(fid, params, free, resolved, ctx)
+    reading = RESOLVED_READINGS[fid]
+    op, lam = _operator_for_variant(fid, params, free, reading, ctx)
     notes = ""
-    if resolved:
-        notes = "resolved reading: %s" % (resolved,)
+    if reading:
+        notes = "resolved reading: %s" % (reading,)
     return EigenSystem(family=fid, operator=op, eigenvalue=lam,
                        free_name=free_name, free_value=free if free_name else None,
-                       variable_scale=scale, notes=notes)
+                       notes=notes)
 
 
 def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
@@ -518,61 +557,110 @@ def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
     fid = F.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
     polys = F.generate(fid, params, n, ctx)
-    tol = ctx.tol(10)
-    try:
-        res = _eigen_residual(es.operator, es.eigenvalue, es.variable_scale, polys, n, ctx)
-        status = "inconclusive" if res is None else ("pass" if res <= tol else "fail")
-    except ReductionAmbiguityError:
-        res = None
-        status = "inconclusive"
+    _, res, status = _check_degree(es.operator, es.eigenvalue(n), polys[n], ctx)
     return {
         "family": fid,
         "n": n,
         "free": float(es.free_value) if es.free_value is not None else None,
         "status": status,
         "residual": float(res) if res is not None else None,
-        "tolerance": float(tol),
-        "variable_scale": float(es.variable_scale),
+        "tolerance": float(ctx.tol(10)),
     }
 
 
-def operator_matrix(family, params, N, ctx: PrecisionContext, free=None):
-    """Matrix of L in the (scale-adjusted) basis P_0..P_N; should be diagonal."""
-    from . import families as F
-
-    fid = F.resolve_family(family)
-    es = build_eigen_system(fid, params, ctx, free=free)
+def _basis_matrix(images, basis, ctx):
+    """Coordinates of the images in the basis, by back-substitution from the top degree."""
     mp = ctx.mp
-    s = es.variable_scale
-    polys = F.generate(fid, params, N, ctx)
-    basis = [p.dilate(s).scale(mp.mpf(1) / s ** k) for k, p in enumerate(polys)]
+    N = len(basis) - 1
     matrix = [[mp.mpc(0)] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        image = apply(es.operator, basis[n], ctx).is_polynomial(ctx)
-        if image is None:
-            raise ReductionAmbiguityError("operator image of P_%d is not polynomial" % n)
+    for n, image in enumerate(images):
         coeffs = list(image.coeffs) + [mp.mpc(0)] * (N + 1 - len(image.coeffs))
         for k in range(N, -1, -1):
-            c = coeffs[k] if k < len(coeffs) else mp.mpc(0)
+            c = coeffs[k]
             matrix[k][n] = c
             if c != 0:
                 for j, bc in enumerate(basis[k].coeffs):
                     coeffs[j] -= c * bc
-    return matrix, es
+    return matrix
 
 
-def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
+def _diagonality(matrix, eigenvalue, ctx):
     """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative."""
-    matrix, es = operator_matrix(family, params, N, ctx, free=free)
     mp = ctx.mp
-    scale = max(max(abs(es.eigenvalue(n)) for n in range(N + 1)), mp.mpf(1))
+    N = len(matrix) - 1
+    scale = max(max(abs(eigenvalue(n)) for n in range(N + 1)), mp.mpf(1))
     off = mp.mpf(0)
     diag = mp.mpf(0)
     for k in range(N + 1):
         for n in range(N + 1):
             if k == n:
-                diag = max(diag, abs(matrix[k][n] - es.eigenvalue(n)))
+                diag = max(diag, abs(matrix[k][n] - eigenvalue(n)))
             else:
                 off = max(off, abs(matrix[k][n]))
-    return {"family": es.family, "N": N, "max_offdiag": float(off / scale),
-            "max_diag_error": float(diag / scale), "tolerance": float(ctx.tol(12))}
+    return {"N": N, "max_offdiag": float(off / scale), "max_diag_error": float(diag / scale),
+            "tolerance": float(ctx.tol(12))}
+
+
+def operator_matrix(family, params, N, ctx: PrecisionContext, free=None):
+    """Matrix of L in the basis P_0..P_N; should be diagonal."""
+    from . import families as F
+
+    fid = F.resolve_family(family)
+    es = build_eigen_system(fid, params, ctx, free=free)
+    basis = F.generate(fid, params, N, ctx)
+    images = []
+    for n, p in enumerate(basis):
+        _, image, cls = _image(es.operator, p, ctx)
+        if cls != "zero":
+            raise ReductionAmbiguityError("operator image of P_%d is not polynomial" % n)
+        images.append(image)
+    return _basis_matrix(images, basis, ctx), es
+
+
+def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
+    """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative."""
+    matrix, es = operator_matrix(family, params, N, ctx, free=free)
+    return {"family": es.family, **_diagonality(matrix, es.eigenvalue, ctx)}
+
+
+def eigen_check(family, params, N, ctx: PrecisionContext):
+    """The eigen block of a family report, from one image per (free value, degree).
+
+    Checks L P_n = lambda_n P_n for n <= N at the free values 1/2 and 2, and
+    that the matrix of L (free = 1/2) in the basis P_0..P_8 is diagonal with
+    the printed eigenvalues.  An image that is not polynomial, at any degree
+    used, ends the check: 'inconclusive' for an ambiguous remainder, 'fail'
+    for a surviving pole, with the degree in the notes.
+    """
+    from . import families as F
+
+    fid = F.resolve_family(family)
+    top = max(N, DIAGONALITY_N)
+    polys = F.generate(fid, params, top, ctx)
+    report = {"family": fid, "status": "pass", "residual": 0.0, "tolerance": float(ctx.tol(10)),
+              "notes": "n <= %d at two free-parameter values; basis matrix diagonal" % N}
+    for free, last in (("0.5", top), ("2", N)):
+        es = build_eigen_system(fid, params, ctx, free=free)
+        images = []
+        for n in range(last + 1):
+            image, res, status = _check_degree(es.operator, es.eigenvalue(n), polys[n], ctx)
+            if image is None:
+                at = " at %s = %s" % (es.free_name, free) if es.free_name else ""
+                reason = ("remainder in the ambiguity band" if status == "inconclusive"
+                          else "a pole survives")
+                report.update(status=status, residual=None,
+                              notes="image of P_%d%s is not polynomial: %s" % (n, at, reason))
+                return report
+            images.append(image)
+            if n <= N:
+                report["residual"] = max(report["residual"], float(res))
+                if status == "fail":
+                    report["status"] = "fail"
+        if free == "0.5":
+            basis = polys[:DIAGONALITY_N + 1]
+            report["diagonality"] = _diagonality(
+                _basis_matrix(images[:DIAGONALITY_N + 1], basis, ctx), es.eigenvalue, ctx)
+    diag = report["diagonality"]
+    if max(diag["max_offdiag"], diag["max_diag_error"]) > diag["tolerance"]:
+        report["status"] = "fail"
+    return report

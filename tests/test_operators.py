@@ -144,3 +144,132 @@ def test_first_order_families_resolved_reading():
     for fid in ("big-minus1-jacobi", "little-minus1-jacobi", "special-little-minus1-jacobi"):
         variant = O._resolve_variant(fid, CTX)["variant"]
         assert variant == {"dxr": O.OUTER_DIFF, "bracket": "IR"}, fid
+
+
+# ----------------------------------------------------------------------
+# the image kernel: one common denominator, one division per image
+
+
+def test_image_matches_termwise_evaluation():
+    # L p at points off the poles (0 and +-i/2) against the terms evaluated one by one
+    points = (MP.mpf("0.37"), MP.mpc("-0.81", "0.23"), MP.mpc("1.3", "-0.45"))
+    for fid in O._BUILDERS:
+        es = F.eigen_system(fid, params_for(fid), CTX)
+        op = es.operator
+        for n, p in enumerate(F.generate(fid, params_for(fid), 8, CTX)):
+            image = O.apply(op, p, CTX)
+            for z in points:
+                terms = [coeff.evaluate(z) * op.symbol_apply(sym, p).evaluate(z)
+                         for coeff, sym in op.terms]
+                direct = MP.fsum(terms)
+                scale = max(abs(t) for t in terms)
+                assert abs(image.evaluate(z) - direct) <= CTX.tol(8) * scale, (fid, n, z)
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("fid", ["chihara", "continuous-minus1-hahn-1", "symmetric-bannai-ito"])
+def test_eigen_check_agrees_with_per_degree_checks(fid, digits):
+    ctx = PrecisionContext(digits)
+    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+    rep = O.eigen_check(fid, params, 10, ctx)
+    statuses = {O.verify_eigen(fid, params, n, ctx, free=free)["status"]
+                for free in ("0.5", "2") for n in range(11)}
+    diag = O.check_diagonality(fid, params, 8, ctx)
+    assert statuses == {rep["status"]} == {"pass"}, (statuses, rep)
+    assert max(diag["max_offdiag"], diag["max_diag_error"]) <= diag["tolerance"]
+    assert rep["diagonality"].items() <= diag.items()
+
+
+def test_common_denominator_is_a_plain_product():
+    # at 15 digits the tolerant gcd cannot even reduce Chihara's dxR
+    # coefficient, so an lcm of the term denominators is out of reach
+    from minusone.polynomials import ReductionAmbiguityError
+
+    ctx = PrecisionContext(15)
+    params = F.make_params("chihara", ctx, **F.fixture_points("chihara")[0])
+    op = F.eigen_system("chihara", params, ctx).operator
+    coeffs = {sym: c for c, sym in op.terms}
+    with pytest.raises(ReductionAmbiguityError):
+        coeffs["dxR"].reduce(ctx)
+    # 4x^2 (dx2), 4x^3 (dxR), 4x^5 (dx), 4x^9 (I, and R shares it)
+    assert op.den.degree == 2 + 3 + 5 + 9
+    assert O.eigen_check("chihara", params, 10, ctx)["status"] == "pass"
+
+
+def test_remainder_judged_on_the_image_not_the_residual():
+    # at 100 digits the rounding left in L q - lambda q for these degrees,
+    # measured against that cancelled difference, looks like a pole; the
+    # image's remainder against its summed terms does not
+    ctx = PrecisionContext(100)
+    params = F.make_params("chihara", ctx, **F.fixture_points("chihara")[0])
+    for n in (5, 9):
+        rep = O.verify_eigen("chihara", params, n, ctx)
+        assert rep["status"] == "pass", rep
+        assert rep["residual"] <= 1e-85
+
+
+def test_numerically_zero_image():
+    # D_sigma on P_0 of the symmetric Bannai-Ito family cancels to rounding
+    # noise; against the term size that is zero, not a remainder to divide out
+    from minusone.polynomials import NonDivisibleError
+
+    params = params_for("symmetric-bannai-ito")
+    op = F.eigen_system("symmetric-bannai-ito", params, CTX, free="0.7").operator
+    p0 = F.generate("symmetric-bannai-ito", params, 0, CTX)[0]
+    num, _, cls = O._image(op, p0, CTX)
+    assert cls == "zero" and num.coeff_norm() > 0
+    with pytest.raises(NonDivisibleError):
+        RationalFunction(num, op.den).reduce(CTX)
+    image = O.apply(op, p0, CTX).is_polynomial(CTX)
+    assert image is not None and image.coeff_norm() <= CTX.tol(10)
+
+
+@pytest.mark.parametrize("coeff, status", [("1", "fail"), ("1e-42", "inconclusive")])
+def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
+    # an extra c/x I term: a pole (fail), or a remainder in the ambiguity band
+    # (inconclusive) at 50 digits; the check returns instead of raising
+    from minusone import cli
+
+    fid = "symmetric-bannai-ito"
+    build = O._BUILDERS[fid]
+
+    def with_pole(params, free, variant, ctx):
+        terms, lam = build(params, free, variant, ctx)
+        pole = RationalFunction(Poly.constant(ctx.mp.mpc(coeff)), Poly.x(ctx))
+        return terms + [(pole, "I")], lam
+
+    monkeypatch.setitem(O._BUILDERS, fid, with_pole)
+    rep = O.eigen_check(fid, params_for(fid), 10, CTX)
+    assert rep["status"] == status
+    assert "P_0" in rep["notes"]
+    code = cli.main(["verify", "--family", fid, "--checks", "eigen", "--format", "json",
+                     "--no-timestamp"])
+    assert code == (cli.EXIT_FAIL if status == "fail" else cli.EXIT_INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_resolved_readings_match_the_search(digits):
+    ctx = PrecisionContext(digits)
+    assert set(O.RESOLVED_READINGS) == set(O._BUILDERS)
+    for fid in O._BUILDERS:
+        assert O._resolve_variant(fid, ctx)["variant"] == O.RESOLVED_READINGS[fid], fid
+
+
+def _eigen_check_sweep(digits):
+    ctx = PrecisionContext(digits)
+    for fid in O._BUILDERS:
+        for point in F.fixture_points(fid):
+            params = F.make_params(fid, ctx, **point)
+            rep = O.eigen_check(fid, params, 10, ctx)
+            assert rep["status"] == "pass", (digits, fid, point, rep["notes"])
+
+
+@pytest.mark.parametrize("digits", [15, 20])
+def test_eigen_check_precision_sweep(digits):
+    _eigen_check_sweep(digits)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", [30, 100])
+def test_eigen_check_precision_sweep_slow(digits):
+    _eigen_check_sweep(digits)
