@@ -1,9 +1,9 @@
 """Numerical orthogonality: Gram matrices against the printed norm formulas.
 
-Double-exponential quadrature (tanh-sinh on finite components, exp-sinh and
-sinh maps on infinite ones) integrates each weight, including the
-|Gamma(a+ix)|^2 densities of the Bannai-Ito block; diagonals must match
-the printed norms and off-diagonals must vanish.
+Double-exponential quadrature (tanh-sinh on finite components, the
+exp(t - exp(-t)) map on half-lines and sinh on the whole line) integrates
+each weight, including the |Gamma(a+ix)|^2 densities of the Bannai-Ito
+block; diagonals must match the printed norms and off-diagonals must vanish.
 """
 
 import time

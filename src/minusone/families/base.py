@@ -66,10 +66,6 @@ class RecurrencePair:
 class SupportComponent:
     lo: object
     hi: object
-    exp_lo: object = 0        # algebraic endpoint exponent; None at an infinite end
-    exp_hi: object = 0
-    decay_lo: str | None = None   # "gaussian" | "gamma-modulus" at infinite ends
-    decay_hi: str | None = None
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Orthogonality data: weight functions, supports, and printed norm formulas.
 
-``weight_spec`` returns the density exactly as printed (theta implemented as
-sgn) split into components whose endpoints carry all algebraic singular
-points; ``norm`` returns the printed right-hand side of the orthogonality
-relation under the printed inner product, so quadrature results can be
-compared against it directly.  ``measure_prefactor`` records the constant
-sitting inside the printed inner product (1/(4 pi) for the Gamma-weight
-symmetric families, 1 elsewhere).
+``weight_spec`` returns the density as printed (theta implemented as sgn,
+the Gamma moduli that have a closed form taken in closed form) split into
+components whose endpoints carry all algebraic singular points; ``norm``
+returns the printed right-hand side of the orthogonality relation under the
+printed inner product, so quadrature results can be compared against it
+directly.  ``measure_prefactor`` records the constant sitting inside the
+printed inner product (1/(4 pi) for the Gamma-weight symmetric families, 1
+elsewhere).
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ def _w_hermite(params, ctx):
     mp = ctx.mp
     return WeightSpec(
         family="hermite",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"),
-                                     exp_lo=None, exp_hi=None,
-                                     decay_lo="gaussian", decay_hi="gaussian")],
+        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
         density=lambda x: mp.exp(-x * x),
     )
 
@@ -55,8 +54,8 @@ def _w_generalized_hermite(params, ctx):
     return WeightSpec(
         family="generalized-hermite",
         components=[
-            SupportComponent(mp.mpf("-inf"), zero, exp_lo=None, exp_hi=2 * al, decay_lo="gaussian"),
-            SupportComponent(zero, mp.mpf("+inf"), exp_lo=2 * al, exp_hi=None, decay_hi="gaussian"),
+            SupportComponent(mp.mpf("-inf"), zero),
+            SupportComponent(zero, mp.mpf("+inf")),
         ],
         density=dens,
     )
@@ -75,8 +74,8 @@ def _w_minus1_mp(params, ctx):
     return WeightSpec(
         family="minus1-meixner-pollaczek",
         components=[
-            SupportComponent(mp.mpf("-inf"), -g, exp_lo=None, exp_hi=al - mp.mpf(1) / 2, decay_lo="gaussian"),
-            SupportComponent(g, mp.mpf("+inf"), exp_lo=al - mp.mpf(1) / 2, exp_hi=None, decay_hi="gaussian"),
+            SupportComponent(mp.mpf("-inf"), -g),
+            SupportComponent(g, mp.mpf("+inf")),
         ],
         density=dens,
     )
@@ -89,7 +88,7 @@ def _w_gegenbauer(params, ctx):
     e = al - mp.mpf(1) / 2
     return WeightSpec(
         family="gegenbauer",
-        components=[SupportComponent(mp.mpf(-1), mp.mpf(1), exp_lo=e, exp_hi=e)],
+        components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
         density=lambda x: (1 - x * x) ** e,
     )
 
@@ -104,8 +103,8 @@ def _w_generalized_gegenbauer(params, ctx):
     return WeightSpec(
         family="generalized-gegenbauer",
         components=[
-            SupportComponent(mp.mpf(-1), zero, exp_lo=be, exp_hi=2 * al + 1),
-            SupportComponent(zero, mp.mpf(1), exp_lo=2 * al + 1, exp_hi=be),
+            SupportComponent(mp.mpf(-1), zero),
+            SupportComponent(zero, mp.mpf(1)),
         ],
         density=dens,
     )
@@ -126,8 +125,8 @@ def _w_chihara(params, ctx):
     return WeightSpec(
         family="chihara",
         components=[
-            SupportComponent(-top, -g, exp_lo=be, exp_hi=al),
-            SupportComponent(g, top, exp_lo=al, exp_hi=be),
+            SupportComponent(-top, -g),
+            SupportComponent(g, top),
         ],
         density=dens,
     )
@@ -144,8 +143,8 @@ def _w_little_m1j(params, ctx):
     return WeightSpec(
         family="little-minus1-jacobi",
         components=[
-            SupportComponent(mp.mpf(-1), zero, exp_lo=e1, exp_hi=al),
-            SupportComponent(zero, mp.mpf(1), exp_lo=al, exp_hi=e1),
+            SupportComponent(mp.mpf(-1), zero),
+            SupportComponent(zero, mp.mpf(1)),
         ],
         density=dens,
     )
@@ -158,7 +157,7 @@ def _w_special_lj(params, ctx):
     e = (al - 1) / 2
     return WeightSpec(
         family="special-little-minus1-jacobi",
-        components=[SupportComponent(mp.mpf(-1), mp.mpf(1), exp_lo=e, exp_hi=e)],
+        components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
         density=lambda x: (1 - x * x) ** e * (1 + x),
     )
 
@@ -178,11 +177,53 @@ def _w_big_m1j(params, ctx):
     return WeightSpec(
         family="big-minus1-jacobi",
         components=[
-            SupportComponent(mp.mpf(-1), -c, exp_lo=(al - 1) / 2, exp_hi=(be - 1) / 2),
-            SupportComponent(c, mp.mpf(1), exp_lo=(be + 1) / 2, exp_hi=(al - 1) / 2),
+            SupportComponent(mp.mpf(-1), -c),
+            SupportComponent(c, mp.mpf(1)),
         ],
         density=dens,
     )
+
+
+# The |Gamma|^2 densities below use the reflection identities
+#   |Gamma(ix)|^2 = pi / (x sinh(pi x)),   |Gamma(2ix)|^2 = pi / (2x sinh(2 pi x)),
+#   |Gamma(1/2 + ix)|^2 = pi / cosh(pi x)
+# (DLMF 5.4.3, 5.4.4), so |Gamma(ix) / Gamma(2ix)|^2 = 4 cosh(pi x), which
+# is finite at x = 0, and 1 / |Gamma(1/2 + ix)|^2 = cosh(pi x) / pi.
+
+
+def _conjugate_closed(vals, mp):
+    """True when the multiset vals equals its conjugate, exactly."""
+    return all(vals.count(mp.conj(v)) == vals.count(v) for v in vals)
+
+
+def _mirrored(density):
+    """An even density that pays for each pair +-x once.
+
+    The value computed at x waits, keyed by |x|, until -x asks for it.  A
+    whole-line table sweeps a level's +x nodes, then its -x nodes, so at
+    most one half-level of values waits at a time.
+    """
+    pending = {}
+
+    def dens(x):
+        key = abs(x)
+        value = pending.pop(key, None)
+        if value is None:
+            value = pending[key] = density(x)
+        return value
+    return dens
+
+
+def _gamma_modulus_density(vals, mp):
+    """4 cosh(pi x) |prod Gamma(v + ix)|^2 = |Gamma(ix) prod Gamma(v + ix) / Gamma(2ix)|^2.
+
+    Even in x when vals is closed under conjugation; it is then mirrored.
+    """
+    def dens(x):
+        ix = mp.mpc(0, x)
+        prod = mp.fprod(mp.gamma(v + ix) for v in vals)
+        return 4 * mp.cosh(mp.pi * x) * abs(prod) ** 2
+    return _mirrored(dens) if _conjugate_closed(vals, mp) else dens
 
 
 def _w_gsbi(params, ctx):
@@ -196,19 +237,10 @@ def _w_gsbi(params, ctx):
     conj_closed = all(min(abs(mp.conj(v) - w) for w in vals) <= ctx.tol(4) * (1 + abs(v))
                       for v in vals)
     _require(conj_closed, "non-real parameters occur in conjugate pairs", "A.6")
-
-    def dens(x):
-        if x == 0:
-            return abs(2 * mp.gamma(a) * mp.gamma(b) * mp.gamma(c)) ** 2
-        ix = mp.mpc(0, 1) * x
-        num = mp.gamma(ix) * mp.gamma(a + ix) * mp.gamma(b + ix) * mp.gamma(c + ix)
-        return abs(num / mp.gamma(2 * ix)) ** 2
-
     return WeightSpec(
         family="generalized-symmetric-bannai-ito",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"), exp_lo=None, exp_hi=None,
-                                     decay_lo="gamma-modulus", decay_hi="gamma-modulus")],
-        density=dens,
+        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
+        density=_gamma_modulus_density(vals, mp),
         measure_prefactor=1 / (4 * mp.pi),
     )
 
@@ -218,18 +250,10 @@ def _w_sbi(params, ctx):
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
     _require(mp.re(a) > 0 and mp.re(b) > 0, "Re(a), Re(b) > 0", "A.10")
-
-    def dens(x):
-        if x == 0:
-            return abs(2 * mp.gamma(a) * mp.gamma(b)) ** 2
-        ix = mp.mpc(0, 1) * x
-        return abs(mp.gamma(ix) * mp.gamma(a + ix) * mp.gamma(b + ix) / mp.gamma(2 * ix)) ** 2
-
     return WeightSpec(
         family="symmetric-bannai-ito",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"), exp_lo=None, exp_hi=None,
-                                     decay_lo="gamma-modulus", decay_hi="gamma-modulus")],
-        density=dens,
+        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
+        density=_gamma_modulus_density([mp.mpc(a), mp.mpc(b)], mp),
         measure_prefactor=1 / (4 * mp.pi),
     )
 
@@ -243,15 +267,15 @@ def _cbi_weight(al, be, ga, de, family, anchor, ctx):
     half = mp.mpf(1) / 2
 
     def dens(x):
+        # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
         ixh = i * x / 2
         num = mp.gamma(fa + ixh + 1) * mp.gamma(fb + ixh + 1) \
             * mp.gamma(fc + ixh + half) * mp.gamma(fd + ixh + half)
-        return abs(num / mp.gamma(half + i * x)) ** 2
+        return abs(num) ** 2 * mp.cosh(mp.pi * x) / mp.pi
 
     return WeightSpec(
         family=family,
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"), exp_lo=None, exp_hi=None,
-                                     decay_lo="gamma-modulus", decay_hi="gamma-modulus")],
+        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
         density=dens,
     )
 

@@ -13,8 +13,12 @@ diagonal and 10**-(d/2 - 8) on it.  Tables are built BOOST_DIGITS = 10
 digits past d (mpmath then runs GUARD_DIGITS = 15 further, reported as
 ``working_digits``), with node tolerance 10**-(d//2 + 15), fifteen digits
 below the off-diagonal gate.  Measured minimum headroom, log10(gate/error)
-over both gates and the fourteen fixture families at N = 8: 23.2 digits at
-d = 15, 23.9 at 20, 27.3 at 30, 31.2 at 50 and 44.5 at 100.
+over both gates and the fourteen families at their first fixture point,
+N = 8: 23.2 digits at d = 15, 23.9 at 20, 27.3 at 30, 31.2 at 50 and 44.5
+at 100.  Over all three fixture points it is 13.0 to 13.1 digits at every
+one of these d, set by -1 Meixner-Pollaczek at alpha = 0, gamma = 0.75:
+its (x^2 - gamma^2)^(-1/2) factor, recomputed from the rounded node, puts
+the Gram error near the square root of the working precision.
 """
 
 from __future__ import annotations

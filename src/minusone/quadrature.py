@@ -1,18 +1,27 @@
-"""Double-exponential quadrature aware of endpoint singularities and decay classes.
+"""Double-exponential quadrature for densities with endpoint singularities.
 
 One engine serves every integral in the package: ``build_node_table`` turns
 (lo, hi) support pieces and a density into a table of nodes and weights.
-Finite pieces use the tanh-sinh map, which absorbs algebraic endpoint
-singularities with exponent > -1.  Semi-infinite pieces use the exp-sinh
-map (singular finite endpoint allowed); doubly infinite pieces use the sinh
-map, double-exponential against both the gaussian and the |Gamma|^2
-("gamma-modulus", asymptotically pure-exponential) decay classes.
+The map follows from the shape of the piece alone (Takahasi & Mori, Publ.
+RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
+
+- finite pieces: tanh-sinh, which absorbs algebraic endpoint singularities
+  with exponent > -1;
+- half-lines: x = a +- exp(t - exp(-t)), w = (1 + exp(-t)) exp(t - exp(-t)).
+  It is double-exponential into the finite end a (singular endpoints are
+  absorbed as above), and x grows like exp(t) on the infinite side, so the
+  terms die double-exponentially for any density that decays at least
+  exponentially (every half-line piece of the catalog is gaussian);
+- the whole line: sinh, double-exponential against both the gaussian and
+  the |Gamma|^2 (asymptotically pure-exponential) decay.
 
 - Guard integrand.  density * (1+x^2)**ceil(max_degree/2) stands in for
   every polynomial factor up to max_degree.  It drives the term cutoff (a
   sweep stops once four successive terms fall below ~10**-(digits+10) of
   its peak) and the convergence test (the guard sums of two successive
-  meshes agree within tol).
+  meshes agree within tol).  Each sweep returns the guard terms of its new
+  nodes, summed, and a piece keeps a running total, so every guard term
+  is computed and added once.
 - Refinement.  Each level halves the mesh and sweeps only the new odd
   multiples, reusing every earlier node.
 - Embedded coarse estimate.  Nodes that already sat on the previous mesh are
@@ -111,15 +120,20 @@ def _map_tanh_sinh(lo, hi, mp):
     return phi
 
 
-def _map_exp_sinh(anchor, direction, mp):
+def _map_half_line(anchor, direction, mp):
+    """x(t) = anchor + direction * exp(t - exp(-t)).
+
+    Double-exponential into the finite end; on the infinite side x grows
+    like exp(t), so a density decaying at least exponentially in x gives
+    terms that die double-exponentially in t.
+    """
     def phi(t):
-        s = mp.sinh(t)
-        e = mp.exp(mp.pi / 2 * s)
+        d = mp.exp(-t)
+        e = mp.exp(t - d)
         x = anchor + direction * e
         if x == anchor:
             return None
-        w = (mp.pi / 2) * mp.cosh(t) * e
-        return x, w
+        return x, (1 + d) * e
     return phi
 
 
@@ -139,8 +153,8 @@ def _component_map(lo, hi, mp):
     if lo_inf and hi_inf:
         return _map_sinh(mp)
     if lo_inf:
-        return _map_exp_sinh(hi, mp.mpf(-1), mp)
-    return _map_exp_sinh(lo, mp.mpf(1), mp)
+        return _map_half_line(hi, mp.mpf(-1), mp)
+    return _map_half_line(lo, mp.mpf(1), mp)
 
 
 def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, max_levels=12):
@@ -167,10 +181,11 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
         pts = {}          # integer multiple of current h -> (x, w*density)
         h = mp.mpf(1)
         previous = mp.mpf(0)       # a single mesh is compared against 0
+        total = mp.mpf(0)          # sum of w*density*(1+x^2)**gd over pts
         level = 0
         while True:
-            _sweep_level(phi, h, level, pts, density, mp, eps_term, gd)
-            guard = h * sum(w * (1 + x * x) ** gd for (x, w) in pts.values())
+            total += _sweep_level(phi, h, level, pts, density, mp, eps_term, gd)
+            guard = h * total
             converged = level > 0 and abs(guard - previous) <= tol * max(abs(guard), mp.mpf(1))
             if converged or level + 1 >= max_levels or len(pts) >= NODE_CAP:
                 break
@@ -194,7 +209,8 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
 
     Keys are integer multiples of the current mesh h; on refinement the
     existing keys double, so final-key parity marks membership in the
-    previous mesh (used for the embedded coarse estimate).
+    previous mesh (used for the embedded coarse estimate).  Returns the
+    sum of the guard terms w*density*(1+x^2)**gd over the new nodes.
     """
     def handle(k):
         node = phi(k * h)
@@ -203,12 +219,15 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
         x, w = node
         wd = w * density(x)
         pts[k] = (x, wd)
-        return abs(wd) * (1 + x * x) ** gd
+        return wd * (1 + x * x) ** gd
 
+    added = mp.mpf(0)
     if level == 0:
         step = 1
-        if handle(0) is None:
-            return
+        g = handle(0)
+        if g is None:
+            return added
+        added += g
     else:
         _double_keys(pts)
         step = 2
@@ -218,9 +237,11 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
         peak = mp.mpf(0)
         k = step * direction if level == 0 else direction
         while True:
-            r = handle(k)
-            if r is None:
+            g = handle(k)
+            if g is None:
                 break
+            added += g
+            r = abs(g)
             peak = max(peak, r)
             if r < eps_term * max(peak, eps_term):
                 small_run += 1
@@ -230,7 +251,8 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
                 small_run = 0
             k += step * direction
             if len(pts) >= NODE_CAP:
-                return
+                return added
+    return added
 
 
 def _double_keys(pts):

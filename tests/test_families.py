@@ -145,7 +145,6 @@ def test_weight_spec_hermite():
     spec = F.weight_spec("hermite", {}, CTX)
     (comp,) = spec.components
     assert MP.isinf(comp.lo) and MP.isinf(comp.hi)
-    assert comp.decay_lo == "gaussian"
     assert abs(spec.density(MP.mpf(1)) - MP.exp(MP.mpf(-1))) < CTX.tol(6)
 
 
@@ -167,6 +166,58 @@ def test_gsbi_density_formula():
     ix = MP.mpc(0, 1) * x
     direct = abs(MP.gamma(ix) * MP.gamma(1 + ix) ** 3 / MP.gamma(2 * ix)) ** 2
     assert abs(spec.density(x) - direct) <= CTX.tol(6) * direct
+
+
+def _printed_gamma_density(fid, params, x, ctx):
+    """The |Gamma|^2 densities as printed, Gamma products with no reflection identity."""
+    mp = ctx.mp
+    g = lambda name: mp.convert(params[name])
+    ix = mp.mpc(0, x)
+    if fid in ("symmetric-bannai-ito", "generalized-symmetric-bannai-ito"):
+        names = ("a", "b", "c") if "c" in params else ("a", "b")
+        if x == 0:       # the printed limit 4 |Gamma(a) Gamma(b) (Gamma(c))|^2
+            return 4 * abs(mp.fprod(mp.gamma(g(n)) for n in names)) ** 2
+        num = mp.gamma(ix) * mp.fprod(mp.gamma(g(n) + ix) for n in names)
+        return abs(num / mp.gamma(2 * ix)) ** 2
+    if fid == "continuous-bannai-ito":
+        delta = g("delta")
+    else:                # -1 Hahn I has delta = beta, -1 Hahn II delta = -beta
+        delta = g("beta") if fid == "continuous-minus1-hahn-1" else -g("beta")
+    fa, fb = mp.mpc(g("alpha"), g("beta")), mp.mpc(g("gamma"), delta)
+    fc, fd = mp.conj(fb), mp.conj(fa)
+    half = mp.mpf(1) / 2
+    num = mp.gamma(fa + ix / 2 + 1) * mp.gamma(fb + ix / 2 + 1) \
+        * mp.gamma(fc + ix / 2 + half) * mp.gamma(fd + ix / 2 + half)
+    return abs(num / mp.gamma(half + ix)) ** 2
+
+
+GAMMA_DENSITY_XS = ("0", "1e-3", "-1e-3", "0.731", "-0.731", "3.2", "-3.2",
+                    "17.5", "-17.5", "41", "-41")
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_gamma_modulus_densities_match_printed_products(digits):
+    # the reflection-identity densities, mirrored ones included, against the printed products
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    cases = [(fid, F.make_params(fid, ctx, **pt))
+             for fid in ("symmetric-bannai-ito", "generalized-symmetric-bannai-ito",
+                         "continuous-bannai-ito", "continuous-minus1-hahn-1",
+                         "continuous-minus1-hahn-2")
+             for pt in F.fixture_points(fid)]
+    # {a, b} not closed under conjugation: an admissible symmetric Bannai-Ito weight that is not even
+    uneven = {"a": mp.mpc(1, mp.mpf(1) / 2), "b": mp.mpf(1)}
+    cases.append(("symmetric-bannai-ito", uneven))
+    for fid, params in cases:
+        spec = F.weight_spec(fid, params, ctx)
+        for s in GAMMA_DENSITY_XS:
+            x = mp.mpf(s)
+            ref = _printed_gamma_density(fid, params, x, ctx)
+            got = spec.density(x)
+            assert abs(got - ref) <= ctx.tol(10) * ref, (digits, fid, params, s)
+    spec = F.weight_spec("symmetric-bannai-ito", uneven, ctx)
+    x = mp.mpf("0.731")
+    assert abs(spec.density(x) - spec.density(-x)) > ctx.tol(0) * spec.density(x)
 
 
 def test_weight_density_nonnegative_on_support():

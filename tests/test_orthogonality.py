@@ -99,27 +99,45 @@ def test_recurrence_gram_matches_horner_gram(monkeypatch):
                 assert abs(rep["matrix"][n][m] - ref[n][m]) <= MP.mpf("1e-40") * scale, (fid, n, m)
 
 
+def test_gaussian_half_line_tables_node_count():
+    # the exp(t - exp(-t)) half-line map: a work count, not a timing
+    for fid in ("generalized-hermite", "minus1-meixner-pollaczek"):
+        params = F.make_params(fid, CTX, **F.fixture_points(fid)[0])
+        _, _, table = orth._boosted_table(fid, params, CTX, 16)
+        assert table.converged, fid
+        assert len(table.xs) <= 1200, (fid, len(table.xs))
+
+
 def _headroom(tol, err):
     return math.inf if err == 0 else math.log10(tol / err)
 
 
-def _assert_gram_sweep(digits):
-    # every orthogonal family passes the CLI gates with >= 15 digits to spare
+def _assert_gram_sweep(digits, points=1, min_headroom=15):
+    # every orthogonal family passes the CLI gates with min_headroom digits to spare
+    # at its first `points` fixture points
     ctx = PrecisionContext(digits)
     off_tol, diag_tol = 10.0 ** -(digits / 2), 10.0 ** -(digits / 2 - 8)
     for fid in F.orthogonal_ids():
-        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
-        rep = orth.gram(fid, params, 8, ctx)
-        assert rep["converged"], (digits, fid)
-        assert rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol, (digits, fid)
-        headroom = min(_headroom(off_tol, rep["max_offdiag"]),
-                       _headroom(diag_tol, rep["max_diag_error"]))
-        assert headroom >= 15, (digits, fid, headroom)
+        for pt in F.fixture_points(fid)[:points]:
+            params = F.make_params(fid, ctx, **pt)
+            rep = orth.gram(fid, params, 8, ctx)
+            assert rep["converged"], (digits, fid, pt)
+            assert rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol, (digits, fid, pt)
+            headroom = min(_headroom(off_tol, rep["max_offdiag"]),
+                           _headroom(diag_tol, rep["max_diag_error"]))
+            assert headroom >= min_headroom, (digits, fid, pt, headroom)
 
 
 @pytest.mark.parametrize("digits", [15, 20])
 def test_gram_sweep_low_precision(digits):
     _assert_gram_sweep(digits)
+
+
+def test_gram_sweep_all_fixture_points():
+    # -1 Meixner-Pollaczek at alpha = 0 has a (x^2 - gamma^2)^(-1/2) endpoint, whose
+    # error floors near the square root of the working precision: about 13 digits
+    # of headroom, not 23
+    _assert_gram_sweep(15, points=3, min_headroom=12)
 
 
 @pytest.mark.slow

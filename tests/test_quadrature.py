@@ -34,6 +34,14 @@ def test_semi_infinite_with_singular_end():
     assert abs(r.value - MP.sqrt(MP.pi)) < CTX.tol(4)
 
 
+def test_gaussian_half_line_with_singular_end():
+    # int_0^inf x^(1/2) e^(-x^2) dx = Gamma(3/4)/2
+    r = integrate([(MP.mpf(0), MP.mpf("inf"))], lambda x: MP.sqrt(x) * MP.exp(-x * x), CTX,
+                  tol=CTX.tol(8))
+    assert r.converged
+    assert abs(r.value - MP.gamma(MP.mpf(3) / 4) / 2) < MP.mpf("1e-40")
+
+
 def test_gsbi_normalized_mass():
     params = F.make_params("gsbi", CTX, a="1", b="1", c="1")
     spec = F.weight_spec("gsbi", params, CTX)
