@@ -601,8 +601,11 @@ def _diagonality(matrix, eigenvalue, ctx):
             "tolerance": float(ctx.tol(12))}
 
 
-def operator_matrix(family, params, N, ctx: PrecisionContext, free=None):
-    """Matrix of L in the basis P_0..P_N; should be diagonal."""
+def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
+    """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative.
+
+    Raises ReductionAmbiguityError when the image of some P_n is not polynomial.
+    """
     from . import families as F
 
     fid = F.resolve_family(family)
@@ -614,13 +617,8 @@ def operator_matrix(family, params, N, ctx: PrecisionContext, free=None):
         if cls != "zero":
             raise ReductionAmbiguityError("operator image of P_%d is not polynomial" % n)
         images.append(image)
-    return _basis_matrix(images, basis, ctx), es
-
-
-def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
-    """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative."""
-    matrix, es = operator_matrix(family, params, N, ctx, free=free)
-    return {"family": es.family, **_diagonality(matrix, es.eigenvalue, ctx)}
+    return {"family": es.family,
+            **_diagonality(_basis_matrix(images, basis, ctx), es.eigenvalue, ctx)}
 
 
 def eigen_check(family, params, N, ctx: PrecisionContext):

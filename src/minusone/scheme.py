@@ -3,15 +3,21 @@ Christoffel/Geronimus spectral transformation connecting the families,
 with machinery to verify exact edges at coefficient level, limit edges by
 ladder extrapolation, and kernel-partner identities; exportable as a graph.
 
+Each edge carries its parameter map where it is registered (see
+:class:`SchemeEdge`); the verifiers, the commuting squares and the
+open-question resolutions all read the maps from there.
+
 Limit verification compares both the transformed polynomials and the
 transformed recurrence coefficients, fits the convergence order from the
 error ladder, and Richardson-extrapolates the last three points; the
-extrapolated error enters the pass/fail bound only.
+extrapolated error enters the pass/fail bound only.  Ladders run at
+``LADDER_MIN_DIGITS`` or more working digits.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import families
@@ -19,8 +25,26 @@ from .polynomials import Poly, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
 
+# Printed readings of an edge map that only the ladder can tell apart: the
+# report check name, ((label, variant passed to the map), ...) with the
+# expected reading first, and the note when that reading alone converges.
+_Variants = namedtuple("_Variants", "check readings resolution")
+
+
 @dataclass(frozen=True)
 class SchemeEdge:
+    """One connection of the scheme, with the parameter map that tests it.
+
+    ``params(f, h, mp, variant)`` returns ``(source params, target params,
+    s)``.  ``f`` maps the fixture names to mpf, ``h`` is the ladder value of
+    a limit edge (None on exact edges), ``mp`` the working mpmath context
+    and ``variant`` a reading from ``variants`` (None for the default).
+    On specialization and limit edges the source is compared in the target
+    frame: U_n(x) = S_n(s x) / s^n against T_n(x).  On a Christoffel edge s
+    is the target-frame scale: the kernel sequence of the source is compared
+    against T_n(s x) / s^n.  A Geronimus edge has no map (``params`` is
+    None); it is checked through the Christoffel edge of its pair.
+    """
     source: str
     target: str
     kind: str            # specialization | limit | q-limit | christoffel | geronimus
@@ -28,6 +52,8 @@ class SchemeEdge:
     label: str
     direction: str       # "exact" | "h->0" | "h->inf" | "eps->0"
     fixture: tuple       # ((name, decimal-string), ...) free parameters of the edge test
+    params: object       # the map above; None on a geronimus edge
+    variants: object = None   # _Variants for an edge with an ambiguous printed map
 
     @property
     def id(self):
@@ -41,99 +67,239 @@ def _fx(**kw):
 EDGES = {}
 
 
-def _edge(source, target, kind, anchor, label, direction, fixture):
-    e = SchemeEdge(source, target, kind, anchor, label, direction, fixture)
+def _edge(source, target, kind, anchor, label, direction, fixture, params, variants=None):
+    e = SchemeEdge(source, target, kind, anchor, label, direction, fixture, params, variants)
     EDGES[e.id] = e
     return e
 
 
+def _pair(source, target, anchor, label, fixture, params):
+    """A Christoffel edge and its Geronimus inverse, verified together by verify_ct_gt."""
+    _edge(source, target, "christoffel", anchor, label, "exact", fixture, params)
+    _edge(target, source, "geronimus", anchor, "inverse kernel map", "exact", fixture, None)
+
+
 # --- exact specializations ------------------------------------------------
 _edge("big-minus1-jacobi", "little-minus1-jacobi", "specialization", "A.2",
-      "c -> 0 (parameters swap)", "exact", _fx(alpha="0.5", beta="1.5"))
+      "c -> 0 (parameters swap)", "exact", _fx(alpha="0.5", beta="1.5"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"], "c": mp.mpf(0)},
+                                 {"alpha": f["beta"], "beta": f["alpha"]}, 1))
 _edge("chihara", "generalized-gegenbauer", "specialization", "A.3",
-      "gamma -> 0", "exact", _fx(alpha="0.5", beta="1.5"))
+      "gamma -> 0", "exact", _fx(alpha="0.5", beta="1.5"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"], "gamma": mp.mpf(0)},
+                                 {"alpha": f["alpha"], "beta": f["beta"]}, 1))
 _edge("little-minus1-jacobi", "special-little-minus1-jacobi", "specialization", "A.7",
-      "alpha -> 0", "exact", _fx(beta="1.5"))
+      "alpha -> 0", "exact", _fx(beta="1.5"),
+      lambda f, h, mp, variant: ({"alpha": mp.mpf(0), "beta": f["beta"]},
+                                 {"alpha": f["beta"]}, 1))
 _edge("generalized-gegenbauer", "gegenbauer", "specialization", "A.8",
-      "alpha -> -1/2", "exact", _fx(beta="1.25"))
+      "alpha -> -1/2", "exact", _fx(beta="1.25"),
+      lambda f, h, mp, variant: ({"alpha": -mp.mpf(1) / 2, "beta": f["beta"] - mp.mpf(1) / 2},
+                                 {"alpha": f["beta"]}, 1))
 _edge("minus1-meixner-pollaczek", "generalized-hermite", "specialization", "A.9",
-      "gamma -> 0", "exact", _fx(alpha="0.75"))
+      "gamma -> 0", "exact", _fx(alpha="0.75"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"], "gamma": mp.mpf(0)},
+                                 {"alpha": f["alpha"]}, 1))
 _edge("generalized-hermite", "hermite", "specialization", "A.13",
-      "alpha -> 0", "exact", _fx())
+      "alpha -> 0", "exact", _fx(),
+      lambda f, h, mp, variant: ({"alpha": mp.mpf(0)}, {}, 1))
+
+
+def _hahn_to_sbi(f, h, mp, variant):
+    return ({"alpha": f["alpha"], "beta": mp.mpf(0), "gamma": f["gamma"]},
+            {"a": 2 * f["alpha"] + 1, "b": 2 * f["gamma"] + 1}, 1)
+
+
 _edge("continuous-minus1-hahn-1", "symmetric-bannai-ito", "specialization", "A.4",
-      "beta -> 0 (a = 2 alpha + 1, b = 2 gamma + 1)", "exact", _fx(alpha="0.25", gamma="0.75"))
+      "beta -> 0 (a = 2 alpha + 1, b = 2 gamma + 1)", "exact", _fx(alpha="0.25", gamma="0.75"),
+      _hahn_to_sbi)
 _edge("continuous-minus1-hahn-2", "symmetric-bannai-ito", "specialization", "A.5",
-      "beta -> 0 (a = 2 alpha + 1, b = 2 gamma + 1)", "exact", _fx(alpha="0.25", gamma="0.75"))
+      "beta -> 0 (a = 2 alpha + 1, b = 2 gamma + 1)", "exact", _fx(alpha="0.25", gamma="0.75"),
+      _hahn_to_sbi)
 _edge("continuous-bannai-ito", "continuous-minus1-hahn-1", "specialization", "A.1",
-      "delta = beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"))
+      "delta = beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"),
+      lambda f, h, mp, variant: (
+          {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": f["beta"]},
+          {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, 1))
 _edge("continuous-bannai-ito", "continuous-minus1-hahn-2", "specialization", "A.1",
-      "delta = -beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"))
+      "delta = -beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"),
+      lambda f, h, mp, variant: (
+          {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": -f["beta"]},
+          {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, 1))
 _edge("continuous-complementary-bannai-ito", "generalized-symmetric-bannai-ito",
       "specialization", "ss5.2", "b2 = 0 (a = a1 + i b1, b = a1 - i b1, c = a2)",
-      "exact", _fx(a1="0.75", b1="0.5", a2="1.25"))
+      "exact", _fx(a1="0.75", b1="0.5", a2="1.25"),
+      lambda f, h, mp, variant: (
+          {"a1": f["a1"], "b1": f["b1"], "a2": f["a2"], "b2": mp.mpf(0)},
+          {"a": f["a1"] + mp.j * f["b1"], "b": f["a1"] - mp.j * f["b1"], "c": f["a2"]}, 1))
 
 # --- limits ----------------------------------------------------------------
 _edge("continuous-bannai-ito", "big-minus1-jacobi", "limit", "ss3.1",
       "beta, delta ~ 1/h; x scaled by 2 beta/h", "h->0",
-      _fx(a1="0.25", b1="1", a2="0.25", b2="0.5"))
+      _fx(a1="0.25", b1="1", a2="0.25", b2="0.5"),
+      lambda f, h, mp, variant: (
+          {"alpha": f["a1"], "beta": f["b1"] / h, "gamma": f["a2"], "delta": f["b2"] / h},
+          {"alpha": 4 * f["a1"] + 1, "beta": 4 * f["a2"] + 1, "c": -f["b2"] / f["b1"]},
+          2 * f["b1"] / h))
+
+
+def _ccbi_to_chihara(f, h, mp, variant):
+    root = mp.sqrt(f["c1"] ** 2 - f["c2"] ** 2)
+    return ({"a1": (f["beta"] + 1) / 2, "b1": h * f["c1"],
+             "a2": f["alpha"] + 1, "b2": h * f["c2"]},
+            {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["c2"] / root}, h * root)
+
+
 _edge("continuous-complementary-bannai-ito", "chihara", "limit", "ss5.1",
       "b1 = h c1, b2 = h c2; x scaled by h sqrt(c1^2-c2^2)", "h->inf",
-      _fx(alpha="0.5", beta="1.5", c1="1", c2="0.5"))
+      _fx(alpha="0.5", beta="1.5", c1="1", c2="0.5"), _ccbi_to_chihara)
 _edge("generalized-symmetric-bannai-ito", "symmetric-bannai-ito", "limit", "A.6",
-      "c -> inf", "h->inf", _fx(a="0.5", b="1.5"))
+      "c -> inf", "h->inf", _fx(a="0.5", b="1.5"),
+      lambda f, h, mp, variant: ({"a": f["a"], "b": f["b"], "c": h},
+                                 {"a": f["a"], "b": f["b"]}, 1))
 _edge("generalized-symmetric-bannai-ito", "generalized-gegenbauer", "limit", "A.6",
       "a, b = (beta+1)/2 +- i h, c = alpha + 1; x scaled by h", "h->inf",
-      _fx(alpha="0.5", beta="1.5"))
-_edge("continuous-minus1-hahn-1", "minus1-meixner-pollaczek", "limit", "A.4",
-      "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"))
-_edge("continuous-minus1-hahn-2", "minus1-meixner-pollaczek", "limit", "A.5",
-      "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"))
-_edge("chihara", "minus1-meixner-pollaczek", "limit", "A.3",
-      "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75", gamma="0.5"))
-_edge("generalized-gegenbauer", "generalized-hermite", "limit", "A.8",
-      "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75"))
-_edge("symmetric-bannai-ito", "generalized-hermite", "limit", "A.10",
-      "b -> inf; x scaled by sqrt(b)", "h->inf", _fx(alpha="0.75"))
-_edge("gegenbauer", "hermite", "limit", "A.12",
-      "alpha -> inf; x scaled by 1/sqrt(alpha)", "h->inf", _fx())
+      _fx(alpha="0.5", beta="1.5"),
+      lambda f, h, mp, variant: (
+          {"a": (f["beta"] + 1) / 2 + mp.j * h, "b": (f["beta"] + 1) / 2 - mp.j * h,
+           "c": f["alpha"] + 1},
+          {"alpha": f["alpha"], "beta": f["beta"]}, h))
 
-# --- q -> -1 limits --------------------------------------------------------
+
+def _hahn_to_mp(f, h, mp, variant):
+    if variant == "sqrt-of-product":       # rejected print variant sqrt(gamma beta / 2)
+        bK = mp.sqrt(h * f["beta"] / 2)
+    else:
+        bK = mp.sqrt(h / 2) * f["beta"]
+    return ({"alpha": (2 * f["alpha"] - 1) / 4, "beta": bK, "gamma": h},
+            {"alpha": f["alpha"], "gamma": f["beta"]}, mp.sqrt(2 * h))
+
+
+_edge("continuous-minus1-hahn-1", "minus1-meixner-pollaczek", "limit", "A.4",
+      "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"),
+      _hahn_to_mp,
+      variants=_Variants("open-question:mp-scaling",
+                         (("sqrt(gamma/2)*beta", None), ("sqrt(gamma*beta/2)", "sqrt-of-product")),
+                         "sqrt(gamma/2)*beta; the sqrt(gamma*beta/2) reading diverges"))
+_edge("continuous-minus1-hahn-2", "minus1-meixner-pollaczek", "limit", "A.5",
+      "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"),
+      _hahn_to_mp)
+_edge("chihara", "minus1-meixner-pollaczek", "limit", "A.3",
+      "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75", gamma="0.5"),
+      lambda f, h, mp, variant: (
+          {"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h, "gamma": f["gamma"] / mp.sqrt(h)},
+          {"alpha": f["alpha"], "gamma": f["gamma"]}, 1 / mp.sqrt(h)))
+_edge("generalized-gegenbauer", "generalized-hermite", "limit", "A.8",
+      "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h},
+                                 {"alpha": f["alpha"]}, 1 / mp.sqrt(h)))
+_edge("symmetric-bannai-ito", "generalized-hermite", "limit", "A.10",
+      "b -> inf; x scaled by sqrt(b)", "h->inf", _fx(alpha="0.75"),
+      lambda f, h, mp, variant: ({"a": f["alpha"] + mp.mpf(1) / 2, "b": h},
+                                 {"alpha": f["alpha"]}, mp.sqrt(h)))
+_edge("gegenbauer", "hermite", "limit", "A.12",
+      "alpha -> inf; x scaled by 1/sqrt(alpha)", "h->inf", _fx(),
+      lambda f, h, mp, variant: ({"alpha": h}, {}, 1 / mp.sqrt(h)))
+
+# --- q -> -1 limits (the ladder value h is eps) -----------------------------
 _edge("big-q-jacobi", "big-minus1-jacobi", "q-limit", "A.2",
       "q = -e^eps, a = -e^(eps alpha), b = -e^(eps beta)", "eps->0",
-      _fx(alpha="0.5", beta="1.5", c="0.25"))
+      _fx(alpha="0.5", beta="1.5", c="0.25"),
+      lambda f, eps, mp, variant: (
+          {"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]),
+           "c": f["c"], "q": -mp.exp(eps)},
+          {"alpha": f["alpha"], "beta": f["beta"], "c": f["c"]}, 1))
+
+
+def _big_q_to_chihara(f, eps, mp, variant):
+    c = f["c"]
+    root = mp.sqrt(1 - c * c)
+    return ({"a": mp.exp(2 * eps * f["beta"]), "b": -mp.exp(eps * (2 * f["alpha"] + 1)),
+             "c": c, "q": -mp.exp(eps)},
+            {"alpha": f["alpha"], "beta": f["beta"], "gamma": -c / root}, root)
+
+
 _edge("big-q-jacobi", "chihara", "q-limit", "A.3",
       "q = -e^eps, a = e^(2 eps beta), b = -e^(eps(2 alpha+1)); x scaled by sqrt(1-c^2)",
-      "eps->0", _fx(alpha="0.5", beta="1.5", c="0.25"))
+      "eps->0", _fx(alpha="0.5", beta="1.5", c="0.25"), _big_q_to_chihara)
+
+
+def _dilated_to_little(f, eps, mp, variant):
+    src = {"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]), "q": -mp.exp(eps)}
+    if variant:
+        src["bn_sign"] = variant
+    return (src, {"alpha": f["alpha"], "beta": f["beta"]}, 1)
+
+
 _edge("little-q-jacobi-dilated", "little-minus1-jacobi", "q-limit", "A.7",
       "q = -e^eps, a = -e^(eps alpha), b = -e^(eps beta)", "eps->0",
-      _fx(alpha="0.5", beta="1.5"))
+      _fx(alpha="0.5", beta="1.5"), _dilated_to_little,
+      variants=_Variants("open-question:bn-sign", (("minus", "minus"), ("plus", "plus")),
+                         "b_n = 1 - A_n - C_n; the printed '+' variant diverges"))
 _edge("little-q-jacobi-dilated", "generalized-gegenbauer", "q-limit", "A.8",
       "q = -e^eps, a = -e^(eps(2 alpha+1)), b = e^(2 eps beta)", "eps->0",
-      _fx(alpha="0.5", beta="1.5"))
+      _fx(alpha="0.5", beta="1.5"),
+      lambda f, eps, mp, variant: (
+          {"a": -mp.exp(eps * (2 * f["alpha"] + 1)), "b": mp.exp(2 * eps * f["beta"]),
+           "q": -mp.exp(eps)},
+          {"alpha": f["alpha"], "beta": f["beta"]}, 1))
+
+
+def _q_hahn_to_hahn(sign):
+    """Map onto -1 Hahn I (sign 1) or II (sign -1): b = sign e^(eps(2 gamma+1))."""
+    def params(f, eps, mp, variant):
+        return ({"a": mp.exp(eps * (2 * f["alpha"] + 1)),
+                 "b": sign * mp.exp(eps * (2 * f["gamma"] + 1)),
+                 "phi": mp.pi / 2 + 2 * eps * f["beta"], "q": -mp.exp(eps)},
+                {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, 1)
+    return params
+
+
 _edge("continuous-q-hahn", "continuous-minus1-hahn-1", "q-limit", "A.4",
       "q = -e^eps, a = e^(eps(2 alpha+1)), b = e^(eps(2 gamma+1)), phi = pi/2 + 2 eps beta",
-      "eps->0", _fx(alpha="0.25", beta="0.5", gamma="0.75"))
+      "eps->0", _fx(alpha="0.25", beta="0.5", gamma="0.75"), _q_hahn_to_hahn(1))
 _edge("continuous-q-hahn", "continuous-minus1-hahn-2", "q-limit", "A.5",
       "q = -e^eps, a = e^(eps(2 alpha+1)), b = -e^(eps(2 gamma+1)), phi = pi/2 + 2 eps beta",
-      "eps->0", _fx(alpha="0.25", beta="0.5", gamma="0.75"))
+      "eps->0", _fx(alpha="0.25", beta="0.5", gamma="0.75"), _q_hahn_to_hahn(-1))
+
+
+def _q_mp_to_mp(f, eps, mp, variant):
+    q = -mp.exp(-eps)
+    return ({"a": -mp.exp(-eps * (f["alpha"] + mp.mpf(1) / 2)),
+             "phi": mp.pi / 2 + mp.sqrt(eps) * f["gamma"], "q": q},
+            {"alpha": f["alpha"], "gamma": f["gamma"]}, mp.sqrt(1 + q))
+
+
 _edge("q-meixner-pollaczek", "minus1-meixner-pollaczek", "q-limit", "A.9",
       "q = -e^-eps, a = -e^(-eps(alpha+1/2)), phi = pi/2 + sqrt(eps) gamma; x scaled by sqrt(1+q)",
-      "eps->0", _fx(alpha="0.75", gamma="0.5"))
+      "eps->0", _fx(alpha="0.75", gamma="0.5"), _q_mp_to_mp)
 
-# --- spectral transformations ----------------------------------------------
-_edge("little-minus1-jacobi", "generalized-gegenbauer", "christoffel", "A.7",
-      "kernel point 1; target ((alpha-1)/2, (beta+1)/2)", "exact", _fx(alpha="0.5", beta="1.5"))
-_edge("generalized-gegenbauer", "little-minus1-jacobi", "geronimus", "A.7",
-      "inverse kernel map", "exact", _fx(alpha="0.5", beta="1.5"))
-_edge("special-little-minus1-jacobi", "gegenbauer", "christoffel", "A.11",
-      "kernel point 1; target (alpha+2)/2", "exact", _fx(alpha="0.5"))
-_edge("gegenbauer", "special-little-minus1-jacobi", "geronimus", "A.11",
-      "inverse kernel map", "exact", _fx(alpha="0.5"))
-_edge("big-minus1-jacobi", "chihara", "christoffel", "A.2",
+# --- spectral transformations (each pair registers both directions) --------
+_pair("little-minus1-jacobi", "generalized-gegenbauer", "A.7",
+      "kernel point 1; target ((alpha-1)/2, (beta+1)/2)", _fx(alpha="0.5", beta="1.5"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"]},
+                                 {"alpha": (f["alpha"] - 1) / 2, "beta": (f["beta"] + 1) / 2}, 1))
+_pair("special-little-minus1-jacobi", "gegenbauer", "A.11",
+      "kernel point 1; target (alpha+2)/2", _fx(alpha="0.5"),
+      lambda f, h, mp, variant: ({"alpha": f["alpha"]}, {"alpha": (f["alpha"] + 2) / 2}, 1))
+
+
+def _big_to_chihara_kernel(f, h, mp, variant):
+    """The kernel sequence is sqrt(1-c^2)^n C_n(x/sqrt(1-c^2)), hence s =
+    1/sqrt(1-c^2), at the boxed parameters ((beta-1)/2, (alpha+1)/2,
+    -c/sqrt(1-c^2)); the reflected form
+    printed alongside carries one gamma-sign slip (the recurrence-level
+    kernel map fixes the sign unambiguously)."""
+    c = f["c"]
+    root = mp.sqrt(1 - c * c)
+    return ({"alpha": f["alpha"], "beta": f["beta"], "c": c},
+            {"alpha": (f["beta"] - 1) / 2, "beta": (f["alpha"] + 1) / 2, "gamma": -c / root},
+            1 / root)
+
+
+_pair("big-minus1-jacobi", "chihara", "A.2",
       "kernel point 1; target ((beta-1)/2, (alpha+1)/2, -c/sqrt(1-c^2)), x -> -x/sqrt(1-c^2)",
-      "exact", _fx(alpha="0.5", beta="1.5", c="0.25"))
-_edge("chihara", "big-minus1-jacobi", "geronimus", "A.2",
-      "inverse kernel map", "exact", _fx(alpha="0.5", beta="1.5", c="0.25"))
+      _fx(alpha="0.5", beta="1.5", c="0.25"), _big_to_chihara_kernel)
 
 
 def edge_catalog():
@@ -151,118 +317,11 @@ def resolve_edge(selector: str) -> SchemeEdge:
     return EDGES[key]
 
 
-# ----------------------------------------------------------------------
-# parameter maps: given the edge fixture (plus ladder value h where needed)
-# produce source params, target params, and the variable scale s with
-# U_n(x) = S_n(s x) / s^n compared against the target T_n(x).
-
-
-def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None, variant=None):
+def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None, variant=None, fixture=None):
+    """``edge.params`` at the edge fixture, or at ``fixture`` when given."""
     mp = ctx.mp
-    f = {k: mp.mpf(v) for k, v in edge.fixture}
-    i = mp.mpc(0, 1)
-    eid = edge.id
-    one = mp.mpf(1)
-
-    if eid == "big-minus1-jacobi:little-minus1-jacobi":
-        return ({"alpha": f["alpha"], "beta": f["beta"], "c": mp.mpf(0)},
-                {"alpha": f["beta"], "beta": f["alpha"]}, one)
-    if eid == "chihara:generalized-gegenbauer":
-        return ({"alpha": f["alpha"], "beta": f["beta"], "gamma": mp.mpf(0)},
-                {"alpha": f["alpha"], "beta": f["beta"]}, one)
-    if eid == "little-minus1-jacobi:special-little-minus1-jacobi":
-        return ({"alpha": mp.mpf(0), "beta": f["beta"]}, {"alpha": f["beta"]}, one)
-    if eid == "generalized-gegenbauer:gegenbauer":
-        return ({"alpha": -mp.mpf(1) / 2, "beta": f["beta"] - mp.mpf(1) / 2},
-                {"alpha": f["beta"]}, one)
-    if eid == "minus1-meixner-pollaczek:generalized-hermite":
-        return ({"alpha": f["alpha"], "gamma": mp.mpf(0)}, {"alpha": f["alpha"]}, one)
-    if eid == "generalized-hermite:hermite":
-        return ({"alpha": mp.mpf(0)}, {}, one)
-    if eid in ("continuous-minus1-hahn-1:symmetric-bannai-ito",
-               "continuous-minus1-hahn-2:symmetric-bannai-ito"):
-        return ({"alpha": f["alpha"], "beta": mp.mpf(0), "gamma": f["gamma"]},
-                {"a": 2 * f["alpha"] + 1, "b": 2 * f["gamma"] + 1}, one)
-    if eid == "continuous-bannai-ito:continuous-minus1-hahn-1":
-        return ({"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": f["beta"]},
-                {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, one)
-    if eid == "continuous-bannai-ito:continuous-minus1-hahn-2":
-        return ({"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": -f["beta"]},
-                {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, one)
-    if eid == "continuous-complementary-bannai-ito:generalized-symmetric-bannai-ito":
-        return ({"a1": f["a1"], "b1": f["b1"], "a2": f["a2"], "b2": mp.mpf(0)},
-                {"a": f["a1"] + i * f["b1"], "b": f["a1"] - i * f["b1"], "c": f["a2"]}, one)
-
-    if eid == "continuous-bannai-ito:big-minus1-jacobi":
-        return ({"alpha": f["a1"], "beta": f["b1"] / h, "gamma": f["a2"], "delta": f["b2"] / h},
-                {"alpha": 4 * f["a1"] + 1, "beta": 4 * f["a2"] + 1, "c": -f["b2"] / f["b1"]},
-                2 * f["b1"] / h)
-    if eid == "continuous-complementary-bannai-ito:chihara":
-        c1, c2 = f["c1"], f["c2"]
-        root = ctx.mp.sqrt(c1 ** 2 - c2 ** 2)
-        return ({"a1": (f["beta"] + 1) / 2, "b1": h * c1, "a2": f["alpha"] + 1, "b2": h * c2},
-                {"alpha": f["alpha"], "beta": f["beta"], "gamma": c2 / root}, h * root)
-    if eid == "generalized-symmetric-bannai-ito:symmetric-bannai-ito":
-        return ({"a": f["a"], "b": f["b"], "c": h}, {"a": f["a"], "b": f["b"]}, one)
-    if eid == "generalized-symmetric-bannai-ito:generalized-gegenbauer":
-        half = (f["beta"] + 1) / 2
-        return ({"a": half + i * h, "b": half - i * h, "c": f["alpha"] + 1},
-                {"alpha": f["alpha"], "beta": f["beta"]}, h)
-    if eid in ("continuous-minus1-hahn-1:minus1-meixner-pollaczek",
-               "continuous-minus1-hahn-2:minus1-meixner-pollaczek"):
-        if variant == "sqrt-of-product":       # rejected print variant sqrt(gamma beta / 2)
-            bK = mp.sqrt(h * f["beta"] / 2)
-        else:
-            bK = mp.sqrt(h / 2) * f["beta"]
-        return ({"alpha": (2 * f["alpha"] - 1) / 4, "beta": bK, "gamma": h},
-                {"alpha": f["alpha"], "gamma": f["beta"]}, mp.sqrt(2 * h))
-    if eid == "chihara:minus1-meixner-pollaczek":
-        return ({"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h, "gamma": f["gamma"] / mp.sqrt(h)},
-                {"alpha": f["alpha"], "gamma": f["gamma"]}, 1 / mp.sqrt(h))
-    if eid == "generalized-gegenbauer:generalized-hermite":
-        return ({"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h}, {"alpha": f["alpha"]},
-                1 / mp.sqrt(h))
-    if eid == "symmetric-bannai-ito:generalized-hermite":
-        return ({"a": f["alpha"] + mp.mpf(1) / 2, "b": h}, {"alpha": f["alpha"]}, mp.sqrt(h))
-    if eid == "gegenbauer:hermite":
-        return ({"alpha": h}, {}, 1 / mp.sqrt(h))
-
-    eps = h
-    if eid == "big-q-jacobi:big-minus1-jacobi":
-        return ({"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]),
-                 "c": f["c"], "q": -mp.exp(eps)},
-                {"alpha": f["alpha"], "beta": f["beta"], "c": f["c"]}, one)
-    if eid == "big-q-jacobi:chihara":
-        c = f["c"]
-        root = mp.sqrt(1 - c * c)
-        return ({"a": mp.exp(2 * eps * f["beta"]), "b": -mp.exp(eps * (2 * f["alpha"] + 1)),
-                 "c": c, "q": -mp.exp(eps)},
-                {"alpha": f["alpha"], "beta": f["beta"], "gamma": -c / root}, root)
-    if eid == "little-q-jacobi-dilated:little-minus1-jacobi":
-        src = {"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]), "q": -mp.exp(eps)}
-        if variant:
-            src["bn_sign"] = variant
-        return (src, {"alpha": f["alpha"], "beta": f["beta"]}, one)
-    if eid == "little-q-jacobi-dilated:generalized-gegenbauer":
-        src = {"a": -mp.exp(eps * (2 * f["alpha"] + 1)), "b": mp.exp(2 * eps * f["beta"]),
-               "q": -mp.exp(eps)}
-        if variant:
-            src["bn_sign"] = variant
-        return (src, {"alpha": f["alpha"], "beta": f["beta"]}, one)
-    if eid in ("continuous-q-hahn:continuous-minus1-hahn-1",
-               "continuous-q-hahn:continuous-minus1-hahn-2"):
-        sign = 1 if eid.endswith("1") else -1
-        return ({"a": mp.exp(eps * (2 * f["alpha"] + 1)),
-                 "b": sign * mp.exp(eps * (2 * f["gamma"] + 1)),
-                 "phi": mp.pi / 2 + 2 * eps * f["beta"], "q": -mp.exp(eps)},
-                {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, one)
-    if eid == "q-meixner-pollaczek:minus1-meixner-pollaczek":
-        q = -mp.exp(-eps)
-        return ({"a": -mp.exp(-eps * (f["alpha"] + mp.mpf(1) / 2)),
-                 "phi": mp.pi / 2 + mp.sqrt(eps) * f["gamma"], "q": q},
-                {"alpha": f["alpha"], "gamma": f["gamma"]}, mp.sqrt(1 + q))
-
-    raise KeyError("no parameter map for edge %s" % eid)
+    f = {k: mp.mpf(v) for k, v in (edge.fixture if fixture is None else fixture)}
+    return edge.params(f, h, mp, variant)
 
 
 def _transform(polys, s, ctx):
@@ -309,6 +368,11 @@ def verify_exact(edge, N, ctx: PrecisionContext):
     }
 
 
+# The smallest precision at which the "converged exactly" floor tol(12) of a
+# ladder is no looser than its 1e-8 extrapolation gate.
+LADDER_MIN_DIGITS = 20
+
+
 def default_ladder(direction, ctx):
     mp = ctx.mp
     if direction == "h->inf":
@@ -322,10 +386,12 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
     Passes iff polynomial-coefficient and recurrence-coefficient errors both
     decay monotonically with fitted order >= 1 and the Richardson
     extrapolation of the last three ladder points lands within 1e-8 of the
-    target.
+    target.  Below ``LADDER_MIN_DIGITS`` the ladder runs at that precision.
     """
     if isinstance(edge, str):
         edge = resolve_edge(edge)
+    if ctx.digits < LADDER_MIN_DIGITS:
+        ctx = PrecisionContext(LADDER_MIN_DIGITS)
     mp = ctx.mp
     if ladder is None:
         ladder = default_ladder(edge.direction, ctx)
@@ -419,62 +485,15 @@ def geronimus(family, params, kernel_polys, N, ctx: PrecisionContext):
     return out
 
 
-_CT_PAIRS = {
-    "little-minus1-jacobi:generalized-gegenbauer": "plain",
-    "special-little-minus1-jacobi:gegenbauer": "plain",
-    "big-minus1-jacobi:chihara": "scaled",
-}
-
-
-def _ct_target_transform(edge, tgt_polys, src_params, ctx):
-    """Map target polynomials into the frame of the Christoffel output.
-
-    For the big -1 Jacobi pair the kernel sequence is
-    sqrt(1-c^2)^n C_n(x/sqrt(1-c^2)) at the boxed parameters
-    ((beta-1)/2, (alpha+1)/2, -c/sqrt(1-c^2)); the reflected form printed
-    alongside carries one gamma-sign slip (the recurrence-level kernel map
-    fixes the sign unambiguously).
-    """
-    mp = ctx.mp
-    if _CT_PAIRS[edge if isinstance(edge, str) else edge.id] == "plain":
-        return tgt_polys
-    c = src_params["c"]
-    root = mp.sqrt(1 - c * c)
-    out = []
-    for n, p in enumerate(tgt_polys):
-        q = p.dilate(1 / root).scale(root ** n)
-        out.append(q)
-    return out
-
-
-def _ct_param_map(eid, f, ctx):
-    mp = ctx.mp
-    if eid == "little-minus1-jacobi:generalized-gegenbauer":
-        src = {"alpha": f["alpha"], "beta": f["beta"]}
-        tgt = {"alpha": (f["alpha"] - 1) / 2, "beta": (f["beta"] + 1) / 2}
-    elif eid == "special-little-minus1-jacobi:gegenbauer":
-        src = {"alpha": f["alpha"]}
-        tgt = {"alpha": (f["alpha"] + 2) / 2}
-    else:
-        c = f["c"]
-        root = mp.sqrt(1 - c * c)
-        src = {"alpha": f["alpha"], "beta": f["beta"], "c": c}
-        tgt = {"alpha": (f["beta"] - 1) / 2, "beta": (f["alpha"] + 1) / 2, "gamma": -c / root}
-    return src, tgt
-
-
 def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
     """Both directions of a kernel pair, coefficient-exactly, plus the round trip."""
     edge = resolve_edge(pair_edge) if isinstance(pair_edge, str) else pair_edge
     if edge.kind == "geronimus":
         edge = resolve_edge("%s:%s" % (edge.target, edge.source))
-    mp = ctx.mp
-    f = {k: mp.mpf(v) for k, v in edge.fixture}
-    src_params, tgt_params = _ct_param_map(edge.id, f, ctx)
+    src_params, tgt_params, s = _mapdata(edge, ctx)
 
     kernel = christoffel(edge.source, src_params, N, ctx)
-    tgt = families.generate(edge.target, tgt_params, N, ctx)
-    tgt_frame = _ct_target_transform(edge.id, tgt, src_params, ctx)
+    tgt_frame = _transform(families.generate(edge.target, tgt_params, N, ctx), s, ctx)
     err_ct = _compare_sets(kernel, tgt_frame)
 
     source = families.generate(edge.source, src_params, N, ctx)
@@ -506,19 +525,18 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20, N=12, seed=20
     import random
 
     mp = ctx.mp
+    edge = EDGES["little-minus1-jacobi:generalized-gegenbauer"]
     rng = random.Random(seed)
     worst = mp.mpf(0)
     for _ in range(trials):
-        al = mp.mpf(repr(rng.uniform(0.1, 3.0)))
-        be = mp.mpf(repr(rng.uniform(0.1, 3.0)))
-        src = {"alpha": al, "beta": be}
-        tgt = {"alpha": (al - 1) / 2, "beta": (be + 1) / 2}
+        point = (("alpha", repr(rng.uniform(0.1, 3.0))), ("beta", repr(rng.uniform(0.1, 3.0))))
+        src, tgt = _mapdata(edge, ctx, fixture=point)[:2]
         for n in range(N + 1):
-            pn = families.recurrence("little-minus1-jacobi", src, n, ctx)
-            pn1 = families.recurrence("little-minus1-jacobi", src, n + 1, ctx)
+            pn = families.recurrence(edge.source, src, n, ctx)
+            pn1 = families.recurrence(edge.source, src, n + 1, ctx)
             b_kernel = 1 - pn1.C - pn.A
             u_kernel = pn.C * pn.A
-            gg = families.recurrence("generalized-gegenbauer", tgt, n, ctx)
+            gg = families.recurrence(edge.target, tgt, n, ctx)
             worst = max(worst, abs(b_kernel - gg.b))
             if n >= 1:
                 worst = max(worst, abs(u_kernel - gg.u) / max(abs(gg.u), mp.mpf(1)))
@@ -532,6 +550,17 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20, N=12, seed=20
 # commuting squares
 
 
+# Each square composes two q-limit edges at fixtures of its own: big q-Jacobi
+# at c = 0 and the dilated little q-Jacobi land on the same -1 family (for
+# "little" with alpha, beta swapped, since J(alpha, beta, 0) = P(beta, alpha)).
+_SQUARES = {
+    "little": (("big-q-jacobi:big-minus1-jacobi", _fx(alpha="1", beta="2", c="0")),
+               ("little-q-jacobi-dilated:little-minus1-jacobi", _fx(alpha="2", beta="1"))),
+    "gegenbauer": (("big-q-jacobi:chihara", _fx(alpha="1", beta="2", c="0")),
+                   ("little-q-jacobi-dilated:generalized-gegenbauer", _fx(alpha="1", beta="2"))),
+}
+
+
 def verify_commuting_square(which, ctx: PrecisionContext, N=6, ladder=None):
     """The two q -> -1 paths of the big q-Jacobi square agree.
 
@@ -539,37 +568,22 @@ def verify_commuting_square(which, ctx: PrecisionContext, N=6, ladder=None):
     (Chihara/generalized Gegenbauer square).  At every ladder point the
     c -> 0 leg is exact: big q-Jacobi at c = 0 equals the dilated little
     q-Jacobi with swapped parameters; both paths must then converge to the
-    same -1 family with order >= 1.
+    same -1 family with order >= 1.  Both legs have scale s = 1 at c = 0.
     """
     mp = ctx.mp
     if ladder is None:
         ladder = default_ladder("eps->0", ctx)
-    al, be = mp.mpf("1"), mp.mpf("2")
+    (big_id, big_fx), (little_id, little_fx) = _SQUARES[which]
+    big, little = EDGES[big_id], EDGES[little_id]
 
-    if which == "little":
-        tgt_id = "little-minus1-jacobi"
-        tgt_params = {"alpha": be, "beta": al}     # J(alpha,beta,0) = P(beta,alpha)
-        def big_params(eps):
-            return {"a": -mp.exp(eps * al), "b": -mp.exp(eps * be), "c": mp.mpf(0), "q": -mp.exp(eps)}
-        def dilated_params(eps):
-            return {"a": -mp.exp(eps * be), "b": -mp.exp(eps * al), "q": -mp.exp(eps)}
-    elif which == "gegenbauer":
-        tgt_id = "generalized-gegenbauer"
-        tgt_params = {"alpha": al, "beta": be}
-        def big_params(eps):
-            return {"a": mp.exp(2 * eps * be), "b": -mp.exp(eps * (2 * al + 1)), "c": mp.mpf(0),
-                    "q": -mp.exp(eps)}
-        def dilated_params(eps):
-            return {"a": -mp.exp(eps * (2 * al + 1)), "b": mp.exp(2 * eps * be), "q": -mp.exp(eps)}
-    else:
-        raise ValueError("square must be 'little' or 'gegenbauer'")
-
-    target = families.generate(tgt_id, tgt_params, N, ctx)
+    target_params = _mapdata(little, ctx, ladder[0], fixture=little_fx)[1]
+    target = families.generate(little.target, target_params, N, ctx)
     leg_err = mp.mpf(0)
     errs_a, errs_b = [], []
     for eps in ladder:
-        pa = families.generate("big-q-jacobi", big_params(eps), N, ctx)
-        pb = families.generate("little-q-jacobi-dilated", dilated_params(eps), N, ctx)
+        pa = families.generate(big.source, _mapdata(big, ctx, eps, fixture=big_fx)[0], N, ctx)
+        pb = families.generate(little.source, _mapdata(little, ctx, eps, fixture=little_fx)[0],
+                               N, ctx)
         leg_err = max(leg_err, _compare_sets(pa, pb))
         errs_a.append(_compare_sets(pa, target))
         errs_b.append(_compare_sets(pb, target))
@@ -607,35 +621,22 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
 
     results = []
 
-    # middle-coefficient sign of the dilated little q-Jacobi recurrence
-    outcomes = {}
-    for sign in ("minus", "plus"):
-        rep = verify_limit("little-q-jacobi-dilated:little-minus1-jacobi", N, ctx, variant=sign)
-        outcomes[sign] = rep
-    winners = [s for s in outcomes if outcomes[s]["status"] == "pass"]
-    results.append({
-        "id": "little-q-jacobi-dilated:little-minus1-jacobi",
-        "check": "open-question:bn-sign",
-        "status": "pass" if winners else "fail",
-        "notes": ("resolved: b_n = 1 - A_n - C_n; the printed '+' variant diverges"
-                  if winners == ["minus"] else "surviving variants: %s" % winners),
-        "residual": outcomes["minus"]["errors"][-1],
-    })
-
-    # sqrt(gamma/2) beta versus sqrt(gamma beta/2) on the -1 MP ladder
-    outcomes = {}
-    for variant, label in ((None, "sqrt(gamma/2)*beta"), ("sqrt-of-product", "sqrt(gamma*beta/2)")):
-        outcomes[label] = verify_limit("continuous-minus1-hahn-1:minus1-meixner-pollaczek",
-                                       N, ctx, variant=variant)
-    winners = [k for k, v in outcomes.items() if v["status"] == "pass"]
-    results.append({
-        "id": "continuous-minus1-hahn-1:minus1-meixner-pollaczek",
-        "check": "open-question:mp-scaling",
-        "status": "pass" if winners else "fail",
-        "notes": ("resolved: sqrt(gamma/2)*beta; the sqrt(gamma*beta/2) reading diverges"
-                  if winners == ["sqrt(gamma/2)*beta"] else "surviving variants: %s" % winners),
-        "residual": outcomes["sqrt(gamma/2)*beta"]["errors"][-1],
-    })
+    # printed variants of an edge map, told apart by the edge's ladder
+    for edge in edge_catalog():
+        if edge.variants is None:
+            continue
+        outcomes = {label: verify_limit(edge, N, ctx, variant=variant)
+                    for label, variant in edge.variants.readings}
+        winners = [label for label, rep in outcomes.items() if rep["status"] == "pass"]
+        accepted = edge.variants.readings[0][0]
+        results.append({
+            "id": edge.id,
+            "check": edge.variants.check,
+            "status": "pass" if winners else "fail",
+            "notes": ("resolved: " + edge.variants.resolution
+                      if winners == [accepted] else "surviving variants: %s" % winners),
+            "residual": outcomes[accepted]["errors"][-1],
+        })
 
     # composition order of S+R (and the A-coefficient reading) in the CBI block
     for fid in SHIFT_REFLECT_FAMILIES:

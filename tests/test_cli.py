@@ -138,3 +138,26 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--family", "hermite", "--checks", "orthogonality")
     assert code == cli.EXIT_INCONCLUSIVE
     assert "INCONCLUSIVE" in out.upper()
+
+
+@pytest.mark.parametrize("edge", ["continuous-q-hahn:continuous-minus1-hahn-1",
+                                  "continuous-q-hahn:continuous-minus1-hahn-2"])
+def test_q_hahn_ladder_at_15_digits(capsys, edge):
+    # the eps = 1e-6 rung drives the q-Hahn A_n denominator to 1.6e-11, which
+    # a 15-digit context rejects; the ladder runs at 20 digits instead
+    code, out = run(capsys, "verify", "--edge", edge, "--digits", "15", "--format", "json",
+                    "--no-timestamp")
+    assert code == 0
+    [result] = json.loads(out)["results"]
+    assert (result["check"], result["status"]) == ("limit", "pass")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", [15, 20, 30, 50, 100])
+def test_verify_all_status_sweep(capsys, digits):
+    code, out = run(capsys, "verify", "--all", "--digits", str(digits), "--format", "json",
+                    "--no-timestamp")
+    results = json.loads(out)["results"]
+    assert len(results) == 99
+    assert [r for r in results if r["status"] != "pass"] == []
+    assert code == 0

@@ -61,6 +61,18 @@ def test_catalog_coverage_lock():
     assert all(e.anchor for e in S.edge_catalog())
 
 
+def test_every_edge_carries_its_map():
+    for e in S.edge_catalog():
+        if e.kind == "geronimus":
+            assert e.params is None, e.id        # checked through its christoffel edge
+            continue
+        h = S.default_ladder(e.direction, CTX)[0] if e.direction != "exact" else None
+        src, tgt, s = S._mapdata(e, CTX, h=h)
+        F.generate(e.source, src, 2, CTX)
+        F.generate(e.target, tgt, 2, CTX)
+        assert s != 0, e.id
+
+
 def test_edge_resolution_and_aliases():
     e = S.resolve_edge("cbi:big-minus1-jacobi")
     assert e.kind == "limit"
@@ -88,6 +100,17 @@ def test_qlimit_edge_dilated_little():
     assert rep["status"] == "pass"
     # first-order ladder; the fitted exponent carries O(eps) fitting slack
     assert rep["order_poly"] >= 0.95
+
+
+def test_limit_floor_no_looser_than_gate_at_15_digits():
+    # at 15 digits the "converged exactly" floor tol(12) would be 1e-3; the
+    # ladder runs at 20 digits, where the 8.8e-8 extrapolated error of this
+    # short ladder is over the 1e-8 gate
+    ladder = [10 ** k for k in range(1, 6)]
+    rep = S.verify_limit("chihara:minus1-meixner-pollaczek", 6, PrecisionContext(15),
+                         ladder=ladder)
+    assert rep["extrapolated_error"] > 1e-8
+    assert rep["status"] == "fail"
 
 
 def test_christoffel_low_degree():
