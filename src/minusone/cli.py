@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 inconclusive results only (ambiguous reductions, non-converged
-quadrature); 3 usage errors.  MINUS_ONE_DIGITS overrides the default
+quadrature, or a numerical dead end inside a check, which ends that check
+alone); 3 usage errors (an unknown family, edge or check, or bad
+--params), with no report.  MINUS_ONE_DIGITS overrides the default
 precision; an explicit --digits flag wins over the environment.
 """
 
@@ -15,14 +17,8 @@ import sys
 import time
 
 from . import families, operators, orthogonality, scheme
-from .families import (
-    InadmissibleParameterError,
-    NoEigenSystemError,
-    NoWeightError,
-    ParameterError,
-    UnknownFamilyError,
-)
-from .polynomials import ReductionAmbiguityError
+from .families import ParameterError, UnknownFamilyError
+from .polynomials import ReductionAmbiguityError, poly_rel_distance
 from .precision import PrecisionContext
 
 EXIT_PASS = 0
@@ -30,7 +26,6 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-FAMILY_CHECKS = ("closed-form", "orthogonality", "eigen", "favard")
 EDGE_CHECKS = ("exact", "limit", "ct-gt", "square")
 
 
@@ -168,153 +163,180 @@ def _result(id, check, status, residual=None, tolerance=None, anchor="", notes="
             "anchor": anchor, "notes": notes}
 
 
-def _family_results(fid, params, ctx, checks, nmax=None):
-    from .polynomials import poly_rel_distance
+def _guarded(id, check, anchor, run, *args):
+    """run(*args), one result; a numerical dead end ends this check alone, as inconclusive."""
+    try:
+        return run(*args)
+    except (ParameterError, ReductionAmbiguityError) as exc:
+        return _result(id, check, "inconclusive", anchor=anchor, notes=str(exc))
 
+
+def _closed_form_result(fid, info, params, ctx, nmax):
     mp = ctx.mp
+    try:
+        N = nmax if nmax is not None else 12
+        polys = families.generate(fid, params, N, ctx)
+        worst = mp.mpf(0)
+        for n in range(N + 1):
+            cf = families.closed_form(fid, params, n, ctx)
+            worst = max(worst, poly_rel_distance(polys[n], cf))
+    except families.NoClosedFormError:
+        return _result(fid, "closed-form", "pass", notes="no closed form on record",
+                       anchor=info.anchor)
+    tol = ctx.tol(10)
+    return _result(fid, "closed-form", "pass" if worst <= tol else "fail",
+                   float(worst), float(tol), info.anchor)
+
+
+def _orthogonality_result(fid, info, params, ctx, nmax):
+    if not info.has_weight:
+        return _result(fid, "orthogonality", "pass", anchor=info.anchor,
+                       notes="no continuous measure on record (skipped)")
+    N = nmax if nmax is not None else 8
+    rep = orthogonality.gram(fid, params, N, ctx)
+    off_tol = 10.0 ** -(ctx.digits / 2)
+    diag_tol = 10.0 ** -(ctx.digits / 2 - 8)
+    ok = rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol
+    status = "pass" if ok else "fail"
+    if not rep["converged"]:
+        status = "inconclusive"
+    return _result(fid, "orthogonality", status,
+                   max(rep["max_offdiag"], rep["max_diag_error"]),
+                   off_tol, info.anchor,
+                   "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
+                       rep["max_offdiag"], rep["max_diag_error"], rep["nodes"],
+                       rep["working_digits"]))
+
+
+def _eigen_result(fid, info, params, ctx, nmax):
+    if not info.has_eigen:
+        return _result(fid, "eigen", "pass", anchor=info.anchor,
+                       notes="no eigenvalue equation on record (skipped)")
+    rep = operators.eigen_check(fid, params, nmax if nmax is not None else 10, ctx)
+    return _result(fid, "eigen", rep["status"], rep["residual"], rep["tolerance"],
+                   info.anchor, rep["notes"])
+
+
+def _favard_result(fid, info, params, ctx, nmax):
+    if info.kind == "quasi":
+        rep_bad = families.positivity_conditions_ccbi(
+            {**params, "b2": ctx.mp.mpf(1)}, ctx, N=5)
+        rep_good = families.positivity_conditions_ccbi(
+            {**params, "b2": ctx.mp.mpf(0)}, ctx, N=5)
+        ok = (not rep_bad["all_hold"]) and rep_good["all_hold"]
+        return _result(fid, "favard", "pass" if ok else "fail",
+                       anchor=info.anchor,
+                       notes="b2 != 0 breaks reality, b2 = 0 reduces to the "
+                             "generalized symmetric family")
+    N = nmax if nmax is not None else 200
+    rep = orthogonality.favard_scan(fid, params, N, ctx)
+    return _result(fid, "favard", "pass" if rep["pass"] else "fail",
+                   None, None, info.anchor,
+                   "min u_n = %s over n <= %d" % (rep["min_u"], N))
+
+
+_FAMILY_RUNNERS = {"closed-form": _closed_form_result, "orthogonality": _orthogonality_result,
+                   "eigen": _eigen_result, "favard": _favard_result}
+FAMILY_CHECKS = tuple(_FAMILY_RUNNERS)
+
+
+def _family_results(fid, params, ctx, checks, nmax=None):
     info = families.family_info(fid)
-    results = []
+    return [_guarded(fid, check, info.anchor, run, fid, info, params, ctx, nmax)
+            for check, run in _FAMILY_RUNNERS.items() if check in checks]
 
-    if "closed-form" in checks:
-        try:
-            N = nmax if nmax is not None else 12
-            polys = families.generate(fid, params, N, ctx)
-            worst = mp.mpf(0)
-            for n in range(N + 1):
-                cf = families.closed_form(fid, params, n, ctx)
-                worst = max(worst, poly_rel_distance(polys[n], cf))
-            tol = ctx.tol(10)
-            results.append(_result(fid, "closed-form",
-                                   "pass" if worst <= tol else "fail",
-                                   float(worst), float(tol), info.anchor))
-        except families.NoClosedFormError:
-            results.append(_result(fid, "closed-form", "pass", notes="no closed form on record",
-                                   anchor=info.anchor))
 
-    if "orthogonality" in checks:
-        if not info.has_weight:
-            results.append(_result(fid, "orthogonality", "pass", anchor=info.anchor,
-                                   notes="no continuous measure on record (skipped)"))
-        else:
-            N = nmax if nmax is not None else 8
-            rep = orthogonality.gram(fid, params, N, ctx)
-            off_tol = 10.0 ** -(ctx.digits / 2)
-            diag_tol = 10.0 ** -(ctx.digits / 2 - 8)
-            ok = rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol
-            status = "pass" if ok else "fail"
-            if not rep["converged"]:
-                status = "inconclusive"
-            results.append(_result(fid, "orthogonality", status,
-                                   max(rep["max_offdiag"], rep["max_diag_error"]),
-                                   off_tol, info.anchor,
-                                   "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
-                                       rep["max_offdiag"], rep["max_diag_error"], rep["nodes"],
-                                       rep["working_digits"])))
+def _exact_result(edge, ctx, nmax):
+    rep = scheme.verify_exact(edge, nmax if nmax is not None else 10, ctx)
+    return _result(edge.id, "exact", rep["status"], rep["max_error"],
+                   rep["tolerance"], edge.anchor, edge.label)
 
-    if "eigen" in checks:
-        if not info.has_eigen:
-            results.append(_result(fid, "eigen", "pass", anchor=info.anchor,
-                                   notes="no eigenvalue equation on record (skipped)"))
-        else:
-            rep = operators.eigen_check(fid, params, nmax if nmax is not None else 10, ctx)
-            results.append(_result(fid, "eigen", rep["status"], rep["residual"], rep["tolerance"],
-                                   info.anchor, rep["notes"]))
 
-    if "favard" in checks:
-        if info.kind == "quasi":
-            rep_bad = families.positivity_conditions_ccbi(
-                {**params, "b2": ctx.mp.mpf(1)}, ctx, N=5)
-            rep_good = families.positivity_conditions_ccbi(
-                {**params, "b2": ctx.mp.mpf(0)}, ctx, N=5)
-            ok = (not rep_bad["all_hold"]) and rep_good["all_hold"]
-            results.append(_result(fid, "favard", "pass" if ok else "fail",
-                                   anchor=info.anchor,
-                                   notes="b2 != 0 breaks reality, b2 = 0 reduces to the "
-                                         "generalized symmetric family"))
-        else:
-            N = nmax if nmax is not None else 200
-            rep = orthogonality.favard_scan(fid, params, N, ctx)
-            results.append(_result(fid, "favard", "pass" if rep["pass"] else "fail",
-                                   None, None, info.anchor,
-                                   "min u_n = %s over n <= %d" % (rep["min_u"], N)))
-    return results
+def _limit_result(edge, ctx, nmax):
+    rep = scheme.verify_limit(edge, nmax if nmax is not None else 6, ctx)
+    notes = "order %.2f, ladder errors %s" % (
+        rep["order_poly"] or -1, ", ".join("%.1e" % e for e in rep["errors"]))
+    return _result(edge.id, "limit", rep["status"],
+                   rep["extrapolated_error"], 1e-8, edge.anchor, notes)
+
+
+def _ct_gt_result(edge, ctx, nmax):
+    rep = scheme.verify_ct_gt(edge, nmax if nmax is not None else 10, ctx)
+    worst = max(rep["christoffel_error"], rep["geronimus_error"], rep["round_trip_error"])
+    return _result(edge.id, "ct-gt", rep["status"], worst,
+                   rep["tolerance"], edge.anchor, edge.label)
+
+
+# edge kind -> (check, runner); a geronimus edge is covered by the
+# christoffel direction of its pair
+_EDGE_RUNNERS = {"specialization": ("exact", _exact_result), "limit": ("limit", _limit_result),
+                 "q-limit": ("limit", _limit_result), "christoffel": ("ct-gt", _ct_gt_result)}
 
 
 def _edge_results(edge, ctx, checks, nmax=None):
-    results = []
-    if edge.kind == "specialization" and "exact" in checks:
-        rep = scheme.verify_exact(edge, nmax if nmax is not None else 10, ctx)
-        results.append(_result(edge.id, "exact", rep["status"], rep["max_error"],
-                               rep["tolerance"], edge.anchor, edge.label))
-    elif edge.kind in ("limit", "q-limit") and "limit" in checks:
-        rep = scheme.verify_limit(edge, nmax if nmax is not None else 6, ctx)
-        notes = "order %.2f, ladder errors %s" % (
-            rep["order_poly"] or -1, ", ".join("%.1e" % e for e in rep["errors"]))
-        results.append(_result(edge.id, "limit", rep["status"],
-                               rep["extrapolated_error"], 1e-8, edge.anchor, notes))
-    elif edge.kind in ("christoffel", "geronimus") and "ct-gt" in checks:
-        if edge.kind == "geronimus":
-            return results          # covered by the christoffel direction of the pair
-        rep = scheme.verify_ct_gt(edge, nmax if nmax is not None else 10, ctx)
-        worst = max(rep["christoffel_error"], rep["geronimus_error"], rep["round_trip_error"])
-        results.append(_result(edge.id, "ct-gt", rep["status"], worst,
-                               rep["tolerance"], edge.anchor, edge.label))
-    return results
+    check, run = _EDGE_RUNNERS.get(edge.kind, (None, None))
+    if check not in checks:
+        return []
+    return [_guarded(edge.id, check, edge.anchor, run, edge, ctx, nmax)]
+
+
+def _square_result(which, ctx):
+    rep = scheme.verify_commuting_square(which, ctx)
+    return _result("commuting-square:%s" % which, "square", rep["status"],
+                   rep["exact_leg_error"], float(ctx.tol(10)), "fig.1",
+                   "orders %.2f / %.2f" % (rep["order_path_a"], rep["order_path_b"]))
+
+
+def _kernel_map_result(ctx):
+    rep = scheme.verify_recurrence_kernel_map(ctx)
+    return _result("kernel-recurrence-map", "ct-gt", rep["status"], rep["max_error"],
+                   rep["tolerance"], "ss2", "A_n -> C_{n+1}, C_n -> A_n restatement")
 
 
 def cmd_verify(args):
     ctx = _pick_digits(args)
-    results = []
     config = {"digits": ctx.digits}
-
+    scope_checks = (FAMILY_CHECKS if args.family else EDGE_CHECKS if args.edge
+                    else FAMILY_CHECKS + EDGE_CHECKS)
+    checks = args.checks.split(",") if args.checks else list(scope_checks)
     try:
+        for c in checks:
+            if c not in scope_checks:
+                raise UnknownFamilyError("unknown check %r" % c)
         if args.family:
             fid = families.resolve_family(args.family)
-            checks = args.checks.split(",") if args.checks else list(FAMILY_CHECKS)
-            for c in checks:
-                if c not in FAMILY_CHECKS:
-                    raise UnknownFamilyError("unknown family check %r" % c)
-            if args.params:
-                points = [_parse_params(args.params, fid, ctx)]
-            else:
-                points = [families.make_params(fid, ctx, **pt)
-                          for pt in families.fixture_points(fid)[:1]]
+            params = (_parse_params(args.params, fid, ctx) if args.params
+                      else families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
             config.update({"scope": "family", "id": fid, "checks": checks})
-            for params in points:
-                results.extend(_family_results(fid, params, ctx, checks, args.nmax))
+            points, edges = [(fid, params)], []
         elif args.edge:
             edge = scheme.resolve_edge(args.edge)
-            checks = args.checks.split(",") if args.checks else list(EDGE_CHECKS)
             config.update({"scope": "edge", "id": edge.id, "checks": checks})
-            results.extend(_edge_results(edge, ctx, checks, args.nmax))
+            points, edges = [], [edge]
         else:
-            checks = args.checks.split(",") if args.checks else list(FAMILY_CHECKS + EDGE_CHECKS)
             config.update({"scope": "all", "checks": checks})
-            for fid in families.scheme_ids():
-                params = families.make_params(fid, ctx, **families.fixture_points(fid)[0])
-                results.extend(_family_results(fid, params, ctx, checks, args.nmax))
-            for edge in scheme.edge_catalog():
-                results.extend(_edge_results(edge, ctx, checks, args.nmax))
-            if "square" in checks:
-                for which in ("little", "gegenbauer"):
-                    rep = scheme.verify_commuting_square(which, ctx)
-                    results.append(_result("commuting-square:%s" % which, "square",
-                                           rep["status"], rep["exact_leg_error"],
-                                           float(ctx.tol(10)), "fig.1",
-                                           "orders %.2f / %.2f" % (rep["order_path_a"],
-                                                                   rep["order_path_b"])))
-                rep = scheme.verify_recurrence_kernel_map(ctx)
-                results.append(_result("kernel-recurrence-map", "ct-gt", rep["status"],
-                                       rep["max_error"], rep["tolerance"], "ss2",
-                                       "A_n -> C_{n+1}, C_n -> A_n restatement"))
-            for r in scheme.resolve_open_questions(ctx):
-                results.append(_result(r["id"], r["check"], r["status"],
-                                       r.get("residual"), None, "", r["notes"]))
-    except (UnknownFamilyError, KeyError, ParameterError) as exc:
+            points = [(fid, families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
+                      for fid in families.scheme_ids()]
+            edges = scheme.edge_catalog()
+    except (KeyError, ParameterError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (ReductionAmbiguityError,) as exc:
-        results.append(_result("suite", "internal", "inconclusive", notes=str(exc)))
+
+    results = []
+    for fid, params in points:
+        results.extend(_family_results(fid, params, ctx, checks, args.nmax))
+    for edge in edges:
+        results.extend(_edge_results(edge, ctx, checks, args.nmax))
+    if args.all:
+        if "square" in checks:
+            for which in ("little", "gegenbauer"):
+                results.append(_guarded("commuting-square:%s" % which, "square", "fig.1",
+                                        _square_result, which, ctx))
+            results.append(_guarded("kernel-recurrence-map", "ct-gt", "ss2",
+                                    _kernel_map_result, ctx))
+        for r in scheme.resolve_open_questions(ctx):
+            results.append(_result(r["id"], r["check"], r["status"],
+                                   r.get("residual"), None, "", r["notes"]))
 
     results.sort(key=lambda r: (r["id"], r["check"], str(r["notes"])))
     statuses = {r["status"] for r in results}

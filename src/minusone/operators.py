@@ -17,14 +17,18 @@ Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
 operators, for the sign of the [R - I] bracket); for the continuous
 Bannai-Ito block the printed A coefficient has a second reading with beta
-and delta doubled.  The passing reading of each family is catalog data,
-:data:`RESOLVED_READINGS`; :func:`_resolve_variant` is the search on low
-degrees that finds it, and the tests hold the table to the search.
+and delta doubled.  Each symbol has one meaning: the builder reads
+``acoeff``, and every other reading is a rewrite of the built term list
+(:data:`_REWRITES`).  The passing reading of each family is catalog data,
+:data:`RESOLVED_READINGS`, whose keys are the axes that
+:func:`_resolve_variant` searches on low degrees; the tests hold the table
+to the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .precision import PrecisionContext
 from .polynomials import (Poly, RationalFunction, ReductionAmbiguityError, divmod_poly,
@@ -51,8 +55,6 @@ def _product(polys):
 class DunklOperator:
     terms: list                               # [(RationalFunction, symbol), ...]
     shift: object                             # step of S+/S- (i throughout)
-    composition: str = SHIFT_AFTER_REFLECT
-    dxr_order: str = OUTER_DIFF
     den: Poly = field(init=False, repr=False)           # common denominator D
     numerators: list = field(init=False, repr=False)    # N_j = coeff_j * D
 
@@ -77,19 +79,13 @@ class DunklOperator:
         if symbol == "S-":
             return p.shift(-i)
         if symbol == "S+R":
-            if self.composition == SHIFT_AFTER_REFLECT:
-                return p.reflect().shift(i)
-            return p.shift(i).reflect()
+            return p.reflect().shift(i)
         if symbol == "S-R":
-            if self.composition == SHIFT_AFTER_REFLECT:
-                return p.reflect().shift(-i)
-            return p.shift(-i).reflect()
+            return p.reflect().shift(-i)
         if symbol == "dx":
             return p.differentiate()
         if symbol == "dxR":
-            if self.dxr_order == OUTER_DIFF:
-                return p.reflect().differentiate()
-            return p.differentiate().reflect()
+            return p.reflect().differentiate()
         if symbol == "dx2":
             return p.differentiate().differentiate()
         raise ValueError("unknown symbol %r" % symbol)
@@ -235,11 +231,9 @@ def _build_minus1_mp(params, free, variant, ctx):
     return _second_order_terms(S, -T, U, V, ctx), lam
 
 
-def _reflection_first_order(F, G, variant, ctx):
-    """F [R - I] + G dxR, with the bracket sign as a resolvable variant."""
-    if variant.get("bracket", "RI") == "RI":
-        return [(F, "R"), (-F, "I"), (G, "dxR")]
-    return [(-F, "R"), (F, "I"), (G, "dxR")]
+def _reflection_first_order(F, G):
+    """F [R - I] + G dxR."""
+    return [(F, "R"), (-F, "I"), (G, "dxR")]
 
 
 def _build_big_m1j(params, free, variant, ctx):
@@ -251,7 +245,7 @@ def _build_big_m1j(params, free, variant, ctx):
     F = _rat(Poly((c, c * al - be, al + be + 1)), x * x)
     G = _rat(2 * (1 - x) * (_c(ctx, c) + x), x)
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
-    return _reflection_first_order(F, G, variant, ctx), lam
+    return _reflection_first_order(F, G), lam
 
 
 def _build_little_m1j(params, free, variant, ctx):
@@ -262,7 +256,7 @@ def _build_little_m1j(params, free, variant, ctx):
     F = _rat(Poly((mp.mpc(0), -al, al + be + 1)), x * x)
     G = _rat(Poly((mp.mpf(2), mp.mpf(-2))))
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
-    return _reflection_first_order(F, G, variant, ctx), lam
+    return _reflection_first_order(F, G), lam
 
 
 def _build_special_lj(params, free, variant, ctx):
@@ -271,7 +265,7 @@ def _build_special_lj(params, free, variant, ctx):
     F = _rat(_c(ctx, al + 1))
     G = _rat(Poly((mp.mpf(2), mp.mpf(-2))))
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + 1)
-    return _reflection_first_order(F, G, variant, ctx), lam
+    return _reflection_first_order(F, G), lam
 
 
 def _cbi_hahn_terms(al, ga, f1, f2, ctx):
@@ -415,15 +409,6 @@ FREE_NAMES = {
     "continuous-minus1-hahn-2": None,
 }
 
-# families whose printed operator composes S+/S- with R
-SHIFT_REFLECT_FAMILIES = ("continuous-bannai-ito", "continuous-minus1-hahn-1",
-                          "continuous-minus1-hahn-2")
-# families whose printed operator has a dxR term and an [R - I] bracket
-FIRST_ORDER_REFLECT_FAMILIES = ("big-minus1-jacobi", "little-minus1-jacobi",
-                                "special-little-minus1-jacobi")
-# families with a dxR term inside a second-order operator
-DXR_FAMILIES = ("chihara", "minus1-meixner-pollaczek")
-
 # the reading of the printed operator that satisfies the eigen equation,
 # as found by _resolve_variant (the tests hold this table to the search)
 RESOLVED_READINGS = {
@@ -443,29 +428,37 @@ RESOLVED_READINGS = {
     "symmetric-bannai-ito": {},
 }
 
+# the readings of each axis; the builders write the first
+READING_AXES = {
+    "composition": (SHIFT_AFTER_REFLECT, REFLECT_AFTER_SHIFT),
+    "dxr": (OUTER_DIFF, OUTER_REFLECT),
+    "bracket": ("RI", "IR"),
+    "acoeff": ("doubled", "printed"),
+}
+
+# the other reading of S+R swaps S+R and S-R, of dxR negates its coefficient,
+# and of the bracket negates R and I (the first-order operators have no
+# other R or I terms); each rewrites one built (coeff, symbol) term
+_REWRITES = {
+    ("composition", REFLECT_AFTER_SHIFT): lambda c, s: (c, {"S+R": "S-R", "S-R": "S+R"}.get(s, s)),
+    ("dxr", OUTER_REFLECT): lambda c, s: (-c if s == "dxR" else c, s),
+    ("bracket", "IR"): lambda c, s: (-c if s in ("R", "I") else c, s),
+}
+
+# families whose printed operator composes S+/S- with R
+SHIFT_REFLECT_FAMILIES = tuple(fid for fid, reading in RESOLVED_READINGS.items()
+                               if "composition" in reading)
+
 # degree of the basis P_0..P_N whose operator matrix the CLI checks for diagonality
 DIAGONALITY_N = 8
 
 
-def _candidate_variants(fid):
-    if fid in SHIFT_REFLECT_FAMILIES:
-        return [{"composition": comp, "acoeff": a}
-                for comp in (SHIFT_AFTER_REFLECT, REFLECT_AFTER_SHIFT)
-                for a in ("doubled", "printed")]
-    if fid in FIRST_ORDER_REFLECT_FAMILIES:
-        return [{"dxr": d, "bracket": b}
-                for d in (OUTER_DIFF, OUTER_REFLECT) for b in ("RI", "IR")]
-    if fid in DXR_FAMILIES:
-        return [{"dxr": d} for d in (OUTER_DIFF, OUTER_REFLECT)]
-    return [{}]
-
-
 def _operator_for_variant(fid, params, free, variant, ctx):
     terms, lam = _BUILDERS[fid](params, free, variant, ctx)
-    op = DunklOperator(terms=terms, shift=ctx.mp.mpc(0, 1),
-                       composition=variant.get("composition", SHIFT_AFTER_REFLECT),
-                       dxr_order=variant.get("dxr", OUTER_DIFF))
-    return op, lam
+    for reading in variant.items():
+        if reading in _REWRITES:
+            terms = [_REWRITES[reading](*term) for term in terms]
+    return DunklOperator(terms=terms, shift=ctx.mp.mpc(0, 1)), lam
 
 
 def _check_degree(op, lam, p, ctx):
@@ -482,13 +475,20 @@ def _check_degree(op, lam, p, ctx):
     return image, residual, "pass" if residual <= ctx.tol(10) else "fail"
 
 
-def _variant_outcomes(fid, params, ctx):
-    """Every candidate reading tried on L P_n = lambda_n P_n, n = 1..3, at free = 1/2."""
+def _resolve_variant(fid, ctx, params=None):
+    """Search the readings of the printed operator on L P_n = lambda_n P_n,
+    n = 1..3, at free = 1/2 and at ``params`` (the first fixture point when
+    omitted); every combination of the family's reading axes is a candidate.
+    """
     from . import families as F
 
+    if params is None:
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
     polys = F.generate(fid, params, 3, ctx)
+    axes = list(RESOLVED_READINGS[fid])
     outcomes = []
-    for variant in _candidate_variants(fid):
+    for values in product(*(READING_AXES[axis] for axis in axes)):
+        variant = dict(zip(axes, values))
         op, lam = _operator_for_variant(fid, params, ctx.mp.mpf(1) / 2, variant, ctx)
         residuals = []
         for n in range(1, 4):
@@ -496,15 +496,6 @@ def _variant_outcomes(fid, params, ctx):
             residuals.append(float(res) if status == "pass" else None)
         outcomes.append({"variant": variant, "passes": None not in residuals,
                          "residuals": residuals})
-    return outcomes
-
-
-def _resolve_variant(fid, ctx):
-    """Search the readings of the printed operator at the first fixture point."""
-    from . import families as F
-
-    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
-    outcomes = _variant_outcomes(fid, params, ctx)
     passing = [o["variant"] for o in outcomes if o["passes"]]
     if not passing:
         raise NoEigenSystemError(
@@ -523,12 +514,8 @@ def resolve_composition_convention(family, params, ctx: PrecisionContext):
     fid = F.resolve_family(family)
     if fid not in SHIFT_REFLECT_FAMILIES:
         raise ValueError("composition resolution applies to the S+R families, not %s" % fid)
-    outcomes = _variant_outcomes(fid, params, ctx)
-    passing = [o for o in outcomes if o["passes"]]
-    if not passing:
-        raise NoEigenSystemError(
-            "neither composition convention verifies for %s (transcription bug)" % fid)
-    return {"family": fid, "outcomes": outcomes, "chosen": passing[0]["variant"]}
+    res = _resolve_variant(fid, ctx, params)
+    return {"family": fid, "outcomes": res["outcomes"], "chosen": res["variant"]}
 
 
 def build_eigen_system(fid, params, ctx: PrecisionContext, free=None) -> EigenSystem:

@@ -3,9 +3,10 @@
 Gram entries share one quadrature node table per family: the density is
 evaluated once per node, P_0 .. P_N are evaluated at every node by the
 three-term recurrence (one vector pass per degree), and each <P_n, P_m> is
-one ``NodeTable.dot``, with a per-entry error estimate from the table's
-embedded coarse sum.  The moment check integrates x^k over the same kind of
-table and compares with the moments implied by the recurrence alone.
+one ``NodeTable.dot``, rounded once.  No coarse-mesh estimate is embedded:
+the Gram is judged by its deviation from the printed norms alone.  The
+moment check integrates x^k over the same kind of table and compares with
+the moments implied by the recurrence alone.
 Favard scans read positivity straight off the recurrence coefficients.
 
 Precision plan.  At d digits the CLI gates a Gram by 10**-(d/2) off the
@@ -89,14 +90,10 @@ def gram(family, params, N, ctx: PrecisionContext):
     pref = spec.measure_prefactor
     norms = [families.norm(fid, params, n, work) for n in range(N + 1)]
     matrix = [[mp.mpf(0)] * (N + 1) for _ in range(N + 1)]
-    entry_err = mp.mpf(0)
     for n in range(N + 1):
         weighted = [w * v for w, v in zip(table.weights, values[n])]
         for m in range(n + 1):
-            fine, crude = table.dot(weighted, values[m])
-            fine, crude = fine * pref, crude * pref
-            matrix[n][m] = matrix[m][n] = fine
-            entry_err = max(entry_err, abs(fine - crude) / max(abs(fine), mp.mpf(1)))
+            matrix[n][m] = matrix[m][n] = table.dot(weighted, values[m]) * pref
 
     off = mp.mpf(0)
     diag = mp.mpf(0)
@@ -110,7 +107,6 @@ def gram(family, params, N, ctx: PrecisionContext):
         "N": N,
         "max_offdiag": float(off),
         "max_diag_error": float(diag),
-        "entry_error_estimate": float(entry_err),
         "nodes": len(table.xs),
         "working_digits": work.mp.dps,
         "converged": table.converged,
@@ -189,7 +185,7 @@ def moment_crosscheck(family, params, K, ctx: PrecisionContext):
     pref = spec.measure_prefactor
     terms = table.weights                 # weight * x^k, one running product
     for k in range(K + 1):
-        got = table.dot(terms)[0] * pref
+        got = table.dot(terms) * pref
         scale = max(abs(predicted[k]), mp.sqrt(abs(predicted[0]) * abs(predicted[min(2 * k, K)])), mp.mpf(1))
         worst = max(worst, abs(got - predicted[k]) / scale)
         terms = [t * x for t, x in zip(terms, table.xs)]

@@ -24,11 +24,9 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   is computed and added once.
 - Refinement.  Each level halves the mesh and sweeps only the new odd
   multiples, reusing every earlier node.
-- Embedded coarse estimate.  Nodes that already sat on the previous mesh are
-  flagged, so ``NodeTable.dot`` returns the fine sum and the previous mesh's
-  sum while summing each node once.
 - One dot product.  ``NodeTable.dot`` is the only summation over a table:
   ``integrate``, the Gram matrix and the moment check all go through it.
+  It sums the final mesh only; no coarse-mesh estimate is embedded in it.
 - Node cap.  A piece stops refining at 2**20 nodes, which turns a runaway
   integrand into an explicit non-convergence report.
 
@@ -40,8 +38,6 @@ guard sums, which are then exactly the last two trapezoid estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 
 from .precision import PrecisionContext
 
@@ -67,7 +63,6 @@ class QuadratureResult:
 class NodeTable:
     xs: list
     weights: list          # h * phi'(t) * density(x), final-mesh scaling folded in
-    coarse: list           # True where the node already existed on the previous mesh
     levels: int
     converged: bool
     last_two: tuple        # guard sums of the last two meshes, summed over the pieces
@@ -75,23 +70,13 @@ class NodeTable:
     mp: object             # the mpmath context the table was built in
 
     def dot(self, a, b=None):
-        """(fine, coarse): sum over the nodes of a * b (b = 1 when omitted) and its
-        previous-mesh estimate.
+        """Sum over the nodes of a * b (b = 1 when omitted).
 
         Callers fold the weights into ``a`` (``dot(table.weights)`` is the
-        integral of the density).  Each half of the nodes is summed by
-        mpmath's ``fsum``/``fdot``, which add exact products and round once;
-        the fine sum adds the halves, the coarse estimate doubles the half
-        that sat on the previous mesh.
+        integral of the density).  mpmath's ``fsum``/``fdot`` add exact
+        products and round once.
         """
-        mp, coarse = self.mp, self.coarse
-        if b is None:
-            old = mp.fsum(compress(a, coarse))
-            new = mp.fsum(compress(a, map(not_, coarse)))
-        else:
-            old = mp.fdot(compress(a, coarse), compress(b, coarse))
-            new = mp.fdot(compress(a, map(not_, coarse)), compress(b, map(not_, coarse)))
-        return old + new, 2 * old
+        return self.mp.fsum(a) if b is None else self.mp.fdot(a, b)
 
 
 def _map_tanh_sinh(lo, hi, mp):
@@ -170,7 +155,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
     tol = mp.mpf(tol)
     eps_term = ctx.tol(-10)        # ~1e-(digits+10): term cutoff relative to the peak
     gd = (max_degree + 1) // 2
-    xs, ws, coarse = [], [], []
+    xs, ws = [], []
     levels_used = 0
     converged_all = True
     last_two = (mp.mpf(0), mp.mpf(0))
@@ -196,11 +181,10 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
         converged_all = converged_all and converged
         last_two = (last_two[0] + previous, last_two[1] + guard)
         error += abs(guard - previous)
-        for key, (x, w) in sorted(pts.items()):
+        for _, (x, w) in sorted(pts.items()):
             xs.append(x)
             ws.append(h * w)
-            coarse.append(key % 2 == 0)
-    return NodeTable(xs=xs, weights=ws, coarse=coarse, levels=levels_used,
+    return NodeTable(xs=xs, weights=ws, levels=levels_used,
                      converged=converged_all, last_two=last_two, error=error, mp=mp)
 
 
@@ -208,9 +192,8 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
     """Add this level's nodes to pts, sweeping outward until terms die off.
 
     Keys are integer multiples of the current mesh h; on refinement the
-    existing keys double, so final-key parity marks membership in the
-    previous mesh (used for the embedded coarse estimate).  Returns the
-    sum of the guard terms w*density*(1+x^2)**gd over the new nodes.
+    existing keys double.  Returns the sum of the guard terms
+    w*density*(1+x^2)**gd over the new nodes.
     """
     def handle(k):
         node = phi(k * h)
@@ -261,7 +244,7 @@ def _double_keys(pts):
 
 
 def _result(table):
-    value, _ = table.dot(table.weights)
+    value = table.dot(table.weights)
     return QuadratureResult(value=value, error_estimate=table.error,
                             node_count=len(table.xs), converged=table.converged,
                             levels=table.levels, last_two=table.last_two)

@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import families
-from .polynomials import Poly, divide_exact, poly_rel_distance
+from .polynomials import Poly, ReductionAmbiguityError, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
 
@@ -614,24 +614,31 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
     """Resolve the printed-variant ambiguities; one report entry per question.
 
     Each entry fails only when no printed variant verifies; otherwise the
-    notes record the surviving reading and the rejected one.
+    notes record the surviving reading and the rejected one.  A numerical
+    dead end (ParameterError, ReductionAmbiguityError) inside one question
+    makes that entry inconclusive, with the message as its notes.
     """
     from .families.base import NoEigenSystemError
     from .operators import _resolve_variant, SHIFT_REFLECT_FAMILIES
 
     results = []
+    dead_ends = (families.ParameterError, ReductionAmbiguityError)
 
     # printed variants of an edge map, told apart by the edge's ladder
     for edge in edge_catalog():
         if edge.variants is None:
             continue
-        outcomes = {label: verify_limit(edge, N, ctx, variant=variant)
-                    for label, variant in edge.variants.readings}
+        entry = {"id": edge.id, "check": edge.variants.check, "residual": None}
+        try:
+            outcomes = {label: verify_limit(edge, N, ctx, variant=variant)
+                        for label, variant in edge.variants.readings}
+        except dead_ends as exc:
+            results.append({**entry, "status": "inconclusive", "notes": str(exc)})
+            continue
         winners = [label for label, rep in outcomes.items() if rep["status"] == "pass"]
         accepted = edge.variants.readings[0][0]
         results.append({
-            "id": edge.id,
-            "check": edge.variants.check,
+            **entry,
             "status": "pass" if winners else "fail",
             "notes": ("resolved: " + edge.variants.resolution
                       if winners == [accepted] else "surviving variants: %s" % winners),
@@ -646,6 +653,9 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
             notes = "resolved reading: %s" % (res["variant"],)
         except NoEigenSystemError as exc:
             status = "fail"
+            notes = str(exc)
+        except dead_ends as exc:
+            status = "inconclusive"
             notes = str(exc)
         results.append({
             "id": fid,

@@ -140,6 +140,40 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     assert "INCONCLUSIVE" in out.upper()
 
 
+def test_dead_end_ends_only_its_own_check(capsys, monkeypatch):
+    # a ParameterError inside the ladders of one edge makes its limit check
+    # and its open question inconclusive; every other check still reports
+    from minusone import scheme
+    from minusone.families import ParameterError
+
+    dead = "little-q-jacobi-dilated:little-minus1-jacobi"
+    real_limit = scheme.verify_limit
+
+    def limit(edge, *a, **kw):
+        if edge.id == dead:
+            raise ParameterError("printed denominator vanishes")
+        return real_limit(edge, *a, **kw)
+
+    monkeypatch.setattr(scheme, "verify_limit", limit)
+    code, out = run(capsys, "verify", "--all", "--checks", "limit", "--digits", "20",
+                    "--format", "json", "--no-timestamp")
+    results = json.loads(out)["results"]
+    limits = {r["id"] for r in results if r["check"] == "limit"}
+    assert limits == {e.id for e in scheme.edge_catalog() if e.kind in ("limit", "q-limit")}
+    dead_ends = [(r["check"], r["status"], r["notes"]) for r in results if r["id"] == dead]
+    assert sorted(dead_ends) == [("limit", "inconclusive", "printed denominator vanishes"),
+                                 ("open-question:bn-sign", "inconclusive",
+                                  "printed denominator vanishes")]
+    assert {r["status"] for r in results if r["id"] != dead} == {"pass"}
+    assert code == cli.EXIT_INCONCLUSIVE
+
+
+def test_unknown_check_usage_error(capsys):
+    for scope in (["--all"], ["--edge", "gen-hermite:hermite"], ["--family", "hermite"]):
+        code, out = run(capsys, "verify", *scope, "--checks", "nonesuch")
+        assert code == cli.EXIT_USAGE and out == ""
+
+
 @pytest.mark.parametrize("edge", ["continuous-q-hahn:continuous-minus1-hahn-1",
                                   "continuous-q-hahn:continuous-minus1-hahn-2"])
 def test_q_hahn_ladder_at_15_digits(capsys, edge):

@@ -249,10 +249,15 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
 
 @pytest.mark.parametrize("digits", [15, 50])
 def test_resolved_readings_match_the_search(digits):
+    # exactly one candidate passes: a reading whose rewrite had become a
+    # no-op would pass alongside the resolved one
     ctx = PrecisionContext(digits)
     assert set(O.RESOLVED_READINGS) == set(O._BUILDERS)
     for fid in O._BUILDERS:
-        assert O._resolve_variant(fid, ctx)["variant"] == O.RESOLVED_READINGS[fid], fid
+        res = O._resolve_variant(fid, ctx)
+        assert res["variant"] == O.RESOLVED_READINGS[fid], fid
+        assert [o["passes"] for o in res["outcomes"]].count(True) == 1, (fid, res["outcomes"])
+        assert len(res["outcomes"]) == 2 ** len(O.RESOLVED_READINGS[fid]), fid
 
 
 def _eigen_check_sweep(digits):
