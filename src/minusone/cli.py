@@ -311,6 +311,9 @@ def cmd_verify(args):
             points, edges = [(fid, params)], []
         elif args.edge:
             edge = scheme.resolve_edge(args.edge)
+            if args.checks and _EDGE_RUNNERS.get(edge.kind, (None,))[0] not in checks:
+                raise ParameterError("--checks %s selects nothing on edge %s of kind %s"
+                                     % (args.checks, edge.id, edge.kind))
             config.update({"scope": "edge", "id": edge.id, "checks": checks})
             points, edges = [], [edge]
         else:

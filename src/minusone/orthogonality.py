@@ -1,12 +1,19 @@
 """Gram matrices against the printed norms, Favard scans, and moment cross-checks.
 
-Gram entries share one quadrature node table per family: the density is
-evaluated once per node, P_0 .. P_N are evaluated at every node by the
-three-term recurrence (one vector pass per degree), and each <P_n, P_m> is
-one ``NodeTable.dot``, rounded once.  No coarse-mesh estimate is embedded:
-the Gram is judged by its deviation from the printed norms alone.  The
-moment check integrates x^k over the same kind of table and compares with
-the moments implied by the recurrence alone.
+Gram entries share one quadrature node table per family, and the density is
+evaluated once per node.  The weight is split symmetrically: with
+V_n = sqrt(w) P_n the Gram is V^T V, and V is held in Python integers.
+Each node carries sqrt(w_i) as A_i * 2**e_i, with A_i of p + GUARD_BITS
+bits (p = mp.prec) and an exponent of its own, so weights from 1e-191556
+(gaussian tails) to order 1 need no common scale.  The recurrence
+P_{n+1} = (x - b_n) P_n - u_n P_{n-1} runs on those integers with x, b_n
+and u_n fixed point at 2**-(p + GUARD_BITS), truncating relative to each
+node.  Each row then goes to block fixed point, and each <P_n, P_m> is one
+``NodeTable.dot``, exact and rounded once; its error bound, below one
+rounding at p, is in ``quadrature``.  The moment check runs the same rows
+with b_n = u_n = 0 and compares with the moments implied by the recurrence
+alone.  The rows need a positive measure: a nonreal b_n or u_n, or a weight
+that is negative or not real, raises ParameterError naming the first one.
 Favard scans read positivity straight off the recurrence coefficients.
 
 Precision plan.  At d digits the CLI gates a Gram by 10**-(d/2) off the
@@ -17,14 +24,19 @@ below the off-diagonal gate.  Measured minimum headroom, log10(gate/error)
 over both gates and the fourteen families at their first fixture point,
 N = 8: 23.2 digits at d = 15, 23.9 at 20, 27.3 at 30, 31.2 at 50 and 44.5
 at 100.  Over all three fixture points it is 13.0 to 13.1 digits at every
-one of these d, set by -1 Meixner-Pollaczek at alpha = 0, gamma = 0.75:
-its (x^2 - gamma^2)^(-1/2) factor, recomputed from the rounded node, puts
-the Gram error near the square root of the working precision.
+one of these d, set by -1 Meixner-Pollaczek at alpha = 0, gamma = 0.75: its
+(x^2 - gamma^2)^(-1/2) factor, recomputed from the rounded node, puts the
+Gram error near the square root of the working precision.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
+from mpmath.libmp import to_fixed
+
 from . import families, quadrature
+from .families import ParameterError
 from .precision import PrecisionContext
 
 BOOST_DIGITS = 10
@@ -51,27 +63,54 @@ def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
     return work, spec, table
 
 
-def _recurrence_values(fid, params, N, xs, ctx: PrecisionContext):
-    """Re P_0 .. Re P_N at every point of xs, by the recurrence ``generate`` uses.
+def _real_pairs(fid, params, N, work: PrecisionContext):
+    """Real (b_n, u_n) for n < N, with u_0 = 0.
 
-    One vector pass per degree of P_{n+1} = (x - b_n) P_n - u_n P_{n-1}.
-    Coefficients with a zero imaginary part enter as reals, so the passes
-    stay real unless the recurrence itself is complex.
+    A nonreal coefficient rules out a positive measure; an imaginary part
+    below 10**-digits of |z| is rounding and is dropped.
     """
-    mp = ctx.mp
+    mp = work.mp
 
-    def narrow(z):
-        return z if mp.im(z) else mp.re(z)
+    def real(z, name):
+        if isinstance(z, mp.mpc):
+            if abs(z.imag) > work.tol(0) * max(1, abs(z)):
+                raise ParameterError("recurrence coefficient %s = %s is not real: no positive "
+                                     "measure" % (name, mp.nstr(z, 8)))
+            z = z.real
+        return mp.mpf(z)
 
-    rows = [[mp.mpf(1)] * len(xs)]
-    prev = [mp.mpf(0)] * len(xs)         # P_{-1}
+    pairs = []
     for n in range(N):
-        pair = families.recurrence(fid, params, n, ctx)
-        b, u = narrow(pair.b), (narrow(pair.u) if n else 0)
-        cur = rows[-1]
-        rows.append([(x - b) * p - u * q for x, p, q in zip(xs, cur, prev)])
-        prev = cur
-    return [[mp.re(v) for v in row] for row in rows]
+        pair = families.recurrence(fid, params, n, work)
+        pairs.append((real(pair.b, "b_%d" % n), real(pair.u, "u_%d" % n) if n else mp.mpf(0)))
+    return pairs
+
+
+def _root_rows(table, pairs):
+    """Rows sqrt(w) P_0 .. sqrt(w) P_N over the nodes of a table, in block fixed point.
+
+    pairs holds the real (b_n, u_n), n < N, of the recurrence
+    P_{n+1} = (x - b_n) P_n - u_n P_{n-1}; see the module docstring.
+    """
+    mp, bits = table.mp, table.bits()
+    roots, exps = [], []
+    for x, w in zip(table.xs, table.weights):
+        if not isinstance(w, mp.mpf) or w._mpf_[0] or w._mpf_[3] < 0:
+            raise ParameterError("weight %s at node x = %s is not a finite nonnegative real"
+                                 % (mp.nstr(w, 8), mp.nstr(x, 8)))
+        _, man, exp, bc = w._mpf_
+        shift = 2 * bits - bc
+        shift += (exp - shift) & 1                 # an even exponent for the root
+        roots.append(isqrt(man << shift))
+        exps.append((exp - shift) >> 1)
+    xs = [to_fixed(x._mpf_, bits) for x in table.xs]
+    prev, cur = [0] * len(roots), roots
+    rows = [quadrature.block_row(cur, exps, bits)]
+    for b, u in pairs:
+        B, U = to_fixed(b._mpf_, bits), to_fixed(u._mpf_, bits)
+        prev, cur = cur, [((x - B) * p - U * q) >> bits for x, p, q in zip(xs, cur, prev)]
+        rows.append(quadrature.block_row(cur, exps, bits))
+    return rows
 
 
 def gram(family, params, N, ctx: PrecisionContext):
@@ -80,20 +119,20 @@ def gram(family, params, N, ctx: PrecisionContext):
     Returns a report with the raised-precision matrix, the maximum relative
     off-diagonal entry (scaled by sqrt(h_n h_m)), the worst diagonal
     deviation from the printed norm formula and the working digits the
-    quadrature ran at.
+    quadrature ran at.  Raises ParameterError where the recurrence or the
+    weight is not that of a positive measure.
     """
     fid = families.resolve_family(family)
     work, spec, table = _boosted_table(fid, params, ctx, 2 * N)
     mp = work.mp
-    values = _recurrence_values(fid, params, N, table.xs, work)
+    rows = _root_rows(table, _real_pairs(fid, params, N, work))
 
     pref = spec.measure_prefactor
     norms = [families.norm(fid, params, n, work) for n in range(N + 1)]
     matrix = [[mp.mpf(0)] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
-        weighted = [w * v for w, v in zip(table.weights, values[n])]
         for m in range(n + 1):
-            matrix[n][m] = matrix[m][n] = table.dot(weighted, values[m]) * pref
+            matrix[n][m] = matrix[m][n] = table.dot(rows[n], rows[m]) * pref
 
     off = mp.mpf(0)
     diag = mp.mpf(0)
@@ -183,10 +222,10 @@ def moment_crosscheck(family, params, K, ctx: PrecisionContext):
     predicted = moments_from_recurrence(fid, params, K, work)
     worst = mp.mpf(0)
     pref = spec.measure_prefactor
-    terms = table.weights                 # weight * x^k, one running product
+    zero = mp.mpf(0)
+    rows = _root_rows(table, [(zero, zero)] * ((K + 1) // 2))      # sqrt(w) x^j
     for k in range(K + 1):
-        got = table.dot(terms) * pref
+        got = table.dot(rows[(k + 1) // 2], rows[k // 2]) * pref
         scale = max(abs(predicted[k]), mp.sqrt(abs(predicted[0]) * abs(predicted[min(2 * k, K)])), mp.mpf(1))
         worst = max(worst, abs(got - predicted[k]) / scale)
-        terms = [t * x for t, x in zip(terms, table.xs)]
     return {"family": fid, "K": K, "max_relative_error": float(worst)}

@@ -174,6 +174,21 @@ def test_unknown_check_usage_error(capsys):
         assert code == cli.EXIT_USAGE and out == ""
 
 
+def test_empty_edge_selection_usage_error(capsys):
+    # an explicit --checks that names no check of the edge's kind runs nothing:
+    # a usage error naming the kind, not an empty pass
+    for edge, checks in (("gen-hermite:hermite", "limit"),
+                         ("gen-hermite:hermite", "limit,ct-gt")):
+        code = cli.main(["verify", "--edge", edge, "--checks", checks])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert "kind specialization" in captured.err
+    code, out = run(capsys, "verify", "--edge", "gen-hermite:hermite", "--checks", "exact,limit",
+                    "--digits", "15", "--format", "json", "--no-timestamp")
+    assert code == 0
+    assert [r["check"] for r in json.loads(out)["results"]] == ["exact"]
+
+
 @pytest.mark.parametrize("edge", ["continuous-q-hahn:continuous-minus1-hahn-1",
                                   "continuous-q-hahn:continuous-minus1-hahn-2"])
 def test_q_hahn_ladder_at_15_digits(capsys, edge):

@@ -99,6 +99,72 @@ def test_recurrence_gram_matches_horner_gram(monkeypatch):
                 assert abs(rep["matrix"][n][m] - ref[n][m]) <= MP.mpf("1e-40") * scale, (fid, n, m)
 
 
+def _fdot_gram(fid, params, N, ctx):
+    # the Gram the integer rows replace: mpmath recurrence values and one fdot per entry
+    work, spec, table = orth._boosted_table(fid, params, ctx, 2 * N)
+    mp = work.mp
+    values, prev = [[mp.mpf(1)] * len(table.xs)], [mp.mpf(0)] * len(table.xs)
+    for b, u in orth._real_pairs(fid, params, N, work):
+        cur = values[-1]
+        values.append([(x - b) * p - u * q for x, p, q in zip(table.xs, cur, prev)])
+        prev = cur
+    weighted = [[w * v for w, v in zip(table.weights, row)] for row in values]
+    return mp, [[mp.fdot(weighted[n], values[m]) * spec.measure_prefactor
+                 for m in range(N + 1)] for n in range(N + 1)]
+
+
+def test_integer_gram_matches_fdot_gram():
+    ctx = PrecisionContext(15)
+    N = 8
+    for fid in F.orthogonal_ids():
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        matrix = orth.gram(fid, params, N, ctx)["matrix"]
+        mp, ref = _fdot_gram(fid, params, N, ctx)
+        bound = mp.mpf(2) ** -(mp.prec - 8)
+        for n in range(N + 1):
+            for m in range(N + 1):
+                scale = mp.sqrt(ref[n][n] * ref[m][m])
+                assert abs(matrix[n][m] - ref[n][m]) <= bound * scale, (fid, n, m)
+
+
+def test_kernel_rows_stay_narrow():
+    # block fixed point truncates below each row's scale; aligning the gaussian
+    # tails exactly instead would need integers of hundreds of thousands of bits
+    ctx = PrecisionContext(50)
+    for fid in ("generalized-hermite", "hermite"):
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        work, _, table = orth._boosted_table(fid, params, ctx, 16)
+        rows = orth._root_rows(table, orth._real_pairs(fid, params, 8, work))
+        assert len(rows) == 9
+        for row in rows:
+            assert max(abs(v).bit_length() for v in row.mans) < work.mp.prec + 32 + 64, fid
+
+
+def test_gram_needs_a_positive_measure():
+    from minusone import cli, quadrature
+
+    # symmetric Bannai-Ito at a = 1 + i/2: u_1 = 1 + i/2, so no positive measure exists
+    ctx = PrecisionContext(30)
+    mp = ctx.mp
+    params = {"a": mp.mpc(1, 0.5), "b": mp.mpf(1)}
+    with pytest.raises(F.ParameterError, match="u_1"):
+        orth.gram("symmetric-bannai-ito", params, 8, ctx)
+    [result] = cli._family_results("symmetric-bannai-ito", params, ctx, ["orthogonality"])
+    assert result["status"] == "inconclusive" and "not real" in result["notes"]
+
+    # a conjugate pair keeps the generalized symmetric recurrence real
+    params = {"a": mp.mpc(0.75, 0.5), "b": mp.mpc(0.75, -0.5), "c": mp.mpf(1.25)}
+    [result] = cli._family_results("generalized-symmetric-bannai-ito", params, ctx,
+                                   ["orthogonality"])
+    assert result["status"] == "pass", result
+
+    # a density that changes sign has no square root to split
+    table = quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1))], lambda x: x, ctx,
+                                        ctx.tol(8), 0)
+    with pytest.raises(F.ParameterError, match="nonnegative"):
+        orth._root_rows(table, [])
+
+
 def test_gaussian_half_line_tables_node_count():
     # the exp(t - exp(-t)) half-line map: a work count, not a timing
     for fid in ("generalized-hermite", "minus1-meixner-pollaczek"):
