@@ -2,9 +2,9 @@
 families driving the q -> -1 edges and the Wilson-type helpers.
 
 Public operations: ``recurrence``, ``generate``, ``closed_form``,
-``weight_spec``, ``norm``, ``eigen_system``, ``positivity_conditions_ccbi``,
-with ``fixture_points`` supplying the reference parameter sets the
-verification suites run at.
+``weight_spec``, ``norm``, ``norms``, ``eigen_system``,
+``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
+reference parameter sets the verification suites run at.
 """
 
 from __future__ import annotations
@@ -68,7 +68,13 @@ def make_params(family: str, ctx: PrecisionContext, **values):
         if name not in values:
             raise ParameterError("family %s needs parameter %r" % (info.id, name))
         v = values.pop(name)
-        params[name] = ctx.mp.mpf(v) if isinstance(v, str) else v
+        if isinstance(v, str):
+            try:
+                v = ctx.mp.mpf(v)
+            except ValueError:
+                raise ParameterError("parameter %r of %s is not a real number: %r"
+                                     % (name, info.id, v)) from None
+        params[name] = v
     for extra in ("bn_sign",):
         if extra in values:
             params[extra] = values.pop(extra)
@@ -138,13 +144,23 @@ def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
     return WEIGHTS[fid](params, ctx)
 
 
-def norm(family: str, params: dict, n: int, ctx: PrecisionContext):
-    """Predicted squared norm of monic P_n under the printed inner product."""
+def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
+    """Predicted squared norms of monic P_0 .. P_N under the printed inner product.
+
+    One call shares what the degrees have in common (the seven-gamma h_0 of
+    the continuous Bannai-Ito-type norms); entry n is
+    ``norm(family, params, n, ctx)``.
+    """
     fid = resolve_family(family)
     if fid not in NORMS:
         raise NoWeightError("no printed norm formula for %s" % fid)
-    value = ctx.mp.mpc(NORMS[fid](params, n, ctx))
-    return ctx.mp.re(value)
+    mp = ctx.mp
+    return [mp.re(mp.mpc(value)) for value in NORMS[fid](params, N, ctx)]
+
+
+def norm(family: str, params: dict, n: int, ctx: PrecisionContext):
+    """Predicted squared norm of monic P_n under the printed inner product."""
+    return norms(family, params, n, ctx)[n]
 
 
 def eigen_system(family: str, params: dict, ctx: PrecisionContext, free=None) -> EigenSystem:

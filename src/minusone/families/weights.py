@@ -2,17 +2,17 @@
 
 ``weight_spec`` returns the density as printed (theta implemented as sgn,
 the Gamma moduli that have a closed form taken in closed form) split into
-components whose endpoints carry all algebraic singular points; ``norm``
-returns the printed right-hand side of the orthogonality relation under the
-printed inner product, so quadrature results can be compared against it
-directly.  ``measure_prefactor`` records the constant sitting inside the
-printed inner product (1/(4 pi) for the Gamma-weight symmetric families, 1
-elsewhere).
+components whose endpoints carry all algebraic singular points; ``NORMS``
+gives the printed right-hand sides h_0 .. h_N of the orthogonality relation
+under the printed inner product, so quadrature results can be compared
+against them directly.  ``measure_prefactor`` records the constant sitting
+inside the printed inner product (1/(4 pi) for the Gamma-weight symmetric
+families, 1 elsewhere).
 """
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext, pochhammer
+from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
 from .base import (
     InadmissibleParameterError,
     NoWeightError,
@@ -188,7 +188,11 @@ def _w_big_m1j(params, ctx):
 #   |Gamma(ix)|^2 = pi / (x sinh(pi x)),   |Gamma(2ix)|^2 = pi / (2x sinh(2 pi x)),
 #   |Gamma(1/2 + ix)|^2 = pi / cosh(pi x)
 # (DLMF 5.4.3, 5.4.4), so |Gamma(ix) / Gamma(2ix)|^2 = 4 cosh(pi x), which
-# is finite at x = 0, and 1 / |Gamma(1/2 + ix)|^2 = cosh(pi x) / pi.
+# is finite at x = 0, and 1 / |Gamma(1/2 + ix)|^2 = cosh(pi x) / pi.  The
+# remaining moduli, |Gamma(a + iy)| with a > 0, come from one call of the
+# fixed-point kernel ``log_abs_gamma_sum`` per node: the density is
+# exp(2 * sum of log|Gamma|) times the cosh factor.  Each spec builds its
+# ``StirlingSeries`` constants once, in its closure.
 
 
 def _conjugate_closed(vals, mp):
@@ -219,10 +223,13 @@ def _gamma_modulus_density(vals, mp):
 
     Even in x when vals is closed under conjugation; it is then mirrored.
     """
+    series = StirlingSeries(mp)
+    parts = [(mp.re(v), mp.im(v)) for v in vals]
+    pi = +mp.pi
+
     def dens(x):
-        ix = mp.mpc(0, x)
-        prod = mp.fprod(mp.gamma(v + ix) for v in vals)
-        return 4 * mp.cosh(mp.pi * x) * abs(prod) ** 2
+        s = log_abs_gamma_sum([(a, b + x) for a, b in parts], series)
+        return 4 * mp.cosh(pi * x) * mp.exp(mp.ldexp(s, 1))
     return _mirrored(dens) if _conjugate_closed(vals, mp) else dens
 
 
@@ -261,17 +268,18 @@ def _w_sbi(params, ctx):
 def _cbi_weight(al, be, ga, de, family, anchor, ctx):
     mp = ctx.mp
     _require(al > 0 and ga > 0, "alpha, gamma > 0", anchor)
-    i = mp.mpc(0, 1)
-    fa, fb = al + i * be, ga + i * de
-    fc, fd = mp.conj(fb), mp.conj(fa)
+    series = StirlingSeries(mp)
     half = mp.mpf(1) / 2
+    # fa + ix/2 + 1, fb + ix/2 + 1, fc + ix/2 + 1/2, fd + ix/2 + 1/2 as (real part, imaginary
+    # part at x = 0) for fa = alpha + i beta, fb = gamma + i delta, fc = conj(fb), fd = conj(fa)
+    parts = [(al + 1, be), (ga + 1, de), (ga + half, -de), (al + half, -be)]
+    pi = +mp.pi
 
     def dens(x):
         # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
-        ixh = i * x / 2
-        num = mp.gamma(fa + ixh + 1) * mp.gamma(fb + ixh + 1) \
-            * mp.gamma(fc + ixh + half) * mp.gamma(fd + ixh + half)
-        return abs(num) ** 2 * mp.cosh(mp.pi * x) / mp.pi
+        xh = mp.ldexp(x, -1)
+        s = log_abs_gamma_sum([(a, b + xh) for a, b in parts], series)
+        return mp.exp(mp.ldexp(s, 1)) * mp.cosh(pi * x) / pi
 
     return WeightSpec(
         family=family,
@@ -456,7 +464,8 @@ def _norm_sbi(params, n, ctx):
     return mp.re(value)
 
 
-def _cbi_norm(al, be, ga, de, n, ctx):
+def _cbi_norms(al, be, ga, de, N, ctx):
+    """h_0 .. h_N of the continuous Bannai-Ito-type families: h_0 once, then kappa_n."""
     mp = ctx.mp
     i = mp.mpc(0, 1)
     fa, fb = al + i * be, ga + i * de
@@ -465,49 +474,58 @@ def _cbi_norm(al, be, ga, de, n, ctx):
     h0 = mp.gamma(fa + fb + 3 * half) * mp.gamma(fa + fc + 1) * mp.gamma(fb + fc + 1) \
         * mp.gamma(fa + fd + 1) * mp.gamma(fb + fd + 1) * mp.gamma(fc + fd + 3 * half) \
         / mp.gamma(fa + fb + fc + fd + 2)
-    odd, m = _parity(n)
-    top = m + 1 if odd else m
-    common = mp.mpf(4) ** n * mp.factorial(m) \
-        * pochhammer(2 * al + 1, top, ctx) * pochhammer(2 * ga + 1, top, ctx) \
-        / (pochhammer(2 * al + 2 * ga + 2, n, ctx) * pochhammer(mp.mpf(m) + 2 * al + 2 * ga + 2, top, ctx))
-    prod1 = mp.mpf(1)
-    for k in range(1, top + 1):
-        prod1 *= (k + al + ga) ** 2 + (be - de) ** 2
-    prod2 = mp.mpf(1)
-    for k in range(1, m + 1):
-        prod2 *= (k + al + ga + half) ** 2 + (be + de) ** 2
-    kappa = common * prod1 * prod2
-    return mp.re(4 * mp.pi * h0 * kappa)
+    out = []
+    for n in range(N + 1):
+        odd, m = _parity(n)
+        top = m + 1 if odd else m
+        common = mp.mpf(4) ** n * mp.factorial(m) \
+            * pochhammer(2 * al + 1, top, ctx) * pochhammer(2 * ga + 1, top, ctx) \
+            / (pochhammer(2 * al + 2 * ga + 2, n, ctx) * pochhammer(mp.mpf(m) + 2 * al + 2 * ga + 2, top, ctx))
+        prod1 = mp.mpf(1)
+        for k in range(1, top + 1):
+            prod1 *= (k + al + ga) ** 2 + (be - de) ** 2
+        prod2 = mp.mpf(1)
+        for k in range(1, m + 1):
+            prod2 *= (k + al + ga + half) ** 2 + (be + de) ** 2
+        kappa = common * prod1 * prod2
+        out.append(mp.re(4 * mp.pi * h0 * kappa))
+    return out
 
 
-def _norm_cbi(params, n, ctx):
-    return _cbi_norm(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
-                     get_param(params, "gamma", ctx), get_param(params, "delta", ctx), n, ctx)
+def _norms_cbi(params, N, ctx):
+    return _cbi_norms(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
+                      get_param(params, "gamma", ctx), get_param(params, "delta", ctx), N, ctx)
 
 
-def _norm_c1h1(params, n, ctx):
+def _norms_c1h1(params, N, ctx):
     be = get_param(params, "beta", ctx)
-    return _cbi_norm(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), be, n, ctx)
+    return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), be, N, ctx)
 
 
-def _norm_c1h2(params, n, ctx):
+def _norms_c1h2(params, N, ctx):
     be = get_param(params, "beta", ctx)
-    return _cbi_norm(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), -be, n, ctx)
+    return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), -be, N, ctx)
 
 
+def _each_degree(norm_n):
+    """h_0 .. h_N from a formula for one degree."""
+    return lambda params, N, ctx: [norm_n(params, n, ctx) for n in range(N + 1)]
+
+
+# family id -> (params, N, ctx) -> [h_0, ..., h_N]
 NORMS = {
-    "hermite": _norm_hermite,
-    "generalized-hermite": _norm_generalized_hermite,
-    "minus1-meixner-pollaczek": _norm_minus1_mp,
-    "gegenbauer": _norm_gegenbauer,
-    "generalized-gegenbauer": _norm_generalized_gegenbauer,
-    "chihara": _norm_chihara,
-    "little-minus1-jacobi": _norm_little_m1j,
-    "big-minus1-jacobi": _norm_big_m1j,
-    "special-little-minus1-jacobi": _norm_special_lj,
-    "generalized-symmetric-bannai-ito": _norm_gsbi,
-    "symmetric-bannai-ito": _norm_sbi,
-    "continuous-bannai-ito": _norm_cbi,
-    "continuous-minus1-hahn-1": _norm_c1h1,
-    "continuous-minus1-hahn-2": _norm_c1h2,
+    "hermite": _each_degree(_norm_hermite),
+    "generalized-hermite": _each_degree(_norm_generalized_hermite),
+    "minus1-meixner-pollaczek": _each_degree(_norm_minus1_mp),
+    "gegenbauer": _each_degree(_norm_gegenbauer),
+    "generalized-gegenbauer": _each_degree(_norm_generalized_gegenbauer),
+    "chihara": _each_degree(_norm_chihara),
+    "little-minus1-jacobi": _each_degree(_norm_little_m1j),
+    "big-minus1-jacobi": _each_degree(_norm_big_m1j),
+    "special-little-minus1-jacobi": _each_degree(_norm_special_lj),
+    "generalized-symmetric-bannai-ito": _each_degree(_norm_gsbi),
+    "symmetric-bannai-ito": _each_degree(_norm_sbi),
+    "continuous-bannai-ito": _norms_cbi,
+    "continuous-minus1-hahn-1": _norms_c1h1,
+    "continuous-minus1-hahn-2": _norms_c1h2,
 }

@@ -128,7 +128,7 @@ def gram(family, params, N, ctx: PrecisionContext):
     rows = _root_rows(table, _real_pairs(fid, params, N, work))
 
     pref = spec.measure_prefactor
-    norms = [families.norm(fid, params, n, work) for n in range(N + 1)]
+    norms = families.norms(fid, params, N, work)
     matrix = [[mp.mpf(0)] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
         for m in range(n + 1):

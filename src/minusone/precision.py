@@ -9,13 +9,44 @@ guard digits on top of the advertised precision; tolerances quoted against
 Complex values are plain ``mpf``/``mpc`` instances belonging to the
 context.  Conjugation, modulus and arithmetic behave as usual; all special
 functions here respect ``f(conj(z)) == conj(f(z))``.
+
+``log_abs_gamma_sum`` is the kernel of the |Gamma|^2 weight densities: the
+sum of log|Gamma(a_j + i y_j)| over real a_j > 0 and y_j, in Python-int
+fixed point at 2**-(p + STIRLING_GUARD_BITS), p = ``mp.prec``.  Each z_j is
+moved to w_j = z_j + N_j with Re w_j >= R, the shift factors
+|z_j + k|^2 = (a_j + k)^2 + y_j^2 of all terms multiply into one product
+whose logarithm is taken once (an integer product for k >= 1; the k = 0
+factors, which may be tiny, in floating point), and log|Gamma(w)| is the
+real part of the Stirling series (DLMF 5.11.1)
+
+    (w - 1/2) log w - w + log(2 pi)/2 + sum_{k=1..K} B_2k / (2k (2k-1) w^(2k-1)),
+
+from one log|w|, one arg w and a Horner loop in 1/w^2 on integer pairs.
+Error bound (DLMF 5.11(ii)): the tail after K terms is at most the first
+omitted term times sec^(2K)(arg(w)/2).  With w = u + iy and r = |w|,
+sec^2(arg(w)/2) = 2r/(r + u), so the bound is
+|B_2K| / (2K (2K-1)) * 2^K r^(1-K) / (r + u)^K; it falls as |y| or u grows,
+so on Re w >= R it is largest at w = R, where it is
+|B_2K| / (2K (2K-1) R^(2K-1)).  ``StirlingSeries`` picks R and K so that
+this is below 2**-(p + STIRLING_GUARD_BITS).  Fixed-point truncation and
+the roundings of log and atan add at most a few hundred units of that
+scale, so the sum is good to about 2**-(p + 15) absolute, which is relative
+accuracy for the |Gamma| products it is exponentiated into; against
+mpmath's gamma at 40 more bits the error measured below 2**-(p + 19) for
+one to four terms with 0 < a < 4 and |y| < 100, at 15, 50 and 100 digits.
 """
 
 from __future__ import annotations
 
+from math import lgamma, log, pi
+
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    bernfrac, fone, from_man_exp, mpf_add, mpf_atan, mpf_log, mpf_mul, mpf_pi, mpf_shift, to_fixed,
+)
 
 GUARD_DIGITS = 15
+STIRLING_GUARD_BITS = 24
 
 
 class GammaPoleError(ValueError):
@@ -45,6 +76,7 @@ class PrecisionContext:
         ctx = MPContext()
         ctx.dps = digits + GUARD_DIGITS
         self.mp = ctx
+        self._tols = {}
 
     def real(self, value):
         """Parse a real number (decimal strings stay exact to full precision)."""
@@ -54,8 +86,15 @@ class PrecisionContext:
         return self.mp.mpc(self.mp.mpf(re), self.mp.mpf(im))
 
     def tol(self, offset: int):
-        """Return 10**(offset - digits); e.g. ``tol(4)`` is 1e-46 at 50 digits."""
-        return self.mp.mpf(10) ** (offset - self.digits)
+        """Return 10**(offset - digits); e.g. ``tol(4)`` is 1e-46 at 50 digits.
+
+        Computed once per offset: an mpf is immutable, so the cached value is
+        shared safely.
+        """
+        value = self._tols.get(offset)
+        if value is None:
+            value = self._tols[offset] = self.mp.mpf(10) ** (offset - self.digits)
+        return value
 
     def nstr(self, x, n=None):
         return self.mp.nstr(x, n or self.digits, strip_zeros=False)
@@ -154,3 +193,106 @@ def hyp_terminating(numerators, denominators, z, ctx: PrecisionContext):
             factor /= b + k
         term *= factor * z / (k + 1)
     return total
+
+
+class StirlingSeries:
+    """Fixed-point constants of the Stirling series for log|Gamma| at mp.prec.
+
+    ``bits`` is the fixed-point scale p + STIRLING_GUARD_BITS, ``shift`` the
+    least real part R the series is summed at, ``coeffs`` the
+    B_2k / (2k (2k-1)) for k = K..1 (Horner order) and ``half_log_2pi``
+    log(2 pi)/2, all at 2**-bits.  R and K are the pair with the fewest
+    loop steps R + K (a shift factor and a Horner step cost about the same)
+    whose tail bound (module docstring) is below 2**-bits.  Build one per
+    weight spec, not per call: the Bernoulli numbers are exact fractions.
+    """
+
+    def __init__(self, mp):
+        self.mp = mp
+        bits = self.bits = mp.prec + STIRLING_GUARD_BITS
+        self.shift, terms = _stirling_plan(bits)
+        coeffs = []
+        for k in range(terms, 0, -1):
+            num, den = bernfrac(2 * k)
+            coeffs.append((num << bits) // (den * 2 * k * (2 * k - 1)))
+        self.coeffs = tuple(coeffs)
+        log_2pi = mpf_log(mpf_shift(mpf_pi(bits + 8), 1), bits + 8)
+        self.half_log_2pi = to_fixed(mpf_shift(log_2pi, -1), bits)
+
+
+def _stirling_plan(bits):
+    """(R, K) with the least R + K whose tail bound is below 2**-bits.
+
+    Uses log|B_2K| <= log(2 zeta(2)) + log((2K)!) - 2K log(2 pi), a float
+    upper bound.  For fixed R the log bound is convex in K, least near
+    K = pi R, where it is about -2 pi R, so R starts at bits log(2) / (2 pi);
+    the least K that reaches the target only falls as R grows.
+    """
+    target = -bits * log(2) - 1
+
+    def fits(R, K):
+        return (log(pi * pi / 3) + lgamma(2 * K + 1) - 2 * K * log(2 * pi)
+                - log(2 * K * (2 * K - 1)) - (2 * K - 1) * log(R)) <= target
+
+    R, K = int(bits * log(2) / (2 * pi)), None
+    while K is None:
+        R += 1
+        K = next((k for k in range(2, int(pi * R) + 2) if fits(R, k)), None)
+    best = (R, K)
+    while R + 1 < sum(best):
+        R += 1
+        while K > 2 and fits(R, K - 1):
+            K -= 1
+        if R + K < sum(best):
+            best = (R, K)
+    return best
+
+
+def log_abs_gamma_sum(terms, series: StirlingSeries):
+    """Sum of log|Gamma(a + iy)| over (a, y) pairs of real mpf with a > 0.
+
+    The result is an mpf holding the fixed-point sum exactly (about
+    p + STIRLING_GUARD_BITS fraction bits), so exp(2 s) taken from it loses
+    nothing to a rounding of s; see the module docstring for the bound.
+    """
+    bits, shift, coeffs = series.bits, series.shift, series.coeffs
+    one = 1 << bits
+    wide = 2 * bits
+    total = 0
+    prod, scale = one, -bits     # the shift factors for k >= 1: prod * 2**scale
+    low = fone                   # the k = 0 factors a^2 + y^2, which may be tiny: an mpf
+    for a, y in terms:
+        a, y = a._mpf_, y._mpf_
+        A, Y = to_fixed(a, bits), to_fixed(y, bits)
+        steps = shift - (A >> bits)
+        if steps > 0:
+            low = mpf_mul(low, mpf_add(mpf_mul(a, a), mpf_mul(y, y), bits + 8), bits + 8)
+            Y2 = Y * Y
+            for _ in range(1, steps):
+                A += one
+                prod = prod * (A * A + Y2) >> wide
+            A += one
+            drop = prod.bit_length() - bits - 8
+            if drop > 0:
+                prod >>= drop
+                scale += drop
+        # log|Gamma(w)|, w = A + iY with A >= R: (A - 1/2) log|w| - Y arg w - A + log(2 pi)/2
+        # + series, where arg w = atan(Y/A) as A > 0
+        m2 = A * A + Y * Y
+        log_m2 = to_fixed(mpf_log(from_man_exp(m2, -wide), bits + 8), bits)
+        arg = to_fixed(mpf_atan(from_man_exp((Y << bits) // A, -bits), bits + 8), bits)
+        total += (((2 * A - one) * log_m2) >> (bits + 2)) - ((Y * arg) >> bits) - A
+        # Re sum_k c_k w^(1-2k) = Re (1/w) P(v), v = 1/w^2, P of real coefficients taken
+        # modulo v^2 - 2 Re(v) v + |v|^2 (Knuth, TAOCP 4.6.4): two products per step
+        ir = (A << wide) // m2
+        ii = -((Y << wide) // m2)
+        vr = (ir * ir - ii * ii) >> bits
+        vi = (2 * ir * ii) >> bits
+        r, s = 2 * vr, (vr * vr + vi * vi) >> bits
+        hi, lo = coeffs[0], coeffs[1]
+        for c in coeffs[2:]:
+            hi, lo = lo + (r * hi >> bits), c - (s * hi >> bits)
+        total += ((hi * ((vr * ir - vi * ii) >> bits) + lo * ir) >> bits) + series.half_log_2pi
+    log_prod = mpf_log(mpf_mul(low, from_man_exp(prod, scale)), bits + 16)
+    total -= to_fixed(log_prod, bits - 1)        # half the log of the product
+    return series.mp.make_mpf(from_man_exp(total, -bits))

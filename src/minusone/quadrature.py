@@ -24,6 +24,17 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   is computed and added once.
 - Refinement.  Each level halves the mesh and sweeps only the new odd
   multiples, reusing every earlier node.
+- Stepping.  The maps take (t, e) with e = exp(|t|), and a sweep carries e
+  from node to node by one multiplication by exp(step * h), rounded at
+  GUARD_BITS past the working precision (Bailey, Jeyabalan & Li, Exp.
+  Math. 14 (2005)); after n products e is off by about
+  n 2**-(prec + GUARD_BITS), relative, far below a rounding at prec.  sinh
+  then needs no transcendental call, tanh-sinh one exp, of -2|u|, and the
+  half-line one exp.  The +-t rule: a node depends on |t| and the sign of
+  t only, and the +t and -t sweeps of a level run the same sequence of
+  products, so x(-t) = -x(t) bit for bit on the whole line.  Mirrored even
+  densities (``families.weights``) rely on it: they pay for each pair +-x
+  once.
 - One dot product.  ``NodeTable.dot`` is the only summation over a table:
   ``integrate``, the Gram matrix and the moment check all go through it.
   Its operands are rows in block fixed point (Wilkinson, Rounding Errors in
@@ -49,12 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import fone, from_man_exp, mpf_exp, mpf_mul, round_nearest
 
 from .precision import PrecisionContext
 
 NODE_CAP = 1 << 20
-GUARD_BITS = 32            # fixed-point bits past the working precision
+GUARD_BITS = 32            # bits past the working precision: fixed-point rows, stepped exp(|t|)
 
 
 @dataclass
@@ -132,26 +143,29 @@ def block_row(mans, exps, bits):
 def _map_tanh_sinh(lo, hi, mp):
     """x(t) evaluated as a distance from the nearer endpoint.
 
-    1 - tanh(u) = 2/(exp(2u)+1) avoids the cancellation that would round
-    nodes onto a singular endpoint; phi returns None once the offset
-    underflows against the endpoint itself.
+    With q = exp(-2|u|), u = (pi/2) sinh t, and g = q/(1+q): the offset
+    1 - tanh|u| = 2g, which avoids the cancellation that would round nodes
+    onto a singular endpoint, and 1/cosh(u)^2 = 4g/(1+q).  phi returns None
+    once the offset underflows against the endpoint itself.
     """
-    radius = (hi - lo) / 2
+    width = hi - lo
+    rate = -mp.pi / 2            # -2|u| = rate * (e - 1/e)
+    scale = width * mp.pi / 2    # w = scale * (e + 1/e) * g / (1 + q)
 
-    def phi(t):
-        u = mp.pi / 2 * mp.sinh(t)
+    def phi(t, e):
+        r = 1 / e
+        q = mp.exp(rate * (e - r))
+        d = 1 + q
+        g = q / d
         if t >= 0:
-            s = 2 / (mp.exp(2 * u) + 1)
-            x = hi - radius * s
+            x = hi - width * g
             if x == hi and hi != 0:
                 return None
         else:
-            s = 2 / (mp.exp(-2 * u) + 1)
-            x = lo + radius * s
+            x = lo + width * g
             if x == lo and lo != 0:
                 return None
-        w = radius * (mp.pi / 2) * mp.cosh(t) / mp.cosh(u) ** 2
-        return x, w
+        return x, scale * (e + r) * g / d
     return phi
 
 
@@ -162,21 +176,25 @@ def _map_half_line(anchor, direction, mp):
     like exp(t), so a density decaying at least exponentially in x gives
     terms that die double-exponentially in t.
     """
-    def phi(t):
-        d = mp.exp(-t)
-        e = mp.exp(t - d)
-        x = anchor + direction * e
+    def phi(t, e):
+        if t >= 0:
+            d = 1 / e                  # exp(-t)
+            g = e * mp.exp(-d)         # exp(t - exp(-t))
+        else:
+            d = e
+            g = mp.exp(-d) / e
+        x = anchor + direction * g
         if x == anchor:
             return None
-        return x, (1 + d) * e
+        return x, (1 + d) * g
     return phi
 
 
 def _map_sinh(mp):
-    def phi(t):
-        x = mp.sinh(t)
-        w = mp.cosh(t)
-        return x, w
+    def phi(t, e):
+        r = 1 / e
+        x = (e - r) / 2
+        return (x if t >= 0 else -x), (e + r) / 2
     return phi
 
 
@@ -243,10 +261,11 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
 
     Keys are integer multiples of the current mesh h; on refinement the
     existing keys double.  Returns the sum of the guard terms
-    w*density*(1+x^2)**gd over the new nodes.
+    w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
+    e = exp(|t|) through the same products (module docstring, Stepping).
     """
-    def handle(k):
-        node = phi(k * h)
+    def handle(k, e):
+        node = phi(k * h, mp.make_mpf(e))
         if node is None:       # abscissa saturated onto an endpoint
             return None
         x, w = node
@@ -257,32 +276,39 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
     added = mp.mpf(0)
     if level == 0:
         step = 1
-        g = handle(0)
+        g = handle(0, fone)
         if g is None:
             return added
         added += g
     else:
         _double_keys(pts)
         step = 2
+    wp = mp.prec + GUARD_BITS
+    first = mpf_exp(h._mpf_, wp)               # exp(h): both sweeps start at |k| = 1
+    factor = mpf_exp((step * h)._mpf_, wp)
 
     for direction in (1, -1):
         small_run = 0
         peak = mp.mpf(0)
-        k = step * direction if level == 0 else direction
+        cut = eps_term * eps_term           # eps_term * max(peak, eps_term)
+        k, e = direction, first
         while True:
-            g = handle(k)
+            g = handle(k, e)
             if g is None:
                 break
             added += g
             r = abs(g)
-            peak = max(peak, r)
-            if r < eps_term * max(peak, eps_term):
+            if r > peak:
+                peak = r
+                cut = eps_term * max(peak, eps_term)
+            if r < cut:
                 small_run += 1
                 if small_run >= 4:
                     break
             else:
                 small_run = 0
             k += step * direction
+            e = mpf_mul(e, factor, wp, round_nearest)
             if len(pts) >= NODE_CAP:
                 return added
     return added

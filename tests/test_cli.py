@@ -115,6 +115,16 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+def test_unparsable_params_are_a_usage_error(capsys):
+    # a value mpmath cannot read is named in a usage error, not raised as a traceback
+    for argv in (["verify", "--family", "generalized-hermite", "--params", "alpha=abc",
+                  "--digits", "15"],
+                 ["tabulate", "--family", "generalized-hermite", "--params", "alpha=abc"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'alpha'" in err and "'abc'" in err, err
+
+
 def test_verification_failure_exit_code(capsys):
     # outside the admissible region the Favard scan legitimately fails
     code, out = run(capsys, "verify", "--family", "gen-gegenbauer",

@@ -246,6 +246,16 @@ def test_norm_values():
     assert abs(F.norm("gsbi", P("gsbi", a="1", b="1", c="1"), 0, CTX) - MP.mpf("0.5")) < CTX.tol(8)
 
 
+def test_norms_in_one_call_match_each_degree():
+    # gram takes h_0 .. h_8 from one call; each entry is the per-degree norm, bit for bit
+    for fid in F.orthogonal_ids():
+        for pt in F.fixture_points(fid):
+            params = P(fid, **pt)
+            listed = F.norms(fid, params, 8, CTX)
+            assert [v._mpf_ for v in listed] == [F.norm(fid, params, n, CTX)._mpf_
+                                                 for n in range(9)], fid
+
+
 def test_norms_match_recurrence_product():
     # h_n = h_0 u_1 ... u_n ties every printed norm to the recurrence
     for fid in F.orthogonal_ids():

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
 
 from minusone.precision import (
     GammaPoleError,
     PrecisionContext,
+    StirlingSeries,
     ZeroDenominatorError,
     gamma,
     hyp_terminating,
+    log_abs_gamma_sum,
     pochhammer,
 )
 
@@ -136,3 +140,47 @@ def test_hyp_against_brute_force_double():
             CTX,
         )
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_tol_is_computed_once_and_exact(digits):
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    for offset in range(-10, 13):
+        value = ctx.tol(offset)
+        assert value._mpf_ == (mp.mpf(10) ** (offset - digits))._mpf_
+        assert ctx.tol(offset) is value
+
+
+# log|Gamma| kernel against mpmath's gamma at 40 more bits: error at most 2**-(p - 10)
+# relative to max(1, sum of |log|Gamma||), for one to four terms, a in (0, 4), |y| < 100
+_TERMS = st.lists(
+    st.tuples(st.floats(0, 4, exclude_min=True, exclude_max=True),
+              st.floats(-100, 100, exclude_min=True, exclude_max=True)),
+    min_size=1, max_size=4)
+_SERIES = {d: StirlingSeries(PrecisionContext(d).mp) for d in (15, 50, 100)}
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(terms=_TERMS)
+def test_log_abs_gamma_sum_matches_mpmath(digits, terms):
+    series = _SERIES[digits]
+    mp = series.mp
+    ref = MPContext()
+    ref.prec = mp.prec + 40
+    got = log_abs_gamma_sum([(mp.mpf(a), mp.mpf(y)) for a, y in terms], series)
+    logs = [ref.log(abs(ref.gamma(ref.mpc(a, y)))) for a, y in terms]
+    scale = max(1, sum(abs(v) for v in logs))
+    assert abs(got - ref.fsum(logs)) <= ref.ldexp(scale, 10 - mp.prec), (digits, terms)
+
+
+def test_log_abs_gamma_sum_edges():
+    # no shift needed (a >= R), a tiny a whose first shift factor a^2 is far below 2**-p,
+    # and the exact zeros log Gamma(1) = log Gamma(2) = 0
+    series = StirlingSeries(CTX.mp)
+    mp = CTX.mp
+    for a, y in ((series.shift + 3.5, 2.0), (1e-40, 0.0), (1.0, 0.0), (2.0, 0.0)):
+        got = log_abs_gamma_sum([(mp.mpf(a), mp.mpf(y))], series)
+        want = mp.log(abs(mp.gamma(mp.mpc(a, y))))
+        assert abs(got - want) <= CTX.tol(0) * max(1, abs(want)), (a, y)

@@ -1,6 +1,13 @@
+import math
+
+import pytest
+
 from minusone.precision import PrecisionContext
 from minusone.quadrature import integrate, integrate_component
 from minusone import families as F
+from minusone import orthogonality as orth
+from minusone import quadrature
+from minusone.families import weights
 
 CTX = PrecisionContext(50)
 MP = CTX.mp
@@ -85,3 +92,76 @@ def test_multi_piece_and_gamma_modulus_masses():
         mass = F.norm(fid, params, 0, CTX)
         assert r.converged, fid
         assert abs(r.value * spec.measure_prefactor - mass) <= MP.mpf("1e-40") * abs(mass), fid
+
+
+def _direct_map(lo, hi, mp):
+    """The DE maps evaluated from t alone, as the reference for the stepped ones."""
+    if mp.isinf(lo) and mp.isinf(hi):
+        return lambda t: (mp.sinh(t), mp.cosh(t))
+    if mp.isinf(lo) or mp.isinf(hi):
+        anchor, sign = (hi, -1) if mp.isinf(lo) else (lo, 1)
+
+        def half_line(t):
+            e = mp.exp(t - mp.exp(-t))
+            return anchor + sign * e, (1 + mp.exp(-t)) * e
+        return half_line
+    radius = (hi - lo) / 2
+
+    def tanh_sinh(t):
+        u = mp.pi / 2 * mp.sinh(t)
+        s = 2 / (mp.exp(2 * abs(u)) + 1)
+        x = hi - radius * s if t >= 0 else lo + radius * s
+        return x, radius * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
+    return tanh_sinh
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
+    # every node of the 14 Gram tables (fixture point 0, N = 8): x and w from e^|t| carried
+    # by multiplication agree with sinh/cosh/exp of t to 2**-(p - 16), and tables built
+    # from the direct maps have the same nodes and levels
+    ctx = PrecisionContext(digits)
+    stepped_map = quadrature._component_map
+    worst = []
+
+    def checked_map(lo, hi, mp):
+        phi, direct = stepped_map(lo, hi, mp), _direct_map(lo, hi, mp)
+
+        def both(t, e):
+            node = phi(t, e)
+            if node is not None:
+                ref = direct(t)
+                worst.append(max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(node, ref))
+                             * 2 ** (mp.prec - 16))
+            return node
+        return both
+
+    def direct_map(lo, hi, mp):
+        direct = _direct_map(lo, hi, mp)
+
+        def from_t(t, e):
+            x, w = direct(t)
+            return None if x in (lo, hi) and x != 0 else (x, w)
+        return from_t
+
+    for fid in F.orthogonal_ids():
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        monkeypatch.setattr(quadrature, "_component_map", checked_map)
+        _, _, table = orth._boosted_table(fid, params, ctx, 16)
+        monkeypatch.setattr(quadrature, "_component_map", direct_map)
+        _, _, reference = orth._boosted_table(fid, params, ctx, 16)
+        assert (len(table.xs), table.levels) == (len(reference.xs), reference.levels), fid
+        assert max(worst) <= 1, (fid, max(worst))
+
+
+def test_symmetric_table_mirrors_its_density(monkeypatch):
+    # x(-t) == -x(t) bit for bit, so an even density is evaluated once per pair +-x
+    calls = []
+    kernel = weights.log_abs_gamma_sum
+    monkeypatch.setattr(weights, "log_abs_gamma_sum",
+                        lambda terms, series: calls.append(1) or kernel(terms, series))
+    ctx = PrecisionContext(15)
+    fid = "symmetric-bannai-ito"
+    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+    _, _, table = orth._boosted_table(fid, params, ctx, 16)
+    assert len(calls) <= math.ceil(len(table.xs) / 2) + 1, (len(calls), len(table.xs))
