@@ -72,7 +72,8 @@ class SupportComponent:
 class WeightSpec:
     family: str
     components: list
-    density: Callable                # includes any sign factor; nonnegative on the support
+    density: Callable                # (x, lo_off=None, hi_off=None); includes any sign factor;
+                                     # nonnegative on the support (module ``weights``)
     measure_prefactor: object = 1    # multiplies the raw integral in the printed inner product
     notes: str = ""
 

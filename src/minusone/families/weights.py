@@ -2,7 +2,13 @@
 
 ``weight_spec`` returns the density as printed (theta implemented as sgn,
 the Gamma moduli that have a closed form taken in closed form) split into
-components whose endpoints carry all algebraic singular points; ``NORMS``
+components whose endpoints carry all algebraic singular points.  Every
+density is density(x, lo_off=None, hi_off=None): the node tables pass the
+offsets x - lo and hi - x of the node in its component, computed without
+cancellation, and each factor that vanishes at a finite nonzero endpoint
+is built from them (1 - x^2 as (1 + x)(1 - x), x^2 - gamma^2 as
+(|x| - |gamma|)(|x| + |gamma|), one factor an offset).  Called with x
+alone, a density computes those factors from x, as printed.  ``NORMS``
 gives the printed right-hand sides h_0 .. h_N of the orthogonality relation
 under the printed inner product, so quadrature results can be compared
 against them directly.  ``measure_prefactor`` records the constant sitting
@@ -28,8 +34,22 @@ def _require(cond, clause, anchor):
             "parameters violate the admissibility clause [%s]: %s" % (anchor, clause), clause)
 
 
-def _sgn(x, mp):
-    return mp.mpf(1) if x > 0 else (mp.mpf(-1) if x < 0 else mp.mpf(0))
+def _one_pm_x(x, lo_off, hi_off):
+    """(1 + x, 1 - x) for x in a piece of [-1, 1].
+
+    With offsets, the factor that vanishes in x's half is an offset: a piece
+    holding negative x starts at -1, one holding positive x ends at 1.
+    """
+    if lo_off is None:
+        return 1 + x, 1 - x
+    return (lo_off, 1 - x) if x < 0 else (1 + x, hi_off)
+
+
+def _inner(x, g, lo_off, hi_off):
+    """|x| - g on the pieces [g, ...) and (..., -g]: the offset from the end at +-g."""
+    if lo_off is None:
+        return abs(x) - g
+    return lo_off if x > 0 else hi_off
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +61,7 @@ def _w_hermite(params, ctx):
     return WeightSpec(
         family="hermite",
         components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
-        density=lambda x: mp.exp(-x * x),
+        density=lambda x, *offsets: mp.exp(-x * x),
     )
 
 
@@ -49,7 +69,7 @@ def _w_generalized_hermite(params, ctx):
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
-    dens = lambda x: abs(x) ** (2 * al) * mp.exp(-x * x)
+    dens = lambda x, *offsets: abs(x) ** (2 * al) * mp.exp(-x * x)
     zero = mp.mpf(0)
     return WeightSpec(
         family="generalized-hermite",
@@ -67,9 +87,12 @@ def _w_minus1_mp(params, ctx):
     ga = get_param(params, "gamma", ctx)
     _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.9")
     g = abs(ga)
+    ex = al - mp.mpf(1) / 2
 
-    def dens(x):
-        return _sgn(x, mp) * (x + ga) * (x * x - ga * ga) ** (al - mp.mpf(1) / 2) * mp.exp(-x * x)
+    def dens(x, lo_off=None, hi_off=None):
+        near, far = _inner(x, g, lo_off, hi_off), abs(x) + g     # x^2 - gamma^2 = near * far
+        lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
+        return lead * (near * far) ** ex * mp.exp(-x * x)
 
     return WeightSpec(
         family="minus1-meixner-pollaczek",
@@ -86,10 +109,15 @@ def _w_gegenbauer(params, ctx):
     al = get_param(params, "alpha", ctx)
     _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.12")
     e = al - mp.mpf(1) / 2
+
+    def dens(x, lo_off=None, hi_off=None):
+        p, m = _one_pm_x(x, lo_off, hi_off)
+        return (p * m) ** e
+
     return WeightSpec(
         family="gegenbauer",
         components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
-        density=lambda x: (1 - x * x) ** e,
+        density=dens,
     )
 
 
@@ -99,7 +127,11 @@ def _w_generalized_gegenbauer(params, ctx):
     be = get_param(params, "beta", ctx)
     _require(al > -1 and be > 0, "alpha > -1 and beta > 0", "A.8")
     zero = mp.mpf(0)
-    dens = lambda x: abs(x) ** (2 * al + 1) * (1 - x * x) ** be
+
+    def dens(x, lo_off=None, hi_off=None):
+        p, m = _one_pm_x(x, lo_off, hi_off)
+        return abs(x) ** (2 * al + 1) * (p * m) ** be
+
     return WeightSpec(
         family="generalized-gegenbauer",
         components=[
@@ -119,8 +151,12 @@ def _w_chihara(params, ctx):
     g = abs(ga)
     top = mp.sqrt(1 + ga * ga)
 
-    def dens(x):
-        return _sgn(x, mp) * (x + ga) * (x * x - ga * ga) ** al * (1 + ga * ga - x * x) ** be
+    def dens(x, lo_off=None, hi_off=None):
+        s = abs(x)
+        near, far = _inner(x, g, lo_off, hi_off), s + g         # x^2 - gamma^2 = near * far
+        edge = top - s if lo_off is None else (hi_off if x > 0 else lo_off)
+        lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
+        return lead * (near * far) ** al * (edge * (top + s)) ** be   # 1 + gamma^2 - x^2
 
     return WeightSpec(
         family="chihara",
@@ -139,7 +175,11 @@ def _w_little_m1j(params, ctx):
     _require(al > 0 and be > 0, "alpha > 0 and beta > 0", "A.7")
     zero = mp.mpf(0)
     e1 = (be - 1) / 2
-    dens = lambda x: abs(x) ** al * (1 - x * x) ** e1 * (1 + x)
+
+    def dens(x, lo_off=None, hi_off=None):
+        p, m = _one_pm_x(x, lo_off, hi_off)
+        return abs(x) ** al * (p * m) ** e1 * p
+
     return WeightSpec(
         family="little-minus1-jacobi",
         components=[
@@ -155,10 +195,15 @@ def _w_special_lj(params, ctx):
     al = get_param(params, "alpha", ctx)
     _require(al > 0, "alpha > 0", "A.11")
     e = (al - 1) / 2
+
+    def dens(x, lo_off=None, hi_off=None):
+        p, m = _one_pm_x(x, lo_off, hi_off)
+        return (p * m) ** e * p
+
     return WeightSpec(
         family="special-little-minus1-jacobi",
         components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
-        density=lambda x: (1 - x * x) ** e * (1 + x),
+        density=dens,
     )
 
 
@@ -168,12 +213,15 @@ def _w_big_m1j(params, ctx):
     be = get_param(params, "beta", ctx)
     c = get_param(params, "c", ctx)
     _require(al > 0 and be > 0 and 0 <= c < 1, "alpha > 0, beta > 0 and 0 <= c < 1", "A.2")
+    e1, e2 = (al - 1) / 2, (be + 1) / 2
 
-    def dens(x):
-        return _sgn(x, mp) * (1 + x) / (c + x) * (1 - x * x) ** ((al - 1) / 2) \
-            * (x * x - c * c) ** ((be + 1) / 2)
+    def dens(x, lo_off=None, hi_off=None):
+        p, m = _one_pm_x(x, lo_off, hi_off)
+        near, far = _inner(x, c, lo_off, hi_off), abs(x) + c     # x^2 - c^2 = near * far
+        return p / (far if x > 0 else near) * (p * m) ** e1 * (near * far) ** e2
 
-    # the 1/(c+x) pole sits at the -c endpoint; effective exponent (beta-1)/2 there
+    # sgn(x) / (c + x) = 1 / |c + x|: its pole sits at the -c endpoint, effective exponent
+    # (beta-1)/2 there
     return WeightSpec(
         family="big-minus1-jacobi",
         components=[
@@ -209,7 +257,7 @@ def _mirrored(density):
     """
     pending = {}
 
-    def dens(x):
+    def dens(x, *offsets):
         key = abs(x)
         value = pending.pop(key, None)
         if value is None:
@@ -227,7 +275,7 @@ def _gamma_modulus_density(vals, mp):
     parts = [(mp.re(v), mp.im(v)) for v in vals]
     pi = +mp.pi
 
-    def dens(x):
+    def dens(x, *offsets):
         s = log_abs_gamma_sum([(a, b + x) for a, b in parts], series)
         return 4 * mp.cosh(pi * x) * mp.exp(mp.ldexp(s, 1))
     return _mirrored(dens) if _conjugate_closed(vals, mp) else dens
@@ -275,7 +323,7 @@ def _cbi_weight(al, be, ga, de, family, anchor, ctx):
     parts = [(al + 1, be), (ga + 1, de), (ga + half, -de), (al + half, -be)]
     pi = +mp.pi
 
-    def dens(x):
+    def dens(x, *offsets):
         # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
         xh = mp.ldexp(x, -1)
         s = log_abs_gamma_sum([(a, b + xh) for a, b in parts], series)

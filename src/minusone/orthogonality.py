@@ -17,16 +17,26 @@ that is negative or not real, raises ParameterError naming the first one.
 Favard scans read positivity straight off the recurrence coefficients.
 
 Precision plan.  At d digits the CLI gates a Gram by 10**-(d/2) off the
-diagonal and 10**-(d/2 - 8) on it.  Tables are built BOOST_DIGITS = 10
-digits past d (mpmath then runs GUARD_DIGITS = 15 further, reported as
-``working_digits``), with node tolerance 10**-(d//2 + 15), fifteen digits
-below the off-diagonal gate.  Measured minimum headroom, log10(gate/error)
-over both gates and the fourteen families at their first fixture point,
-N = 8: 23.2 digits at d = 15, 23.9 at 20, 27.3 at 30, 31.2 at 50 and 44.5
-at 100.  Over all three fixture points it is 13.0 to 13.1 digits at every
-one of these d, set by -1 Meixner-Pollaczek at alpha = 0, gamma = 0.75: its
-(x^2 - gamma^2)^(-1/2) factor, recomputed from the rounded node, puts the
-Gram error near the square root of the working precision.
+diagonal and 10**-(d/2 - 8) on it.  Tables are built with node tolerance
+10**-(d//2 + 15), fifteen digits below the off-diagonal gate, in a
+context of max(15, d//2 + 5) digits; mpmath runs GUARD_DIGITS = 15
+further, at max(30, d//2 + 20) digits (reported as ``working_digits``),
+five or more past the node tolerance.  That is enough because no weight
+loses digits at its endpoints: the maps hand each density the node's
+offsets from both ends of its piece, and a sweep runs on past the node
+that rounds onto a singular endpoint (``quadrature``, Offsets and Stop
+rule).  Without them the Gram error of an offset^(-1/2) endpoint floors
+near the square root of the working precision, and the tables need about
+d + 25 working digits to keep that floor below the gates.  Measured
+minimum headroom, log10(gate/error) over both gates and the fourteen
+families, N = 8:
+
+    d                          15    20    30    50   100
+    working digits             30    30    35    45    70
+    first fixture point      22.2  19.7  20.3  20.3  20.2
+    all three fixture points 21.9  19.0  19.5  19.6  19.8
+
+It does not grow with d: the working precision follows the gates.
 """
 
 from __future__ import annotations
@@ -39,24 +49,21 @@ from . import families, quadrature
 from .families import ParameterError
 from .precision import PrecisionContext
 
-BOOST_DIGITS = 10
-
 
 def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
-    """Node table of a weight spec: its support pieces and density in the DE engine."""
-    return quadrature.build_node_table(spec.total_support(), spec.density, ctx, tol, max_degree)
+    """Node table of a weight spec: its support pieces and density, with offsets, in the DE engine."""
+    return quadrature.build_node_table(spec.total_support(), spec.density, ctx, tol, max_degree,
+                                       offsets=True)
 
 
 def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
     """Weight spec and node table for polynomial factors up to max_degree.
 
-    Integration runs BOOST_DIGITS past ctx so that endpoint tails of
-    singular weights stay below the comparison tolerances.  Singular-endpoint
-    densities evaluated naively floor out near half the working digits, so
-    the node tolerance stays safely above that.  Returns (work, spec, table)
-    with work the boosted context.
+    The table runs at max(15, d//2 + 5) digits, d = ctx.digits, with node
+    tolerance 10**-(d//2 + 15) (module docstring, Precision plan).  Returns
+    (work, spec, table) with work the table's context.
     """
-    work = PrecisionContext(ctx.digits + BOOST_DIGITS)
+    work = PrecisionContext(max(15, ctx.digits // 2 + 5))
     tol = work.mp.mpf(10) ** (-(ctx.digits // 2 + 15))
     spec = families.weight_spec(fid, params, work)
     table = build_node_table(spec, work, tol, max_degree)

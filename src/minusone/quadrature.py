@@ -15,6 +15,24 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
 - the whole line: sinh, double-exponential against both the gaussian and
   the |Gamma|^2 (asymptotically pure-exponential) decay.
 
+- Offsets.  Each map returns, with x and w, the node's offsets x - lo and
+  hi - x from the ends of its piece (infinite towards an infinite end).
+  It computes the offset from the nearer end first (width * q/(1+q) in
+  tanh-sinh, exp(t - exp(-t)) on a half-line) and forms x from it, so
+  neither offset suffers cancellation.  A density that takes them
+  (``offsets=True``; every weight spec's does, see ``families.weights``)
+  builds each factor that vanishes at an endpoint from them, and keeps
+  its relative accuracy where x rounds onto the endpoint (the (x, xc)
+  integrand of Boost.Math's tanh_sinh).  A density of x alone sees the
+  offsets of the rounded x.
+- Stop rule.  A sweep drops a node, and stops, when an offset the density
+  sees is 0; otherwise the term cutoff (below) ends it.  The map's own
+  offsets do not underflow (mpmath exponents are unbounded), so a density
+  that takes them is swept past the node where x rounds onto its endpoint.
+  The mass below that node, at offsets under about eps |endpoint|, is
+  2 sqrt(eps |endpoint|) for an offset^(-1/2) singularity: a stop there
+  floors the error near the square root of the working precision.  A
+  density of x alone stops there, where it could not be evaluated.
 - Guard integrand.  density * (1+x^2)**ceil(max_degree/2) stands in for
   every polynomial factor up to max_degree.  It drives the term cutoff (a
   sweep stops once four successive terms fall below ~10**-(digits+10) of
@@ -51,8 +69,9 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   integrand into an explicit non-convergence report.
 
 ``integrate`` is the table built on the full integrand (max_degree = 0) plus
-a dot product over it.  Its error estimate is the difference of the last two
-guard sums, which are then exactly the last two trapezoid estimates.
+a dot product over it; a weight spec's density gets its offsets there too.
+Its error estimate is the difference of the last two guard sums, which are
+then exactly the last two trapezoid estimates.
 """
 
 from __future__ import annotations
@@ -143,29 +162,27 @@ def block_row(mans, exps, bits):
 def _map_tanh_sinh(lo, hi, mp):
     """x(t) evaluated as a distance from the nearer endpoint.
 
-    With q = exp(-2|u|), u = (pi/2) sinh t, and g = q/(1+q): the offset
-    1 - tanh|u| = 2g, which avoids the cancellation that would round nodes
-    onto a singular endpoint, and 1/cosh(u)^2 = 4g/(1+q).  phi returns None
-    once the offset underflows against the endpoint itself.
+    With q = exp(-2|u|), u = (pi/2) sinh t: the offset from the nearer end
+    is width * q/(1+q) (width times 1 - tanh|u|, over 2), without the
+    cancellation that would round nodes onto a singular endpoint; the
+    offset from the other end is width minus it, at least width/2, and
+    1/cosh(u)^2 = 4q/(1+q)^2.
     """
     width = hi - lo
     rate = -mp.pi / 2            # -2|u| = rate * (e - 1/e)
-    scale = width * mp.pi / 2    # w = scale * (e + 1/e) * g / (1 + q)
+    half_pi = mp.pi / 2          # w = half_pi * (e + 1/e) * near / (1 + q)
 
     def phi(t, e):
         r = 1 / e
         q = mp.exp(rate * (e - r))
         d = 1 + q
-        g = q / d
+        near = width * q / d
+        if not near:
+            return None
+        w = half_pi * (e + r) * near / d
         if t >= 0:
-            x = hi - width * g
-            if x == hi and hi != 0:
-                return None
-        else:
-            x = lo + width * g
-            if x == lo and lo != 0:
-                return None
-        return x, scale * (e + r) * g / d
+            return hi - near, w, width - near, near
+        return lo + near, w, near, width - near
     return phi
 
 
@@ -174,8 +191,11 @@ def _map_half_line(anchor, direction, mp):
 
     Double-exponential into the finite end; on the infinite side x grows
     like exp(t), so a density decaying at least exponentially in x gives
-    terms that die double-exponentially in t.
+    terms that die double-exponentially in t.  exp(t - exp(-t)) is the
+    offset from the finite end.
     """
+    inf = mp.inf
+
     def phi(t, e):
         if t >= 0:
             d = 1 / e                  # exp(-t)
@@ -183,18 +203,22 @@ def _map_half_line(anchor, direction, mp):
         else:
             d = e
             g = mp.exp(-d) / e
-        x = anchor + direction * g
-        if x == anchor:
+        if not g:
             return None
-        return x, (1 + d) * g
+        w = (1 + d) * g
+        if direction > 0:
+            return anchor + g, w, g, inf
+        return anchor - g, w, inf, g
     return phi
 
 
 def _map_sinh(mp):
+    inf = mp.inf
+
     def phi(t, e):
         r = 1 / e
         x = (e - r) / 2
-        return (x if t >= 0 else -x), (e + r) / 2
+        return (x if t >= 0 else -x), (e + r) / 2, inf, inf
     return phi
 
 
@@ -206,23 +230,29 @@ def _component_map(lo, hi, mp):
     if lo_inf and hi_inf:
         return _map_sinh(mp)
     if lo_inf:
-        return _map_half_line(hi, mp.mpf(-1), mp)
-    return _map_half_line(lo, mp.mpf(1), mp)
+        return _map_half_line(hi, -1, mp)
+    return _map_half_line(lo, 1, mp)
 
 
-def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, max_levels=12):
+def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, max_levels=12,
+                     offsets=False):
     """Quadrature nodes for every (lo, hi) support piece of a density.
 
     Each piece is refined until its guard sum converges, max_levels meshes
     have been swept or it holds NODE_CAP nodes, so the table is valid for
     polynomial factors up to max_degree.  (The guard must be smooth: a
     |x|**d factor would spoil the double-exponential trapezoid convergence
-    with its kink.)
+    with its kink.)  With offsets the density is called as
+    density(x, x - lo, hi - x), the offsets as the map computes them;
+    otherwise as density(x) (module docstring, Offsets).
     """
     mp = ctx.mp
     tol = mp.mpf(tol)
     eps_term = ctx.tol(-10)        # ~1e-(digits+10): term cutoff relative to the peak
     gd = (max_degree + 1) // 2
+    if not offsets:
+        plain = density
+        density = lambda x, lo_off, hi_off: plain(x)
     xs, ws = [], []
     levels_used = 0
     converged_all = True
@@ -230,7 +260,10 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
     error = mp.mpf(0)
 
     for lo, hi in pieces:
-        phi = _component_map(mp.mpf(lo), mp.mpf(hi), mp)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        phi = _component_map(lo, hi, mp)
+        if not offsets:
+            phi = _rounded_offsets(phi, lo, hi)
         pts = {}          # integer multiple of current h -> (x, w*density)
         h = mp.mpf(1)
         previous = mp.mpf(0)       # a single mesh is compared against 0
@@ -256,6 +289,18 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
                      converged=converged_all, last_two=last_two, error=error, mp=mp)
 
 
+def _rounded_offsets(phi, lo, hi):
+    """phi for an integrand of x alone: the offsets it sees are those of the rounded x."""
+    def rounded(t, e):
+        node = phi(t, e)
+        if node is None:
+            return None
+        x, w = node[:2]
+        lo_off, hi_off = x - lo, hi - x
+        return (x, w, lo_off, hi_off) if lo_off and hi_off else None
+    return rounded
+
+
 def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
     """Add this level's nodes to pts, sweeping outward until terms die off.
 
@@ -266,10 +311,10 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
     """
     def handle(k, e):
         node = phi(k * h, mp.make_mpf(e))
-        if node is None:       # abscissa saturated onto an endpoint
+        if node is None:       # an offset the density sees is 0 (module docstring, Stop rule)
             return None
-        x, w = node
-        wd = w * density(x)
+        x, w, lo_off, hi_off = node
+        wd = w * density(x, lo_off, hi_off)
         pts[k] = (x, wd)
         return wd * (1 + x * x) ** gd
 
@@ -327,23 +372,23 @@ def _result(table):
 
 
 def integrate_component(f, lo, hi, ctx: PrecisionContext, tol, max_levels=12):
-    """DE quadrature of f over one support piece."""
+    """DE quadrature of f(x) over one support piece."""
     return _result(build_node_table([(lo, hi)], f, ctx, tol, 0, max_levels))
 
 
 def integrate(weight_or_pieces, f, ctx: PrecisionContext, tol=None):
     """Integrate density*f over a weight's support (or a raw list of pieces).
 
-    Accepts a WeightSpec-like object with ``components`` and ``density`` or a
-    plain list of (lo, hi) pairs (then ``f`` is the full integrand).  The
-    integrand must be real.  Returns a QuadratureResult; non-convergence of
-    any piece marks the total.
+    Accepts a WeightSpec-like object with ``components`` and ``density`` (the
+    density then takes the offsets, as every weight spec's does) or a plain
+    list of (lo, hi) pairs (then ``f`` is the full integrand, a function of
+    x alone).  The integrand must be real.  Returns a QuadratureResult;
+    non-convergence of any piece marks the total.
     """
     if tol is None:
         tol = ctx.tol(8)
     if hasattr(weight_or_pieces, "components"):
         spec = weight_or_pieces
-        pieces, integrand = spec.total_support(), lambda x: spec.density(x) * f(x)
-    else:
-        pieces, integrand = weight_or_pieces, f
-    return _result(build_node_table(pieces, integrand, ctx, tol, 0))
+        integrand = lambda x, lo_off, hi_off: spec.density(x, lo_off, hi_off) * f(x)
+        return _result(build_node_table(spec.total_support(), integrand, ctx, tol, 0, offsets=True))
+    return _result(build_node_table(weight_or_pieces, f, ctx, tol, 0))

@@ -4,6 +4,7 @@ import pytest
 
 from minusone.precision import PrecisionContext
 from minusone.polynomials import Poly, poly_eq, poly_rel_distance
+from minusone import cli
 from minusone import families as F
 from minusone.families import (
     InadmissibleParameterError,
@@ -231,6 +232,43 @@ def test_weight_density_nonnegative_on_support():
             for _ in range(10):
                 x = MP.mpf(repr(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo))))
                 assert spec.density(x) >= 0, (fid, x)
+
+
+OFFSET_DENSITIES = ("minus1-meixner-pollaczek", "chihara", "big-minus1-jacobi",
+                    "little-minus1-jacobi", "special-little-minus1-jacobi", "gegenbauer",
+                    "generalized-gegenbauer")
+NEGATIVE_GAMMA = (("minus1-meixner-pollaczek", {"alpha": "0.5", "gamma": "-0.25"}),
+                  ("minus1-meixner-pollaczek", {"alpha": "0", "gamma": "-0.75"}),
+                  ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "-0.25"}),
+                  ("chihara", {"alpha": "0", "beta": "1", "gamma": "-0.5"}))
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_offset_densities_match_x_only_forms(digits):
+    # density(x, x - lo, hi - x), the call the node tables make, against density(x) at interior
+    # points of every piece: the offsets land on the factors that vanish at their ends
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    cases = [(fid, pt) for fid in OFFSET_DENSITIES for pt in F.fixture_points(fid)]
+    for fid, pt in cases + list(NEGATIVE_GAMMA):
+        spec = F.weight_spec(fid, F.make_params(fid, ctx, **pt), ctx)
+        for comp in spec.components:
+            a = comp.hi - 4 if mp.isinf(comp.lo) else comp.lo
+            b = comp.lo + 4 if mp.isinf(comp.hi) else comp.hi
+            for frac in ("1e-6", "0.01", "0.3", "0.7", "0.99", "0.999999"):
+                x = a + (b - a) * mp.mpf(frac)
+                ref = spec.density(x)
+                got = spec.density(x, x - comp.lo, comp.hi - x)
+                assert ref > 0 and abs(got - ref) <= 2 ** (4 - mp.prec) * ref, (fid, pt, frac)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_gram_at_negative_gamma(digits):
+    # sgn(x) (x + gamma) vanishes at the inner endpoint of the positive piece when gamma < 0
+    ctx = PrecisionContext(digits)
+    for fid, pt in NEGATIVE_GAMMA:
+        [result] = cli._family_results(fid, F.make_params(fid, ctx, **pt), ctx, ["orthogonality"])
+        assert result["status"] == "pass", (fid, pt, result)
 
 
 def test_weight_inadmissible():

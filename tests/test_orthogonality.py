@@ -200,10 +200,43 @@ def test_gram_sweep_low_precision(digits):
 
 
 def test_gram_sweep_all_fixture_points():
-    # -1 Meixner-Pollaczek at alpha = 0 has a (x^2 - gamma^2)^(-1/2) endpoint, whose
-    # error floors near the square root of the working precision: about 13 digits
-    # of headroom, not 23
+    # the weakest point of the sweep is an endpoint singularity, such as the
+    # (x^2 - gamma^2)^(-1/2) of -1 Meixner-Pollaczek at alpha = 0; its factors are built from
+    # the node's offsets, so it keeps about 22 digits of headroom at 15 digits
     _assert_gram_sweep(15, points=3, min_headroom=12)
+
+
+@pytest.mark.parametrize("digits", [15, 20])
+def test_gram_sweep_all_points_keep_fifteen_digits(digits):
+    _assert_gram_sweep(digits, points=3, min_headroom=15)
+
+
+def _table_gram_error(fid, params, N, work, tol):
+    """Node table at the given context and tolerance, and its Gram error against the norms."""
+    mp = work.mp
+    spec = F.weight_spec(fid, params, work)
+    table = orth.build_node_table(spec, work, tol, 2 * N)
+    rows = orth._root_rows(table, orth._real_pairs(fid, params, N, work))
+    norms = F.norms(fid, params, N, work)
+    error = mp.mpf(0)
+    for n in range(N + 1):
+        for m in range(n + 1):
+            entry = table.dot(rows[n], rows[m]) * spec.measure_prefactor
+            exact = norms[n] if n == m else 0
+            error = max(error, abs(entry - exact) / mp.sqrt(norms[n] * norms[m]))
+    return table, error
+
+
+def test_singular_endpoint_gram_converges_at_full_precision():
+    # (x^2 - gamma^2)^(-1/2) at the +-gamma endpoints: recomputed from the rounded node, the
+    # factor held the error near 1e-38 at 75 working digits and the table never converged
+    work = PrecisionContext(60)
+    assert work.mp.dps == 75
+    fid = "minus1-meixner-pollaczek"
+    params = F.make_params(fid, work, alpha="0", gamma="0.75")
+    table, error = _table_gram_error(fid, params, 8, work, work.mp.mpf("1e-50"))
+    assert table.converged
+    assert error < 1e-45, error
 
 
 @pytest.mark.slow

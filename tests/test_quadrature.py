@@ -95,30 +95,38 @@ def test_multi_piece_and_gamma_modulus_masses():
 
 
 def _direct_map(lo, hi, mp):
-    """The DE maps evaluated from t alone, as the reference for the stepped ones."""
+    """The DE maps evaluated from t alone, as the reference for the stepped ones.
+
+    Returns (x, w, x - lo, hi - x), the offsets as the maps compute them.
+    """
+    inf = mp.inf
     if mp.isinf(lo) and mp.isinf(hi):
-        return lambda t: (mp.sinh(t), mp.cosh(t))
+        return lambda t: (mp.sinh(t), mp.cosh(t), inf, inf)
     if mp.isinf(lo) or mp.isinf(hi):
         anchor, sign = (hi, -1) if mp.isinf(lo) else (lo, 1)
 
         def half_line(t):
             e = mp.exp(t - mp.exp(-t))
-            return anchor + sign * e, (1 + mp.exp(-t)) * e
+            w = (1 + mp.exp(-t)) * e
+            return (anchor + e, w, e, inf) if sign > 0 else (anchor - e, w, inf, e)
         return half_line
     radius = (hi - lo) / 2
 
     def tanh_sinh(t):
         u = mp.pi / 2 * mp.sinh(t)
-        s = 2 / (mp.exp(2 * abs(u)) + 1)
-        x = hi - radius * s if t >= 0 else lo + radius * s
-        return x, radius * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
+        near = radius * 2 / (mp.exp(2 * abs(u)) + 1)
+        w = radius * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
+        if t >= 0:
+            return hi - near, w, 2 * radius - near, near
+        return lo + near, w, near, 2 * radius - near
     return tanh_sinh
 
 
 @pytest.mark.parametrize("digits", [15, 50])
 def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
-    # every node of the 14 Gram tables (fixture point 0, N = 8): x and w from e^|t| carried
-    # by multiplication agree with sinh/cosh/exp of t to 2**-(p - 16), and tables built
+    # every node of the 14 Gram tables (fixture point 0, N = 8): x, w and the finite offsets
+    # from e^|t| carried by multiplication agree with sinh/cosh/exp of t to 2**-(p - 16), and
+    # tables built
     # from the direct maps have the same nodes and levels
     ctx = PrecisionContext(digits)
     stepped_map = quadrature._component_map
@@ -131,7 +139,8 @@ def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
             node = phi(t, e)
             if node is not None:
                 ref = direct(t)
-                worst.append(max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(node, ref))
+                worst.append(max(abs(a - b) / abs(b) if b else abs(a)
+                                 for a, b in zip(node, ref) if mp.isfinite(b))
                              * 2 ** (mp.prec - 16))
             return node
         return both
@@ -140,8 +149,8 @@ def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
         direct = _direct_map(lo, hi, mp)
 
         def from_t(t, e):
-            x, w = direct(t)
-            return None if x in (lo, hi) and x != 0 else (x, w)
+            node = direct(t)
+            return node if all(node[2:]) else None
         return from_t
 
     for fid in F.orthogonal_ids():
