@@ -101,13 +101,13 @@ def generate(family: str, params: dict, N: int, ctx: PrecisionContext):
     fid = resolve_family(family)
     rec = _ALL_RECURRENCES[fid]
     mp = ctx.mp
+    x = Poly.x(ctx)
     polys = [Poly.constant(mp.mpc(1))]
     prev = None
     for n in range(N):
         pair = rec(params, n, ctx)
         cur = polys[-1]
-        shifted = Poly((mp.mpc(0),) + cur.coeffs)          # x * P_n
-        nxt = shifted - cur.scale(pair.b)
+        nxt = (x - pair.b) * cur
         if prev is not None:
             nxt = nxt - prev.scale(pair.u)
         prev = cur
@@ -130,10 +130,9 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
         raise ParameterError(
             "closed form of %s degenerated to degree %d at n = %d (parameter singularity)"
             % (fid, p.degree, n))
-    lead = p.coeffs[-1]
-    monic = Poly(tuple(c / lead for c in p.coeffs)).realify(ctx)
+    monic = p.monic(ctx).realify(ctx)
     if raw:
-        return monic, lead
+        return monic, p[p.degree]
     return monic
 
 

@@ -127,14 +127,6 @@ def _parity(n):
     return n % 2, n // 2
 
 
-def _sgn(x, mp):
-    if x > 0:
-        return mp.mpf(1)
-    if x < 0:
-        return mp.mpf(-1)
-    return mp.mpf(0)
-
-
 # ----------------------------------------------------------------------
 # recurrence coefficients (b_n, u_n), with (A_n, C_n) where printed
 

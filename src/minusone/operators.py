@@ -6,12 +6,15 @@ symbols being the identity I, the reflection R, the imaginary shifts S+/S-,
 their compositions with R, and derivatives.  At construction an operator
 brings its terms over one common denominator D, the plain product of the
 distinct term denominators, so that L p = (sum_j N_j symbol_j(p)) / D.  D
-needs no gcd: a tolerant gcd of Chihara's dxR coefficient is already
-ambiguous at 15 digits.  An image then costs one polynomial division by D,
-and its remainder is classified by the two-threshold rule of
-:func:`remainder_class` against the largest summed term N_j symbol_j(p),
-not against the cancelled sum, whose rounding would otherwise read as a
-pole.  So "the singular parts cancel" is checked rather than assumed.
+takes no gcd: a tolerant gcd of Chihara's dxR coefficient is already
+ambiguous at 15 digits.  So the Chihara and -1 Meixner-Pollaczek builders,
+whose coefficients have poles of order up to 4 at x = 0, write all four
+over 4x^4 themselves, and their D is 4x^4.  An image then costs one
+polynomial division by D, and its remainder is classified by the
+two-threshold rule of :func:`remainder_class` against the largest summed
+term N_j symbol_j(p), not against the cancelled sum, whose rounding would
+otherwise read as a pole.  So "the singular parts cancel" is checked rather
+than assumed.
 
 Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
@@ -187,6 +190,13 @@ def _build_generalized_gegenbauer(params, free, variant, ctx):
     return _second_order_terms(S, None, U, V, ctx), lam
 
 
+def _over_x4(ctx, S, T, U, V):
+    """The second-order coefficients given by their numerators over the one denominator 4 x^4."""
+    x = _x(ctx)
+    den = 4 * (x * x) * (x * x)
+    return [_rat(num, den) for num in (S, T, U, V)]
+
+
 def _build_chihara(params, free, variant, ctx):
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
@@ -195,18 +205,20 @@ def _build_chihara(params, free, variant, ctx):
     eps = free
     half = mp.mpf(1) / 2
     x = _x(ctx)
-    g2 = ga * ga
-    r = x * x - _c(ctx, g2)                   # x^2 - gamma^2
-    r1 = r - _c(ctx, 1)                       # x^2 - gamma^2 - 1
-    S = _rat(r * r1, (4 * (x * x)))
-    T = _rat((x - _c(ctx, ga)) * r1 * _c(ctx, ga), 4 * x * x * x)
-    U = _rat(r1 * (_c(ctx, 2 * ga) - x) * _c(ctx, ga), 4 * x * x * x) \
-        + _rat(r * _c(ctx, (al + be + 3 * half) / 2), x) \
-        - _rat(_c(ctx, (al + half) / 2), x)
-    V = _rat(r1 * (x - _c(ctx, 3 * ga / 2)) * _c(ctx, ga), 4 * x * x * x * x) \
-        - _rat(r * _c(ctx, (al + be + 3 * half) / 4), x * x) \
-        + _rat(_c(ctx, (al + half) / 4), x * x) \
-        + _rat((x - _c(ctx, ga)) * _c(ctx, eps / 2), x)
+    x2 = x * x
+    r = x2 - _c(ctx, ga * ga)                 # x^2 - gamma^2
+    r1 = r - 1                                # x^2 - gamma^2 - 1
+    # r (al+be+3/2) - (al+1/2): the 1/x (U) and 1/x^2 (V) terms share it
+    s = r.scale(al + be + 3 * half) - _c(ctx, al + half)
+    # S = r r1 / 4x^2,  T = gamma (x - gamma) r1 / 4x^3,
+    # U = gamma r1 (2 gamma - x) / 4x^3 + s / 2x,
+    # V = gamma r1 (x - 3 gamma/2) / 4x^4 - s / 4x^2 + (eps/2)(x - gamma) / x
+    S, T, U, V = _over_x4(
+        ctx,
+        r * r1 * x2,
+        ((x - _c(ctx, ga)) * r1 * x).scale(ga),
+        (r1 * (_c(ctx, 2 * ga) - x) * x).scale(ga) + 2 * s * x2 * x,
+        (r1 * (x - _c(ctx, 3 * ga / 2))).scale(ga) - s * x2 + ((x - _c(ctx, ga)) * x2 * x).scale(2 * eps))
     lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
                      else m * m + (al + be + 2) * m + eps)(n // 2)
     return _second_order_terms(S, T, U, V, ctx), lam
@@ -218,14 +230,17 @@ def _build_minus1_mp(params, free, variant, ctx):
     ga = get_param(params, "gamma", ctx)
     eps = free
     x = _x(ctx)
+    x2 = x * x
     g2 = ga * ga
-    S = _rat(_c(ctx, g2) - x * x, 4 * (x * x))
-    T = _rat((x - _c(ctx, ga)) * _c(ctx, ga), 4 * x * x * x)
-    U = _rat(Poly((mp.mpc(0), mp.mpf(1) / 2))) + _rat(_c(ctx, ga / 4), x * x) \
-        - _rat(_c(ctx, g2 / 2), x * x * x) - _rat(_c(ctx, (al + g2) / 2), x)
-    V = _rat(_c(ctx, 3 * g2 / 8), x * x * x * x) - _rat(_c(ctx, ga / 4), x * x * x) \
-        + _rat(_c(ctx, (al + g2) / 4), x * x) \
-        + _rat((x - _c(ctx, ga)) * _c(ctx, eps / 2), x) - _rat(_c(ctx, mp.mpf(1) / 4))
+    # S = (gamma^2 - x^2) / 4x^2,  T = gamma (x - gamma) / 4x^3,
+    # U = x/2 + gamma/4x^2 - gamma^2/2x^3 - (al + gamma^2)/2x,
+    # V = 3 gamma^2/8x^4 - gamma/4x^3 + (al + gamma^2)/4x^2 + (eps/2)(x - gamma)/x - 1/4
+    S, T, U, V = _over_x4(
+        ctx,
+        (_c(ctx, g2) - x2) * x2,
+        ((x - _c(ctx, ga)) * x).scale(ga),
+        Poly((0, -2 * g2, ga, -2 * (al + g2), 0, 2)),
+        Poly((3 * g2 / 2, -ga, al + g2, -2 * eps * ga, 2 * eps - 1)))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
     # the dxR term enters with a printed minus sign
     return _second_order_terms(S, -T, U, V, ctx), lam
@@ -277,15 +292,10 @@ def _cbi_hahn_terms(al, ga, f1, f2, ctx):
     mp = ctx.mp
     i = mp.mpc(0, 1)
     A = _rat(f1 * f2, 1 - Poly((mp.mpc(0), 2 * i)))
-    Abar = _rat(_conj_poly(f1, ctx) * _conj_poly(f2, ctx), 1 + Poly((mp.mpc(0), 2 * i)))
+    Abar = _rat(f1.conj() * f2.conj(), 1 + Poly((mp.mpc(0), 2 * i)))
     const = _rat(_c(ctx, 2 * al + 2 * ga + mp.mpf(3) / 2))
     identity_coeff = const - A - Abar
     return [(A, "S+R"), (Abar, "S-R"), (identity_coeff, "I")]
-
-
-def _conj_poly(p: Poly, ctx) -> Poly:
-    mp = ctx.mp
-    return Poly(tuple(mp.conj(c) for c in p.coeffs))
 
 
 def _build_cbi_like(al, be, ga, de, variant, ctx):
@@ -560,14 +570,12 @@ def _basis_matrix(images, basis, ctx):
     mp = ctx.mp
     N = len(basis) - 1
     matrix = [[mp.mpc(0)] * (N + 1) for _ in range(N + 1)]
-    for n, image in enumerate(images):
-        coeffs = list(image.coeffs) + [mp.mpc(0)] * (N + 1 - len(image.coeffs))
+    for n, rest in enumerate(images):
         for k in range(N, -1, -1):
-            c = coeffs[k]
+            c = mp.mpc(rest[k])
             matrix[k][n] = c
             if c != 0:
-                for j, bc in enumerate(basis[k].coeffs):
-                    coeffs[j] -= c * bc
+                rest = rest - basis[k].scale(c)
     return matrix
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from minusone.precision import PrecisionContext
-from minusone.polynomials import Poly, poly_eq, poly_rel_distance
+from minusone.polynomials import Poly, poly_rel_distance
+from test_polynomials import poly_eq
 from minusone import cli
 from minusone import families as F
 from minusone.families import (

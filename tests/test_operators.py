@@ -3,7 +3,8 @@ import random
 import pytest
 
 from minusone.precision import PrecisionContext
-from minusone.polynomials import Poly, RationalFunction, poly_eq
+from minusone.polynomials import Poly, RationalFunction
+from test_polynomials import poly_eq
 from minusone import families as F
 from minusone import operators as O
 
@@ -182,7 +183,8 @@ def test_eigen_check_agrees_with_per_degree_checks(fid, digits):
 
 def test_common_denominator_is_a_plain_product():
     # at 15 digits the tolerant gcd cannot even reduce Chihara's dxR
-    # coefficient, so an lcm of the term denominators is out of reach
+    # coefficient, so an lcm of the term denominators is out of reach; the
+    # builder writes every coefficient over 4x^4 itself
     from minusone.polynomials import ReductionAmbiguityError
 
     ctx = PrecisionContext(15)
@@ -191,8 +193,9 @@ def test_common_denominator_is_a_plain_product():
     coeffs = {sym: c for c, sym in op.terms}
     with pytest.raises(ReductionAmbiguityError):
         coeffs["dxR"].reduce(ctx)
-    # 4x^2 (dx2), 4x^3 (dxR), 4x^5 (dx), 4x^9 (I, and R shares it)
-    assert op.den.degree == 2 + 3 + 5 + 9
+    # one distinct denominator, 4x^4 (it held 4x^2, 4x^3, 4x^5 and 4x^9 when
+    # each coefficient was a sum of rational functions)
+    assert op.den.degree == 4
     assert O.eigen_check("chihara", params, 10, ctx)["status"] == "pass"
 
 
@@ -209,13 +212,17 @@ def test_remainder_judged_on_the_image_not_the_residual():
 
 
 def test_numerically_zero_image():
-    # D_sigma on P_0 of the symmetric Bannai-Ito family cancels to rounding
-    # noise; against the term size that is zero, not a remainder to divide out
+    # D_sigma on P_0 of the generalized symmetric Bannai-Ito family cancels to
+    # rounding noise; against the term size that is zero, not a remainder to
+    # divide out.  The noise needs a rounding: at dyadic parameters, or with
+    # the two-parameter products of the symmetric family, the integer
+    # arithmetic holds every product exactly and the image cancels to 0.
     from minusone.polynomials import NonDivisibleError
 
-    params = params_for("symmetric-bannai-ito")
-    op = F.eigen_system("symmetric-bannai-ito", params, CTX, free="0.7").operator
-    p0 = F.generate("symmetric-bannai-ito", params, 0, CTX)[0]
+    fid = "generalized-symmetric-bannai-ito"
+    params = F.make_params(fid, CTX, a="1.1", b="1.3", c="0.7")
+    op = F.eigen_system(fid, params, CTX, free="0.7").operator
+    p0 = F.generate(fid, params, 0, CTX)[0]
     num, _, cls = O._image(op, p0, CTX)
     assert cls == "zero" and num.coeff_norm() > 0
     with pytest.raises(NonDivisibleError):

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minusone.precision import PrecisionContext
 from minusone.polynomials import (
@@ -9,12 +12,21 @@ from minusone.polynomials import (
     RationalFunction,
     ReductionAmbiguityError,
     divide_exact,
+    divmod_poly,
     hyp_terminating_poly,
-    poly_eq,
+    poly_distance,
 )
 
 CTX = PrecisionContext(50)
 X = Poly.x(CTX)
+
+
+def poly_eq(p: Poly, q: Poly, ctx: PrecisionContext, rel: int = 8):
+    """Coefficient-wise comparison, tolerance relative to the larger coefficient norm."""
+    scale = max(p.coeff_norm(), q.coeff_norm())
+    if scale == 0:
+        return True
+    return poly_distance(p, q) <= scale * ctx.tol(rel)
 
 
 def rand_poly(rng, deg, scale=2.0):
@@ -151,3 +163,174 @@ def test_hyp_terminating_poly_matches_scalar():
     x0 = CTX.real("0.7")
     direct = hyp_terminating([-4, a2, x0], den, zp.evaluate(x0), CTX)
     assert abs(p.evaluate(x0) - direct) <= CTX.tol(6) * max(1, abs(direct))
+
+
+# ----------------------------------------------------------------------
+# property tests against exact Gaussian-rational arithmetic
+#
+# A reference polynomial is a list of (re, im) Fraction pairs; the inputs are
+# the exact binary values the Poly holds, so every difference below is the
+# rounding of the block arithmetic, bounded by 2**-prec of a coefficient norm.
+
+CTXS = {d: PrecisionContext(d) for d in (15, 50, 100)}
+
+
+def frac(x):
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def ref_of(p):
+    return [(Fraction(c), Fraction(0)) if isinstance(c, int) else (frac(c.real), frac(c.imag))
+            for c in p.coeffs]
+
+
+def ref_sq(c):
+    return c[0] * c[0] + c[1] * c[1]
+
+
+def ref_norm2(r):
+    return max(map(ref_sq, r))
+
+
+def ref_cadd(x, y, sign=1):
+    return (x[0] + sign * y[0], x[1] + sign * y[1])
+
+
+def ref_add(a, b, sign=1):
+    return [ref_cadd(x, y, sign) for x, y in zip_longest(a, b, fillvalue=(0, 0))]
+
+
+def ref_cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_mul(a, b):
+    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ref_cadd(out[i + j], ref_cmul(x, y))
+    return out
+
+
+def ref_shift(a, delta):
+    out = list(a)
+    n = len(out)
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            out[k] = ref_cadd(out[k], ref_cmul(delta, out[k + 1]))
+    return out
+
+
+def ref_divmod(a, d):
+    rem, dn = list(a), len(d)
+    lead = d[-1]
+    inv = (lead[0] / ref_sq(lead), -lead[1] / ref_sq(lead))
+    quot = [(Fraction(0), Fraction(0))] * max(1, len(a) - dn + 1)
+    for k in range(len(a) - dn, -1, -1):
+        c = ref_cmul(rem[k + dn - 1], inv)
+        quot[k] = c
+        for j in range(dn):
+            rem[k + j] = ref_cadd(rem[k + j], ref_cmul(c, d[j]), -1)
+    return quot, rem[:dn - 1] or [(Fraction(0), Fraction(0))]
+
+
+def assert_close(p, ref, norm2, ctx):
+    """max_k |p_k - ref_k| <= 2**-prec * sqrt(norm2), compared squared and exactly."""
+    err2 = ref_norm2(ref_add(ref_of(p), ref, -1))
+    assert err2 <= norm2 / Fraction(4) ** ctx.mp.prec, (float(err2), float(norm2))
+
+
+gaussian = st.tuples(st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 6),
+                     st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 6))
+
+
+def make_poly(ctx, coeffs):
+    mp = ctx.mp
+    return Poly([mp.mpc(mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator)
+                 for a, b in coeffs])
+
+
+polys = st.lists(gaussian, min_size=1, max_size=9)
+DIGITS = pytest.mark.parametrize("digits", [15, 50, 100])
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@DIGITS
+def test_ring_operations_match_exact_arithmetic(digits):
+    ctx = CTXS[digits]
+
+    @PROPERTY
+    @given(polys, polys, gaussian)
+    def check(a, b, s):
+        p, q = make_poly(ctx, a), make_poly(ctx, b)
+        rp, rq = ref_of(p), ref_of(q)
+        scalar = make_poly(ctx, [s])[0]
+        rs = (frac(scalar.real), frac(scalar.imag))
+        powers = [(Fraction(1), Fraction(0))]
+        for _ in rp[1:]:
+            powers.append(ref_cmul(powers[-1], rs))
+        for out, ref in ((p + q, ref_add(rp, rq)), (p - q, ref_add(rp, rq, -1)),
+                         (p * q, ref_mul(rp, rq)), (p.scale(scalar), [ref_cmul(rs, c) for c in rp]),
+                         (p.dilate(scalar), [ref_cmul(w, c) for w, c in zip(powers, rp)])):
+            assert_close(out, ref, ref_norm2(ref), ctx)
+
+    check()
+
+
+@DIGITS
+def test_structural_operations_match_exact_arithmetic(digits):
+    ctx = CTXS[digits]
+    i = ctx.complex(0, 1)
+
+    @PROPERTY
+    @given(polys)
+    def check(a):
+        p = make_poly(ctx, a)
+        rp = ref_of(p)
+        derived = [(k * c[0], k * c[1]) for k, c in enumerate(rp)][1:] or [(0, 0)]
+        for out, ref in ((p.shift(i), ref_shift(rp, (0, 1))), (p.shift(-i), ref_shift(rp, (0, -1))),
+                         (p.reflect(), [(-c[0], -c[1]) if k % 2 else c for k, c in enumerate(rp)]),
+                         (p.differentiate(), derived)):
+            assert_close(out, ref, ref_norm2(ref), ctx)
+
+    check()
+
+
+@DIGITS
+def test_divmod_matches_exact_long_division(digits):
+    ctx = CTXS[digits]
+
+    @PROPERTY
+    @given(polys, st.lists(gaussian, min_size=1, max_size=5))
+    def check(a, b):
+        p, d = make_poly(ctx, a), make_poly(ctx, b)
+        rd = ref_of(d)
+        if ref_sq(rd[-1]) == 0:
+            return
+        q, r = divmod_poly(p, d, ctx)
+        rq, rr = ref_divmod(ref_of(p), rd)
+        # q to its own norm; r to the size of the terms that cancelled into it
+        assert_close(q, rq, ref_norm2(rq), ctx)
+        assert_close(r, rr, max(ref_norm2(ref_of(p)), ref_norm2(rq) * ref_norm2(rd)), ctx)
+
+    check()
+
+
+def test_integer_polynomials_stay_exact():
+    # coefficients far wider than any mantissa width: a rounding would show
+    p = Poly([3, 1]) * Poly([3, 1])
+    for _ in range(7):
+        p = p * p                              # (x + 3)^256
+    q = Poly([-5, 0, 2, 7])
+    i = CTX.complex(0, 1)
+    rp, rq = ref_of(p), ref_of(q)
+    checks = [(p * q, ref_mul(rp, rq)), (p + q, ref_add(rp, rq)), (p - q, ref_add(rp, rq, -1)),
+              (p.scale(-3), [(-3 * c[0], -3 * c[1]) for c in rp]),
+              (p.reflect(), [(-c[0], -c[1]) if k % 2 else c for k, c in enumerate(rp)]),
+              (p.differentiate(), [(k * c[0], k * c[1]) for k, c in enumerate(rp)][1:]),
+              (q.shift(1), ref_shift(rq, (1, 0))), (q.shift(i), ref_shift(rq, (0, 1))),
+              ((X * X - 1) * p, ref_mul([(-1, 0), (0, 0), (1, 0)], rp))]
+    assert max(c for c, _ in rp) > Fraction(2) ** 400
+    for out, ref in checks:
+        assert ref_of(out) == [(Fraction(a), Fraction(b)) for a, b in ref]
