@@ -18,7 +18,7 @@ import time
 
 from . import families, operators, orthogonality, scheme
 from .families import ParameterError, UnknownFamilyError
-from .polynomials import ReductionAmbiguityError, poly_rel_distance
+from .polynomials import poly_rel_distance
 from .precision import PrecisionContext
 
 EXIT_PASS = 0
@@ -167,7 +167,7 @@ def _guarded(id, check, anchor, run, *args):
     """run(*args), one result; a numerical dead end ends this check alone, as inconclusive."""
     try:
         return run(*args)
-    except (ParameterError, ReductionAmbiguityError) as exc:
+    except families.DEAD_ENDS as exc:
         return _result(id, check, "inconclusive", anchor=anchor, notes=str(exc))
 
 

@@ -9,8 +9,8 @@ reference parameter sets the verification suites run at.
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext
-from ..polynomials import Poly
+from ..precision import PrecisionContext, ZeroDenominatorError
+from ..polynomials import Poly, ReductionAmbiguityError
 from .base import (
     EigenSystem,
     FamilyInfo,
@@ -33,6 +33,9 @@ from .weights import NORMS, WEIGHTS
 
 _ALL_RECURRENCES = {**RECURRENCES, **Q_RECURRENCES}
 _ALL_CLOSED = {**CLOSED_FORMS, **Q_CLOSED_FORMS}
+
+# numerical dead ends at a parameter point: each ends only the check it arises in, as inconclusive
+DEAD_ENDS = (ParameterError, ReductionAmbiguityError, ZeroDenominatorError)
 
 
 def resolve_family(name: str) -> str:
@@ -125,11 +128,10 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     if fid not in _ALL_CLOSED:
         raise NoClosedFormError("no closed form on record for %s" % fid)
     p = _ALL_CLOSED[fid](params, n, ctx)
-    p = p.trim(ctx)
-    if p.degree != n:
+    if p.degree != n or p.lead_is_noise():
         raise ParameterError(
-            "closed form of %s degenerated to degree %d at n = %d (parameter singularity)"
-            % (fid, p.degree, n))
+            "closed form of %s has no degree-%d term at these parameters (parameter singularity)"
+            % (fid, n))
     monic = p.monic(ctx).realify(ctx)
     if raw:
         return monic, p[p.degree]

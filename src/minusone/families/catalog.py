@@ -577,6 +577,7 @@ def _cf_big_m1j(params, n, ctx):
     be = get_param(params, "beta", ctx)
     c = get_param(params, "c", ctx)
     one_minus_c2 = require_nonzero(1 - c * c, "1-c^2", ctx)
+    one_plus_al = require_nonzero(1 + al, "1+alpha", ctx)
     x = Poly.x(ctx)
     z = Poly((1 / one_minus_c2, mp.mpf(0), -1 / one_minus_c2))   # (1-x^2)/(1-c^2)
     one_minus_x = Poly((mp.mpf(1), mp.mpf(-1)))
@@ -590,13 +591,13 @@ def _cf_big_m1j(params, n, ctx):
             total = f1
         else:
             f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], z, ctx)
-            total = f1 + (one_minus_x * f2).scale(2 * m / ((1 + c) * (1 + al)))
+            total = f1 + (one_minus_x * f2).scale(2 * m / ((1 + c) * one_plus_al))
         eta = one_minus_c2 ** m * pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
         return total.scale(eta)
     s = (2 * m + al + be + 2) / 2
     f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
     f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + al + be + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (one_minus_x * f2).scale((2 * m + al + be + 2) / ((1 + c) * (1 + al)))
+    total = f1 - (one_minus_x * f2).scale((2 * m + al + be + 2) / ((1 + c) * one_plus_al))
     eta = (1 + c) * one_minus_c2 ** m * pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
     return total.scale(eta)
 
@@ -613,6 +614,7 @@ def _cf_little_m1j(params, n, ctx):
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
+    one_plus_al = require_nonzero(1 + al, "1+alpha", ctx)
     x = Poly.x(ctx)
     z = x * x
     odd, m = _parity(n)
@@ -625,12 +627,12 @@ def _cf_little_m1j(params, n, ctx):
             total = f1
         else:
             f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], z, ctx)
-            total = f1 + (x * f2).scale(2 * m / (1 + al))
+            total = f1 + (x * f2).scale(2 * m / one_plus_al)
         eta = pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
         return total.scale(eta)
     f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
     f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + al + be + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (x * f2).scale((2 * m + al + be + 2) / (1 + al))
+    total = f1 - (x * f2).scale((2 * m + al + be + 2) / one_plus_al)
     eta = pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
     return total.scale(eta)
 

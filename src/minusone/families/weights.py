@@ -8,7 +8,8 @@ offsets x - lo and hi - x of the node in its component, computed without
 cancellation, and each factor that vanishes at a finite nonzero endpoint
 is built from them (1 - x^2 as (1 + x)(1 - x), x^2 - gamma^2 as
 (|x| - |gamma|)(|x| + |gamma|), one factor an offset).  Called with x
-alone, a density computes those factors from x, as printed.  ``NORMS``
+alone, the reference form the tests hold the offsets to, a density
+computes those factors from x, as printed.  ``NORMS``
 gives the printed right-hand sides h_0 .. h_N of the orthogonality relation
 under the printed inner product, so quadrature results can be compared
 against them directly.  ``measure_prefactor`` records the constant sitting

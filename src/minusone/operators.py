@@ -16,6 +16,15 @@ term N_j symbol_j(p), not against the cancelled sum, whose rounding would
 otherwise read as a pole.  So "the singular parts cancel" is checked rather
 than assumed.
 
+One loop, four views.  :func:`_eigen_degrees` runs the image kernel over the
+degrees of a built operator and stops at the first dead end, an image that
+is not polynomial: 'fail' for a surviving pole, 'inconclusive' for an
+ambiguous remainder (NonDivisibleError and ReductionAmbiguityError where a
+function raises).  :func:`eigen_check`, :func:`verify_eigen`,
+:func:`check_diagonality` and :func:`_resolve_variant` each pick the free
+value, the reading and the degrees, and read residuals or the basis matrix
+off it.
+
 Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
 operators, for the sign of the [R - I] bracket); for the continuous
@@ -34,8 +43,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .precision import PrecisionContext
-from .polynomials import (Poly, RationalFunction, ReductionAmbiguityError, divmod_poly,
-                          remainder_class)
+from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
+                          divmod_poly, remainder_class)
 from .families.base import EigenSystem, NoEigenSystemError, get_param
 
 SYMBOLS = ("I", "R", "S+", "S-", "S+R", "S-R", "dx", "dxR", "dx2")
@@ -471,18 +480,27 @@ def _operator_for_variant(fid, params, free, variant, ctx):
     return DunklOperator(terms=terms, shift=ctx.mp.mpc(0, 1)), lam
 
 
-def _check_degree(op, lam, p, ctx):
-    """L p = lam p: (image, relative residual, status); image None at a dead end.
+# a dead end: status -> (error where a function raises, reason)
+_NOT_POLYNOMIAL = {"inconclusive": (ReductionAmbiguityError, "remainder in the ambiguity band"),
+                   "fail": (NonDivisibleError, "a pole survives")}
 
-    A dead end is an image that is not polynomial: 'inconclusive' when the
-    remainder is ambiguous, 'fail' when a pole survives.
+
+def _eigen_degrees(op, lam, polys, degrees, ctx):
+    """(n, image, relative residual, status) of L P_n = lambda_n P_n per n in ``degrees``.
+
+    A dead end (module docstring) comes with image and residual None and
+    ends the loop.
     """
-    _, image, cls = _image(op, p, ctx)
-    if cls != "zero":
-        return None, None, "inconclusive" if cls == "ambiguous" else "fail"
     mp = ctx.mp
-    residual = (image - p.scale(lam)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(lam)))
-    return image, residual, "pass" if residual <= ctx.tol(10) else "fail"
+    for n in degrees:
+        p = polys[n]
+        _, image, cls = _image(op, p, ctx)
+        if cls != "zero":
+            yield n, None, None, "inconclusive" if cls == "ambiguous" else "fail"
+            return
+        ev = lam(n)
+        residual = (image - p.scale(ev)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(ev)))
+        yield n, image, residual, "pass" if residual <= ctx.tol(10) else "fail"
 
 
 def _resolve_variant(fid, ctx, params=None):
@@ -500,10 +518,9 @@ def _resolve_variant(fid, ctx, params=None):
     for values in product(*(READING_AXES[axis] for axis in axes)):
         variant = dict(zip(axes, values))
         op, lam = _operator_for_variant(fid, params, ctx.mp.mpf(1) / 2, variant, ctx)
-        residuals = []
-        for n in range(1, 4):
-            _, res, status = _check_degree(op, lam(n), polys[n], ctx)
-            residuals.append(float(res) if status == "pass" else None)
+        residuals = [float(res) if status == "pass" else None
+                     for _, _, res, status in _eigen_degrees(op, lam, polys, range(1, 4), ctx)]
+        residuals += [None] * (3 - len(residuals))      # the degrees after a dead end
         outcomes.append({"variant": variant, "passes": None not in residuals,
                          "residuals": residuals})
     passing = [o["variant"] for o in outcomes if o["passes"]]
@@ -554,7 +571,7 @@ def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
     fid = F.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
     polys = F.generate(fid, params, n, ctx)
-    _, res, status = _check_degree(es.operator, es.eigenvalue(n), polys[n], ctx)
+    [(_, _, res, status)] = _eigen_degrees(es.operator, es.eigenvalue, polys, [n], ctx)
     return {
         "family": fid,
         "n": n,
@@ -599,7 +616,7 @@ def _diagonality(matrix, eigenvalue, ctx):
 def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
     """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative.
 
-    Raises ReductionAmbiguityError when the image of some P_n is not polynomial.
+    A dead end at some P_n raises its error (:data:`_NOT_POLYNOMIAL`).
     """
     from . import families as F
 
@@ -607,10 +624,10 @@ def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
     es = build_eigen_system(fid, params, ctx, free=free)
     basis = F.generate(fid, params, N, ctx)
     images = []
-    for n, p in enumerate(basis):
-        _, image, cls = _image(es.operator, p, ctx)
-        if cls != "zero":
-            raise ReductionAmbiguityError("operator image of P_%d is not polynomial" % n)
+    for n, image, _, status in _eigen_degrees(es.operator, es.eigenvalue, basis, range(N + 1), ctx):
+        if image is None:
+            error, reason = _NOT_POLYNOMIAL[status]
+            raise error("operator image of P_%d is not polynomial: %s" % (n, reason))
         images.append(image)
     return {"family": es.family,
             **_diagonality(_basis_matrix(images, basis, ctx), es.eigenvalue, ctx)}
@@ -621,9 +638,8 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
 
     Checks L P_n = lambda_n P_n for n <= N at the free values 1/2 and 2, and
     that the matrix of L (free = 1/2) in the basis P_0..P_8 is diagonal with
-    the printed eigenvalues.  An image that is not polynomial, at any degree
-    used, ends the check: 'inconclusive' for an ambiguous remainder, 'fail'
-    for a surviving pole, with the degree in the notes.
+    the printed eigenvalues.  A dead end at any degree used ends the check
+    with its status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.
     """
     from . import families as F
 
@@ -635,14 +651,13 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     for free, last in (("0.5", top), ("2", N)):
         es = build_eigen_system(fid, params, ctx, free=free)
         images = []
-        for n in range(last + 1):
-            image, res, status = _check_degree(es.operator, es.eigenvalue(n), polys[n], ctx)
+        for n, image, res, status in _eigen_degrees(es.operator, es.eigenvalue, polys,
+                                                    range(last + 1), ctx):
             if image is None:
                 at = " at %s = %s" % (es.free_name, free) if es.free_name else ""
-                reason = ("remainder in the ambiguity band" if status == "inconclusive"
-                          else "a pole survives")
                 report.update(status=status, residual=None,
-                              notes="image of P_%d%s is not polynomial: %s" % (n, at, reason))
+                              notes="image of P_%d%s is not polynomial: %s"
+                                    % (n, at, _NOT_POLYNOMIAL[status][1]))
                 return report
             images.append(image)
             if n <= N:

@@ -335,12 +335,22 @@ class Poly:
             k = 0
         return _new(self.re[:k + 1], self.im[:k + 1], self.exp, self.mp, self.width)
 
+    def lead_is_noise(self):
+        """Whether the top coefficient is at most 2**(64 - width) of the norm (0 if exact).
+
+        That is 2**63 of the units one rounding leaves (module docstring,
+        Error bound): a top coefficient this small may be rounding alone.
+        """
+        lead = self.re[-1] ** 2 + self.im[-1] ** 2
+        if self.width is None:
+            return not lead
+        return lead << 2 * (self.width - 64) <= _sqmax(self)
+
     def monic(self, ctx: PrecisionContext):
-        p = self.trim(ctx)
-        lead = p.re[-1], p.im[-1]
-        if lead == (0, 0):
-            raise ZeroDivisionError("zero polynomial cannot be made monic")
-        return _divide(p, lead, p.exp, ctx)
+        """p over its top coefficient; ZeroDivisionError if that is noise (``lead_is_noise``)."""
+        if self.lead_is_noise():
+            raise ZeroDivisionError("leading coefficient is rounding noise; no monic form")
+        return _divide(self, (self.re[-1], self.im[-1]), self.exp, ctx)
 
     def realify(self, ctx: PrecisionContext, rel: int = 6):
         """Strip imaginary parts that are negligible relative to the norm."""
@@ -523,17 +533,6 @@ class RationalFunction:
             den = divide_exact(den, g, ctx)
         lead = den.re[-1], den.im[-1]
         return RationalFunction(_divide(num, lead, den.exp, ctx), _divide(den, lead, den.exp, ctx))
-
-    def is_polynomial(self, ctx: PrecisionContext):
-        """Return the quotient polynomial when the reduced denominator is constant, else None."""
-        q, r = divmod_poly(self.num, self.den, ctx)
-        scale = max(self.num.coeff_norm(), (q * self.den).coeff_norm())
-        cls = remainder_class(r, scale, ctx)
-        if cls == "zero":
-            return q
-        if cls == "ambiguous":
-            raise ReductionAmbiguityError("singular part is neither cleanly zero nor nonzero")
-        return None
 
     def __repr__(self):
         return "RationalFunction(%r / %r)" % (self.num, self.den)

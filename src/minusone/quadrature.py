@@ -19,20 +19,18 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   hi - x from the ends of its piece (infinite towards an infinite end).
   It computes the offset from the nearer end first (width * q/(1+q) in
   tanh-sinh, exp(t - exp(-t)) on a half-line) and forms x from it, so
-  neither offset suffers cancellation.  A density that takes them
-  (``offsets=True``; every weight spec's does, see ``families.weights``)
-  builds each factor that vanishes at an endpoint from them, and keeps
-  its relative accuracy where x rounds onto the endpoint (the (x, xc)
-  integrand of Boost.Math's tanh_sinh).  A density of x alone sees the
-  offsets of the rounded x.
-- Stop rule.  A sweep drops a node, and stops, when an offset the density
-  sees is 0; otherwise the term cutoff (below) ends it.  The map's own
-  offsets do not underflow (mpmath exponents are unbounded), so a density
-  that takes them is swept past the node where x rounds onto its endpoint.
-  The mass below that node, at offsets under about eps |endpoint|, is
-  2 sqrt(eps |endpoint|) for an offset^(-1/2) singularity: a stop there
-  floors the error near the square root of the working precision.  A
-  density of x alone stops there, where it could not be evaluated.
+  neither offset suffers cancellation.  The density is called as
+  density(x, x - lo, hi - x) (every weight spec's takes the offsets, see
+  ``families.weights``).  It builds each factor that vanishes at an
+  endpoint from them, and keeps its relative accuracy where x rounds onto
+  the endpoint (the (x, xc) integrand of Boost.Math's tanh_sinh).
+- Stop rule.  A sweep drops a node, and stops, when a map offset is 0;
+  otherwise the term cutoff (below) ends it.  The offsets do not underflow
+  (mpmath exponents are unbounded), so a sweep runs past the node where x
+  rounds onto its endpoint.  The mass below that node, at offsets under
+  about eps |endpoint|, is 2 sqrt(eps |endpoint|) for an offset^(-1/2)
+  singularity: a stop there would floor the error near the square root of
+  the working precision.
 - Guard integrand.  density * (1+x^2)**ceil(max_degree/2) stands in for
   every polynomial factor up to max_degree.  It drives the term cutoff (a
   sweep stops once four successive terms fall below ~10**-(digits+10) of
@@ -68,10 +66,9 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
 - Node cap.  A piece stops refining at 2**20 nodes, which turns a runaway
   integrand into an explicit non-convergence report.
 
-``integrate`` is the table built on the full integrand (max_degree = 0) plus
-a dot product over it; a weight spec's density gets its offsets there too.
-Its error estimate is the difference of the last two guard sums, which are
-then exactly the last two trapezoid estimates.
+``integrate`` is the table built on density * f (max_degree = 0) plus a dot
+product over it.  Its error estimate is the difference of the last two guard
+sums, which are then exactly the last two trapezoid estimates.
 """
 
 from __future__ import annotations
@@ -84,6 +81,7 @@ from mpmath.libmp import fone, from_man_exp, mpf_exp, mpf_mul, round_nearest
 from .precision import PrecisionContext
 
 NODE_CAP = 1 << 20
+MAX_LEVELS = 12            # meshes per piece: h = 1, 1/2, ..., 2**-11
 GUARD_BITS = 32            # bits past the working precision: fixed-point rows, stepped exp(|t|)
 
 
@@ -234,25 +232,20 @@ def _component_map(lo, hi, mp):
     return _map_half_line(lo, 1, mp)
 
 
-def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, max_levels=12,
-                     offsets=False):
+def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
     """Quadrature nodes for every (lo, hi) support piece of a density.
 
-    Each piece is refined until its guard sum converges, max_levels meshes
+    Each piece is refined until its guard sum converges, MAX_LEVELS meshes
     have been swept or it holds NODE_CAP nodes, so the table is valid for
     polynomial factors up to max_degree.  (The guard must be smooth: a
     |x|**d factor would spoil the double-exponential trapezoid convergence
-    with its kink.)  With offsets the density is called as
-    density(x, x - lo, hi - x), the offsets as the map computes them;
-    otherwise as density(x) (module docstring, Offsets).
+    with its kink.)  The density is called as density(x, x - lo, hi - x),
+    the offsets as the map computes them (module docstring, Offsets).
     """
     mp = ctx.mp
     tol = mp.mpf(tol)
     eps_term = ctx.tol(-10)        # ~1e-(digits+10): term cutoff relative to the peak
     gd = (max_degree + 1) // 2
-    if not offsets:
-        plain = density
-        density = lambda x, lo_off, hi_off: plain(x)
     xs, ws = [], []
     levels_used = 0
     converged_all = True
@@ -262,8 +255,6 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
     for lo, hi in pieces:
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         phi = _component_map(lo, hi, mp)
-        if not offsets:
-            phi = _rounded_offsets(phi, lo, hi)
         pts = {}          # integer multiple of current h -> (x, w*density)
         h = mp.mpf(1)
         previous = mp.mpf(0)       # a single mesh is compared against 0
@@ -273,7 +264,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
             total += _sweep_level(phi, h, level, pts, density, mp, eps_term, gd)
             guard = h * total
             converged = level > 0 and abs(guard - previous) <= tol * max(abs(guard), mp.mpf(1))
-            if converged or level + 1 >= max_levels or len(pts) >= NODE_CAP:
+            if converged or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
                 break
             previous = guard
             h = h / 2
@@ -287,18 +278,6 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ma
             ws.append(h * w)
     return NodeTable(xs=xs, weights=ws, levels=levels_used,
                      converged=converged_all, last_two=last_two, error=error, mp=mp)
-
-
-def _rounded_offsets(phi, lo, hi):
-    """phi for an integrand of x alone: the offsets it sees are those of the rounded x."""
-    def rounded(t, e):
-        node = phi(t, e)
-        if node is None:
-            return None
-        x, w = node[:2]
-        lo_off, hi_off = x - lo, hi - x
-        return (x, w, lo_off, hi_off) if lo_off and hi_off else None
-    return rounded
 
 
 def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
@@ -364,31 +343,18 @@ def _double_keys(pts):
         pts[2 * key] = pts.pop(key)
 
 
-def _result(table):
-    value = table.dot(table.row(table.weights))
-    return QuadratureResult(value=value, error_estimate=table.error,
-                            node_count=len(table.xs), converged=table.converged,
-                            levels=table.levels, last_two=table.last_two)
+def integrate(spec, f, ctx: PrecisionContext, tol=None):
+    """Integrate density * f over a weight spec's support.
 
-
-def integrate_component(f, lo, hi, ctx: PrecisionContext, tol, max_levels=12):
-    """DE quadrature of f(x) over one support piece."""
-    return _result(build_node_table([(lo, hi)], f, ctx, tol, 0, max_levels))
-
-
-def integrate(weight_or_pieces, f, ctx: PrecisionContext, tol=None):
-    """Integrate density*f over a weight's support (or a raw list of pieces).
-
-    Accepts a WeightSpec-like object with ``components`` and ``density`` (the
-    density then takes the offsets, as every weight spec's does) or a plain
-    list of (lo, hi) pairs (then ``f`` is the full integrand, a function of
-    x alone).  The integrand must be real.  Returns a QuadratureResult;
-    non-convergence of any piece marks the total.
+    ``spec`` has ``total_support()`` and ``density(x, lo_off, hi_off)``, as
+    every ``WeightSpec`` does; f is a function of x and the integrand must be
+    real.  Returns a QuadratureResult; non-convergence of any piece marks
+    the total.
     """
     if tol is None:
         tol = ctx.tol(8)
-    if hasattr(weight_or_pieces, "components"):
-        spec = weight_or_pieces
-        integrand = lambda x, lo_off, hi_off: spec.density(x, lo_off, hi_off) * f(x)
-        return _result(build_node_table(spec.total_support(), integrand, ctx, tol, 0, offsets=True))
-    return _result(build_node_table(weight_or_pieces, f, ctx, tol, 0))
+    integrand = lambda x, lo_off, hi_off: spec.density(x, lo_off, hi_off) * f(x)
+    table = build_node_table(spec.total_support(), integrand, ctx, tol, 0)
+    return QuadratureResult(value=table.dot(table.row(table.weights)), error_estimate=table.error,
+                            node_count=len(table.xs), converged=table.converged,
+                            levels=table.levels, last_two=table.last_two)

@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import families
-from .polynomials import Poly, ReductionAmbiguityError, divide_exact, poly_rel_distance
+from .polynomials import Poly, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
 
@@ -615,14 +615,13 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
 
     Each entry fails only when no printed variant verifies; otherwise the
     notes record the surviving reading and the rejected one.  A numerical
-    dead end (ParameterError, ReductionAmbiguityError) inside one question
-    makes that entry inconclusive, with the message as its notes.
+    dead end (``families.DEAD_ENDS``) inside one question makes that entry
+    inconclusive, with the message as its notes.
     """
     from .families.base import NoEigenSystemError
     from .operators import _resolve_variant, SHIFT_REFLECT_FAMILIES
 
     results = []
-    dead_ends = (families.ParameterError, ReductionAmbiguityError)
 
     # printed variants of an edge map, told apart by the edge's ladder
     for edge in edge_catalog():
@@ -632,7 +631,7 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
         try:
             outcomes = {label: verify_limit(edge, N, ctx, variant=variant)
                         for label, variant in edge.variants.readings}
-        except dead_ends as exc:
+        except families.DEAD_ENDS as exc:
             results.append({**entry, "status": "inconclusive", "notes": str(exc)})
             continue
         winners = [label for label, rep in outcomes.items() if rep["status"] == "pass"]
@@ -654,7 +653,7 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
         except NoEigenSystemError as exc:
             status = "fail"
             notes = str(exc)
-        except dead_ends as exc:
+        except families.DEAD_ENDS as exc:
             status = "inconclusive"
             notes = str(exc)
         results.append({

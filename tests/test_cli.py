@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minusone import cli
 
@@ -220,3 +223,77 @@ def test_verify_all_status_sweep(capsys, digits):
     assert len(results) == 99
     assert [r for r in results if r["status"] != "pass"] == []
     assert code == 0
+
+
+@pytest.mark.parametrize("family, params", [
+    ("chihara", "alpha=-1,beta=1.5,gamma=0.25"),
+    ("big-minus1-jacobi", "alpha=-1,beta=1.5,c=0.25"),
+    ("continuous-bannai-ito", "alpha=0.25,beta=1,gamma=-0.5,delta=0.5"),
+])
+def test_singular_parameter_point_is_a_dead_end(capsys, family, params):
+    # a printed denominator that vanishes in the closed form (a pFq lower
+    # parameter, or 1 + alpha) ends that check alone, as inconclusive
+    code, out = run(capsys, "verify", "--family", family, "--params", params, "--digits", "20",
+                    "--format", "json", "--no-timestamp")
+    results = json.loads(out)["results"]
+    assert sorted(r["check"] for r in results) == sorted(cli.FAMILY_CHECKS)
+    [closed] = [r for r in results if r["check"] == "closed-form"]
+    assert closed["status"] == "inconclusive" and "denominator" in closed["notes"], closed
+    assert code in (cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE)
+
+
+# boxes inside each operator family's admissible region (FamilyInfo.admissible)
+_BOXES = {
+    "hermite": {},
+    "generalized-hermite": {"alpha": (-0.4, 2)},
+    "gegenbauer": {"alpha": (0.1, 2)},
+    "generalized-gegenbauer": {"alpha": (-0.9, 2), "beta": (0.1, 2)},
+    "chihara": {"alpha": (-0.9, 2), "beta": (0.1, 2), "gamma": (0.1, 1)},
+    "minus1-meixner-pollaczek": {"alpha": (-0.4, 2), "gamma": (0.1, 1)},
+    "big-minus1-jacobi": {"alpha": (0.1, 2), "beta": (0.1, 2), "c": (0, 0.9)},
+    "little-minus1-jacobi": {"alpha": (0.1, 2), "beta": (0.1, 2)},
+    "special-little-minus1-jacobi": {"alpha": (0.1, 2)},
+    "continuous-bannai-ito": {name: (0.1, 2) for name in ("alpha", "beta", "gamma", "delta")},
+    "continuous-minus1-hahn-1": {name: (0.1, 2) for name in ("alpha", "beta", "gamma")},
+    "continuous-minus1-hahn-2": {name: (0.1, 2) for name in ("alpha", "beta", "gamma")},
+    "generalized-symmetric-bannai-ito": {name: (0.4, 2) for name in ("a", "b", "c")},
+    "symmetric-bannai-ito": {"a": (0.1, 2), "b": (0.1, 2)},
+}
+_ALGEBRA_CHECKS = "closed-form,eigen,favard"
+
+
+def _quiet_verify(family, params, digits):
+    argv = ["verify", "--family", family, "--checks", _ALGEBRA_CHECKS, "--digits", str(digits),
+            "--params", ",".join("%s=%s" % item for item in params.items()),
+            "--format", "json", "--no-timestamp"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _six_decimals(lo, hi):
+    return st.integers(round(lo * 10 ** 6), round(hi * 10 ** 6)).map(lambda k: "%.6f" % (k / 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_algebra_checks_pass_inside_admissible_boxes(data):
+    family = data.draw(st.sampled_from(sorted(_BOXES)))
+    params = {name: data.draw(_six_decimals(*box), label=name)
+              for name, box in _BOXES[family].items()}
+    code, out = _quiet_verify(family, params, data.draw(st.sampled_from([15, 50])))
+    assert code == cli.EXIT_PASS, out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_singular_parameter_values_never_raise(data):
+    from minusone import families
+
+    family = data.draw(st.sampled_from([f for f in families.scheme_ids()
+                                        if families.family_info(f).params]))
+    params = families.fixture_points(family)[0]
+    name = data.draw(st.sampled_from(sorted(params)))
+    params[name] = data.draw(st.sampled_from(["0", "-0.5", "-1", "-1.5", "-2"]))
+    code, _ = _quiet_verify(family, params, data.draw(st.sampled_from([15, 50])))
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE)

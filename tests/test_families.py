@@ -11,6 +11,7 @@ from minusone.families import (
     InadmissibleParameterError,
     NoEigenSystemError,
     NoWeightError,
+    ParameterError,
     UnknownFamilyError,
 )
 
@@ -342,6 +343,32 @@ def test_helper_families_closed_forms():
         for n in range(9):
             cf = F.closed_form(fid, params, n, CTX)
             assert poly_rel_distance(polys[n], cf) <= CTX.tol(10), (fid, n)
+
+
+def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkeypatch):
+    raw = F._ALL_CLOSED["hermite"]
+
+    def no_top(params, n, ctx):
+        return Poly(list(raw(params, n, ctx).coeffs[:-1]) + [ctx.mp.mpc(0)])
+
+    monkeypatch.setitem(F._ALL_CLOSED, "hermite", no_top)
+    with pytest.raises(ParameterError, match="no degree-3 term"):
+        F.closed_form("hermite", {}, 3, CTX)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_closed_forms_match_recurrence_to_degree_40(digits):
+    # a true leading coefficient far below the coefficient norm is kept: the
+    # raw form is tested against its own rounding unit, not trimmed at tol(6)
+    ctx = PrecisionContext(digits)
+    for fid in sorted(F._ALL_CLOSED):
+        for point in F.fixture_points(fid):
+            params = F.make_params(fid, ctx, **point)
+            polys = F.generate(fid, params, 40, ctx)
+            for n in range(41):
+                cf = F.closed_form(fid, params, n, ctx)
+                assert poly_rel_distance(polys[n], cf) <= ctx.tol(10), (fid, point, n)
 
 
 def test_favard_admissible_regions():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minusone.precision import PrecisionContext
-from minusone.polynomials import Poly, RationalFunction
+from minusone.polynomials import Poly, RationalFunction, divide_exact
 from test_polynomials import poly_eq
 from minusone import families as F
 from minusone import operators as O
@@ -20,7 +20,7 @@ def test_apply_identity():
     op = O.DunklOperator(terms=[(RationalFunction(Poly.constant(MP.mpc(1))), "I")],
                          shift=MP.mpc(0, 1))
     p = Poly([MP.mpc(2), MP.mpc(0), MP.mpc(1)])
-    out = O.apply(op, p, CTX).is_polynomial(CTX)
+    out = O.apply(op, p, CTX).num
     assert poly_eq(out, p, CTX)
 
 
@@ -39,11 +39,11 @@ def test_hermite_operator_coefficients():
 def test_hermite_operator_low_degrees():
     es = F.eigen_system("hermite", {}, CTX, free="0.5")
     one = Poly.constant(MP.mpc(1))
-    img = O.apply(es.operator, one, CTX).is_polynomial(CTX)
+    img = O.apply(es.operator, one, CTX).num
     assert img.coeff_norm() <= CTX.tol(10)          # lambda_0 = 0
 
     x = Poly.x(CTX)
-    img = O.apply(es.operator, x, CTX).is_polynomial(CTX)
+    img = O.apply(es.operator, x, CTX).num
     eps = MP.mpf("0.5")
     assert poly_eq(img, x.scale(eps), CTX)          # lambda_1 = eps
 
@@ -86,8 +86,9 @@ def test_linearity():
     q = Poly([MP.mpc(repr(rng.uniform(-1, 1))) for _ in range(4)])
     lhs = O.apply(es.operator, p + q, CTX).reduce(CTX)
     rhs = (O.apply(es.operator, p, CTX) + O.apply(es.operator, q, CTX)).reduce(CTX)
-    diff = (lhs - rhs).reduce(CTX).is_polynomial(CTX)
-    assert diff is not None and diff.coeff_norm() <= CTX.tol(6) * max(1, lhs.num.coeff_norm())
+    diff = (lhs - rhs).reduce(CTX)
+    diff = divide_exact(diff.num, diff.den, CTX)
+    assert diff.coeff_norm() <= CTX.tol(6) * max(1, lhs.num.coeff_norm())
 
 
 def test_sigma_shift_law():
@@ -102,9 +103,9 @@ def test_sigma_shift_law():
         d_zero = F.eigen_system(fid, params, CTX, free="0").operator
         polys = F.generate(fid, params, 5, CTX)
         for p in polys:
-            lhs = (O.apply(d_sig, p, CTX) - O.apply(d_zero, p, CTX)).reduce(CTX).is_polynomial(CTX)
+            lhs = (O.apply(d_sig, p, CTX) - O.apply(d_zero, p, CTX)).reduce(CTX)
+            lhs = divide_exact(lhs.num, lhs.den, CTX)
             rhs = (p - p.reflect()).scale(sigma / 2)
-            assert lhs is not None
             assert poly_distance(lhs, rhs) <= CTX.tol(6) * max(1, p.coeff_norm()), fid
 
 
@@ -227,8 +228,8 @@ def test_numerically_zero_image():
     assert cls == "zero" and num.coeff_norm() > 0
     with pytest.raises(NonDivisibleError):
         RationalFunction(num, op.den).reduce(CTX)
-    image = O.apply(op, p0, CTX).is_polynomial(CTX)
-    assert image is not None and image.coeff_norm() <= CTX.tol(10)
+    image = O.apply(op, p0, CTX)
+    assert image.den.degree == 0 and image.num.coeff_norm() <= CTX.tol(10)
 
 
 @pytest.mark.parametrize("coeff, status", [("1", "fail"), ("1e-42", "inconclusive")])
@@ -236,6 +237,7 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
     # an extra c/x I term: a pole (fail), or a remainder in the ambiguity band
     # (inconclusive) at 50 digits; the check returns instead of raising
     from minusone import cli
+    from minusone.polynomials import NonDivisibleError, ReductionAmbiguityError
 
     fid = "symmetric-bannai-ito"
     build = O._BUILDERS[fid]
@@ -249,6 +251,11 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
     rep = O.eigen_check(fid, params_for(fid), 10, CTX)
     assert rep["status"] == status
     assert "P_0" in rep["notes"]
+    # the same dead end from the per-degree view and, as its error, from the basis matrix
+    assert O.verify_eigen(fid, params_for(fid), 0, CTX)["status"] == status
+    error = {"fail": NonDivisibleError, "inconclusive": ReductionAmbiguityError}[status]
+    with pytest.raises(error, match="P_0"):
+        O.check_diagonality(fid, params_for(fid), 8, CTX)
     code = cli.main(["verify", "--family", fid, "--checks", "eigen", "--format", "json",
                      "--no-timestamp"])
     assert code == (cli.EXIT_FAIL if status == "fail" else cli.EXIT_INCONCLUSIVE)

@@ -159,7 +159,7 @@ def test_gram_needs_a_positive_measure():
     assert result["status"] == "pass", result
 
     # a density that changes sign has no square root to split
-    table = quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1))], lambda x: x, ctx,
+    table = quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1))], lambda x, a, b: x, ctx,
                                         ctx.tol(8), 0)
     with pytest.raises(F.ParameterError, match="nonnegative"):
         orth._root_rows(table, [])

@@ -3,31 +3,36 @@ import math
 import pytest
 
 from minusone.precision import PrecisionContext
-from minusone.quadrature import integrate, integrate_component
+from minusone.quadrature import integrate
 from minusone import families as F
 from minusone import orthogonality as orth
 from minusone import quadrature
-from minusone.families import weights
+from minusone.families import SupportComponent, WeightSpec, weights
 
 CTX = PrecisionContext(50)
 MP = CTX.mp
 
 
+def _spec(lo, hi, density):
+    """A one-piece weight spec; the density takes the offsets, density(x, x - lo, hi - x)."""
+    return WeightSpec("test", [SupportComponent(MP.mpf(lo), MP.mpf(hi))], density)
+
+
 def test_constant_on_interval():
-    r = integrate([(MP.mpf(-1), MP.mpf(1))], lambda x: MP.mpf(1), CTX, tol=CTX.tol(8))
+    r = integrate(_spec(-1, 1, lambda x, a, b: 1), lambda x: MP.mpf(1), CTX, tol=CTX.tol(8))
     assert r.converged
     assert abs(r.value - 2) < CTX.tol(6)
 
 
 def test_gaussian_mass():
-    r = integrate([(MP.mpf("-inf"), MP.mpf("inf"))], lambda x: MP.exp(-x * x), CTX,
+    r = integrate(_spec("-inf", "inf", lambda x, a, b: MP.exp(-x * x)), lambda x: 1, CTX,
                   tol=CTX.tol(8))
     assert r.converged
     assert abs(r.value - MP.sqrt(MP.pi)) < CTX.tol(6)
 
 
 def test_endpoint_singularity_absorbed():
-    r = integrate([(MP.mpf(-1), MP.mpf(1))], lambda x: 1 / MP.sqrt(1 - x * x), CTX,
+    r = integrate(_spec(-1, 1, lambda x, a, b: 1 / MP.sqrt(a * b)), lambda x: 1, CTX,
                   tol=MP.mpf("1e-30"))
     assert r.converged
     assert abs(r.value - MP.pi) < MP.mpf("1e-28")
@@ -35,7 +40,7 @@ def test_endpoint_singularity_absorbed():
 
 def test_semi_infinite_with_singular_end():
     # int_0^inf x^(-1/2) e^(-x) dx = Gamma(1/2)
-    r = integrate([(MP.mpf(0), MP.mpf("inf"))], lambda x: MP.exp(-x) / MP.sqrt(x), CTX,
+    r = integrate(_spec(0, "inf", lambda x, a, b: MP.exp(-x) / MP.sqrt(a)), lambda x: 1, CTX,
                   tol=CTX.tol(8))
     assert r.converged
     assert abs(r.value - MP.sqrt(MP.pi)) < CTX.tol(4)
@@ -43,8 +48,8 @@ def test_semi_infinite_with_singular_end():
 
 def test_gaussian_half_line_with_singular_end():
     # int_0^inf x^(1/2) e^(-x^2) dx = Gamma(3/4)/2
-    r = integrate([(MP.mpf(0), MP.mpf("inf"))], lambda x: MP.sqrt(x) * MP.exp(-x * x), CTX,
-                  tol=CTX.tol(8))
+    r = integrate(_spec(0, "inf", lambda x, a, b: MP.sqrt(a) * MP.exp(-x * x)), lambda x: 1,
+                  CTX, tol=CTX.tol(8))
     assert r.converged
     assert abs(r.value - MP.gamma(MP.mpf(3) / 4) / 2) < MP.mpf("1e-40")
 
@@ -59,17 +64,17 @@ def test_gsbi_normalized_mass():
 
 def test_tolerance_halving_self_consistency():
     # a converged value never moves by more than the old error estimate
-    comps = [(MP.mpf(-1), MP.mpf(1))]
-    f = lambda x: MP.exp(x) * (1 - x * x) ** MP.mpf("0.25")
-    loose = integrate(comps, f, CTX, tol=MP.mpf("1e-12"))
-    tight = integrate(comps, f, CTX, tol=MP.mpf("1e-24"))
+    spec = _spec(-1, 1, lambda x, a, b: (a * b) ** MP.mpf("0.25"))
+    loose = integrate(spec, MP.exp, CTX, tol=MP.mpf("1e-12"))
+    tight = integrate(spec, MP.exp, CTX, tol=MP.mpf("1e-24"))
     assert loose.converged and tight.converged
     assert abs(loose.value - tight.value) <= max(loose.error_estimate, MP.mpf("1e-12"))
 
 
-def test_non_convergence_reported():
-    r = integrate_component(lambda x: MP.exp(-x * x), MP.mpf("-inf"), MP.mpf("inf"), CTX,
-                            tol=MP.mpf("1e-40"), max_levels=2)
+def test_non_convergence_reported(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 2)
+    r = integrate(_spec("-inf", "inf", lambda x, a, b: MP.exp(-x * x)), lambda x: 1, CTX,
+                  tol=MP.mpf("1e-40"))
     assert not r.converged
     assert len(r.last_two) == 2
     assert r.error_estimate > MP.mpf("1e-40")
