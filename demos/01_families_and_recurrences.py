@@ -20,8 +20,7 @@ print()
 params = F.make_params("continuous-bannai-ito", ctx,
                        alpha="0.25", beta="1", gamma="0.25", delta="0.5")
 print("continuous Bannai-Ito at (1/4, 1, 1/4, 1/2):")
-for n in range(4):
-    pair = F.recurrence("continuous-bannai-ito", params, n, ctx)
+for n, pair in enumerate(F.recurrences("continuous-bannai-ito", params, 3, ctx)):
     print("  n=%d  b_n = %-12s u_n = %s" % (n, mp.nstr(pair.b, 8), mp.nstr(pair.u, 8)))
 
 polys = F.generate("continuous-bannai-ito", params, 6, ctx)

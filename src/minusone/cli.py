@@ -133,15 +133,12 @@ def cmd_tabulate(args):
         fid = families.resolve_family(args.family)
         params = _parse_params(args.params, fid, ctx)
         polys = families.generate(fid, params, args.n, ctx)
-        rows = []
-        for n in range(args.n + 1):
-            pair = families.recurrence(fid, params, n, ctx)
-            rows.append({
-                "n": n,
-                "b": _num_str(ctx, pair.b),
-                "u": _num_str(ctx, pair.u) if n >= 1 else None,
-                "coeffs": [_num_str(ctx, c) for c in polys[n].coeffs],
-            })
+        rows = [{
+            "n": n,
+            "b": _num_str(ctx, pair.b),
+            "u": _num_str(ctx, pair.u) if n >= 1 else None,
+            "coeffs": [_num_str(ctx, c) for c in polys[n].coeffs],
+        } for n, pair in enumerate(families.recurrences(fid, params, args.n, ctx))]
     except (UnknownFamilyError, ParameterError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

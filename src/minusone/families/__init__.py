@@ -1,10 +1,12 @@
 """The family catalog: one entry per continuous -1 family, plus the q-aux
 families driving the q -> -1 edges and the Wilson-type helpers.
 
-Public operations: ``recurrence``, ``generate``, ``closed_form``,
-``weight_spec``, ``norm``, ``norms``, ``eigen_system``,
-``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
-reference parameter sets the verification suites run at.
+Public operations: ``recurrences``, ``generate``, ``closed_form``,
+``weight_spec``, ``norms``, ``eigen_system``, ``positivity_conditions_ccbi``,
+with ``fixture_points`` supplying the reference parameter sets the
+verification suites run at.  A family's coefficients are one sequence per
+(family, parameters, N): ``recurrences`` and ``norms`` return degrees
+0..N from one call, and ``recurrence`` and ``norm`` are their entry n.
 """
 
 from __future__ import annotations
@@ -91,24 +93,31 @@ def fixture_points(family: str):
     return [dict(p) for p in FIXTURES[resolve_family(family)]]
 
 
+def recurrences(family: str, params: dict, N: int, ctx: PrecisionContext):
+    """Recurrence coefficients of x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}, n = 0..N.
+
+    One call parses the parameters once and, for the families printed
+    through (A_n, C_n), computes each A_k and C_k once; entry n is
+    ``recurrence(family, params, n, ctx)``.  Returns a list of
+    :class:`RecurrencePair`, empty for N < 0.
+    """
+    return _ALL_RECURRENCES[resolve_family(family)](params, N, ctx)
+
+
 def recurrence(family: str, params: dict, n: int, ctx: PrecisionContext) -> RecurrencePair:
     """Recurrence coefficients b_n, u_n of x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    fid = resolve_family(family)
-    return _ALL_RECURRENCES[fid](params, n, ctx)
+    return recurrences(family, params, n, ctx)[n]
 
 
 def generate(family: str, params: dict, N: int, ctx: PrecisionContext):
     """P_0 .. P_N by the three-term recurrence; each P_n is monic of degree n."""
-    fid = resolve_family(family)
-    rec = _ALL_RECURRENCES[fid]
     mp = ctx.mp
     x = Poly.x(ctx)
     polys = [Poly.constant(mp.mpc(1))]
     prev = None
-    for n in range(N):
-        pair = rec(params, n, ctx)
+    for pair in recurrences(family, params, N - 1, ctx):
         cur = polys[-1]
         nxt = (x - pair.b) * cur
         if prev is not None:

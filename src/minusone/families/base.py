@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..precision import PrecisionContext
@@ -18,10 +18,6 @@ class ParameterError(ValueError):
 
 class InadmissibleParameterError(ParameterError):
     """Parameters violate the admissibility clause of an orthogonality relation."""
-
-    def __init__(self, message, clause=""):
-        super().__init__(message)
-        self.clause = clause
 
 
 class NoEigenSystemError(LookupError):
@@ -49,7 +45,6 @@ class FamilyInfo:
     has_weight: bool = True
     has_eigen: bool = True
     symmetric: bool = False   # b_n identically zero
-    variable: str = "x"
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,6 @@ class RecurrencePair:
     u: object
     A: object = None          # optional printed (A_n, C_n) decomposition
     C: object = None
-    combine: str | None = None  # how (A, C) produce (b, u), e.g. "one-minus"
 
 
 @dataclass
@@ -108,3 +102,26 @@ def require_nonzero(value, what, ctx: PrecisionContext):
     if abs(value) <= ctx.tol(4) * 10:
         raise ParameterError("printed denominator vanishes: %s = %s" % (what, ctx.mp.nstr(value)))
     return value
+
+
+def _parity(n):
+    """(n mod 2, n // 2): which block of an even/odd formula, and its index m."""
+    return n % 2, n // 2
+
+
+def _each_degree(formula):
+    """The sequence function (params, N, ctx) -> [formula(params, n, ctx), n = 0..N]."""
+    return lambda params, N, ctx: [formula(params, n, ctx) for n in range(N + 1)]
+
+
+def _from_AC(AC, b_of=lambda A, C: 1 - A - C, u_over=1):
+    """Recurrence pairs n = 0..N from the printed (A_n, C_n), n = 0..N.
+
+    b_n = b_of(A_n, C_n) and u_n = A_{n-1} C_n / u_over; u_0 is C_0, which
+    every printed decomposition sets to 0.
+    """
+    pairs = []
+    for A, C in AC:
+        u = C if not pairs else pairs[-1].A * C / u_over
+        pairs.append(RecurrencePair(b=b_of(A, C), u=u, A=A, C=C))
+    return pairs

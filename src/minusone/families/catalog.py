@@ -17,6 +17,9 @@ from ..polynomials import Poly, hyp_terminating_poly
 from .base import (
     FamilyInfo,
     RecurrencePair,
+    _each_degree,
+    _from_AC,
+    _parity,
     get_param,
     require_nonzero,
 )
@@ -121,10 +124,6 @@ ALIASES = {
 
 def _half(ctx):
     return ctx.mp.mpf(1) / 2
-
-
-def _parity(n):
-    return n % 2, n // 2
 
 
 # ----------------------------------------------------------------------
@@ -300,17 +299,11 @@ def _big_m1j_AC(al, be, c, n, ctx):
     return A, C
 
 
-def _rec_big_m1j(params, n, ctx):
+def _recs_big_m1j(params, N, ctx):
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
     c = get_param(params, "c", ctx)
-    A, C = _big_m1j_AC(al, be, c, n, ctx)
-    if n == 0:
-        u = ctx.mp.mpf(0)
-    else:
-        Aprev, _ = _big_m1j_AC(al, be, c, n - 1, ctx)
-        u = Aprev * C
-    return RecurrencePair(b=1 - A - C, u=u, A=A, C=C, combine="one-minus")
+    return _from_AC([_big_m1j_AC(al, be, c, k, ctx) for k in range(N + 1)])
 
 
 def _little_m1j_AC(al, be, n, ctx):
@@ -324,16 +317,10 @@ def _little_m1j_AC(al, be, n, ctx):
     return A, C
 
 
-def _rec_little_m1j(params, n, ctx):
+def _recs_little_m1j(params, N, ctx):
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
-    A, C = _little_m1j_AC(al, be, n, ctx)
-    if n == 0:
-        u = ctx.mp.mpf(0)
-    else:
-        Aprev, _ = _little_m1j_AC(al, be, n - 1, ctx)
-        u = Aprev * C
-    return RecurrencePair(b=1 - A - C, u=u, A=A, C=C, combine="one-minus")
+    return _from_AC([_little_m1j_AC(al, be, k, ctx) for k in range(N + 1)])
 
 
 def _special_lj_AC(al, n, ctx):
@@ -343,33 +330,28 @@ def _special_lj_AC(al, n, ctx):
     return A, C
 
 
-def _rec_special_lj(params, n, ctx):
+def _recs_special_lj(params, N, ctx):
     al = get_param(params, "alpha", ctx)
-    A, C = _special_lj_AC(al, n, ctx)
-    if n == 0:
-        u = ctx.mp.mpf(0)
-    else:
-        Aprev, _ = _special_lj_AC(al, n - 1, ctx)
-        u = Aprev * C
-    return RecurrencePair(b=1 - A - C, u=u, A=A, C=C, combine="one-minus")
+    return _from_AC([_special_lj_AC(al, k, ctx) for k in range(N + 1)])
 
 
+# sequence functions (params, N, ctx) -> [RecurrencePair for n = 0..N]
 RECURRENCES = {
-    "hermite": _rec_hermite,
-    "generalized-hermite": _rec_generalized_hermite,
-    "minus1-meixner-pollaczek": _rec_minus1_mp,
-    "generalized-gegenbauer": _rec_generalized_gegenbauer,
-    "chihara": _rec_chihara,
-    "gegenbauer": _rec_gegenbauer,
-    "symmetric-bannai-ito": _rec_symmetric_bannai_ito,
-    "generalized-symmetric-bannai-ito": _rec_gsbi,
-    "continuous-complementary-bannai-ito": _rec_ccbi,
-    "continuous-bannai-ito": _rec_cbi,
-    "continuous-minus1-hahn-1": _rec_c1h1,
-    "continuous-minus1-hahn-2": _rec_c1h2,
-    "big-minus1-jacobi": _rec_big_m1j,
-    "little-minus1-jacobi": _rec_little_m1j,
-    "special-little-minus1-jacobi": _rec_special_lj,
+    "hermite": _each_degree(_rec_hermite),
+    "generalized-hermite": _each_degree(_rec_generalized_hermite),
+    "minus1-meixner-pollaczek": _each_degree(_rec_minus1_mp),
+    "generalized-gegenbauer": _each_degree(_rec_generalized_gegenbauer),
+    "chihara": _each_degree(_rec_chihara),
+    "gegenbauer": _each_degree(_rec_gegenbauer),
+    "symmetric-bannai-ito": _each_degree(_rec_symmetric_bannai_ito),
+    "generalized-symmetric-bannai-ito": _each_degree(_rec_gsbi),
+    "continuous-complementary-bannai-ito": _each_degree(_rec_ccbi),
+    "continuous-bannai-ito": _each_degree(_rec_cbi),
+    "continuous-minus1-hahn-1": _each_degree(_rec_c1h1),
+    "continuous-minus1-hahn-2": _each_degree(_rec_c1h2),
+    "big-minus1-jacobi": _recs_big_m1j,
+    "little-minus1-jacobi": _recs_little_m1j,
+    "special-little-minus1-jacobi": _recs_special_lj,
 }
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from ..precision import pochhammer
 from ..polynomials import Poly
-from .base import FamilyInfo, ParameterError, RecurrencePair, get_param, require_nonzero
+from .base import (FamilyInfo, ParameterError, RecurrencePair, _each_degree, _from_AC,
+                   get_param, require_nonzero)
 from .catalog import REGISTRY, _register
 
 
@@ -44,15 +45,15 @@ _register(FamilyInfo(
     id="wilson", name="Wilson (monic, variable x^2)",
     params=("a", "b", "c", "d"), kind="helper", row=None,
     admissible="standard catalog conditions", anchor="external",
-    external=True, has_weight=False, has_eigen=False, variable="y"))
+    external=True, has_weight=False, has_eigen=False))
 _register(FamilyInfo(
     id="continuous-dual-hahn", name="Continuous dual Hahn (monic, variable x^2)",
     params=("a", "b", "c"), kind="helper", row=None,
     admissible="standard catalog conditions", anchor="external",
-    external=True, has_weight=False, has_eigen=False, variable="y"))
+    external=True, has_weight=False, has_eigen=False))
 
 
-def _rec_little_q_dilated(params, n, ctx):
+def _recs_little_q_dilated(params, N, ctx):
     mp = ctx.mp
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
@@ -73,13 +74,13 @@ def _rec_little_q_dilated(params, n, ctx):
                               "(1-abq^(2n))(1-abq^(2n+1))", ctx)
         return a * b ** 2 * q ** (2 * k + 1) * (1 - q ** k) * (1 - a * q ** k) / den
 
-    An, Cn = A(n), C(n)
-    bn = 1 - An + Cn if sign == "plus" else 1 - An - Cn
-    u = mp.mpf(0) if n == 0 else A(n - 1) * C(n)
-    return RecurrencePair(b=bn, u=u, A=An, C=Cn, combine="one-minus" if sign == "minus" else "one-minus-plus")
+    AC = [(A(k), C(k)) for k in range(N + 1)]
+    if sign == "plus":
+        return _from_AC(AC, lambda A, C: 1 - A + C)
+    return _from_AC(AC)
 
 
-def _rec_big_q_jacobi(params, n, ctx):
+def _recs_big_q_jacobi(params, N, ctx):
     mp = ctx.mp
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
@@ -99,12 +100,10 @@ def _rec_big_q_jacobi(params, n, ctx):
         # -acq^(k+1)(1-abq^k/c) is grouped as -aq^(k+1)(c-abq^k) so c = 0 stays valid
         return -a * q ** (k + 1) * (1 - q ** k) * (c - a * b * q ** k) * (1 - b * q ** k) / den
 
-    An, Cn = A(n), C(n)
-    u = mp.mpf(0) if n == 0 else A(n - 1) * C(n)
-    return RecurrencePair(b=1 - An - Cn, u=u, A=An, C=Cn, combine="one-minus")
+    return _from_AC([(A(k), C(k)) for k in range(N + 1)])
 
 
-def _rec_continuous_q_hahn(params, n, ctx):
+def _recs_continuous_q_hahn(params, N, ctx):
     mp = ctx.mp
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
@@ -127,10 +126,9 @@ def _rec_continuous_q_hahn(params, n, ctx):
         return a * eip * (1 - q ** k) * (1 - a * b * q ** (k - 1)) * (1 - b ** 2 * q ** (k - 1)) \
             * (1 - a * b * eip ** -2 * q ** (k - 1)) / den
 
-    An, Cn = A(n), C(n)
-    bn = ((a * eip + eip ** -1 / a) / one_q - (An + Cn)) / 2
-    u = mp.mpc(0) if n == 0 else A(n - 1) * Cn / 4
-    return RecurrencePair(b=bn, u=u, A=An, C=Cn, combine="q-hahn")
+    AC = [(A(k), C(k)) for k in range(N + 1)]
+    shift = (a * eip + eip ** -1 / a) / one_q
+    return _from_AC(AC, lambda A, C: (shift - (A + C)) / 2, u_over=4)
 
 
 def _rec_q_mp(params, n, ctx):
@@ -156,14 +154,13 @@ def _wilson_AC(a, b, c, d, k, ctx):
     return A, C
 
 
-def _rec_wilson(params, n, ctx):
+def _recs_wilson(params, N, ctx):
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
     c = get_param(params, "c", ctx)
     d = get_param(params, "d", ctx)
-    A, C = _wilson_AC(a, b, c, d, n, ctx)
-    u = ctx.mp.mpf(0) if n == 0 else _wilson_AC(a, b, c, d, n - 1, ctx)[0] * C
-    return RecurrencePair(b=A + C - a * a, u=u, A=A, C=C, combine="wilson")
+    return _from_AC([_wilson_AC(a, b, c, d, k, ctx) for k in range(N + 1)],
+                    lambda A, C: A + C - a * a)
 
 
 def _cdh_AC(a, b, c, k, ctx):
@@ -173,13 +170,12 @@ def _cdh_AC(a, b, c, k, ctx):
     return A, C
 
 
-def _rec_cdh(params, n, ctx):
+def _recs_cdh(params, N, ctx):
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
     c = get_param(params, "c", ctx)
-    A, C = _cdh_AC(a, b, c, n, ctx)
-    u = ctx.mp.mpf(0) if n == 0 else _cdh_AC(a, b, c, n - 1, ctx)[0] * C
-    return RecurrencePair(b=A + C - a * a, u=u, A=A, C=C, combine="wilson")
+    return _from_AC([_cdh_AC(a, b, c, k, ctx) for k in range(N + 1)],
+                    lambda A, C: A + C - a * a)
 
 
 def _cf_wilson(params, n, ctx):
@@ -241,12 +237,12 @@ def _cf_cdh(params, n, ctx):
 
 
 Q_RECURRENCES = {
-    "little-q-jacobi-dilated": _rec_little_q_dilated,
-    "big-q-jacobi": _rec_big_q_jacobi,
-    "continuous-q-hahn": _rec_continuous_q_hahn,
-    "q-meixner-pollaczek": _rec_q_mp,
-    "wilson": _rec_wilson,
-    "continuous-dual-hahn": _rec_cdh,
+    "little-q-jacobi-dilated": _recs_little_q_dilated,
+    "big-q-jacobi": _recs_big_q_jacobi,
+    "continuous-q-hahn": _recs_continuous_q_hahn,
+    "q-meixner-pollaczek": _each_degree(_rec_q_mp),
+    "wilson": _recs_wilson,
+    "continuous-dual-hahn": _recs_cdh,
 }
 
 Q_CLOSED_FORMS = {

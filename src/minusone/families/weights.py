@@ -25,6 +25,8 @@ from .base import (
     NoWeightError,
     SupportComponent,
     WeightSpec,
+    _each_degree,
+    _parity,
     get_param,
 )
 
@@ -32,7 +34,7 @@ from .base import (
 def _require(cond, clause, anchor):
     if not cond:
         raise InadmissibleParameterError(
-            "parameters violate the admissibility clause [%s]: %s" % (anchor, clause), clause)
+            "parameters violate the admissibility clause [%s]: %s" % (anchor, clause))
 
 
 def _one_pm_x(x, lo_off, hi_off):
@@ -383,10 +385,6 @@ WEIGHTS = {
 # printed squared norms (right-hand sides of the orthogonality relations)
 
 
-def _parity(n):
-    return n % 2, n // 2
-
-
 def _norm_hermite(params, n, ctx):
     mp = ctx.mp
     odd, m = _parity(n)
@@ -554,11 +552,6 @@ def _norms_c1h1(params, N, ctx):
 def _norms_c1h2(params, N, ctx):
     be = get_param(params, "beta", ctx)
     return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), -be, N, ctx)
-
-
-def _each_degree(norm_n):
-    """h_0 .. h_N from a formula for one degree."""
-    return lambda params, N, ctx: [norm_n(params, n, ctx) for n in range(N + 1)]
 
 
 # family id -> (params, N, ctx) -> [h_0, ..., h_N]

@@ -85,11 +85,8 @@ def _real_pairs(fid, params, N, work: PrecisionContext):
             z = z.real
         return mp.mpf(z)
 
-    pairs = []
-    for n in range(N):
-        pair = families.recurrence(fid, params, n, work)
-        pairs.append((real(pair.b, "b_%d" % n), real(pair.u, "u_%d" % n) if n else mp.mpf(0)))
-    return pairs
+    return [(real(pair.b, "b_%d" % n), real(pair.u, "u_%d" % n) if n else mp.mpf(0))
+            for n, pair in enumerate(families.recurrences(fid, params, N - 1, work))]
 
 
 def _root_rows(table, pairs):
@@ -168,8 +165,7 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
     max_im_b = mp.mpf(0)
     max_im_u = mp.mpf(0)
     first_nonreal = None
-    for n in range(N + 1):
-        pair = families.recurrence(fid, params, n, ctx)
+    for n, pair in enumerate(families.recurrences(fid, params, N, ctx)):
         b, u = mp.mpc(pair.b), mp.mpc(pair.u)
         max_im_b = max(max_im_b, abs(mp.im(b)))
         max_im_u = max(max_im_u, abs(mp.im(u)))
@@ -202,7 +198,7 @@ def moments_from_recurrence(family, params, K, ctx: PrecisionContext):
     mp = ctx.mp
     fid = families.resolve_family(family)
     mass = families.norm(fid, params, 0, ctx)
-    pairs = [families.recurrence(fid, params, j, ctx) for j in range(K + 2)]
+    pairs = families.recurrences(fid, params, K + 1, ctx)
     coeffs = [mp.mpf(1)] + [mp.mpf(0)] * (K + 1)
     moments = [mass]
     for k in range(K):

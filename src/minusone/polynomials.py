@@ -591,8 +591,11 @@ def hyp_terminating_poly(n: int, numerators, denominators, z, ctx: PrecisionCont
             # |b + k| <= tol(6) max(1, |b|), squared and in units of 2**(2 be)
             ref = max(b[0] * b[0] + b[1] * b[1] << (2 * (b[2] - be)), 1 << (-2 * be) if be < 0 else 1)
             if (br * br + bi * bi) << (-2 * tol_exp) <= tol_man * tol_man * ref:
-                raise ZeroDenominatorError("denominator parameter %s exhausted at k=%d"
-                                           % (mp.nstr(mp.mpc(denominators[j])), k))
+                value = mp.mpmathify(denominators[j])
+                if isinstance(value, mp.mpc) and not value.imag:
+                    value = value.real
+                raise ZeroDenominatorError("denominator: lower parameter %d of %d = %s vanishes at k = %d"
+                                           % (j + 1, len(dens), mp.nstr(value), k))
             dr, di, de = dr * br - di * bi, dr * bi + di * br, de + be
         for a in polys:
             term = term * (a + k)

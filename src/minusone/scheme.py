@@ -339,12 +339,10 @@ def _compare_sets(upolys, tpolys):
     return worst
 
 
-def _compare_recurrence(edge, src_params, tgt_params, s, N, ctx):
+def _compare_recurrence(edge, src_params, target_pairs, s, N, ctx):
     mp = ctx.mp
     worst = mp.mpf(0)
-    for n in range(N + 1):
-        sp = families.recurrence(edge.source, src_params, n, ctx)
-        tp = families.recurrence(edge.target, tgt_params, n, ctx)
+    for sp, tp in zip(families.recurrences(edge.source, src_params, N, ctx), target_pairs):
         b_err = abs(mp.mpc(sp.b) / s - mp.mpc(tp.b))
         u_err = abs(mp.mpc(sp.u) / s ** 2 - mp.mpc(tp.u))
         scale = max(mp.mpf(1), abs(mp.mpc(tp.b)), abs(mp.mpc(tp.u)))
@@ -397,6 +395,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
         ladder = default_ladder(edge.direction, ctx)
     tgt_params = _mapdata(edge, ctx, h=ladder[0], variant=variant)[1]
     target = families.generate(edge.target, tgt_params, N, ctx)
+    target_pairs = families.recurrences(edge.target, tgt_params, N, ctx)
 
     errors = []
     rec_errors = []
@@ -406,7 +405,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
         upolys = _transform(families.generate(edge.source, src_params, N, ctx), s, ctx)
         ladder_polys.append(upolys)
         errors.append(_compare_sets(upolys, target))
-        rec_errors.append(_compare_recurrence(edge, src_params, tgt_params, s, N, ctx))
+        rec_errors.append(_compare_recurrence(edge, src_params, target_pairs, s, N, ctx))
 
     floor = ctx.tol(12)
     def monotone(seq):
@@ -465,24 +464,18 @@ def christoffel(family, params, N, ctx: PrecisionContext, kernel_point=1):
     mp = ctx.mp
     x0 = mp.mpf(kernel_point)
     den = Poly((-x0, mp.mpf(1)))
-    out = []
-    for n in range(N + 1):
-        pair = families.recurrence(fid, params, n, ctx)
-        if pair.A is None:
-            raise families.ParameterError("family %s has no printed (A_n, C_n) decomposition" % fid)
-        num = polys[n + 1] - polys[n].scale(pair.A)
-        out.append(divide_exact(num, den, ctx))
-    return out
+    pairs = families.recurrences(fid, params, N, ctx)
+    if pairs[0].A is None:
+        raise families.ParameterError("family %s has no printed (A_n, C_n) decomposition" % fid)
+    return [divide_exact(polys[n + 1] - polys[n].scale(pair.A), den, ctx)
+            for n, pair in enumerate(pairs)]
 
 
 def geronimus(family, params, kernel_polys, N, ctx: PrecisionContext):
     """Inverse map P_n = G_n - C_n G_{n-1} using the family's printed C_n."""
-    fid = families.resolve_family(family)
-    out = [kernel_polys[0]]
-    for n in range(1, N + 1):
-        pair = families.recurrence(fid, params, n, ctx)
-        out.append(kernel_polys[n] - kernel_polys[n - 1].scale(pair.C))
-    return out
+    pairs = families.recurrences(family, params, N, ctx)
+    return [kernel_polys[0]] + [kernel_polys[n] - kernel_polys[n - 1].scale(pairs[n].C)
+                                for n in range(1, N + 1)]
 
 
 def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
@@ -531,12 +524,11 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20, N=12, seed=20
     for _ in range(trials):
         point = (("alpha", repr(rng.uniform(0.1, 3.0))), ("beta", repr(rng.uniform(0.1, 3.0))))
         src, tgt = _mapdata(edge, ctx, fixture=point)[:2]
-        for n in range(N + 1):
-            pn = families.recurrence(edge.source, src, n, ctx)
-            pn1 = families.recurrence(edge.source, src, n + 1, ctx)
+        source = families.recurrences(edge.source, src, N + 1, ctx)
+        for n, gg in enumerate(families.recurrences(edge.target, tgt, N, ctx)):
+            pn, pn1 = source[n], source[n + 1]
             b_kernel = 1 - pn1.C - pn.A
             u_kernel = pn.C * pn.A
-            gg = families.recurrence(edge.target, tgt, n, ctx)
             worst = max(worst, abs(b_kernel - gg.b))
             if n >= 1:
                 worst = max(worst, abs(u_kernel - gg.u) / max(abs(gg.u), mp.mpf(1)))

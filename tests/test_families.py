@@ -7,6 +7,7 @@ from minusone.polynomials import Poly, poly_rel_distance
 from test_polynomials import poly_eq
 from minusone import cli
 from minusone import families as F
+from minusone import orthogonality as orth
 from minusone.families import (
     InadmissibleParameterError,
     NoEigenSystemError,
@@ -129,19 +130,66 @@ def test_gamma_reflection_covariance():
 
 
 def test_decomposition_consistency_random_points():
+    # b_n and u_n = A_{n-1} C_n as each A/C family prints them, at random points
+    one_minus = lambda p, A, C: 1 - A - C
+    wilson_b = lambda p, A, C: A + C - p["a"] ** 2
+
+    def q_hahn_b(p, A, C):
+        eip = MP.exp(1j * p["phi"])
+        return ((p["a"] * eip + 1 / (p["a"] * eip)) / (1 + p["q"]) - A - C) / 2
+
     rng = random.Random(99)
     for _ in range(20):
         al = MP.mpf(repr(rng.uniform(0.2, 3.0)))
         be = MP.mpf(repr(rng.uniform(0.2, 3.0)))
         c = MP.mpf(repr(rng.uniform(0.0, 0.9)))
-        for fid, params in (("little-minus1-jacobi", {"alpha": al, "beta": be}),
-                            ("big-minus1-jacobi", {"alpha": al, "beta": be, "c": c}),
-                            ("special-little-minus1-jacobi", {"alpha": al})):
+        q = MP.mpf(repr(rng.uniform(-0.95, -0.5)))
+        phi = MP.mpf(repr(rng.uniform(0.1, 1.5)))
+        for fid, params, b_of, u_over in (
+                ("little-minus1-jacobi", {"alpha": al, "beta": be}, one_minus, 1),
+                ("big-minus1-jacobi", {"alpha": al, "beta": be, "c": c}, one_minus, 1),
+                ("special-little-minus1-jacobi", {"alpha": al}, one_minus, 1),
+                ("big-q-jacobi", {"a": al / 4, "b": be / 4, "c": c, "q": q}, one_minus, 1),
+                ("little-q-jacobi-dilated", {"a": al / 4, "b": be / 4, "q": q}, one_minus, 1),
+                ("little-q-jacobi-dilated", {"a": al / 4, "b": be / 4, "q": q, "bn_sign": "plus"},
+                 lambda p, A, C: 1 - A + C, 1),
+                ("continuous-q-hahn", {"a": al / 4, "b": be / 4, "phi": phi, "q": q}, q_hahn_b, 4),
+                ("wilson", {"a": al, "b": be, "c": c + 1, "d": al + be}, wilson_b, 1),
+                ("continuous-dual-hahn", {"a": al, "b": be, "c": c + 1}, wilson_b, 1)):
             n = rng.randint(1, 12)
-            pair = F.recurrence(fid, params, n, CTX)
-            prev = F.recurrence(fid, params, n - 1, CTX)
-            assert abs(pair.b - (1 - pair.A - pair.C)) <= CTX.tol(8)
-            assert abs(pair.u - prev.A * pair.C) <= CTX.tol(8) * max(1, abs(pair.u))
+            pairs = F.recurrences(fid, params, n, CTX)
+            pair, prev = pairs[n], pairs[n - 1]
+            assert abs(pair.b - b_of(params, pair.A, pair.C)) <= CTX.tol(8) * max(1, abs(pair.b)), fid
+            assert abs(pair.u - prev.A * pair.C / u_over) <= CTX.tol(8) * max(1, abs(pair.u)), fid
+
+
+def test_recurrences_are_prefixes_of_one_sequence():
+    # entry n does not depend on how far the sequence runs
+    for fid in F.family_ids():
+        params = P(fid, **F.fixture_points(fid)[0])
+        full = F.recurrences(fid, params, 12, CTX)
+        for k in (0, 1, 5, 11):
+            assert F.recurrences(fid, params, k, CTX) == full[:k + 1], (fid, k)
+        assert F.recurrence(fid, params, 7, CTX) == full[7], fid
+
+
+@pytest.mark.parametrize("run", [
+    lambda fid, params: F.generate(fid, params, 8, CTX),
+    lambda fid, params: orth.favard_scan(fid, params, 8, CTX),
+    lambda fid, params: orth.gram(fid, params, 4, PrecisionContext(15)),
+], ids=["generate", "favard_scan", "gram"])
+def test_one_recurrence_table_call_per_sequence(monkeypatch, run):
+    for fid in ("hermite", "little-minus1-jacobi"):
+        table = F._ALL_RECURRENCES[fid]
+        calls = []
+
+        def counted(params, N, ctx, table=table):
+            calls.append(N)
+            return table(params, N, ctx)
+
+        monkeypatch.setitem(F._ALL_RECURRENCES, fid, counted)
+        run(fid, P(fid, **F.fixture_points(fid)[0]))
+        assert len(calls) == 1, (fid, calls)
 
 
 def test_weight_spec_hermite():
@@ -301,8 +349,9 @@ def test_norms_match_recurrence_product():
     for fid in F.orthogonal_ids():
         params = P(fid, **F.fixture_points(fid)[0])
         h = F.norm(fid, params, 0, CTX)
+        pairs = F.recurrences(fid, params, 8, CTX)
         for n in range(1, 9):
-            h = h * MP.re(MP.mpc(F.recurrence(fid, params, n, CTX).u))
+            h = h * MP.re(MP.mpc(pairs[n].u))
             printed = F.norm(fid, params, n, CTX)
             assert abs(printed - h) <= CTX.tol(8) * abs(h), (fid, n)
 
@@ -375,6 +424,7 @@ def test_favard_admissible_regions():
     for fid in F.orthogonal_ids():
         for pt in F.fixture_points(fid):
             params = P(fid, **pt)
+            pairs = F.recurrences(fid, params, 50, CTX)
             for n in range(1, 51):
-                u = F.recurrence(fid, params, n, CTX).u
+                u = pairs[n].u
                 assert MP.re(MP.mpc(u)) > 0, (fid, pt, n)
