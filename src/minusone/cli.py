@@ -132,13 +132,14 @@ def cmd_tabulate(args):
     try:
         fid = families.resolve_family(args.family)
         params = _parse_params(args.params, fid, ctx)
-        polys = families.generate(fid, params, args.n, ctx)
+        pairs = families.recurrences(fid, params, args.n, ctx)
+        polys = families.polys_from_pairs(pairs[:args.n], ctx)
         rows = [{
             "n": n,
             "b": _num_str(ctx, pair.b),
             "u": _num_str(ctx, pair.u) if n >= 1 else None,
             "coeffs": [_num_str(ctx, c) for c in polys[n].coeffs],
-        } for n, pair in enumerate(families.recurrences(fid, params, args.n, ctx))]
+        } for n, pair in enumerate(pairs)]
     except (UnknownFamilyError, ParameterError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

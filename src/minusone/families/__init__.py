@@ -1,12 +1,23 @@
 """The family catalog: one entry per continuous -1 family, plus the q-aux
 families driving the q -> -1 edges and the Wilson-type helpers.
 
-Public operations: ``recurrences``, ``generate``, ``closed_form``,
+Public operations: ``recurrences``, ``generate`` (and ``polys_from_pairs``
+for a caller that holds the pairs), ``closed_form``,
 ``weight_spec``, ``norms``, ``eigen_system``, ``positivity_conditions_ccbi``,
 with ``fixture_points`` supplying the reference parameter sets the
 verification suites run at.  A family's coefficients are one sequence per
 (family, parameters, N): ``recurrences`` and ``norms`` return degrees
 0..N from one call, and ``recurrence`` and ``norm`` are their entry n.
+
+How a recurrence sequence function (params, N, ctx) is written: it parses
+its parameters once; it forms each subexpression that does not involve n
+once (2 alpha, beta - delta, a b, e^(+-2i phi), each q ** j, the
+denominator threshold of ``denominator_check``), sharing a value between
+A_k and C_(k+1) where both print it; and it keeps the operation order of
+the printed formula, hoisting only whole subexpressions and never
+reassociating a sum.  Its pairs are then bit-identical to the printed
+formula evaluated one degree at a time, and a printed denominator zero
+raises the same ParameterError, naming the same factor, at the same n.
 """
 
 from __future__ import annotations
@@ -112,12 +123,20 @@ def recurrence(family: str, params: dict, n: int, ctx: PrecisionContext) -> Recu
 
 
 def generate(family: str, params: dict, N: int, ctx: PrecisionContext):
-    """P_0 .. P_N by the three-term recurrence; each P_n is monic of degree n."""
-    mp = ctx.mp
+    """P_0 .. P_N by the three-term recurrence; each P_n is monic of degree n.
+
+    A caller that also reads the coefficients calls ``recurrences`` once
+    and passes the pairs to ``polys_from_pairs``.
+    """
+    return polys_from_pairs(recurrences(family, params, N - 1, ctx), ctx)
+
+
+def polys_from_pairs(pairs, ctx: PrecisionContext):
+    """P_0 .. P_K from the pairs (b_n, u_n), n < K, of x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}."""
     x = Poly.x(ctx)
-    polys = [Poly.constant(mp.mpc(1))]
+    polys = [Poly.constant(ctx.mp.mpc(1))]
     prev = None
-    for pair in recurrences(family, params, N - 1, ctx):
+    for pair in pairs:
         cur = polys[-1]
         nxt = (x - pair.b) * cur
         if prev is not None:

@@ -98,10 +98,24 @@ def get_param(params: dict, name: str, ctx: PrecisionContext, default=None):
     return ctx.mp.convert(v)
 
 
+def get_params(params: dict, ctx: PrecisionContext, *names):
+    """``get_param`` for each name, in order."""
+    return [get_param(params, name, ctx) for name in names]
+
+
+def denominator_check(ctx: PrecisionContext):
+    """``require_nonzero`` with its threshold tol(4)*10 formed once: check(value, what) -> value."""
+    floor = ctx.tol(4) * 10
+
+    def check(value, what):
+        if abs(value) <= floor:
+            raise ParameterError("printed denominator vanishes: %s = %s" % (what, ctx.mp.nstr(value)))
+        return value
+    return check
+
+
 def require_nonzero(value, what, ctx: PrecisionContext):
-    if abs(value) <= ctx.tol(4) * 10:
-        raise ParameterError("printed denominator vanishes: %s = %s" % (what, ctx.mp.nstr(value)))
-    return value
+    return denominator_check(ctx)(value, what)
 
 
 def _parity(n):
@@ -109,19 +123,19 @@ def _parity(n):
     return n % 2, n // 2
 
 
-def _each_degree(formula):
-    """The sequence function (params, N, ctx) -> [formula(params, n, ctx), n = 0..N]."""
-    return lambda params, N, ctx: [formula(params, n, ctx) for n in range(N + 1)]
-
-
-def _from_AC(AC, b_of=lambda A, C: 1 - A - C, u_over=1):
+def _from_AC(AC, b_of=lambda A, C: 1 - A - C, u_over=None):
     """Recurrence pairs n = 0..N from the printed (A_n, C_n), n = 0..N.
 
-    b_n = b_of(A_n, C_n) and u_n = A_{n-1} C_n / u_over; u_0 is C_0, which
-    every printed decomposition sets to 0.
+    b_n = b_of(A_n, C_n) and u_n = A_{n-1} C_n (divided by ``u_over`` when
+    given); u_0 is C_0, which every printed decomposition sets to 0.
     """
     pairs = []
+    prev = None
     for A, C in AC:
-        u = C if not pairs else pairs[-1].A * C / u_over
+        if prev is None:
+            u = C
+        else:
+            u = prev * C if u_over is None else prev * C / u_over
         pairs.append(RecurrencePair(b=b_of(A, C), u=u, A=A, C=C))
+        prev = A
     return pairs

@@ -17,10 +17,11 @@ from ..polynomials import Poly, hyp_terminating_poly
 from .base import (
     FamilyInfo,
     RecurrencePair,
-    _each_degree,
     _from_AC,
     _parity,
+    denominator_check,
     get_param,
+    get_params,
     require_nonzero,
 )
 
@@ -128,227 +129,234 @@ def _half(ctx):
 
 # ----------------------------------------------------------------------
 # recurrence coefficients (b_n, u_n), with (A_n, C_n) where printed
+#
+# Sequence functions (params, N, ctx) -> [RecurrencePair, n = 0..N], written
+# as the package docstring describes.
 
 
-def _rec_hermite(params, n, ctx):
-    mp = ctx.mp
-    return RecurrencePair(b=mp.mpf(0), u=mp.mpf(n) / 2)
+def _recs_hermite(params, N, ctx):
+    zero = ctx.mp.mpf(0)
+    return [RecurrencePair(b=zero, u=ctx.mp.mpf(n) / 2) for n in range(N + 1)]
 
 
-def _rec_generalized_hermite(params, n, ctx):
-    mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    odd, m = _parity(n)
-    u = mp.mpf(m) if not odd else m + al + _half(ctx)
-    return RecurrencePair(b=mp.mpf(0), u=u)
+def _alternating(ga):
+    """(-1)^n gamma for (even n, odd n), each the printed product, rounded to the working precision."""
+    return 1 * ga, -1 * ga
 
 
-def _rec_minus1_mp(params, n, ctx):
-    mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    ga = get_param(params, "gamma", ctx)
-    odd, m = _parity(n)
-    u = mp.mpf(m) if not odd else m + al + _half(ctx)
-    return RecurrencePair(b=(-1) ** n * ga, u=u)
+def _hermite_like(al, bs, N, ctx):
+    """u_n = m (n = 2m) or m + alpha + 1/2 (n = 2m + 1); b_n = bs[n % 2]."""
+    mp, half = ctx.mp, _half(ctx)
+    return [RecurrencePair(b=bs[n % 2], u=n // 2 + al + half if n % 2 else mp.mpf(n // 2))
+            for n in range(N + 1)]
 
 
-def _sigma_gg(al, be, n, ctx):
-    mp = ctx.mp
-    odd, m = _parity(n)
-    if not odd:
-        den = require_nonzero((2 * m + al + be) * (2 * m + al + be + 1), "(2n+alpha+beta)(2n+alpha+beta+1)", ctx) \
-            if n > 0 else mp.mpf(1)
-        return mp.mpf(0) if n == 0 else m * (m + be) / den
-    den = require_nonzero((2 * m + al + be + 1) * (2 * m + al + be + 2), "(2n+alpha+beta+1)(2n+alpha+beta+2)", ctx)
-    return (m + al + 1) * (m + al + be + 1) / den
+def _recs_generalized_hermite(params, N, ctx):
+    zero = ctx.mp.mpf(0)
+    return _hermite_like(get_param(params, "alpha", ctx), (zero, zero), N, ctx)
 
 
-def _rec_generalized_gegenbauer(params, n, ctx):
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    return RecurrencePair(b=ctx.mp.mpf(0), u=_sigma_gg(al, be, n, ctx))
+def _recs_minus1_mp(params, N, ctx):
+    al, ga = get_params(params, ctx, "alpha", "gamma")
+    return _hermite_like(al, _alternating(ga), N, ctx)
 
 
-def _rec_chihara(params, n, ctx):
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    return RecurrencePair(b=(-1) ** n * ga, u=_sigma_gg(al, be, n, ctx))
+def _gg_like(al, be, bs, N, ctx):
+    """The generalized Gegenbauer u_n; b_n = bs[n % 2]."""
+    check = denominator_check(ctx)
+    pairs = [RecurrencePair(b=bs[0], u=ctx.mp.mpf(0))]
+    for n in range(1, N + 1):
+        odd, m = _parity(n)
+        t = 2 * m + al + be
+        if not odd:
+            u = m * (m + be) / check(t * (t + 1), "(2n+alpha+beta)(2n+alpha+beta+1)")
+        else:
+            den = check((t + 1) * (t + 2), "(2n+alpha+beta+1)(2n+alpha+beta+2)")
+            u = (m + al + 1) * (m + al + be + 1) / den
+        pairs.append(RecurrencePair(b=bs[odd], u=u))
+    return pairs[:N + 1]
 
 
-def _rec_gegenbauer(params, n, ctx):
-    mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    if n == 0:
-        return RecurrencePair(b=mp.mpf(0), u=mp.mpf(0))
-    den = require_nonzero((2 * n + 2 * al - 2) * (2 * n + 2 * al), "(2n+2alpha-2)(2n+2alpha)", ctx)
-    return RecurrencePair(b=mp.mpf(0), u=n * (n + 2 * al - 1) / den)
+def _recs_generalized_gegenbauer(params, N, ctx):
+    zero = ctx.mp.mpf(0)
+    return _gg_like(*get_params(params, ctx, "alpha", "beta"), (zero, zero), N, ctx)
 
 
-def _rec_symmetric_bannai_ito(params, n, ctx):
-    mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    odd, m = _parity(n)
-    u = m * (m + a + b - 1) if not odd else (m + a) * (m + b)
-    return RecurrencePair(b=mp.mpf(0), u=u)
+def _recs_chihara(params, N, ctx):
+    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
+    return _gg_like(al, be, _alternating(ga), N, ctx)
 
 
-def _rec_gsbi(params, n, ctx):
-    mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
+def _recs_gegenbauer(params, N, ctx):
+    al2 = 2 * get_param(params, "alpha", ctx)
+    check = denominator_check(ctx)
+    zero = ctx.mp.mpf(0)
+    pairs = [RecurrencePair(b=zero, u=zero)]
+    for n in range(1, N + 1):
+        t = 2 * n + al2
+        pairs.append(RecurrencePair(
+            b=zero, u=n * (n + al2 - 1) / check((t - 2) * t, "(2n+2alpha-2)(2n+2alpha)")))
+    return pairs[:N + 1]
+
+
+def _recs_symmetric_bannai_ito(params, N, ctx):
+    a, b = get_params(params, ctx, "a", "b")
+    zero = ctx.mp.mpf(0)
+    pairs = []
+    for n in range(N + 1):
+        odd, m = _parity(n)
+        pairs.append(RecurrencePair(b=zero, u=(m + a) * (m + b) if odd else m * (m + a + b - 1)))
+    return pairs
+
+
+def _recs_gsbi(params, N, ctx):
+    a, b, c = get_params(params, ctx, "a", "b", "c")
     s = a + b + c
-    odd, m = _parity(n)
-    if n == 0:
-        return RecurrencePair(b=mp.mpf(0), u=mp.mpf(0))
-    if not odd:
-        den = require_nonzero((2 * m + s - 2) * (2 * m + s - 1), "(2n+a+b+c-2)(2n+a+b+c-1)", ctx)
-        u = m * (m + a + b - 1) * (m + a + c - 1) * (m + b + c - 1) / den
-    else:
-        den = require_nonzero((2 * m + s - 1) * (2 * m + s), "(2n+a+b+c-1)(2n+a+b+c)", ctx)
-        u = (m + s - 1) * (m + c) * (m + a) * (m + b) / den
-    return RecurrencePair(b=mp.mpf(0), u=u)
+    check = denominator_check(ctx)
+    zero = ctx.mp.mpf(0)
+    pairs = [RecurrencePair(b=zero, u=zero)]
+    for n in range(1, N + 1):
+        odd, m = _parity(n)
+        t = 2 * m + s
+        if not odd:
+            den = check((t - 2) * (t - 1), "(2n+a+b+c-2)(2n+a+b+c-1)")
+            u = m * (m + a + b - 1) * (m + a + c - 1) * (m + b + c - 1) / den
+        else:
+            den = check((t - 1) * t, "(2n+a+b+c-1)(2n+a+b+c)")
+            u = (m + s - 1) * (m + c) * (m + a) * (m + b) / den
+        pairs.append(RecurrencePair(b=zero, u=u))
+    return pairs[:N + 1]
 
 
-def _rec_ccbi(params, n, ctx):
+def _recs_ccbi(params, N, ctx):
     mp = ctx.mp
-    a1 = get_param(params, "a1", ctx)
-    b1 = get_param(params, "b1", ctx)
-    a2 = get_param(params, "a2", ctx)
-    b2 = get_param(params, "b2", ctx)
+    a1, b1, a2, b2 = get_params(params, ctx, "a1", "b1", "a2", "b2")
     i = mp.mpc(0, 1)
-    odd, m = _parity(n)
-    bcoef = (-1) ** n * b2
-    if n == 0:
-        return RecurrencePair(b=bcoef, u=mp.mpc(0))
-    if not odd:
-        den = require_nonzero((2 * m + 2 * a1 + a2 - 2) * (2 * m + 2 * a1 + a2 - 1),
-                              "(2n+2a1+a2-2)(2n+2a1+a2-1)", ctx)
-        u = m * (m + 2 * a1 - 1) * (m + a1 + a2 - 1 + i * (b1 - b2)) \
-            * (m + a1 + a2 - 1 - i * (b1 + b2)) / den
-    else:
-        den = require_nonzero((2 * m + 2 * a1 + a2 - 1) * (2 * m + 2 * a1 + a2),
-                              "(2n+2a1+a2-1)(2n+2a1+a2)", ctx)
-        u = (m + 2 * a1 + a2 - 1) * (m + a2) * (m + a1 + i * (b1 + b2)) \
-            * (m + a1 - i * (b1 - b2)) / den
-    return RecurrencePair(b=bcoef, u=u)
+    a1_2, ib_minus, ib_plus = 2 * a1, i * (b1 - b2), i * (b1 + b2)
+    bs = _alternating(b2)
+    check = denominator_check(ctx)
+    pairs = [RecurrencePair(b=bs[0], u=mp.mpc(0))]
+    for n in range(1, N + 1):
+        odd, m = _parity(n)
+        t = 2 * m + a1_2 + a2
+        if not odd:
+            den = check((t - 2) * (t - 1), "(2n+2a1+a2-2)(2n+2a1+a2-1)")
+            u = m * (m + a1_2 - 1) * (m + a1 + a2 - 1 + ib_minus) * (m + a1 + a2 - 1 - ib_plus) / den
+        else:
+            den = check((t - 1) * t, "(2n+2a1+a2-1)(2n+2a1+a2)")
+            u = (m + a1_2 + a2 - 1) * (m + a2) * (m + a1 + ib_plus) * (m + a1 - ib_minus) / den
+        pairs.append(RecurrencePair(b=bs[odd], u=u))
+    return pairs[:N + 1]
 
 
-def _rec_cbi(params, n, ctx):
+def _cbi_like(al, ga, N, ctx, pair):
+    """Pairs n = 0..N of the continuous Bannai-Ito block, (b_n, u_n) = pair(n, d1, d2, d1^2).
+
+    The printed denominators d1 = n+2alpha+2gamma+1 and d2 = n+2alpha+2gamma+2
+    are tested in that order.
+    """
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    de = get_param(params, "delta", ctx)
-    even = n % 2 == 0
-    d1 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 1, "n+2alpha+2gamma+1", ctx)
-    d2 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 2, "n+2alpha+2gamma+2", ctx)
-    if even:
-        b = 2 * be - (n + 4 * al + 2) * (be - de) / d2 - n * (be + de) / d1
-        mod = d1 ** 2 + 4 * (be + de) ** 2
-        u = n * (n + 4 * al + 4 * ga + 2) * mod / (4 * d1 ** 2)
-    else:
-        b = 2 * be - (n + 4 * al + 4 * ga + 3) * (be + de) / d2 - (n + 4 * ga + 1) * (be - de) / d1
-        mod = d1 ** 2 + 4 * (be - de) ** 2
-        u = (n + 4 * al + 1) * (n + 4 * ga + 1) * mod / (4 * d1 ** 2)
-    return RecurrencePair(b=b, u=u)
+    al2, ga2 = 2 * al, 2 * ga
+    check = denominator_check(ctx)
+    pairs = []
+    for n in range(N + 1):
+        t = mp.mpf(n) + al2 + ga2
+        d1 = check(t + 1, "n+2alpha+2gamma+1")
+        d2 = check(t + 2, "n+2alpha+2gamma+2")
+        b, u = pair(n, d1, d2, d1 ** 2)
+        pairs.append(RecurrencePair(b=b, u=u))
+    return pairs
 
 
-def _rec_c1h1(params, n, ctx):
+def _recs_cbi(params, N, ctx):
+    al, be, ga, de = get_params(params, ctx, "alpha", "beta", "gamma", "delta")
+    al4, ga4, be2, bmd, bpd = 4 * al, 4 * ga, 2 * be, be - de, be + de
+    w_even, w_odd = 4 * bpd ** 2, 4 * bmd ** 2
+
+    def pair(n, d1, d2, d1sq):
+        if n % 2 == 0:
+            return (be2 - (n + al4 + 2) * bmd / d2 - n * bpd / d1,
+                    n * (n + al4 + ga4 + 2) * (d1sq + w_even) / (4 * d1sq))
+        return (be2 - (n + al4 + ga4 + 3) * bpd / d2 - (n + ga4 + 1) * bmd / d1,
+                (n + al4 + 1) * (n + ga4 + 1) * (d1sq + w_odd) / (4 * d1sq))
+    return _cbi_like(al, ga, N, ctx, pair)
+
+
+def _recs_c1h1(params, N, ctx):
+    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
+    al4, ga4, be2, be16 = 4 * al, 4 * ga, 2 * be, 16 * be ** 2
+
+    def pair(n, d1, d2, d1sq):
+        if n % 2 == 0:
+            return be2 - be2 * n / d1, n * (n + al4 + ga4 + 2) * (d1sq + be16) / (4 * d1sq)
+        return (be2 - be2 * (n + al4 + ga4 + 3) / d2,
+                (n + al4 + 1) * (n + ga4 + 1) * d1sq / (4 * d1sq))
+    return _cbi_like(al, ga, N, ctx, pair)
+
+
+def _recs_c1h2(params, N, ctx):
+    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
+    al4, ga4, be2, be16 = 4 * al, 4 * ga, 2 * be, 16 * be ** 2
+
+    def pair(n, d1, d2, d1sq):
+        if n % 2 == 0:
+            return be2 - be2 * (n + al4 + 2) / d2, n * (n + al4 + ga4 + 2) * d1sq / (4 * d1sq)
+        return (be2 - be2 * (n + ga4 + 1) / d1,
+                (n + al4 + 1) * (n + ga4 + 1) * (d1sq + be16) / (4 * d1sq))
+    return _cbi_like(al, ga, N, ctx, pair)
+
+
+def _m1j_like(N, ctx, t0, nums, what):
+    """Pairs of a -1 Jacobi family from A_n = a_n / (t_n + 2), C_n = c_n / t_n, C_0 = 0.
+
+    (a_n, c_n) = nums(n), t_n = t0(2n) and the two denominators, named by
+    ``what``, are tested in the order A_n, C_n.
+    """
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    d1 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 1, "n+2alpha+2gamma+1", ctx)
-    d2 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 2, "n+2alpha+2gamma+2", ctx)
-    if n % 2 == 0:
-        b = 2 * be - 2 * be * n / d1
-        u = n * (n + 4 * al + 4 * ga + 2) * (d1 ** 2 + 16 * be ** 2) / (4 * d1 ** 2)
-    else:
-        b = 2 * be - 2 * be * (n + 4 * al + 4 * ga + 3) / d2
-        u = (n + 4 * al + 1) * (n + 4 * ga + 1) * d1 ** 2 / (4 * d1 ** 2)
-    return RecurrencePair(b=b, u=u)
-
-
-def _rec_c1h2(params, n, ctx):
-    mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    d1 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 1, "n+2alpha+2gamma+1", ctx)
-    d2 = require_nonzero(mp.mpf(n) + 2 * al + 2 * ga + 2, "n+2alpha+2gamma+2", ctx)
-    if n % 2 == 0:
-        b = 2 * be - 2 * be * (n + 4 * al + 2) / d2
-        u = n * (n + 4 * al + 4 * ga + 2) * d1 ** 2 / (4 * d1 ** 2)
-    else:
-        b = 2 * be - 2 * be * (n + 4 * ga + 1) / d1
-        u = (n + 4 * al + 1) * (n + 4 * ga + 1) * (d1 ** 2 + 16 * be ** 2) / (4 * d1 ** 2)
-    return RecurrencePair(b=b, u=u)
-
-
-def _big_m1j_AC(al, be, c, n, ctx):
-    mp = ctx.mp
-    if n % 2 == 0:
-        A = (1 + c) * (n + al + 1) / require_nonzero(2 * mp.mpf(n) + al + be + 2, "2n+alpha+beta+2", ctx)
-        C = mp.mpf(0) if n == 0 else (1 - c) * n / require_nonzero(2 * mp.mpf(n) + al + be, "2n+alpha+beta", ctx)
-    else:
-        A = (1 - c) * (n + al + be + 1) / require_nonzero(2 * mp.mpf(n) + al + be + 2, "2n+alpha+beta+2", ctx)
-        C = (1 + c) * (n + be) / require_nonzero(2 * mp.mpf(n) + al + be, "2n+alpha+beta", ctx)
-    return A, C
+    check = denominator_check(ctx)
+    AC = []
+    for n in range(N + 1):
+        t = t0(2 * mp.mpf(n))
+        a, c = nums(n)
+        A = a / check(t + 2, what + "+2")
+        AC.append((A, mp.mpf(0) if n == 0 else c / check(t, what)))
+    return _from_AC(AC)
 
 
 def _recs_big_m1j(params, N, ctx):
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    c = get_param(params, "c", ctx)
-    return _from_AC([_big_m1j_AC(al, be, c, k, ctx) for k in range(N + 1)])
-
-
-def _little_m1j_AC(al, be, n, ctx):
-    mp = ctx.mp
-    if n % 2 == 0:
-        A = (n + be + 1) / require_nonzero(2 * mp.mpf(n) + al + be + 2, "2n+alpha+beta+2", ctx)
-        C = mp.mpf(0) if n == 0 else mp.mpf(n) / require_nonzero(2 * mp.mpf(n) + al + be, "2n+alpha+beta", ctx)
-    else:
-        A = (n + al + be + 1) / require_nonzero(2 * mp.mpf(n) + al + be + 2, "2n+alpha+beta+2", ctx)
-        C = (n + al) / require_nonzero(2 * mp.mpf(n) + al + be, "2n+alpha+beta", ctx)
-    return A, C
+    al, be, c = get_params(params, ctx, "alpha", "beta", "c")
+    opc, omc = 1 + c, 1 - c
+    return _m1j_like(N, ctx, lambda n2: n2 + al + be,
+                     lambda n: (opc * (n + al + 1), omc * n) if n % 2 == 0
+                     else (omc * (n + al + be + 1), opc * (n + be)), "2n+alpha+beta")
 
 
 def _recs_little_m1j(params, N, ctx):
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    return _from_AC([_little_m1j_AC(al, be, k, ctx) for k in range(N + 1)])
-
-
-def _special_lj_AC(al, n, ctx):
-    mp = ctx.mp
-    A = (n + al + 1) / require_nonzero(2 * mp.mpf(n) + al + 2, "2n+alpha+2", ctx)
-    C = mp.mpf(0) if n == 0 else mp.mpf(n) / require_nonzero(2 * mp.mpf(n) + al, "2n+alpha", ctx)
-    return A, C
+    al, be = get_params(params, ctx, "alpha", "beta")
+    return _m1j_like(N, ctx, lambda n2: n2 + al + be,
+                     lambda n: (n + be + 1, ctx.mp.mpf(n)) if n % 2 == 0
+                     else (n + al + be + 1, n + al), "2n+alpha+beta")
 
 
 def _recs_special_lj(params, N, ctx):
     al = get_param(params, "alpha", ctx)
-    return _from_AC([_special_lj_AC(al, k, ctx) for k in range(N + 1)])
+    return _m1j_like(N, ctx, lambda n2: n2 + al, lambda n: (n + al + 1, ctx.mp.mpf(n)), "2n+alpha")
 
 
 # sequence functions (params, N, ctx) -> [RecurrencePair for n = 0..N]
 RECURRENCES = {
-    "hermite": _each_degree(_rec_hermite),
-    "generalized-hermite": _each_degree(_rec_generalized_hermite),
-    "minus1-meixner-pollaczek": _each_degree(_rec_minus1_mp),
-    "generalized-gegenbauer": _each_degree(_rec_generalized_gegenbauer),
-    "chihara": _each_degree(_rec_chihara),
-    "gegenbauer": _each_degree(_rec_gegenbauer),
-    "symmetric-bannai-ito": _each_degree(_rec_symmetric_bannai_ito),
-    "generalized-symmetric-bannai-ito": _each_degree(_rec_gsbi),
-    "continuous-complementary-bannai-ito": _each_degree(_rec_ccbi),
-    "continuous-bannai-ito": _each_degree(_rec_cbi),
-    "continuous-minus1-hahn-1": _each_degree(_rec_c1h1),
-    "continuous-minus1-hahn-2": _each_degree(_rec_c1h2),
+    "hermite": _recs_hermite,
+    "generalized-hermite": _recs_generalized_hermite,
+    "minus1-meixner-pollaczek": _recs_minus1_mp,
+    "generalized-gegenbauer": _recs_generalized_gegenbauer,
+    "chihara": _recs_chihara,
+    "gegenbauer": _recs_gegenbauer,
+    "symmetric-bannai-ito": _recs_symmetric_bannai_ito,
+    "generalized-symmetric-bannai-ito": _recs_gsbi,
+    "continuous-complementary-bannai-ito": _recs_ccbi,
+    "continuous-bannai-ito": _recs_cbi,
+    "continuous-minus1-hahn-1": _recs_c1h1,
+    "continuous-minus1-hahn-2": _recs_c1h2,
     "big-minus1-jacobi": _recs_big_m1j,
     "little-minus1-jacobi": _recs_little_m1j,
     "special-little-minus1-jacobi": _recs_special_lj,

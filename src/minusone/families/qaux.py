@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from ..precision import pochhammer
 from ..polynomials import Poly
-from .base import (FamilyInfo, ParameterError, RecurrencePair, _each_degree, _from_AC,
-                   get_param, require_nonzero)
+from .base import (FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check,
+                   get_param, get_params)
 from .catalog import REGISTRY, _register
 
 
@@ -53,28 +53,31 @@ _register(FamilyInfo(
     external=True, has_weight=False, has_eigen=False))
 
 
+def _q_powers(q, lo, hi):
+    """q ** j for j = lo..hi, each by one ``**`` as printed; entry j - lo."""
+    return [q ** j for j in range(lo, hi + 1)]
+
+
 def _recs_little_q_dilated(params, N, ctx):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    q = get_param(params, "q", ctx)
+    a, b, q = get_params(params, ctx, "a", "b", "q")
     sign = params.get("bn_sign", "minus")
     if sign not in ("minus", "plus"):
         raise ParameterError("bn_sign must be 'minus' or 'plus'")
-
-    def A(k):
-        den = require_nonzero((1 - a * b * q ** (2 * k + 1)) * (1 - a * b * q ** (2 * k + 2)),
-                              "(1-abq^(2n+1))(1-abq^(2n+2))", ctx)
-        return (1 - b * q ** (k + 1)) * (1 - a * b * q ** (k + 1)) / den
-
-    def C(k):
+    check = denominator_check(ctx)
+    ab, ab2 = a * b, a * b ** 2
+    qp = _q_powers(q, 0, 2 * N + 2)
+    one_ab = [1 - ab * p for p in qp]           # 1 - abq^j
+    AC = []
+    for k in range(N + 1):
+        den = check(one_ab[2 * k + 1] * one_ab[2 * k + 2], "(1-abq^(2n+1))(1-abq^(2n+2))")
+        A = (1 - b * qp[k + 1]) * one_ab[k + 1] / den
         if k == 0:
-            return mp.mpf(0)
-        den = require_nonzero((1 - a * b * q ** (2 * k)) * (1 - a * b * q ** (2 * k + 1)),
-                              "(1-abq^(2n))(1-abq^(2n+1))", ctx)
-        return a * b ** 2 * q ** (2 * k + 1) * (1 - q ** k) * (1 - a * q ** k) / den
-
-    AC = [(A(k), C(k)) for k in range(N + 1)]
+            C = mp.mpf(0)
+        else:
+            den = check(one_ab[2 * k] * one_ab[2 * k + 1], "(1-abq^(2n))(1-abq^(2n+1))")
+            C = ab2 * qp[2 * k + 1] * (1 - qp[k]) * (1 - a * qp[k]) / den
+        AC.append((A, C))
     if sign == "plus":
         return _from_AC(AC, lambda A, C: 1 - A + C)
     return _from_AC(AC)
@@ -82,100 +85,92 @@ def _recs_little_q_dilated(params, N, ctx):
 
 def _recs_big_q_jacobi(params, N, ctx):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
-    q = get_param(params, "q", ctx)
-
-    def A(k):
-        den = require_nonzero((1 - a * b * q ** (2 * k + 1)) * (1 - a * b * q ** (2 * k + 2)),
-                              "(1-abq^(2n+1))(1-abq^(2n+2))", ctx)
-        return (1 - a * q ** (k + 1)) * (1 - a * b * q ** (k + 1)) * (1 - c * q ** (k + 1)) / den
-
-    def C(k):
+    a, b, c, q = get_params(params, ctx, "a", "b", "c", "q")
+    check = denominator_check(ctx)
+    ab, na = a * b, -a
+    qp = _q_powers(q, 0, 2 * N + 2)
+    one_ab = [1 - ab * p for p in qp]           # 1 - abq^j
+    AC = []
+    for k in range(N + 1):
+        den = check(one_ab[2 * k + 1] * one_ab[2 * k + 2], "(1-abq^(2n+1))(1-abq^(2n+2))")
+        A = (1 - a * qp[k + 1]) * one_ab[k + 1] * (1 - c * qp[k + 1]) / den
         if k == 0:
-            return mp.mpf(0)
-        den = require_nonzero((1 - a * b * q ** (2 * k)) * (1 - a * b * q ** (2 * k + 1)),
-                              "(1-abq^(2n))(1-abq^(2n+1))", ctx)
-        # -acq^(k+1)(1-abq^k/c) is grouped as -aq^(k+1)(c-abq^k) so c = 0 stays valid
-        return -a * q ** (k + 1) * (1 - q ** k) * (c - a * b * q ** k) * (1 - b * q ** k) / den
-
-    return _from_AC([(A(k), C(k)) for k in range(N + 1)])
+            C = mp.mpf(0)
+        else:
+            den = check(one_ab[2 * k] * one_ab[2 * k + 1], "(1-abq^(2n))(1-abq^(2n+1))")
+            # -acq^(k+1)(1-abq^k/c) is grouped as -aq^(k+1)(c-abq^k) so c = 0 stays valid
+            C = na * qp[k + 1] * (1 - qp[k]) * (c - ab * qp[k]) * (1 - b * qp[k]) / den
+        AC.append((A, C))
+    return _from_AC(AC)
 
 
 def _recs_continuous_q_hahn(params, N, ctx):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    phi = get_param(params, "phi", ctx)
-    q = get_param(params, "q", ctx)
+    a, b, phi, q = get_params(params, ctx, "a", "b", "phi", "q")
     eip = mp.exp(mp.mpc(0, 1) * phi)
-    one_q = require_nonzero(1 + q, "1+q", ctx)
-
-    def A(k):
-        den = require_nonzero(a * eip * one_q * (1 - a ** 2 * b ** 2 * q ** (2 * k - 1))
-                              * (1 - a ** 2 * b ** 2 * q ** (2 * k)), "continuous q-Hahn A_n denominator", ctx)
-        return (1 - a * b * eip ** 2 * q ** k) * (1 - a ** 2 * q ** k) * (1 - a * b * q ** k) \
-            * (1 - a ** 2 * b ** 2 * q ** (k - 1)) / den
-
-    def C(k):
+    check = denominator_check(ctx)
+    one_q = check(1 + q, "1+q")
+    ab, a_sq, b_sq, a2b2 = a * b, a ** 2, b ** 2, a ** 2 * b ** 2
+    ab_e2, ab_em2 = ab * eip ** 2, ab * eip ** -2
+    aeip = a * eip
+    aeip_q = aeip * one_q
+    qp = _q_powers(q, -1, 2 * N)                # q^j at qp[j + 1]
+    one_a2b2 = [1 - a2b2 * p for p in qp]       # 1 - a^2b^2q^j at one_a2b2[j + 1]
+    AC = []
+    for k in range(N + 1):
+        den = check(aeip_q * one_a2b2[2 * k] * one_a2b2[2 * k + 1],
+                    "continuous q-Hahn A_n denominator")
+        A = (1 - ab_e2 * qp[k + 1]) * (1 - a_sq * qp[k + 1]) * (1 - ab * qp[k + 1]) \
+            * one_a2b2[k] / den
         if k == 0:
-            return mp.mpc(0)
-        den = require_nonzero(one_q * (1 - a ** 2 * b ** 2 * q ** (2 * k - 2))
-                              * (1 - a ** 2 * b ** 2 * q ** (2 * k - 1)), "continuous q-Hahn C_n denominator", ctx)
-        return a * eip * (1 - q ** k) * (1 - a * b * q ** (k - 1)) * (1 - b ** 2 * q ** (k - 1)) \
-            * (1 - a * b * eip ** -2 * q ** (k - 1)) / den
-
-    AC = [(A(k), C(k)) for k in range(N + 1)]
-    shift = (a * eip + eip ** -1 / a) / one_q
+            C = mp.mpc(0)
+        else:
+            den = check(one_q * one_a2b2[2 * k - 1] * one_a2b2[2 * k],
+                        "continuous q-Hahn C_n denominator")
+            C = aeip * (1 - qp[k + 1]) * (1 - ab * qp[k]) * (1 - b_sq * qp[k]) \
+                * (1 - ab_em2 * qp[k]) / den
+        AC.append((A, C))
+    shift = (aeip + eip ** -1 / a) / one_q
     return _from_AC(AC, lambda A, C: (shift - (A + C)) / 2, u_over=4)
 
 
-def _rec_q_mp(params, n, ctx):
+def _recs_q_mp(params, N, ctx):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    phi = get_param(params, "phi", ctx)
-    q = get_param(params, "q", ctx)
-    b = a * q ** n * mp.cos(phi)
-    u = mp.mpf(0) if n == 0 else (1 - q ** n) * (1 - a ** 2 * q ** (n - 1)) / 4
-    return RecurrencePair(b=b, u=u)
-
-
-def _wilson_AC(a, b, c, d, k, ctx):
-    mp = ctx.mp
-    s = a + b + c + d
-    A = (k + s - 1) * (k + a + b) * (k + a + c) * (k + a + d) \
-        / require_nonzero((2 * k + s - 1) * (2 * k + s), "(2n+s-1)(2n+s)", ctx)
-    if k == 0:
-        C = mp.mpc(0)
-    else:
-        C = k * (k + b + c - 1) * (k + b + d - 1) * (k + c + d - 1) \
-            / require_nonzero((2 * k + s - 2) * (2 * k + s - 1), "(2n+s-2)(2n+s-1)", ctx)
-    return A, C
+    a, phi, q = get_params(params, ctx, "a", "phi", "q")
+    cos_phi, a_sq = mp.cos(phi), a ** 2
+    qp = _q_powers(q, 0, N)
+    return [RecurrencePair(b=a * qp[n] * cos_phi,
+                           u=mp.mpf(0) if n == 0 else (1 - qp[n]) * (1 - a_sq * qp[n - 1]) / 4)
+            for n in range(N + 1)]
 
 
 def _recs_wilson(params, N, ctx):
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
-    d = get_param(params, "d", ctx)
-    return _from_AC([_wilson_AC(a, b, c, d, k, ctx) for k in range(N + 1)],
-                    lambda A, C: A + C - a * a)
-
-
-def _cdh_AC(a, b, c, k, ctx):
     mp = ctx.mp
-    A = (k + a + b) * (k + a + c)
-    C = mp.mpc(0) if k == 0 else k * (k + b + c - 1)
-    return A, C
+    a, b, c, d = get_params(params, ctx, "a", "b", "c", "d")
+    s = a + b + c + d
+    check = denominator_check(ctx)
+    AC = []
+    for k in range(N + 1):
+        t = 2 * k + s
+        ka = k + a
+        A = (k + s - 1) * (ka + b) * (ka + c) * (ka + d) / check((t - 1) * t, "(2n+s-1)(2n+s)")
+        if k == 0:
+            C = mp.mpc(0)
+        else:
+            C = k * (k + b + c - 1) * (k + b + d - 1) * (k + c + d - 1) \
+                / check((t - 2) * (t - 1), "(2n+s-2)(2n+s-1)")
+        AC.append((A, C))
+    aa = a * a
+    return _from_AC(AC, lambda A, C: A + C - aa)
 
 
 def _recs_cdh(params, N, ctx):
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
-    return _from_AC([_cdh_AC(a, b, c, k, ctx) for k in range(N + 1)],
-                    lambda A, C: A + C - a * a)
+    mp = ctx.mp
+    a, b, c = get_params(params, ctx, "a", "b", "c")
+    aa = a * a
+    AC = [((k + a + b) * (k + a + c), mp.mpc(0) if k == 0 else k * (k + b + c - 1))
+          for k in range(N + 1)]
+    return _from_AC(AC, lambda A, C: A + C - aa)
 
 
 def _cf_wilson(params, n, ctx):
@@ -240,7 +235,7 @@ Q_RECURRENCES = {
     "little-q-jacobi-dilated": _recs_little_q_dilated,
     "big-q-jacobi": _recs_big_q_jacobi,
     "continuous-q-hahn": _recs_continuous_q_hahn,
-    "q-meixner-pollaczek": _each_degree(_rec_q_mp),
+    "q-meixner-pollaczek": _recs_q_mp,
     "wilson": _recs_wilson,
     "continuous-dual-hahn": _recs_cdh,
 }

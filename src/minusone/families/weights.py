@@ -25,7 +25,6 @@ from .base import (
     NoWeightError,
     SupportComponent,
     WeightSpec,
-    _each_degree,
     _parity,
     get_param,
 )
@@ -552,6 +551,11 @@ def _norms_c1h1(params, N, ctx):
 def _norms_c1h2(params, N, ctx):
     be = get_param(params, "beta", ctx)
     return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), -be, N, ctx)
+
+
+def _each_degree(formula):
+    """The sequence function (params, N, ctx) -> [formula(params, n, ctx), n = 0..N]."""
+    return lambda params, N, ctx: [formula(params, n, ctx) for n in range(N + 1)]
 
 
 # family id -> (params, N, ctx) -> [h_0, ..., h_N]

@@ -161,20 +161,21 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
     """min u_n, max |Im b_n|, max |Im u_n| over n <= N; pass iff real and positive."""
     mp = ctx.mp
     fid = families.resolve_family(family)
+    tol = ctx.tol(8)
     min_u = None
     max_im_b = mp.mpf(0)
     max_im_u = mp.mpf(0)
     first_nonreal = None
     for n, pair in enumerate(families.recurrences(fid, params, N, ctx)):
-        b, u = mp.mpc(pair.b), mp.mpc(pair.u)
-        max_im_b = max(max_im_b, abs(mp.im(b)))
-        max_im_u = max(max_im_u, abs(mp.im(u)))
-        if first_nonreal is None and max(abs(mp.im(b)), abs(mp.im(u))) > ctx.tol(8) * max(1, abs(u)):
+        b, u = pair.b, pair.u
+        im_b = abs(b.imag) if isinstance(b, mp.mpc) else 0
+        im_u, ru = (abs(u.imag), u.real) if isinstance(u, mp.mpc) else (0, u)
+        max_im_b = max(max_im_b, im_b)
+        max_im_u = max(max_im_u, im_u)
+        if first_nonreal is None and (im_b or im_u) and max(im_b, im_u) > tol * max(1, abs(u)):
             first_nonreal = n
         if n >= 1:
-            ru = mp.re(u)
             min_u = ru if min_u is None else min(min_u, ru)
-    tol = ctx.tol(8)
     real_ok = max_im_b <= tol and max_im_u <= tol
     positive = min_u is not None and min_u > 0
     return {

@@ -339,10 +339,10 @@ def _compare_sets(upolys, tpolys):
     return worst
 
 
-def _compare_recurrence(edge, src_params, target_pairs, s, N, ctx):
+def _compare_recurrence(source_pairs, target_pairs, s, ctx):
     mp = ctx.mp
     worst = mp.mpf(0)
-    for sp, tp in zip(families.recurrences(edge.source, src_params, N, ctx), target_pairs):
+    for sp, tp in zip(source_pairs, target_pairs):
         b_err = abs(mp.mpc(sp.b) / s - mp.mpc(tp.b))
         u_err = abs(mp.mpc(sp.u) / s ** 2 - mp.mpc(tp.u))
         scale = max(mp.mpf(1), abs(mp.mpc(tp.b)), abs(mp.mpc(tp.u)))
@@ -394,18 +394,19 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
     if ladder is None:
         ladder = default_ladder(edge.direction, ctx)
     tgt_params = _mapdata(edge, ctx, h=ladder[0], variant=variant)[1]
-    target = families.generate(edge.target, tgt_params, N, ctx)
     target_pairs = families.recurrences(edge.target, tgt_params, N, ctx)
+    target = families.polys_from_pairs(target_pairs[:N], ctx)
 
     errors = []
     rec_errors = []
     ladder_polys = []
     for h in ladder:
         src_params, _, s = _mapdata(edge, ctx, h=h, variant=variant)
-        upolys = _transform(families.generate(edge.source, src_params, N, ctx), s, ctx)
+        source_pairs = families.recurrences(edge.source, src_params, N, ctx)
+        upolys = _transform(families.polys_from_pairs(source_pairs[:N], ctx), s, ctx)
         ladder_polys.append(upolys)
         errors.append(_compare_sets(upolys, target))
-        rec_errors.append(_compare_recurrence(edge, src_params, target_pairs, s, N, ctx))
+        rec_errors.append(_compare_recurrence(source_pairs, target_pairs, s, ctx))
 
     floor = ctx.tol(12)
     def monotone(seq):
@@ -460,13 +461,13 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
 def christoffel(family, params, N, ctx: PrecisionContext, kernel_point=1):
     """Kernel sequence G_n = (P_{n+1} - A_n P_n)/(x - x0); exact division required."""
     fid = families.resolve_family(family)
-    polys = families.generate(fid, params, N + 1, ctx)
-    mp = ctx.mp
-    x0 = mp.mpf(kernel_point)
-    den = Poly((-x0, mp.mpf(1)))
     pairs = families.recurrences(fid, params, N, ctx)
     if pairs[0].A is None:
         raise families.ParameterError("family %s has no printed (A_n, C_n) decomposition" % fid)
+    polys = families.polys_from_pairs(pairs, ctx)
+    mp = ctx.mp
+    x0 = mp.mpf(kernel_point)
+    den = Poly((-x0, mp.mpf(1)))
     return [divide_exact(polys[n + 1] - polys[n].scale(pair.A), den, ctx)
             for n, pair in enumerate(pairs)]
 

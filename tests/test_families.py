@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from test_polynomials import poly_eq
 from minusone import cli
 from minusone import families as F
 from minusone import orthogonality as orth
+from minusone import scheme as S
 from minusone.families import (
     InadmissibleParameterError,
     NoEigenSystemError,
@@ -45,6 +47,41 @@ def test_cbi_recurrence_hand_values():
     assert abs(F.recurrence("cbi", params, 0, CTX).b - 1) < CTX.tol(6)
     # u_1 via |2 + 2i|^2 = 8
     assert abs(F.recurrence("cbi", params, 1, CTX).u - 2) < CTX.tol(6)
+
+
+def _cbi_printed(al, be, ga, de, n):
+    """Continuous Bannai-Ito (b_n, u_n) as printed, one degree at a time: the reference
+    the sequence function must match bit for bit."""
+    d1 = MP.mpf(n) + 2 * al + 2 * ga + 1
+    d2 = MP.mpf(n) + 2 * al + 2 * ga + 2
+    if n % 2 == 0:
+        b = 2 * be - (n + 4 * al + 2) * (be - de) / d2 - n * (be + de) / d1
+        u = n * (n + 4 * al + 4 * ga + 2) * (d1 ** 2 + 4 * (be + de) ** 2) / (4 * d1 ** 2)
+    else:
+        b = 2 * be - (n + 4 * al + 4 * ga + 3) * (be + de) / d2 - (n + 4 * ga + 1) * (be - de) / d1
+        u = (n + 4 * al + 1) * (n + 4 * ga + 1) * (d1 ** 2 + 4 * (be - de) ** 2) / (4 * d1 ** 2)
+    return b, u
+
+
+def test_cbi_sequence_is_the_printed_formula_bit_for_bit():
+    # hoisting n-free subexpressions keeps every rounding of the printed formula
+    for point in F.fixture_points("cbi") + [dict(alpha="0.1", beta="0.3333333", gamma="0.7",
+                                                 delta="0.45")]:
+        params = P("cbi", **point)
+        al, be, ga, de = (params[k] for k in ("alpha", "beta", "gamma", "delta"))
+        pairs = F.recurrences("cbi", params, 40, CTX)
+        assert [(p.b, p.u) for p in pairs] == [_cbi_printed(al, be, ga, de, n) for n in range(41)]
+
+
+@pytest.mark.parametrize("gamma, factor", [
+    ("-0.25", "n+2alpha+2gamma+1"),      # d1 = n vanishes at n = 0
+    ("-0.75", "n+2alpha+2gamma+2"),      # d1 = n - 1 passes at n = 0, d2 = n does not
+])
+def test_printed_denominator_zero_names_its_factor(gamma, factor):
+    # at every n the factors are tested in the order of the formula: d1, then d2
+    params = P("cbi", alpha="-0.25", beta="1", gamma=gamma, delta="0.5")
+    with pytest.raises(ParameterError, match=re.escape("vanishes: %s = " % factor)):
+        F.recurrences("cbi", params, 5, CTX)
 
 
 def test_generalized_gegenbauer_u1():
@@ -173,13 +210,17 @@ def test_recurrences_are_prefixes_of_one_sequence():
         assert F.recurrence(fid, params, 7, CTX) == full[7], fid
 
 
-@pytest.mark.parametrize("run", [
-    lambda fid, params: F.generate(fid, params, 8, CTX),
-    lambda fid, params: orth.favard_scan(fid, params, 8, CTX),
-    lambda fid, params: orth.gram(fid, params, 4, PrecisionContext(15)),
-], ids=["generate", "favard_scan", "gram"])
-def test_one_recurrence_table_call_per_sequence(monkeypatch, run):
-    for fid in ("hermite", "little-minus1-jacobi"):
+@pytest.mark.parametrize("run, fids", [
+    (lambda fid, params: F.generate(fid, params, 8, CTX), ("hermite", "little-minus1-jacobi")),
+    (lambda fid, params: orth.favard_scan(fid, params, 8, CTX), ("hermite", "little-minus1-jacobi")),
+    (lambda fid, params: orth.gram(fid, params, 4, PrecisionContext(15)),
+     ("hermite", "little-minus1-jacobi")),
+    # needs a printed (A_n, C_n): the kernel polynomials divide P_{n+1} - A_n P_n
+    (lambda fid, params: S.christoffel(fid, params, 6, CTX),
+     ("little-minus1-jacobi", "big-minus1-jacobi")),
+], ids=["generate", "favard_scan", "gram", "christoffel"])
+def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
+    for fid in fids:
         table = F._ALL_RECURRENCES[fid]
         calls = []
 

@@ -102,6 +102,20 @@ def test_qlimit_edge_dilated_little():
     assert rep["order_poly"] >= 0.95
 
 
+def test_one_recurrence_table_call_per_ladder_point(monkeypatch):
+    # the source sequence at each ladder point serves both the polynomials and
+    # the coefficient comparison; the target sequence is built once
+    edge = S.resolve_edge("little-q-jacobi-dilated:little-minus1-jacobi")
+    calls = {edge.source: 0, edge.target: 0}
+    for fid in calls:
+        def counted(params, N, ctx, fid=fid, table=F._ALL_RECURRENCES[fid]):
+            calls[fid] += 1
+            return table(params, N, ctx)
+        monkeypatch.setitem(F._ALL_RECURRENCES, fid, counted)
+    rep = S.verify_limit(edge, 6, CTX)
+    assert calls == {edge.source: len(rep["ladder"]), edge.target: 1}
+
+
 def test_limit_floor_no_looser_than_gate_at_15_digits():
     # at 15 digits the "converged exactly" floor tol(12) would be 1e-3; the
     # ladder runs at 20 digits, where the 8.8e-8 extrapolated error of this
