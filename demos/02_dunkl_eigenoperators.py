@@ -15,7 +15,7 @@ ctx = PrecisionContext(50)
 mp = ctx.mp
 
 # Hermite: L = -1/4 d^2/dx^2 + x/2 d/dx + (eps/2 - 1/4)(I - R)
-es = F.eigen_system("hermite", {}, ctx, free="0.5")
+es = O.build_eigen_system("hermite", {}, ctx, free="0.5")
 polys = F.generate("hermite", {}, 6, ctx)
 print("Hermite eigenvalues (eps = 1/2):",
       [mp.nstr(es.eigenvalue(n), 5) for n in range(7)])

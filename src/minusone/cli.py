@@ -3,8 +3,8 @@
 Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 inconclusive results only (ambiguous reductions, non-converged
 quadrature, or a numerical dead end inside a check, which ends that check
-alone); 3 usage errors (an unknown family, edge or check, or bad
---params), with no report.  MINUS_ONE_DIGITS overrides the default
+alone); 3 usage errors (an unknown family, edge or check, bad --params
+or a negative --n), with no report.  MINUS_ONE_DIGITS overrides the default
 precision; an explicit --digits flag wins over the environment.
 """
 
@@ -63,7 +63,6 @@ def _build_parser():
                     help="subset of {%s} / {%s}" % (",".join(FAMILY_CHECKS), ",".join(EDGE_CHECKS)))
     sp.add_argument("--params", default="", help="override fixture parameters (family scope)")
     sp.add_argument("--digits", type=int, default=None)
-    sp.add_argument("--nmax", type=int, default=None, help="degree cap override")
     sp.add_argument("--format", choices=("human", "json"), default="human")
     sp.add_argument("--output", default=None)
     sp.add_argument("--no-timestamp", action="store_true")
@@ -111,8 +110,28 @@ def _num_str(ctx, value, digits=None):
     return mp.nstr(v, d)
 
 
+def _catalog_description():
+    """Machine-readable description of every catalog entry."""
+    out = []
+    for fid, info in sorted(families.REGISTRY.items()):
+        out.append({
+            "id": info.id,
+            "name": info.name,
+            "parameters": list(info.params),
+            "kind": info.kind,
+            "row": info.row,
+            "admissible": info.admissible,
+            "anchor": info.anchor,
+            "external": info.external,
+            "has_weight": fid in families.WEIGHTS,
+            "has_eigen_system": fid in operators._BUILDERS,
+            "symmetric": info.symmetric,
+        })
+    return out
+
+
 def cmd_list(args):
-    entries = families.catalog_description()
+    entries = _catalog_description()
     if args.scheme_only:
         entries = [e for e in entries if e["kind"] in ("scheme", "quasi")]
     if args.format == "json":
@@ -130,6 +149,8 @@ def cmd_tabulate(args):
     ctx = _pick_digits(args)
     mp = ctx.mp
     try:
+        if args.n < 0:
+            raise ParameterError("--n must be >= 0, got %d" % args.n)
         fid = families.resolve_family(args.family)
         params = _parse_params(args.params, fid, ctx)
         pairs = families.recurrences(fid, params, args.n, ctx)
@@ -169,10 +190,10 @@ def _guarded(id, check, anchor, run, *args):
         return _result(id, check, "inconclusive", anchor=anchor, notes=str(exc))
 
 
-def _closed_form_result(fid, info, params, ctx, nmax):
+def _closed_form_result(fid, info, params, ctx):
     mp = ctx.mp
     try:
-        N = nmax if nmax is not None else 12
+        N = 12
         polys = families.generate(fid, params, N, ctx)
         worst = mp.mpf(0)
         for n in range(N + 1):
@@ -186,12 +207,12 @@ def _closed_form_result(fid, info, params, ctx, nmax):
                    float(worst), float(tol), info.anchor)
 
 
-def _orthogonality_result(fid, info, params, ctx, nmax):
-    if not info.has_weight:
+def _orthogonality_result(fid, info, params, ctx):
+    try:
+        rep = orthogonality.gram(fid, params, 8, ctx)
+    except families.NoWeightError:
         return _result(fid, "orthogonality", "pass", anchor=info.anchor,
                        notes="no continuous measure on record (skipped)")
-    N = nmax if nmax is not None else 8
-    rep = orthogonality.gram(fid, params, N, ctx)
     off_tol = 10.0 ** -(ctx.digits / 2)
     diag_tol = 10.0 ** -(ctx.digits / 2 - 8)
     ok = rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol
@@ -206,16 +227,17 @@ def _orthogonality_result(fid, info, params, ctx, nmax):
                        rep["working_digits"]))
 
 
-def _eigen_result(fid, info, params, ctx, nmax):
-    if not info.has_eigen:
+def _eigen_result(fid, info, params, ctx):
+    try:
+        rep = operators.eigen_check(fid, params, 10, ctx)
+    except families.NoEigenSystemError:
         return _result(fid, "eigen", "pass", anchor=info.anchor,
                        notes="no eigenvalue equation on record (skipped)")
-    rep = operators.eigen_check(fid, params, nmax if nmax is not None else 10, ctx)
     return _result(fid, "eigen", rep["status"], rep["residual"], rep["tolerance"],
                    info.anchor, rep["notes"])
 
 
-def _favard_result(fid, info, params, ctx, nmax):
+def _favard_result(fid, info, params, ctx):
     if info.kind == "quasi":
         rep_bad = families.positivity_conditions_ccbi(
             {**params, "b2": ctx.mp.mpf(1)}, ctx, N=5)
@@ -226,7 +248,7 @@ def _favard_result(fid, info, params, ctx, nmax):
                        anchor=info.anchor,
                        notes="b2 != 0 breaks reality, b2 = 0 reduces to the "
                              "generalized symmetric family")
-    N = nmax if nmax is not None else 200
+    N = 200
     rep = orthogonality.favard_scan(fid, params, N, ctx)
     return _result(fid, "favard", "pass" if rep["pass"] else "fail",
                    None, None, info.anchor,
@@ -238,28 +260,28 @@ _FAMILY_RUNNERS = {"closed-form": _closed_form_result, "orthogonality": _orthogo
 FAMILY_CHECKS = tuple(_FAMILY_RUNNERS)
 
 
-def _family_results(fid, params, ctx, checks, nmax=None):
+def _family_results(fid, params, ctx, checks):
     info = families.family_info(fid)
-    return [_guarded(fid, check, info.anchor, run, fid, info, params, ctx, nmax)
+    return [_guarded(fid, check, info.anchor, run, fid, info, params, ctx)
             for check, run in _FAMILY_RUNNERS.items() if check in checks]
 
 
-def _exact_result(edge, ctx, nmax):
-    rep = scheme.verify_exact(edge, nmax if nmax is not None else 10, ctx)
+def _exact_result(edge, ctx):
+    rep = scheme.verify_exact(edge, 10, ctx)
     return _result(edge.id, "exact", rep["status"], rep["max_error"],
                    rep["tolerance"], edge.anchor, edge.label)
 
 
-def _limit_result(edge, ctx, nmax):
-    rep = scheme.verify_limit(edge, nmax if nmax is not None else 6, ctx)
+def _limit_result(edge, ctx):
+    rep = scheme.verify_limit(edge, 6, ctx)
     notes = "order %.2f, ladder errors %s" % (
         rep["order_poly"] or -1, ", ".join("%.1e" % e for e in rep["errors"]))
     return _result(edge.id, "limit", rep["status"],
                    rep["extrapolated_error"], 1e-8, edge.anchor, notes)
 
 
-def _ct_gt_result(edge, ctx, nmax):
-    rep = scheme.verify_ct_gt(edge, nmax if nmax is not None else 10, ctx)
+def _ct_gt_result(edge, ctx):
+    rep = scheme.verify_ct_gt(edge, 10, ctx)
     worst = max(rep["christoffel_error"], rep["geronimus_error"], rep["round_trip_error"])
     return _result(edge.id, "ct-gt", rep["status"], worst,
                    rep["tolerance"], edge.anchor, edge.label)
@@ -271,18 +293,18 @@ _EDGE_RUNNERS = {"specialization": ("exact", _exact_result), "limit": ("limit", 
                  "q-limit": ("limit", _limit_result), "christoffel": ("ct-gt", _ct_gt_result)}
 
 
-def _edge_results(edge, ctx, checks, nmax=None):
+def _edge_results(edge, ctx, checks):
     check, run = _EDGE_RUNNERS.get(edge.kind, (None, None))
     if check not in checks:
         return []
-    return [_guarded(edge.id, check, edge.anchor, run, edge, ctx, nmax)]
+    return [_guarded(edge.id, check, edge.anchor, run, edge, ctx)]
 
 
 def _square_result(which, ctx):
     rep = scheme.verify_commuting_square(which, ctx)
     return _result("commuting-square:%s" % which, "square", rep["status"],
                    rep["exact_leg_error"], float(ctx.tol(10)), "fig.1",
-                   "orders %.2f / %.2f" % (rep["order_path_a"], rep["order_path_b"]))
+                   "orders %.2f / %.2f" % (rep["order_path_a"] or -1, rep["order_path_b"] or -1))
 
 
 def _kernel_map_result(ctx):
@@ -325,9 +347,9 @@ def cmd_verify(args):
 
     results = []
     for fid, params in points:
-        results.extend(_family_results(fid, params, ctx, checks, args.nmax))
+        results.extend(_family_results(fid, params, ctx, checks))
     for edge in edges:
-        results.extend(_edge_results(edge, ctx, checks, args.nmax))
+        results.extend(_edge_results(edge, ctx, checks))
     if args.all:
         if "square" in checks:
             for which in ("little", "gegenbauer"):

@@ -1,13 +1,18 @@
 """The family catalog: one entry per continuous -1 family, plus the q-aux
 families driving the q -> -1 edges and the Wilson-type helpers.
 
-Public operations: ``recurrences``, ``generate`` (and ``polys_from_pairs``
-for a caller that holds the pairs), ``closed_form``,
-``weight_spec``, ``norms``, ``eigen_system``, ``positivity_conditions_ccbi``,
-with ``fixture_points`` supplying the reference parameter sets the
-verification suites run at.  A family's coefficients are one sequence per
-(family, parameters, N): ``recurrences`` and ``norms`` return degrees
-0..N from one call, and ``recurrence`` and ``norm`` are their entry n.
+Public operations: ``resolve_family``, ``family_info`` and the id lists,
+``make_params``, ``recurrences`` (and its entry ``recurrence``),
+``generate`` (and ``polys_from_pairs`` for a caller that holds the pairs),
+``closed_form``, ``weight_spec``, ``norms`` (and its entry ``norm``) and
+``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
+reference parameter sets the verification suites run at.  A family has a
+closed form, a weight or norms when its table entry exists.  Eigen systems
+belong to the Dunkl operator layer, which imports this package; this
+package imports nothing above it.  A family's coefficients are one
+sequence per (family, parameters, N): ``recurrences`` and ``norms`` return
+degrees 0..N from one call, and ``recurrence`` and ``norm`` are their entry
+n.
 
 How a recurrence sequence function (params, N, ctx) is written: it parses
 its parameters once; it forms each subexpression that does not involve n
@@ -25,7 +30,6 @@ from __future__ import annotations
 from ..precision import PrecisionContext, ZeroDenominatorError
 from ..polynomials import Poly, ReductionAmbiguityError
 from .base import (
-    EigenSystem,
     FamilyInfo,
     InadmissibleParameterError,
     NoClosedFormError,
@@ -39,7 +43,6 @@ from .base import (
     get_param,
 )
 from .catalog import ALIASES, CLOSED_FORMS, RECURRENCES, REGISTRY
-from . import qaux
 from .qaux import Q_CLOSED_FORMS, Q_RECURRENCES
 from .fixtures import FIXTURES
 from .weights import NORMS, WEIGHTS
@@ -91,9 +94,6 @@ def make_params(family: str, ctx: PrecisionContext, **values):
                 raise ParameterError("parameter %r of %s is not a real number: %r"
                                      % (name, info.id, v)) from None
         params[name] = v
-    for extra in ("bn_sign",):
-        if extra in values:
-            params[extra] = values.pop(extra)
     if values:
         raise ParameterError("unknown parameters for %s: %s" % (info.id, sorted(values)))
     return params
@@ -192,22 +192,6 @@ def norm(family: str, params: dict, n: int, ctx: PrecisionContext):
     return norms(family, params, n, ctx)[n]
 
 
-def eigen_system(family: str, params: dict, ctx: PrecisionContext, free=None) -> EigenSystem:
-    """The family's Dunkl eigenoperator and eigenvalue map.
-
-    ``free`` binds the free parameter (sigma or epsilon) of the second-order
-    families; default 1/2.  Families without a printed eigenvalue equation
-    (the quasi-orthogonal CCBI, the q-aux families and the helpers) raise
-    :class:`NoEigenSystemError`.
-    """
-    from ..operators import build_eigen_system
-
-    fid = resolve_family(family)
-    if not REGISTRY[fid].has_eigen:
-        raise NoEigenSystemError("no eigenvalue equation on record for %s" % fid)
-    return build_eigen_system(fid, params, ctx, free=free)
-
-
 def positivity_conditions_ccbi(params: dict, ctx: PrecisionContext, N: int = 8):
     """Evaluate the three reality conditions of the CCBI classification.
 
@@ -265,24 +249,3 @@ def positivity_conditions_ccbi(params: dict, ctx: PrecisionContext, N: int = 8):
         "first_nonreal_n": first_nonreal,
         "all_hold": bool(cond1 and cond2 and cond3),
     }
-
-
-def catalog_description():
-    """Machine-readable description of every catalog entry."""
-    out = []
-    for fid in sorted(REGISTRY):
-        info = REGISTRY[fid]
-        out.append({
-            "id": info.id,
-            "name": info.name,
-            "parameters": list(info.params),
-            "kind": info.kind,
-            "row": info.row,
-            "admissible": info.admissible,
-            "anchor": info.anchor,
-            "external": info.external,
-            "has_weight": info.has_weight,
-            "has_eigen_system": info.has_eigen,
-            "symmetric": info.symmetric,
-        })
-    return out

@@ -42,8 +42,6 @@ class FamilyInfo:
     admissible: str           # human-readable admissibility clause
     anchor: str               # source anchor for the formulas, e.g. "A.3"
     external: bool = False    # data sourced from the standard hypergeometric catalog
-    has_weight: bool = True
-    has_eigen: bool = True
     symmetric: bool = False   # b_n identically zero
 
 
@@ -69,20 +67,9 @@ class WeightSpec:
     density: Callable                # (x, lo_off=None, hi_off=None); includes any sign factor;
                                      # nonnegative on the support (module ``weights``)
     measure_prefactor: object = 1    # multiplies the raw integral in the printed inner product
-    notes: str = ""
 
     def total_support(self):
         return [(c.lo, c.hi) for c in self.components]
-
-
-@dataclass
-class EigenSystem:
-    family: str
-    operator: object                 # DunklOperator
-    eigenvalue: Callable             # n -> lambda_n (free parameter already bound)
-    free_name: str | None = None     # "sigma" / "epsilon" when the eigenvalue carries one
-    free_value: object = None
-    notes: str = ""
 
 
 def get_param(params: dict, name: str, ctx: PrecisionContext, default=None):

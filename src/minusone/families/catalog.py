@@ -25,8 +25,6 @@ from .base import (
     require_nonzero,
 )
 
-INF = float("inf")
-
 
 # ----------------------------------------------------------------------
 # registry
@@ -101,7 +99,7 @@ _register(FamilyInfo(
     id="continuous-complementary-bannai-ito", name="Continuous complementary Bannai-Ito",
     params=("a1", "b1", "a2", "b2"), kind="quasi", row=4,
     admissible="not orthogonal for b2 != 0; recurrence defined away from denominator zeros",
-    anchor="ss5", has_weight=False, has_eigen=False))
+    anchor="ss5"))
 
 ALIASES = {
     "cbi": "continuous-bannai-ito",

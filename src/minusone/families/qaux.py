@@ -1,5 +1,6 @@
 """Auxiliary q-families feeding the q -> -1 limit edges, plus the Wilson and
-continuous dual Hahn helpers used by the Bannai-Ito-type closed forms.
+continuous dual Hahn helpers (recurrence and closed form of each, from the
+standard catalog).
 
 The dilated little q-Jacobi, continuous q-Hahn (specialized a=c, b=d, with
 the variable already rescaled) and q-Meixner-Pollaczek recurrences follow
@@ -24,33 +25,27 @@ from .catalog import REGISTRY, _register
 _register(FamilyInfo(
     id="little-q-jacobi-dilated", name="Dilated little q-Jacobi",
     params=("a", "b", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2",
-    has_weight=False, has_eigen=False))
+    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2"))
 _register(FamilyInfo(
     id="big-q-jacobi", name="Big q-Jacobi",
     params=("a", "b", "c", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2",
-    external=True, has_weight=False, has_eigen=False))
+    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2", external=True))
 _register(FamilyInfo(
     id="continuous-q-hahn", name="Continuous q-Hahn (a=c, b=d, rescaled)",
     params=("a", "b", "phi", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss3.2",
-    has_weight=False, has_eigen=False))
+    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss3.2"))
 _register(FamilyInfo(
     id="q-meixner-pollaczek", name="q-Meixner-Pollaczek",
     params=("a", "phi", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss4",
-    has_weight=False, has_eigen=False))
+    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss4"))
 _register(FamilyInfo(
     id="wilson", name="Wilson (monic, variable x^2)",
     params=("a", "b", "c", "d"), kind="helper", row=None,
-    admissible="standard catalog conditions", anchor="external",
-    external=True, has_weight=False, has_eigen=False))
+    admissible="standard catalog conditions", anchor="external", external=True))
 _register(FamilyInfo(
     id="continuous-dual-hahn", name="Continuous dual Hahn (monic, variable x^2)",
     params=("a", "b", "c"), kind="helper", row=None,
-    admissible="standard catalog conditions", anchor="external",
-    external=True, has_weight=False, has_eigen=False))
+    admissible="standard catalog conditions", anchor="external", external=True))
 
 
 def _q_powers(q, lo, hi):

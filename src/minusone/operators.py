@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
+from . import families
+from .families import NoEigenSystemError, get_param
 from .precision import PrecisionContext
 from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
                           divmod_poly, remainder_class)
-from .families.base import EigenSystem, NoEigenSystemError, get_param
-
-SYMBOLS = ("I", "R", "S+", "S-", "S+R", "S-R", "dx", "dxR", "dx2")
 
 # composition readings
 SHIFT_AFTER_REFLECT = "shift-after-reflect"    # (S+R f)(x) = f(-x-i)
@@ -101,6 +101,15 @@ class DunklOperator:
         if symbol == "dx2":
             return p.differentiate().differentiate()
         raise ValueError("unknown symbol %r" % symbol)
+
+
+@dataclass
+class EigenSystem:
+    family: str
+    operator: DunklOperator
+    eigenvalue: Callable             # n -> lambda_n (free parameter already bound)
+    free_name: str | None = None     # "sigma" / "epsilon" when the eigenvalue carries one
+    free_value: object = None
 
 
 def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
@@ -508,11 +517,9 @@ def _resolve_variant(fid, ctx, params=None):
     n = 1..3, at free = 1/2 and at ``params`` (the first fixture point when
     omitted); every combination of the family's reading axes is a candidate.
     """
-    from . import families as F
-
     if params is None:
-        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
-    polys = F.generate(fid, params, 3, ctx)
+        params = families.make_params(fid, ctx, **families.fixture_points(fid)[0])
+    polys = families.generate(fid, params, 3, ctx)
     axes = list(RESOLVED_READINGS[fid])
     outcomes = []
     for values in product(*(READING_AXES[axis] for axis in axes)):
@@ -536,17 +543,23 @@ def resolve_composition_convention(family, params, ctx: PrecisionContext):
     Returns a report listing each candidate and whether it satisfies the
     eigen equation; the catalog operator is fixed to the passing one.
     """
-    from . import families as F
-
-    fid = F.resolve_family(family)
+    fid = families.resolve_family(family)
     if fid not in SHIFT_REFLECT_FAMILIES:
         raise ValueError("composition resolution applies to the S+R families, not %s" % fid)
     res = _resolve_variant(fid, ctx, params)
     return {"family": fid, "outcomes": res["outcomes"], "chosen": res["variant"]}
 
 
-def build_eigen_system(fid, params, ctx: PrecisionContext, free=None) -> EigenSystem:
+def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> EigenSystem:
+    """The family's Dunkl eigenoperator, in its resolved reading, and eigenvalue map.
+
+    ``free`` binds the free parameter (sigma or epsilon) of the second-order
+    families; default 1/2.  A family with no builder (the quasi-orthogonal
+    CCBI, the q-aux families and the helpers) raises
+    :class:`NoEigenSystemError`.
+    """
     mp = ctx.mp
+    fid = families.resolve_family(family)
     if fid not in _BUILDERS:
         raise NoEigenSystemError("no eigenvalue equation on record for %s" % fid)
     free_name = FREE_NAMES[fid]
@@ -554,23 +567,16 @@ def build_eigen_system(fid, params, ctx: PrecisionContext, free=None) -> EigenSy
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    reading = RESOLVED_READINGS[fid]
-    op, lam = _operator_for_variant(fid, params, free, reading, ctx)
-    notes = ""
-    if reading:
-        notes = "resolved reading: %s" % (reading,)
+    op, lam = _operator_for_variant(fid, params, free, RESOLVED_READINGS[fid], ctx)
     return EigenSystem(family=fid, operator=op, eigenvalue=lam,
-                       free_name=free_name, free_value=free if free_name else None,
-                       notes=notes)
+                       free_name=free_name, free_value=free if free_name else None)
 
 
 def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
     """Check L P_n = lambda_n P_n as an exact identity; returns a report dict."""
-    from . import families as F
-
-    fid = F.resolve_family(family)
+    fid = families.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
-    polys = F.generate(fid, params, n, ctx)
+    polys = families.generate(fid, params, n, ctx)
     [(_, _, res, status)] = _eigen_degrees(es.operator, es.eigenvalue, polys, [n], ctx)
     return {
         "family": fid,
@@ -618,11 +624,9 @@ def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
 
     A dead end at some P_n raises its error (:data:`_NOT_POLYNOMIAL`).
     """
-    from . import families as F
-
-    fid = F.resolve_family(family)
+    fid = families.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
-    basis = F.generate(fid, params, N, ctx)
+    basis = families.generate(fid, params, N, ctx)
     images = []
     for n, image, _, status in _eigen_degrees(es.operator, es.eigenvalue, basis, range(N + 1), ctx):
         if image is None:
@@ -640,16 +644,17 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     that the matrix of L (free = 1/2) in the basis P_0..P_8 is diagonal with
     the printed eigenvalues.  A dead end at any degree used ends the check
     with its status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.
+    A family with no eigen system raises :class:`NoEigenSystemError` before
+    any polynomial is built.
     """
-    from . import families as F
-
-    fid = F.resolve_family(family)
+    fid = families.resolve_family(family)
     top = max(N, DIAGONALITY_N)
-    polys = F.generate(fid, params, top, ctx)
+    runs = [(build_eigen_system(fid, params, ctx, free=free), free, last)
+            for free, last in (("0.5", top), ("2", N))]
+    polys = families.generate(fid, params, top, ctx)
     report = {"family": fid, "status": "pass", "residual": 0.0, "tolerance": float(ctx.tol(10)),
               "notes": "n <= %d at two free-parameter values; basis matrix diagonal" % N}
-    for free, last in (("0.5", top), ("2", N)):
-        es = build_eigen_system(fid, params, ctx, free=free)
+    for es, free, last in runs:
         images = []
         for n, image, res, status in _eigen_degrees(es.operator, es.eigenvalue, polys,
                                                     range(last + 1), ctx):

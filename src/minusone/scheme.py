@@ -16,11 +16,14 @@ extrapolated error enters the pass/fail bound only.  Ladders run at
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import families
+from .families import NoEigenSystemError
+from .operators import SHIFT_REFLECT_FAMILIES, _resolve_variant
 from .polynomials import Poly, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
@@ -31,7 +34,7 @@ from .precision import PrecisionContext
 _Variants = namedtuple("_Variants", "check readings resolution")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SchemeEdge:
     """One connection of the scheme, with the parameter map that tests it.
 
@@ -317,10 +320,10 @@ def resolve_edge(selector: str) -> SchemeEdge:
     return EDGES[key]
 
 
-def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None, variant=None, fixture=None):
-    """``edge.params`` at the edge fixture, or at ``fixture`` when given."""
+def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None, variant=None):
+    """``edge.params`` at the edge fixture."""
     mp = ctx.mp
-    f = {k: mp.mpf(v) for k, v in (edge.fixture if fixture is None else fixture)}
+    f = {k: mp.mpf(v) for k, v in edge.fixture}
     return edge.params(f, h, mp, variant)
 
 
@@ -458,16 +461,15 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
 # Christoffel / Geronimus
 
 
-def christoffel(family, params, N, ctx: PrecisionContext, kernel_point=1):
-    """Kernel sequence G_n = (P_{n+1} - A_n P_n)/(x - x0); exact division required."""
+def christoffel(family, params, N, ctx: PrecisionContext):
+    """Kernel sequence G_n = (P_{n+1} - A_n P_n)/(x - 1); exact division required."""
     fid = families.resolve_family(family)
     pairs = families.recurrences(fid, params, N, ctx)
     if pairs[0].A is None:
         raise families.ParameterError("family %s has no printed (A_n, C_n) decomposition" % fid)
     polys = families.polys_from_pairs(pairs, ctx)
     mp = ctx.mp
-    x0 = mp.mpf(kernel_point)
-    den = Poly((-x0, mp.mpf(1)))
+    den = Poly((-mp.mpf(1), mp.mpf(1)))
     return [divide_exact(polys[n + 1] - polys[n].scale(pair.A), den, ctx)
             for n, pair in enumerate(pairs)]
 
@@ -509,22 +511,22 @@ def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
     }
 
 
-def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20, N=12, seed=20240601):
+def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20):
     """The A_n -> C_{n+1}, C_n -> A_n restatement of the Christoffel transform.
 
     Applied to little -1 Jacobi data it must reproduce the generalized
-    Gegenbauer recurrence: 1 - C_{n+1} - A_n = 0 and C_n A_n = sigma_n of
-    the kernel partner, at random admissible parameter points.
+    Gegenbauer recurrence for n <= 12: 1 - C_{n+1} - A_n = 0 and
+    C_n A_n = sigma_n of the kernel partner, at ``trials`` random admissible
+    parameter points drawn from a fixed seed.
     """
-    import random
-
     mp = ctx.mp
+    N = 12
     edge = EDGES["little-minus1-jacobi:generalized-gegenbauer"]
-    rng = random.Random(seed)
+    rng = random.Random(20240601)
     worst = mp.mpf(0)
     for _ in range(trials):
         point = (("alpha", repr(rng.uniform(0.1, 3.0))), ("beta", repr(rng.uniform(0.1, 3.0))))
-        src, tgt = _mapdata(edge, ctx, fixture=point)[:2]
+        src, tgt = _mapdata(dataclasses.replace(edge, fixture=point), ctx)[:2]
         source = families.recurrences(edge.source, src, N + 1, ctx)
         for n, gg in enumerate(families.recurrences(edge.target, tgt, N, ctx)):
             pn, pn1 = source[n], source[n + 1]
@@ -553,48 +555,35 @@ _SQUARES = {
                    ("little-q-jacobi-dilated:generalized-gegenbauer", _fx(alpha="1", beta="2"))),
 }
 
+# degrees compared on the square and open-question ladders (the CLI limit check's N)
+_LADDER_N = 6
 
-def verify_commuting_square(which, ctx: PrecisionContext, N=6, ladder=None):
+
+def verify_commuting_square(which, ctx: PrecisionContext):
     """The two q -> -1 paths of the big q-Jacobi square agree.
 
     ``which`` is "little" (big/little -1 Jacobi square) or "gegenbauer"
-    (Chihara/generalized Gegenbauer square).  At every ladder point the
-    c -> 0 leg is exact: big q-Jacobi at c = 0 equals the dilated little
-    q-Jacobi with swapped parameters; both paths must then converge to the
-    same -1 family with order >= 1.  Both legs have scale s = 1 at c = 0.
+    (Chihara/generalized Gegenbauer square).  Each path is its q-limit edge
+    at the square's fixture, checked by :func:`verify_limit`; the c -> 0
+    leg is exact at every ladder point of ``ctx``: big q-Jacobi at c = 0
+    equals the dilated little q-Jacobi with swapped parameters.  Both legs
+    have scale s = 1 at c = 0.
     """
-    mp = ctx.mp
-    if ladder is None:
-        ladder = default_ladder("eps->0", ctx)
-    (big_id, big_fx), (little_id, little_fx) = _SQUARES[which]
-    big, little = EDGES[big_id], EDGES[little_id]
-
-    target_params = _mapdata(little, ctx, ladder[0], fixture=little_fx)[1]
-    target = families.generate(little.target, target_params, N, ctx)
-    leg_err = mp.mpf(0)
-    errs_a, errs_b = [], []
-    for eps in ladder:
-        pa = families.generate(big.source, _mapdata(big, ctx, eps, fixture=big_fx)[0], N, ctx)
-        pb = families.generate(little.source, _mapdata(little, ctx, eps, fixture=little_fx)[0],
-                               N, ctx)
-        leg_err = max(leg_err, _compare_sets(pa, pb))
-        errs_a.append(_compare_sets(pa, target))
-        errs_b.append(_compare_sets(pb, target))
-
-    def order(seq):
-        return float(mp.log(seq[-2] / seq[-1]) / mp.log(10)) if seq[-1] > 0 else None
-
-    ok = (leg_err <= ctx.tol(10)
-          and all(errs_a[k + 1] < errs_a[k] for k in range(len(errs_a) - 1))
-          and order(errs_a) is not None and order(errs_a) >= 0.9
-          and order(errs_b) is not None and order(errs_b) >= 0.9)
+    N = _LADDER_N
+    path_a, path_b = [dataclasses.replace(EDGES[edge_id], fixture=fx)
+                      for edge_id, fx in _SQUARES[which]]
+    leg_err = max(_compare_sets(*[families.generate(e.source, _mapdata(e, ctx, eps)[0], N, ctx)
+                                  for e in (path_a, path_b)])
+                  for eps in default_ladder("eps->0", ctx))
+    rep_a, rep_b = verify_limit(path_a, N, ctx), verify_limit(path_b, N, ctx)
+    ok = leg_err <= ctx.tol(10) and rep_a["status"] == rep_b["status"] == "pass"
     return {
         "square": which, "N": N,
         "exact_leg_error": float(leg_err),
-        "path_errors_via_minus1": [float(e) for e in errs_a],
-        "path_errors_via_little_q": [float(e) for e in errs_b],
-        "order_path_a": order(errs_a),
-        "order_path_b": order(errs_b),
+        "path_errors_via_minus1": rep_a["errors"],
+        "path_errors_via_little_q": rep_b["errors"],
+        "order_path_a": rep_a["order_poly"],
+        "order_path_b": rep_b["order_poly"],
         "status": "pass" if ok else "fail",
     }
 
@@ -603,7 +592,7 @@ def verify_commuting_square(which, ctx: PrecisionContext, N=6, ladder=None):
 # open questions resolved numerically
 
 
-def resolve_open_questions(ctx: PrecisionContext, N=6):
+def resolve_open_questions(ctx: PrecisionContext):
     """Resolve the printed-variant ambiguities; one report entry per question.
 
     Each entry fails only when no printed variant verifies; otherwise the
@@ -611,9 +600,6 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
     dead end (``families.DEAD_ENDS``) inside one question makes that entry
     inconclusive, with the message as its notes.
     """
-    from .families.base import NoEigenSystemError
-    from .operators import _resolve_variant, SHIFT_REFLECT_FAMILIES
-
     results = []
 
     # printed variants of an edge map, told apart by the edge's ladder
@@ -622,7 +608,7 @@ def resolve_open_questions(ctx: PrecisionContext, N=6):
             continue
         entry = {"id": edge.id, "check": edge.variants.check, "residual": None}
         try:
-            outcomes = {label: verify_limit(edge, N, ctx, variant=variant)
+            outcomes = {label: verify_limit(edge, _LADDER_N, ctx, variant=variant)
                         for label, variant in edge.variants.readings}
         except families.DEAD_ENDS as exc:
             results.append({**entry, "status": "inconclusive", "notes": str(exc)})
@@ -681,13 +667,13 @@ _EDGE_STYLE = {
 }
 
 
-def export_graph(fmt="dot", include_aux=False, verified=None):
+def export_graph(fmt="dot", include_aux=False):
     """Emit the scheme graph.
 
     DOT: the 15 scheme nodes (the quasi-orthogonal CCBI dashed) arranged by
     parameter-count row, with edge styles by kind; q-limit edges appear only
     with ``include_aux``.  JSON: every catalog edge with kind, anchor, label
-    and (optionally) verified status.
+    and direction.
     """
     scheme_nodes = [fid for row in sorted(_ROWS, reverse=True) for fid in _ROWS[row]]
     if fmt == "json":
@@ -699,7 +685,6 @@ def export_graph(fmt="dot", include_aux=False, verified=None):
             "edges": [{
                 "source": e.source, "target": e.target, "kind": e.kind,
                 "anchor": e.anchor, "label": e.label, "direction": e.direction,
-                **({"verified": verified.get(e.id)} if verified else {}),
             } for e in edge_catalog()],
         }
         return json.dumps(payload, indent=2, sort_keys=True)

@@ -128,6 +128,38 @@ def test_unparsable_params_are_a_usage_error(capsys):
         assert "'alpha'" in err and "'abc'" in err, err
 
 
+@pytest.mark.parametrize("table, check, note", [
+    ("weights", "orthogonality", "no continuous measure on record (skipped)"),
+    ("builders", "eigen", "no eigenvalue equation on record (skipped)"),
+])
+def test_missing_table_entry_is_a_skipped_check(capsys, monkeypatch, table, check, note):
+    # whether a family has a weight or an eigen equation is its table entry:
+    # without one the check reports one skipped pass, not a traceback
+    from minusone import families, operators
+
+    tables = {"weights": families.WEIGHTS, "builders": operators._BUILDERS}
+    monkeypatch.delitem(tables[table], "hermite")
+    code, out = run(capsys, "verify", "--family", "hermite", "--checks", check,
+                    "--digits", "15", "--format", "json", "--no-timestamp")
+    results = json.loads(out)["results"]
+    assert code == cli.EXIT_PASS
+    assert [(r["check"], r["status"], r["notes"]) for r in results] == [(check, "pass", note)]
+    entry = next(e for e in cli._catalog_description() if e["id"] == "hermite")
+    assert not entry["has_weight" if table == "weights" else "has_eigen_system"]
+
+
+def test_removed_and_out_of_range_arguments_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "hermite", "--nmax", "3"])
+    assert exc.value.code == cli.EXIT_USAGE
+    for argv, named in ((["tabulate", "--family", "hermite", "--n", "-1"], "--n"),
+                        (["tabulate", "--family", "hermite", "--params", "bn_sign=plus"],
+                         "bn_sign")):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err, captured
+
+
 def test_verification_failure_exit_code(capsys):
     # outside the admissible region the Favard scan legitimately fails
     code, out = run(capsys, "verify", "--family", "gen-gegenbauer",

@@ -8,6 +8,7 @@ from minusone.polynomials import Poly, poly_rel_distance
 from test_polynomials import poly_eq
 from minusone import cli
 from minusone import families as F
+from minusone import operators as O
 from minusone import orthogonality as orth
 from minusone import scheme as S
 from minusone.families import (
@@ -420,9 +421,9 @@ def test_ccbi_positivity_classification():
 
 def test_eigen_system_errors():
     with pytest.raises(NoEigenSystemError):
-        F.eigen_system("ccbi", P("ccbi", **F.fixture_points("ccbi")[0]), CTX)
+        O.build_eigen_system("ccbi", P("ccbi", **F.fixture_points("ccbi")[0]), CTX)
     with pytest.raises(NoEigenSystemError):
-        F.eigen_system("wilson", P("wilson", **F.fixture_points("wilson")[0]), CTX)
+        O.build_eigen_system("wilson", P("wilson", **F.fixture_points("wilson")[0]), CTX)
 
 
 def test_helper_families_closed_forms():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from minusone.precision import PrecisionContext
@@ -159,6 +160,13 @@ def test_commuting_squares():
         assert rep["status"] == "pass", rep
         assert rep["exact_leg_error"] <= 1e-40
         assert rep["order_path_a"] >= 0.9 and rep["order_path_b"] >= 0.9
+        # each path is its q-limit edge's own ladder at the square's fixture
+        for (edge_id, fixture), path in zip(S._SQUARES[which], ("a", "b")):
+            edge = dataclasses.replace(S.EDGES[edge_id], fixture=fixture)
+            ladder = S.verify_limit(edge, rep["N"], CTX)
+            errors = rep["path_errors_via_minus1" if path == "a" else "path_errors_via_little_q"]
+            assert errors == ladder["errors"], (which, path)
+            assert rep["order_path_" + path] == ladder["order_poly"], (which, path)
 
 
 def test_open_question_resolutions():
