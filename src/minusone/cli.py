@@ -3,9 +3,10 @@
 Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 inconclusive results only (ambiguous reductions, non-converged
 quadrature, or a numerical dead end inside a check, which ends that check
-alone); 3 usage errors (an unknown family, edge or check, bad --params
-or a negative --n), with no report.  MINUS_ONE_DIGITS overrides the default
-precision; an explicit --digits flag wins over the environment.
+alone); 3 usage errors (an unknown family, edge or check, bad --params,
+a negative --n, --digits below 15 or a MINUS_ONE_DIGITS that is not an
+integer of at least 15), with no report.  MINUS_ONE_DIGITS overrides the
+default precision; an explicit --digits flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -75,11 +76,16 @@ def _build_parser():
 
 
 def _pick_digits(args):
-    if getattr(args, "digits", None) is not None:
-        digits = args.digits
+    """The context of --digits, else of MINUS_ONE_DIGITS, else of 50 digits."""
+    if args.digits is not None:
+        name, digits = "--digits", args.digits
     else:
-        digits = int(os.environ.get("MINUS_ONE_DIGITS", "50"))
-    return PrecisionContext(digits)
+        name, digits = "MINUS_ONE_DIGITS", os.environ.get("MINUS_ONE_DIGITS", "50")
+    try:
+        return PrecisionContext(int(digits))
+    except ValueError:
+        raise ParameterError("%s must be an integer of at least 15, got %r"
+                             % (name, digits)) from None
 
 
 def _parse_params(spec_string, family, ctx):
@@ -146,9 +152,8 @@ def cmd_list(args):
 
 
 def cmd_tabulate(args):
-    ctx = _pick_digits(args)
-    mp = ctx.mp
     try:
+        ctx = _pick_digits(args)
         if args.n < 0:
             raise ParameterError("--n must be >= 0, got %d" % args.n)
         fid = families.resolve_family(args.family)
@@ -314,12 +319,12 @@ def _kernel_map_result(ctx):
 
 
 def cmd_verify(args):
-    ctx = _pick_digits(args)
-    config = {"digits": ctx.digits}
     scope_checks = (FAMILY_CHECKS if args.family else EDGE_CHECKS if args.edge
                     else FAMILY_CHECKS + EDGE_CHECKS)
     checks = args.checks.split(",") if args.checks else list(scope_checks)
     try:
+        ctx = _pick_digits(args)
+        config = {"digits": ctx.digits}
         for c in checks:
             if c not in scope_checks:
                 raise UnknownFamilyError("unknown check %r" % c)

@@ -7,7 +7,8 @@ Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``closed_form``, ``weight_spec``, ``norms`` (and its entry ``norm``) and
 ``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
 reference parameter sets the verification suites run at.  A family has a
-closed form, a weight or norms when its table entry exists.  Eigen systems
+closed form or a measure when its table entry exists; a measure is one
+``WEIGHTS`` entry, the weight with its printed norms.  Eigen systems
 belong to the Dunkl operator layer, which imports this package; this
 package imports nothing above it.  A family's coefficients are one
 sequence per (family, parameters, N): ``recurrences`` and ``norms`` return
@@ -45,7 +46,7 @@ from .base import (
 from .catalog import ALIASES, CLOSED_FORMS, RECURRENCES, REGISTRY
 from .qaux import Q_CLOSED_FORMS, Q_RECURRENCES
 from .fixtures import FIXTURES
-from .weights import NORMS, WEIGHTS
+from .weights import WEIGHTS
 
 _ALL_RECURRENCES = {**RECURRENCES, **Q_RECURRENCES}
 _ALL_CLOSED = {**CLOSED_FORMS, **Q_CLOSED_FORMS}
@@ -166,11 +167,15 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     return monic
 
 
-def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
+def _measure(family: str):
     fid = resolve_family(family)
     if fid not in WEIGHTS:
         raise NoWeightError("no continuous orthogonality measure on record for %s" % fid)
-    return WEIGHTS[fid](params, ctx)
+    return WEIGHTS[fid]
+
+
+def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
+    return _measure(family).spec(params, ctx)
 
 
 def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
@@ -180,11 +185,8 @@ def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
     the continuous Bannai-Ito-type norms); entry n is
     ``norm(family, params, n, ctx)``.
     """
-    fid = resolve_family(family)
-    if fid not in NORMS:
-        raise NoWeightError("no printed norm formula for %s" % fid)
     mp = ctx.mp
-    return [mp.re(mp.mpc(value)) for value in NORMS[fid](params, N, ctx)]
+    return [mp.re(mp.mpc(value)) for value in _measure(family).norms(params, N, ctx)]
 
 
 def norm(family: str, params: dict, n: int, ctx: PrecisionContext):

@@ -12,7 +12,7 @@ on both support components.
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext, pochhammer
+from ..precision import pochhammer
 from ..polynomials import Poly, hyp_terminating_poly
 from .base import (
     FamilyInfo,

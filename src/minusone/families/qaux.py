@@ -19,7 +19,7 @@ from ..precision import pochhammer
 from ..polynomials import Poly
 from .base import (FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check,
                    get_param, get_params)
-from .catalog import REGISTRY, _register
+from .catalog import _register
 
 
 _register(FamilyInfo(

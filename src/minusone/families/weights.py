@@ -9,20 +9,23 @@ cancellation, and each factor that vanishes at a finite nonzero endpoint
 is built from them (1 - x^2 as (1 + x)(1 - x), x^2 - gamma^2 as
 (|x| - |gamma|)(|x| + |gamma|), one factor an offset).  Called with x
 alone, the reference form the tests hold the offsets to, a density
-computes those factors from x, as printed.  ``NORMS``
-gives the printed right-hand sides h_0 .. h_N of the orthogonality relation
-under the printed inner product, so quadrature results can be compared
-against them directly.  ``measure_prefactor`` records the constant sitting
-inside the printed inner product (1/(4 pi) for the Gamma-weight symmetric
-families, 1 elsewhere).
+computes those factors from x, as printed.  ``WEIGHTS`` holds one measure
+per family, its weight spec with its printed norms: the right-hand sides
+h_0 .. h_N of the orthogonality relation under the printed inner product,
+so quadrature results can be compared against them directly, and a weight
+cannot be on record without them.  ``measure_prefactor`` records the
+constant sitting inside the printed inner product (1/(4 pi) for the
+Gamma-weight symmetric families, 1 elsewhere).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
 from .base import (
     InadmissibleParameterError,
-    NoWeightError,
     SupportComponent,
     WeightSpec,
     _parity,
@@ -362,24 +365,6 @@ def _w_c1h2(params, ctx):
                        get_param(params, "gamma", ctx), -be, "continuous-minus1-hahn-2", "A.5", ctx)
 
 
-WEIGHTS = {
-    "hermite": _w_hermite,
-    "generalized-hermite": _w_generalized_hermite,
-    "minus1-meixner-pollaczek": _w_minus1_mp,
-    "gegenbauer": _w_gegenbauer,
-    "generalized-gegenbauer": _w_generalized_gegenbauer,
-    "chihara": _w_chihara,
-    "little-minus1-jacobi": _w_little_m1j,
-    "special-little-minus1-jacobi": _w_special_lj,
-    "big-minus1-jacobi": _w_big_m1j,
-    "generalized-symmetric-bannai-ito": _w_gsbi,
-    "symmetric-bannai-ito": _w_sbi,
-    "continuous-bannai-ito": _w_cbi,
-    "continuous-minus1-hahn-1": _w_c1h1,
-    "continuous-minus1-hahn-2": _w_c1h2,
-}
-
-
 # ----------------------------------------------------------------------
 # printed squared norms (right-hand sides of the orthogonality relations)
 
@@ -558,20 +543,27 @@ def _each_degree(formula):
     return lambda params, N, ctx: [formula(params, n, ctx) for n in range(N + 1)]
 
 
-# family id -> (params, N, ctx) -> [h_0, ..., h_N]
-NORMS = {
-    "hermite": _each_degree(_norm_hermite),
-    "generalized-hermite": _each_degree(_norm_generalized_hermite),
-    "minus1-meixner-pollaczek": _each_degree(_norm_minus1_mp),
-    "gegenbauer": _each_degree(_norm_gegenbauer),
-    "generalized-gegenbauer": _each_degree(_norm_generalized_gegenbauer),
-    "chihara": _each_degree(_norm_chihara),
-    "little-minus1-jacobi": _each_degree(_norm_little_m1j),
-    "big-minus1-jacobi": _each_degree(_norm_big_m1j),
-    "special-little-minus1-jacobi": _each_degree(_norm_special_lj),
-    "generalized-symmetric-bannai-ito": _each_degree(_norm_gsbi),
-    "symmetric-bannai-ito": _each_degree(_norm_sbi),
-    "continuous-bannai-ito": _norms_cbi,
-    "continuous-minus1-hahn-1": _norms_c1h1,
-    "continuous-minus1-hahn-2": _norms_c1h2,
+@dataclass(frozen=True)
+class _Measure:
+    """A family's measure: its weight and the printed norms under it."""
+    spec: Callable      # (params, ctx) -> WeightSpec
+    norms: Callable     # (params, N, ctx) -> [h_0, ..., h_N]
+
+
+WEIGHTS = {
+    "hermite": _Measure(_w_hermite, _each_degree(_norm_hermite)),
+    "generalized-hermite": _Measure(_w_generalized_hermite, _each_degree(_norm_generalized_hermite)),
+    "minus1-meixner-pollaczek": _Measure(_w_minus1_mp, _each_degree(_norm_minus1_mp)),
+    "gegenbauer": _Measure(_w_gegenbauer, _each_degree(_norm_gegenbauer)),
+    "generalized-gegenbauer": _Measure(_w_generalized_gegenbauer,
+                                       _each_degree(_norm_generalized_gegenbauer)),
+    "chihara": _Measure(_w_chihara, _each_degree(_norm_chihara)),
+    "little-minus1-jacobi": _Measure(_w_little_m1j, _each_degree(_norm_little_m1j)),
+    "special-little-minus1-jacobi": _Measure(_w_special_lj, _each_degree(_norm_special_lj)),
+    "big-minus1-jacobi": _Measure(_w_big_m1j, _each_degree(_norm_big_m1j)),
+    "generalized-symmetric-bannai-ito": _Measure(_w_gsbi, _each_degree(_norm_gsbi)),
+    "symmetric-bannai-ito": _Measure(_w_sbi, _each_degree(_norm_sbi)),
+    "continuous-bannai-ito": _Measure(_w_cbi, _norms_cbi),
+    "continuous-minus1-hahn-1": _Measure(_w_c1h1, _norms_c1h1),
+    "continuous-minus1-hahn-2": _Measure(_w_c1h2, _norms_c1h2),
 }

@@ -32,8 +32,8 @@ Bannai-Ito block the printed A coefficient has a second reading with beta
 and delta doubled.  Each symbol has one meaning: the builder reads
 ``acoeff``, and every other reading is a rewrite of the built term list
 (:data:`_REWRITES`).  The passing reading of each family is catalog data,
-:data:`RESOLVED_READINGS`, whose keys are the axes that
-:func:`_resolve_variant` searches on low degrees; the tests hold the table
+one field of its :data:`_BUILDERS` entry, whose keys are the axes that
+:func:`_resolve_variant` searches on low degrees; the tests hold the entry
 to the search.
 """
 
@@ -63,10 +63,23 @@ def _product(polys):
     return out
 
 
+# symbol -> (p, i) -> the symbol applied to p, i the step of S+/S-
+_SYMBOLS = {
+    "I": lambda p, i: p,
+    "R": lambda p, i: p.reflect(),
+    "S+": lambda p, i: p.shift(i),
+    "S-": lambda p, i: p.shift(-i),
+    "S+R": lambda p, i: p.reflect().shift(i),
+    "S-R": lambda p, i: p.reflect().shift(-i),
+    "dx": lambda p, i: p.differentiate(),
+    "dxR": lambda p, i: p.reflect().differentiate(),
+    "dx2": lambda p, i: p.differentiate().differentiate(),
+}
+
+
 @dataclass
 class DunklOperator:
     terms: list                               # [(RationalFunction, symbol), ...]
-    shift: object                             # step of S+/S- (i throughout)
     den: Poly = field(init=False, repr=False)           # common denominator D
     numerators: list = field(init=False, repr=False)    # N_j = coeff_j * D
 
@@ -79,28 +92,6 @@ class DunklOperator:
         self.numerators = [
             coeff.num * _product(d for d in dens if d.coeffs != coeff.den.coeffs)
             for coeff, _ in self.terms]
-
-    def symbol_apply(self, symbol: str, p: Poly):
-        i = self.shift
-        if symbol == "I":
-            return p
-        if symbol == "R":
-            return p.reflect()
-        if symbol == "S+":
-            return p.shift(i)
-        if symbol == "S-":
-            return p.shift(-i)
-        if symbol == "S+R":
-            return p.reflect().shift(i)
-        if symbol == "S-R":
-            return p.reflect().shift(-i)
-        if symbol == "dx":
-            return p.differentiate()
-        if symbol == "dxR":
-            return p.reflect().differentiate()
-        if symbol == "dx2":
-            return p.differentiate().differentiate()
-        raise ValueError("unknown symbol %r" % symbol)
 
 
 @dataclass
@@ -119,7 +110,8 @@ def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
     a pole survives and 'ambiguous' in between; the remainder is judged
     against the largest summed term.
     """
-    parts = [n * op.symbol_apply(symbol, p) for n, (_, symbol) in zip(op.numerators, op.terms)]
+    i = ctx.mp.mpc(0, 1)
+    parts = [n * _SYMBOLS[symbol](p, i) for n, (_, symbol) in zip(op.numerators, op.terms)]
     num = sum(parts[1:], parts[0])
     quot, rem = divmod_poly(num, op.den, ctx)
     return num, quot, remainder_class(rem, max(part.coeff_norm() for part in parts), ctx)
@@ -151,7 +143,7 @@ def _c(ctx, v):
     return Poly.constant(ctx.mp.mpc(v))
 
 
-def _second_order_terms(S, T, U, V, ctx):
+def _second_order_terms(S, T, U, V):
     """S dx^2 + T dxR + U dx + V [I - R]; T may be None."""
     terms = [(S, "dx2"), (U, "dx"), (V, "I"), (-V, "R")]
     if T is not None:
@@ -166,7 +158,7 @@ def _build_hermite(params, free, variant, ctx):
     U = _rat(Poly((mp.mpc(0), mp.mpc(1, 0) / 2)))
     V = _rat(_c(ctx, eps / 2 - mp.mpf(1) / 4))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
-    return _second_order_terms(S, None, U, V, ctx), lam
+    return _second_order_terms(S, None, U, V), lam
 
 
 def _build_generalized_hermite(params, free, variant, ctx):
@@ -178,7 +170,7 @@ def _build_generalized_hermite(params, free, variant, ctx):
     U = _rat(Poly((mp.mpc(0), mp.mpf(1) / 2))) - _rat(_c(ctx, al / 2), x)
     V = _rat(_c(ctx, al / 4), x * x) + _rat(_c(ctx, eps / 2 - mp.mpf(1) / 4))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
-    return _second_order_terms(S, None, U, V, ctx), lam
+    return _second_order_terms(S, None, U, V), lam
 
 
 def _build_gegenbauer(params, free, variant, ctx):
@@ -190,7 +182,7 @@ def _build_gegenbauer(params, free, variant, ctx):
     U = _rat(Poly((mp.mpc(0), (al + half) / 2)))
     V = _rat(_c(ctx, -(al + half) / 4 + eps / 2))
     lam = lambda n: (lambda m: m * m + al * m if n % 2 == 0 else m * m + (al + 1) * m + eps)(n // 2)
-    return _second_order_terms(S, None, U, V, ctx), lam
+    return _second_order_terms(S, None, U, V), lam
 
 
 def _build_generalized_gegenbauer(params, free, variant, ctx):
@@ -205,7 +197,7 @@ def _build_generalized_gegenbauer(params, free, variant, ctx):
     V = _rat(_c(ctx, -(al + be + 3 * half) / 4 + eps / 2)) + _rat(_c(ctx, (al + half) / 4), x * x)
     lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
                      else m * m + (al + be + 2) * m + eps)(n // 2)
-    return _second_order_terms(S, None, U, V, ctx), lam
+    return _second_order_terms(S, None, U, V), lam
 
 
 def _over_x4(ctx, S, T, U, V):
@@ -239,7 +231,7 @@ def _build_chihara(params, free, variant, ctx):
         (r1 * (x - _c(ctx, 3 * ga / 2))).scale(ga) - s * x2 + ((x - _c(ctx, ga)) * x2 * x).scale(2 * eps))
     lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
                      else m * m + (al + be + 2) * m + eps)(n // 2)
-    return _second_order_terms(S, T, U, V, ctx), lam
+    return _second_order_terms(S, T, U, V), lam
 
 
 def _build_minus1_mp(params, free, variant, ctx):
@@ -261,7 +253,7 @@ def _build_minus1_mp(params, free, variant, ctx):
         Poly((3 * g2 / 2, -ga, al + g2, -2 * eps * ga, 2 * eps - 1)))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
     # the dxR term enters with a printed minus sign
-    return _second_order_terms(S, -T, U, V, ctx), lam
+    return _second_order_terms(S, -T, U, V), lam
 
 
 def _reflection_first_order(F, G):
@@ -402,58 +394,33 @@ def _build_sbi(params, free, variant, ctx):
     return terms, lam
 
 
+@dataclass(frozen=True)
+class _EigenEntry:
+    build: Callable          # (params, free, variant, ctx) -> (terms, n -> lambda_n)
+    free_name: str | None    # the eigenvalue's free parameter (None: the printed one has none)
+    reading: dict            # the reading that satisfies the eigen equation (_resolve_variant)
+
+
+_DXR = {"dxr": OUTER_DIFF}
+_FIRST_ORDER = {"dxr": OUTER_DIFF, "bracket": "IR"}
+_SHIFT_REFLECT = {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"}
+
+# family id -> its eigen system as printed; the tests hold each reading to the search
 _BUILDERS = {
-    "hermite": _build_hermite,
-    "generalized-hermite": _build_generalized_hermite,
-    "gegenbauer": _build_gegenbauer,
-    "generalized-gegenbauer": _build_generalized_gegenbauer,
-    "chihara": _build_chihara,
-    "minus1-meixner-pollaczek": _build_minus1_mp,
-    "big-minus1-jacobi": _build_big_m1j,
-    "little-minus1-jacobi": _build_little_m1j,
-    "special-little-minus1-jacobi": _build_special_lj,
-    "continuous-bannai-ito": _build_cbi,
-    "continuous-minus1-hahn-1": _build_c1h1,
-    "continuous-minus1-hahn-2": _build_c1h2,
-    "generalized-symmetric-bannai-ito": _build_gsbi,
-    "symmetric-bannai-ito": _build_sbi,
-}
-
-# free-parameter names per family (None: the printed eigenvalue has none)
-FREE_NAMES = {
-    "hermite": "epsilon",
-    "generalized-hermite": "epsilon",
-    "gegenbauer": "epsilon",
-    "generalized-gegenbauer": "epsilon",
-    "chihara": "epsilon",
-    "minus1-meixner-pollaczek": "epsilon",
-    "generalized-symmetric-bannai-ito": "sigma",
-    "symmetric-bannai-ito": "sigma",
-    "big-minus1-jacobi": None,
-    "little-minus1-jacobi": None,
-    "special-little-minus1-jacobi": None,
-    "continuous-bannai-ito": None,
-    "continuous-minus1-hahn-1": None,
-    "continuous-minus1-hahn-2": None,
-}
-
-# the reading of the printed operator that satisfies the eigen equation,
-# as found by _resolve_variant (the tests hold this table to the search)
-RESOLVED_READINGS = {
-    "hermite": {},
-    "generalized-hermite": {},
-    "gegenbauer": {},
-    "generalized-gegenbauer": {},
-    "chihara": {"dxr": OUTER_DIFF},
-    "minus1-meixner-pollaczek": {"dxr": OUTER_DIFF},
-    "big-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
-    "little-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
-    "special-little-minus1-jacobi": {"dxr": OUTER_DIFF, "bracket": "IR"},
-    "continuous-bannai-ito": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
-    "continuous-minus1-hahn-1": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
-    "continuous-minus1-hahn-2": {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"},
-    "generalized-symmetric-bannai-ito": {},
-    "symmetric-bannai-ito": {},
+    "hermite": _EigenEntry(_build_hermite, "epsilon", {}),
+    "generalized-hermite": _EigenEntry(_build_generalized_hermite, "epsilon", {}),
+    "gegenbauer": _EigenEntry(_build_gegenbauer, "epsilon", {}),
+    "generalized-gegenbauer": _EigenEntry(_build_generalized_gegenbauer, "epsilon", {}),
+    "chihara": _EigenEntry(_build_chihara, "epsilon", _DXR),
+    "minus1-meixner-pollaczek": _EigenEntry(_build_minus1_mp, "epsilon", _DXR),
+    "big-minus1-jacobi": _EigenEntry(_build_big_m1j, None, _FIRST_ORDER),
+    "little-minus1-jacobi": _EigenEntry(_build_little_m1j, None, _FIRST_ORDER),
+    "special-little-minus1-jacobi": _EigenEntry(_build_special_lj, None, _FIRST_ORDER),
+    "continuous-bannai-ito": _EigenEntry(_build_cbi, None, _SHIFT_REFLECT),
+    "continuous-minus1-hahn-1": _EigenEntry(_build_c1h1, None, _SHIFT_REFLECT),
+    "continuous-minus1-hahn-2": _EigenEntry(_build_c1h2, None, _SHIFT_REFLECT),
+    "generalized-symmetric-bannai-ito": _EigenEntry(_build_gsbi, "sigma", {}),
+    "symmetric-bannai-ito": _EigenEntry(_build_sbi, "sigma", {}),
 }
 
 # the readings of each axis; the builders write the first
@@ -474,19 +441,19 @@ _REWRITES = {
 }
 
 # families whose printed operator composes S+/S- with R
-SHIFT_REFLECT_FAMILIES = tuple(fid for fid, reading in RESOLVED_READINGS.items()
-                               if "composition" in reading)
+SHIFT_REFLECT_FAMILIES = tuple(fid for fid, entry in _BUILDERS.items()
+                               if "composition" in entry.reading)
 
 # degree of the basis P_0..P_N whose operator matrix the CLI checks for diagonality
 DIAGONALITY_N = 8
 
 
-def _operator_for_variant(fid, params, free, variant, ctx):
-    terms, lam = _BUILDERS[fid](params, free, variant, ctx)
+def _operator_for_variant(entry, params, free, variant, ctx):
+    terms, lam = entry.build(params, free, variant, ctx)
     for reading in variant.items():
         if reading in _REWRITES:
             terms = [_REWRITES[reading](*term) for term in terms]
-    return DunklOperator(terms=terms, shift=ctx.mp.mpc(0, 1)), lam
+    return DunklOperator(terms=terms), lam
 
 
 # a dead end: status -> (error where a function raises, reason)
@@ -520,11 +487,12 @@ def _resolve_variant(fid, ctx, params=None):
     if params is None:
         params = families.make_params(fid, ctx, **families.fixture_points(fid)[0])
     polys = families.generate(fid, params, 3, ctx)
-    axes = list(RESOLVED_READINGS[fid])
+    entry = _BUILDERS[fid]
+    axes = list(entry.reading)
     outcomes = []
     for values in product(*(READING_AXES[axis] for axis in axes)):
         variant = dict(zip(axes, values))
-        op, lam = _operator_for_variant(fid, params, ctx.mp.mpf(1) / 2, variant, ctx)
+        op, lam = _operator_for_variant(entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
         residuals = [float(res) if status == "pass" else None
                      for _, _, res, status in _eigen_degrees(op, lam, polys, range(1, 4), ctx)]
         residuals += [None] * (3 - len(residuals))      # the degrees after a dead end
@@ -560,16 +528,16 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
     """
     mp = ctx.mp
     fid = families.resolve_family(family)
-    if fid not in _BUILDERS:
+    entry = _BUILDERS.get(fid)
+    if entry is None:
         raise NoEigenSystemError("no eigenvalue equation on record for %s" % fid)
-    free_name = FREE_NAMES[fid]
     if free is None:
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    op, lam = _operator_for_variant(fid, params, free, RESOLVED_READINGS[fid], ctx)
+    op, lam = _operator_for_variant(entry, params, free, entry.reading, ctx)
     return EigenSystem(family=fid, operator=op, eigenvalue=lam,
-                       free_name=free_name, free_value=free if free_name else None)
+                       free_name=entry.free_name, free_value=free if entry.free_name else None)
 
 
 def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from . import families
 from .families import NoEigenSystemError
-from .operators import SHIFT_REFLECT_FAMILIES, _resolve_variant
+from .operators import SHIFT_REFLECT_FAMILIES, resolve_composition_convention
 from .polynomials import Poly, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
@@ -626,9 +626,9 @@ def resolve_open_questions(ctx: PrecisionContext):
     # composition order of S+R (and the A-coefficient reading) in the CBI block
     for fid in SHIFT_REFLECT_FAMILIES:
         try:
-            res = _resolve_variant(fid, ctx)
+            chosen = resolve_composition_convention(fid, None, ctx)["chosen"]
             status = "pass"
-            notes = "resolved reading: %s" % (res["variant"],)
+            notes = "resolved reading: %s" % (chosen,)
         except NoEigenSystemError as exc:
             status = "fail"
             notes = str(exc)

@@ -148,16 +148,37 @@ def test_missing_table_entry_is_a_skipped_check(capsys, monkeypatch, table, chec
     assert not entry["has_weight" if table == "weights" else "has_eigen_system"]
 
 
-def test_removed_and_out_of_range_arguments_are_usage_errors(capsys):
+def test_removed_and_out_of_range_arguments_are_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--family", "hermite", "--nmax", "3"])
     assert exc.value.code == cli.EXIT_USAGE
     for argv, named in ((["tabulate", "--family", "hermite", "--n", "-1"], "--n"),
                         (["tabulate", "--family", "hermite", "--params", "bn_sign=plus"],
-                         "bn_sign")):
+                         "bn_sign"),
+                        (["verify", "--family", "hermite", "--digits", "5"], "--digits"),
+                        (["tabulate", "--family", "hermite", "--digits", "14"], "--digits")):
         assert cli.main(argv) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err, captured
+    monkeypatch.setenv("MINUS_ONE_DIGITS", "abc")
+    assert cli.main(["verify", "--family", "hermite"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MINUS_ONE_DIGITS" in captured.err, captured
+
+
+def test_catalog_flags_match_the_checks_that_run(capsys):
+    # list's has_weight / has_eigen_system hold exactly where verify runs the
+    # Gram / the eigen check rather than reporting it skipped
+    from minusone import families
+
+    entries = {e["id"]: e for e in cli._catalog_description()}
+    for fid in families.scheme_ids():
+        code, out = run(capsys, "verify", "--family", fid, "--checks", "orthogonality,eigen",
+                        "--digits", "15", "--format", "json", "--no-timestamp")
+        ran = {r["check"]: not r["notes"].endswith("(skipped)")
+               for r in json.loads(out)["results"]}
+        assert ran == {"orthogonality": entries[fid]["has_weight"],
+                       "eigen": entries[fid]["has_eigen_system"]}, (fid, code)
 
 
 def test_verification_failure_exit_code(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,8 +18,7 @@ def params_for(fid, idx=0):
 
 
 def test_apply_identity():
-    op = O.DunklOperator(terms=[(RationalFunction(Poly.constant(MP.mpc(1))), "I")],
-                         shift=MP.mpc(0, 1))
+    op = O.DunklOperator(terms=[(RationalFunction(Poly.constant(MP.mpc(1))), "I")])
     p = Poly([MP.mpc(2), MP.mpc(0), MP.mpc(1)])
     out = O.apply(op, p, CTX).num
     assert poly_eq(out, p, CTX)
@@ -162,7 +162,7 @@ def test_image_matches_termwise_evaluation():
         for n, p in enumerate(F.generate(fid, params_for(fid), 8, CTX)):
             image = O.apply(op, p, CTX)
             for z in points:
-                terms = [coeff.evaluate(z) * op.symbol_apply(sym, p).evaluate(z)
+                terms = [coeff.evaluate(z) * O._SYMBOLS[sym](p, MP.mpc(0, 1)).evaluate(z)
                          for coeff, sym in op.terms]
                 direct = MP.fsum(terms)
                 scale = max(abs(t) for t in terms)
@@ -241,14 +241,14 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
     from minusone.polynomials import NonDivisibleError, ReductionAmbiguityError
 
     fid = "symmetric-bannai-ito"
-    build = O._BUILDERS[fid]
+    entry = O._BUILDERS[fid]
 
     def with_pole(params, free, variant, ctx):
-        terms, lam = build(params, free, variant, ctx)
+        terms, lam = entry.build(params, free, variant, ctx)
         pole = RationalFunction(Poly.constant(ctx.mp.mpc(coeff)), Poly.x(ctx))
         return terms + [(pole, "I")], lam
 
-    monkeypatch.setitem(O._BUILDERS, fid, with_pole)
+    monkeypatch.setitem(O._BUILDERS, fid, dataclasses.replace(entry, build=with_pole))
     rep = O.eigen_check(fid, params_for(fid), 10, CTX)
     assert rep["status"] == status
     assert "P_0" in rep["notes"]
@@ -267,12 +267,11 @@ def test_resolved_readings_match_the_search(digits):
     # exactly one candidate passes: a reading whose rewrite had become a
     # no-op would pass alongside the resolved one
     ctx = PrecisionContext(digits)
-    assert set(O.RESOLVED_READINGS) == set(O._BUILDERS)
-    for fid in O._BUILDERS:
+    for fid, entry in O._BUILDERS.items():
         res = O._resolve_variant(fid, ctx)
-        assert res["variant"] == O.RESOLVED_READINGS[fid], fid
+        assert res["variant"] == entry.reading, fid
         assert [o["passes"] for o in res["outcomes"]].count(True) == 1, (fid, res["outcomes"])
-        assert len(res["outcomes"]) == 2 ** len(O.RESOLVED_READINGS[fid]), fid
+        assert len(res["outcomes"]) == 2 ** len(entry.reading), fid
 
 
 def _eigen_check_sweep(digits):
