@@ -41,5 +41,5 @@ print("monic Legendre P_3:", [mp.nstr(c, 6) for c in leg[3].coeffs])
 spec = F.weight_spec("chihara", F.make_params("chihara", ctx,
                                               alpha="0.5", beta="1", gamma="0.25"), ctx)
 print("\nChihara weight support:",
-      [(mp.nstr(c.lo, 6), mp.nstr(c.hi, 6)) for c in spec.components])
+      [(mp.nstr(lo, 6), mp.nstr(hi, 6)) for lo, hi in spec.pieces])
 print("density at x = 0.5:", mp.nstr(spec.density(mp.mpf("0.5")), 8))

@@ -2,9 +2,10 @@
 
 The -1 families are eigenfunctions of operators built from the reflection
 R f(x) = f(-x), derivatives, and (for the Bannai-Ito block) the imaginary
-shifts S+- f(x) = f(x +- i).  Applying an operator to a polynomial is exact
-coefficient algebra over rational functions; the eigen equation holds only
-when every singular part cancels.
+shifts S+- f(x) = f(x +- i).  Each operator's coefficients are polynomial
+numerators over the one denominator D they share as printed, so applying it
+to a polynomial is polynomial algebra and one division by D; the eigen
+equation holds only when every singular part cancels.
 """
 
 from minusone import families as F

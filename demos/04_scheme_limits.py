@@ -5,6 +5,8 @@ geometric ladder with a convergence-order fit and Richardson extrapolation;
 the Christoffel/Geronimus pairs are mutually inverse kernel maps.
 """
 
+import dataclasses
+
 from minusone import scheme as S
 from minusone.precision import PrecisionContext
 
@@ -32,9 +34,10 @@ print("fitted order %.2f, extrapolated error %.1e -> %s"
       % (rep["order_poly"], rep["extrapolated_error"], rep["status"]))
 
 # A q -> -1 transition, with the sign question on the printed middle
-# coefficient resolved by the ladder itself.
-for sign in ("minus", "plus"):
-    rep = S.verify_limit("little-q-jacobi-dilated:little-minus1-jacobi", 6, ctx, variant=sign)
+# coefficient resolved by the ladder itself: each reading is an edge map.
+edge = S.resolve_edge("little-q-jacobi-dilated:little-minus1-jacobi")
+for sign, reading in edge.variants.readings:
+    rep = S.verify_limit(dataclasses.replace(edge, params=reading), 6, ctx)
     print("\ndilated little q-Jacobi -> little -1 Jacobi with b_n = 1 - A_n %s C_n: %s"
           % ("-" if sign == "minus" else "+", rep["status"]))
     print("  ladder errors:", ", ".join("%.1e" % e for e in rep["errors"]))

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import families, operators, orthogonality, scheme
 from .families import ParameterError, UnknownFamilyError
@@ -107,10 +108,10 @@ def _emit(text, output):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _num_str(ctx, value, digits=None):
+def _num_str(ctx, value):
     mp = ctx.mp
     v = mp.mpc(value)
-    d = digits or min(ctx.digits, 20)
+    d = min(ctx.digits, 20)
     if abs(mp.im(v)) <= ctx.tol(6) * max(1, abs(v)):
         return mp.nstr(mp.re(v), d)
     return mp.nstr(v, d)
@@ -278,11 +279,11 @@ def _exact_result(edge, ctx):
 
 
 def _limit_result(edge, ctx):
-    rep = scheme.verify_limit(edge, 6, ctx)
+    rep = scheme.verify_limit(edge, scheme.LADDER_N, ctx)
     notes = "order %.2f, ladder errors %s" % (
         rep["order_poly"] or -1, ", ".join("%.1e" % e for e in rep["errors"]))
     return _result(edge.id, "limit", rep["status"],
-                   rep["extrapolated_error"], 1e-8, edge.anchor, notes)
+                   rep["extrapolated_error"], rep["tolerance"], edge.anchor, notes)
 
 
 def _ct_gt_result(edge, ctx):
@@ -305,17 +306,27 @@ def _edge_results(edge, ctx, checks):
     return [_guarded(edge.id, check, edge.anchor, run, edge, ctx)]
 
 
-def _square_result(which, ctx):
+def _square(which, ctx):
     rep = scheme.verify_commuting_square(which, ctx)
-    return _result("commuting-square:%s" % which, "square", rep["status"],
-                   rep["exact_leg_error"], float(ctx.tol(10)), "fig.1",
-                   "orders %.2f / %.2f" % (rep["order_path_a"] or -1, rep["order_path_b"] or -1))
+    return rep, rep["exact_leg_error"], "orders %.2f / %.2f" % (
+        rep["order_path_a"] or -1, rep["order_path_b"] or -1)
 
 
-def _kernel_map_result(ctx):
+def _kernel_map(ctx):
     rep = scheme.verify_recurrence_kernel_map(ctx)
-    return _result("kernel-recurrence-map", "ct-gt", rep["status"], rep["max_error"],
-                   rep["tolerance"], "ss2", "A_n -> C_{n+1}, C_n -> A_n restatement")
+    return rep, rep["max_error"], "A_n -> C_{n+1}, C_n -> A_n restatement"
+
+
+# the rows of verify --all that belong to no family or edge: (id, check, anchor, run),
+# run(ctx) -> (report with its status and tolerance, residual, notes)
+_SUITE_ROWS = tuple(("commuting-square:%s" % which, "square", "fig.1", partial(_square, which))
+                    for which in scheme.SQUARES) + (
+    ("kernel-recurrence-map", "ct-gt", "ss2", _kernel_map),)
+
+
+def _suite_result(id, check, anchor, run, ctx):
+    rep, residual, notes = run(ctx)
+    return _result(id, check, rep["status"], residual, rep["tolerance"], anchor, notes)
 
 
 def cmd_verify(args):
@@ -357,11 +368,8 @@ def cmd_verify(args):
         results.extend(_edge_results(edge, ctx, checks))
     if args.all:
         if "square" in checks:
-            for which in ("little", "gegenbauer"):
-                results.append(_guarded("commuting-square:%s" % which, "square", "fig.1",
-                                        _square_result, which, ctx))
-            results.append(_guarded("kernel-recurrence-map", "ct-gt", "ss2",
-                                    _kernel_map_result, ctx))
+            for row in _SUITE_ROWS:
+                results.append(_guarded(*row[:3], _suite_result, *row, ctx))
         for r in scheme.resolve_open_questions(ctx):
             results.append(_result(r["id"], r["check"], r["status"],
                                    r.get("residual"), None, "", r["notes"]))

@@ -38,7 +38,6 @@ from .base import (
     NoWeightError,
     ParameterError,
     RecurrencePair,
-    SupportComponent,
     UnknownFamilyError,
     WeightSpec,
     get_param,

@@ -55,27 +55,15 @@ class RecurrencePair:
 
 
 @dataclass
-class SupportComponent:
-    lo: object
-    hi: object
-
-
-@dataclass
 class WeightSpec:
-    family: str
-    components: list
+    pieces: list                     # [(lo, hi), ...]: the support, split at its singular points
     density: Callable                # (x, lo_off=None, hi_off=None); includes any sign factor;
                                      # nonnegative on the support (module ``weights``)
     measure_prefactor: object = 1    # multiplies the raw integral in the printed inner product
 
-    def total_support(self):
-        return [(c.lo, c.hi) for c in self.components]
 
-
-def get_param(params: dict, name: str, ctx: PrecisionContext, default=None):
+def get_param(params: dict, name: str, ctx: PrecisionContext):
     if name not in params:
-        if default is not None:
-            return ctx.mp.mpf(default)
         raise ParameterError("missing parameter %r" % name)
     v = params[name]
     if isinstance(v, str):

@@ -1,13 +1,13 @@
 """Orthogonality data: weight functions, supports, and printed norm formulas.
 
 ``weight_spec`` returns the density as printed (theta implemented as sgn,
-the Gamma moduli that have a closed form taken in closed form) split into
-components whose endpoints carry all algebraic singular points.  Every
-density is density(x, lo_off=None, hi_off=None): the node tables pass the
-offsets x - lo and hi - x of the node in its component, computed without
-cancellation, and each factor that vanishes at a finite nonzero endpoint
-is built from them (1 - x^2 as (1 + x)(1 - x), x^2 - gamma^2 as
-(|x| - |gamma|)(|x| + |gamma|), one factor an offset).  Called with x
+the Gamma moduli that have a closed form taken in closed form) and its
+support as ``pieces``, (lo, hi) pairs whose endpoints carry all algebraic
+singular points.  Every density is density(x, lo_off=None, hi_off=None):
+the node tables pass the offsets x - lo and hi - x of the node in its
+piece, computed without cancellation, and each factor that vanishes at a
+finite nonzero endpoint is built from them (1 - x^2 as (1 + x)(1 - x),
+x^2 - gamma^2 as (|x| - |gamma|)(|x| + |gamma|), one factor an offset).  Called with x
 alone, the reference form the tests hold the offsets to, a density
 computes those factors from x, as printed.  ``WEIGHTS`` holds one measure
 per family, its weight spec with its printed norms: the right-hand sides
@@ -26,7 +26,6 @@ from typing import Callable
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
 from .base import (
     InadmissibleParameterError,
-    SupportComponent,
     WeightSpec,
     _parity,
     get_param,
@@ -63,11 +62,7 @@ def _inner(x, g, lo_off, hi_off):
 
 def _w_hermite(params, ctx):
     mp = ctx.mp
-    return WeightSpec(
-        family="hermite",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
-        density=lambda x, *offsets: mp.exp(-x * x),
-    )
+    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], lambda x, *offsets: mp.exp(-x * x))
 
 
 def _w_generalized_hermite(params, ctx):
@@ -76,14 +71,7 @@ def _w_generalized_hermite(params, ctx):
     _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
     dens = lambda x, *offsets: abs(x) ** (2 * al) * mp.exp(-x * x)
     zero = mp.mpf(0)
-    return WeightSpec(
-        family="generalized-hermite",
-        components=[
-            SupportComponent(mp.mpf("-inf"), zero),
-            SupportComponent(zero, mp.mpf("+inf")),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens)
 
 
 def _w_minus1_mp(params, ctx):
@@ -99,14 +87,7 @@ def _w_minus1_mp(params, ctx):
         lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
         return lead * (near * far) ** ex * mp.exp(-x * x)
 
-    return WeightSpec(
-        family="minus1-meixner-pollaczek",
-        components=[
-            SupportComponent(mp.mpf("-inf"), -g),
-            SupportComponent(g, mp.mpf("+inf")),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf("-inf"), -g), (g, mp.mpf("+inf"))], dens)
 
 
 def _w_gegenbauer(params, ctx):
@@ -119,11 +100,7 @@ def _w_gegenbauer(params, ctx):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return (p * m) ** e
 
-    return WeightSpec(
-        family="gegenbauer",
-        components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
 
 
 def _w_generalized_gegenbauer(params, ctx):
@@ -137,14 +114,7 @@ def _w_generalized_gegenbauer(params, ctx):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return abs(x) ** (2 * al + 1) * (p * m) ** be
 
-    return WeightSpec(
-        family="generalized-gegenbauer",
-        components=[
-            SupportComponent(mp.mpf(-1), zero),
-            SupportComponent(zero, mp.mpf(1)),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
 
 
 def _w_chihara(params, ctx):
@@ -163,14 +133,7 @@ def _w_chihara(params, ctx):
         lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
         return lead * (near * far) ** al * (edge * (top + s)) ** be   # 1 + gamma^2 - x^2
 
-    return WeightSpec(
-        family="chihara",
-        components=[
-            SupportComponent(-top, -g),
-            SupportComponent(g, top),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(-top, -g), (g, top)], dens)
 
 
 def _w_little_m1j(params, ctx):
@@ -185,14 +148,7 @@ def _w_little_m1j(params, ctx):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return abs(x) ** al * (p * m) ** e1 * p
 
-    return WeightSpec(
-        family="little-minus1-jacobi",
-        components=[
-            SupportComponent(mp.mpf(-1), zero),
-            SupportComponent(zero, mp.mpf(1)),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
 
 
 def _w_special_lj(params, ctx):
@@ -205,11 +161,7 @@ def _w_special_lj(params, ctx):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return (p * m) ** e * p
 
-    return WeightSpec(
-        family="special-little-minus1-jacobi",
-        components=[SupportComponent(mp.mpf(-1), mp.mpf(1))],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
 
 
 def _w_big_m1j(params, ctx):
@@ -227,14 +179,7 @@ def _w_big_m1j(params, ctx):
 
     # sgn(x) / (c + x) = 1 / |c + x|: its pole sits at the -c endpoint, effective exponent
     # (beta-1)/2 there
-    return WeightSpec(
-        family="big-minus1-jacobi",
-        components=[
-            SupportComponent(mp.mpf(-1), -c),
-            SupportComponent(c, mp.mpf(1)),
-        ],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf(-1), -c), (c, mp.mpf(1))], dens)
 
 
 # The |Gamma|^2 densities below use the reflection identities
@@ -298,8 +243,7 @@ def _w_gsbi(params, ctx):
                       for v in vals)
     _require(conj_closed, "non-real parameters occur in conjugate pairs", "A.6")
     return WeightSpec(
-        family="generalized-symmetric-bannai-ito",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
+        pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
         density=_gamma_modulus_density(vals, mp),
         measure_prefactor=1 / (4 * mp.pi),
     )
@@ -311,14 +255,13 @@ def _w_sbi(params, ctx):
     b = get_param(params, "b", ctx)
     _require(mp.re(a) > 0 and mp.re(b) > 0, "Re(a), Re(b) > 0", "A.10")
     return WeightSpec(
-        family="symmetric-bannai-ito",
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
+        pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
         density=_gamma_modulus_density([mp.mpc(a), mp.mpc(b)], mp),
         measure_prefactor=1 / (4 * mp.pi),
     )
 
 
-def _cbi_weight(al, be, ga, de, family, anchor, ctx):
+def _cbi_weight(al, be, ga, de, anchor, ctx):
     mp = ctx.mp
     _require(al > 0 and ga > 0, "alpha, gamma > 0", anchor)
     series = StirlingSeries(mp)
@@ -334,11 +277,7 @@ def _cbi_weight(al, be, ga, de, family, anchor, ctx):
         s = log_abs_gamma_sum([(a, b + xh) for a, b in parts], series)
         return mp.exp(mp.ldexp(s, 1)) * mp.cosh(pi * x) / pi
 
-    return WeightSpec(
-        family=family,
-        components=[SupportComponent(mp.mpf("-inf"), mp.mpf("+inf"))],
-        density=dens,
-    )
+    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], dens)
 
 
 def _w_cbi(params, ctx):
@@ -348,21 +287,21 @@ def _w_cbi(params, ctx):
     ga = get_param(params, "gamma", ctx)
     de = get_param(params, "delta", ctx)
     _require(al > 0 and be > 0 and ga > 0 and de > 0, "alpha, beta, gamma, delta > 0", "A.1")
-    return _cbi_weight(al, be, ga, de, "continuous-bannai-ito", "A.1", ctx)
+    return _cbi_weight(al, be, ga, de, "A.1", ctx)
 
 
 def _w_c1h1(params, ctx):
     be = get_param(params, "beta", ctx)
     _require(be > 0, "alpha, beta, gamma > 0", "A.4")
     return _cbi_weight(get_param(params, "alpha", ctx), be,
-                       get_param(params, "gamma", ctx), be, "continuous-minus1-hahn-1", "A.4", ctx)
+                       get_param(params, "gamma", ctx), be, "A.4", ctx)
 
 
 def _w_c1h2(params, ctx):
     be = get_param(params, "beta", ctx)
     _require(be > 0, "alpha, beta, gamma > 0", "A.5")
     return _cbi_weight(get_param(params, "alpha", ctx), be,
-                       get_param(params, "gamma", ctx), -be, "continuous-minus1-hahn-2", "A.5", ctx)
+                       get_param(params, "gamma", ctx), -be, "A.5", ctx)
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,16 @@ polynomials exactly, and verify the eigenvalue equations as identities.
 
 Operators are sums of (rational coefficient) x (basis symbol) terms, the
 symbols being the identity I, the reflection R, the imaginary shifts S+/S-,
-their compositions with R, and derivatives.  At construction an operator
-brings its terms over one common denominator D, the plain product of the
-distinct term denominators, so that L p = (sum_j N_j symbol_j(p)) / D.  D
-takes no gcd: a tolerant gcd of Chihara's dxR coefficient is already
-ambiguous at 15 digits.  So the Chihara and -1 Meixner-Pollaczek builders,
-whose coefficients have poles of order up to 4 at x = 0, write all four
-over 4x^4 themselves, and their D is 4x^4.  An image then costs one
-polynomial division by D, and its remainder is classified by the
-two-threshold rule of :func:`remainder_class` against the largest summed
-term N_j symbol_j(p), not against the cancelled sum, whose rounding would
-otherwise read as a pole.  So "the singular parts cancel" is checked rather
-than assumed.
+their compositions with R, and derivatives.  The printed coefficients of
+each operator share one small denominator D (1, x^2, 1 + 4x^2 or 4x^4), and
+each builder states it: it returns D and the numerators N_j, so that
+L p = (sum_j N_j symbol_j(p)) / D.  No denominator is found by a gcd: a
+tolerant gcd of Chihara's dxR coefficient is already ambiguous at 15
+digits.  An image then costs one polynomial division by D, and its
+remainder is classified by the two-threshold rule of
+:func:`remainder_class` against the largest summed term N_j symbol_j(p),
+not against the cancelled sum, whose rounding would otherwise read as a
+pole.  So "the singular parts cancel" is checked rather than assumed.
 
 One loop, four views.  :func:`_eigen_degrees` runs the image kernel over the
 degrees of a built operator and stops at the first dead end, an image that
@@ -39,7 +37,7 @@ to the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
@@ -56,13 +54,6 @@ OUTER_DIFF = "outer-diff"                      # (dxR f)(x) = d/dx f(-x) = -f'(-
 OUTER_REFLECT = "outer-reflect"                # (dxR f)(x) = f'(-x)
 
 
-def _product(polys):
-    out = Poly.constant(1)
-    for p in polys:
-        out = out * p
-    return out
-
-
 # symbol -> (p, i) -> the symbol applied to p, i the step of S+/S-
 _SYMBOLS = {
     "I": lambda p, i: p,
@@ -77,21 +68,10 @@ _SYMBOLS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class DunklOperator:
-    terms: list                               # [(RationalFunction, symbol), ...]
-    den: Poly = field(init=False, repr=False)           # common denominator D
-    numerators: list = field(init=False, repr=False)    # N_j = coeff_j * D
-
-    def __post_init__(self):
-        dens = []
-        for coeff, _ in self.terms:
-            if all(coeff.den.coeffs != d.coeffs for d in dens):
-                dens.append(coeff.den)
-        self.den = _product(dens)
-        self.numerators = [
-            coeff.num * _product(d for d in dens if d.coeffs != coeff.den.coeffs)
-            for coeff, _ in self.terms]
+    den: Poly          # the one denominator D of the printed coefficients
+    terms: list        # [(N_j, symbol_j), ...]: coefficient j is N_j / D
 
 
 @dataclass
@@ -111,7 +91,7 @@ def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
     against the largest summed term.
     """
     i = ctx.mp.mpc(0, 1)
-    parts = [n * _SYMBOLS[symbol](p, i) for n, (_, symbol) in zip(op.numerators, op.terms)]
+    parts = [n * _SYMBOLS[symbol](p, i) for n, symbol in op.terms]
     num = sum(parts[1:], parts[0])
     quot, rem = divmod_poly(num, op.den, ctx)
     return num, quot, remainder_class(rem, max(part.coeff_norm() for part in parts), ctx)
@@ -128,15 +108,8 @@ def apply(op: DunklOperator, p: Poly, ctx: PrecisionContext) -> RationalFunction
 
 
 # ----------------------------------------------------------------------
-# operator coefficient builders
-
-
-def _rat(num: Poly, den: Poly | None = None) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
-def _x(ctx):
-    return Poly.x(ctx)
+# operator builders: each returns (D, [(N_j, symbol_j), ...], n -> lambda_n),
+# its printed coefficients as numerators N_j over the one denominator D they share
 
 
 def _c(ctx, v):
@@ -152,69 +125,66 @@ def _second_order_terms(S, T, U, V):
 
 
 def _build_hermite(params, free, variant, ctx):
+    # D = 1
     mp = ctx.mp
     eps = free
-    S = _rat(_c(ctx, mp.mpf(-1) / 4))
-    U = _rat(Poly((mp.mpc(0), mp.mpc(1, 0) / 2)))
-    V = _rat(_c(ctx, eps / 2 - mp.mpf(1) / 4))
+    S = _c(ctx, mp.mpf(-1) / 4)
+    U = Poly((mp.mpc(0), mp.mpc(1, 0) / 2))
+    V = _c(ctx, eps / 2 - mp.mpf(1) / 4)
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
-    return _second_order_terms(S, None, U, V), lam
+    return Poly.constant(1), _second_order_terms(S, None, U, V), lam
 
 
 def _build_generalized_hermite(params, free, variant, ctx):
+    # D = x^2:  S = -1/4,  U = x/2 - alpha/2x,  V = alpha/4x^2 + eps/2 - 1/4
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     eps = free
-    x = _x(ctx)
-    S = _rat(_c(ctx, mp.mpf(-1) / 4))
-    U = _rat(Poly((mp.mpc(0), mp.mpf(1) / 2))) - _rat(_c(ctx, al / 2), x)
-    V = _rat(_c(ctx, al / 4), x * x) + _rat(_c(ctx, eps / 2 - mp.mpf(1) / 4))
+    S = Poly((0, 0, mp.mpf(-1) / 4))
+    U = Poly((0, -al / 2, 0, mp.mpf(1) / 2))
+    V = Poly((al / 4, 0, eps / 2 - mp.mpf(1) / 4))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
-    return _second_order_terms(S, None, U, V), lam
+    return Poly((0, 0, 1)), _second_order_terms(S, None, U, V), lam
 
 
 def _build_gegenbauer(params, free, variant, ctx):
+    # D = 1
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     eps = free
     half = mp.mpf(1) / 2
-    S = _rat(Poly((mp.mpf(-1) / 4, 0, mp.mpf(1) / 4)))
-    U = _rat(Poly((mp.mpc(0), (al + half) / 2)))
-    V = _rat(_c(ctx, -(al + half) / 4 + eps / 2))
+    S = Poly((mp.mpf(-1) / 4, 0, mp.mpf(1) / 4))
+    U = Poly((mp.mpc(0), (al + half) / 2))
+    V = _c(ctx, -(al + half) / 4 + eps / 2)
     lam = lambda n: (lambda m: m * m + al * m if n % 2 == 0 else m * m + (al + 1) * m + eps)(n // 2)
-    return _second_order_terms(S, None, U, V), lam
+    return Poly.constant(1), _second_order_terms(S, None, U, V), lam
 
 
 def _build_generalized_gegenbauer(params, free, variant, ctx):
+    # D = x^2:  S = (x^2 - 1)/4,  U = (alpha + beta + 3/2) x/2 - (alpha + 1/2)/2x,
+    # V = (alpha + 1/2)/4x^2 - (alpha + beta + 3/2)/4 + eps/2
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
     eps = free
     half = mp.mpf(1) / 2
-    x = _x(ctx)
-    S = _rat(Poly((mp.mpf(-1) / 4, 0, mp.mpf(1) / 4)))
-    U = _rat(Poly((mp.mpc(0), (al + be + 3 * half) / 2))) - _rat(_c(ctx, (al + half) / 2), x)
-    V = _rat(_c(ctx, -(al + be + 3 * half) / 4 + eps / 2)) + _rat(_c(ctx, (al + half) / 4), x * x)
+    S = Poly((0, 0, mp.mpf(-1) / 4, 0, mp.mpf(1) / 4))
+    U = Poly((0, -(al + half) / 2, 0, (al + be + 3 * half) / 2))
+    V = Poly(((al + half) / 4, 0, -(al + be + 3 * half) / 4 + eps / 2))
     lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
                      else m * m + (al + be + 2) * m + eps)(n // 2)
-    return _second_order_terms(S, None, U, V), lam
-
-
-def _over_x4(ctx, S, T, U, V):
-    """The second-order coefficients given by their numerators over the one denominator 4 x^4."""
-    x = _x(ctx)
-    den = 4 * (x * x) * (x * x)
-    return [_rat(num, den) for num in (S, T, U, V)]
+    return Poly((0, 0, 1)), _second_order_terms(S, None, U, V), lam
 
 
 def _build_chihara(params, free, variant, ctx):
+    # D = 4x^4
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
     ga = get_param(params, "gamma", ctx)
     eps = free
     half = mp.mpf(1) / 2
-    x = _x(ctx)
+    x = Poly.x(ctx)
     x2 = x * x
     r = x2 - _c(ctx, ga * ga)                 # x^2 - gamma^2
     r1 = r - 1                                # x^2 - gamma^2 - 1
@@ -223,37 +193,34 @@ def _build_chihara(params, free, variant, ctx):
     # S = r r1 / 4x^2,  T = gamma (x - gamma) r1 / 4x^3,
     # U = gamma r1 (2 gamma - x) / 4x^3 + s / 2x,
     # V = gamma r1 (x - 3 gamma/2) / 4x^4 - s / 4x^2 + (eps/2)(x - gamma) / x
-    S, T, U, V = _over_x4(
-        ctx,
-        r * r1 * x2,
-        ((x - _c(ctx, ga)) * r1 * x).scale(ga),
-        (r1 * (_c(ctx, 2 * ga) - x) * x).scale(ga) + 2 * s * x2 * x,
-        (r1 * (x - _c(ctx, 3 * ga / 2))).scale(ga) - s * x2 + ((x - _c(ctx, ga)) * x2 * x).scale(2 * eps))
+    S = r * r1 * x2
+    T = ((x - _c(ctx, ga)) * r1 * x).scale(ga)
+    U = (r1 * (_c(ctx, 2 * ga) - x) * x).scale(ga) + 2 * s * x2 * x
+    V = ((r1 * (x - _c(ctx, 3 * ga / 2))).scale(ga) - s * x2
+         + ((x - _c(ctx, ga)) * x2 * x).scale(2 * eps))
     lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
                      else m * m + (al + be + 2) * m + eps)(n // 2)
-    return _second_order_terms(S, T, U, V), lam
+    return 4 * x2 * x2, _second_order_terms(S, T, U, V), lam
 
 
 def _build_minus1_mp(params, free, variant, ctx):
+    # D = 4x^4:  S = (gamma^2 - x^2) / 4x^2,  T = gamma (x - gamma) / 4x^3,
+    # U = x/2 + gamma/4x^2 - gamma^2/2x^3 - (al + gamma^2)/2x,
+    # V = 3 gamma^2/8x^4 - gamma/4x^3 + (al + gamma^2)/4x^2 + (eps/2)(x - gamma)/x - 1/4
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     ga = get_param(params, "gamma", ctx)
     eps = free
-    x = _x(ctx)
+    x = Poly.x(ctx)
     x2 = x * x
     g2 = ga * ga
-    # S = (gamma^2 - x^2) / 4x^2,  T = gamma (x - gamma) / 4x^3,
-    # U = x/2 + gamma/4x^2 - gamma^2/2x^3 - (al + gamma^2)/2x,
-    # V = 3 gamma^2/8x^4 - gamma/4x^3 + (al + gamma^2)/4x^2 + (eps/2)(x - gamma)/x - 1/4
-    S, T, U, V = _over_x4(
-        ctx,
-        (_c(ctx, g2) - x2) * x2,
-        ((x - _c(ctx, ga)) * x).scale(ga),
-        Poly((0, -2 * g2, ga, -2 * (al + g2), 0, 2)),
-        Poly((3 * g2 / 2, -ga, al + g2, -2 * eps * ga, 2 * eps - 1)))
+    S = (_c(ctx, g2) - x2) * x2
+    T = ((x - _c(ctx, ga)) * x).scale(ga)
+    U = Poly((0, -2 * g2, ga, -2 * (al + g2), 0, 2))
+    V = Poly((3 * g2 / 2, -ga, al + g2, -2 * eps * ga, 2 * eps - 1))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
     # the dxR term enters with a printed minus sign
-    return _second_order_terms(S, -T, U, V), lam
+    return 4 * x2 * x2, _second_order_terms(S, -T, U, V), lam
 
 
 def _reflection_first_order(F, G):
@@ -262,50 +229,53 @@ def _reflection_first_order(F, G):
 
 
 def _build_big_m1j(params, free, variant, ctx):
+    # D = x^2:  F = (c + (c alpha - beta) x + (alpha + beta + 1) x^2) / x^2,
+    # G = 2 (1 - x)(c + x) / x
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
     c = get_param(params, "c", ctx)
-    x = _x(ctx)
-    F = _rat(Poly((c, c * al - be, al + be + 1)), x * x)
-    G = _rat(2 * (1 - x) * (_c(ctx, c) + x), x)
+    x = Poly.x(ctx)
+    F = Poly((c, c * al - be, al + be + 1))
+    G = 2 * (1 - x) * (_c(ctx, c) + x) * x
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
-    return _reflection_first_order(F, G), lam
+    return x * x, _reflection_first_order(F, G), lam
 
 
 def _build_little_m1j(params, free, variant, ctx):
+    # D = x^2:  F = ((alpha + beta + 1) x^2 - alpha x) / x^2,  G = 2 - 2x
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
     be = get_param(params, "beta", ctx)
-    x = _x(ctx)
-    F = _rat(Poly((mp.mpc(0), -al, al + be + 1)), x * x)
-    G = _rat(Poly((mp.mpf(2), mp.mpf(-2))))
+    F = Poly((mp.mpc(0), -al, al + be + 1))
+    G = Poly((0, 0, mp.mpf(2), mp.mpf(-2)))
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
-    return _reflection_first_order(F, G), lam
+    return Poly((0, 0, 1)), _reflection_first_order(F, G), lam
 
 
 def _build_special_lj(params, free, variant, ctx):
+    # D = 1
     mp = ctx.mp
     al = get_param(params, "alpha", ctx)
-    F = _rat(_c(ctx, al + 1))
-    G = _rat(Poly((mp.mpf(2), mp.mpf(-2))))
+    F = _c(ctx, al + 1)
+    G = Poly((mp.mpf(2), mp.mpf(-2)))
     lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + 1)
-    return _reflection_first_order(F, G), lam
+    return Poly.constant(1), _reflection_first_order(F, G), lam
 
 
 def _cbi_hahn_terms(al, ga, f1, f2, ctx):
     """A (S+R - I) + conj(A) (S-R - I) + (2 alpha + 2 gamma + 3/2) I.
 
-    f1, f2 are the degree-1 factors of A's numerator; A's denominator is
-    1 - 2 i x.  conj(A) carries the conjugated coefficients.
+    f1, f2 are the degree-1 factors of A's numerator.  A's denominator is
+    1 - 2ix and conj(A)'s is 1 + 2ix, so D = (1 - 2ix)(1 + 2ix) = 1 + 4x^2.
     """
     mp = ctx.mp
-    i = mp.mpc(0, 1)
-    A = _rat(f1 * f2, 1 - Poly((mp.mpc(0), 2 * i)))
-    Abar = _rat(f1.conj() * f2.conj(), 1 + Poly((mp.mpc(0), 2 * i)))
-    const = _rat(_c(ctx, 2 * al + 2 * ga + mp.mpf(3) / 2))
-    identity_coeff = const - A - Abar
-    return [(A, "S+R"), (Abar, "S-R"), (identity_coeff, "I")]
+    ix2 = Poly((mp.mpc(0), 2 * mp.mpc(0, 1)))          # 2ix
+    A = f1 * f2 * (1 + ix2)
+    Abar = f1.conj() * f2.conj() * (1 - ix2)
+    den = (1 - ix2) * (1 + ix2)
+    return den, [(A, "S+R"), (Abar, "S-R"),
+                 (den.scale(2 * al + 2 * ga + mp.mpf(3) / 2) - A - Abar, "I")]
 
 
 def _build_cbi_like(al, be, ga, de, variant, ctx):
@@ -323,7 +293,7 @@ def _build_cbi_like(al, be, ga, de, variant, ctx):
     f1 = Poly((2 * al + 1 + i * (t * be), -i))
     f2 = Poly((2 * ga + 1 + i * (t * de), -i))
     lam = lambda n: (-1) ** n * (n + 2 * al + 2 * ga + mp.mpf(3) / 2)
-    return _cbi_hahn_terms(al, ga, f1, f2, ctx), lam
+    return (*_cbi_hahn_terms(al, ga, f1, f2, ctx), lam)
 
 
 def _build_cbi(params, free, variant, ctx):
@@ -344,20 +314,27 @@ def _build_c1h2(params, free, variant, ctx):
                            get_param(params, "gamma", ctx), -be, variant, ctx)
 
 
-def _sbi_like_terms(A, B, c_base, sigma, ctx):
-    """B S+ + A S- + C R - (A+B+C) I  with C = c_base - A - B, then + sigma/2 (I - R)."""
-    mp = ctx.mp
-    C = c_base - A - B
-    half_sigma = RationalFunction(Poly.constant(mp.mpc(sigma) / 2))
-    return [
+def _sbi_like_terms(A, B, a_den, b_den, c_base, sigma, ctx):
+    """B S+ + A S- + C R - (A+B+C) I  with C = c_base - A - B, then + sigma/2 (I - R).
+
+    A and B are given by their numerators over ``a_den`` and ``b_den``, and
+    D = a_den b_den; c_base and the I coefficient sigma/2 - c_base are
+    polynomials.
+    """
+    den = a_den * b_den
+    A, B = A * b_den, B * a_den
+    C = c_base * den - A - B
+    half_sigma = den.scale(ctx.mp.mpc(sigma) / 2)
+    return den, [
         (B, "S+"),
         (A, "S-"),
         (C - half_sigma, "R"),
-        (half_sigma - (A + B + C), "I"),
+        (half_sigma - c_base * den, "I"),
     ]
 
 
 def _build_gsbi(params, free, variant, ctx):
+    # D = 2 (2ix + 1) 2 (2ix - 1) = -4 (1 + 4x^2)
     mp = ctx.mp
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
@@ -365,19 +342,19 @@ def _build_gsbi(params, free, variant, ctx):
     sigma = free
     i = mp.mpc(0, 1)
     ix = Poly((mp.mpc(0), i))
-    x = _x(ctx)
+    x = Poly.x(ctx)
     num_a = (ix + a) * (ix + b) * (ix + c)
     num_b = (ix - a) * (ix - b) * (ix - c)
-    A = _rat(num_a, 2 * (Poly((mp.mpc(0), 2 * i)) + 1))      # 2 (2ix + 1)
-    B = _rat(num_b, 2 * (Poly((mp.mpc(0), 2 * i)) - 1))      # 2 (2ix - 1)
-    c_base = RationalFunction(((x * x).scale(mp.mpf(-1)) + (a * b + a * c + b * c)).scale(mp.mpf(1) / 2))
-    terms = _sbi_like_terms(A, B, c_base, sigma, ctx)
+    c_base = ((x * x).scale(mp.mpf(-1)) + (a * b + a * c + b * c)).scale(mp.mpf(1) / 2)
+    terms = _sbi_like_terms(num_a, num_b, 2 * (Poly((mp.mpc(0), 2 * i)) + 1),
+                            2 * (Poly((mp.mpc(0), 2 * i)) - 1), c_base, sigma, ctx)
     s = a + b + c
     lam = lambda n: (lambda m: m * m + (s - 1) * m if n % 2 == 0 else m * m + s * m + sigma)(n // 2)
-    return terms, lam
+    return (*terms, lam)
 
 
 def _build_sbi(params, free, variant, ctx):
+    # D = 2 (1 + 2ix) 2 (1 - 2ix) = 4 (1 + 4x^2)
     mp = ctx.mp
     a = get_param(params, "a", ctx)
     b = get_param(params, "b", ctx)
@@ -386,17 +363,16 @@ def _build_sbi(params, free, variant, ctx):
     ix = Poly((mp.mpc(0), i))
     num_a = (ix + a) * (ix + b)
     num_b = (ix - a) * (ix - b)
-    A = _rat(num_a, 2 * (1 + Poly((mp.mpc(0), 2 * i))))      # 2 (1 + 2ix)
-    B = _rat(num_b, 2 * (1 - Poly((mp.mpc(0), 2 * i))))      # 2 (1 - 2ix)
-    c_base = RationalFunction(Poly.constant((a + b) / 2))
-    terms = _sbi_like_terms(A, B, c_base, sigma, ctx)
+    terms = _sbi_like_terms(num_a, num_b, 2 * (1 + Poly((mp.mpc(0), 2 * i))),
+                            2 * (1 - Poly((mp.mpc(0), 2 * i))), Poly.constant((a + b) / 2),
+                            sigma, ctx)
     lam = lambda n: (lambda m: mp.mpf(m) if n % 2 == 0 else m + sigma)(n // 2)
-    return terms, lam
+    return (*terms, lam)
 
 
 @dataclass(frozen=True)
 class _EigenEntry:
-    build: Callable          # (params, free, variant, ctx) -> (terms, n -> lambda_n)
+    build: Callable          # (params, free, variant, ctx) -> (D, terms, n -> lambda_n)
     free_name: str | None    # the eigenvalue's free parameter (None: the printed one has none)
     reading: dict            # the reading that satisfies the eigen equation (_resolve_variant)
 
@@ -433,7 +409,7 @@ READING_AXES = {
 
 # the other reading of S+R swaps S+R and S-R, of dxR negates its coefficient,
 # and of the bracket negates R and I (the first-order operators have no
-# other R or I terms); each rewrites one built (coeff, symbol) term
+# other R or I terms); each rewrites one built (numerator, symbol) term
 _REWRITES = {
     ("composition", REFLECT_AFTER_SHIFT): lambda c, s: (c, {"S+R": "S-R", "S-R": "S+R"}.get(s, s)),
     ("dxr", OUTER_REFLECT): lambda c, s: (-c if s == "dxR" else c, s),
@@ -449,11 +425,11 @@ DIAGONALITY_N = 8
 
 
 def _operator_for_variant(entry, params, free, variant, ctx):
-    terms, lam = entry.build(params, free, variant, ctx)
+    den, terms, lam = entry.build(params, free, variant, ctx)
     for reading in variant.items():
         if reading in _REWRITES:
             terms = [_REWRITES[reading](*term) for term in terms]
-    return DunklOperator(terms=terms), lam
+    return DunklOperator(den, terms), lam
 
 
 # a dead end: status -> (error where a function raises, reason)

@@ -322,13 +322,13 @@ class Poly:
         """max_k |c_k|, as an mpf of ``mp`` (an int or float without a context)."""
         return _root(self.mp, _sqmax(self), 2 * self.exp)
 
-    def trim(self, ctx: PrecisionContext, rel: int = 6):
-        """Drop trailing coefficients tiny relative to the coefficient norm."""
+    def trim(self, ctx: PrecisionContext):
+        """Drop trailing coefficients at most tol(6) relative to the coefficient norm."""
         sq = [a * a + b * b for a, b in zip(self.re, self.im)]
         top = max(sq)
         k = len(sq) - 1
         if top:
-            cut = _cut(ctx, rel, top)
+            cut = _cut(ctx, 6, top)
             while k > 0 and sq[k] <= cut:
                 k -= 1
         else:
@@ -352,9 +352,9 @@ class Poly:
             raise ZeroDivisionError("leading coefficient is rounding noise; no monic form")
         return _divide(self, (self.re[-1], self.im[-1]), self.exp, ctx)
 
-    def realify(self, ctx: PrecisionContext, rel: int = 6):
-        """Strip imaginary parts that are negligible relative to the norm."""
-        cut = _cut(ctx, rel, _sqmax(self))
+    def realify(self, ctx: PrecisionContext):
+        """Strip imaginary parts at most tol(6) relative to the norm."""
+        cut = _cut(ctx, 6, _sqmax(self))
         im = [0 if b * b <= cut else b for b in self.im]
         return _new(self.re, im, self.exp, self.mp, self.width)
 

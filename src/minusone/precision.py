@@ -96,29 +96,26 @@ class PrecisionContext:
             value = self._tols[offset] = self.mp.mpf(10) ** (offset - self.digits)
         return value
 
-    def nstr(self, x, n=None):
-        return self.mp.nstr(x, n or self.digits, strip_zeros=False)
-
     def __repr__(self):
         return "PrecisionContext(digits=%d)" % self.digits
 
 
-def is_nonpositive_integer(z, ctx: PrecisionContext, slack: int = 6):
+def is_nonpositive_integer(z, ctx: PrecisionContext):
     """Return n >= 0 such that z == -n, or None.
 
-    Accepts complex input; the match tolerance is 10**(slack-digits) so that
+    Accepts complex input; the match tolerance is 10**(6-digits) so that
     parameters assembled from exact rationals are recognized while generic
     reals are not.
     """
     mp = ctx.mp
     z = mp.mpc(z)
-    if abs(mp.im(z)) > ctx.tol(slack):
+    if abs(mp.im(z)) > ctx.tol(6):
         return None
     re = mp.re(z)
     n = int(mp.nint(re))
     if n > 0:
         return None
-    if abs(re - n) > ctx.tol(slack):
+    if abs(re - n) > ctx.tol(6):
         return None
     return -n
 

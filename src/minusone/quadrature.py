@@ -346,15 +346,15 @@ def _double_keys(pts):
 def integrate(spec, f, ctx: PrecisionContext, tol=None):
     """Integrate density * f over a weight spec's support.
 
-    ``spec`` has ``total_support()`` and ``density(x, lo_off, hi_off)``, as
-    every ``WeightSpec`` does; f is a function of x and the integrand must be
+    ``spec`` has ``pieces`` and ``density(x, lo_off, hi_off)``, as every
+    ``WeightSpec`` does; f is a function of x and the integrand must be
     real.  Returns a QuadratureResult; non-convergence of any piece marks
     the total.
     """
     if tol is None:
         tol = ctx.tol(8)
     integrand = lambda x, lo_off, hi_off: spec.density(x, lo_off, hi_off) * f(x)
-    table = build_node_table(spec.total_support(), integrand, ctx, tol, 0)
+    table = build_node_table(spec.pieces, integrand, ctx, tol, 0)
     return QuadratureResult(value=table.dot(table.row(table.weights)), error_estimate=table.error,
                             node_count=len(table.xs), converged=table.converged,
                             levels=table.levels, last_two=table.last_two)

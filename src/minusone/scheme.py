@@ -17,6 +17,7 @@ extrapolated error enters the pass/fail bound only.  Ladders run at
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from collections import namedtuple
@@ -29,8 +30,8 @@ from .precision import PrecisionContext
 
 
 # Printed readings of an edge map that only the ladder can tell apart: the
-# report check name, ((label, variant passed to the map), ...) with the
-# expected reading first, and the note when that reading alone converges.
+# report check name, ((label, edge map), ...) with the expected reading
+# first, and the note when that reading alone converges.
 _Variants = namedtuple("_Variants", "check readings resolution")
 
 
@@ -38,10 +39,11 @@ _Variants = namedtuple("_Variants", "check readings resolution")
 class SchemeEdge:
     """One connection of the scheme, with the parameter map that tests it.
 
-    ``params(f, h, mp, variant)`` returns ``(source params, target params,
-    s)``.  ``f`` maps the fixture names to mpf, ``h`` is the ladder value of
-    a limit edge (None on exact edges), ``mp`` the working mpmath context
-    and ``variant`` a reading from ``variants`` (None for the default).
+    ``params(f, h, mp)`` returns ``(source params, target params, s)``.
+    ``f`` maps the fixture names to mpf, ``h`` is the ladder value of a
+    limit edge (None on exact edges) and ``mp`` the working mpmath context.
+    An edge whose printed map has several readings lists them, each as a
+    map of its own, in ``variants``; ``params`` is the expected one.
     On specialization and limit edges the source is compared in the target
     frame: U_n(x) = S_n(s x) / s^n against T_n(x).  On a Christoffel edge s
     is the target-frame scale: the kernel sequence of the source is compared
@@ -85,30 +87,30 @@ def _pair(source, target, anchor, label, fixture, params):
 # --- exact specializations ------------------------------------------------
 _edge("big-minus1-jacobi", "little-minus1-jacobi", "specialization", "A.2",
       "c -> 0 (parameters swap)", "exact", _fx(alpha="0.5", beta="1.5"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"], "c": mp.mpf(0)},
-                                 {"alpha": f["beta"], "beta": f["alpha"]}, 1))
+      lambda f, h, mp: ({"alpha": f["alpha"], "beta": f["beta"], "c": mp.mpf(0)},
+                        {"alpha": f["beta"], "beta": f["alpha"]}, 1))
 _edge("chihara", "generalized-gegenbauer", "specialization", "A.3",
       "gamma -> 0", "exact", _fx(alpha="0.5", beta="1.5"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"], "gamma": mp.mpf(0)},
-                                 {"alpha": f["alpha"], "beta": f["beta"]}, 1))
+      lambda f, h, mp: ({"alpha": f["alpha"], "beta": f["beta"], "gamma": mp.mpf(0)},
+                        {"alpha": f["alpha"], "beta": f["beta"]}, 1))
 _edge("little-minus1-jacobi", "special-little-minus1-jacobi", "specialization", "A.7",
       "alpha -> 0", "exact", _fx(beta="1.5"),
-      lambda f, h, mp, variant: ({"alpha": mp.mpf(0), "beta": f["beta"]},
-                                 {"alpha": f["beta"]}, 1))
+      lambda f, h, mp: ({"alpha": mp.mpf(0), "beta": f["beta"]},
+                        {"alpha": f["beta"]}, 1))
 _edge("generalized-gegenbauer", "gegenbauer", "specialization", "A.8",
       "alpha -> -1/2", "exact", _fx(beta="1.25"),
-      lambda f, h, mp, variant: ({"alpha": -mp.mpf(1) / 2, "beta": f["beta"] - mp.mpf(1) / 2},
-                                 {"alpha": f["beta"]}, 1))
+      lambda f, h, mp: ({"alpha": -mp.mpf(1) / 2, "beta": f["beta"] - mp.mpf(1) / 2},
+                        {"alpha": f["beta"]}, 1))
 _edge("minus1-meixner-pollaczek", "generalized-hermite", "specialization", "A.9",
       "gamma -> 0", "exact", _fx(alpha="0.75"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"], "gamma": mp.mpf(0)},
-                                 {"alpha": f["alpha"]}, 1))
+      lambda f, h, mp: ({"alpha": f["alpha"], "gamma": mp.mpf(0)},
+                        {"alpha": f["alpha"]}, 1))
 _edge("generalized-hermite", "hermite", "specialization", "A.13",
       "alpha -> 0", "exact", _fx(),
-      lambda f, h, mp, variant: ({"alpha": mp.mpf(0)}, {}, 1))
+      lambda f, h, mp: ({"alpha": mp.mpf(0)}, {}, 1))
 
 
-def _hahn_to_sbi(f, h, mp, variant):
+def _hahn_to_sbi(f, h, mp):
     return ({"alpha": f["alpha"], "beta": mp.mpf(0), "gamma": f["gamma"]},
             {"a": 2 * f["alpha"] + 1, "b": 2 * f["gamma"] + 1}, 1)
 
@@ -121,18 +123,18 @@ _edge("continuous-minus1-hahn-2", "symmetric-bannai-ito", "specialization", "A.5
       _hahn_to_sbi)
 _edge("continuous-bannai-ito", "continuous-minus1-hahn-1", "specialization", "A.1",
       "delta = beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": f["beta"]},
           {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, 1))
 _edge("continuous-bannai-ito", "continuous-minus1-hahn-2", "specialization", "A.1",
       "delta = -beta", "exact", _fx(alpha="0.25", beta="0.5", gamma="0.75"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"], "delta": -f["beta"]},
           {"alpha": f["alpha"], "beta": f["beta"], "gamma": f["gamma"]}, 1))
 _edge("continuous-complementary-bannai-ito", "generalized-symmetric-bannai-ito",
       "specialization", "ss5.2", "b2 = 0 (a = a1 + i b1, b = a1 - i b1, c = a2)",
       "exact", _fx(a1="0.75", b1="0.5", a2="1.25"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"a1": f["a1"], "b1": f["b1"], "a2": f["a2"], "b2": mp.mpf(0)},
           {"a": f["a1"] + mp.j * f["b1"], "b": f["a1"] - mp.j * f["b1"], "c": f["a2"]}, 1))
 
@@ -140,13 +142,13 @@ _edge("continuous-complementary-bannai-ito", "generalized-symmetric-bannai-ito",
 _edge("continuous-bannai-ito", "big-minus1-jacobi", "limit", "ss3.1",
       "beta, delta ~ 1/h; x scaled by 2 beta/h", "h->0",
       _fx(a1="0.25", b1="1", a2="0.25", b2="0.5"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"alpha": f["a1"], "beta": f["b1"] / h, "gamma": f["a2"], "delta": f["b2"] / h},
           {"alpha": 4 * f["a1"] + 1, "beta": 4 * f["a2"] + 1, "c": -f["b2"] / f["b1"]},
           2 * f["b1"] / h))
 
 
-def _ccbi_to_chihara(f, h, mp, variant):
+def _ccbi_to_chihara(f, h, mp):
     root = mp.sqrt(f["c1"] ** 2 - f["c2"] ** 2)
     return ({"a1": (f["beta"] + 1) / 2, "b1": h * f["c1"],
              "a2": f["alpha"] + 1, "b2": h * f["c2"]},
@@ -158,19 +160,19 @@ _edge("continuous-complementary-bannai-ito", "chihara", "limit", "ss5.1",
       _fx(alpha="0.5", beta="1.5", c1="1", c2="0.5"), _ccbi_to_chihara)
 _edge("generalized-symmetric-bannai-ito", "symmetric-bannai-ito", "limit", "A.6",
       "c -> inf", "h->inf", _fx(a="0.5", b="1.5"),
-      lambda f, h, mp, variant: ({"a": f["a"], "b": f["b"], "c": h},
-                                 {"a": f["a"], "b": f["b"]}, 1))
+      lambda f, h, mp: ({"a": f["a"], "b": f["b"], "c": h},
+                        {"a": f["a"], "b": f["b"]}, 1))
 _edge("generalized-symmetric-bannai-ito", "generalized-gegenbauer", "limit", "A.6",
       "a, b = (beta+1)/2 +- i h, c = alpha + 1; x scaled by h", "h->inf",
       _fx(alpha="0.5", beta="1.5"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"a": (f["beta"] + 1) / 2 + mp.j * h, "b": (f["beta"] + 1) / 2 - mp.j * h,
            "c": f["alpha"] + 1},
           {"alpha": f["alpha"], "beta": f["beta"]}, h))
 
 
-def _hahn_to_mp(f, h, mp, variant):
-    if variant == "sqrt-of-product":       # rejected print variant sqrt(gamma beta / 2)
+def _hahn_to_mp(f, h, mp, product=False):
+    if product:                            # rejected print variant sqrt(gamma beta / 2)
         bK = mp.sqrt(h * f["beta"] / 2)
     else:
         bK = mp.sqrt(h / 2) * f["beta"]
@@ -182,39 +184,40 @@ _edge("continuous-minus1-hahn-1", "minus1-meixner-pollaczek", "limit", "A.4",
       "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"),
       _hahn_to_mp,
       variants=_Variants("open-question:mp-scaling",
-                         (("sqrt(gamma/2)*beta", None), ("sqrt(gamma*beta/2)", "sqrt-of-product")),
+                         (("sqrt(gamma/2)*beta", _hahn_to_mp),
+                          ("sqrt(gamma*beta/2)", functools.partial(_hahn_to_mp, product=True))),
                          "sqrt(gamma/2)*beta; the sqrt(gamma*beta/2) reading diverges"))
 _edge("continuous-minus1-hahn-2", "minus1-meixner-pollaczek", "limit", "A.5",
       "gamma -> inf; x scaled by sqrt(2 gamma)", "h->inf", _fx(alpha="0.75", beta="0.5"),
       _hahn_to_mp)
 _edge("chihara", "minus1-meixner-pollaczek", "limit", "A.3",
       "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75", gamma="0.5"),
-      lambda f, h, mp, variant: (
+      lambda f, h, mp: (
           {"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h, "gamma": f["gamma"] / mp.sqrt(h)},
           {"alpha": f["alpha"], "gamma": f["gamma"]}, 1 / mp.sqrt(h)))
 _edge("generalized-gegenbauer", "generalized-hermite", "limit", "A.8",
       "beta -> inf; x scaled by 1/sqrt(beta)", "h->inf", _fx(alpha="0.75"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h},
-                                 {"alpha": f["alpha"]}, 1 / mp.sqrt(h)))
+      lambda f, h, mp: ({"alpha": f["alpha"] - mp.mpf(1) / 2, "beta": h},
+                        {"alpha": f["alpha"]}, 1 / mp.sqrt(h)))
 _edge("symmetric-bannai-ito", "generalized-hermite", "limit", "A.10",
       "b -> inf; x scaled by sqrt(b)", "h->inf", _fx(alpha="0.75"),
-      lambda f, h, mp, variant: ({"a": f["alpha"] + mp.mpf(1) / 2, "b": h},
-                                 {"alpha": f["alpha"]}, mp.sqrt(h)))
+      lambda f, h, mp: ({"a": f["alpha"] + mp.mpf(1) / 2, "b": h},
+                        {"alpha": f["alpha"]}, mp.sqrt(h)))
 _edge("gegenbauer", "hermite", "limit", "A.12",
       "alpha -> inf; x scaled by 1/sqrt(alpha)", "h->inf", _fx(),
-      lambda f, h, mp, variant: ({"alpha": h}, {}, 1 / mp.sqrt(h)))
+      lambda f, h, mp: ({"alpha": h}, {}, 1 / mp.sqrt(h)))
 
 # --- q -> -1 limits (the ladder value h is eps) -----------------------------
 _edge("big-q-jacobi", "big-minus1-jacobi", "q-limit", "A.2",
       "q = -e^eps, a = -e^(eps alpha), b = -e^(eps beta)", "eps->0",
       _fx(alpha="0.5", beta="1.5", c="0.25"),
-      lambda f, eps, mp, variant: (
+      lambda f, eps, mp: (
           {"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]),
            "c": f["c"], "q": -mp.exp(eps)},
           {"alpha": f["alpha"], "beta": f["beta"], "c": f["c"]}, 1))
 
 
-def _big_q_to_chihara(f, eps, mp, variant):
+def _big_q_to_chihara(f, eps, mp):
     c = f["c"]
     root = mp.sqrt(1 - c * c)
     return ({"a": mp.exp(2 * eps * f["beta"]), "b": -mp.exp(eps * (2 * f["alpha"] + 1)),
@@ -227,22 +230,23 @@ _edge("big-q-jacobi", "chihara", "q-limit", "A.3",
       "eps->0", _fx(alpha="0.5", beta="1.5", c="0.25"), _big_q_to_chihara)
 
 
-def _dilated_to_little(f, eps, mp, variant):
-    src = {"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]), "q": -mp.exp(eps)}
-    if variant:
-        src["bn_sign"] = variant
-    return (src, {"alpha": f["alpha"], "beta": f["beta"]}, 1)
+def _dilated_to_little(f, eps, mp, bn_sign):
+    return ({"a": -mp.exp(eps * f["alpha"]), "b": -mp.exp(eps * f["beta"]), "q": -mp.exp(eps),
+             "bn_sign": bn_sign},
+            {"alpha": f["alpha"], "beta": f["beta"]}, 1)
 
 
 _edge("little-q-jacobi-dilated", "little-minus1-jacobi", "q-limit", "A.7",
       "q = -e^eps, a = -e^(eps alpha), b = -e^(eps beta)", "eps->0",
-      _fx(alpha="0.5", beta="1.5"), _dilated_to_little,
-      variants=_Variants("open-question:bn-sign", (("minus", "minus"), ("plus", "plus")),
+      _fx(alpha="0.5", beta="1.5"), functools.partial(_dilated_to_little, bn_sign="minus"),
+      variants=_Variants("open-question:bn-sign",
+                         tuple((sign, functools.partial(_dilated_to_little, bn_sign=sign))
+                               for sign in ("minus", "plus")),
                          "b_n = 1 - A_n - C_n; the printed '+' variant diverges"))
 _edge("little-q-jacobi-dilated", "generalized-gegenbauer", "q-limit", "A.8",
       "q = -e^eps, a = -e^(eps(2 alpha+1)), b = e^(2 eps beta)", "eps->0",
       _fx(alpha="0.5", beta="1.5"),
-      lambda f, eps, mp, variant: (
+      lambda f, eps, mp: (
           {"a": -mp.exp(eps * (2 * f["alpha"] + 1)), "b": mp.exp(2 * eps * f["beta"]),
            "q": -mp.exp(eps)},
           {"alpha": f["alpha"], "beta": f["beta"]}, 1))
@@ -250,7 +254,7 @@ _edge("little-q-jacobi-dilated", "generalized-gegenbauer", "q-limit", "A.8",
 
 def _q_hahn_to_hahn(sign):
     """Map onto -1 Hahn I (sign 1) or II (sign -1): b = sign e^(eps(2 gamma+1))."""
-    def params(f, eps, mp, variant):
+    def params(f, eps, mp):
         return ({"a": mp.exp(eps * (2 * f["alpha"] + 1)),
                  "b": sign * mp.exp(eps * (2 * f["gamma"] + 1)),
                  "phi": mp.pi / 2 + 2 * eps * f["beta"], "q": -mp.exp(eps)},
@@ -266,7 +270,7 @@ _edge("continuous-q-hahn", "continuous-minus1-hahn-2", "q-limit", "A.5",
       "eps->0", _fx(alpha="0.25", beta="0.5", gamma="0.75"), _q_hahn_to_hahn(-1))
 
 
-def _q_mp_to_mp(f, eps, mp, variant):
+def _q_mp_to_mp(f, eps, mp):
     q = -mp.exp(-eps)
     return ({"a": -mp.exp(-eps * (f["alpha"] + mp.mpf(1) / 2)),
              "phi": mp.pi / 2 + mp.sqrt(eps) * f["gamma"], "q": q},
@@ -280,14 +284,14 @@ _edge("q-meixner-pollaczek", "minus1-meixner-pollaczek", "q-limit", "A.9",
 # --- spectral transformations (each pair registers both directions) --------
 _pair("little-minus1-jacobi", "generalized-gegenbauer", "A.7",
       "kernel point 1; target ((alpha-1)/2, (beta+1)/2)", _fx(alpha="0.5", beta="1.5"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"], "beta": f["beta"]},
-                                 {"alpha": (f["alpha"] - 1) / 2, "beta": (f["beta"] + 1) / 2}, 1))
+      lambda f, h, mp: ({"alpha": f["alpha"], "beta": f["beta"]},
+                        {"alpha": (f["alpha"] - 1) / 2, "beta": (f["beta"] + 1) / 2}, 1))
 _pair("special-little-minus1-jacobi", "gegenbauer", "A.11",
       "kernel point 1; target (alpha+2)/2", _fx(alpha="0.5"),
-      lambda f, h, mp, variant: ({"alpha": f["alpha"]}, {"alpha": (f["alpha"] + 2) / 2}, 1))
+      lambda f, h, mp: ({"alpha": f["alpha"]}, {"alpha": (f["alpha"] + 2) / 2}, 1))
 
 
-def _big_to_chihara_kernel(f, h, mp, variant):
+def _big_to_chihara_kernel(f, h, mp):
     """The kernel sequence is sqrt(1-c^2)^n C_n(x/sqrt(1-c^2)), hence s =
     1/sqrt(1-c^2), at the boxed parameters ((beta-1)/2, (alpha+1)/2,
     -c/sqrt(1-c^2)); the reflected form
@@ -320,11 +324,11 @@ def resolve_edge(selector: str) -> SchemeEdge:
     return EDGES[key]
 
 
-def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None, variant=None):
+def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None):
     """``edge.params`` at the edge fixture."""
     mp = ctx.mp
     f = {k: mp.mpf(v) for k, v in edge.fixture}
-    return edge.params(f, h, mp, variant)
+    return edge.params(f, h, mp)
 
 
 def _transform(polys, s, ctx):
@@ -373,6 +377,9 @@ def verify_exact(edge, N, ctx: PrecisionContext):
 # ladder is no looser than its 1e-8 extrapolation gate.
 LADDER_MIN_DIGITS = 20
 
+# degrees compared on every ladder: the limit edges, the squares and the open questions
+LADDER_N = 6
+
 
 def default_ladder(direction, ctx):
     mp = ctx.mp
@@ -381,7 +388,7 @@ def default_ladder(direction, ctx):
     return [mp.mpf(10) ** -k for k in range(1, 7)]
 
 
-def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
+def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
     """Ladder convergence of a limit or q-limit edge.
 
     Passes iff polynomial-coefficient and recurrence-coefficient errors both
@@ -396,7 +403,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
     mp = ctx.mp
     if ladder is None:
         ladder = default_ladder(edge.direction, ctx)
-    tgt_params = _mapdata(edge, ctx, h=ladder[0], variant=variant)[1]
+    tgt_params = _mapdata(edge, ctx, h=ladder[0])[1]
     target_pairs = families.recurrences(edge.target, tgt_params, N, ctx)
     target = families.polys_from_pairs(target_pairs[:N], ctx)
 
@@ -404,7 +411,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
     rec_errors = []
     ladder_polys = []
     for h in ladder:
-        src_params, _, s = _mapdata(edge, ctx, h=h, variant=variant)
+        src_params, _, s = _mapdata(edge, ctx, h=h)
         source_pairs = families.recurrences(edge.source, src_params, N, ctx)
         upolys = _transform(families.polys_from_pairs(source_pairs[:N], ctx), s, ctx)
         ladder_polys.append(upolys)
@@ -412,6 +419,8 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
         rec_errors.append(_compare_recurrence(source_pairs, target_pairs, s, ctx))
 
     floor = ctx.tol(12)
+    gate = mp.mpf("1e-8")
+
     def monotone(seq):
         return all(seq[k + 1] < seq[k] or seq[k + 1] <= floor for k in range(len(seq) - 1))
 
@@ -443,7 +452,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
           and (converged_exactly or (
               order_poly is not None and order_poly >= 0.9
               and order_rec is not None and order_rec >= 0.9
-              and ext_err is not None and ext_err <= mp.mpf("1e-8"))))
+              and ext_err is not None and ext_err <= gate)))
     return {
         "edge": edge.id, "kind": edge.kind, "anchor": edge.anchor, "N": N,
         "ladder": [float(h) for h in ladder],
@@ -452,8 +461,8 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None, variant=None):
         "order_poly": order_poly,
         "order_recurrence": order_rec,
         "extrapolated_error": float(ext_err) if ext_err is not None else None,
+        "tolerance": float(gate),
         "status": "pass" if ok else "fail",
-        "variant": variant,
     }
 
 
@@ -548,15 +557,12 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20):
 # Each square composes two q-limit edges at fixtures of its own: big q-Jacobi
 # at c = 0 and the dilated little q-Jacobi land on the same -1 family (for
 # "little" with alpha, beta swapped, since J(alpha, beta, 0) = P(beta, alpha)).
-_SQUARES = {
+SQUARES = {
     "little": (("big-q-jacobi:big-minus1-jacobi", _fx(alpha="1", beta="2", c="0")),
                ("little-q-jacobi-dilated:little-minus1-jacobi", _fx(alpha="2", beta="1"))),
     "gegenbauer": (("big-q-jacobi:chihara", _fx(alpha="1", beta="2", c="0")),
                    ("little-q-jacobi-dilated:generalized-gegenbauer", _fx(alpha="1", beta="2"))),
 }
-
-# degrees compared on the square and open-question ladders (the CLI limit check's N)
-_LADDER_N = 6
 
 
 def verify_commuting_square(which, ctx: PrecisionContext):
@@ -569,17 +575,19 @@ def verify_commuting_square(which, ctx: PrecisionContext):
     equals the dilated little q-Jacobi with swapped parameters.  Both legs
     have scale s = 1 at c = 0.
     """
-    N = _LADDER_N
+    N = LADDER_N
     path_a, path_b = [dataclasses.replace(EDGES[edge_id], fixture=fx)
-                      for edge_id, fx in _SQUARES[which]]
+                      for edge_id, fx in SQUARES[which]]
     leg_err = max(_compare_sets(*[families.generate(e.source, _mapdata(e, ctx, eps)[0], N, ctx)
                                   for e in (path_a, path_b)])
                   for eps in default_ladder("eps->0", ctx))
     rep_a, rep_b = verify_limit(path_a, N, ctx), verify_limit(path_b, N, ctx)
-    ok = leg_err <= ctx.tol(10) and rep_a["status"] == rep_b["status"] == "pass"
+    tol = ctx.tol(10)
+    ok = leg_err <= tol and rep_a["status"] == rep_b["status"] == "pass"
     return {
         "square": which, "N": N,
         "exact_leg_error": float(leg_err),
+        "tolerance": float(tol),
         "path_errors_via_minus1": rep_a["errors"],
         "path_errors_via_little_q": rep_b["errors"],
         "order_path_a": rep_a["order_poly"],
@@ -608,8 +616,9 @@ def resolve_open_questions(ctx: PrecisionContext):
             continue
         entry = {"id": edge.id, "check": edge.variants.check, "residual": None}
         try:
-            outcomes = {label: verify_limit(edge, _LADDER_N, ctx, variant=variant)
-                        for label, variant in edge.variants.readings}
+            outcomes = {label: verify_limit(dataclasses.replace(edge, params=reading),
+                                            LADDER_N, ctx)
+                        for label, reading in edge.variants.readings}
         except families.DEAD_ENDS as exc:
             results.append({**entry, "status": "inconclusive", "notes": str(exc)})
             continue

@@ -236,15 +236,14 @@ def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
 
 def test_weight_spec_hermite():
     spec = F.weight_spec("hermite", {}, CTX)
-    (comp,) = spec.components
-    assert MP.isinf(comp.lo) and MP.isinf(comp.hi)
+    ((lo, hi),) = spec.pieces
+    assert MP.isinf(lo) and MP.isinf(hi)
     assert abs(spec.density(MP.mpf(1)) - MP.exp(MP.mpf(-1))) < CTX.tol(6)
 
 
 def test_weight_spec_chihara_support():
     spec = F.weight_spec("chihara", P("chihara", alpha="0.5", beta="1", gamma="0.25"), CTX)
-    lo0, hi0 = spec.components[0].lo, spec.components[0].hi
-    lo1, hi1 = spec.components[1].lo, spec.components[1].hi
+    (lo0, hi0), (lo1, hi1) = spec.pieces
     top = MP.sqrt(MP.mpf(17)) / 4
     assert abs(lo0 + top) < CTX.tol(6) and abs(hi0 + MP.mpf("0.25")) < CTX.tol(6)
     assert abs(lo1 - MP.mpf("0.25")) < CTX.tol(6) and abs(hi1 - top) < CTX.tol(6)
@@ -253,8 +252,8 @@ def test_weight_spec_chihara_support():
 def test_gsbi_density_formula():
     # |Gamma(ix) Gamma(1+ix)^3 / Gamma(2ix)|^2 at a = b = c = 1, full line
     spec = F.weight_spec("gsbi", P("gsbi", a="1", b="1", c="1"), CTX)
-    (comp,) = spec.components
-    assert MP.isinf(comp.lo) and MP.isinf(comp.hi)
+    ((lo, hi),) = spec.pieces
+    assert MP.isinf(lo) and MP.isinf(hi)
     x = MP.mpf("0.7")
     ix = MP.mpc(0, 1) * x
     direct = abs(MP.gamma(ix) * MP.gamma(1 + ix) ** 3 / MP.gamma(2 * ix)) ** 2
@@ -318,9 +317,9 @@ def test_weight_density_nonnegative_on_support():
     for fid in F.orthogonal_ids():
         params = P(fid, **F.fixture_points(fid)[0])
         spec = F.weight_spec(fid, params, CTX)
-        for comp in spec.components:
-            lo = float(comp.lo) if not MP.isinf(comp.lo) else -5.0
-            hi = float(comp.hi) if not MP.isinf(comp.hi) else 5.0
+        for lo, hi in spec.pieces:
+            lo = float(lo) if not MP.isinf(lo) else -5.0
+            hi = float(hi) if not MP.isinf(hi) else 5.0
             for _ in range(10):
                 x = MP.mpf(repr(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo))))
                 assert spec.density(x) >= 0, (fid, x)
@@ -344,13 +343,13 @@ def test_offset_densities_match_x_only_forms(digits):
     cases = [(fid, pt) for fid in OFFSET_DENSITIES for pt in F.fixture_points(fid)]
     for fid, pt in cases + list(NEGATIVE_GAMMA):
         spec = F.weight_spec(fid, F.make_params(fid, ctx, **pt), ctx)
-        for comp in spec.components:
-            a = comp.hi - 4 if mp.isinf(comp.lo) else comp.lo
-            b = comp.lo + 4 if mp.isinf(comp.hi) else comp.hi
+        for lo, hi in spec.pieces:
+            a = hi - 4 if mp.isinf(lo) else lo
+            b = lo + 4 if mp.isinf(hi) else hi
             for frac in ("1e-6", "0.01", "0.3", "0.7", "0.99", "0.999999"):
                 x = a + (b - a) * mp.mpf(frac)
                 ref = spec.density(x)
-                got = spec.density(x, x - comp.lo, comp.hi - x)
+                got = spec.density(x, x - lo, hi - x)
                 assert ref > 0 and abs(got - ref) <= 2 ** (4 - mp.prec) * ref, (fid, pt, frac)
 
 

@@ -7,7 +7,7 @@ from minusone.quadrature import integrate
 from minusone import families as F
 from minusone import orthogonality as orth
 from minusone import quadrature
-from minusone.families import SupportComponent, WeightSpec, weights
+from minusone.families import WeightSpec, weights
 
 CTX = PrecisionContext(50)
 MP = CTX.mp
@@ -15,7 +15,7 @@ MP = CTX.mp
 
 def _spec(lo, hi, density):
     """A one-piece weight spec; the density takes the offsets, density(x, x - lo, hi - x)."""
-    return WeightSpec("test", [SupportComponent(MP.mpf(lo), MP.mpf(hi))], density)
+    return WeightSpec([(MP.mpf(lo), MP.mpf(hi))], density)
 
 
 def test_constant_on_interval():

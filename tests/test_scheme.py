@@ -161,7 +161,7 @@ def test_commuting_squares():
         assert rep["exact_leg_error"] <= 1e-40
         assert rep["order_path_a"] >= 0.9 and rep["order_path_b"] >= 0.9
         # each path is its q-limit edge's own ladder at the square's fixture
-        for (edge_id, fixture), path in zip(S._SQUARES[which], ("a", "b")):
+        for (edge_id, fixture), path in zip(S.SQUARES[which], ("a", "b")):
             edge = dataclasses.replace(S.EDGES[edge_id], fixture=fixture)
             ladder = S.verify_limit(edge, rep["N"], CTX)
             errors = rep["path_errors_via_minus1" if path == "a" else "path_errors_via_little_q"]
