@@ -219,15 +219,9 @@ def _orthogonality_result(fid, info, params, ctx):
     except families.NoWeightError:
         return _result(fid, "orthogonality", "pass", anchor=info.anchor,
                        notes="no continuous measure on record (skipped)")
-    off_tol = 10.0 ** -(ctx.digits / 2)
-    diag_tol = 10.0 ** -(ctx.digits / 2 - 8)
-    ok = rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol
-    status = "pass" if ok else "fail"
-    if not rep["converged"]:
-        status = "inconclusive"
-    return _result(fid, "orthogonality", status,
+    return _result(fid, "orthogonality", rep["status"],
                    max(rep["max_offdiag"], rep["max_diag_error"]),
-                   off_tol, info.anchor,
+                   rep["tolerance"], info.anchor,
                    "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
                        rep["max_offdiag"], rep["max_diag_error"], rep["nodes"],
                        rep["working_digits"]))

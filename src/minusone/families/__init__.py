@@ -15,8 +15,11 @@ sequence per (family, parameters, N): ``recurrences`` and ``norms`` return
 degrees 0..N from one call, and ``recurrence`` and ``norm`` are their entry
 n.
 
-How a recurrence sequence function (params, N, ctx) is written: it parses
-its parameters once; it forms each subexpression that does not involve n
+Parameters are parsed once, here: each dispatcher converts the names of
+the family's schema (``FamilyInfo.params``) in the caller's context and
+passes them by name, so every table function takes them as keyword
+arguments (``fn(ctx, N, alpha, beta)``).  How a recurrence sequence
+function is written: it forms each subexpression that does not involve n
 once (2 alpha, beta - delta, a b, e^(+-2i phi), each q ** j, the
 denominator threshold of ``denominator_check``), sharing a value between
 A_k and C_(k+1) where both print it; and it keeps the operation order of
@@ -40,7 +43,6 @@ from .base import (
     RecurrencePair,
     UnknownFamilyError,
     WeightSpec,
-    get_param,
 )
 from .catalog import ALIASES, CLOSED_FORMS, RECURRENCES, REGISTRY
 from .qaux import Q_CLOSED_FORMS, Q_RECURRENCES
@@ -79,23 +81,37 @@ def orthogonal_ids():
     return sorted(fid for fid, info in REGISTRY.items() if info.kind == "scheme")
 
 
+def _convert(value, name, who, ctx: PrecisionContext):
+    """A parameter value in ctx: a decimal string by mp.mpf, a complex by mp.mpc, anything
+    else by mp.convert, which keeps the mantissa of a value made in another context."""
+    if isinstance(value, str):
+        try:
+            return ctx.mp.mpf(value)
+        except ValueError:
+            raise ParameterError("parameter %r of %s is not a real number: %r"
+                                 % (name, who, value)) from None
+    if isinstance(value, complex):
+        return ctx.mp.mpc(value)
+    return ctx.mp.convert(value)
+
+
+def _bind(fid: str, values: dict, ctx: PrecisionContext) -> dict:
+    """``values`` with each name of the family's schema converted once; other keys pass through."""
+    bound = dict(values)
+    for name in REGISTRY[fid].params:
+        if name not in values:
+            raise ParameterError("family %s needs parameter %r" % (fid, name))
+        bound[name] = _convert(values[name], name, fid, ctx)
+    return bound
+
+
 def make_params(family: str, ctx: PrecisionContext, **values):
     """Parse parameter values (decimal strings stay exact) for a family."""
     info = family_info(family)
-    params = {}
-    for name in info.params:
-        if name not in values:
-            raise ParameterError("family %s needs parameter %r" % (info.id, name))
-        v = values.pop(name)
-        if isinstance(v, str):
-            try:
-                v = ctx.mp.mpf(v)
-            except ValueError:
-                raise ParameterError("parameter %r of %s is not a real number: %r"
-                                     % (name, info.id, v)) from None
-        params[name] = v
-    if values:
-        raise ParameterError("unknown parameters for %s: %s" % (info.id, sorted(values)))
+    params = _bind(info.id, values, ctx)
+    unknown = sorted(set(values) - set(info.params))
+    if unknown:
+        raise ParameterError("unknown parameters for %s: %s" % (info.id, unknown))
     return params
 
 
@@ -107,12 +123,12 @@ def fixture_points(family: str):
 def recurrences(family: str, params: dict, N: int, ctx: PrecisionContext):
     """Recurrence coefficients of x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}, n = 0..N.
 
-    One call parses the parameters once and, for the families printed
-    through (A_n, C_n), computes each A_k and C_k once; entry n is
-    ``recurrence(family, params, n, ctx)``.  Returns a list of
-    :class:`RecurrencePair`, empty for N < 0.
+    One call computes, for the families printed through (A_n, C_n), each
+    A_k and C_k once; entry n is ``recurrence(family, params, n, ctx)``.
+    Returns a list of :class:`RecurrencePair`, empty for N < 0.
     """
-    return _ALL_RECURRENCES[resolve_family(family)](params, N, ctx)
+    fid = resolve_family(family)
+    return _ALL_RECURRENCES[fid](ctx, N, **_bind(fid, params, ctx))
 
 
 def recurrence(family: str, params: dict, n: int, ctx: PrecisionContext) -> RecurrencePair:
@@ -155,7 +171,7 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     fid = resolve_family(family)
     if fid not in _ALL_CLOSED:
         raise NoClosedFormError("no closed form on record for %s" % fid)
-    p = _ALL_CLOSED[fid](params, n, ctx)
+    p = _ALL_CLOSED[fid](ctx, n, **_bind(fid, params, ctx))
     if p.degree != n or p.lead_is_noise():
         raise ParameterError(
             "closed form of %s has no degree-%d term at these parameters (parameter singularity)"
@@ -166,15 +182,17 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     return monic
 
 
-def _measure(family: str):
+def _measure(family: str, params: dict, ctx: PrecisionContext):
+    """The family's ``WEIGHTS`` entry and its parsed parameters."""
     fid = resolve_family(family)
     if fid not in WEIGHTS:
         raise NoWeightError("no continuous orthogonality measure on record for %s" % fid)
-    return WEIGHTS[fid]
+    return WEIGHTS[fid], _bind(fid, params, ctx)
 
 
 def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
-    return _measure(family).spec(params, ctx)
+    measure, bound = _measure(family, params, ctx)
+    return measure.spec(ctx, **bound)
 
 
 def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
@@ -185,7 +203,8 @@ def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
     ``norm(family, params, n, ctx)``.
     """
     mp = ctx.mp
-    return [mp.re(mp.mpc(value)) for value in _measure(family).norms(params, N, ctx)]
+    measure, bound = _measure(family, params, ctx)
+    return [mp.re(mp.mpc(value)) for value in measure.norms(ctx, N, **bound)]
 
 
 def norm(family: str, params: dict, n: int, ctx: PrecisionContext):
@@ -208,15 +227,17 @@ def positivity_conditions_ccbi(params: dict, ctx: PrecisionContext, N: int = 8):
     """
     mp = ctx.mp
     if "a3" in params:
-        a1, b1 = get_param(params, "a1", ctx), get_param(params, "b1", ctx)
-        a3, b3 = get_param(params, "a3", ctx), get_param(params, "b3", ctx)
-        a4, b4 = get_param(params, "a4", ctx), get_param(params, "b4", ctx)
-        b2 = get_param(params, "b2", ctx)
+        raw = ("a1", "b1", "a3", "b3", "a4", "b4", "b2")
+        for name in raw:
+            if name not in params:
+                raise ParameterError("the raw CCBI set needs parameter %r" % name)
+        a1, b1, a3, b3, a4, b4, b2 = (_convert(params[name], name, "the raw CCBI set", ctx)
+                                      for name in raw)
     else:
-        a1, b1 = get_param(params, "a1", ctx), get_param(params, "b1", ctx)
-        b2 = get_param(params, "b2", ctx)
+        p = _bind("continuous-complementary-bannai-ito", params, ctx)
+        a1, b1, b2 = p["a1"], p["b1"], p["b2"]
         a3, b3 = a1, -b1
-        a4, b4 = get_param(params, "a2", ctx), -b2
+        a4, b4 = p["a2"], -b2
     tol = ctx.tol(8)
 
     cond1 = abs(b1 + b2 + b3 + b4) <= tol

@@ -1,4 +1,4 @@
-"""Catalog scaffolding: family records, parameter handling, weight descriptions."""
+"""Catalog scaffolding: family records, errors, weight descriptions, shared formula helpers."""
 
 from __future__ import annotations
 
@@ -62,24 +62,8 @@ class WeightSpec:
     measure_prefactor: object = 1    # multiplies the raw integral in the printed inner product
 
 
-def get_param(params: dict, name: str, ctx: PrecisionContext):
-    if name not in params:
-        raise ParameterError("missing parameter %r" % name)
-    v = params[name]
-    if isinstance(v, str):
-        return ctx.mp.mpf(v)
-    if isinstance(v, complex):
-        return ctx.mp.mpc(v)
-    return ctx.mp.convert(v)
-
-
-def get_params(params: dict, ctx: PrecisionContext, *names):
-    """``get_param`` for each name, in order."""
-    return [get_param(params, name, ctx) for name in names]
-
-
 def denominator_check(ctx: PrecisionContext):
-    """``require_nonzero`` with its threshold tol(4)*10 formed once: check(value, what) -> value."""
+    """check(value, what) -> value; ParameterError naming ``what`` where |value| <= tol(4)*10, formed once."""
     floor = ctx.tol(4) * 10
 
     def check(value, what):
@@ -87,10 +71,6 @@ def denominator_check(ctx: PrecisionContext):
             raise ParameterError("printed denominator vanishes: %s = %s" % (what, ctx.mp.nstr(value)))
         return value
     return check
-
-
-def require_nonzero(value, what, ctx: PrecisionContext):
-    return denominator_check(ctx)(value, what)
 
 
 def _parity(n):

@@ -20,9 +20,6 @@ from .base import (
     _from_AC,
     _parity,
     denominator_check,
-    get_param,
-    get_params,
-    require_nonzero,
 )
 
 
@@ -128,11 +125,11 @@ def _half(ctx):
 # ----------------------------------------------------------------------
 # recurrence coefficients (b_n, u_n), with (A_n, C_n) where printed
 #
-# Sequence functions (params, N, ctx) -> [RecurrencePair, n = 0..N], written
-# as the package docstring describes.
+# Sequence functions (ctx, N, **params) -> [RecurrencePair, n = 0..N], the
+# parameters by their schema names, written as the package docstring describes.
 
 
-def _recs_hermite(params, N, ctx):
+def _recs_hermite(ctx, N):
     zero = ctx.mp.mpf(0)
     return [RecurrencePair(b=zero, u=ctx.mp.mpf(n) / 2) for n in range(N + 1)]
 
@@ -149,14 +146,13 @@ def _hermite_like(al, bs, N, ctx):
             for n in range(N + 1)]
 
 
-def _recs_generalized_hermite(params, N, ctx):
+def _recs_generalized_hermite(ctx, N, alpha):
     zero = ctx.mp.mpf(0)
-    return _hermite_like(get_param(params, "alpha", ctx), (zero, zero), N, ctx)
+    return _hermite_like(alpha, (zero, zero), N, ctx)
 
 
-def _recs_minus1_mp(params, N, ctx):
-    al, ga = get_params(params, ctx, "alpha", "gamma")
-    return _hermite_like(al, _alternating(ga), N, ctx)
+def _recs_minus1_mp(ctx, N, alpha, gamma):
+    return _hermite_like(alpha, _alternating(gamma), N, ctx)
 
 
 def _gg_like(al, be, bs, N, ctx):
@@ -175,18 +171,17 @@ def _gg_like(al, be, bs, N, ctx):
     return pairs[:N + 1]
 
 
-def _recs_generalized_gegenbauer(params, N, ctx):
+def _recs_generalized_gegenbauer(ctx, N, alpha, beta):
     zero = ctx.mp.mpf(0)
-    return _gg_like(*get_params(params, ctx, "alpha", "beta"), (zero, zero), N, ctx)
+    return _gg_like(alpha, beta, (zero, zero), N, ctx)
 
 
-def _recs_chihara(params, N, ctx):
-    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
-    return _gg_like(al, be, _alternating(ga), N, ctx)
+def _recs_chihara(ctx, N, alpha, beta, gamma):
+    return _gg_like(alpha, beta, _alternating(gamma), N, ctx)
 
 
-def _recs_gegenbauer(params, N, ctx):
-    al2 = 2 * get_param(params, "alpha", ctx)
+def _recs_gegenbauer(ctx, N, alpha):
+    al2 = 2 * alpha
     check = denominator_check(ctx)
     zero = ctx.mp.mpf(0)
     pairs = [RecurrencePair(b=zero, u=zero)]
@@ -197,8 +192,7 @@ def _recs_gegenbauer(params, N, ctx):
     return pairs[:N + 1]
 
 
-def _recs_symmetric_bannai_ito(params, N, ctx):
-    a, b = get_params(params, ctx, "a", "b")
+def _recs_symmetric_bannai_ito(ctx, N, a, b):
     zero = ctx.mp.mpf(0)
     pairs = []
     for n in range(N + 1):
@@ -207,8 +201,7 @@ def _recs_symmetric_bannai_ito(params, N, ctx):
     return pairs
 
 
-def _recs_gsbi(params, N, ctx):
-    a, b, c = get_params(params, ctx, "a", "b", "c")
+def _recs_gsbi(ctx, N, a, b, c):
     s = a + b + c
     check = denominator_check(ctx)
     zero = ctx.mp.mpf(0)
@@ -226,9 +219,8 @@ def _recs_gsbi(params, N, ctx):
     return pairs[:N + 1]
 
 
-def _recs_ccbi(params, N, ctx):
+def _recs_ccbi(ctx, N, a1, b1, a2, b2):
     mp = ctx.mp
-    a1, b1, a2, b2 = get_params(params, ctx, "a1", "b1", "a2", "b2")
     i = mp.mpc(0, 1)
     a1_2, ib_minus, ib_plus = 2 * a1, i * (b1 - b2), i * (b1 + b2)
     bs = _alternating(b2)
@@ -266,9 +258,8 @@ def _cbi_like(al, ga, N, ctx, pair):
     return pairs
 
 
-def _recs_cbi(params, N, ctx):
-    al, be, ga, de = get_params(params, ctx, "alpha", "beta", "gamma", "delta")
-    al4, ga4, be2, bmd, bpd = 4 * al, 4 * ga, 2 * be, be - de, be + de
+def _recs_cbi(ctx, N, alpha, beta, gamma, delta):
+    al4, ga4, be2, bmd, bpd = 4 * alpha, 4 * gamma, 2 * beta, beta - delta, beta + delta
     w_even, w_odd = 4 * bpd ** 2, 4 * bmd ** 2
 
     def pair(n, d1, d2, d1sq):
@@ -277,31 +268,29 @@ def _recs_cbi(params, N, ctx):
                     n * (n + al4 + ga4 + 2) * (d1sq + w_even) / (4 * d1sq))
         return (be2 - (n + al4 + ga4 + 3) * bpd / d2 - (n + ga4 + 1) * bmd / d1,
                 (n + al4 + 1) * (n + ga4 + 1) * (d1sq + w_odd) / (4 * d1sq))
-    return _cbi_like(al, ga, N, ctx, pair)
+    return _cbi_like(alpha, gamma, N, ctx, pair)
 
 
-def _recs_c1h1(params, N, ctx):
-    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
-    al4, ga4, be2, be16 = 4 * al, 4 * ga, 2 * be, 16 * be ** 2
+def _recs_c1h1(ctx, N, alpha, beta, gamma):
+    al4, ga4, be2, be16 = 4 * alpha, 4 * gamma, 2 * beta, 16 * beta ** 2
 
     def pair(n, d1, d2, d1sq):
         if n % 2 == 0:
             return be2 - be2 * n / d1, n * (n + al4 + ga4 + 2) * (d1sq + be16) / (4 * d1sq)
         return (be2 - be2 * (n + al4 + ga4 + 3) / d2,
                 (n + al4 + 1) * (n + ga4 + 1) * d1sq / (4 * d1sq))
-    return _cbi_like(al, ga, N, ctx, pair)
+    return _cbi_like(alpha, gamma, N, ctx, pair)
 
 
-def _recs_c1h2(params, N, ctx):
-    al, be, ga = get_params(params, ctx, "alpha", "beta", "gamma")
-    al4, ga4, be2, be16 = 4 * al, 4 * ga, 2 * be, 16 * be ** 2
+def _recs_c1h2(ctx, N, alpha, beta, gamma):
+    al4, ga4, be2, be16 = 4 * alpha, 4 * gamma, 2 * beta, 16 * beta ** 2
 
     def pair(n, d1, d2, d1sq):
         if n % 2 == 0:
             return be2 - be2 * (n + al4 + 2) / d2, n * (n + al4 + ga4 + 2) * d1sq / (4 * d1sq)
         return (be2 - be2 * (n + ga4 + 1) / d1,
                 (n + al4 + 1) * (n + ga4 + 1) * (d1sq + be16) / (4 * d1sq))
-    return _cbi_like(al, ga, N, ctx, pair)
+    return _cbi_like(alpha, gamma, N, ctx, pair)
 
 
 def _m1j_like(N, ctx, t0, nums, what):
@@ -321,27 +310,24 @@ def _m1j_like(N, ctx, t0, nums, what):
     return _from_AC(AC)
 
 
-def _recs_big_m1j(params, N, ctx):
-    al, be, c = get_params(params, ctx, "alpha", "beta", "c")
+def _recs_big_m1j(ctx, N, alpha, beta, c):
     opc, omc = 1 + c, 1 - c
-    return _m1j_like(N, ctx, lambda n2: n2 + al + be,
-                     lambda n: (opc * (n + al + 1), omc * n) if n % 2 == 0
-                     else (omc * (n + al + be + 1), opc * (n + be)), "2n+alpha+beta")
+    return _m1j_like(N, ctx, lambda n2: n2 + alpha + beta,
+                     lambda n: (opc * (n + alpha + 1), omc * n) if n % 2 == 0
+                     else (omc * (n + alpha + beta + 1), opc * (n + beta)), "2n+alpha+beta")
 
 
-def _recs_little_m1j(params, N, ctx):
-    al, be = get_params(params, ctx, "alpha", "beta")
-    return _m1j_like(N, ctx, lambda n2: n2 + al + be,
-                     lambda n: (n + be + 1, ctx.mp.mpf(n)) if n % 2 == 0
-                     else (n + al + be + 1, n + al), "2n+alpha+beta")
+def _recs_little_m1j(ctx, N, alpha, beta):
+    return _m1j_like(N, ctx, lambda n2: n2 + alpha + beta,
+                     lambda n: (n + beta + 1, ctx.mp.mpf(n)) if n % 2 == 0
+                     else (n + alpha + beta + 1, n + alpha), "2n+alpha+beta")
 
 
-def _recs_special_lj(params, N, ctx):
-    al = get_param(params, "alpha", ctx)
-    return _m1j_like(N, ctx, lambda n2: n2 + al, lambda n: (n + al + 1, ctx.mp.mpf(n)), "2n+alpha")
+def _recs_special_lj(ctx, N, alpha):
+    return _m1j_like(N, ctx, lambda n2: n2 + alpha, lambda n: (n + alpha + 1, ctx.mp.mpf(n)), "2n+alpha")
 
 
-# sequence functions (params, N, ctx) -> [RecurrencePair for n = 0..N]
+# sequence functions (ctx, N, **params) -> [RecurrencePair for n = 0..N]
 RECURRENCES = {
     "hermite": _recs_hermite,
     "generalized-hermite": _recs_generalized_hermite,
@@ -380,19 +366,16 @@ def _cf_hermite_like(al_half, n, ctx, gamma_shift=None):
     return series.scale(pref)
 
 
-def _cf_hermite(params, n, ctx):
+def _cf_hermite(ctx, n):
     return _cf_hermite_like(_half(ctx), n, ctx)
 
 
-def _cf_generalized_hermite(params, n, ctx):
-    al = get_param(params, "alpha", ctx)
-    return _cf_hermite_like(al + _half(ctx), n, ctx)
+def _cf_generalized_hermite(ctx, n, alpha):
+    return _cf_hermite_like(alpha + _half(ctx), n, ctx)
 
 
-def _cf_minus1_mp(params, n, ctx):
-    al = get_param(params, "alpha", ctx)
-    ga = get_param(params, "gamma", ctx)
-    return _cf_hermite_like(al + _half(ctx), n, ctx, gamma_shift=ga)
+def _cf_minus1_mp(ctx, n, alpha, gamma):
+    return _cf_hermite_like(alpha + _half(ctx), n, ctx, gamma_shift=gamma)
 
 
 def _cf_gg_like(al, be, n, ctx, gamma_shift=None):
@@ -411,34 +394,30 @@ def _cf_gg_like(al, be, n, ctx, gamma_shift=None):
     return lead.scale(pref) * series
 
 
-def _cf_generalized_gegenbauer(params, n, ctx):
-    return _cf_gg_like(get_param(params, "alpha", ctx), get_param(params, "beta", ctx), n, ctx)
+def _cf_generalized_gegenbauer(ctx, n, alpha, beta):
+    return _cf_gg_like(alpha, beta, n, ctx)
 
 
-def _cf_chihara(params, n, ctx):
-    return _cf_gg_like(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
-                       n, ctx, gamma_shift=get_param(params, "gamma", ctx))
+def _cf_chihara(ctx, n, alpha, beta, gamma):
+    return _cf_gg_like(alpha, beta, n, ctx, gamma_shift=gamma)
 
 
-def _cf_gegenbauer(params, n, ctx):
+def _cf_gegenbauer(ctx, n, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
     x = Poly.x(ctx)
     z = x * x
     odd, m = _parity(n)
     if not odd:
-        series = hyp_terminating_poly(m, [-mp.mpf(m), m + al], [_half(ctx)], z, ctx)
-        pref = (-1) ** m * pochhammer(_half(ctx), m, ctx) / pochhammer(mp.mpf(m) + al, m, ctx)
+        series = hyp_terminating_poly(m, [-mp.mpf(m), m + alpha], [_half(ctx)], z, ctx)
+        pref = (-1) ** m * pochhammer(_half(ctx), m, ctx) / pochhammer(mp.mpf(m) + alpha, m, ctx)
         return series.scale(pref)
-    series = hyp_terminating_poly(m, [-mp.mpf(m), m + al + 1], [3 * _half(ctx)], z, ctx)
-    pref = (-1) ** m * pochhammer(3 * _half(ctx), m, ctx) / pochhammer(mp.mpf(m) + al + 1, m, ctx)
+    series = hyp_terminating_poly(m, [-mp.mpf(m), m + alpha + 1], [3 * _half(ctx)], z, ctx)
+    pref = (-1) ** m * pochhammer(3 * _half(ctx), m, ctx) / pochhammer(mp.mpf(m) + alpha + 1, m, ctx)
     return (x.scale(pref)) * series
 
 
-def _cf_symmetric_bannai_ito(params, n, ctx):
+def _cf_symmetric_bannai_ito(ctx, n, a, b):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
     i = mp.mpc(0, 1)
     x = Poly.x(ctx)
     ix = Poly((mp.mpc(0), i))
@@ -450,11 +429,8 @@ def _cf_symmetric_bannai_ito(params, n, ctx):
     return x.scale((-1) ** m * pochhammer(1 + a, m, ctx) * pochhammer(1 + b, m, ctx)) * series
 
 
-def _cf_gsbi(params, n, ctx):
+def _cf_gsbi(ctx, n, a, b, c):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
     s = a + b + c
     i = mp.mpc(0, 1)
     x = Poly.x(ctx)
@@ -471,13 +447,9 @@ def _cf_gsbi(params, n, ctx):
     return x.scale(pref) * series
 
 
-def _cf_ccbi(params, n, ctx):
+def _cf_ccbi(ctx, n, a1, b1, a2, b2):
     """Wilson-based closed form; the Wilson block is the bare 4F3 series."""
     mp = ctx.mp
-    a1 = get_param(params, "a1", ctx)
-    b1 = get_param(params, "b1", ctx)
-    a2 = get_param(params, "a2", ctx)
-    b2 = get_param(params, "b2", ctx)
     i = mp.mpc(0, 1)
     x = Poly.x(ctx)
     ix = Poly((mp.mpc(0), i))
@@ -542,38 +514,31 @@ def _cbi_template(al, be, ga, de, n, ctx):
     return total.scale((-2 * i) ** n)
 
 
-def _cf_cbi(params, n, ctx):
-    return _cbi_template(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
-                         get_param(params, "gamma", ctx), get_param(params, "delta", ctx), n, ctx)
+def _cf_cbi(ctx, n, alpha, beta, gamma, delta):
+    return _cbi_template(alpha, beta, gamma, delta, n, ctx)
 
 
-def _cf_c1h1(params, n, ctx):
-    be = get_param(params, "beta", ctx)
-    return _cbi_template(get_param(params, "alpha", ctx), be,
-                         get_param(params, "gamma", ctx), be, n, ctx)
+def _cf_c1h1(ctx, n, alpha, beta, gamma):
+    return _cbi_template(alpha, beta, gamma, beta, n, ctx)
 
 
-def _cf_c1h2(params, n, ctx):
-    be = get_param(params, "beta", ctx)
-    return _cbi_template(get_param(params, "alpha", ctx), be,
-                         get_param(params, "gamma", ctx), -be, n, ctx)
+def _cf_c1h2(ctx, n, alpha, beta, gamma):
+    return _cbi_template(alpha, beta, gamma, -beta, n, ctx)
 
 
-def _cf_big_m1j(params, n, ctx):
+def _cf_big_m1j(ctx, n, alpha, beta, c):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    c = get_param(params, "c", ctx)
-    one_minus_c2 = require_nonzero(1 - c * c, "1-c^2", ctx)
-    one_plus_al = require_nonzero(1 + al, "1+alpha", ctx)
+    check = denominator_check(ctx)
+    one_minus_c2 = check(1 - c * c, "1-c^2")
+    one_plus_al = check(1 + alpha, "1+alpha")
     x = Poly.x(ctx)
     z = Poly((1 / one_minus_c2, mp.mpf(0), -1 / one_minus_c2))   # (1-x^2)/(1-c^2)
     one_minus_x = Poly((mp.mpf(1), mp.mpf(-1)))
     odd, m = _parity(n)
-    ap1_2 = (al + 1) / 2
-    ap3_2 = (al + 3) / 2
+    ap1_2 = (alpha + 1) / 2
+    ap3_2 = (alpha + 3) / 2
     if not odd:
-        s = (2 * m + al + be + 2) / 2
+        s = (2 * m + alpha + beta + 2) / 2
         f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
         if m == 0:
             total = f1
@@ -582,15 +547,15 @@ def _cf_big_m1j(params, n, ctx):
             total = f1 + (one_minus_x * f2).scale(2 * m / ((1 + c) * one_plus_al))
         eta = one_minus_c2 ** m * pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
         return total.scale(eta)
-    s = (2 * m + al + be + 2) / 2
+    s = (2 * m + alpha + beta + 2) / 2
     f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
-    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + al + be + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (one_minus_x * f2).scale((2 * m + al + be + 2) / ((1 + c) * one_plus_al))
+    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], z, ctx)
+    total = f1 - (one_minus_x * f2).scale((2 * m + alpha + beta + 2) / ((1 + c) * one_plus_al))
     eta = (1 + c) * one_minus_c2 ** m * pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
     return total.scale(eta)
 
 
-def _cf_little_m1j(params, n, ctx):
+def _cf_little_m1j(ctx, n, alpha, beta):
     """Little -1 Jacobi closed form.
 
     The odd-degree block of the printed representation carries a first
@@ -600,15 +565,13 @@ def _cf_little_m1j(params, n, ctx):
     open-question report.
     """
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    one_plus_al = require_nonzero(1 + al, "1+alpha", ctx)
+    one_plus_al = denominator_check(ctx)(1 + alpha, "1+alpha")
     x = Poly.x(ctx)
     z = x * x
     odd, m = _parity(n)
-    ap1_2 = (al + 1) / 2
-    ap3_2 = (al + 3) / 2
-    s = (2 * m + al + be + 2) / 2
+    ap1_2 = (alpha + 1) / 2
+    ap3_2 = (alpha + 3) / 2
+    s = (2 * m + alpha + beta + 2) / 2
     if not odd:
         f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
         if m == 0:
@@ -619,15 +582,15 @@ def _cf_little_m1j(params, n, ctx):
         eta = pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
         return total.scale(eta)
     f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
-    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + al + be + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (x * f2).scale((2 * m + al + be + 2) / one_plus_al)
+    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], z, ctx)
+    total = f1 - (x * f2).scale((2 * m + alpha + beta + 2) / one_plus_al)
     eta = pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
     return total.scale(eta)
 
 
-def _cf_special_lj(params, n, ctx):
+def _cf_special_lj(ctx, n, alpha):
     """Special little -1 Jacobi; odd block parameter fixed as in the little -1 Jacobi."""
-    return _cf_little_m1j({"alpha": 0, "beta": get_param(params, "alpha", ctx)}, n, ctx)
+    return _cf_little_m1j(ctx, n, ctx.mp.mpf(0), alpha)
 
 
 CLOSED_FORMS = {

@@ -9,7 +9,7 @@ sourced from the standard hypergeometric catalog and marked external.
 
 The middle recurrence coefficient of the dilated little q-Jacobi is printed
 as 1 - A_n + C_n in the source; both sign readings are implemented
-(``bn_sign`` parameter) and the q -> -1 ladder resolves which one
+(keyword ``bn_sign``, "minus" by default) and the q -> -1 ladder resolves which one
 reproduces the little -1 Jacobi coefficients.
 """
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from ..precision import pochhammer
 from ..polynomials import Poly
-from .base import (FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check,
-                   get_param, get_params)
+from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check
 from .catalog import _register
 
 
@@ -53,11 +52,9 @@ def _q_powers(q, lo, hi):
     return [q ** j for j in range(lo, hi + 1)]
 
 
-def _recs_little_q_dilated(params, N, ctx):
+def _recs_little_q_dilated(ctx, N, a, b, q, bn_sign="minus"):
     mp = ctx.mp
-    a, b, q = get_params(params, ctx, "a", "b", "q")
-    sign = params.get("bn_sign", "minus")
-    if sign not in ("minus", "plus"):
+    if bn_sign not in ("minus", "plus"):
         raise ParameterError("bn_sign must be 'minus' or 'plus'")
     check = denominator_check(ctx)
     ab, ab2 = a * b, a * b ** 2
@@ -73,14 +70,13 @@ def _recs_little_q_dilated(params, N, ctx):
             den = check(one_ab[2 * k] * one_ab[2 * k + 1], "(1-abq^(2n))(1-abq^(2n+1))")
             C = ab2 * qp[2 * k + 1] * (1 - qp[k]) * (1 - a * qp[k]) / den
         AC.append((A, C))
-    if sign == "plus":
+    if bn_sign == "plus":
         return _from_AC(AC, lambda A, C: 1 - A + C)
     return _from_AC(AC)
 
 
-def _recs_big_q_jacobi(params, N, ctx):
+def _recs_big_q_jacobi(ctx, N, a, b, c, q):
     mp = ctx.mp
-    a, b, c, q = get_params(params, ctx, "a", "b", "c", "q")
     check = denominator_check(ctx)
     ab, na = a * b, -a
     qp = _q_powers(q, 0, 2 * N + 2)
@@ -99,9 +95,8 @@ def _recs_big_q_jacobi(params, N, ctx):
     return _from_AC(AC)
 
 
-def _recs_continuous_q_hahn(params, N, ctx):
+def _recs_continuous_q_hahn(ctx, N, a, b, phi, q):
     mp = ctx.mp
-    a, b, phi, q = get_params(params, ctx, "a", "b", "phi", "q")
     eip = mp.exp(mp.mpc(0, 1) * phi)
     check = denominator_check(ctx)
     one_q = check(1 + q, "1+q")
@@ -129,9 +124,8 @@ def _recs_continuous_q_hahn(params, N, ctx):
     return _from_AC(AC, lambda A, C: (shift - (A + C)) / 2, u_over=4)
 
 
-def _recs_q_mp(params, N, ctx):
+def _recs_q_mp(ctx, N, a, phi, q):
     mp = ctx.mp
-    a, phi, q = get_params(params, ctx, "a", "phi", "q")
     cos_phi, a_sq = mp.cos(phi), a ** 2
     qp = _q_powers(q, 0, N)
     return [RecurrencePair(b=a * qp[n] * cos_phi,
@@ -139,9 +133,8 @@ def _recs_q_mp(params, N, ctx):
             for n in range(N + 1)]
 
 
-def _recs_wilson(params, N, ctx):
+def _recs_wilson(ctx, N, a, b, c, d):
     mp = ctx.mp
-    a, b, c, d = get_params(params, ctx, "a", "b", "c", "d")
     s = a + b + c + d
     check = denominator_check(ctx)
     AC = []
@@ -159,26 +152,21 @@ def _recs_wilson(params, N, ctx):
     return _from_AC(AC, lambda A, C: A + C - aa)
 
 
-def _recs_cdh(params, N, ctx):
+def _recs_cdh(ctx, N, a, b, c):
     mp = ctx.mp
-    a, b, c = get_params(params, ctx, "a", "b", "c")
     aa = a * a
     AC = [((k + a + b) * (k + a + c), mp.mpc(0) if k == 0 else k * (k + b + c - 1))
           for k in range(N + 1)]
     return _from_AC(AC, lambda A, C: A + C - aa)
 
 
-def _cf_wilson(params, n, ctx):
+def _cf_wilson(ctx, n, a, b, c, d):
     """Monic Wilson polynomial in y = x^2.
 
     The terminating 4F3 carries the conjugate parameter pair a+ix, a-ix
     whose Pochhammer product is the polynomial prod_j ((a+j)^2 + y), so the
     series is assembled directly in the y variable.
     """
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
-    d = get_param(params, "d", ctx)
     s = a + b + c + d
     y = Poly.x(ctx)
     return _wilson_series(a, [a + b, a + c, a + d], s, n, y, ctx)
@@ -205,12 +193,9 @@ def _wilson_series(a, dens, s, n, y, ctx):
     return total.scale(pref)
 
 
-def _cf_cdh(params, n, ctx):
+def _cf_cdh(ctx, n, a, b, c):
     """Monic continuous dual Hahn polynomial in y = x^2."""
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
     y = Poly.x(ctx)
     total = Poly.constant(mp.mpc(0))
     term = Poly.constant(mp.mpc(1))

@@ -20,16 +20,12 @@ Gamma-weight symmetric families, 1 elsewhere).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
-from .base import (
-    InadmissibleParameterError,
-    WeightSpec,
-    _parity,
-    get_param,
-)
+from .base import InadmissibleParameterError, WeightSpec, _parity
 
 
 def _require(cond, clause, anchor):
@@ -60,41 +56,37 @@ def _inner(x, g, lo_off, hi_off):
 # weight specs
 
 
-def _w_hermite(params, ctx):
+def _w_hermite(ctx):
     mp = ctx.mp
     return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], lambda x, *offsets: mp.exp(-x * x))
 
 
-def _w_generalized_hermite(params, ctx):
+def _w_generalized_hermite(ctx, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
-    dens = lambda x, *offsets: abs(x) ** (2 * al) * mp.exp(-x * x)
+    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
+    dens = lambda x, *offsets: abs(x) ** (2 * alpha) * mp.exp(-x * x)
     zero = mp.mpf(0)
     return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens)
 
 
-def _w_minus1_mp(params, ctx):
+def _w_minus1_mp(ctx, alpha, gamma):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    ga = get_param(params, "gamma", ctx)
-    _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.9")
-    g = abs(ga)
-    ex = al - mp.mpf(1) / 2
+    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.9")
+    g = abs(gamma)
+    ex = alpha - mp.mpf(1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
         near, far = _inner(x, g, lo_off, hi_off), abs(x) + g     # x^2 - gamma^2 = near * far
-        lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
+        lead = far if (x > 0) == (gamma > 0) else near          # sgn(x) (x + gamma)
         return lead * (near * far) ** ex * mp.exp(-x * x)
 
     return WeightSpec([(mp.mpf("-inf"), -g), (g, mp.mpf("+inf"))], dens)
 
 
-def _w_gegenbauer(params, ctx):
+def _w_gegenbauer(ctx, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    _require(al > mp.mpf(-1) / 2, "alpha > -1/2", "A.12")
-    e = al - mp.mpf(1) / 2
+    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.12")
+    e = alpha - mp.mpf(1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
@@ -103,59 +95,51 @@ def _w_gegenbauer(params, ctx):
     return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
 
 
-def _w_generalized_gegenbauer(params, ctx):
+def _w_generalized_gegenbauer(ctx, alpha, beta):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    _require(al > -1 and be > 0, "alpha > -1 and beta > 0", "A.8")
+    _require(alpha > -1 and beta > 0, "alpha > -1 and beta > 0", "A.8")
     zero = mp.mpf(0)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return abs(x) ** (2 * al + 1) * (p * m) ** be
+        return abs(x) ** (2 * alpha + 1) * (p * m) ** beta
 
     return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
 
 
-def _w_chihara(params, ctx):
+def _w_chihara(ctx, alpha, beta, gamma):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    _require(al > -1 and be > 0, "alpha > -1 and beta > 0", "A.3")
-    g = abs(ga)
-    top = mp.sqrt(1 + ga * ga)
+    _require(alpha > -1 and beta > 0, "alpha > -1 and beta > 0", "A.3")
+    g = abs(gamma)
+    top = mp.sqrt(1 + gamma * gamma)
 
     def dens(x, lo_off=None, hi_off=None):
         s = abs(x)
         near, far = _inner(x, g, lo_off, hi_off), s + g         # x^2 - gamma^2 = near * far
         edge = top - s if lo_off is None else (hi_off if x > 0 else lo_off)
-        lead = far if (x > 0) == (ga > 0) else near             # sgn(x) (x + gamma)
-        return lead * (near * far) ** al * (edge * (top + s)) ** be   # 1 + gamma^2 - x^2
+        lead = far if (x > 0) == (gamma > 0) else near          # sgn(x) (x + gamma)
+        return lead * (near * far) ** alpha * (edge * (top + s)) ** beta   # 1 + gamma^2 - x^2
 
     return WeightSpec([(-top, -g), (g, top)], dens)
 
 
-def _w_little_m1j(params, ctx):
+def _w_little_m1j(ctx, alpha, beta):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    _require(al > 0 and be > 0, "alpha > 0 and beta > 0", "A.7")
+    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0", "A.7")
     zero = mp.mpf(0)
-    e1 = (be - 1) / 2
+    e1 = (beta - 1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return abs(x) ** al * (p * m) ** e1 * p
+        return abs(x) ** alpha * (p * m) ** e1 * p
 
     return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
 
 
-def _w_special_lj(params, ctx):
+def _w_special_lj(ctx, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    _require(al > 0, "alpha > 0", "A.11")
-    e = (al - 1) / 2
+    _require(alpha > 0, "alpha > 0", "A.11")
+    e = (alpha - 1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
@@ -164,13 +148,10 @@ def _w_special_lj(params, ctx):
     return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
 
 
-def _w_big_m1j(params, ctx):
+def _w_big_m1j(ctx, alpha, beta, c):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    c = get_param(params, "c", ctx)
-    _require(al > 0 and be > 0 and 0 <= c < 1, "alpha > 0, beta > 0 and 0 <= c < 1", "A.2")
-    e1, e2 = (al - 1) / 2, (be + 1) / 2
+    _require(alpha > 0 and beta > 0 and 0 <= c < 1, "alpha > 0, beta > 0 and 0 <= c < 1", "A.2")
+    e1, e2 = (alpha - 1) / 2, (beta + 1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
@@ -231,11 +212,8 @@ def _gamma_modulus_density(vals, mp):
     return _mirrored(dens) if _conjugate_closed(vals, mp) else dens
 
 
-def _w_gsbi(params, ctx):
+def _w_gsbi(ctx, a, b, c):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
     vals = [mp.mpc(a), mp.mpc(b), mp.mpc(c)]
     _require(all(mp.re(v) > 0 for v in vals), "Re(a), Re(b), Re(c) > 0", "A.6")
     _require(mp.re(a + b + c) > 1, "a + b + c > 1", "A.6")
@@ -249,10 +227,8 @@ def _w_gsbi(params, ctx):
     )
 
 
-def _w_sbi(params, ctx):
+def _w_sbi(ctx, a, b):
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
     _require(mp.re(a) > 0 and mp.re(b) > 0, "Re(a), Re(b) > 0", "A.10")
     return WeightSpec(
         pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
@@ -280,51 +256,39 @@ def _cbi_weight(al, be, ga, de, anchor, ctx):
     return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], dens)
 
 
-def _w_cbi(params, ctx):
-    mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
-    de = get_param(params, "delta", ctx)
-    _require(al > 0 and be > 0 and ga > 0 and de > 0, "alpha, beta, gamma, delta > 0", "A.1")
-    return _cbi_weight(al, be, ga, de, "A.1", ctx)
+def _w_cbi(ctx, alpha, beta, gamma, delta):
+    _require(alpha > 0 and beta > 0 and gamma > 0 and delta > 0, "alpha, beta, gamma, delta > 0", "A.1")
+    return _cbi_weight(alpha, beta, gamma, delta, "A.1", ctx)
 
 
-def _w_c1h1(params, ctx):
-    be = get_param(params, "beta", ctx)
-    _require(be > 0, "alpha, beta, gamma > 0", "A.4")
-    return _cbi_weight(get_param(params, "alpha", ctx), be,
-                       get_param(params, "gamma", ctx), be, "A.4", ctx)
+def _w_c1h1(ctx, alpha, beta, gamma):
+    _require(beta > 0, "alpha, beta, gamma > 0", "A.4")
+    return _cbi_weight(alpha, beta, gamma, beta, "A.4", ctx)
 
 
-def _w_c1h2(params, ctx):
-    be = get_param(params, "beta", ctx)
-    _require(be > 0, "alpha, beta, gamma > 0", "A.5")
-    return _cbi_weight(get_param(params, "alpha", ctx), be,
-                       get_param(params, "gamma", ctx), -be, "A.5", ctx)
+def _w_c1h2(ctx, alpha, beta, gamma):
+    _require(beta > 0, "alpha, beta, gamma > 0", "A.5")
+    return _cbi_weight(alpha, beta, gamma, -beta, "A.5", ctx)
 
 
 # ----------------------------------------------------------------------
 # printed squared norms (right-hand sides of the orthogonality relations)
 
 
-def _norm_hermite(params, n, ctx):
+def _norm_hermite(ctx, n):
     mp = ctx.mp
     odd, m = _parity(n)
     return mp.factorial(m) * mp.gamma(m + (mp.mpf(3) if odd else mp.mpf(1)) / 2)
 
 
-def _norm_generalized_hermite(params, n, ctx):
+def _norm_generalized_hermite(ctx, n, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
     odd, m = _parity(n)
-    return mp.factorial(m) * mp.gamma(m + al + (mp.mpf(3) if odd else mp.mpf(1)) / 2)
+    return mp.factorial(m) * mp.gamma(m + alpha + (mp.mpf(3) if odd else mp.mpf(1)) / 2)
 
 
-def _norm_minus1_mp(params, n, ctx):
-    mp = ctx.mp
-    ga = get_param(params, "gamma", ctx)
-    return mp.exp(-ga * ga) * _norm_generalized_hermite(params, n, ctx)
+def _norm_minus1_mp(ctx, n, alpha, gamma):
+    return ctx.mp.exp(-gamma * gamma) * _norm_generalized_hermite(ctx, n, alpha)
 
 
 def _norm_gg_like(al, be, n, ctx):
@@ -337,24 +301,23 @@ def _norm_gg_like(al, be, n, ctx):
     return num * mp.factorial(m) / ((2 * m + al + be + 2) * pochhammer(mp.mpf(m) + al + be + 2, m, ctx) ** 2)
 
 
-def _norm_generalized_gegenbauer(params, n, ctx):
-    return _norm_gg_like(get_param(params, "alpha", ctx), get_param(params, "beta", ctx), n, ctx)
+def _norm_generalized_gegenbauer(ctx, n, alpha, beta):
+    return _norm_gg_like(alpha, beta, n, ctx)
 
 
-def _norm_chihara(params, n, ctx):
-    return _norm_gg_like(get_param(params, "alpha", ctx), get_param(params, "beta", ctx), n, ctx)
+def _norm_chihara(ctx, n, alpha, beta, gamma):
+    return _norm_gg_like(alpha, beta, n, ctx)       # the printed norm has no gamma
 
 
-def _norm_gegenbauer(params, n, ctx):
+def _norm_gegenbauer(ctx, n, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
     half = mp.mpf(1) / 2
     odd, m = _parity(n)
     if not odd:
-        return mp.gamma(m + half) * mp.gamma(m + al + half) / mp.gamma(m + al) \
-            * mp.factorial(m) / ((2 * m + al) * pochhammer(mp.mpf(m) + al, m, ctx) ** 2)
-    return mp.gamma(m + 3 * half) * mp.gamma(m + al + half) / mp.gamma(m + al + 1) \
-        * mp.factorial(m) / ((2 * m + al + 1) * pochhammer(mp.mpf(m) + al + 1, m, ctx) ** 2)
+        return mp.gamma(m + half) * mp.gamma(m + alpha + half) / mp.gamma(m + alpha) \
+            * mp.factorial(m) / ((2 * m + alpha) * pochhammer(mp.mpf(m) + alpha, m, ctx) ** 2)
+    return mp.gamma(m + 3 * half) * mp.gamma(m + alpha + half) / mp.gamma(m + alpha + 1) \
+        * mp.factorial(m) / ((2 * m + alpha + 1) * pochhammer(mp.mpf(m) + alpha + 1, m, ctx) ** 2)
 
 
 def _kappa_little(al, be, n, ctx):
@@ -370,47 +333,38 @@ def _kappa_little(al, be, n, ctx):
         / (pochhammer(s, 2 * m + 1, ctx) * pochhammer(mp.mpf(m) + s, m + 1, ctx))
 
 
-def _norm_little_m1j(params, n, ctx):
+def _norm_little_m1j(ctx, n, alpha, beta):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    pref = mp.gamma((al + 1) / 2) * mp.gamma((be + 1) / 2) / mp.gamma(al / 2 + be / 2 + 1)
-    return pref * _kappa_little(al, be, n, ctx)
+    pref = mp.gamma((alpha + 1) / 2) * mp.gamma((beta + 1) / 2) / mp.gamma(alpha / 2 + beta / 2 + 1)
+    return pref * _kappa_little(alpha, beta, n, ctx)
 
 
-def _norm_big_m1j(params, n, ctx):
+def _norm_big_m1j(ctx, n, alpha, beta, c):
     # the printed kappa carries (1-c^2)**m; the measure (checked against both
     # quadrature and the recurrence product h_0 u_1 ... u_n) requires the
     # square of that factor
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    c = get_param(params, "c", ctx)
     odd, m = _parity(n)
-    kappa = _kappa_little(al, be, n, ctx) * (1 - c * c) ** (2 * m)
+    kappa = _kappa_little(alpha, beta, n, ctx) * (1 - c * c) ** (2 * m)
     if odd:
         kappa *= (1 + c) ** 2
-    pref = (1 - c) * (1 - c * c) ** ((al + be) / 2) \
-        * mp.gamma((al + 1) / 2) * mp.gamma((be + 1) / 2) / mp.gamma(al / 2 + be / 2 + 1)
+    pref = (1 - c) * (1 - c * c) ** ((alpha + beta) / 2) \
+        * mp.gamma((alpha + 1) / 2) * mp.gamma((beta + 1) / 2) / mp.gamma(alpha / 2 + beta / 2 + 1)
     return pref * kappa
 
 
-def _norm_special_lj(params, n, ctx):
+def _norm_special_lj(ctx, n, alpha):
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    return mp.sqrt(mp.pi) * mp.gamma((al + 1) / 2) / mp.mpf(4) ** n \
-        * mp.gamma(n + mp.mpf(1)) * mp.gamma(n + 1 + al) / mp.gamma(n + 1 + al / 2) ** 2 \
-        * mp.gamma(1 + al / 2) / mp.gamma(1 + al)
+    return mp.sqrt(mp.pi) * mp.gamma((alpha + 1) / 2) / mp.mpf(4) ** n \
+        * mp.gamma(n + mp.mpf(1)) * mp.gamma(n + 1 + alpha) / mp.gamma(n + 1 + alpha / 2) ** 2 \
+        * mp.gamma(1 + alpha / 2) / mp.gamma(1 + alpha)
 
 
-def _norm_gsbi(params, n, ctx):
+def _norm_gsbi(ctx, n, a, b, c):
     # the printed kappa_n is the squared norm of the even member of degree
     # 2n (its index runs over the underlying Wilson degree); odd-degree
     # norms follow from the recurrence: h_{2m+1} = kappa_m tau_{2m+1}
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
     s = a + b + c
     odd, m = _parity(n)
     value = mp.gamma(m + a + b) * mp.gamma(m + a + c) * mp.gamma(m + b + c) \
@@ -422,11 +376,9 @@ def _norm_gsbi(params, n, ctx):
     return mp.re(value)
 
 
-def _norm_sbi(params, n, ctx):
+def _norm_sbi(ctx, n, a, b):
     # same even-index convention as the generalized symmetric family
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
     odd, m = _parity(n)
     value = mp.gamma(m + a + b) * mp.gamma(m + a) * mp.gamma(m + b) * mp.factorial(m)
     if odd:
@@ -462,31 +414,32 @@ def _cbi_norms(al, be, ga, de, N, ctx):
     return out
 
 
-def _norms_cbi(params, N, ctx):
-    return _cbi_norms(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
-                      get_param(params, "gamma", ctx), get_param(params, "delta", ctx), N, ctx)
+def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
+    return _cbi_norms(alpha, beta, gamma, delta, N, ctx)
 
 
-def _norms_c1h1(params, N, ctx):
-    be = get_param(params, "beta", ctx)
-    return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), be, N, ctx)
+def _norms_c1h1(ctx, N, alpha, beta, gamma):
+    return _cbi_norms(alpha, beta, gamma, beta, N, ctx)
 
 
-def _norms_c1h2(params, N, ctx):
-    be = get_param(params, "beta", ctx)
-    return _cbi_norms(get_param(params, "alpha", ctx), be, get_param(params, "gamma", ctx), -be, N, ctx)
+def _norms_c1h2(ctx, N, alpha, beta, gamma):
+    return _cbi_norms(alpha, beta, gamma, -beta, N, ctx)
 
 
 def _each_degree(formula):
-    """The sequence function (params, N, ctx) -> [formula(params, n, ctx), n = 0..N]."""
-    return lambda params, N, ctx: [formula(params, n, ctx) for n in range(N + 1)]
+    """The sequence function (ctx, N, **params) -> [formula(ctx, n, **params), n = 0..N]."""
+    @functools.wraps(formula)
+    def norms(ctx, N, **params):
+        return [formula(ctx, n, **params) for n in range(N + 1)]
+    return norms
 
 
 @dataclass(frozen=True)
 class _Measure:
-    """A family's measure: its weight and the printed norms under it."""
-    spec: Callable      # (params, ctx) -> WeightSpec
-    norms: Callable     # (params, N, ctx) -> [h_0, ..., h_N]
+    """A family's measure: its weight and the printed norms under it, each taking the
+    parameters by their schema names."""
+    spec: Callable      # (ctx, **params) -> WeightSpec
+    norms: Callable     # (ctx, N, **params) -> [h_0, ..., h_N]
 
 
 WEIGHTS = {

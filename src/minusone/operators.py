@@ -42,7 +42,7 @@ from itertools import product
 from typing import Callable
 
 from . import families
-from .families import NoEigenSystemError, get_param
+from .families import NoEigenSystemError
 from .precision import PrecisionContext
 from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
                           divmod_poly, remainder_class)
@@ -108,8 +108,9 @@ def apply(op: DunklOperator, p: Poly, ctx: PrecisionContext) -> RationalFunction
 
 
 # ----------------------------------------------------------------------
-# operator builders: each returns (D, [(N_j, symbol_j), ...], n -> lambda_n),
-# its printed coefficients as numerators N_j over the one denominator D they share
+# operator builders (ctx, free, variant, **params), the parameters by their schema
+# names: each returns (D, [(N_j, symbol_j), ...], n -> lambda_n), its printed
+# coefficients as numerators N_j over the one denominator D they share
 
 
 def _c(ctx, v):
@@ -124,7 +125,7 @@ def _second_order_terms(S, T, U, V):
     return terms
 
 
-def _build_hermite(params, free, variant, ctx):
+def _build_hermite(ctx, free, variant):
     # D = 1
     mp = ctx.mp
     eps = free
@@ -135,89 +136,81 @@ def _build_hermite(params, free, variant, ctx):
     return Poly.constant(1), _second_order_terms(S, None, U, V), lam
 
 
-def _build_generalized_hermite(params, free, variant, ctx):
+def _build_generalized_hermite(ctx, free, variant, alpha):
     # D = x^2:  S = -1/4,  U = x/2 - alpha/2x,  V = alpha/4x^2 + eps/2 - 1/4
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
     eps = free
     S = Poly((0, 0, mp.mpf(-1) / 4))
-    U = Poly((0, -al / 2, 0, mp.mpf(1) / 2))
-    V = Poly((al / 4, 0, eps / 2 - mp.mpf(1) / 4))
+    U = Poly((0, -alpha / 2, 0, mp.mpf(1) / 2))
+    V = Poly((alpha / 4, 0, eps / 2 - mp.mpf(1) / 4))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
     return Poly((0, 0, 1)), _second_order_terms(S, None, U, V), lam
 
 
-def _build_gegenbauer(params, free, variant, ctx):
+def _build_gegenbauer(ctx, free, variant, alpha):
     # D = 1
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
     eps = free
     half = mp.mpf(1) / 2
     S = Poly((mp.mpf(-1) / 4, 0, mp.mpf(1) / 4))
-    U = Poly((mp.mpc(0), (al + half) / 2))
-    V = _c(ctx, -(al + half) / 4 + eps / 2)
-    lam = lambda n: (lambda m: m * m + al * m if n % 2 == 0 else m * m + (al + 1) * m + eps)(n // 2)
+    U = Poly((mp.mpc(0), (alpha + half) / 2))
+    V = _c(ctx, -(alpha + half) / 4 + eps / 2)
+    lam = lambda n: (lambda m: m * m + alpha * m if n % 2 == 0
+                     else m * m + (alpha + 1) * m + eps)(n // 2)
     return Poly.constant(1), _second_order_terms(S, None, U, V), lam
 
 
-def _build_generalized_gegenbauer(params, free, variant, ctx):
+def _build_generalized_gegenbauer(ctx, free, variant, alpha, beta):
     # D = x^2:  S = (x^2 - 1)/4,  U = (alpha + beta + 3/2) x/2 - (alpha + 1/2)/2x,
     # V = (alpha + 1/2)/4x^2 - (alpha + beta + 3/2)/4 + eps/2
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
     eps = free
     half = mp.mpf(1) / 2
     S = Poly((0, 0, mp.mpf(-1) / 4, 0, mp.mpf(1) / 4))
-    U = Poly((0, -(al + half) / 2, 0, (al + be + 3 * half) / 2))
-    V = Poly(((al + half) / 4, 0, -(al + be + 3 * half) / 4 + eps / 2))
-    lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
-                     else m * m + (al + be + 2) * m + eps)(n // 2)
+    U = Poly((0, -(alpha + half) / 2, 0, (alpha + beta + 3 * half) / 2))
+    V = Poly(((alpha + half) / 4, 0, -(alpha + beta + 3 * half) / 4 + eps / 2))
+    lam = lambda n: (lambda m: m * m + (alpha + beta + 1) * m if n % 2 == 0
+                     else m * m + (alpha + beta + 2) * m + eps)(n // 2)
     return Poly((0, 0, 1)), _second_order_terms(S, None, U, V), lam
 
 
-def _build_chihara(params, free, variant, ctx):
+def _build_chihara(ctx, free, variant, alpha, beta, gamma):
     # D = 4x^4
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    ga = get_param(params, "gamma", ctx)
     eps = free
     half = mp.mpf(1) / 2
     x = Poly.x(ctx)
     x2 = x * x
-    r = x2 - _c(ctx, ga * ga)                 # x^2 - gamma^2
+    r = x2 - _c(ctx, gamma * gamma)           # x^2 - gamma^2
     r1 = r - 1                                # x^2 - gamma^2 - 1
-    # r (al+be+3/2) - (al+1/2): the 1/x (U) and 1/x^2 (V) terms share it
-    s = r.scale(al + be + 3 * half) - _c(ctx, al + half)
+    # r (alpha+beta+3/2) - (alpha+1/2): the 1/x (U) and 1/x^2 (V) terms share it
+    s = r.scale(alpha + beta + 3 * half) - _c(ctx, alpha + half)
     # S = r r1 / 4x^2,  T = gamma (x - gamma) r1 / 4x^3,
     # U = gamma r1 (2 gamma - x) / 4x^3 + s / 2x,
     # V = gamma r1 (x - 3 gamma/2) / 4x^4 - s / 4x^2 + (eps/2)(x - gamma) / x
     S = r * r1 * x2
-    T = ((x - _c(ctx, ga)) * r1 * x).scale(ga)
-    U = (r1 * (_c(ctx, 2 * ga) - x) * x).scale(ga) + 2 * s * x2 * x
-    V = ((r1 * (x - _c(ctx, 3 * ga / 2))).scale(ga) - s * x2
-         + ((x - _c(ctx, ga)) * x2 * x).scale(2 * eps))
-    lam = lambda n: (lambda m: m * m + (al + be + 1) * m if n % 2 == 0
-                     else m * m + (al + be + 2) * m + eps)(n // 2)
+    T = ((x - _c(ctx, gamma)) * r1 * x).scale(gamma)
+    U = (r1 * (_c(ctx, 2 * gamma) - x) * x).scale(gamma) + 2 * s * x2 * x
+    V = ((r1 * (x - _c(ctx, 3 * gamma / 2))).scale(gamma) - s * x2
+         + ((x - _c(ctx, gamma)) * x2 * x).scale(2 * eps))
+    lam = lambda n: (lambda m: m * m + (alpha + beta + 1) * m if n % 2 == 0
+                     else m * m + (alpha + beta + 2) * m + eps)(n // 2)
     return 4 * x2 * x2, _second_order_terms(S, T, U, V), lam
 
 
-def _build_minus1_mp(params, free, variant, ctx):
+def _build_minus1_mp(ctx, free, variant, alpha, gamma):
     # D = 4x^4:  S = (gamma^2 - x^2) / 4x^2,  T = gamma (x - gamma) / 4x^3,
-    # U = x/2 + gamma/4x^2 - gamma^2/2x^3 - (al + gamma^2)/2x,
-    # V = 3 gamma^2/8x^4 - gamma/4x^3 + (al + gamma^2)/4x^2 + (eps/2)(x - gamma)/x - 1/4
+    # U = x/2 + gamma/4x^2 - gamma^2/2x^3 - (alpha + gamma^2)/2x,
+    # V = 3 gamma^2/8x^4 - gamma/4x^3 + (alpha + gamma^2)/4x^2 + (eps/2)(x - gamma)/x - 1/4
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    ga = get_param(params, "gamma", ctx)
     eps = free
     x = Poly.x(ctx)
     x2 = x * x
-    g2 = ga * ga
+    g2 = gamma * gamma
     S = (_c(ctx, g2) - x2) * x2
-    T = ((x - _c(ctx, ga)) * x).scale(ga)
-    U = Poly((0, -2 * g2, ga, -2 * (al + g2), 0, 2))
-    V = Poly((3 * g2 / 2, -ga, al + g2, -2 * eps * ga, 2 * eps - 1))
+    T = ((x - _c(ctx, gamma)) * x).scale(gamma)
+    U = Poly((0, -2 * g2, gamma, -2 * (alpha + g2), 0, 2))
+    V = Poly((3 * g2 / 2, -gamma, alpha + g2, -2 * eps * gamma, 2 * eps - 1))
     lam = lambda n: mp.mpf(n // 2) + (eps if n % 2 else 0)
     # the dxR term enters with a printed minus sign
     return 4 * x2 * x2, _second_order_terms(S, -T, U, V), lam
@@ -228,38 +221,32 @@ def _reflection_first_order(F, G):
     return [(F, "R"), (-F, "I"), (G, "dxR")]
 
 
-def _build_big_m1j(params, free, variant, ctx):
+def _build_big_m1j(ctx, free, variant, alpha, beta, c):
     # D = x^2:  F = (c + (c alpha - beta) x + (alpha + beta + 1) x^2) / x^2,
     # G = 2 (1 - x)(c + x) / x
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    c = get_param(params, "c", ctx)
     x = Poly.x(ctx)
-    F = Poly((c, c * al - be, al + be + 1))
+    F = Poly((c, c * alpha - beta, alpha + beta + 1))
     G = 2 * (1 - x) * (_c(ctx, c) + x) * x
-    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
+    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + alpha + beta + 1)
     return x * x, _reflection_first_order(F, G), lam
 
 
-def _build_little_m1j(params, free, variant, ctx):
+def _build_little_m1j(ctx, free, variant, alpha, beta):
     # D = x^2:  F = ((alpha + beta + 1) x^2 - alpha x) / x^2,  G = 2 - 2x
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    be = get_param(params, "beta", ctx)
-    F = Poly((mp.mpc(0), -al, al + be + 1))
+    F = Poly((mp.mpc(0), -alpha, alpha + beta + 1))
     G = Poly((0, 0, mp.mpf(2), mp.mpf(-2)))
-    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + be + 1)
+    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + alpha + beta + 1)
     return Poly((0, 0, 1)), _reflection_first_order(F, G), lam
 
 
-def _build_special_lj(params, free, variant, ctx):
+def _build_special_lj(ctx, free, variant, alpha):
     # D = 1
     mp = ctx.mp
-    al = get_param(params, "alpha", ctx)
-    F = _c(ctx, al + 1)
+    F = _c(ctx, alpha + 1)
     G = Poly((mp.mpf(2), mp.mpf(-2)))
-    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + al + 1)
+    lam = lambda n: mp.mpf(-2 * n) if n % 2 == 0 else 2 * (n + alpha + 1)
     return Poly.constant(1), _reflection_first_order(F, G), lam
 
 
@@ -296,22 +283,16 @@ def _build_cbi_like(al, be, ga, de, variant, ctx):
     return (*_cbi_hahn_terms(al, ga, f1, f2, ctx), lam)
 
 
-def _build_cbi(params, free, variant, ctx):
-    return _build_cbi_like(get_param(params, "alpha", ctx), get_param(params, "beta", ctx),
-                           get_param(params, "gamma", ctx), get_param(params, "delta", ctx),
-                           variant, ctx)
+def _build_cbi(ctx, free, variant, alpha, beta, gamma, delta):
+    return _build_cbi_like(alpha, beta, gamma, delta, variant, ctx)
 
 
-def _build_c1h1(params, free, variant, ctx):
-    be = get_param(params, "beta", ctx)
-    return _build_cbi_like(get_param(params, "alpha", ctx), be,
-                           get_param(params, "gamma", ctx), be, variant, ctx)
+def _build_c1h1(ctx, free, variant, alpha, beta, gamma):
+    return _build_cbi_like(alpha, beta, gamma, beta, variant, ctx)
 
 
-def _build_c1h2(params, free, variant, ctx):
-    be = get_param(params, "beta", ctx)
-    return _build_cbi_like(get_param(params, "alpha", ctx), be,
-                           get_param(params, "gamma", ctx), -be, variant, ctx)
+def _build_c1h2(ctx, free, variant, alpha, beta, gamma):
+    return _build_cbi_like(alpha, beta, gamma, -beta, variant, ctx)
 
 
 def _sbi_like_terms(A, B, a_den, b_den, c_base, sigma, ctx):
@@ -333,12 +314,9 @@ def _sbi_like_terms(A, B, a_den, b_den, c_base, sigma, ctx):
     ]
 
 
-def _build_gsbi(params, free, variant, ctx):
+def _build_gsbi(ctx, free, variant, a, b, c):
     # D = 2 (2ix + 1) 2 (2ix - 1) = -4 (1 + 4x^2)
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
-    c = get_param(params, "c", ctx)
     sigma = free
     i = mp.mpc(0, 1)
     ix = Poly((mp.mpc(0), i))
@@ -353,11 +331,9 @@ def _build_gsbi(params, free, variant, ctx):
     return (*terms, lam)
 
 
-def _build_sbi(params, free, variant, ctx):
+def _build_sbi(ctx, free, variant, a, b):
     # D = 2 (1 + 2ix) 2 (1 - 2ix) = 4 (1 + 4x^2)
     mp = ctx.mp
-    a = get_param(params, "a", ctx)
-    b = get_param(params, "b", ctx)
     sigma = free
     i = mp.mpc(0, 1)
     ix = Poly((mp.mpc(0), i))
@@ -372,7 +348,7 @@ def _build_sbi(params, free, variant, ctx):
 
 @dataclass(frozen=True)
 class _EigenEntry:
-    build: Callable          # (params, free, variant, ctx) -> (D, terms, n -> lambda_n)
+    build: Callable          # (ctx, free, variant, **params) -> (D, terms, n -> lambda_n)
     free_name: str | None    # the eigenvalue's free parameter (None: the printed one has none)
     reading: dict            # the reading that satisfies the eigen equation (_resolve_variant)
 
@@ -425,7 +401,8 @@ DIAGONALITY_N = 8
 
 
 def _operator_for_variant(entry, params, free, variant, ctx):
-    den, terms, lam = entry.build(params, free, variant, ctx)
+    """The operator in reading ``variant`` at parsed ``params`` (``families.make_params``)."""
+    den, terms, lam = entry.build(ctx, free, variant, **params)
     for reading in variant.items():
         if reading in _REWRITES:
             terms = [_REWRITES[reading](*term) for term in terms]
@@ -461,7 +438,8 @@ def _resolve_variant(fid, ctx, params=None):
     omitted); every combination of the family's reading axes is a candidate.
     """
     if params is None:
-        params = families.make_params(fid, ctx, **families.fixture_points(fid)[0])
+        params = families.fixture_points(fid)[0]
+    params = families.make_params(fid, ctx, **params)
     polys = families.generate(fid, params, 3, ctx)
     entry = _BUILDERS[fid]
     axes = list(entry.reading)
@@ -511,7 +489,8 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    op, lam = _operator_for_variant(entry, params, free, entry.reading, ctx)
+    op, lam = _operator_for_variant(entry, families.make_params(fid, ctx, **params), free,
+                                    entry.reading, ctx)
     return EigenSystem(family=fid, operator=op, eigenvalue=lam,
                        free_name=entry.free_name, free_value=free if entry.free_name else None)
 

@@ -16,8 +16,8 @@ alone.  The rows need a positive measure: a nonreal b_n or u_n, or a weight
 that is negative or not real, raises ParameterError naming the first one.
 Favard scans read positivity straight off the recurrence coefficients.
 
-Precision plan.  At d digits the CLI gates a Gram by 10**-(d/2) off the
-diagonal and 10**-(d/2 - 8) on it.  Tables are built with node tolerance
+Precision plan.  At d digits ``gram`` gates a Gram by 10**-(d/2) off the
+diagonal and 10**-(d/2 - 8) on it, and reports the gates and its status.  Tables are built with node tolerance
 10**-(d//2 + 15), fifteen digits below the off-diagonal gate, in a
 context of max(15, d//2 + 5) digits; mpmath runs GUARD_DIGITS = 15
 further, at max(30, d//2 + 20) digits (reported as ``working_digits``),
@@ -121,8 +121,10 @@ def gram(family, params, N, ctx: PrecisionContext):
 
     Returns a report with the raised-precision matrix, the maximum relative
     off-diagonal entry (scaled by sqrt(h_n h_m)), the worst diagonal
-    deviation from the printed norm formula and the working digits the
-    quadrature ran at.  Raises ParameterError where the recurrence or the
+    deviation from the printed norm formula, the working digits the
+    quadrature ran at, the two gates (module docstring, Precision plan) and
+    the status: pass or fail by the gates, inconclusive when the node table
+    did not converge.  Raises ParameterError where the recurrence or the
     weight is not that of a positive measure.
     """
     fid = families.resolve_family(family)
@@ -144,11 +146,17 @@ def gram(family, params, N, ctx: PrecisionContext):
         for m in range(n):
             off = max(off, abs(matrix[n][m]) / mp.sqrt(norms[n] * norms[m]))
 
+    off, diag = float(off), float(diag)
+    off_tol, diag_tol = 10.0 ** -(ctx.digits / 2), 10.0 ** -(ctx.digits / 2 - 8)
+    status = "pass" if off <= off_tol and diag <= diag_tol else "fail"
     return {
         "family": fid,
         "N": N,
-        "max_offdiag": float(off),
-        "max_diag_error": float(diag),
+        "max_offdiag": off,
+        "max_diag_error": diag,
+        "tolerance": off_tol,
+        "diag_tolerance": diag_tol,
+        "status": status if table.converged else "inconclusive",
         "nodes": len(table.xs),
         "working_digits": work.mp.dps,
         "converged": table.converged,

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 
@@ -225,13 +226,86 @@ def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
         table = F._ALL_RECURRENCES[fid]
         calls = []
 
-        def counted(params, N, ctx, table=table):
+        def counted(ctx, N, table=table, **params):
             calls.append(N)
-            return table(params, N, ctx)
+            return table(ctx, N, **params)
 
         monkeypatch.setitem(F._ALL_RECURRENCES, fid, counted)
         run(fid, P(fid, **F.fixture_points(fid)[0]))
         assert len(calls) == 1, (fid, calls)
+
+
+# table -> (function of an entry, its leading arguments before the parameters)
+_TABLES = {
+    "recurrences": (F._ALL_RECURRENCES, lambda fn: fn, ("ctx", "N")),
+    "closed forms": (F._ALL_CLOSED, lambda fn: fn, ("ctx", "n")),
+    "weight specs": (F.WEIGHTS, lambda measure: measure.spec, ("ctx",)),
+    "norms": (F.WEIGHTS, lambda measure: measure.norms, ("ctx", "N")),
+    "eigen builders": (O._BUILDERS, lambda entry: entry.build, ("ctx", "free", "variant")),
+}
+
+
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_table_functions_take_the_schema_by_name(table):
+    # parsed once by the dispatcher, the parameters arrive as keywords named by the schema;
+    # a per-degree norm formula shows its own signature, (ctx, n, ...)
+    entries, fn_of, leading = _TABLES[table]
+    for fid, entry in entries.items():
+        params = list(inspect.signature(fn_of(entry)).parameters.values())
+        schema = list(F.family_info(fid).params)
+        assert [p.name.lower() for p in params[:len(leading)]] == [name.lower() for name in leading]
+        named = params[len(leading):]
+        assert [p.name for p in named[:len(schema)]] == schema, (table, fid)
+        assert all(p.default is p.empty for p in named[:len(schema)]), (table, fid)
+        assert [(p.name, p.default) for p in named[len(schema):]] in ([], [("bn_sign", "minus")]), \
+            (table, fid)
+
+
+_MISSING = [
+    ("recurrences", lambda fid, params: F.recurrences(fid, params, 3, CTX), F._ALL_RECURRENCES),
+    ("closed_form", lambda fid, params: F.closed_form(fid, params, 3, CTX), F._ALL_CLOSED),
+    ("weight_spec", lambda fid, params: F.weight_spec(fid, params, CTX), F.WEIGHTS),
+    ("norms", lambda fid, params: F.norms(fid, params, 3, CTX), F.WEIGHTS),
+    ("build_eigen_system", lambda fid, params: O.build_eigen_system(fid, params, CTX), O._BUILDERS),
+]
+
+
+@pytest.mark.parametrize("run, fids", [m[1:] for m in _MISSING], ids=[m[0] for m in _MISSING])
+def test_missing_parameter_names_family_and_parameter(run, fids):
+    # never a TypeError from the table function's signature
+    for fid in fids:
+        point = F.fixture_points(fid)[0]
+        for name in point:
+            rest = {k: v for k, v in point.items() if k != name}
+            with pytest.raises(ParameterError,
+                               match=re.escape("family %s needs parameter %r" % (fid, name))):
+                run(fid, rest)
+
+
+def test_binding_converts_once_and_keeps_a_wider_mantissa():
+    # the Gram's narrower table context relies on mp.convert keeping the mantissa
+    narrow = PrecisionContext(15)
+    third = MP.mpf(1) / 3
+    assert F._bind("gegenbauer", {"alpha": third}, narrow)["alpha"]._mpf_ == third._mpf_
+    assert F.make_params("gegenbauer", narrow, alpha=third)["alpha"]._mpf_ == third._mpf_
+    bound = F._bind("generalized-symmetric-bannai-ito",
+                    {"a": 1 + 2j, "b": 1 - 2j, "c": "0.1", "extra": "kept"}, narrow)
+    assert bound["a"] == narrow.mp.mpc(1, 2) and isinstance(bound["a"], narrow.mp.mpc)
+    assert bound["c"] == narrow.mp.mpf("0.1") and bound["extra"] == "kept"
+    with pytest.raises(ParameterError, match="not a real number"):
+        F._bind("gegenbauer", {"alpha": "abc"}, narrow)
+
+
+def test_bn_sign_defaults_to_minus_and_is_validated():
+    fid = "little-q-jacobi-dilated"
+    params = P(fid, **F.fixture_points(fid)[0])
+
+    def pairs(**sign):
+        return [(p.b, p.u) for p in F.recurrences(fid, {**params, **sign}, 6, CTX)]
+
+    assert pairs() == pairs(bn_sign="minus") != pairs(bn_sign="plus")
+    with pytest.raises(ParameterError, match="bn_sign"):
+        pairs(bn_sign="x")
 
 
 def test_weight_spec_hermite():
@@ -438,8 +512,8 @@ def test_helper_families_closed_forms():
 def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkeypatch):
     raw = F._ALL_CLOSED["hermite"]
 
-    def no_top(params, n, ctx):
-        return Poly(list(raw(params, n, ctx).coeffs[:-1]) + [ctx.mp.mpc(0)])
+    def no_top(ctx, n):
+        return Poly(list(raw(ctx, n).coeffs[:-1]) + [ctx.mp.mpc(0)])
 
     monkeypatch.setitem(F._ALL_CLOSED, "hermite", no_top)
     with pytest.raises(ParameterError, match="no degree-3 term"):

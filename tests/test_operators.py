@@ -265,9 +265,9 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
     fid = "symmetric-bannai-ito"
     entry = O._BUILDERS[fid]
 
-    def with_pole(params, free, variant, ctx):
+    def with_pole(ctx, free, variant, **params):
         # over D x: every numerator times x, and c D on I
-        den, terms, lam = entry.build(params, free, variant, ctx)
+        den, terms, lam = entry.build(ctx, free, variant, **params)
         x = Poly.x(ctx)
         return (den * x, [(num * x, sym) for num, sym in terms]
                 + [(den.scale(ctx.mp.mpc(coeff)), "I")], lam)

@@ -188,6 +188,7 @@ def _assert_gram_sweep(digits, points=1, min_headroom=15):
             params = F.make_params(fid, ctx, **pt)
             rep = orth.gram(fid, params, 8, ctx)
             assert rep["converged"], (digits, fid, pt)
+            assert (rep["tolerance"], rep["diag_tolerance"], rep["status"]) == (off_tol, diag_tol, "pass")
             assert rep["max_offdiag"] <= off_tol and rep["max_diag_error"] <= diag_tol, (digits, fid, pt)
             headroom = min(_headroom(off_tol, rep["max_offdiag"]),
                            _headroom(diag_tol, rep["max_diag_error"]))

@@ -109,9 +109,9 @@ def test_one_recurrence_table_call_per_ladder_point(monkeypatch):
     edge = S.resolve_edge("little-q-jacobi-dilated:little-minus1-jacobi")
     calls = {edge.source: 0, edge.target: 0}
     for fid in calls:
-        def counted(params, N, ctx, fid=fid, table=F._ALL_RECURRENCES[fid]):
+        def counted(ctx, N, fid=fid, table=F._ALL_RECURRENCES[fid], **params):
             calls[fid] += 1
-            return table(params, N, ctx)
+            return table(ctx, N, **params)
         monkeypatch.setitem(F._ALL_RECURRENCES, fid, counted)
     rep = S.verify_limit(edge, 6, CTX)
     assert calls == {edge.source: len(rep["ladder"]), edge.target: 1}
