@@ -7,6 +7,12 @@ alone); 3 usage errors (an unknown family, edge or check, bad --params,
 a negative --n, --digits below 15 or a MINUS_ONE_DIGITS that is not an
 integer of at least 15), with no report.  MINUS_ONE_DIGITS overrides the
 default precision; an explicit --digits flag wins over the environment.
+
+Each check returns its own row fields ``status``, ``residual``,
+``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
+and makes a missing table entry a skipped pass and a numerical dead end an
+inconclusive row.  Three tables name the runners: the family checks, the
+edge kinds and the suite rows of ``verify --all``.
 """
 
 from __future__ import annotations
@@ -16,11 +22,9 @@ import json
 import os
 import sys
 import time
-from functools import partial
 
 from . import families, operators, orthogonality, scheme
 from .families import ParameterError, UnknownFamilyError
-from .polynomials import poly_rel_distance
 from .precision import PrecisionContext
 
 EXIT_PASS = 0
@@ -188,139 +192,67 @@ def _result(id, check, status, residual=None, tolerance=None, anchor="", notes="
             "anchor": anchor, "notes": notes}
 
 
-def _guarded(id, check, anchor, run, *args):
-    """run(*args), one result; a numerical dead end ends this check alone, as inconclusive."""
+# a check whose table has no entry for the family: a skipped pass, with this note
+_SKIPS = {families.NoClosedFormError: "no closed form on record",
+          families.NoWeightError: "no continuous measure on record",
+          families.NoEigenSystemError: "no eigenvalue equation on record"}
+
+
+def _row(id, check, anchor, run, *args):
+    """The report row of run(*args), a check's report with its status, residual, tolerance
+    and notes.  A family with no table entry for the check gets a skipped pass, and a
+    numerical dead end ends this check alone, as inconclusive."""
     try:
-        return run(*args)
+        rep = run(*args)
+    except tuple(_SKIPS) as exc:
+        return _result(id, check, "pass", anchor=anchor, notes=_SKIPS[type(exc)] + " (skipped)")
     except families.DEAD_ENDS as exc:
         return _result(id, check, "inconclusive", anchor=anchor, notes=str(exc))
+    return _result(id, check, rep["status"], rep["residual"], rep["tolerance"], anchor,
+                   rep["notes"])
 
 
-def _closed_form_result(fid, info, params, ctx):
-    mp = ctx.mp
-    try:
-        N = 12
-        polys = families.generate(fid, params, N, ctx)
-        worst = mp.mpf(0)
-        for n in range(N + 1):
-            cf = families.closed_form(fid, params, n, ctx)
-            worst = max(worst, poly_rel_distance(polys[n], cf))
-    except families.NoClosedFormError:
-        return _result(fid, "closed-form", "pass", notes="no closed form on record",
-                       anchor=info.anchor)
-    tol = ctx.tol(10)
-    return _result(fid, "closed-form", "pass" if worst <= tol else "fail",
-                   float(worst), float(tol), info.anchor)
-
-
-def _orthogonality_result(fid, info, params, ctx):
-    try:
-        rep = orthogonality.gram(fid, params, 8, ctx)
-    except families.NoWeightError:
-        return _result(fid, "orthogonality", "pass", anchor=info.anchor,
-                       notes="no continuous measure on record (skipped)")
-    return _result(fid, "orthogonality", rep["status"],
-                   max(rep["max_offdiag"], rep["max_diag_error"]),
-                   rep["tolerance"], info.anchor,
-                   "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
-                       rep["max_offdiag"], rep["max_diag_error"], rep["nodes"],
-                       rep["working_digits"]))
-
-
-def _eigen_result(fid, info, params, ctx):
-    try:
-        rep = operators.eigen_check(fid, params, 10, ctx)
-    except families.NoEigenSystemError:
-        return _result(fid, "eigen", "pass", anchor=info.anchor,
-                       notes="no eigenvalue equation on record (skipped)")
-    return _result(fid, "eigen", rep["status"], rep["residual"], rep["tolerance"],
-                   info.anchor, rep["notes"])
-
-
-def _favard_result(fid, info, params, ctx):
-    if info.kind == "quasi":
-        rep_bad = families.positivity_conditions_ccbi(
-            {**params, "b2": ctx.mp.mpf(1)}, ctx, N=5)
-        rep_good = families.positivity_conditions_ccbi(
-            {**params, "b2": ctx.mp.mpf(0)}, ctx, N=5)
-        ok = (not rep_bad["all_hold"]) and rep_good["all_hold"]
-        return _result(fid, "favard", "pass" if ok else "fail",
-                       anchor=info.anchor,
-                       notes="b2 != 0 breaks reality, b2 = 0 reduces to the "
-                             "generalized symmetric family")
-    N = 200
-    rep = orthogonality.favard_scan(fid, params, N, ctx)
-    return _result(fid, "favard", "pass" if rep["pass"] else "fail",
-                   None, None, info.anchor,
-                   "min u_n = %s over n <= %d" % (rep["min_u"], N))
-
-
-_FAMILY_RUNNERS = {"closed-form": _closed_form_result, "orthogonality": _orthogonality_result,
-                   "eigen": _eigen_result, "favard": _favard_result}
+# The runner tables.  Each runner looks its check up on the module when it
+# runs, never holding the function, so a rebound module attribute (the
+# tracer of perfbench/tracer.py) is the one called.
+_FAMILY_RUNNERS = {
+    "closed-form": lambda fid, params, ctx: families.closed_form_check(fid, params, 12, ctx),
+    "orthogonality": lambda fid, params, ctx: orthogonality.gram(fid, params, 8, ctx),
+    "eigen": lambda fid, params, ctx: operators.eigen_check(fid, params, 10, ctx),
+    "favard": lambda fid, params, ctx: orthogonality.favard_check(fid, params, 200, ctx),
+}
 FAMILY_CHECKS = tuple(_FAMILY_RUNNERS)
 
 
 def _family_results(fid, params, ctx, checks):
-    info = families.family_info(fid)
-    return [_guarded(fid, check, info.anchor, run, fid, info, params, ctx)
+    anchor = families.family_info(fid).anchor
+    return [_row(fid, check, anchor, run, fid, params, ctx)
             for check, run in _FAMILY_RUNNERS.items() if check in checks]
 
 
-def _exact_result(edge, ctx):
-    rep = scheme.verify_exact(edge, 10, ctx)
-    return _result(edge.id, "exact", rep["status"], rep["max_error"],
-                   rep["tolerance"], edge.anchor, edge.label)
-
-
-def _limit_result(edge, ctx):
-    rep = scheme.verify_limit(edge, scheme.LADDER_N, ctx)
-    notes = "order %.2f, ladder errors %s" % (
-        rep["order_poly"] or -1, ", ".join("%.1e" % e for e in rep["errors"]))
-    return _result(edge.id, "limit", rep["status"],
-                   rep["extrapolated_error"], rep["tolerance"], edge.anchor, notes)
-
-
-def _ct_gt_result(edge, ctx):
-    rep = scheme.verify_ct_gt(edge, 10, ctx)
-    worst = max(rep["christoffel_error"], rep["geronimus_error"], rep["round_trip_error"])
-    return _result(edge.id, "ct-gt", rep["status"], worst,
-                   rep["tolerance"], edge.anchor, edge.label)
-
-
-# edge kind -> (check, runner); a geronimus edge is covered by the
+# edge kind -> (check, run(edge, ctx)); a geronimus edge is covered by the
 # christoffel direction of its pair
-_EDGE_RUNNERS = {"specialization": ("exact", _exact_result), "limit": ("limit", _limit_result),
-                 "q-limit": ("limit", _limit_result), "christoffel": ("ct-gt", _ct_gt_result)}
+_EDGE_RUNNERS = {
+    "specialization": ("exact", lambda edge, ctx: scheme.verify_exact(edge, 10, ctx)),
+    "limit": ("limit", lambda edge, ctx: scheme.verify_limit(edge, scheme.LADDER_N, ctx)),
+    "christoffel": ("ct-gt", lambda edge, ctx: scheme.verify_ct_gt(edge, 10, ctx)),
+}
+_EDGE_RUNNERS["q-limit"] = _EDGE_RUNNERS["limit"]
 
 
 def _edge_results(edge, ctx, checks):
     check, run = _EDGE_RUNNERS.get(edge.kind, (None, None))
     if check not in checks:
         return []
-    return [_guarded(edge.id, check, edge.anchor, run, edge, ctx)]
+    return [_row(edge.id, check, edge.anchor, run, edge, ctx)]
 
 
-def _square(which, ctx):
-    rep = scheme.verify_commuting_square(which, ctx)
-    return rep, rep["exact_leg_error"], "orders %.2f / %.2f" % (
-        rep["order_path_a"] or -1, rep["order_path_b"] or -1)
-
-
-def _kernel_map(ctx):
-    rep = scheme.verify_recurrence_kernel_map(ctx)
-    return rep, rep["max_error"], "A_n -> C_{n+1}, C_n -> A_n restatement"
-
-
-# the rows of verify --all that belong to no family or edge: (id, check, anchor, run),
-# run(ctx) -> (report with its status and tolerance, residual, notes)
-_SUITE_ROWS = tuple(("commuting-square:%s" % which, "square", "fig.1", partial(_square, which))
+# the rows of verify --all that belong to no family or edge: (id, check, anchor, run(ctx))
+_SUITE_ROWS = tuple(("commuting-square:%s" % which, "square", "fig.1",
+                     lambda ctx, which=which: scheme.verify_commuting_square(which, ctx))
                     for which in scheme.SQUARES) + (
-    ("kernel-recurrence-map", "ct-gt", "ss2", _kernel_map),)
-
-
-def _suite_result(id, check, anchor, run, ctx):
-    rep, residual, notes = run(ctx)
-    return _result(id, check, rep["status"], residual, rep["tolerance"], anchor, notes)
+    ("kernel-recurrence-map", "ct-gt", "ss2",
+     lambda ctx: scheme.verify_recurrence_kernel_map(ctx)),)
 
 
 def cmd_verify(args):
@@ -363,10 +295,10 @@ def cmd_verify(args):
     if args.all:
         if "square" in checks:
             for row in _SUITE_ROWS:
-                results.append(_guarded(*row[:3], _suite_result, *row, ctx))
+                results.append(_row(*row, ctx))
         for r in scheme.resolve_open_questions(ctx):
             results.append(_result(r["id"], r["check"], r["status"],
-                                   r.get("residual"), None, "", r["notes"]))
+                                   r["residual"], None, "", r["notes"]))
 
     results.sort(key=lambda r: (r["id"], r["check"], str(r["notes"])))
     statuses = {r["status"] for r in results}
@@ -385,7 +317,6 @@ def cmd_verify(args):
     else:
         lines = []
         for r in results:
-
             lines.append("%-12s %-60s %s%s" % (
                 r["status"].upper(), "%s [%s]" % (r["id"], r["check"]),
                 ("residual %.3g" % r["residual"]) if isinstance(r["residual"], float) else "",

@@ -6,9 +6,13 @@ Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``generate`` (and ``polys_from_pairs`` for a caller that holds the pairs),
 ``closed_form``, ``weight_spec``, ``norms`` (and its entry ``norm``) and
 ``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
-reference parameter sets the verification suites run at.  A family has a
-closed form or a measure when its table entry exists; a measure is one
-``WEIGHTS`` entry, the weight with its printed norms.  Eigen systems
+reference parameter sets the verification suites run at.
+``closed_form_check`` is the closed-form row of ``minusone verify``: it
+reports ``status``, ``residual``, ``tolerance`` and ``notes``.  A family
+has a closed form or a measure when its table entry exists; a measure is one
+``WEIGHTS`` entry, the weight with its printed norms.  The registry merges
+the families of ``catalog`` and ``qaux``, each stated in its module's own
+table, as the recurrence and closed-form tables are merged.  Eigen systems
 belong to the Dunkl operator layer, which imports this package; this
 package imports nothing above it.  A family's coefficients are one
 sequence per (family, parameters, N): ``recurrences`` and ``norms`` return
@@ -32,7 +36,7 @@ raises the same ParameterError, naming the same factor, at the same n.
 from __future__ import annotations
 
 from ..precision import PrecisionContext, ZeroDenominatorError
-from ..polynomials import Poly, ReductionAmbiguityError
+from ..polynomials import Poly, ReductionAmbiguityError, poly_rel_distance
 from .base import (
     FamilyInfo,
     InadmissibleParameterError,
@@ -44,11 +48,12 @@ from .base import (
     UnknownFamilyError,
     WeightSpec,
 )
-from .catalog import ALIASES, CLOSED_FORMS, RECURRENCES, REGISTRY
-from .qaux import Q_CLOSED_FORMS, Q_RECURRENCES
+from .catalog import ALIASES, CLOSED_FORMS, FAMILIES, RECURRENCES
+from .qaux import Q_CLOSED_FORMS, Q_FAMILIES, Q_RECURRENCES
 from .fixtures import FIXTURES
 from .weights import WEIGHTS
 
+REGISTRY = {**FAMILIES, **Q_FAMILIES}
 _ALL_RECURRENCES = {**RECURRENCES, **Q_RECURRENCES}
 _ALL_CLOSED = {**CLOSED_FORMS, **Q_CLOSED_FORMS}
 
@@ -180,6 +185,23 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     if raw:
         return monic, p[p.degree]
     return monic
+
+
+def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
+    """The closed-form row: the closed form against the recurrence for n <= N.
+
+    The residual is the worst relative coefficient distance, gated by
+    tol(10).  Raises NoClosedFormError for a family with none on record.
+    """
+    mp = ctx.mp
+    fid = resolve_family(family)
+    polys = generate(fid, params, N, ctx)
+    worst = mp.mpf(0)
+    for n in range(N + 1):
+        worst = max(worst, poly_rel_distance(polys[n], closed_form(fid, params, n, ctx)))
+    tol = ctx.tol(10)
+    return {"family": fid, "status": "pass" if worst <= tol else "fail",
+            "residual": float(worst), "tolerance": float(tol), "notes": ""}
 
 
 def _measure(family: str, params: dict, ctx: PrecisionContext):

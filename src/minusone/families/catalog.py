@@ -26,77 +26,71 @@ from .base import (
 # ----------------------------------------------------------------------
 # registry
 
-REGISTRY = {}
-
-
-def _register(info: FamilyInfo):
-    REGISTRY[info.id] = info
-    return info
-
-
-_register(FamilyInfo(
-    id="continuous-bannai-ito", name="Continuous Bannai-Ito",
-    params=("alpha", "beta", "gamma", "delta"), kind="scheme", row=4,
-    admissible="alpha, beta, gamma, delta > 0", anchor="A.1"))
-_register(FamilyInfo(
-    id="big-minus1-jacobi", name="Big -1 Jacobi",
-    params=("alpha", "beta", "c"), kind="scheme", row=3,
-    admissible="alpha > 0, beta > 0, 0 <= c < 1", anchor="A.2"))
-_register(FamilyInfo(
-    id="chihara", name="Chihara",
-    params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-    admissible="alpha > -1, beta > 0", anchor="A.3"))
-_register(FamilyInfo(
-    id="continuous-minus1-hahn-1", name="Continuous -1 Hahn (type 1)",
-    params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-    admissible="alpha, beta, gamma > 0", anchor="A.4"))
-_register(FamilyInfo(
-    id="continuous-minus1-hahn-2", name="Continuous -1 Hahn (type 2)",
-    params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-    admissible="alpha, beta, gamma > 0", anchor="A.5"))
-_register(FamilyInfo(
-    id="generalized-symmetric-bannai-ito", name="Generalized symmetric Bannai-Ito",
-    params=("a", "b", "c"), kind="scheme", row=3,
-    admissible="Re(a), Re(b), Re(c) > 0, a+b+c > 1, non-real parameters in conjugate pairs",
-    anchor="A.6", symmetric=True))
-_register(FamilyInfo(
-    id="little-minus1-jacobi", name="Little -1 Jacobi",
-    params=("alpha", "beta"), kind="scheme", row=2,
-    admissible="alpha > 0, beta > 0", anchor="A.7"))
-_register(FamilyInfo(
-    id="generalized-gegenbauer", name="Generalized Gegenbauer",
-    params=("alpha", "beta"), kind="scheme", row=2,
-    admissible="alpha > -1, beta > 0", anchor="A.8", symmetric=True))
-_register(FamilyInfo(
-    id="minus1-meixner-pollaczek", name="-1 Meixner-Pollaczek",
-    params=("alpha", "gamma"), kind="scheme", row=2,
-    admissible="alpha > -1/2", anchor="A.9"))
-_register(FamilyInfo(
-    id="symmetric-bannai-ito", name="Symmetric Bannai-Ito",
-    params=("a", "b"), kind="scheme", row=2,
-    admissible="Re(a), Re(b) > 0, non-real parameters in conjugate pairs",
-    anchor="A.10", symmetric=True))
-_register(FamilyInfo(
-    id="special-little-minus1-jacobi", name="Special little -1 Jacobi",
-    params=("alpha",), kind="scheme", row=1,
-    admissible="alpha > 0", anchor="A.11"))
-_register(FamilyInfo(
-    id="gegenbauer", name="Gegenbauer",
-    params=("alpha",), kind="scheme", row=1,
-    admissible="alpha > -1/2, alpha != 0", anchor="A.12", symmetric=True))
-_register(FamilyInfo(
-    id="generalized-hermite", name="Generalized Hermite",
-    params=("alpha",), kind="scheme", row=1,
-    admissible="alpha > -1/2", anchor="A.13", symmetric=True))
-_register(FamilyInfo(
-    id="hermite", name="Hermite",
-    params=(), kind="scheme", row=0,
-    admissible="none", anchor="A.14", symmetric=True))
-_register(FamilyInfo(
-    id="continuous-complementary-bannai-ito", name="Continuous complementary Bannai-Ito",
-    params=("a1", "b1", "a2", "b2"), kind="quasi", row=4,
-    admissible="not orthogonal for b2 != 0; recurrence defined away from denominator zeros",
-    anchor="ss5"))
+FAMILIES = {info.id: info for info in (
+    FamilyInfo(
+        id="continuous-bannai-ito", name="Continuous Bannai-Ito",
+        params=("alpha", "beta", "gamma", "delta"), kind="scheme", row=4,
+        admissible="alpha, beta, gamma, delta > 0", anchor="A.1"),
+    FamilyInfo(
+        id="big-minus1-jacobi", name="Big -1 Jacobi",
+        params=("alpha", "beta", "c"), kind="scheme", row=3,
+        admissible="alpha > 0, beta > 0, 0 <= c < 1", anchor="A.2"),
+    FamilyInfo(
+        id="chihara", name="Chihara",
+        params=("alpha", "beta", "gamma"), kind="scheme", row=3,
+        admissible="alpha > -1, beta > 0", anchor="A.3"),
+    FamilyInfo(
+        id="continuous-minus1-hahn-1", name="Continuous -1 Hahn (type 1)",
+        params=("alpha", "beta", "gamma"), kind="scheme", row=3,
+        admissible="alpha, beta, gamma > 0", anchor="A.4"),
+    FamilyInfo(
+        id="continuous-minus1-hahn-2", name="Continuous -1 Hahn (type 2)",
+        params=("alpha", "beta", "gamma"), kind="scheme", row=3,
+        admissible="alpha, beta, gamma > 0", anchor="A.5"),
+    FamilyInfo(
+        id="generalized-symmetric-bannai-ito", name="Generalized symmetric Bannai-Ito",
+        params=("a", "b", "c"), kind="scheme", row=3,
+        admissible="Re(a), Re(b), Re(c) > 0, a+b+c > 1, non-real parameters in conjugate pairs",
+        anchor="A.6", symmetric=True),
+    FamilyInfo(
+        id="little-minus1-jacobi", name="Little -1 Jacobi",
+        params=("alpha", "beta"), kind="scheme", row=2,
+        admissible="alpha > 0, beta > 0", anchor="A.7"),
+    FamilyInfo(
+        id="generalized-gegenbauer", name="Generalized Gegenbauer",
+        params=("alpha", "beta"), kind="scheme", row=2,
+        admissible="alpha > -1, beta > 0", anchor="A.8", symmetric=True),
+    FamilyInfo(
+        id="minus1-meixner-pollaczek", name="-1 Meixner-Pollaczek",
+        params=("alpha", "gamma"), kind="scheme", row=2,
+        admissible="alpha > -1/2", anchor="A.9"),
+    FamilyInfo(
+        id="symmetric-bannai-ito", name="Symmetric Bannai-Ito",
+        params=("a", "b"), kind="scheme", row=2,
+        admissible="Re(a), Re(b) > 0, non-real parameters in conjugate pairs",
+        anchor="A.10", symmetric=True),
+    FamilyInfo(
+        id="special-little-minus1-jacobi", name="Special little -1 Jacobi",
+        params=("alpha",), kind="scheme", row=1,
+        admissible="alpha > 0", anchor="A.11"),
+    FamilyInfo(
+        id="gegenbauer", name="Gegenbauer",
+        params=("alpha",), kind="scheme", row=1,
+        admissible="alpha > -1/2, alpha != 0", anchor="A.12", symmetric=True),
+    FamilyInfo(
+        id="generalized-hermite", name="Generalized Hermite",
+        params=("alpha",), kind="scheme", row=1,
+        admissible="alpha > -1/2", anchor="A.13", symmetric=True),
+    FamilyInfo(
+        id="hermite", name="Hermite",
+        params=(), kind="scheme", row=0,
+        admissible="none", anchor="A.14", symmetric=True),
+    FamilyInfo(
+        id="continuous-complementary-bannai-ito", name="Continuous complementary Bannai-Ito",
+        params=("a1", "b1", "a2", "b2"), kind="quasi", row=4,
+        admissible="not orthogonal for b2 != 0; recurrence defined away from denominator zeros",
+        anchor="ss5"),
+)}
 
 ALIASES = {
     "cbi": "continuous-bannai-ito",

@@ -18,33 +18,34 @@ from __future__ import annotations
 from ..precision import pochhammer
 from ..polynomials import Poly
 from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check
-from .catalog import _register
 
 
-_register(FamilyInfo(
-    id="little-q-jacobi-dilated", name="Dilated little q-Jacobi",
-    params=("a", "b", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2"))
-_register(FamilyInfo(
-    id="big-q-jacobi", name="Big q-Jacobi",
-    params=("a", "b", "c", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2", external=True))
-_register(FamilyInfo(
-    id="continuous-q-hahn", name="Continuous q-Hahn (a=c, b=d, rescaled)",
-    params=("a", "b", "phi", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss3.2"))
-_register(FamilyInfo(
-    id="q-meixner-pollaczek", name="q-Meixner-Pollaczek",
-    params=("a", "phi", "q"), kind="q-aux", row=None,
-    admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss4"))
-_register(FamilyInfo(
-    id="wilson", name="Wilson (monic, variable x^2)",
-    params=("a", "b", "c", "d"), kind="helper", row=None,
-    admissible="standard catalog conditions", anchor="external", external=True))
-_register(FamilyInfo(
-    id="continuous-dual-hahn", name="Continuous dual Hahn (monic, variable x^2)",
-    params=("a", "b", "c"), kind="helper", row=None,
-    admissible="standard catalog conditions", anchor="external", external=True))
+Q_FAMILIES = {info.id: info for info in (
+    FamilyInfo(
+        id="little-q-jacobi-dilated", name="Dilated little q-Jacobi",
+        params=("a", "b", "q"), kind="q-aux", row=None,
+        admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2"),
+    FamilyInfo(
+        id="big-q-jacobi", name="Big q-Jacobi",
+        params=("a", "b", "c", "q"), kind="q-aux", row=None,
+        admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss2", external=True),
+    FamilyInfo(
+        id="continuous-q-hahn", name="Continuous q-Hahn (a=c, b=d, rescaled)",
+        params=("a", "b", "phi", "q"), kind="q-aux", row=None,
+        admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss3.2"),
+    FamilyInfo(
+        id="q-meixner-pollaczek", name="q-Meixner-Pollaczek",
+        params=("a", "phi", "q"), kind="q-aux", row=None,
+        admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss4"),
+    FamilyInfo(
+        id="wilson", name="Wilson (monic, variable x^2)",
+        params=("a", "b", "c", "d"), kind="helper", row=None,
+        admissible="standard catalog conditions", anchor="external", external=True),
+    FamilyInfo(
+        id="continuous-dual-hahn", name="Continuous dual Hahn (monic, variable x^2)",
+        params=("a", "b", "c"), kind="helper", row=None,
+        admissible="standard catalog conditions", anchor="external", external=True),
+)}
 
 
 def _q_powers(q, lo, hi):

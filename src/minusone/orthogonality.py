@@ -1,5 +1,9 @@
 """Gram matrices against the printed norms, Favard scans, and moment cross-checks.
 
+``gram`` and ``favard_check`` are the orthogonality and Favard rows of
+``minusone verify``: each reports ``status``, ``residual``, ``tolerance``
+and ``notes``.
+
 Gram entries share one quadrature node table per family, and the density is
 evaluated once per node.  The weight is split symmetrically: with
 V_n = sqrt(w) P_n the Gram is V^T V, and V is held in Python integers.
@@ -123,9 +127,11 @@ def gram(family, params, N, ctx: PrecisionContext):
     off-diagonal entry (scaled by sqrt(h_n h_m)), the worst diagonal
     deviation from the printed norm formula, the working digits the
     quadrature ran at, the two gates (module docstring, Precision plan) and
-    the status: pass or fail by the gates, inconclusive when the node table
-    did not converge.  Raises ParameterError where the recurrence or the
-    weight is not that of a positive measure.
+    the row fields: status (pass or fail by the gates, inconclusive when
+    the node table did not converge), residual (the larger of the two
+    deviations), tolerance (the off-diagonal gate) and notes.  Raises
+    ParameterError where the recurrence or the weight is not that of a
+    positive measure.
     """
     fid = families.resolve_family(family)
     work, spec, table = _boosted_table(fid, params, ctx, 2 * N)
@@ -154,9 +160,12 @@ def gram(family, params, N, ctx: PrecisionContext):
         "N": N,
         "max_offdiag": off,
         "max_diag_error": diag,
+        "residual": max(off, diag),
         "tolerance": off_tol,
         "diag_tolerance": diag_tol,
         "status": status if table.converged else "inconclusive",
+        "notes": "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
+            off, diag, len(table.xs), work.mp.dps),
         "nodes": len(table.xs),
         "working_digits": work.mp.dps,
         "converged": table.converged,
@@ -195,6 +204,26 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
         "first_nonreal_n": first_nonreal,
         "pass": bool(real_ok and positive),
     }
+
+
+def favard_check(family, params, N, ctx: PrecisionContext):
+    """The Favard row: real b_n and u_n with u_n > 0 for n <= N, no residual or tolerance.
+
+    For the quasi family (CCBI) the row checks its classification instead:
+    the reality conditions (n <= 5) fail at b2 = 1 and hold at b2 = 0.
+    """
+    info = families.family_info(family)
+    if info.kind == "quasi":
+        holds = [families.positivity_conditions_ccbi({**params, "b2": ctx.mp.mpf(b2)}, ctx,
+                                                     N=5)["all_hold"] for b2 in (1, 0)]
+        ok = not holds[0] and holds[1]
+        notes = "b2 != 0 breaks reality, b2 = 0 reduces to the generalized symmetric family"
+    else:
+        rep = favard_scan(info.id, params, N, ctx)
+        ok = rep["pass"]
+        notes = "min u_n = %s over n <= %d" % (rep["min_u"], N)
+    return {"family": info.id, "status": "pass" if ok else "fail",
+            "residual": None, "tolerance": None, "notes": notes}
 
 
 def moments_from_recurrence(family, params, K, ctx: PrecisionContext):

@@ -368,8 +368,8 @@ def verify_exact(edge, N, ctx: PrecisionContext):
     tol = ctx.tol(10)
     return {
         "edge": edge.id, "kind": edge.kind, "anchor": edge.anchor,
-        "N": N, "max_error": float(err), "tolerance": float(tol),
-        "status": "pass" if err <= tol else "fail",
+        "N": N, "max_error": float(err), "residual": float(err), "tolerance": float(tol),
+        "status": "pass" if err <= tol else "fail", "notes": edge.label,
     }
 
 
@@ -379,6 +379,11 @@ LADDER_MIN_DIGITS = 20
 
 # degrees compared on every ladder: the limit edges, the squares and the open questions
 LADDER_N = 6
+
+
+def _order_note(order):
+    """A fitted convergence order to two decimals, or "none" where none was fitted."""
+    return "none" if order is None else "%.2f" % order
 
 
 def default_ladder(direction, ctx):
@@ -395,6 +400,8 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
     decay monotonically with fitted order >= 1 and the Richardson
     extrapolation of the last three ladder points lands within 1e-8 of the
     target.  Below ``LADDER_MIN_DIGITS`` the ladder runs at that precision.
+    The residual is the extrapolated error; the notes give the fitted
+    order and the ladder errors.
     """
     if isinstance(edge, str):
         edge = resolve_edge(edge)
@@ -461,8 +468,11 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
         "order_poly": order_poly,
         "order_recurrence": order_rec,
         "extrapolated_error": float(ext_err) if ext_err is not None else None,
+        "residual": float(ext_err) if ext_err is not None else None,
         "tolerance": float(gate),
         "status": "pass" if ok else "fail",
+        "notes": "order %s, ladder errors %s" % (
+            _order_note(order_poly), ", ".join("%.1e" % e for e in errors)),
     }
 
 
@@ -509,14 +519,16 @@ def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
     err_round = _compare_sets(round_trip, source[: N + 1])
 
     tol = ctx.tol(10)
-    ok = max(err_ct, err_gt, err_round) <= tol
+    worst = max(err_ct, err_gt, err_round)
     return {
         "edge": edge.id, "kind": "christoffel-geronimus", "anchor": edge.anchor, "N": N,
         "christoffel_error": float(err_ct),
         "geronimus_error": float(err_gt),
         "round_trip_error": float(err_round),
+        "residual": float(worst),
         "tolerance": float(tol),
-        "status": "pass" if ok else "fail",
+        "status": "pass" if worst <= tol else "fail",
+        "notes": edge.label,
     }
 
 
@@ -546,8 +558,9 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20):
                 worst = max(worst, abs(u_kernel - gg.u) / max(abs(gg.u), mp.mpf(1)))
     tol = ctx.tol(10)
     return {"check": "kernel-recurrence-map", "trials": trials, "N": N,
-            "max_error": float(worst), "tolerance": float(tol),
-            "status": "pass" if worst <= tol else "fail"}
+            "max_error": float(worst), "residual": float(worst), "tolerance": float(tol),
+            "status": "pass" if worst <= tol else "fail",
+            "notes": "A_n -> C_{n+1}, C_n -> A_n restatement"}
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +586,8 @@ def verify_commuting_square(which, ctx: PrecisionContext):
     at the square's fixture, checked by :func:`verify_limit`; the c -> 0
     leg is exact at every ladder point of ``ctx``: big q-Jacobi at c = 0
     equals the dilated little q-Jacobi with swapped parameters.  Both legs
-    have scale s = 1 at c = 0.
+    have scale s = 1 at c = 0.  The residual is the c -> 0 leg's error; the
+    notes give the fitted order of each path.
     """
     N = LADDER_N
     path_a, path_b = [dataclasses.replace(EDGES[edge_id], fixture=fx)
@@ -587,12 +601,15 @@ def verify_commuting_square(which, ctx: PrecisionContext):
     return {
         "square": which, "N": N,
         "exact_leg_error": float(leg_err),
+        "residual": float(leg_err),
         "tolerance": float(tol),
         "path_errors_via_minus1": rep_a["errors"],
         "path_errors_via_little_q": rep_b["errors"],
         "order_path_a": rep_a["order_poly"],
         "order_path_b": rep_b["order_poly"],
         "status": "pass" if ok else "fail",
+        "notes": "orders %s / %s" % (_order_note(rep_a["order_poly"]),
+                                     _order_note(rep_b["order_poly"])),
     }
 
 
@@ -657,15 +674,14 @@ def resolve_open_questions(ctx: PrecisionContext):
 # ----------------------------------------------------------------------
 # graph export
 
-_ROWS = {
-    4: ["continuous-complementary-bannai-ito", "continuous-bannai-ito"],
-    3: ["generalized-symmetric-bannai-ito", "chihara", "big-minus1-jacobi",
-        "continuous-minus1-hahn-1", "continuous-minus1-hahn-2"],
-    2: ["symmetric-bannai-ito", "generalized-gegenbauer", "little-minus1-jacobi",
-        "minus1-meixner-pollaczek"],
-    1: ["gegenbauer", "special-little-minus1-jacobi", "generalized-hermite"],
-    0: ["hermite"],
-}
+# the scheme chart's left-to-right order; each family's row is its catalog row
+_CHART = ("continuous-complementary-bannai-ito", "continuous-bannai-ito",
+          "generalized-symmetric-bannai-ito", "chihara", "big-minus1-jacobi",
+          "continuous-minus1-hahn-1", "continuous-minus1-hahn-2",
+          "symmetric-bannai-ito", "generalized-gegenbauer", "little-minus1-jacobi",
+          "minus1-meixner-pollaczek",
+          "gegenbauer", "special-little-minus1-jacobi", "generalized-hermite",
+          "hermite")
 
 _EDGE_STYLE = {
     "specialization": 'style=solid',
@@ -684,7 +700,10 @@ def export_graph(fmt="dot", include_aux=False):
     with ``include_aux``.  JSON: every catalog edge with kind, anchor, label
     and direction.
     """
-    scheme_nodes = [fid for row in sorted(_ROWS, reverse=True) for fid in _ROWS[row]]
+    rows = {}
+    for fid in _CHART:
+        rows.setdefault(families.family_info(fid).row, []).append(fid)
+    scheme_nodes = [fid for row in sorted(rows, reverse=True) for fid in rows[row]]
     if fmt == "json":
         payload = {
             "nodes": [{"id": fid,
@@ -701,12 +720,12 @@ def export_graph(fmt="dot", include_aux=False):
     if fmt != "dot":
         raise ValueError("format must be 'dot' or 'json'")
     lines = ["digraph minus_one_scheme {", "  rankdir=TB;", "  node [shape=box];"]
-    for row in sorted(_ROWS, reverse=True):
-        for fid in _ROWS[row]:
+    for row in sorted(rows, reverse=True):
+        for fid in rows[row]:
             info = families.family_info(fid)
             style = ', style=dashed' if info.kind == "quasi" else ''
             lines.append('  "%s" [label="%s\\n(%d)"%s];' % (fid, info.name, row, style))
-        lines.append("  { rank=same; %s }" % " ".join('"%s";' % f for f in _ROWS[row]))
+        lines.append("  { rank=same; %s }" % " ".join('"%s";' % f for f in rows[row]))
     if include_aux:
         for fid in families.family_ids("q-aux"):
             lines.append('  "%s" [label="%s", shape=ellipse, style=dotted];'

@@ -344,3 +344,79 @@ def test_singular_parameter_values_never_raise(data):
     params[name] = data.draw(st.sampled_from(["0", "-0.5", "-1", "-1.5", "-2"]))
     code, _ = _quiet_verify(family, params, data.draw(st.sampled_from([15, 50])))
     assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE)
+
+
+def test_every_skipped_row_ends_in_skipped(capsys):
+    # one note rule for a check whose table has no entry for the family,
+    # the closed form included; the q-aux families have none of the three
+    from minusone import families
+
+    for fid in families.family_ids("q-aux"):
+        code, out = run(capsys, "verify", "--family", fid,
+                        "--checks", "closed-form,orthogonality,eigen", "--digits", "15",
+                        "--format", "json", "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert {r["check"]: (r["status"], r["notes"]) for r in json.loads(out)["results"]} == {
+            "closed-form": ("pass", "no closed form on record (skipped)"),
+            "orthogonality": ("pass", "no continuous measure on record (skipped)"),
+            "eigen": ("pass", "no eigenvalue equation on record (skipped)"),
+        }, fid
+
+
+def test_every_runner_reports_the_row_fields():
+    # one family per family check (CCBI too, for the quasi Favard row), one
+    # edge per edge kind, and the suite rows
+    from minusone import families, scheme
+    from minusone.precision import PrecisionContext
+
+    ctx = PrecisionContext(15)
+    reports = []
+    for check, run in cli._FAMILY_RUNNERS.items():
+        quasi = ("continuous-complementary-bannai-ito",) if check == "favard" else ()
+        for fid in ("hermite",) + quasi:
+            params = families.make_params(fid, ctx, **families.fixture_points(fid)[0])
+            reports.append((fid, check, run(fid, params, ctx)))
+    for kind, (check, run) in cli._EDGE_RUNNERS.items():
+        edge = next(e for e in scheme.edge_catalog() if e.kind == kind)
+        reports.append((edge.id, check, run(edge, ctx)))
+    for id, check, _, run in cli._SUITE_ROWS:
+        reports.append((id, check, run(ctx)))
+    assert {check for _, check, _ in reports} == set(cli.FAMILY_CHECKS + cli.EDGE_CHECKS)
+    for id, check, rep in reports:
+        assert rep["status"] == "pass", (id, check, rep)
+        assert isinstance(rep["notes"], str), (id, check)
+        for key in ("residual", "tolerance"):
+            assert rep[key] is None or isinstance(rep[key], float), (id, check, key)
+
+
+def test_every_runner_calls_its_check_through_the_module(capsys, monkeypatch):
+    # perfbench's tracer rebinds module attributes: a runner holding the
+    # function object would bypass the rebinding, and its time would go untraced
+    from minusone import families, operators, orthogonality, scheme
+
+    def stub(tag):
+        def check(*args, **kwargs):
+            return {"status": "fail", "residual": 1.0, "tolerance": 2.0, "notes": tag}
+        return check
+
+    checks = {"closed-form": (families, "closed_form_check"),
+              "orthogonality": (orthogonality, "gram"),
+              "eigen": (operators, "eigen_check"),
+              "favard": (orthogonality, "favard_check"),
+              "exact": (scheme, "verify_exact"),
+              "limit": (scheme, "verify_limit"),
+              "ct-gt": (scheme, "verify_ct_gt"),
+              "square": (scheme, "verify_commuting_square"),
+              "kernel-recurrence-map": (scheme, "verify_recurrence_kernel_map")}
+    for module, name in checks.values():
+        monkeypatch.setattr(module, name, stub(name))
+    monkeypatch.setattr(scheme, "resolve_open_questions", lambda ctx: [])
+    code, out = run(capsys, "verify", "--all", "--digits", "15", "--format", "json",
+                    "--no-timestamp")
+    results = json.loads(out)["results"]
+    assert code == cli.EXIT_FAIL and len(results) == 99 - 5        # no open questions
+    for r in results:
+        module, name = checks[r["id"] if r["id"] in checks else r["check"]]
+        assert (r["status"], r["residual"], r["tolerance"], r["notes"]) == (
+            "fail", 1.0, 2.0, name), r
+    assert {r["notes"] for r in results} == {name for _, name in checks.values()}

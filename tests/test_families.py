@@ -543,3 +543,15 @@ def test_favard_admissible_regions():
             for n in range(1, 51):
                 u = pairs[n].u
                 assert MP.re(MP.mpc(u)) > 0, (fid, pt, n)
+
+
+def test_registry_merges_the_catalog_and_qaux_tables():
+    # each module states its families in a table of its own, and the package
+    # merges them as it merges the recurrence tables; no import registers
+    from minusone.families import catalog, qaux
+
+    assert not set(catalog.FAMILIES) & set(qaux.Q_FAMILIES)
+    assert F.REGISTRY == {**catalog.FAMILIES, **qaux.Q_FAMILIES}
+    assert {info.kind for info in catalog.FAMILIES.values()} == {"scheme", "quasi"}
+    assert {info.kind for info in qaux.Q_FAMILIES.values()} == {"q-aux", "helper"}
+    assert set(F.REGISTRY) == set(F._ALL_RECURRENCES)

@@ -199,3 +199,49 @@ def test_export_json_roundtrip():
     assert len(payload["nodes"]) == 15
     assert len(payload["edges"]) == len(S.edge_catalog())
     assert all("anchor" in e for e in payload["edges"])
+
+
+def test_a_fitted_order_of_zero_is_printed_and_no_order_says_none(capsys, monkeypatch):
+    # the gegenbauer -> hermite map pinned at h = 10 leaves every rung at the
+    # same error: a fitted order of exactly 0, not the "no order" of the notes
+    from minusone import cli
+
+    edge = S.EDGES["gegenbauer:hermite"]
+    pinned = dataclasses.replace(edge, params=lambda f, h, mp: edge.params(f, mp.mpf(10), mp))
+    rep = S.verify_limit(pinned, S.LADDER_N, PrecisionContext(15))
+    assert rep["order_poly"] == 0.0 and rep["status"] == "fail"
+    assert rep["notes"].startswith("order 0.00, ladder errors "), rep["notes"]
+
+    # an edge exact at every rung has no order to fit
+    exact = dataclasses.replace(S.EDGES["generalized-hermite:hermite"], kind="limit",
+                                direction="h->0")
+    rep = S.verify_limit(exact, S.LADDER_N, PrecisionContext(20))
+    assert rep["order_poly"] is None and rep["status"] == "pass"
+    assert rep["notes"].startswith("order none, ladder errors "), rep["notes"]
+
+    # the CLI row prints the check's notes
+    monkeypatch.setitem(S.EDGES, edge.id, pinned)
+    code = cli.main(["verify", "--edge", edge.id, "--digits", "15", "--format", "json",
+                     "--no-timestamp"])
+    [result] = json.loads(capsys.readouterr().out)["results"]
+    assert code == cli.EXIT_FAIL
+    assert result["notes"].startswith("order 0.00, ladder errors "), result
+
+
+def test_each_scheme_family_is_charted_once_in_its_catalog_row():
+    import re
+
+    assert sorted(S._CHART) == F.scheme_ids()
+    dot = S.export_graph("dot")
+    ranks = [re.findall(r'"([^"]+)";', group)
+             for group in re.findall(r"\{ rank=same; (.*) \}", dot)]
+    assert sorted(f for group in ranks for f in group) == F.scheme_ids()
+    rows = [{F.family_info(f).row for f in group} for group in ranks]
+    assert all(len(r) == 1 for r in rows)
+    assert [r.pop() for r in rows] == [4, 3, 2, 1, 0]
+    labels = dict(re.findall(r'"([^"]+)" \[label="[^"]*\\n\((\d)\)"', dot))
+    assert {f: int(row) for f, row in labels.items()} == {
+        f: F.family_info(f).row for f in F.scheme_ids()}
+    nodes = json.loads(S.export_graph("json"))["nodes"]
+    assert all(n["row"] == F.family_info(n["id"]).row for n in nodes)
+    assert [n["id"] for n in nodes] == [f for group in ranks for f in group]
