@@ -88,13 +88,17 @@ def orthogonal_ids():
 
 def _convert(value, name, who, ctx: PrecisionContext):
     """A parameter value in ctx: a decimal string by mp.mpf, a complex by mp.mpc, anything
-    else by mp.convert, which keeps the mantissa of a value made in another context."""
+    else by mp.convert, which keeps the mantissa of a value made in another context.
+    A string must name a finite real number."""
     if isinstance(value, str):
         try:
-            return ctx.mp.mpf(value)
+            number = ctx.mp.mpf(value)
         except ValueError:
             raise ParameterError("parameter %r of %s is not a real number: %r"
                                  % (name, who, value)) from None
+        if not ctx.mp.isfinite(number):
+            raise ParameterError("parameter %r of %s is not finite: %r" % (name, who, value))
+        return number
     if isinstance(value, complex):
         return ctx.mp.mpc(value)
     return ctx.mp.convert(value)

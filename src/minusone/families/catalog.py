@@ -5,9 +5,13 @@ introducing the continuous complementary Bannai-Ito family).  Every closed
 form is assembled exactly as printed, including its prefactors, and then
 renormalized monic by dividing by the computed leading coefficient; the raw
 leading coefficient is available so the printed normalization itself can be
-tested.  The sign factor written theta(x) in split-support weights is
-implemented as sgn(x), the unique choice making those densities nonnegative
-on both support components.
+tested.  A pattern printed for two families is written once: the big and
+little -1 Jacobi closed forms (A.2, A.7) both call ``_m1j_template`` with
+their series variable, linear factor and c factors, as the three
+continuous Bannai-Ito type forms call ``_cbi_template``.  The sign factor
+written theta(x) in split-support weights is implemented as sgn(x), the
+unique choice making those densities nonnegative on both support
+components.
 """
 
 from __future__ import annotations
@@ -520,33 +524,43 @@ def _cf_c1h2(ctx, n, alpha, beta, gamma):
     return _cbi_template(alpha, beta, gamma, -beta, n, ctx)
 
 
-def _cf_big_m1j(ctx, n, alpha, beta, c):
+def _m1j_template(ctx, n, alpha, beta, z, linear, one_plus_c, one_minus_c2):
+    """The -1 Jacobi closed form shared by the big (A.2) and little (A.7) families.
+
+    With s = (2m+alpha+beta+2)/2, n = 2m is 2F1(-m, s; (alpha+1)/2; z) plus
+    ``linear`` times 2F1(-(m-1), s; (alpha+3)/2; z), and n = 2m+1 the first
+    minus ``linear`` times 2F1(-m, s+1; (alpha+3)/2; z).  Big -1 Jacobi passes
+    z = (1-x^2)/(1-c^2), linear = 1 - x and its c factors 1 + c and 1 - c^2;
+    little -1 Jacobi passes z = x^2, linear = x and 1 for both, an exact 1
+    that leaves its coefficients those of the formula without them.
+    """
     mp = ctx.mp
-    check = denominator_check(ctx)
-    one_minus_c2 = check(1 - c * c, "1-c^2")
-    one_plus_al = check(1 + alpha, "1+alpha")
-    x = Poly.x(ctx)
-    z = Poly((1 / one_minus_c2, mp.mpf(0), -1 / one_minus_c2))   # (1-x^2)/(1-c^2)
-    one_minus_x = Poly((mp.mpf(1), mp.mpf(-1)))
+    one_plus_al = denominator_check(ctx)(1 + alpha, "1+alpha")
     odd, m = _parity(n)
     ap1_2 = (alpha + 1) / 2
     ap3_2 = (alpha + 3) / 2
+    s = (2 * m + alpha + beta + 2) / 2
+    f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
     if not odd:
-        s = (2 * m + alpha + beta + 2) / 2
-        f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
         if m == 0:
             total = f1
         else:
             f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], z, ctx)
-            total = f1 + (one_minus_x * f2).scale(2 * m / ((1 + c) * one_plus_al))
+            total = f1 + (linear * f2).scale(2 * m / (one_plus_c * one_plus_al))
         eta = one_minus_c2 ** m * pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
         return total.scale(eta)
-    s = (2 * m + alpha + beta + 2) / 2
-    f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
     f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (one_minus_x * f2).scale((2 * m + alpha + beta + 2) / ((1 + c) * one_plus_al))
-    eta = (1 + c) * one_minus_c2 ** m * pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
+    total = f1 - (linear * f2).scale((2 * m + alpha + beta + 2) / (one_plus_c * one_plus_al))
+    eta = one_plus_c * one_minus_c2 ** m * pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
     return total.scale(eta)
+
+
+def _cf_big_m1j(ctx, n, alpha, beta, c):
+    mp = ctx.mp
+    one_minus_c2 = denominator_check(ctx)(1 - c * c, "1-c^2")
+    z = Poly((1 / one_minus_c2, mp.mpf(0), -1 / one_minus_c2))   # (1-x^2)/(1-c^2)
+    one_minus_x = Poly((mp.mpf(1), mp.mpf(-1)))
+    return _m1j_template(ctx, n, alpha, beta, z, one_minus_x, 1 + c, one_minus_c2)
 
 
 def _cf_little_m1j(ctx, n, alpha, beta):
@@ -558,28 +572,8 @@ def _cf_little_m1j(ctx, n, alpha, beta):
     Jacobi pattern, is used and the discrepancy is surfaced through the
     open-question report.
     """
-    mp = ctx.mp
-    one_plus_al = denominator_check(ctx)(1 + alpha, "1+alpha")
     x = Poly.x(ctx)
-    z = x * x
-    odd, m = _parity(n)
-    ap1_2 = (alpha + 1) / 2
-    ap3_2 = (alpha + 3) / 2
-    s = (2 * m + alpha + beta + 2) / 2
-    if not odd:
-        f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
-        if m == 0:
-            total = f1
-        else:
-            f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], z, ctx)
-            total = f1 + (x * f2).scale(2 * m / one_plus_al)
-        eta = pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
-        return total.scale(eta)
-    f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
-    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (x * f2).scale((2 * m + alpha + beta + 2) / one_plus_al)
-    eta = pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
-    return total.scale(eta)
+    return _m1j_template(ctx, n, alpha, beta, x * x, x, 1, 1)
 
 
 def _cf_special_lj(ctx, n, alpha):

@@ -5,7 +5,10 @@ standard catalog).
 The dilated little q-Jacobi, continuous q-Hahn (specialized a=c, b=d, with
 the variable already rescaled) and q-Meixner-Pollaczek recurrences follow
 the source text; the big q-Jacobi monic recurrence and the two helpers are
-sourced from the standard hypergeometric catalog and marked external.
+sourced from the standard hypergeometric catalog and marked external.  The
+two helper closed forms are one series, ``_wilson_type_series``: Wilson's
+4F3 and the continuous dual Hahn 3F2, which lacks Wilson's upper
+parameter n + s - 1.
 
 The middle recurrence coefficient of the dilated little q-Jacobi is printed
 as 1 - A_n + C_n in the source; both sign readings are implemented
@@ -161,55 +164,47 @@ def _recs_cdh(ctx, N, a, b, c):
     return _from_AC(AC, lambda A, C: A + C - aa)
 
 
-def _cf_wilson(ctx, n, a, b, c, d):
-    """Monic Wilson polynomial in y = x^2.
+def _wilson_type_series(ctx, n, a, dens, upper=None):
+    """The terminating Wilson-type series in y = x^2, times its printed prefactor.
 
-    The terminating 4F3 carries the conjugate parameter pair a+ix, a-ix
-    whose Pochhammer product is the polynomial prod_j ((a+j)^2 + y), so the
-    series is assembled directly in the y variable.
+    sum_k (-n)_k (upper)_k (a+ix)_k (a-ix)_k / (k! prod_b (b)_k), times
+    (-1)^n prod_b (b)_n / (upper)_n; without ``upper`` neither factor
+    enters.  The conjugate pair a+ix, a-ix has the Pochhammer product
+    prod_{j<k} (y + (a+j)^2), so the series is assembled in y directly.
     """
-    s = a + b + c + d
-    y = Poly.x(ctx)
-    return _wilson_series(a, [a + b, a + c, a + d], s, n, y, ctx)
-
-
-def _wilson_series(a, dens, s, n, y, ctx):
     mp = ctx.mp
+    y = Poly.x(ctx)
     total = Poly.constant(mp.mpc(0))
     term = Poly.constant(mp.mpc(1))
     for k in range(n + 1):
         total = total + term
         if k == n:
             break
-        den = (k + 1) * mp.mpc(1)
+        den = k + 1
         for b in dens:
             den *= b + k
-        scal = (-mp.mpf(n) + k) * (n + s - 1 + k) / den
+        num = -mp.mpf(n) + k
+        if upper is not None:
+            num *= upper + k
         term = term * (y + Poly.constant((a + k) ** 2))
-        term = term.scale(scal)
-    pref = mp.mpc(1)
+        term = term.scale(num / den)
+    pref = (-1) ** n
     for b in dens:
         pref *= pochhammer(b, n, ctx)
-    pref *= (-1) ** n / pochhammer(mp.mpf(n) + s - 1, n, ctx)
+    if upper is not None:
+        pref *= 1 / pochhammer(upper, n, ctx)
     return total.scale(pref)
+
+
+def _cf_wilson(ctx, n, a, b, c, d):
+    """Monic Wilson polynomial in y = x^2: the 4F3 with upper parameter n+s-1, s = a+b+c+d."""
+    s = a + b + c + d
+    return _wilson_type_series(ctx, n, a, [a + b, a + c, a + d], n + s - 1)
 
 
 def _cf_cdh(ctx, n, a, b, c):
-    """Monic continuous dual Hahn polynomial in y = x^2."""
-    mp = ctx.mp
-    y = Poly.x(ctx)
-    total = Poly.constant(mp.mpc(0))
-    term = Poly.constant(mp.mpc(1))
-    for k in range(n + 1):
-        total = total + term
-        if k == n:
-            break
-        den = (k + 1) * (a + b + k) * (a + c + k)
-        scal = (-mp.mpf(n) + k) / den
-        term = term * (y + Poly.constant((a + k) ** 2))
-        term = term.scale(scal)
-    pref = (-1) ** n * pochhammer(a + b, n, ctx) * pochhammer(a + c, n, ctx)
-    return total.scale(pref)
+    """Monic continuous dual Hahn polynomial in y = x^2: the Wilson series' 3F2."""
+    return _wilson_type_series(ctx, n, a, [a + b, a + c])
 
 
 Q_RECURRENCES = {

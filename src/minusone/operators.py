@@ -563,20 +563,24 @@ def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
 def eigen_check(family, params, N, ctx: PrecisionContext):
     """The eigen block of a family report, from one image per (free value, degree).
 
-    Checks L P_n = lambda_n P_n for n <= N at the free values 1/2 and 2, and
-    that the matrix of L (free = 1/2) in the basis P_0..P_8 is diagonal with
-    the printed eigenvalues.  A dead end at any degree used ends the check
-    with its status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.
-    A family with no eigen system raises :class:`NoEigenSystemError` before
-    any polynomial is built.
+    Checks L P_n = lambda_n P_n for n <= N, at the free values 1/2 and 2
+    when the eigenvalue has a free parameter, and that the matrix of L
+    (free = 1/2) in the basis P_0..P_8 is diagonal with the printed
+    eigenvalues.  A dead end at any degree used ends the check with its
+    status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.  A family
+    with no eigen system raises :class:`NoEigenSystemError` before any
+    polynomial is built.
     """
     fid = families.resolve_family(family)
     top = max(N, DIAGONALITY_N)
-    runs = [(build_eigen_system(fid, params, ctx, free=free), free, last)
-            for free, last in (("0.5", top), ("2", N))]
+    es = build_eigen_system(fid, params, ctx, free="0.5")
+    runs = [(es, "0.5", top)]
+    if es.free_name:
+        runs.append((build_eigen_system(fid, params, ctx, free="2"), "2", N))
     polys = families.generate(fid, params, top, ctx)
     report = {"family": fid, "status": "pass", "residual": 0.0, "tolerance": float(ctx.tol(10)),
-              "notes": "n <= %d at two free-parameter values; basis matrix diagonal" % N}
+              "notes": "n <= %d%s; basis matrix diagonal"
+                       % (N, " at two free-parameter values" if es.free_name else "")}
     for es, free, last in runs:
         images = []
         for n, image, res, status in _eigen_degrees(es.operator, es.eigenvalue, polys,

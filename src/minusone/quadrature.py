@@ -237,10 +237,13 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
 
     Each piece is refined until its guard sum converges, MAX_LEVELS meshes
     have been swept or it holds NODE_CAP nodes, so the table is valid for
-    polynomial factors up to max_degree.  (The guard must be smooth: a
-    |x|**d factor would spoil the double-exponential trapezoid convergence
-    with its kink.)  The density is called as density(x, x - lo, hi - x),
-    the offsets as the map computes them (module docstring, Offsets).
+    polynomial factors up to max_degree.  A piece that yields no node (one
+    of zero width at the working precision) does not converge.  (The guard
+    must be smooth: a |x|**d factor would spoil the double-exponential
+    trapezoid convergence with its kink.)  The nodes are listed in sweep
+    order, which no reader of a table depends on.  The density is called as
+    density(x, x - lo, hi - x), the offsets as the map computes them (module
+    docstring, Offsets).
     """
     mp = ctx.mp
     tol = mp.mpf(tol)
@@ -255,7 +258,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
     for lo, hi in pieces:
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         phi = _component_map(lo, hi, mp)
-        pts = {}          # integer multiple of current h -> (x, w*density)
+        pts = []          # (x, w*density) in sweep order
         h = mp.mpf(1)
         previous = mp.mpf(0)       # a single mesh is compared against 0
         total = mp.mpf(0)          # sum of w*density*(1+x^2)**gd over pts
@@ -264,7 +267,8 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
             total += _sweep_level(phi, h, level, pts, density, mp, eps_term, gd)
             guard = h * total
             converged = level > 0 and abs(guard - previous) <= tol * max(abs(guard), mp.mpf(1))
-            if converged or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
+            # a piece with no node (zero width at this precision) ends unconverged
+            if converged or not pts or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
                 break
             previous = guard
             h = h / 2
@@ -273,7 +277,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
         converged_all = converged_all and converged
         last_two = (last_two[0] + previous, last_two[1] + guard)
         error += abs(guard - previous)
-        for _, (x, w) in sorted(pts.items()):
+        for x, w in pts:
             xs.append(x)
             ws.append(h * w)
     return NodeTable(xs=xs, weights=ws, levels=levels_used,
@@ -283,8 +287,7 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
 def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
     """Add this level's nodes to pts, sweeping outward until terms die off.
 
-    Keys are integer multiples of the current mesh h; on refinement the
-    existing keys double.  Returns the sum of the guard terms
+    Node k sits at t = k h.  Returns the sum of the guard terms
     w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
     e = exp(|t|) through the same products (module docstring, Stepping).
     """
@@ -294,19 +297,16 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
             return None
         x, w, lo_off, hi_off = node
         wd = w * density(x, lo_off, hi_off)
-        pts[k] = (x, wd)
+        pts.append((x, wd))
         return wd * (1 + x * x) ** gd
 
     added = mp.mpf(0)
+    step = 2 if level else 1
     if level == 0:
-        step = 1
         g = handle(0, fone)
         if g is None:
             return added
         added += g
-    else:
-        _double_keys(pts)
-        step = 2
     wp = mp.prec + GUARD_BITS
     first = mpf_exp(h._mpf_, wp)               # exp(h): both sweeps start at |k| = 1
     factor = mpf_exp((step * h)._mpf_, wp)
@@ -336,11 +336,6 @@ def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
             if len(pts) >= NODE_CAP:
                 return added
     return added
-
-
-def _double_keys(pts):
-    for key in sorted(pts.keys(), key=abs, reverse=True):
-        pts[2 * key] = pts.pop(key)
 
 
 def integrate(spec, f, ctx: PrecisionContext, tol=None):

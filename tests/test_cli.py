@@ -420,3 +420,26 @@ def test_every_runner_calls_its_check_through_the_module(capsys, monkeypatch):
         assert (r["status"], r["residual"], r["tolerance"], r["notes"]) == (
             "fail", 1.0, 2.0, name), r
     assert {r["notes"] for r in results} == {name for _, name in checks.values()}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_a_usage_error(capsys, value):
+    # a non-finite value is named in a usage error, with no traceback and no report
+    for argv in (["verify", "--family", "gegenbauer", "--params", "alpha=" + value,
+                  "--digits", "15"],
+                 ["tabulate", "--family", "gegenbauer", "--params", "alpha=" + value]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'alpha'" in captured.err, captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("gamma, digits", [("1e20", "15"), ("1e30", "50")])
+def test_gram_over_an_empty_node_table_is_inconclusive(capsys, gamma, digits):
+    # sqrt(1 + gamma^2) rounds to |gamma|: both chihara support pieces have width 0
+    code, out = run(capsys, "verify", "--family", "chihara", "--params",
+                    "alpha=0.5,beta=1.5,gamma=" + gamma, "--digits", digits,
+                    "--checks", "orthogonality")
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert out.startswith("INCONCLUSIVE") and "over 0 nodes" in out, out

@@ -555,3 +555,9 @@ def test_registry_merges_the_catalog_and_qaux_tables():
     assert {info.kind for info in catalog.FAMILIES.values()} == {"scheme", "quasi"}
     assert {info.kind for info in qaux.Q_FAMILIES.values()} == {"q-aux", "helper"}
     assert set(F.REGISTRY) == set(F._ALL_RECURRENCES)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "+inf"])
+def test_non_finite_parameter_strings_are_parameter_errors(value):
+    with pytest.raises(ParameterError, match="'alpha' of gegenbauer is not finite"):
+        F.make_params("gegenbauer", CTX, alpha=value)

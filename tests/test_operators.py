@@ -316,3 +316,17 @@ def test_eigen_check_precision_sweep(digits):
 @pytest.mark.parametrize("digits", [30, 100])
 def test_eigen_check_precision_sweep_slow(digits):
     _eigen_check_sweep(digits)
+
+
+@pytest.mark.parametrize("fid, systems", [("big-minus1-jacobi", 1), ("chihara", 2)])
+def test_second_free_value_only_where_the_eigenvalue_has_one(monkeypatch, fid, systems):
+    # a builder without a free parameter ignores it: a second system would repeat the first
+    built = []
+    build = O.build_eigen_system
+    monkeypatch.setattr(O, "build_eigen_system",
+                        lambda *args, **kw: built.append(kw["free"]) or build(*args, **kw))
+    rep = O.eigen_check(fid, params_for(fid), 10, CTX)
+    assert rep["status"] == "pass"
+    assert len(built) == systems, built
+    assert rep["notes"] == ("n <= 10; basis matrix diagonal" if systems == 1 else
+                            "n <= 10 at two free-parameter values; basis matrix diagonal")

@@ -179,3 +179,17 @@ def test_symmetric_table_mirrors_its_density(monkeypatch):
     params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
     _, _, table = orth._boosted_table(fid, params, ctx, 16)
     assert len(calls) <= math.ceil(len(table.xs) / 2) + 1, (len(calls), len(table.xs))
+
+
+def test_a_piece_without_nodes_does_not_converge():
+    # a zero-width piece yields no node; two empty meshes agreeing is no convergence
+    ctx = PrecisionContext(15)
+    mp = ctx.mp
+    density = lambda x, a, b: mp.mpf(1)
+    empty = quadrature.build_node_table([(mp.mpf(2), mp.mpf(2))], density, ctx, ctx.tol(5), 4)
+    assert (empty.xs, empty.converged) == ([], False)
+    both = quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1)), (mp.mpf(2), mp.mpf(2))],
+                                       density, ctx, ctx.tol(5), 4)
+    assert both.xs and not both.converged
+    assert quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1))], density, ctx,
+                                       ctx.tol(5), 4).converged
