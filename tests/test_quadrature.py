@@ -193,3 +193,58 @@ def test_a_piece_without_nodes_does_not_converge():
     assert both.xs and not both.converged
     assert quadrature.build_node_table([(mp.mpf(-1), mp.mpf(1))], density, ctx,
                                        ctx.tol(5), 4).converged
+
+
+@pytest.mark.parametrize("width", ["1e-12", "1e-20"])
+def test_stop_rule_is_relative_below_mass_one(width):
+    # int_0^w sqrt((x - 0)(w - x)) dx = pi w^2 / 8.  Scaled by max(|guard|, 1), the stop rule
+    # accepted the second mesh of so narrow a piece: 31 nodes, relative error 7.2e-5
+    ctx = PrecisionContext(30)
+    mp = ctx.mp
+    w = mp.mpf(width)
+    r = integrate(WeightSpec([(mp.mpf(0), w)], lambda x, a, b: mp.sqrt(a * b)), lambda x: 1, ctx)
+    exact = mp.pi * w * w / 8
+    assert r.converged
+    assert abs(r.value - exact) <= ctx.tol(8) * exact, (r.node_count, abs(r.value - exact) / exact)
+
+
+def test_predicted_error_bounds_the_error_one_level_finer(monkeypatch):
+    # every piece of the 42 fixture Gram tables at 15 digits: a table one level finer moves the
+    # guard sum by at most the predicted NodeTable.error.  The pieces are rebuilt 20 digits
+    # wider, where they stop at the same levels, so that rounding does not hide the error
+    ctx = PrecisionContext(15)
+    for fid in F.orthogonal_ids():
+        for pt in F.fixture_points(fid):
+            params = F.make_params(fid, ctx, **pt)
+            work, spec, _ = orth._boosted_table(fid, params, ctx, 16)
+            wide = PrecisionContext(work.digits + 20)
+            wide_spec = F.weight_spec(fid, params, wide)
+            tol = wide.mp.mpf(10) ** -(ctx.digits // 2 + 15)
+            for piece, wide_piece in zip(spec.pieces, wide_spec.pieces):
+                table = quadrature.build_node_table([wide_piece], wide_spec.density, wide, tol, 16)
+                gram_piece = quadrature.build_node_table([piece], spec.density, work, tol, 16)
+                assert table.converged and table.levels == gram_piece.levels, (fid, pt)
+                with monkeypatch.context() as m:       # tol 0: refined up to MAX_LEVELS
+                    m.setattr(quadrature, "MAX_LEVELS", table.levels + 1)
+                    finer = quadrature.build_node_table([wide_piece], wide_spec.density, wide, 0, 16)
+                assert finer.levels == table.levels + 1, (fid, pt)
+                achieved = abs(table.last_two[1] - finer.last_two[1])
+                assert achieved <= table.error, (fid, pt, piece, table.error, achieved)
+
+
+def _fixture_nodes(digits):
+    """Nodes of the Gram tables (N = 8) over all fixture points of the orthogonal families."""
+    ctx = PrecisionContext(digits)
+    return sum(len(orth._boosted_table(fid, F.make_params(fid, ctx, **pt), ctx, 16)[2].xs)
+               for fid in F.orthogonal_ids() for pt in F.fixture_points(fid))
+
+
+def test_fixture_node_count_at_fifteen_digits():
+    # a work count, not a timing: 17 335 nodes with the two-mesh stop rule alone
+    assert _fixture_nodes(15) <= 12500
+
+
+@pytest.mark.slow
+def test_fixture_node_count_at_hundred_digits():
+    # 43 511 nodes with the two-mesh stop rule alone
+    assert _fixture_nodes(100) <= 32000
