@@ -37,10 +37,3 @@ print("\ngeneralized Gegenbauer (0, 1): min u_n over n <= 200 =", rep["min_u"])
 ccbi = F.make_params("ccbi", ctx, a1="0.75", b1="0.5", a2="1.25", b2="0.3")
 rep = orth.favard_scan("ccbi", ccbi, 8, ctx)
 print("CCBI with b2 = 0.3: first non-real coefficient at n =", rep["first_nonreal_n"])
-
-# Moments computed from the recurrence alone tie quadrature to the weight.
-rep = orth.moment_crosscheck("little-minus1-jacobi",
-                             F.make_params("little-minus1-jacobi", ctx,
-                                           alpha="0.5", beta="1.5"), 6, ctx)
-print("little -1 Jacobi moment cross-check k <= 6: max rel err %.1e"
-      % rep["max_relative_error"])

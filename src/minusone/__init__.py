@@ -8,12 +8,11 @@ check the web of specializations, limits and Christoffel/Geronimus
 transformations that organizes the families into a scheme.
 """
 
-from .precision import PrecisionContext, gamma, pochhammer, hyp_terminating
+from .precision import PrecisionContext, pochhammer, hyp_terminating
 from .polynomials import Poly, RationalFunction
 
 __all__ = [
     "PrecisionContext",
-    "gamma",
     "pochhammer",
     "hyp_terminating",
     "Poly",

@@ -4,9 +4,10 @@ Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 inconclusive results only (ambiguous reductions, non-converged
 quadrature, or a numerical dead end inside a check, which ends that check
 alone); 3 usage errors (an unknown family, edge or check, bad --params,
-a negative --n, --digits below 15 or a MINUS_ONE_DIGITS that is not an
-integer of at least 15), with no report.  MINUS_ONE_DIGITS overrides the
-default precision; an explicit --digits flag wins over the environment.
+a negative --n, --digits below 15, a MINUS_ONE_DIGITS that is not an
+integer of at least 15, or an --output that cannot be written), with no
+report.  MINUS_ONE_DIGITS overrides the default precision; an explicit
+--digits flag wins over the environment.
 
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
@@ -104,12 +105,19 @@ def _parse_params(spec_string, family, ctx):
     return families.make_params(family, ctx, **values)
 
 
-def _emit(text, output):
-    if output:
+def _emit(text, output, code=EXIT_PASS):
+    """Write text to --output, else to stdout; return code, or EXIT_USAGE if unwritable."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write("error: cannot write --output %s: %s\n" % (output, exc.strerror or exc))
+        return EXIT_USAGE
+    return code
 
 
 def _num_str(ctx, value):
@@ -175,15 +183,13 @@ def cmd_tabulate(args):
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     if args.format == "json":
-        _emit(json.dumps({"family": fid, "digits": ctx.digits, "rows": rows},
-                         indent=2, sort_keys=True), args.output)
-        return EXIT_PASS
+        return _emit(json.dumps({"family": fid, "digits": ctx.digits, "rows": rows},
+                                indent=2, sort_keys=True), args.output)
     lines = ["family %s at %d digits" % (fid, ctx.digits)]
     for r in rows:
         lines.append("n=%-3d b_n = %-28s u_n = %s" % (r["n"], r["b"], r["u"] if r["u"] else "-"))
         lines.append("      P_%d coeffs (low to high): %s" % (r["n"], ", ".join(r["coeffs"])))
-    _emit("\n".join(lines), args.output)
-    return EXIT_PASS
+    return _emit("\n".join(lines), args.output)
 
 
 def _result(id, check, status, residual=None, tolerance=None, anchor="", notes=""):
@@ -313,25 +319,19 @@ def cmd_verify(args):
     if not args.no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if args.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), args.output)
-    else:
-        lines = []
-        for r in results:
-            lines.append("%-12s %-60s %s%s" % (
-                r["status"].upper(), "%s [%s]" % (r["id"], r["check"]),
-                ("residual %.3g" % r["residual"]) if isinstance(r["residual"], float) else "",
-                (" | " + r["notes"]) if r["notes"] else ""))
-        lines.append("summary: %d checks, %d failed, %d inconclusive" % (
-            len(results), sum(r["status"] == "fail" for r in results),
-            sum(r["status"] == "inconclusive" for r in results)))
-        _emit("\n".join(lines), args.output)
-    return code
+        return _emit(json.dumps(report, indent=2, sort_keys=True), args.output, code)
+    lines = ["%-12s %-60s %s%s" % (
+        r["status"].upper(), "%s [%s]" % (r["id"], r["check"]),
+        ("residual %.3g" % r["residual"]) if isinstance(r["residual"], float) else "",
+        (" | " + r["notes"]) if r["notes"] else "") for r in results]
+    lines.append("summary: %d checks, %d failed, %d inconclusive" % (
+        len(results), sum(r["status"] == "fail" for r in results),
+        sum(r["status"] == "inconclusive" for r in results)))
+    return _emit("\n".join(lines), args.output, code)
 
 
 def cmd_export(args):
-    text = scheme.export_graph(args.format, include_aux=args.include_aux)
-    _emit(text, args.output)
-    return EXIT_PASS
+    return _emit(scheme.export_graph(args.format, include_aux=args.include_aux), args.output)
 
 
 def main(argv=None):

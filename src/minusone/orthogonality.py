@@ -1,4 +1,4 @@
-"""Gram matrices against the printed norms, Favard scans, and moment cross-checks.
+"""Gram matrices against the printed norms, and Favard scans.
 
 ``gram`` and ``favard_check`` are the orthogonality and Favard rows of
 ``minusone verify``: each reports ``status``, ``residual``, ``tolerance``
@@ -14,10 +14,11 @@ P_{n+1} = (x - b_n) P_n - u_n P_{n-1} runs on those integers with x, b_n
 and u_n fixed point at 2**-(p + GUARD_BITS), truncating relative to each
 node.  Each row then goes to block fixed point, and each <P_n, P_m> is one
 ``NodeTable.dot``, exact and rounded once; its error bound, below one
-rounding at p, is in ``quadrature``.  The moment check runs the same rows
-with b_n = u_n = 0 and compares with the moments implied by the recurrence
-alone.  The rows need a positive measure: a nonreal b_n or u_n, or a weight
-that is negative or not real, raises ParameterError naming the first one.
+rounding at p, is in ``quadrature``.  The rows need a positive measure: a
+nonreal b_n or u_n, or a weight that is negative or not real, raises
+ParameterError naming the first one.  The Gram is the orthogonality
+oracle: matching the printed norms through degree N fixes the moments of
+the weight through degree 2N.
 Favard scans read positivity straight off the recurrence coefficients.
 
 Precision plan.  At d digits ``gram`` gates a Gram by 10**-(d/2), on the
@@ -167,8 +168,9 @@ def gram(family, params, N, ctx: PrecisionContext):
         "residual": max(off, diag),
         "tolerance": gate,
         "status": status if table.converged else "inconclusive",
-        "notes": "offdiag %.3g diag %.3g over %d nodes at %d digits" % (
-            off, diag, len(table.xs), work.mp.dps),
+        "notes": "offdiag %.3g diag %.3g over %d nodes at %d digits%s" % (
+            off, diag, len(table.xs), work.mp.dps, "" if table.converged else
+            "; node table not converged after %d meshes" % table.levels),
         "nodes": len(table.xs),
         "working_digits": work.mp.dps,
         "converged": table.converged,
@@ -228,47 +230,3 @@ def favard_check(family, params, N, ctx: PrecisionContext):
     return {"family": info.id, "status": "pass" if ok else "fail",
             "residual": None, "tolerance": None, "notes": notes}
 
-
-def moments_from_recurrence(family, params, K, ctx: PrecisionContext):
-    """Moments of the orthogonality measure implied by the recurrence alone.
-
-    Expanding x^k in the P_j basis via the recurrence gives
-    integral(w x^k) = c_0(k) * integral(w); independent of any quadrature.
-    Returned under the printed inner product (mass = printed norm of P_0).
-    """
-    mp = ctx.mp
-    fid = families.resolve_family(family)
-    mass = families.norm(fid, params, 0, ctx)
-    pairs = families.recurrences(fid, params, K + 1, ctx)
-    coeffs = [mp.mpf(1)] + [mp.mpf(0)] * (K + 1)
-    moments = [mass]
-    for k in range(K):
-        nxt = [mp.mpf(0)] * (K + 2)
-        for j in range(K + 1):
-            c = coeffs[j]
-            if c == 0:
-                continue
-            nxt[j + 1] += c
-            nxt[j] += c * mp.re(mp.mpc(pairs[j].b))
-            if j > 0:
-                nxt[j - 1] += c * mp.re(mp.mpc(pairs[j].u))
-        coeffs = nxt
-        moments.append(coeffs[0] * mass)
-    return moments
-
-
-def moment_crosscheck(family, params, K, ctx: PrecisionContext):
-    """Quadrature moments vs recurrence-implied moments for k <= K."""
-    fid = families.resolve_family(family)
-    work, spec, table = _boosted_table(fid, params, ctx, K)
-    mp = work.mp
-    predicted = moments_from_recurrence(fid, params, K, work)
-    worst = mp.mpf(0)
-    pref = spec.measure_prefactor
-    zero = mp.mpf(0)
-    rows = _root_rows(table, [(zero, zero)] * ((K + 1) // 2))      # sqrt(w) x^j
-    for k in range(K + 1):
-        got = table.dot(rows[(k + 1) // 2], rows[k // 2]) * pref
-        scale = max(abs(predicted[k]), mp.sqrt(abs(predicted[0]) * abs(predicted[min(2 * k, K)])), mp.mpf(1))
-        worst = max(worst, abs(got - predicted[k]) / scale)
-    return {"family": fid, "K": K, "max_relative_error": float(worst)}

@@ -388,10 +388,6 @@ def _divide(p, lead, lead_exp, ctx):
     return _new(re, im, p.exp - lead_exp - s, mp, width)
 
 
-def poly_distance(p: Poly, q: Poly):
-    return (p - q).coeff_norm()
-
-
 def poly_rel_distance(p: Poly, q: Poly):
     """max |p_k - q_k| / max(norm(p), norm(q)); 0 for two zero polynomials."""
     diff = p - q

@@ -49,10 +49,6 @@ GUARD_DIGITS = 15
 STIRLING_GUARD_BITS = 24
 
 
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class ZeroDenominatorError(ZeroDivisionError):
     """A denominator Pochhammer hit a non-positive integer inside the sum."""
 
@@ -77,13 +73,6 @@ class PrecisionContext:
         ctx.dps = digits + GUARD_DIGITS
         self.mp = ctx
         self._tols = {}
-
-    def real(self, value):
-        """Parse a real number (decimal strings stay exact to full precision)."""
-        return self.mp.mpf(value)
-
-    def complex(self, re, im=0):
-        return self.mp.mpc(self.mp.mpf(re), self.mp.mpf(im))
 
     def tol(self, offset: int):
         """Return 10**(offset - digits); e.g. ``tol(4)`` is 1e-46 at 50 digits.
@@ -118,24 +107,6 @@ def is_nonpositive_integer(z, ctx: PrecisionContext):
     if abs(re - n) > ctx.tol(6):
         return None
     return -n
-
-
-def gamma(z, ctx: PrecisionContext):
-    """Complex gamma function under the context precision.
-
-    Raises :class:`GammaPoleError` at z in {0, -1, -2, ...}.
-    """
-    mp = ctx.mp
-    z = mp.mpc(z)
-    if is_nonpositive_integer(z, ctx) is not None:
-        raise GammaPoleError("gamma pole at z = %s" % mp.nstr(z))
-    try:
-        value = mp.gamma(z)
-    except ValueError as exc:
-        raise GammaPoleError(str(exc)) from exc
-    if mp.im(z) == 0:
-        return mp.mpc(mp.re(value), 0) if mp.im(value) != 0 else value
-    return value
 
 
 def pochhammer(a, n: int, ctx: PrecisionContext):

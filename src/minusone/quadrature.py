@@ -77,11 +77,11 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   densities (``families.weights``) rely on it: they pay for each pair +-x
   once.
 - One dot product.  ``NodeTable.dot`` is the only summation over a table:
-  ``integrate``, the Gram matrix and the moment check all go through it.
-  Its operands are rows in block fixed point (Wilkinson, Rounding Errors in
-  Algebraic Processes (1963)): Python integers over one power of two per
-  row, the largest with prec + GUARD_BITS bits, smaller entries truncated
-  at that scale.  The products are exact, the sum is one integer sum at C
+  ``integrate`` and the Gram matrix both go through it.  Its operands are
+  rows in block fixed point (Wilkinson, Rounding Errors in Algebraic
+  Processes (1963)): Python integers over one power of two per row, the
+  largest with prec + GUARD_BITS bits, smaller entries truncated at that
+  scale.  The products are exact, the sum is one integer sum at C
   speed, and the result is rounded once.  Truncation moves each entry by at
   most one unit, 2**(1 - prec - GUARD_BITS) of the row's largest, so by
   Cauchy-Schwarz <a, b> is off by at most about

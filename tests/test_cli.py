@@ -198,6 +198,22 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--family", "hermite", "--checks", "orthogonality")
     assert code == cli.EXIT_INCONCLUSIVE
     assert "INCONCLUSIVE" in out.upper()
+    assert "; node table not converged after 2 meshes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("export",),
+    ("tabulate", "--family", "hermite", "--n", "2", "--digits", "15"),
+    ("verify", "--family", "hermite", "--checks", "favard", "--digits", "15"),
+], ids=["export", "tabulate", "verify"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    # an --output in a missing directory: exit 3 and one line on stderr, no traceback
+    path = tmp_path / "missing" / "x.dot"
+    code = cli.main(list(argv) + ["--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err == "error: cannot write --output %s: No such file or directory\n" % path
+    assert captured.out == ""
 
 
 def test_dead_end_ends_only_its_own_check(capsys, monkeypatch):

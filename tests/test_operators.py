@@ -95,8 +95,6 @@ def test_linearity():
 def test_sigma_shift_law():
     # D_sigma - D_0 = sigma/2 (I - R), exactly (up to arithmetic noise even
     # when both sides vanish, as on even-degree members)
-    from minusone.polynomials import poly_distance
-
     for fid in ("generalized-symmetric-bannai-ito", "symmetric-bannai-ito"):
         params = params_for(fid)
         sigma = MP.mpf("0.7")
@@ -107,7 +105,7 @@ def test_sigma_shift_law():
             lhs = (O.apply(d_sig, p, CTX) - O.apply(d_zero, p, CTX)).reduce(CTX)
             lhs = divide_exact(lhs.num, lhs.den, CTX)
             rhs = (p - p.reflect()).scale(sigma / 2)
-            assert poly_distance(lhs, rhs) <= CTX.tol(6) * max(1, p.coeff_norm()), fid
+            assert (lhs - rhs).coeff_norm() <= CTX.tol(6) * max(1, p.coeff_norm()), fid
 
 
 def test_conjugate_pair_coefficients():

@@ -56,24 +56,6 @@ def test_favard_scan_examples():
     assert rep["first_nonreal_n"] is not None
 
 
-def test_moment_crosscheck_oracle():
-    # quadrature moments against the recurrence-implied moments
-    for fid, pt in (("little-minus1-jacobi", {"alpha": "0.5", "beta": "1.5"}),
-                    ("hermite", {})):
-        params = F.make_params(fid, CTX, **pt)
-        rep = orth.moment_crosscheck(fid, params, 6, CTX)
-        assert rep["max_relative_error"] <= 1e-30, (fid, rep)
-
-
-def test_moments_from_recurrence_hermite():
-    moments = orth.moments_from_recurrence("hermite", {}, 4, CTX)
-    rt_pi = MP.sqrt(MP.pi)
-    assert abs(moments[0] - rt_pi) < CTX.tol(8)
-    assert abs(moments[1]) < CTX.tol(8)
-    assert abs(moments[2] - rt_pi / 2) < CTX.tol(8)
-    assert abs(moments[4] - 3 * rt_pi / 4) < CTX.tol(8)
-
-
 def test_recurrence_gram_matches_horner_gram(monkeypatch):
     # the Gram from recurrence values against one from generate + Horner on the same table;
     # continuous-bannai-ito has complex recurrence coefficients, generalized-hermite the most nodes

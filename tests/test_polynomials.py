@@ -14,7 +14,6 @@ from minusone.polynomials import (
     divide_exact,
     divmod_poly,
     hyp_terminating_poly,
-    poly_distance,
 )
 
 CTX = PrecisionContext(50)
@@ -26,11 +25,11 @@ def poly_eq(p: Poly, q: Poly, ctx: PrecisionContext, rel: int = 8):
     scale = max(p.coeff_norm(), q.coeff_norm())
     if scale == 0:
         return True
-    return poly_distance(p, q) <= scale * ctx.tol(rel)
+    return (p - q).coeff_norm() <= scale * ctx.tol(rel)
 
 
 def rand_poly(rng, deg, scale=2.0):
-    return Poly([CTX.complex(repr(rng.uniform(-scale, scale)), repr(rng.uniform(-scale, scale)))
+    return Poly([CTX.mp.mpc(repr(rng.uniform(-scale, scale)), repr(rng.uniform(-scale, scale)))
                  for _ in range(deg + 1)])
 
 
@@ -41,10 +40,10 @@ def test_mul_add_scale_basics():
 
 
 def test_evaluate():
-    p = Poly([CTX.real("-0.5"), 0, 1])  # x^2 - 1/2
-    assert abs(p.evaluate(0) + CTX.real("0.5")) == 0
-    assert abs(p.evaluate(1) - CTX.real("0.5")) == 0
-    assert abs(X.evaluate(CTX.complex(0, 1)) - CTX.complex(0, 1)) == 0
+    p = Poly([CTX.mp.mpf("-0.5"), 0, 1])  # x^2 - 1/2
+    assert abs(p.evaluate(0) + CTX.mp.mpf("0.5")) == 0
+    assert abs(p.evaluate(1) - CTX.mp.mpf("0.5")) == 0
+    assert abs(X.evaluate(CTX.mp.mpc(0, 1)) - CTX.mp.mpc(0, 1)) == 0
 
 
 def test_reflect():
@@ -66,7 +65,7 @@ def test_reflect_multiplicative():
 def test_differentiate():
     assert poly_eq(Poly([0, 0, 0, 1]).differentiate(), Poly([0, 0, 3]), CTX)
     assert poly_eq(Poly([4]).differentiate(), Poly([0]), CTX)
-    assert poly_eq(Poly([CTX.real("-0.5"), 0, 1]).differentiate(), Poly([0, 2]), CTX)
+    assert poly_eq(Poly([CTX.mp.mpf("-0.5"), 0, 1]).differentiate(), Poly([0, 2]), CTX)
 
 
 def test_product_rule():
@@ -78,7 +77,7 @@ def test_product_rule():
 
 
 def test_shift_basics():
-    i = CTX.complex(0, 1)
+    i = CTX.mp.mpc(0, 1)
     assert poly_eq(X.shift(i), Poly([i, 1]), CTX)
     assert poly_eq((X * X).shift(1), Poly([1, 2, 1]), CTX)
     rng = random.Random(23)
@@ -90,8 +89,8 @@ def test_shift_evaluate_consistency():
     rng = random.Random(31)
     for _ in range(50):
         p = rand_poly(rng, rng.randint(0, 10))
-        d = CTX.complex(repr(rng.uniform(-2, 2)), repr(rng.uniform(-2, 2)))
-        x = CTX.complex(repr(rng.uniform(-2, 2)), repr(rng.uniform(-2, 2)))
+        d = CTX.mp.mpc(repr(rng.uniform(-2, 2)), repr(rng.uniform(-2, 2)))
+        x = CTX.mp.mpc(repr(rng.uniform(-2, 2)), repr(rng.uniform(-2, 2)))
         lhs = p.shift(d).evaluate(x)
         rhs = p.evaluate(x + d)
         assert abs(lhs - rhs) <= CTX.tol(6) * max(1, abs(rhs))
@@ -102,7 +101,7 @@ def test_rational_reduce_cancels():
     assert poly_eq(r.num, X + 1, CTX)
     assert r.den.degree == 0
 
-    gamma_pt = CTX.real("0.25")
+    gamma_pt = CTX.mp.mpf("0.25")
     r2 = RationalFunction((X - gamma_pt) * (X + gamma_pt), X + gamma_pt).reduce(CTX)
     assert poly_eq(r2.num, X - gamma_pt, CTX)
 
@@ -139,15 +138,15 @@ def test_divide_exact_raises_on_remainder():
 
 def test_ambiguity_band():
     # a remainder placed deliberately inside (1e-44, 1e-40) at 50 digits
-    eps = CTX.real("1e-42")
+    eps = CTX.mp.mpf("1e-42")
     with pytest.raises(ReductionAmbiguityError):
         divide_exact((X - 1) * (X + 1) + eps, X - 1, CTX)
 
 
 def test_monic_and_trim():
     p = Poly([2, 4]).monic(CTX)
-    assert poly_eq(p, Poly([CTX.real("0.5"), 1]), CTX)
-    tiny = CTX.real("1e-60")
+    assert poly_eq(p, Poly([CTX.mp.mpf("0.5"), 1]), CTX)
+    tiny = CTX.mp.mpf("1e-60")
     q = Poly([1, 1, tiny]).trim(CTX)
     assert q.degree == 1
 
@@ -156,11 +155,11 @@ def test_hyp_terminating_poly_matches_scalar():
     # polynomial-argument sum evaluated at a point equals the scalar sum
     from minusone.precision import hyp_terminating
 
-    a2 = CTX.real("1.3")
-    den = [CTX.real("0.8"), CTX.real("2.2")]
-    zp = X * X - CTX.real("0.25")
+    a2 = CTX.mp.mpf("1.3")
+    den = [CTX.mp.mpf("0.8"), CTX.mp.mpf("2.2")]
+    zp = X * X - CTX.mp.mpf("0.25")
     p = hyp_terminating_poly(4, [-4 + 0 * a2, a2, X], den, zp, CTX)
-    x0 = CTX.real("0.7")
+    x0 = CTX.mp.mpf("0.7")
     direct = hyp_terminating([-4, a2, x0], den, zp.evaluate(x0), CTX)
     assert abs(p.evaluate(x0) - direct) <= CTX.tol(6) * max(1, abs(direct))
 
@@ -281,7 +280,7 @@ def test_ring_operations_match_exact_arithmetic(digits):
 @DIGITS
 def test_structural_operations_match_exact_arithmetic(digits):
     ctx = CTXS[digits]
-    i = ctx.complex(0, 1)
+    i = ctx.mp.mpc(0, 1)
 
     @PROPERTY
     @given(polys)
@@ -323,7 +322,7 @@ def test_integer_polynomials_stay_exact():
     for _ in range(7):
         p = p * p                              # (x + 3)^256
     q = Poly([-5, 0, 2, 7])
-    i = CTX.complex(0, 1)
+    i = CTX.mp.mpc(0, 1)
     rp, rq = ref_of(p), ref_of(q)
     checks = [(p * q, ref_mul(rp, rq)), (p + q, ref_add(rp, rq)), (p - q, ref_add(rp, rq, -1)),
               (p.scale(-3), [(-3 * c[0], -3 * c[1]) for c in rp]),
