@@ -12,13 +12,15 @@ report.  MINUS_ONE_DIGITS overrides the default precision; an explicit
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
 and makes a missing table entry a skipped pass and a numerical dead end an
-inconclusive row.  Three tables name the runners: the family checks, the
-edge kinds and the suite rows of ``verify --all``.
+inconclusive row.  Four tables name the runners: the family checks, the
+edge kinds, the suite rows of ``verify --all`` and its open questions
+(``scheme.OPEN_QUESTIONS``).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -120,6 +122,15 @@ def _emit(text, output, code=EXIT_PASS):
     return code
 
 
+def _check_output(output):
+    """Raise _emit's write error, as a ParameterError, when ``output`` cannot be written."""
+    folder = os.path.dirname(output) or "."
+    err = (errno.EISDIR if os.path.isdir(output) else errno.ENOENT if not os.path.isdir(folder)
+           else errno.EACCES if not os.access(folder, os.W_OK) else None)
+    if err:
+        raise ParameterError("cannot write --output %s: %s" % (output, os.strerror(err)))
+
+
 def _num_str(ctx, value):
     mp = ctx.mp
     v = mp.mpc(value)
@@ -192,12 +203,6 @@ def cmd_tabulate(args):
     return _emit("\n".join(lines), args.output)
 
 
-def _result(id, check, status, residual=None, tolerance=None, anchor="", notes=""):
-    return {"id": id, "check": check, "status": status,
-            "residual": residual, "tolerance": tolerance,
-            "anchor": anchor, "notes": notes}
-
-
 # a check whose table has no entry for the family: a skipped pass, with this note
 _SKIPS = {families.NoClosedFormError: "no closed form on record",
           families.NoWeightError: "no continuous measure on record",
@@ -208,14 +213,15 @@ def _row(id, check, anchor, run, *args):
     """The report row of run(*args), a check's report with its status, residual, tolerance
     and notes.  A family with no table entry for the check gets a skipped pass, and a
     numerical dead end ends this check alone, as inconclusive."""
+    rep = {"residual": None, "tolerance": None}        # the fields of a check that ended early
     try:
         rep = run(*args)
     except tuple(_SKIPS) as exc:
-        return _result(id, check, "pass", anchor=anchor, notes=_SKIPS[type(exc)] + " (skipped)")
+        rep.update(status="pass", notes=_SKIPS[type(exc)] + " (skipped)")
     except families.DEAD_ENDS as exc:
-        return _result(id, check, "inconclusive", anchor=anchor, notes=str(exc))
-    return _result(id, check, rep["status"], rep["residual"], rep["tolerance"], anchor,
-                   rep["notes"])
+        rep.update(status="inconclusive", notes=str(exc))
+    return {"id": id, "check": check, "status": rep["status"], "residual": rep["residual"],
+            "tolerance": rep["tolerance"], "anchor": anchor, "notes": rep["notes"]}
 
 
 # The runner tables.  Each runner looks its check up on the module when it
@@ -266,6 +272,8 @@ def cmd_verify(args):
                     else FAMILY_CHECKS + EDGE_CHECKS)
     checks = args.checks.split(",") if args.checks else list(scope_checks)
     try:
+        if args.output:
+            _check_output(args.output)
         ctx = _pick_digits(args)
         config = {"digits": ctx.digits}
         for c in checks:
@@ -300,20 +308,13 @@ def cmd_verify(args):
         results.extend(_edge_results(edge, ctx, checks))
     if args.all:
         if "square" in checks:
-            for row in _SUITE_ROWS:
-                results.append(_row(*row, ctx))
-        for r in scheme.resolve_open_questions(ctx):
-            results.append(_result(r["id"], r["check"], r["status"],
-                                   r["residual"], None, "", r["notes"]))
+            results.extend(_row(*row, ctx) for row in _SUITE_ROWS)
+        results.extend(_row(id, check, "", run, ctx) for id, check, run in scheme.OPEN_QUESTIONS)
 
     results.sort(key=lambda r: (r["id"], r["check"], str(r["notes"])))
     statuses = {r["status"] for r in results}
-    if "fail" in statuses:
-        code = EXIT_FAIL
-    elif "inconclusive" in statuses:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_PASS
+    code = (EXIT_FAIL if "fail" in statuses else
+            EXIT_INCONCLUSIVE if "inconclusive" in statuses else EXIT_PASS)
 
     report = {"command": "verify", "config": config, "results": results}
     if not args.no_timestamp:
@@ -336,15 +337,8 @@ def cmd_export(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "tabulate":
-        return cmd_tabulate(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "export":
-        return cmd_export(args)
-    return EXIT_USAGE
+    return {"list": cmd_list, "tabulate": cmd_tabulate, "verify": cmd_verify,
+            "export": cmd_export}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -436,6 +436,7 @@ def _resolve_variant(fid, ctx, params=None):
     """Search the readings of the printed operator on L P_n = lambda_n P_n,
     n = 1..3, at free = 1/2 and at ``params`` (the first fixture point when
     omitted); every combination of the family's reading axes is a candidate.
+    ``variant`` is the first passing candidate, None when none passes.
     """
     if params is None:
         params = families.fixture_points(fid)[0]
@@ -453,23 +454,25 @@ def _resolve_variant(fid, ctx, params=None):
         outcomes.append({"variant": variant, "passes": None not in residuals,
                          "residuals": residuals})
     passing = [o["variant"] for o in outcomes if o["passes"]]
-    if not passing:
-        raise NoEigenSystemError(
-            "no reading of the printed operator for %s satisfies its eigen equation" % fid)
-    return {"variant": passing[0], "outcomes": outcomes}
+    return {"variant": passing[0] if passing else None, "outcomes": outcomes}
 
 
 def resolve_composition_convention(family, params, ctx: PrecisionContext):
     """Test both readings of S+R (and of the A coefficient) on n = 1..3.
 
     Returns a report listing each candidate and whether it satisfies the
-    eigen equation; the catalog operator is fixed to the passing one.
+    eigen equation, and the open question's row: it fails when no candidate
+    does, else its notes name the ``chosen`` one, the catalog's reading.
     """
     fid = families.resolve_family(family)
     if fid not in SHIFT_REFLECT_FAMILIES:
         raise ValueError("composition resolution applies to the S+R families, not %s" % fid)
     res = _resolve_variant(fid, ctx, params)
-    return {"family": fid, "outcomes": res["outcomes"], "chosen": res["variant"]}
+    chosen = res["variant"]
+    return {"family": fid, "outcomes": res["outcomes"], "chosen": chosen,
+            "status": "fail" if chosen is None else "pass", "residual": None, "tolerance": None,
+            "notes": "no reading of the printed operator satisfies its eigen equation"
+                     if chosen is None else "resolved reading: %s" % (chosen,)}
 
 
 def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> EigenSystem:

@@ -5,7 +5,7 @@ ladder extrapolation, and kernel-partner identities; exportable as a graph.
 
 Each edge carries its parameter map where it is registered (see
 :class:`SchemeEdge`); the verifiers, the commuting squares and the
-open-question resolutions all read the maps from there.
+reading checks of :data:`OPEN_QUESTIONS` all read the maps from there.
 
 Limit verification compares both the transformed polynomials and the
 transformed recurrence coefficients, fits the convergence order from the
@@ -22,9 +22,7 @@ import json
 import random
 from collections import namedtuple
 
-from . import families
-from .families import NoEigenSystemError
-from .operators import SHIFT_REFLECT_FAMILIES, resolve_composition_convention
+from . import families, operators
 from .polynomials import Poly, divide_exact, poly_rel_distance
 from .precision import PrecisionContext
 
@@ -617,58 +615,37 @@ def verify_commuting_square(which, ctx: PrecisionContext):
 # open questions resolved numerically
 
 
-def resolve_open_questions(ctx: PrecisionContext):
-    """Resolve the printed-variant ambiguities; one report entry per question.
+def verify_readings(edge, ctx: PrecisionContext):
+    """The printed readings of ``edge``'s map, told apart by the edge's ladder.
 
-    Each entry fails only when no printed variant verifies; otherwise the
-    notes record the surviving reading and the rejected one.  A numerical
-    dead end (``families.DEAD_ENDS``) inside one question makes that entry
-    inconclusive, with the message as its notes.
+    Fails only when no reading verifies; otherwise the notes record the
+    surviving reading and the rejected one.  The residual is the accepted
+    reading's last ladder error.
     """
-    results = []
-
-    # printed variants of an edge map, told apart by the edge's ladder
-    for edge in edge_catalog():
-        if edge.variants is None:
-            continue
-        entry = {"id": edge.id, "check": edge.variants.check, "residual": None}
-        try:
-            outcomes = {label: verify_limit(dataclasses.replace(edge, params=reading),
-                                            LADDER_N, ctx)
-                        for label, reading in edge.variants.readings}
-        except families.DEAD_ENDS as exc:
-            results.append({**entry, "status": "inconclusive", "notes": str(exc)})
-            continue
-        winners = [label for label, rep in outcomes.items() if rep["status"] == "pass"]
-        accepted = edge.variants.readings[0][0]
-        results.append({
-            **entry,
-            "status": "pass" if winners else "fail",
-            "notes": ("resolved: " + edge.variants.resolution
-                      if winners == [accepted] else "surviving variants: %s" % winners),
+    outcomes = {label: verify_limit(dataclasses.replace(edge, params=reading), LADDER_N, ctx)
+                for label, reading in edge.variants.readings}
+    winners = [label for label, rep in outcomes.items() if rep["status"] == "pass"]
+    accepted = edge.variants.readings[0][0]
+    return {"status": "pass" if winners else "fail",
             "residual": outcomes[accepted]["errors"][-1],
-        })
+            "tolerance": None,
+            "notes": ("resolved: " + edge.variants.resolution
+                      if winners == [accepted] else "surviving variants: %s" % winners)}
 
-    # composition order of S+R (and the A-coefficient reading) in the CBI block
-    for fid in SHIFT_REFLECT_FAMILIES:
-        try:
-            chosen = resolve_composition_convention(fid, None, ctx)["chosen"]
-            status = "pass"
-            notes = "resolved reading: %s" % (chosen,)
-        except NoEigenSystemError as exc:
-            status = "fail"
-            notes = str(exc)
-        except families.DEAD_ENDS as exc:
-            status = "inconclusive"
-            notes = str(exc)
-        results.append({
-            "id": fid,
-            "check": "open-question:shift-reflect-composition",
-            "status": status,
-            "notes": notes,
-            "residual": None,
-        })
-    return results
+
+# the open questions, one verify --all row each: (id, check, run(ctx)); the
+# printed readings of an edge map, and the S+R composition of each CBI-block family
+OPEN_QUESTIONS = tuple(
+    (edge.id, edge.variants.check, lambda ctx, edge=edge: verify_readings(edge, ctx))
+    for edge in edge_catalog() if edge.variants is not None) + tuple(
+    (fid, "open-question:shift-reflect-composition",
+     lambda ctx, fid=fid: operators.resolve_composition_convention(fid, None, ctx))
+    for fid in operators.SHIFT_REFLECT_FAMILIES)
+
+
+def resolve_open_questions(ctx: PrecisionContext):
+    """One report entry per open question, with its id and check name."""
+    return [{"id": id, "check": check, **run(ctx)} for id, check, run in OPEN_QUESTIONS]
 
 
 # ----------------------------------------------------------------------

@@ -206,8 +206,15 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     ("tabulate", "--family", "hermite", "--n", "2", "--digits", "15"),
     ("verify", "--family", "hermite", "--checks", "favard", "--digits", "15"),
 ], ids=["export", "tabulate", "verify"])
-def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
-    # an --output in a missing directory: exit 3 and one line on stderr, no traceback
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # an --output in a missing directory: exit 3 and one line on stderr, no
+    # traceback; verify finds it among its usage checks, before any check runs
+    from minusone import orthogonality
+
+    def favard_check(*args):
+        raise AssertionError("a check ran before the --output check")
+
+    monkeypatch.setattr(orthogonality, "favard_check", favard_check)
     path = tmp_path / "missing" / "x.dot"
     code = cli.main(list(argv) + ["--output", str(path)])
     captured = capsys.readouterr()
@@ -423,19 +430,39 @@ def test_every_runner_calls_its_check_through_the_module(capsys, monkeypatch):
               "limit": (scheme, "verify_limit"),
               "ct-gt": (scheme, "verify_ct_gt"),
               "square": (scheme, "verify_commuting_square"),
-              "kernel-recurrence-map": (scheme, "verify_recurrence_kernel_map")}
-    for module, name in checks.values():
+              "kernel-recurrence-map": (scheme, "verify_recurrence_kernel_map"),
+              "open-question:bn-sign": (scheme, "verify_readings"),
+              "open-question:mp-scaling": (scheme, "verify_readings"),
+              "open-question:shift-reflect-composition":
+                  (operators, "resolve_composition_convention")}
+    for module, name in set(checks.values()):
         monkeypatch.setattr(module, name, stub(name))
-    monkeypatch.setattr(scheme, "resolve_open_questions", lambda ctx: [])
     code, out = run(capsys, "verify", "--all", "--digits", "15", "--format", "json",
                     "--no-timestamp")
     results = json.loads(out)["results"]
-    assert code == cli.EXIT_FAIL and len(results) == 99 - 5        # no open questions
+    assert code == cli.EXIT_FAIL and len(results) == 99
     for r in results:
         module, name = checks[r["id"] if r["id"] in checks else r["check"]]
         assert (r["status"], r["residual"], r["tolerance"], r["notes"]) == (
             "fail", 1.0, 2.0, name), r
     assert {r["notes"] for r in results} == {name for _, name in checks.values()}
+
+
+def test_failed_reading_search_is_a_failed_row(capsys, monkeypatch):
+    # no reading of the printed operator passes: the composition rows fail,
+    # not a skipped pass as for a family with no eigen system
+    from minusone import operators
+
+    def no_degree_passes(op, lam, polys, degrees, ctx):
+        yield degrees[0], None, None, "fail"
+
+    monkeypatch.setattr(operators, "_eigen_degrees", no_degree_passes)
+    code, out = run(capsys, "verify", "--all", "--checks", "square", "--digits", "15")
+    rows = [line for line in out.splitlines()
+            if "[open-question:shift-reflect-composition]" in line]
+    assert code == cli.EXIT_FAIL
+    assert [row.split()[0] for row in rows] == ["FAIL"] * 3, out
+    assert all("satisfies its eigen equation" in row and "skipped" not in row for row in rows)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
