@@ -3,11 +3,12 @@
 Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 inconclusive results only (ambiguous reductions, non-converged
 quadrature, or a numerical dead end inside a check, which ends that check
-alone); 3 usage errors (an unknown family, edge or check, bad --params,
-a negative --n, --digits below 15, a MINUS_ONE_DIGITS that is not an
-integer of at least 15, or an --output that cannot be written), with no
-report.  MINUS_ONE_DIGITS overrides the default precision; an explicit
---digits flag wins over the environment.
+alone); 3 usage errors (an unknown family, edge or check, bad --params or
+--params outside --family, an edge with no check of its own, a negative
+--n, --digits below 15, a MINUS_ONE_DIGITS that is not an integer of at
+least 15, or an --output that cannot be written), with no report.
+MINUS_ONE_DIGITS overrides the default precision; an explicit --digits
+flag wins over the environment.
 
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
@@ -279,6 +280,8 @@ def cmd_verify(args):
         for c in checks:
             if c not in scope_checks:
                 raise UnknownFamilyError("unknown check %r" % c)
+        if args.params and not args.family:
+            raise ParameterError("--params applies to --family scope only")
         if args.family:
             fid = families.resolve_family(args.family)
             params = (_parse_params(args.params, fid, ctx) if args.params
@@ -287,9 +290,11 @@ def cmd_verify(args):
             points, edges = [(fid, params)], []
         elif args.edge:
             edge = scheme.resolve_edge(args.edge)
-            if args.checks and _EDGE_RUNNERS.get(edge.kind, (None,))[0] not in checks:
-                raise ParameterError("--checks %s selects nothing on edge %s of kind %s"
-                                     % (args.checks, edge.id, edge.kind))
+            check = _EDGE_RUNNERS.get(edge.kind, (None,))[0]
+            if check not in checks:
+                why = ("--checks %s selects nothing" % args.checks if check else
+                       "checked by its christoffel pair %s:%s" % (edge.target, edge.source))
+                raise ParameterError("edge %s of kind %s: %s" % (edge.id, edge.kind, why))
             config.update({"scope": "edge", "id": edge.id, "checks": checks})
             points, edges = [], [edge]
         else:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..precision import PrecisionContext
+from ..precision import PrecisionContext, pochhammer
+from ..polynomials import Poly, hyp_terminating_poly
 
 
 class UnknownFamilyError(KeyError):
@@ -76,6 +77,24 @@ def denominator_check(ctx: PrecisionContext):
 def _parity(n):
     """(n mod 2, n // 2): which block of an even/odd formula, and its index m."""
     return n % 2, n // 2
+
+
+def _wilson_series(ctx, n, a, bs, upper=None):
+    """The Wilson-type series S in x and its printed prefactor, as (S, pref).
+
+    S = sum_k (-n)_k (upper)_k (ix+a)_k (-ix+a)_k / (k! prod_b (a+b)_k), summed
+    by ``hyp_terminating_poly``; pref = (-1)^n prod_b (a+b)_n / (upper)_n.
+    Without ``upper`` neither (upper)_k nor (upper)_n enters.
+    """
+    ix = Poly((0, ctx.mp.mpc(0, 1)))
+    dens = [a + b for b in bs]
+    nums = [-n] + ([] if upper is None else [upper]) + [ix + a, -ix + a]
+    pref = (-1) ** n
+    for d in dens:
+        pref *= pochhammer(d, n, ctx)
+    if upper is not None:
+        pref /= pochhammer(upper, n, ctx)
+    return hyp_terminating_poly(n, nums, dens, 1, ctx), pref
 
 
 def _from_AC(AC, b_of=lambda A, C: 1 - A - C, u_over=None):

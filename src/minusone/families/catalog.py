@@ -5,10 +5,13 @@ introducing the continuous complementary Bannai-Ito family).  Every closed
 form is assembled exactly as printed, including its prefactors, and then
 renormalized monic by dividing by the computed leading coefficient; the raw
 leading coefficient is available so the printed normalization itself can be
-tested.  A pattern printed for two families is written once: the big and
-little -1 Jacobi closed forms (A.2, A.7) both call ``_m1j_template`` with
-their series variable, linear factor and c factors, as the three
-continuous Bannai-Ito type forms call ``_cbi_template``.  The sign factor
+tested.  Every series is summed by ``hyp_terminating_poly``, and a pattern
+printed for two families is written once: the big and little -1 Jacobi
+closed forms (A.2, A.7) both call ``_m1j_template`` with their series
+variable, linear factor and c factors, as the three continuous Bannai-Ito
+type forms call ``_cbi_template``, and the symmetric, generalized symmetric
+and complementary Bannai-Ito forms (with the Wilson and continuous dual
+Hahn helpers) call the Wilson-type ``base._wilson_series``.  The sign factor
 written theta(x) in split-support weights is implemented as sgn(x), the
 unique choice making those densities nonnegative on both support
 components.
@@ -23,6 +26,7 @@ from .base import (
     RecurrencePair,
     _from_AC,
     _parity,
+    _wilson_series,
     denominator_check,
 )
 
@@ -415,57 +419,27 @@ def _cf_gegenbauer(ctx, n, alpha):
 
 
 def _cf_symmetric_bannai_ito(ctx, n, a, b):
-    mp = ctx.mp
-    i = mp.mpc(0, 1)
-    x = Poly.x(ctx)
-    ix = Poly((mp.mpc(0), i))
     odd, m = _parity(n)
-    if not odd:
-        series = hyp_terminating_poly(m, [-mp.mpf(m), ix, -ix], [a, b], 1, ctx)
-        return series.scale((-1) ** m * pochhammer(a, m, ctx) * pochhammer(b, m, ctx))
-    series = hyp_terminating_poly(m, [-mp.mpf(m), 1 + ix, 1 - ix], [1 + a, 1 + b], 1, ctx)
-    return x.scale((-1) ** m * pochhammer(1 + a, m, ctx) * pochhammer(1 + b, m, ctx)) * series
+    series, pref = _wilson_series(ctx, m, odd, [a, b])
+    return Poly.x(ctx).scale(pref) * series if odd else series.scale(pref)
 
 
 def _cf_gsbi(ctx, n, a, b, c):
-    mp = ctx.mp
     s = a + b + c
-    i = mp.mpc(0, 1)
-    x = Poly.x(ctx)
-    ix = Poly((mp.mpc(0), i))
     odd, m = _parity(n)
-    if not odd:
-        series = hyp_terminating_poly(m, [-mp.mpf(m), m + s - 1, ix, -ix], [a, b, c], 1, ctx)
-        pref = (-1) ** m * pochhammer(a, m, ctx) * pochhammer(b, m, ctx) * pochhammer(c, m, ctx) \
-            / pochhammer(mp.mpf(m) + s - 1, m, ctx)
-        return series.scale(pref)
-    series = hyp_terminating_poly(m, [-mp.mpf(m), m + s, 1 + ix, 1 - ix], [1 + a, 1 + b, 1 + c], 1, ctx)
-    pref = (-1) ** m * pochhammer(1 + a, m, ctx) * pochhammer(1 + b, m, ctx) * pochhammer(1 + c, m, ctx) \
-        / pochhammer(mp.mpf(m) + s, m, ctx)
-    return x.scale(pref) * series
+    series, pref = _wilson_series(ctx, m, odd, [a, b, c], m + s if odd else m + s - 1)
+    return Poly.x(ctx).scale(pref) * series if odd else series.scale(pref)
 
 
 def _cf_ccbi(ctx, n, a1, b1, a2, b2):
-    """Wilson-based closed form; the Wilson block is the bare 4F3 series."""
-    mp = ctx.mp
-    i = mp.mpc(0, 1)
-    x = Poly.x(ctx)
-    ix = Poly((mp.mpc(0), i))
+    """Wilson-based closed form with parameters (A, B, C, D) and the argument x^2."""
+    i = ctx.mp.mpc(0, 1)
     odd, m = _parity(n)
-    # Wilson parameters (A, B, C, D) with the argument x^2
-    A = i * b2 + (1 if odd else 0)
-    B = a1 + i * b1
-    C = a1 - i * b1
-    D = a2 - i * b2
+    A = i * b2 + odd
+    B, C, D = a1 + i * b1, a1 - i * b1, a2 - i * b2
     s = A + B + C + D
-    series = hyp_terminating_poly(
-        m, [-mp.mpf(m), m + s - 1, Poly.constant(A) + ix, Poly.constant(A) - ix],
-        [A + B, A + C, A + D], 1, ctx)
-    num = pochhammer(A + B, m, ctx) * pochhammer(A + C, m, ctx) * pochhammer(A + D, m, ctx)
-    l_n = (-1) ** m * num / pochhammer(mp.mpf(m) + s - 1, m, ctx)
-    if odd:
-        return (x - Poly.constant(b2)).scale(l_n) * series
-    return series.scale(l_n)
+    series, pref = _wilson_series(ctx, m, A, [B, C, D], m + s - 1)
+    return (Poly.x(ctx) - Poly.constant(b2)).scale(pref) * series if odd else series.scale(pref)
 
 
 def _cbi_template(al, be, ga, de, n, ctx):

@@ -6,9 +6,9 @@ The dilated little q-Jacobi, continuous q-Hahn (specialized a=c, b=d, with
 the variable already rescaled) and q-Meixner-Pollaczek recurrences follow
 the source text; the big q-Jacobi monic recurrence and the two helpers are
 sourced from the standard hypergeometric catalog and marked external.  The
-two helper closed forms are one series, ``_wilson_type_series``: Wilson's
-4F3 and the continuous dual Hahn 3F2, which lacks Wilson's upper
-parameter n + s - 1.
+two helper closed forms are the Wilson-type template ``base._wilson_series``
+in x, read as polynomials in y = x^2: Wilson's 4F3 and the continuous dual
+Hahn 3F2, which lacks Wilson's upper parameter n + s - 1.
 
 The middle recurrence coefficient of the dilated little q-Jacobi is printed
 as 1 - A_n + C_n in the source; both sign readings are implemented
@@ -18,9 +18,8 @@ reproduces the little -1 Jacobi coefficients.
 
 from __future__ import annotations
 
-from ..precision import pochhammer
 from ..polynomials import Poly
-from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check
+from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, _wilson_series, denominator_check
 
 
 Q_FAMILIES = {info.id: info for info in (
@@ -164,47 +163,20 @@ def _recs_cdh(ctx, N, a, b, c):
     return _from_AC(AC, lambda A, C: A + C - aa)
 
 
-def _wilson_type_series(ctx, n, a, dens, upper=None):
-    """The terminating Wilson-type series in y = x^2, times its printed prefactor.
-
-    sum_k (-n)_k (upper)_k (a+ix)_k (a-ix)_k / (k! prod_b (b)_k), times
-    (-1)^n prod_b (b)_n / (upper)_n; without ``upper`` neither factor
-    enters.  The conjugate pair a+ix, a-ix has the Pochhammer product
-    prod_{j<k} (y + (a+j)^2), so the series is assembled in y directly.
-    """
-    mp = ctx.mp
-    y = Poly.x(ctx)
-    total = Poly.constant(mp.mpc(0))
-    term = Poly.constant(mp.mpc(1))
-    for k in range(n + 1):
-        total = total + term
-        if k == n:
-            break
-        den = k + 1
-        for b in dens:
-            den *= b + k
-        num = -mp.mpf(n) + k
-        if upper is not None:
-            num *= upper + k
-        term = term * (y + Poly.constant((a + k) ** 2))
-        term = term.scale(num / den)
-    pref = (-1) ** n
-    for b in dens:
-        pref *= pochhammer(b, n, ctx)
-    if upper is not None:
-        pref *= 1 / pochhammer(upper, n, ctx)
-    return total.scale(pref)
+def _in_y(series, pref):
+    """series * pref in y = x^2: its even coefficients; the odd ones are rounding noise."""
+    return Poly(series.scale(pref).coeffs[::2])
 
 
 def _cf_wilson(ctx, n, a, b, c, d):
     """Monic Wilson polynomial in y = x^2: the 4F3 with upper parameter n+s-1, s = a+b+c+d."""
     s = a + b + c + d
-    return _wilson_type_series(ctx, n, a, [a + b, a + c, a + d], n + s - 1)
+    return _in_y(*_wilson_series(ctx, n, a, [b, c, d], n + s - 1))
 
 
 def _cf_cdh(ctx, n, a, b, c):
     """Monic continuous dual Hahn polynomial in y = x^2: the Wilson series' 3F2."""
-    return _wilson_type_series(ctx, n, a, [a + b, a + c])
+    return _in_y(*_wilson_series(ctx, n, a, [b, c]))
 
 
 Q_RECURRENCES = {

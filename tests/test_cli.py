@@ -128,6 +128,15 @@ def test_unparsable_params_are_a_usage_error(capsys):
         assert "'alpha'" in err and "'abc'" in err, err
 
 
+@pytest.mark.parametrize("scope", [["--edge", "gegenbauer:hermite"], ["--all"]])
+def test_params_outside_family_scope_are_a_usage_error(capsys, scope):
+    # --params overrides a family's fixture point; elsewhere it would be ignored
+    code = cli.main(["verify"] + scope + ["--params", "alpha=3", "--digits", "15"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert "--params" in captured.err
+
+
 @pytest.mark.parametrize("table, check, note", [
     ("weights", "orthogonality", "no continuous measure on record (skipped)"),
     ("builders", "eigen", "no eigenvalue equation on record (skipped)"),
@@ -270,6 +279,13 @@ def test_empty_edge_selection_usage_error(capsys):
                     "--digits", "15", "--format", "json", "--no-timestamp")
     assert code == 0
     assert [r["check"] for r in json.loads(out)["results"]] == ["exact"]
+    # a Geronimus edge has no check of its own, with or without --checks:
+    # the error names the Christoffel pair that checks it
+    for extra in ([], ["--checks", "ct-gt"]):
+        code = cli.main(["verify", "--edge", "chihara:big-minus1-jacobi", "--digits", "15"] + extra)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert "big-minus1-jacobi:chihara" in captured.err
 
 
 @pytest.mark.parametrize("edge", ["continuous-q-hahn:continuous-minus1-hahn-1",

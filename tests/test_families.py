@@ -1,6 +1,7 @@
 import inspect
 import random
 import re
+import sys
 
 import pytest
 
@@ -500,13 +501,64 @@ def test_eigen_system_errors():
 
 
 def test_helper_families_closed_forms():
-    # Wilson / continuous dual Hahn helpers agree with their recurrences
+    # Wilson / continuous dual Hahn helpers agree with their recurrences to
+    # 10**-(digits + 14), far inside the tol(10) gate: their series is summed
+    # with guard bits like every other closed form
+    for digits in (15, 50):
+        ctx = PrecisionContext(digits)
+        for fid in ("wilson", "continuous-dual-hahn"):
+            for point in F.fixture_points(fid):
+                row = F.closed_form_check(fid, F.make_params(fid, ctx, **point), 12, ctx)
+                assert row["residual"] <= ctx.tol(-14), (digits, fid, point, row["residual"])
+
+
+def test_every_closed_form_is_summed_by_hyp_terminating_poly(monkeypatch):
+    # one series engine: each table entry sums through the module function,
+    # rebound wherever a module imported it
+    from minusone import polynomials
+
+    original = polynomials.hyp_terminating_poly
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minusone") and getattr(module, "hyp_terminating_poly", None) is original:
+            monkeypatch.setattr(module, "hyp_terminating_poly", counted)
+    for fid in sorted(F._ALL_CLOSED):
+        calls.clear()
+        F.closed_form(fid, P(fid, **F.fixture_points(fid)[0]), 3, CTX)
+        assert calls, fid
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_helper_series_in_x_has_only_rounding_noise_in_odd_coefficients(monkeypatch, digits):
+    # the helpers are read in y = x^2 from the even coefficients of the
+    # Wilson-type series in x; the odd ones are rounding noise, at most
+    # 2**-(prec + GUARD_BITS/2) of the coefficient norm
+    from minusone.families import qaux
+    from minusone.polynomials import GUARD_BITS
+
+    ctx = PrecisionContext(digits)
+    in_y, seen = qaux._in_y, []
+
+    def capture(series, pref):
+        seen.append(series.scale(pref))
+        return in_y(series, pref)
+
+    monkeypatch.setattr(qaux, "_in_y", capture)
+    bound = ctx.mp.mpf(2) ** -(ctx.mp.prec + GUARD_BITS // 2)
     for fid in ("wilson", "continuous-dual-hahn"):
-        params = P(fid, **F.fixture_points(fid)[0])
-        polys = F.generate(fid, params, 8, CTX)
-        for n in range(9):
-            cf = F.closed_form(fid, params, n, CTX)
-            assert poly_rel_distance(polys[n], cf) <= CTX.tol(10), (fid, n)
+        for point in F.fixture_points(fid):
+            params = F.make_params(fid, ctx, **point)
+            for n in range(13):
+                seen.clear()
+                F.closed_form(fid, params, n, ctx)
+                [p] = seen
+                odd = max((abs(c) for c in p.coeffs[1::2]), default=0)
+                assert odd <= bound * p.coeff_norm(), (fid, point, n, odd)
 
 
 def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkeypatch):
