@@ -4,9 +4,9 @@ families driving the q -> -1 edges and the Wilson-type helpers.
 Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``make_params``, ``recurrences`` (and its entry ``recurrence``),
 ``generate`` (and ``polys_from_pairs`` for a caller that holds the pairs),
-``closed_form``, ``weight_spec``, ``norms`` (and its entry ``norm``) and
-``positivity_conditions_ccbi``, with ``fixture_points`` supplying the
-reference parameter sets the verification suites run at.
+``closed_form``, ``weight_spec`` and ``norms`` (and its entry ``norm``),
+with ``fixture_points`` supplying the reference parameter sets the
+verification suites run at.
 ``closed_form_check`` is the closed-form row of ``minusone verify``: it
 reports ``status``, ``residual``, ``tolerance`` and ``notes``.  A family
 has a closed form or a measure when its table entry exists; a measure is one
@@ -236,64 +236,3 @@ def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
 def norm(family: str, params: dict, n: int, ctx: PrecisionContext):
     """Predicted squared norm of monic P_n under the printed inner product."""
     return norms(family, params, n, ctx)[n]
-
-
-def positivity_conditions_ccbi(params: dict, ctx: PrecisionContext, N: int = 8):
-    """Evaluate the three reality conditions of the CCBI classification.
-
-    Parameters are either the (a1, b1, a2, b2) set (the raw set then carries
-    a3 = a1, b3 = -b1, a4 = a2, b4 = -b2, the substitution under which the
-    family is defined) or a raw dict with keys a1, b1, a3, b3, a4, b4, b2.
-
-    Condition 1 is the vanishing of b1+b2+b3+b4; conditions 2 and 3 are the
-    reality, for each n, of the degree-shifted factor products that actually
-    enter the even/odd recurrence coefficients.  (The source prints
-    condition 2 without the unit shifts its tau product carries; the shifted
-    product is the one the recurrence makes real at the b2 = 0 reduction.)
-    """
-    mp = ctx.mp
-    if "a3" in params:
-        raw = ("a1", "b1", "a3", "b3", "a4", "b4", "b2")
-        for name in raw:
-            if name not in params:
-                raise ParameterError("the raw CCBI set needs parameter %r" % name)
-        a1, b1, a3, b3, a4, b4, b2 = (_convert(params[name], name, "the raw CCBI set", ctx)
-                                      for name in raw)
-    else:
-        p = _bind("continuous-complementary-bannai-ito", params, ctx)
-        a1, b1, b2 = p["a1"], p["b1"], p["b2"]
-        a3, b3 = a1, -b1
-        a4, b4 = p["a2"], -b2
-    tol = ctx.tol(8)
-
-    cond1 = abs(b1 + b2 + b3 + b4) <= tol
-    i = mp.mpc(0, 1)
-    cond2 = True
-    cond3 = True
-    max_imag2 = mp.mpf(0)
-    max_imag3 = mp.mpf(0)
-    first_nonreal = None
-    for n in range(N + 1):
-        p2 = (n + a1 + a3 - 1 + i * (b1 + b3)) * (n + a1 + a4 - 1 + i * (b1 + b4)) \
-            * (n + a3 + a4 - 1 + i * (b3 + b4))
-        p3 = (n + a3 + i * (b2 + b3)) * (n + a4 + i * (b2 + b4)) * (n + a1 + i * (b1 + b2))
-        scale2 = max(mp.mpf(1), abs(p2))
-        scale3 = max(mp.mpf(1), abs(p3))
-        max_imag2 = max(max_imag2, abs(mp.im(p2)) / scale2)
-        max_imag3 = max(max_imag3, abs(mp.im(p3)) / scale3)
-        ok2 = abs(mp.im(p2)) <= tol * scale2
-        ok3 = abs(mp.im(p3)) <= tol * scale3
-        if first_nonreal is None and not (ok2 and ok3):
-            first_nonreal = n
-        cond2 = cond2 and ok2
-        cond3 = cond3 and ok3
-
-    return {
-        "condition1_sum_zero": bool(cond1),
-        "condition2_real": bool(cond2),
-        "condition3_real": bool(cond3),
-        "max_relative_imag_condition2": float(max_imag2),
-        "max_relative_imag_condition3": float(max_imag3),
-        "first_nonreal_n": first_nonreal,
-        "all_hold": bool(cond1 and cond2 and cond3),
-    }

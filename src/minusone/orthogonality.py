@@ -215,13 +215,14 @@ def favard_check(family, params, N, ctx: PrecisionContext):
     """The Favard row: real b_n and u_n with u_n > 0 for n <= N, no residual or tolerance.
 
     For the quasi family (CCBI) the row checks its classification instead:
-    the reality conditions (n <= 5) fail at b2 = 1 and hold at b2 = 0.
+    the Favard scan (n <= 5) finds a nonreal b_n or u_n at b2 = 1 and none
+    at b2 = 0.
     """
     info = families.family_info(family)
     if info.kind == "quasi":
-        holds = [families.positivity_conditions_ccbi({**params, "b2": ctx.mp.mpf(b2)}, ctx,
-                                                     N=5)["all_hold"] for b2 in (1, 0)]
-        ok = not holds[0] and holds[1]
+        b2_one, b2_zero = [favard_scan(info.id, {**params, "b2": ctx.mp.mpf(b2)}, 5, ctx)
+                           for b2 in (1, 0)]
+        ok = b2_one["first_nonreal_n"] is not None and b2_zero["first_nonreal_n"] is None
         notes = "b2 != 0 breaks reality, b2 = 0 reduces to the generalized symmetric family"
     else:
         rep = favard_scan(info.id, params, N, ctx)

@@ -283,19 +283,16 @@ class Poly:
                     self.exp, self.mp, self.width)
 
     def shift(self, delta):
-        """p(x) -> p(x + delta) by Horner's rule in x + delta.
+        """p(x) -> p(x + delta) for delta = +-i, by Horner's rule in x + delta.
 
-        delta = +-i is a rotation: the Horner step adds i * acc as (-im, re),
-        with no multiplication, and the exact sums are rounded once at the end.
+        The Horner step adds i * acc as (-im, re), with no multiplication, and
+        the exact sums are rounded once at the end.  Any other delta raises
+        ValueError: the imaginary shifts S+- are the only ones the operators
+        apply.
         """
         dr, di, de, mp, _ = _split(delta)
         if dr or de or di not in (1, -1):
-            lin = Poly([0, 1]) + delta
-            coeff = lambda k: _new([self.re[k]], [self.im[k]], self.exp, self.mp, self.width)
-            acc = coeff(len(self.re) - 1)
-            for k in range(len(self.re) - 2, -1, -1):
-                acc = acc * lin + coeff(k)
-            return acc
+            raise ValueError("Poly.shift takes delta = +-i only, not %r" % (delta,))
         src_re, src_im = self.re, self.im
         re, im = [src_re[-1]], [src_im[-1]]
         for k in range(len(src_re) - 2, -1, -1):

@@ -328,6 +328,18 @@ def test_singular_parameter_point_is_a_dead_end(capsys, family, params):
     assert code in (cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE)
 
 
+def test_ccbi_favard_at_a_printed_denominator_zero_is_inconclusive(capsys):
+    # the CCBI Favard row is the Favard scan at b2 = 1 and b2 = 0; at
+    # 2 a1 + a2 = 1 the recurrence's denominator vanishes at n = 1, and the
+    # scan's ParameterError ends the row as inconclusive, naming it
+    code, out = run(capsys, "verify", "--family", "ccbi", "--params",
+                    "a1=0.25,b1=0.5,a2=0.5,b2=0.3", "--checks", "favard", "--digits", "15",
+                    "--format", "json", "--no-timestamp")
+    [row] = json.loads(out)["results"]
+    assert row["status"] == "inconclusive" and "denominator" in row["notes"], row
+    assert code == cli.EXIT_INCONCLUSIVE
+
+
 # boxes inside each operator family's admissible region (FamilyInfo.admissible)
 _BOXES = {
     "hermite": {},

@@ -473,24 +473,17 @@ def test_norms_match_recurrence_product():
 
 
 def test_ccbi_positivity_classification():
-    # the GSBI reduction satisfies all three conditions
-    rep = F.positivity_conditions_ccbi(
-        {"a1": MP.mpf("0.75"), "b1": MP.mpf("0.5"), "a2": MP.mpf("1.25"), "b2": MP.mpf(0)}, CTX)
-    assert rep["all_hold"]
-
-    # raw parameters with b2 = 1 and b1 = b3 = b4 = 0 break condition 1
-    rep = F.positivity_conditions_ccbi(
-        {"a1": MP.mpf(1), "b1": MP.mpf(0), "a3": MP.mpf(1), "b3": MP.mpf(0),
-         "a4": MP.mpf(1), "b4": MP.mpf(0), "b2": MP.mpf(1)}, CTX)
-    assert not rep["condition1_sum_zero"]
-
-    # generic b2 != 0 (condition 1 satisfied by construction) fails 2 or 3 by n <= 5
-    rep = F.positivity_conditions_ccbi(
-        {"a1": MP.mpf("0.75"), "b1": MP.mpf("0.5"), "a2": MP.mpf("1.25"), "b2": MP.mpf("0.3")},
-        CTX, N=5)
-    assert rep["condition1_sum_zero"]
-    assert not (rep["condition2_real"] and rep["condition3_real"])
-    assert rep["first_nonreal_n"] is not None and rep["first_nonreal_n"] <= 5
+    # the Favard scan finds the recurrence real at the GSBI reduction b2 = 0,
+    # and nonreal by n <= 5 for b2 != 0, at every fixture point
+    for ctx in (PrecisionContext(15), CTX):
+        for point in F.fixture_points("ccbi"):
+            for b2 in ("0", "1", "0.3"):
+                params = F.make_params("ccbi", ctx, **{**point, "b2": b2})
+                first = orth.favard_scan("ccbi", params, 5, ctx)["first_nonreal_n"]
+                if b2 == "0":
+                    assert first is None, (ctx.digits, point, b2)
+                else:
+                    assert first is not None and first <= 5, (ctx.digits, point, b2)
 
 
 def test_eigen_system_errors():

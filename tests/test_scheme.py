@@ -169,6 +169,23 @@ def test_commuting_squares():
             assert rep["order_path_" + path] == ladder["order_poly"], (which, path)
 
 
+def test_commuting_square_reads_its_ladders_rungs(monkeypatch):
+    # the c -> 0 leg compares the two paths' ladder rungs, so a square builds
+    # only its two ladders' sequences: a target and 6 rungs each
+    calls = []
+    recurrences = F.recurrences
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return recurrences(*args, **kwargs)
+
+    monkeypatch.setattr(F, "recurrences", counted)
+    for which in ("little", "gegenbauer"):
+        calls.clear()
+        assert S.verify_commuting_square(which, CTX)["status"] == "pass"
+        assert len(calls) == 2 * (1 + len(S.default_ladder("eps->0", CTX))) == 14, which
+
+
 def test_open_question_resolutions():
     reports = S.resolve_open_questions(CTX)
     by_check = {r["check"]: r for r in reports if not r["check"].endswith("composition")}
