@@ -35,7 +35,7 @@ raises the same ParameterError, naming the same factor, at the same n.
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext, ZeroDenominatorError
+from ..precision import PrecisionContext, ZeroDenominatorError, verdict
 from ..polynomials import Poly, ReductionAmbiguityError, poly_rel_distance
 from .base import (
     FamilyInfo,
@@ -194,8 +194,9 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
 def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
     """The closed-form row: the closed form against the recurrence for n <= N.
 
-    The residual is the worst relative coefficient distance, gated by
-    tol(10).  Raises NoClosedFormError for a family with none on record.
+    The residual is the worst relative coefficient distance, gated as an
+    algebraic row (``precision``, Precision plan).  Raises
+    NoClosedFormError for a family with none on record.
     """
     mp = ctx.mp
     fid = resolve_family(family)
@@ -203,9 +204,7 @@ def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
     worst = mp.mpf(0)
     for n in range(N + 1):
         worst = max(worst, poly_rel_distance(polys[n], closed_form(fid, params, n, ctx)))
-    tol = ctx.tol(10)
-    return {"family": fid, "status": "pass" if worst <= tol else "fail",
-            "residual": float(worst), "tolerance": float(tol), "notes": ""}
+    return {"family": fid, **verdict("closed-form", worst, ctx), "notes": ""}
 
 
 def _measure(family: str, params: dict, ctx: PrecisionContext):

@@ -43,7 +43,7 @@ from typing import Callable
 
 from . import families
 from .families import NoEigenSystemError
-from .precision import PrecisionContext
+from .precision import GATES, PrecisionContext, verdict
 from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
                           divmod_poly, remainder_class)
 
@@ -429,7 +429,7 @@ def _eigen_degrees(op, lam, polys, degrees, ctx):
             return
         ev = lam(n)
         residual = (image - p.scale(ev)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(ev)))
-        yield n, image, residual, "pass" if residual <= ctx.tol(10) else "fail"
+        yield n, image, residual, verdict("eigen", residual, ctx)["status"]
 
 
 def _resolve_variant(fid, ctx, params=None):
@@ -510,7 +510,7 @@ def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
         "free": float(es.free_value) if es.free_value is not None else None,
         "status": status,
         "residual": float(res) if res is not None else None,
-        "tolerance": float(ctx.tol(10)),
+        "tolerance": float(GATES["eigen"](ctx)),
     }
 
 
@@ -542,7 +542,7 @@ def _diagonality(matrix, eigenvalue, ctx):
             else:
                 off = max(off, abs(matrix[k][n]))
     return {"N": N, "max_offdiag": float(off / scale), "max_diag_error": float(diag / scale),
-            "tolerance": float(ctx.tol(12))}
+            "tolerance": float(GATES["eigen-basis"](ctx))}
 
 
 def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
@@ -569,7 +569,9 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     Checks L P_n = lambda_n P_n for n <= N, at the free values 1/2 and 2
     when the eigenvalue has a free parameter, and that the matrix of L
     (free = 1/2) in the basis P_0..P_8 is diagonal with the printed
-    eigenvalues.  A dead end at any degree used ends the check with its
+    eigenvalues.  The row's ``tolerance`` is the eigen gate; the basis
+    matrix is gated at the looser eigen-basis gate (``precision``,
+    Precision plan).  A dead end at any degree used ends the check with its
     status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.  A family
     with no eigen system raises :class:`NoEigenSystemError` before any
     polynomial is built.
@@ -581,7 +583,8 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     if es.free_name:
         runs.append((build_eigen_system(fid, params, ctx, free="2"), "2", N))
     polys = families.generate(fid, params, top, ctx)
-    report = {"family": fid, "status": "pass", "residual": 0.0, "tolerance": float(ctx.tol(10)),
+    report = {"family": fid, "status": "pass", "residual": 0.0,
+              "tolerance": float(GATES["eigen"](ctx)),
               "notes": "n <= %d%s; basis matrix diagonal"
                        % (N, " at two free-parameter values" if es.free_name else "")}
     for es, free, last in runs:

@@ -21,16 +21,13 @@ oracle: matching the printed norms through degree N fixes the moments of
 the weight through degree 2N.
 Favard scans read positivity straight off the recurrence coefficients.
 
-Precision plan.  At d digits ``gram`` gates a Gram by 10**-(d/2), on the
-diagonal and off it, and reports the gate and its status.  Tables are built
-with node tolerance 10**-(d//2 + 15), fifteen digits below the gate, in a
-context of max(15, d//2 + 5) digits; mpmath runs GUARD_DIGITS = 15
-further, at max(30, d//2 + 20) digits (reported as ``working_digits``),
-five or more past the node tolerance.  That is enough because no weight
-loses digits at its endpoints: the maps hand each density the node's
-offsets from both ends of its piece, and a sweep runs on past the node
-that rounds onto a singular endpoint (``quadrature``, Offsets and Stop
-rule).  Without them the Gram error of an offset^(-1/2) endpoint floors
+Precision.  ``gram`` reads its gate, 10**-(d/2) on the diagonal and off
+it, and its tables' precision from the plan in ``precision``; it reports
+the gate, its status and the tables' ``working_digits``,
+max(30, d//2 + 20).  That is enough because no weight loses digits at its
+endpoints: the maps hand each density the node's offsets from both ends
+of its piece, and a sweep runs on past the node that rounds onto a
+singular endpoint (``quadrature``, Offsets and Stop rule).  Without them the Gram error of an offset^(-1/2) endpoint floors
 near the square root of the working precision, and the tables need about
 d + 25 working digits to keep that floor below the gate.  Measured
 minimum headroom, log10(gate/error) over the larger of the diagonal and
@@ -56,7 +53,7 @@ from mpmath.libmp import to_fixed
 
 from . import families, quadrature
 from .families import ParameterError
-from .precision import PrecisionContext
+from .precision import GATES, PrecisionContext, gram_context, verdict
 
 
 def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
@@ -67,12 +64,10 @@ def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
 def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
     """Weight spec and node table for polynomial factors up to max_degree.
 
-    The table runs at max(15, d//2 + 5) digits, d = ctx.digits, with node
-    tolerance 10**-(d//2 + 15) (module docstring, Precision plan).  Returns
-    (work, spec, table) with work the table's context.
+    The table's context and node tolerance are ``precision.gram_context``'s.
+    Returns (work, spec, table) with work the table's context.
     """
-    work = PrecisionContext(max(15, ctx.digits // 2 + 5))
-    tol = work.mp.mpf(10) ** (-(ctx.digits // 2 + 15))
+    work, tol = gram_context(ctx)
     spec = families.weight_spec(fid, params, work)
     table = build_node_table(spec, work, tol, max_degree)
     return work, spec, table
@@ -132,9 +127,9 @@ def gram(family, params, N, ctx: PrecisionContext):
     off-diagonal entry (scaled by sqrt(h_n h_m)), the worst diagonal
     deviation from the printed norm formula, the working digits the
     quadrature ran at, and the row fields: status (pass when both
-    deviations are within the gate, module docstring, Precision plan; fail
-    otherwise; inconclusive when the node table did not converge), residual
-    (the larger of the two deviations), tolerance (the gate) and notes.  Raises
+    deviations are within the Gram gate of ``precision``; fail otherwise;
+    inconclusive when the node table did not converge), residual (the
+    larger of the two deviations), tolerance (the gate) and notes.  Raises
     ParameterError where the recurrence or the weight is not that of a
     positive measure.
     """
@@ -158,16 +153,15 @@ def gram(family, params, N, ctx: PrecisionContext):
             off = max(off, abs(matrix[n][m]) / mp.sqrt(norms[n] * norms[m]))
 
     off, diag = float(off), float(diag)
-    gate = 10.0 ** -(ctx.digits / 2)
-    status = "pass" if max(off, diag) <= gate else "fail"
+    row = verdict("gram", max(off, diag), ctx)
+    if not table.converged:
+        row["status"] = "inconclusive"
     return {
         "family": fid,
         "N": N,
         "max_offdiag": off,
         "max_diag_error": diag,
-        "residual": max(off, diag),
-        "tolerance": gate,
-        "status": status if table.converged else "inconclusive",
+        **row,
         "notes": "offdiag %.3g diag %.3g over %d nodes at %d digits%s" % (
             off, diag, len(table.xs), work.mp.dps, "" if table.converged else
             "; node table not converged after %d meshes" % table.levels),
@@ -183,7 +177,7 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
     """min u_n, max |Im b_n|, max |Im u_n| over n <= N; pass iff real and positive."""
     mp = ctx.mp
     fid = families.resolve_family(family)
-    tol = ctx.tol(8)
+    tol = GATES["favard-reality"](ctx)
     min_u = None
     max_im_b = mp.mpf(0)
     max_im_u = mp.mpf(0)

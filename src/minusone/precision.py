@@ -10,6 +10,34 @@ Complex values are plain ``mpf``/``mpc`` instances belonging to the
 context.  Conjugation, modulus and arithmetic behave as usual; all special
 functions here respect ``f(conj(z)) == conj(f(z))``.
 
+Precision plan.  What a row of ``minusone verify`` certifies is its gate,
+and every gate is read from :data:`GATES`, check kind -> gate at
+d = ``ctx.digits``; :func:`verdict` turns a residual into the row's
+``residual``, ``tolerance`` and ``status`` (pass iff residual <= gate):
+
+    kind                                      gate at d digits
+    closed-form, eigen, exact, ct-gt,         10**(10 - d)
+      kernel-map, square (algebraic rows)
+    eigen-basis (eigen's basis matrix)        10**(12 - d)
+    gram                                      10**-(d/2)
+    limit                                     1e-8
+    limit-floor ("converged exactly")         10**(12 - d)
+    favard-reality (Im b_n, Im u_n)           10**(8 - d)
+
+The eigen row reports its 10**(10 - d) as ``tolerance``, while its basis
+matrix is gated at the looser 10**(12 - d).  Where a status depends on
+more than residual <= gate, the check keeps that logic: the Gram's
+convergence and the square's two ladders amend the verdict, and eigen's
+dead ends and basis matrix and the limit's order fits read only the gate.
+Two checks run at a precision of their own.  A Gram's node table (:func:`gram_context`) runs
+at max(15, d//2 + 5) digits with node tolerance 10**-(d//2 + 15), fifteen
+digits below its gate; mpmath runs GUARD_DIGITS = 15 further, at
+max(30, d//2 + 20) digits, five or more past the node tolerance (the
+measured headroom is in ``orthogonality``).  A limit ladder
+(:func:`ladder_context`) runs at max(d, LADDER_MIN_DIGITS) digits,
+reusing the caller's context from LADDER_MIN_DIGITS on: 20 is the least
+d at which the floor 10**(12 - d) is no looser than the 1e-8 gate.
+
 ``log_abs_gamma_sum`` is the kernel of the |Gamma|^2 weight densities: the
 sum of log|Gamma(a_j + i y_j)| over real a_j > 0 and y_j, in Python-int
 fixed point at 2**-(p + STIRLING_GUARD_BITS), p = ``mp.prec``.  Each z_j is
@@ -59,9 +87,10 @@ class PrecisionContext:
     Parameters
     ----------
     digits : int
-        Decimal significant digits guaranteed for well-conditioned results.
-        Must be at least 15.  The internal mpmath context runs at
-        ``digits + GUARD_DIGITS``.
+        Decimal significant digits requested, at least 15.  The internal
+        mpmath context runs at ``digits + GUARD_DIGITS``.  What a check
+        certifies at this precision is its gate (:data:`GATES`), not
+        ``digits``: an algebraic row certifies digits - 10.
     """
 
     def __init__(self, digits: int = 50):
@@ -87,6 +116,44 @@ class PrecisionContext:
 
     def __repr__(self):
         return "PrecisionContext(digits=%d)" % self.digits
+
+
+def _tol(offset):
+    return lambda ctx: ctx.tol(offset)
+
+
+# the precision plan (module docstring): check kind -> gate(ctx)
+GATES = {
+    "closed-form": _tol(10), "eigen": _tol(10), "exact": _tol(10), "ct-gt": _tol(10),
+    "kernel-map": _tol(10), "square": _tol(10),
+    "eigen-basis": _tol(12),
+    "gram": lambda ctx: 10.0 ** -(ctx.digits / 2),
+    "limit": lambda ctx: ctx.mp.mpf("1e-8"),
+    "limit-floor": _tol(12),
+    "favard-reality": _tol(8),
+}
+
+# the least d at which the limit-floor gate is no looser than the limit gate
+LADDER_MIN_DIGITS = 20
+
+
+def verdict(kind: str, residual, ctx: PrecisionContext):
+    """The row fields ``residual``, ``tolerance`` and ``status``: pass iff residual <= gate."""
+    tol = GATES[kind](ctx)
+    return {"residual": float(residual), "tolerance": float(tol),
+            "status": "pass" if residual <= tol else "fail"}
+
+
+def gram_context(ctx: PrecisionContext):
+    """(context, node tolerance) of a Gram's node table: max(15, d//2 + 5) digits, 10**-(d//2 + 15)."""
+    half = ctx.digits // 2
+    work = PrecisionContext(max(15, half + 5))
+    return work, work.mp.mpf(10) ** -(half + 15)
+
+
+def ladder_context(ctx: PrecisionContext):
+    """The context a limit ladder runs in: ctx from LADDER_MIN_DIGITS digits on, else a new one at that."""
+    return ctx if ctx.digits >= LADDER_MIN_DIGITS else PrecisionContext(LADDER_MIN_DIGITS)
 
 
 def is_nonpositive_integer(z, ctx: PrecisionContext):

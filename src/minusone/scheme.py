@@ -10,8 +10,8 @@ reading checks of :data:`OPEN_QUESTIONS` all read the maps from there.
 Limit verification compares both the transformed polynomials and the
 transformed recurrence coefficients, fits the convergence order from the
 error ladder, and Richardson-extrapolates the last three points; the
-extrapolated error enters the pass/fail bound only.  Ladders run at
-``LADDER_MIN_DIGITS`` or more working digits.
+extrapolated error enters the pass/fail bound only.  Every gate, and the
+ladders' working precision, is read from the plan in ``precision``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from . import families, operators
 from .polynomials import Poly, divide_exact, poly_rel_distance
-from .precision import PrecisionContext
+from .precision import GATES, PrecisionContext, ladder_context, verdict
 
 
 # Printed readings of an edge map that only the ladder can tell apart: the
@@ -363,17 +363,11 @@ def verify_exact(edge, N, ctx: PrecisionContext):
     source = _transform(families.generate(edge.source, src_params, N, ctx), s, ctx)
     target = families.generate(edge.target, tgt_params, N, ctx)
     err = _compare_sets(source, target)
-    tol = ctx.tol(10)
     return {
         "edge": edge.id, "kind": edge.kind, "anchor": edge.anchor,
-        "N": N, "max_error": float(err), "residual": float(err), "tolerance": float(tol),
-        "status": "pass" if err <= tol else "fail", "notes": edge.label,
+        "N": N, "max_error": float(err), **verdict("exact", err, ctx), "notes": edge.label,
     }
 
-
-# The smallest precision at which the "converged exactly" floor tol(12) of a
-# ladder is no looser than its 1e-8 extrapolation gate.
-LADDER_MIN_DIGITS = 20
 
 # degrees compared on every ladder: the limit edges, the squares and the open questions
 LADDER_N = 6
@@ -396,16 +390,17 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
 
     Passes iff polynomial-coefficient and recurrence-coefficient errors both
     decay monotonically with fitted order >= 1 and the Richardson
-    extrapolation of the last three ladder points lands within 1e-8 of the
-    target.  Below ``LADDER_MIN_DIGITS`` the ladder runs at that precision.
+    extrapolation of the last three ladder points lands within the limit
+    gate of the target, or the last ladder error is below the "converged
+    exactly" floor; the ladder runs in ``precision.ladder_context`` (gate,
+    floor and context: ``precision``, Precision plan).
     The residual is the extrapolated error; the notes give the fitted
     order and the ladder errors; ``rungs`` holds the rescaled source
     polynomials P_0 .. P_N at each ladder point.
     """
     if isinstance(edge, str):
         edge = resolve_edge(edge)
-    if ctx.digits < LADDER_MIN_DIGITS:
-        ctx = PrecisionContext(LADDER_MIN_DIGITS)
+    ctx = ladder_context(ctx)
     mp = ctx.mp
     if ladder is None:
         ladder = default_ladder(edge.direction, ctx)
@@ -424,8 +419,8 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
         errors.append(_compare_sets(upolys, target))
         rec_errors.append(_compare_recurrence(source_pairs, target_pairs, s, ctx))
 
-    floor = ctx.tol(12)
-    gate = mp.mpf("1e-8")
+    floor = GATES["limit-floor"](ctx)
+    bound = GATES["limit"](ctx)
 
     def monotone(seq):
         return all(seq[k + 1] < seq[k] or seq[k + 1] <= floor for k in range(len(seq) - 1))
@@ -458,7 +453,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
           and (converged_exactly or (
               order_poly is not None and order_poly >= 0.9
               and order_rec is not None and order_rec >= 0.9
-              and ext_err is not None and ext_err <= gate)))
+              and ext_err is not None and ext_err <= bound)))
     return {
         "edge": edge.id, "kind": edge.kind, "anchor": edge.anchor, "N": N,
         "ladder": [float(h) for h in ladder],
@@ -468,7 +463,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
         "order_recurrence": order_rec,
         "extrapolated_error": float(ext_err) if ext_err is not None else None,
         "residual": float(ext_err) if ext_err is not None else None,
-        "tolerance": float(gate),
+        "tolerance": float(bound),
         "status": "pass" if ok else "fail",
         "notes": "order %s, ladder errors %s" % (
             _order_note(order_poly), ", ".join("%.1e" % e for e in errors)),
@@ -518,16 +513,12 @@ def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
     round_trip = geronimus(edge.source, src_params, kernel, N, ctx)
     err_round = _compare_sets(round_trip, source[: N + 1])
 
-    tol = ctx.tol(10)
-    worst = max(err_ct, err_gt, err_round)
     return {
         "edge": edge.id, "kind": "christoffel-geronimus", "anchor": edge.anchor, "N": N,
         "christoffel_error": float(err_ct),
         "geronimus_error": float(err_gt),
         "round_trip_error": float(err_round),
-        "residual": float(worst),
-        "tolerance": float(tol),
-        "status": "pass" if worst <= tol else "fail",
+        **verdict("ct-gt", max(err_ct, err_gt, err_round), ctx),
         "notes": edge.label,
     }
 
@@ -556,10 +547,8 @@ def verify_recurrence_kernel_map(ctx: PrecisionContext, trials=20):
             worst = max(worst, abs(b_kernel - gg.b))
             if n >= 1:
                 worst = max(worst, abs(u_kernel - gg.u) / max(abs(gg.u), mp.mpf(1)))
-    tol = ctx.tol(10)
     return {"check": "kernel-recurrence-map", "trials": trials, "N": N,
-            "max_error": float(worst), "residual": float(worst), "tolerance": float(tol),
-            "status": "pass" if worst <= tol else "fail",
+            "max_error": float(worst), **verdict("kernel-map", worst, ctx),
             "notes": "A_n -> C_{n+1}, C_n -> A_n restatement"}
 
 
@@ -588,25 +577,25 @@ def verify_commuting_square(which, ctx: PrecisionContext):
     dilated little q-Jacobi with swapped parameters.  Both paths have scale
     s = 1, so their ladders' rungs are the source polynomials, and the leg
     compares the two ladders' rungs at the ladder's precision.  The residual
-    is the c -> 0 leg's error; the notes give the fitted order of each path.
+    is the c -> 0 leg's error, gated as a square; the row fails also when
+    either path fails.  The notes give the fitted order of each path.
     """
     N = LADDER_N
     path_a, path_b = [dataclasses.replace(EDGES[edge_id], fixture=fx)
                       for edge_id, fx in SQUARES[which]]
     rep_a, rep_b = verify_limit(path_a, N, ctx), verify_limit(path_b, N, ctx)
     leg_err = max(_compare_sets(a, b) for a, b in zip(rep_a["rungs"], rep_b["rungs"]))
-    tol = ctx.tol(10)
-    ok = leg_err <= tol and rep_a["status"] == rep_b["status"] == "pass"
+    row = verdict("square", leg_err, ctx)
+    if not rep_a["status"] == rep_b["status"] == "pass":
+        row["status"] = "fail"
     return {
         "square": which, "N": N,
         "exact_leg_error": float(leg_err),
-        "residual": float(leg_err),
-        "tolerance": float(tol),
+        **row,
         "path_errors_via_minus1": rep_a["errors"],
         "path_errors_via_little_q": rep_b["errors"],
         "order_path_a": rep_a["order_poly"],
         "order_path_b": rep_b["order_poly"],
-        "status": "pass" if ok else "fail",
         "notes": "orders %s / %s" % (_order_note(rep_a["order_poly"]),
                                      _order_note(rep_b["order_poly"])),
     }

@@ -2,11 +2,14 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minusone import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -261,9 +264,11 @@ def test_dead_end_ends_only_its_own_check(capsys, monkeypatch):
 
 
 def test_unknown_check_usage_error(capsys):
+    # an explicit empty --checks selects nothing: a usage error, not every check
     for scope in (["--all"], ["--edge", "gen-hermite:hermite"], ["--family", "hermite"]):
-        code, out = run(capsys, "verify", *scope, "--checks", "nonesuch")
-        assert code == cli.EXIT_USAGE and out == ""
+        for checks in ("nonesuch", ""):
+            code, out = run(capsys, "verify", *scope, "--checks", checks)
+            assert code == cli.EXIT_USAGE and out == "", (scope, checks)
 
 
 def test_empty_edge_selection_usage_error(capsys):
@@ -298,6 +303,17 @@ def test_q_hahn_ladder_at_15_digits(capsys, edge):
     assert code == 0
     [result] = json.loads(out)["results"]
     assert (result["check"], result["status"]) == ("limit", "pass")
+
+
+@pytest.mark.parametrize("digits", [15, pytest.param(50, marks=pytest.mark.slow),
+                                    pytest.param(100, marks=pytest.mark.slow)])
+def test_verify_all_matches_golden_report(capsys, digits):
+    # the committed report, byte for byte: a change to any row's output is
+    # a change to tests/golden, regenerated with the same command
+    code, out = run(capsys, "verify", "--all", "--digits", str(digits), "--format", "json",
+                    "--no-timestamp")
+    assert code == 0
+    assert out == (GOLDEN / ("verify-all-d%d.json" % digits)).read_text()
 
 
 @pytest.mark.slow

@@ -5,12 +5,16 @@ from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from minusone.precision import (
+    GATES,
     PrecisionContext,
     StirlingSeries,
     ZeroDenominatorError,
+    gram_context,
     hyp_terminating,
+    ladder_context,
     log_abs_gamma_sum,
     pochhammer,
+    verdict,
 )
 
 CTX = PrecisionContext(50)
@@ -100,6 +104,46 @@ def test_tol_is_computed_once_and_exact(digits):
         value = ctx.tol(offset)
         assert value._mpf_ == (mp.mpf(10) ** (offset - digits))._mpf_
         assert ctx.tol(offset) is value
+
+
+# the precision plan written out: tightening or loosening a gate, or moving a
+# working precision, is an edit of this table
+_PLAN = {
+    "closed-form": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "eigen": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "exact": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "ct-gt": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "kernel-map": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "square": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "eigen-basis": lambda mp, d: mp.mpf(10) ** (12 - d),
+    "gram": lambda mp, d: 10.0 ** -(d / 2),
+    "limit": lambda mp, d: mp.mpf("1e-8"),
+    "limit-floor": lambda mp, d: mp.mpf(10) ** (12 - d),
+    "favard-reality": lambda mp, d: mp.mpf(10) ** (8 - d),
+}
+
+
+@pytest.mark.parametrize("digits", [15, 16, 19, 20, 21, 50, 100])
+def test_precision_plan(digits):
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    assert set(GATES) == set(_PLAN)
+    for kind, expected in _PLAN.items():
+        value = GATES[kind](ctx)
+        assert type(value) is type(expected(mp, digits)) and value == expected(mp, digits), kind
+        row = verdict(kind, value, ctx)
+        assert row == {"residual": float(value), "tolerance": float(value), "status": "pass"}
+        assert verdict(kind, value * 2, ctx)["status"] == "fail"
+    assert GATES["eigen"](ctx) is ctx.tol(10)          # the cached tolerance, no new mpf
+
+    work, node_tol = gram_context(ctx)
+    assert work.digits == max(15, digits // 2 + 5)
+    assert work.mp.dps == max(30, digits // 2 + 20)
+    assert node_tol._mpf_ == (work.mp.mpf(10) ** -(digits // 2 + 15))._mpf_
+
+    ladder = ladder_context(ctx)
+    assert ladder.digits == max(digits, 20)
+    assert (ladder is ctx) == (digits >= 20)
 
 
 # log|Gamma| kernel against mpmath's gamma at 40 more bits: error at most 2**-(p - 10)
