@@ -271,7 +271,8 @@ _SUITE_ROWS = tuple(("commuting-square:%s" % which, "square", "fig.1",
 def cmd_verify(args):
     scope_checks = (FAMILY_CHECKS if args.family else EDGE_CHECKS if args.edge
                     else FAMILY_CHECKS + EDGE_CHECKS)
-    checks = args.checks.split(",") if args.checks is not None else list(scope_checks)
+    checks = (list(dict.fromkeys(args.checks.split(","))) if args.checks is not None
+              else list(scope_checks))
     try:
         if args.output:
             _check_output(args.output)

@@ -61,6 +61,8 @@ class WeightSpec:
     density: Callable                # (x, lo_off=None, hi_off=None); includes any sign factor;
                                      # nonnegative on the support (module ``weights``)
     measure_prefactor: object = 1    # multiplies the raw integral in the printed inner product
+    even: bool = False               # density(-x, hi_off, lo_off) == density(x, lo_off, hi_off)
+                                     # and the pieces are closed under x -> -x
 
 
 def denominator_check(ctx: PrecisionContext):

@@ -58,7 +58,8 @@ def _inner(x, g, lo_off, hi_off):
 
 def _w_hermite(ctx):
     mp = ctx.mp
-    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], lambda x, *offsets: mp.exp(-x * x))
+    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], lambda x, *offsets: mp.exp(-x * x),
+                      even=True)
 
 
 def _w_generalized_hermite(ctx, alpha):
@@ -66,7 +67,7 @@ def _w_generalized_hermite(ctx, alpha):
     _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
     dens = lambda x, *offsets: abs(x) ** (2 * alpha) * mp.exp(-x * x)
     zero = mp.mpf(0)
-    return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens)
+    return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens, even=True)
 
 
 def _w_minus1_mp(ctx, alpha, gamma):
@@ -92,7 +93,7 @@ def _w_gegenbauer(ctx, alpha):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return (p * m) ** e
 
-    return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
+    return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens, even=True)
 
 
 def _w_generalized_gegenbauer(ctx, alpha, beta):
@@ -104,7 +105,7 @@ def _w_generalized_gegenbauer(ctx, alpha, beta):
         p, m = _one_pm_x(x, lo_off, hi_off)
         return abs(x) ** (2 * alpha + 1) * (p * m) ** beta
 
-    return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
+    return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens, even=True)
 
 
 def _w_chihara(ctx, alpha, beta, gamma):
@@ -169,9 +170,14 @@ def _w_big_m1j(ctx, alpha, beta, c):
 # (DLMF 5.4.3, 5.4.4), so |Gamma(ix) / Gamma(2ix)|^2 = 4 cosh(pi x), which
 # is finite at x = 0, and 1 / |Gamma(1/2 + ix)|^2 = cosh(pi x) / pi.  The
 # remaining moduli, |Gamma(a + iy)| with a > 0, come from one call of the
-# fixed-point kernel ``log_abs_gamma_sum`` per node: the density is
+# fixed-point kernel ``log_abs_gamma_sum`` per density call: the density is
 # exp(2 * sum of log|Gamma|) times the cosh factor.  Each spec builds its
-# ``StirlingSeries`` constants once, in its closure.
+# ``StirlingSeries`` constants once, in its closure.  The symmetric
+# Bannai-Ito weights are even where their parameters are closed under
+# conjugation; their specs say so (``WeightSpec.even``), as those of the
+# Hermite and Gegenbauer families do, and the node tables then sweep each
+# pair +-x once (``quadrature``, Even weights).  Every density is a pure
+# function of its arguments.
 
 
 def _conjugate_closed(vals, mp):
@@ -179,28 +185,11 @@ def _conjugate_closed(vals, mp):
     return all(vals.count(mp.conj(v)) == vals.count(v) for v in vals)
 
 
-def _mirrored(density):
-    """An even density that pays for each pair +-x once.
+def _gamma_modulus_weight(vals, mp):
+    """The weight 4 cosh(pi x) |prod Gamma(v + ix)|^2 = |Gamma(ix) prod Gamma(v + ix) / Gamma(2ix)|^2
+    on the whole line, with the printed 1/(4 pi) before its integral.
 
-    The value computed at x waits, keyed by |x|, until -x asks for it.  A
-    whole-line table sweeps a level's +x nodes, then its -x nodes, so at
-    most one half-level of values waits at a time.
-    """
-    pending = {}
-
-    def dens(x, *offsets):
-        key = abs(x)
-        value = pending.pop(key, None)
-        if value is None:
-            value = pending[key] = density(x)
-        return value
-    return dens
-
-
-def _gamma_modulus_density(vals, mp):
-    """4 cosh(pi x) |prod Gamma(v + ix)|^2 = |Gamma(ix) prod Gamma(v + ix) / Gamma(2ix)|^2.
-
-    Even in x when vals is closed under conjugation; it is then mirrored.
+    Even in x when vals is closed under conjugation.
     """
     series = StirlingSeries(mp)
     parts = [(mp.re(v), mp.im(v)) for v in vals]
@@ -209,7 +198,8 @@ def _gamma_modulus_density(vals, mp):
     def dens(x, *offsets):
         s = log_abs_gamma_sum([(a, b + x) for a, b in parts], series)
         return 4 * mp.cosh(pi * x) * mp.exp(mp.ldexp(s, 1))
-    return _mirrored(dens) if _conjugate_closed(vals, mp) else dens
+    return WeightSpec(pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))], density=dens,
+                      measure_prefactor=1 / (4 * mp.pi), even=_conjugate_closed(vals, mp))
 
 
 def _w_gsbi(ctx, a, b, c):
@@ -220,21 +210,13 @@ def _w_gsbi(ctx, a, b, c):
     conj_closed = all(min(abs(mp.conj(v) - w) for w in vals) <= ctx.tol(4) * (1 + abs(v))
                       for v in vals)
     _require(conj_closed, "non-real parameters occur in conjugate pairs", "A.6")
-    return WeightSpec(
-        pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
-        density=_gamma_modulus_density(vals, mp),
-        measure_prefactor=1 / (4 * mp.pi),
-    )
+    return _gamma_modulus_weight(vals, mp)
 
 
 def _w_sbi(ctx, a, b):
     mp = ctx.mp
     _require(mp.re(a) > 0 and mp.re(b) > 0, "Re(a), Re(b) > 0", "A.10")
-    return WeightSpec(
-        pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
-        density=_gamma_modulus_density([mp.mpc(a), mp.mpc(b)], mp),
-        measure_prefactor=1 / (4 * mp.pi),
-    )
+    return _gamma_modulus_weight([mp.mpc(a), mp.mpc(b)], mp)
 
 
 def _cbi_weight(al, be, ga, de, anchor, ctx):

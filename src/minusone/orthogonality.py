@@ -58,7 +58,7 @@ from .precision import GATES, PrecisionContext, gram_context, verdict
 
 def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
     """Node table of a weight spec: its support pieces and density, with offsets, in the DE engine."""
-    return quadrature.build_node_table(spec.pieces, spec.density, ctx, tol, max_degree)
+    return quadrature.build_node_table(spec.pieces, spec.density, ctx, tol, max_degree, spec.even)
 
 
 def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):

@@ -65,17 +65,39 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
     then 5e-11) that predicts 5e-33, and the next mesh moves by 2e-25.
 - Refinement.  Each level halves the mesh and sweeps only the new odd
   multiples, reusing every earlier node.
-- Stepping.  The maps take (t, e) with e = exp(|t|), and a sweep carries e
-  from node to node by one multiplication by exp(step * h), rounded at
-  GUARD_BITS past the working precision (Bailey, Jeyabalan & Li, Exp.
-  Math. 14 (2005)); after n products e is off by about
-  n 2**-(prec + GUARD_BITS), relative, far below a rounding at prec.  sinh
-  then needs no transcendental call, tanh-sinh one exp, of -2|u|, and the
-  half-line one exp.  The +-t rule: a node depends on |t| and the sign of
-  t only, and the +t and -t sweeps of a level run the same sequence of
-  products, so x(-t) = -x(t) bit for bit on the whole line.  Mirrored even
-  densities (``families.weights``) rely on it: they pay for each pair +-x
-  once.
+- Raw values.  The maps take t and e = exp(|t|), and the sweep carries x,
+  w, the offsets, the guard terms and its cutoff state, as libmp values
+  (mpmath.libmp's (sign, man, exp, bc) tuples).  It calls the libmp
+  functions that mpmath's operators would call, at the working precision
+  and rounding to nearest, so every value rounds as the mpf expression
+  would; the density alone sees mpf values.  A sweep carries e from node
+  to node by one multiplication by exp(step * h), rounded at GUARD_BITS
+  past the working precision (Bailey, Jeyabalan & Li, Exp. Math. 14
+  (2005)); after n products e is off by about n 2**-(prec + GUARD_BITS),
+  relative, far below a rounding at prec.  sinh then needs no
+  transcendental call, tanh-sinh one exp, of -2|u|, and the half-line
+  one exp.  Measured on the first fixture points' Gram tables at 50 digits
+  (45 working digits, 2-vCPU VM, density values served from a dict), a
+  node cost about 7.3 multiplications, one integer power, 5.2 additions,
+  2.5 divisions and 3.0 comparisons through mpmath's operators, 42 us per
+  table node; as libmp calls it is 6.3, 1, 5.4, 1.8 and 2.3 per swept
+  node (even weights sweep about half of their nodes), 24 us per table
+  node.
+- Even weights.  A node depends on |t| and the sign of t only, and the +t
+  and -t sweeps of a level run the same sequence of products, so on a
+  piece with lo = -hi, x(-t) = -x(t) and w(-t) = w(t) bit for bit.  With
+  ``even`` (``WeightSpec.even``: density(-x, hi_off, lo_off) equals
+  density(x, lo_off, hi_off) bit for bit, and the pieces are closed under
+  x -> -x) such a piece sweeps +t only and appends each node's mirror,
+  (-x, same weight), adding the same guard terms in the same order: the
+  table is the full sweep's, bit for bit.  A piece whose mirror was
+  already built copies it, negated.  A half-line twin lists its nodes as
+  its own sweep would; a tanh-sinh twin (generalized Gegenbauer) has its
+  +t and -t sweeps swapped, so its guard sums, ``last_two`` and
+  ``error``, add the same terms in another order and can differ in the
+  last bit (the Gram reads neither).  The density is then called for
+  about half of the nodes.  ``integrate`` never passes ``even``: its f
+  need not be even.
 - One dot product.  ``NodeTable.dot`` is the only summation over a table:
   ``integrate`` and the Gram matrix both go through it.  Its operands are
   rows in block fixed point (Wilkinson, Rounding Errors in Algebraic
@@ -102,7 +124,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from mpmath.libmp import fone, from_man_exp, mpf_exp, mpf_mul, round_nearest
+from mpmath.libmp import (finf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp,
+                          mpf_gt, mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sub, round_nearest as RND)
 
 from .precision import PrecisionContext
 
@@ -162,7 +186,7 @@ class NodeTable:
         """
         total = sum(a.mans) if b is None else sum(map(mul, a.mans, b.mans))
         exp = a.exp if b is None else a.exp + b.exp
-        return self.mp.make_mpf(from_man_exp(total, exp, self.mp.prec, round_nearest))
+        return self.mp.make_mpf(from_man_exp(total, exp, self.mp.prec, RND))
 
 
 @dataclass(frozen=True)
@@ -193,21 +217,24 @@ def _map_tanh_sinh(lo, hi, mp):
     offset from the other end is width minus it, at least width/2, and
     1/cosh(u)^2 = 4q/(1+q)^2.
     """
-    width = hi - lo
-    rate = -mp.pi / 2            # -2|u| = rate * (e - 1/e)
-    half_pi = mp.pi / 2          # w = half_pi * (e + 1/e) * near / (1 + q)
+    prec = mp.prec
+    lo, hi = lo._mpf_, hi._mpf_
+    width = mpf_sub(hi, lo, prec, RND)
+    rate = (-mp.pi / 2)._mpf_            # -2|u| = rate * (e - 1/e)
+    half_pi = (mp.pi / 2)._mpf_          # w = half_pi * (e + 1/e) * near / (1 + q)
 
     def phi(t, e):
-        r = 1 / e
-        q = mp.exp(rate * (e - r))
-        d = 1 + q
-        near = width * q / d
-        if not near:
+        r = mpf_rdiv_int(1, e, prec, RND)
+        q = mpf_exp(mpf_mul(rate, mpf_sub(e, r, prec, RND), prec, RND), prec, RND)
+        d = mpf_add(q, fone, prec, RND)
+        near = mpf_div(mpf_mul(width, q, prec, RND), d, prec, RND)
+        if near == fzero:
             return None
-        w = half_pi * (e + r) * near / d
-        if t >= 0:
-            return hi - near, w, width - near, near
-        return lo + near, w, near, width - near
+        w = mpf_div(mpf_mul(mpf_mul(half_pi, mpf_add(e, r, prec, RND), prec, RND), near, prec, RND),
+                    d, prec, RND)
+        if t[0]:                          # t < 0
+            return mpf_add(lo, near, prec, RND), w, near, mpf_sub(width, near, prec, RND)
+        return mpf_sub(hi, near, prec, RND), w, mpf_sub(width, near, prec, RND), near
     return phi
 
 
@@ -219,31 +246,32 @@ def _map_half_line(anchor, direction, mp):
     terms that die double-exponentially in t.  exp(t - exp(-t)) is the
     offset from the finite end.
     """
-    inf = mp.inf
+    prec = mp.prec
+    anchor = anchor._mpf_
 
     def phi(t, e):
-        if t >= 0:
-            d = 1 / e                  # exp(-t)
-            g = e * mp.exp(-d)         # exp(t - exp(-t))
-        else:
+        if t[0]:                          # t < 0
             d = e
-            g = mp.exp(-d) / e
-        if not g:
+            g = mpf_div(mpf_exp(mpf_neg(d, prec, RND), prec, RND), e, prec, RND)
+        else:
+            d = mpf_rdiv_int(1, e, prec, RND)                               # exp(-t)
+            g = mpf_mul(e, mpf_exp(mpf_neg(d, prec, RND), prec, RND), prec, RND)   # exp(t - exp(-t))
+        if g == fzero:
             return None
-        w = (1 + d) * g
+        w = mpf_mul(mpf_add(d, fone, prec, RND), g, prec, RND)
         if direction > 0:
-            return anchor + g, w, g, inf
-        return anchor - g, w, inf, g
+            return mpf_add(anchor, g, prec, RND), w, g, finf
+        return mpf_sub(anchor, g, prec, RND), w, finf, g
     return phi
 
 
 def _map_sinh(mp):
-    inf = mp.inf
+    prec = mp.prec
 
     def phi(t, e):
-        r = 1 / e
-        x = (e - r) / 2
-        return (x if t >= 0 else -x), (e + r) / 2, inf, inf
+        r = mpf_rdiv_int(1, e, prec, RND)
+        x = mpf_shift(mpf_sub(e, r, prec, RND), -1)
+        return (mpf_neg(x) if t[0] else x), mpf_shift(mpf_add(e, r, prec, RND), -1), finf, finf
     return phi
 
 
@@ -259,7 +287,7 @@ def _component_map(lo, hi, mp):
     return _map_half_line(lo, 1, mp)
 
 
-def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
+def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, even=False):
     """Quadrature nodes for every (lo, hi) support piece of a density.
 
     Each piece is refined until its guard sum converges (module docstring,
@@ -271,105 +299,152 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree):
     trapezoid convergence with its kink.)  The nodes are listed in sweep
     order, which no reader of a table depends on.  The density is called as
     density(x, x - lo, hi - x), the offsets as the map computes them (module
-    docstring, Offsets).
+    docstring, Offsets).  With ``even``, the density is even and the pieces
+    are closed under x -> -x, and each pair +-x is swept once (module
+    docstring, Even weights).
     """
     mp = ctx.mp
     tol = mp.mpf(tol)
-    model_tol = tol / MODEL_MARGIN
-    eps_term = ctx.tol(-10)        # ~1e-(digits+10): term cutoff relative to the peak
+    eps_term = ctx.tol(-10)._mpf_  # ~1e-(digits+10): term cutoff relative to the peak
     gd = (max_degree + 1) // 2
+    make = mp.make_mpf
     xs, ws = [], []
     levels_used = 0
     converged_all = True
     last_two = (mp.mpf(0), mp.mpf(0))
     error = mp.mpf(0)
+    built = {}                     # (lo, hi) -> its piece, for the mirror of an even weight
 
     for lo, hi in pieces:
         lo, hi = mp.mpf(lo), mp.mpf(hi)
-        phi = _component_map(lo, hi, mp)
-        pts = []          # (x, w*density) in sweep order
-        h = mp.mpf(1)
-        previous = mp.mpf(0)       # a single mesh is compared against 0
-        change = None              # d_(k-1), the change at the level before
-        total = mp.mpf(0)          # sum of w*density*(1+x^2)**gd over pts
-        level = 0
-        while True:
-            total += _sweep_level(phi, h, level, pts, density, mp, eps_term, gd)
-            guard = h * total
-            d = predicted = abs(guard - previous)
-            scale = abs(guard)
-            converged = level > 0 and d <= tol * scale
-            if not converged and level > 1 and d * d <= model_tol * scale * change:
-                converged, predicted = True, d * d / change
-            # a piece with no node (zero width at this precision) ends unconverged
-            if converged or not pts or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
-                break
-            previous, change = guard, d
-            h = h / 2
-            level += 1
+        twin = built.get((-hi, -lo)) if even else None
+        if twin is None:
+            piece = built[lo, hi] = _refine(_component_map(lo, hi, mp), density, mp, tol,
+                                            eps_term, gd, even and lo == -hi)
+        else:                      # the twin's nodes, negated
+            piece = ([(mpf_neg(x), w) for x, w in twin[0]],) + twin[1:]
+        pts, level, converged, previous, guard, predicted = piece
         levels_used = max(levels_used, level + 1)
         converged_all = converged_all and converged
         last_two = (last_two[0] + previous, last_two[1] + guard)
         error += predicted
         for x, w in pts:
-            xs.append(x)
-            ws.append(h * w)
+            xs.append(make(x))
+            ws.append(make(mpf_shift(w, -level)))      # h * w, exactly: h = 2**-level
     return NodeTable(xs=xs, weights=ws, levels=levels_used,
                      converged=converged_all, last_two=last_two, error=error, mp=mp)
 
 
-def _sweep_level(phi, h, level, pts, density, mp, eps_term, gd):
+def _refine(phi, density, mp, tol, eps_term, gd, mirror):
+    """One piece, refined mesh by mesh (module docstring, Convergence).
+
+    Returns (pts, level, converged, previous, guard, predicted): the raw
+    (x, w * density) of its nodes in sweep order, its last level, whether
+    it converged, its guard sums on the last two meshes and the predicted
+    error of the last.
+    """
+    model_tol = tol / MODEL_MARGIN
+    pts = []
+    h = mp.mpf(1)
+    previous = mp.mpf(0)           # a single mesh is compared against 0
+    change = None                  # d_(k-1), the change at the level before
+    total = mp.mpf(0)              # sum of w*density*(1+x^2)**gd over pts
+    level = 0
+    while True:
+        total += mp.make_mpf(_sweep_level(phi, level, pts, density, mp, eps_term, gd, mirror))
+        guard = h * total
+        d = predicted = abs(guard - previous)
+        scale = abs(guard)
+        converged = level > 0 and d <= tol * scale
+        if not converged and level > 1 and d * d <= model_tol * scale * change:
+            converged, predicted = True, d * d / change
+        # a piece with no node (zero width at this precision) ends unconverged
+        if converged or not pts or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
+            return pts, level, converged, previous, guard, predicted
+        previous, change = guard, d
+        h = h / 2
+        level += 1
+
+
+def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
     """Add this level's nodes to pts, sweeping outward until terms die off.
 
-    Node k sits at t = k h.  Returns the sum of the guard terms
+    Node k sits at t = k 2**-level.  Returns the sum of the guard terms
     w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
-    e = exp(|t|) through the same products (module docstring, Stepping).
+    e = exp(|t|) through the same products (module docstring, Raw values).
+    With ``mirror`` the -t sweep repeats the +t sweep negated (module
+    docstring, Even weights).
     """
+    prec = mp.prec
+    make = mp.make_mpf
+
     def handle(k, e):
-        node = phi(k * h, mp.make_mpf(e))
+        node = phi(from_man_exp(k, -level), e)
         if node is None:       # an offset the density sees is 0 (module docstring, Stop rule)
             return None
         x, w, lo_off, hi_off = node
-        wd = w * density(x, lo_off, hi_off)
+        value = density(make(x), make(lo_off), make(hi_off))
+        try:
+            value = value._mpf_
+        except AttributeError:
+            value = _real(value, x, mp)
+        wd = mpf_mul(w, value, prec, RND)
         pts.append((x, wd))
-        return wd * (1 + x * x) ** gd
+        guard = mpf_pow_int(mpf_add(mpf_mul(x, x, prec, RND), fone, prec, RND), gd, prec, RND)
+        return mpf_mul(wd, guard, prec, RND)
 
-    added = mp.mpf(0)
+    added = fzero
     step = 2 if level else 1
     if level == 0:
         g = handle(0, fone)
         if g is None:
             return added
-        added += g
-    wp = mp.prec + GUARD_BITS
-    first = mpf_exp(h._mpf_, wp)               # exp(h): both sweeps start at |k| = 1
-    factor = mpf_exp((step * h)._mpf_, wp)
+        added = mpf_add(added, g, prec, RND)
+    wp = prec + GUARD_BITS
+    first = mpf_exp(from_man_exp(1, -level), wp)          # exp(h): both sweeps start at |k| = 1
+    factor = mpf_exp(from_man_exp(step, -level), wp)
 
-    for direction in (1, -1):
+    for direction in (1,) if mirror else (1, -1):
         small_run = 0
-        peak = mp.mpf(0)
-        cut = eps_term * eps_term           # eps_term * max(peak, eps_term)
+        peak = fzero
+        cut = mpf_mul(eps, eps, prec, RND)                 # eps * max(peak, eps)
+        start, terms = len(pts), []
         k, e = direction, first
         while True:
             g = handle(k, e)
             if g is None:
                 break
-            added += g
-            r = abs(g)
-            if r > peak:
+            added = mpf_add(added, g, prec, RND)
+            terms.append(g)
+            r = mpf_abs(g, prec, RND)
+            if mpf_gt(r, peak):
                 peak = r
-                cut = eps_term * max(peak, eps_term)
-            if r < cut:
+                cut = mpf_mul(eps, eps if mpf_gt(eps, peak) else peak, prec, RND)
+            if mpf_lt(r, cut):
                 small_run += 1
                 if small_run >= 4:
                     break
             else:
                 small_run = 0
             k += step * direction
-            e = mpf_mul(e, factor, wp, round_nearest)
+            e = mpf_mul(e, factor, wp, RND)
             if len(pts) >= NODE_CAP:
                 return added
+    if mirror:                 # the -t sweep: the same terms, in the same order
+        for (x, wd), g in zip(pts[start:], terms):
+            pts.append((mpf_neg(x), wd))
+            added = mpf_add(added, g, prec, RND)
+            if len(pts) >= NODE_CAP:
+                break
     return added
+
+
+def _real(value, x, mp):
+    """The raw value of a density value that is not an mpf; ValueError where it is not real."""
+    value = mp.convert(value)
+    if not isinstance(value, mp.mpf):
+        raise ValueError("integrand is not real at x = %s: %s" % (mp.make_mpf(x), value))
+    return value._mpf_
 
 
 def integrate(spec, f, ctx: PrecisionContext, tol=None):

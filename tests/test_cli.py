@@ -77,6 +77,17 @@ def test_verify_edge(capsys):
     assert report["results"][0]["anchor"]
 
 
+def test_verify_checks_are_deduplicated(capsys):
+    # a check named twice runs once and is echoed once, in first-seen order
+    code, out = run(capsys, "verify", "--family", "hermite", "--checks",
+                    "favard,closed-form,favard", "--digits", "15", "--format", "json",
+                    "--no-timestamp")
+    report = json.loads(out)
+    assert code == cli.EXIT_PASS
+    assert report["config"]["checks"] == ["favard", "closed-form"]
+    assert [r["check"] for r in report["results"]] == ["closed-form", "favard"]
+
+
 def test_verify_unknown_edge_usage(capsys):
     code, _ = run(capsys, "verify", "--edge", "hermite:gegenbauer")
     assert code == cli.EXIT_USAGE

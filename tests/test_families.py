@@ -387,6 +387,34 @@ def test_gamma_modulus_densities_match_printed_products(digits):
     assert abs(spec.density(x) - spec.density(-x)) > ctx.tol(0) * spec.density(x)
 
 
+def test_even_flag_marks_even_weights():
+    # an even flag makes the node tables mirror one half of the line, so a wrong one could
+    # pass a Gram falsely: each flagged spec has pieces closed under x -> -x and a density
+    # even bit for bit, with and without the offsets the tables pass
+    mp = CTX.mp
+    flagged = set()
+    for fid in F.orthogonal_ids():
+        for pt in F.fixture_points(fid):
+            spec = F.weight_spec(fid, P(fid, **pt), CTX)
+            if not spec.even:
+                continue
+            flagged.add(fid)
+            pieces = set(spec.pieces)
+            assert all((-hi, -lo) in pieces for lo, hi in pieces), (fid, pt)
+            for s in GAMMA_DENSITY_XS:
+                x = mp.mpf(s)
+                assert spec.density(-x) == spec.density(x), (fid, pt, s)
+                for lo, hi in spec.pieces:
+                    if lo < x < hi:
+                        assert spec.density(-x, hi - x, x - lo) == spec.density(x, x - lo, hi - x), \
+                            (fid, pt, s)
+    assert flagged == {"hermite", "generalized-hermite", "gegenbauer", "generalized-gegenbauer",
+                       "generalized-symmetric-bannai-ito", "symmetric-bannai-ito"}
+    # the uneven point of test_gamma_modulus_densities_match_printed_products
+    uneven = {"a": mp.mpc(1, mp.mpf(1) / 2), "b": mp.mpf(1)}
+    assert not F.weight_spec("symmetric-bannai-ito", uneven, CTX).even
+
+
 def test_weight_density_nonnegative_on_support():
     rng = random.Random(3)
     for fid in F.orthogonal_ids():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from minusone.precision import PrecisionContext
+from minusone.precision import PrecisionContext, gram_context
 from minusone.quadrature import integrate
 from minusone import families as F
 from minusone import orthogonality as orth
@@ -131,8 +131,8 @@ def _direct_map(lo, hi, mp):
 def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
     # every node of the 14 Gram tables (fixture point 0, N = 8): x, w and the finite offsets
     # from e^|t| carried by multiplication agree with sinh/cosh/exp of t to 2**-(p - 16), and
-    # tables built
-    # from the direct maps have the same nodes and levels
+    # tables built from the direct maps have the same nodes and levels.  The maps take t and
+    # e^|t| and return the node as raw libmp values
     ctx = PrecisionContext(digits)
     stepped_map = quadrature._component_map
     worst = []
@@ -143,9 +143,9 @@ def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
         def both(t, e):
             node = phi(t, e)
             if node is not None:
-                ref = direct(t)
+                ref = direct(mp.make_mpf(t))
                 worst.append(max(abs(a - b) / abs(b) if b else abs(a)
-                                 for a, b in zip(node, ref) if mp.isfinite(b))
+                                 for a, b in zip(map(mp.make_mpf, node), ref) if mp.isfinite(b))
                              * 2 ** (mp.prec - 16))
             return node
         return both
@@ -154,8 +154,8 @@ def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
         direct = _direct_map(lo, hi, mp)
 
         def from_t(t, e):
-            node = direct(t)
-            return node if all(node[2:]) else None
+            node = direct(mp.make_mpf(t))
+            return tuple(v._mpf_ for v in node) if all(node[2:]) else None
         return from_t
 
     for fid in F.orthogonal_ids():
@@ -168,17 +168,44 @@ def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
         assert max(worst) <= 1, (fid, max(worst))
 
 
-def test_symmetric_table_mirrors_its_density(monkeypatch):
-    # x(-t) == -x(t) bit for bit, so an even density is evaluated once per pair +-x
-    calls = []
-    kernel = weights.log_abs_gamma_sum
-    monkeypatch.setattr(weights, "log_abs_gamma_sum",
-                        lambda terms, series: calls.append(1) or kernel(terms, series))
-    ctx = PrecisionContext(15)
-    fid = "symmetric-bannai-ito"
-    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
-    _, _, table = orth._boosted_table(fid, params, ctx, 16)
-    assert len(calls) <= math.ceil(len(table.xs) / 2) + 1, (len(calls), len(table.xs))
+def _even_specs(digits):
+    """(fid, work, tol, spec) at fixture point 0 of every family whose weight is flagged even,
+    the spec in the Gram table's context."""
+    ctx = PrecisionContext(digits)
+    work, tol = gram_context(ctx)
+    for fid in F.orthogonal_ids():
+        spec = F.weight_spec(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), work)
+        if spec.even:
+            yield fid, work, tol, spec
+
+
+@pytest.mark.parametrize("digits", [15, pytest.param(50, marks=pytest.mark.slow),
+                                    pytest.param(100, marks=pytest.mark.slow)])
+def test_even_sweep_matches_full_sweep(digits):
+    # sweeping each pair +-x once gives the table of the full sweep: the same (x, w) multiset,
+    # bit for bit, the same levels and the same convergence
+    compared = 0
+    for fid, work, tol, spec in _even_specs(digits):
+        tables = [quadrature.build_node_table(spec.pieces, spec.density, work, tol, 16, even)
+                  for even in (True, False)]
+        mirrored, full = [(sorted((x._mpf_, w._mpf_) for x, w in zip(t.xs, t.weights)),
+                           t.levels, t.converged) for t in tables]
+        assert mirrored == full, (digits, fid)
+        compared += 1
+    assert compared == 6
+
+
+def test_symmetric_table_mirrors_its_density():
+    # an even weight's Gram table evaluates its density once per pair +-x
+    swept = 0
+    for fid, work, tol, spec in _even_specs(15):
+        calls = []
+        density = spec.density
+        spec.density = lambda *args: calls.append(1) or density(*args)
+        table = orth.build_node_table(spec, work, tol, 16)
+        assert len(calls) <= math.ceil(len(table.xs) / 2) + 1, (fid, len(calls), len(table.xs))
+        swept += 1
+    assert swept == 6
 
 
 def test_a_piece_without_nodes_does_not_converge():
