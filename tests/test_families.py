@@ -364,7 +364,7 @@ GAMMA_DENSITY_XS = ("0", "1e-3", "-1e-3", "0.731", "-0.731", "3.2", "-3.2",
 
 @pytest.mark.parametrize("digits", [15, 50])
 def test_gamma_modulus_densities_match_printed_products(digits):
-    # the reflection-identity densities, mirrored ones included, against the printed products
+    # the reflection-identity densities, even ones included, against the printed products
     ctx = PrecisionContext(digits)
     mp = ctx.mp
     cases = [(fid, F.make_params(fid, ctx, **pt))

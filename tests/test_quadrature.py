@@ -99,6 +99,15 @@ def test_multi_piece_and_gamma_modulus_masses():
         assert abs(r.value * spec.measure_prefactor - mass) <= MP.mpf("1e-40") * abs(mass), fid
 
 
+def test_density_values_must_be_real():
+    # an int density value is taken exactly; a complex one is refused where the sweep meets it
+    table = quadrature.build_node_table([(MP.mpf(-1), MP.mpf(1))], lambda x, a, b: 1, CTX,
+                                        CTX.tol(8), 0)
+    assert abs(table.dot(table.row(table.weights)) - 2) < CTX.tol(6)
+    with pytest.raises(ValueError, match="not real"):
+        integrate(_spec(-1, 1, lambda x, a, b: 1), lambda x: MP.mpc(1, 1), CTX)
+
+
 def _direct_map(lo, hi, mp):
     """The DE maps evaluated from t alone, as the reference for the stepped ones.
 
