@@ -6,22 +6,22 @@ quadrature, or a numerical dead end inside a check, which ends that check
 alone); 3 usage errors (an unknown family, edge or check, bad --params or
 --params outside --family, an edge with no check of its own, a negative
 --n, --digits below 15, a MINUS_ONE_DIGITS that is not an integer of at
-least 15, or an --output that cannot be written), with no report.
+least 15, or an --output that cannot be opened: verify opens it for append,
+creating it, after its other usage checks), with no report.
 MINUS_ONE_DIGITS overrides the default precision; an explicit --digits
 flag wins over the environment.
 
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
-and makes a missing table entry a skipped pass and a numerical dead end an
-inconclusive row.  Four tables name the runners: the family checks, the
-edge kinds, the suite rows of ``verify --all`` and its open questions
-(``scheme.OPEN_QUESTIONS``).
+and makes a missing table entry a skipped pass, a numerical dead end an
+inconclusive row and a genuine remainder of an exact division a failed row.
+Four tables name the runners: the family checks, the edge kinds, the suite
+rows of ``verify --all`` and its open questions (``scheme.OPEN_QUESTIONS``).
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import sys
@@ -29,6 +29,7 @@ import time
 
 from . import families, operators, orthogonality, scheme
 from .families import ParameterError, UnknownFamilyError
+from .polynomials import NonDivisibleError
 from .precision import PrecisionContext
 
 EXIT_PASS = 0
@@ -118,18 +119,13 @@ def _emit(text, output, code=EXIT_PASS):
         with open(output, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write("error: cannot write --output %s: %s\n" % (output, exc.strerror or exc))
-        return EXIT_USAGE
+        return _unwritable(output, exc)
     return code
 
 
-def _check_output(output):
-    """Raise _emit's write error, as a ParameterError, when ``output`` cannot be written."""
-    folder = os.path.dirname(output) or "."
-    err = (errno.EISDIR if os.path.isdir(output) else errno.ENOENT if not os.path.isdir(folder)
-           else errno.EACCES if not os.access(folder, os.W_OK) else None)
-    if err:
-        raise ParameterError("cannot write --output %s: %s" % (output, os.strerror(err)))
+def _unwritable(output, exc):
+    sys.stderr.write("error: cannot write --output %s: %s\n" % (output, exc.strerror or exc))
+    return EXIT_USAGE
 
 
 def _num_str(ctx, value):
@@ -212,8 +208,8 @@ _SKIPS = {families.NoClosedFormError: "no closed form on record",
 
 def _row(id, check, anchor, run, *args):
     """The report row of run(*args), a check's report with its status, residual, tolerance
-    and notes.  A family with no table entry for the check gets a skipped pass, and a
-    numerical dead end ends this check alone, as inconclusive."""
+    and notes.  A family with no table entry for the check gets a skipped pass; a numerical
+    dead end ends this check alone, as inconclusive, and an inexact kernel division as failed."""
     rep = {"residual": None, "tolerance": None}        # the fields of a check that ended early
     try:
         rep = run(*args)
@@ -221,6 +217,8 @@ def _row(id, check, anchor, run, *args):
         rep.update(status="pass", notes=_SKIPS[type(exc)] + " (skipped)")
     except families.DEAD_ENDS as exc:
         rep.update(status="inconclusive", notes=str(exc))
+    except NonDivisibleError as exc:
+        rep.update(status="fail", notes=str(exc))
     return {"id": id, "check": check, "status": rep["status"], "residual": rep["residual"],
             "tolerance": rep["tolerance"], "anchor": anchor, "notes": rep["notes"]}
 
@@ -274,8 +272,6 @@ def cmd_verify(args):
     checks = (list(dict.fromkeys(args.checks.split(","))) if args.checks is not None
               else list(scope_checks))
     try:
-        if args.output:
-            _check_output(args.output)
         ctx = _pick_digits(args)
         config = {"digits": ctx.digits}
         for c in checks:
@@ -306,6 +302,11 @@ def cmd_verify(args):
     except (KeyError, ParameterError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
+    if args.output:
+        try:
+            open(args.output, "a").close()
+        except OSError as exc:
+            return _unwritable(args.output, exc)
 
     results = []
     for fid, params in points:

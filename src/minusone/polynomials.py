@@ -457,10 +457,10 @@ def divide_exact(p: Poly, d: Poly, ctx: PrecisionContext):
     cls = remainder_class(r, scale, ctx)
     if cls == "zero":
         return q
+    size = ctx.mp.nstr(r.coeff_norm() / scale)
     if cls == "ambiguous":
-        raise ReductionAmbiguityError(
-            "remainder of relative size %s is in the ambiguity band" % ctx.mp.nstr(r.coeff_norm() / scale))
-    raise NonDivisibleError("polynomial division left a genuine remainder")
+        raise ReductionAmbiguityError("remainder of relative size %s is in the ambiguity band" % size)
+    raise NonDivisibleError("polynomial division left a genuine remainder of relative size %s" % size)
 
 
 def poly_gcd(p: Poly, q: Poly, ctx: PrecisionContext):

@@ -475,12 +475,11 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
 # Christoffel / Geronimus
 
 
-def christoffel(family, params, N, ctx: PrecisionContext):
-    """Kernel sequence G_n = (P_{n+1} - A_n P_n)/(x - 1); exact division required."""
-    fid = families.resolve_family(family)
-    pairs = families.recurrences(fid, params, N, ctx)
+def christoffel(pairs, ctx: PrecisionContext):
+    """Kernel polynomials G_n = (P_{n+1} - A_n P_n)/(x - 1), n < len(pairs), of the
+    recurrence pairs carrying a printed (A_n, C_n); each division must be exact."""
     if pairs[0].A is None:
-        raise families.ParameterError("family %s has no printed (A_n, C_n) decomposition" % fid)
+        raise families.ParameterError("the pairs have no printed (A_n, C_n) decomposition")
     polys = families.polys_from_pairs(pairs, ctx)
     mp = ctx.mp
     den = Poly((-mp.mpf(1), mp.mpf(1)))
@@ -488,11 +487,10 @@ def christoffel(family, params, N, ctx: PrecisionContext):
             for n, pair in enumerate(pairs)]
 
 
-def geronimus(family, params, kernel_polys, N, ctx: PrecisionContext):
-    """Inverse map P_n = G_n - C_n G_{n-1} using the family's printed C_n."""
-    pairs = families.recurrences(family, params, N, ctx)
+def geronimus(pairs, kernel_polys):
+    """Inverse map P_n = G_n - C_n G_{n-1} with the printed C_n of the recurrence pairs."""
     return [kernel_polys[0]] + [kernel_polys[n] - kernel_polys[n - 1].scale(pairs[n].C)
-                                for n in range(1, N + 1)]
+                                for n in range(1, len(kernel_polys))]
 
 
 def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
@@ -502,16 +500,13 @@ def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
         edge = resolve_edge("%s:%s" % (edge.target, edge.source))
     src_params, tgt_params, s = _mapdata(edge, ctx)
 
-    kernel = christoffel(edge.source, src_params, N, ctx)
+    pairs = families.recurrences(edge.source, src_params, N, ctx)
+    source = families.polys_from_pairs(pairs, ctx)[: N + 1]
+    kernel = christoffel(pairs, ctx)
     tgt_frame = _transform(families.generate(edge.target, tgt_params, N, ctx), s, ctx)
     err_ct = _compare_sets(kernel, tgt_frame)
-
-    source = families.generate(edge.source, src_params, N, ctx)
-    back = geronimus(edge.source, src_params, tgt_frame, N, ctx)
-    err_gt = _compare_sets(back, source[: N + 1])
-
-    round_trip = geronimus(edge.source, src_params, kernel, N, ctx)
-    err_round = _compare_sets(round_trip, source[: N + 1])
+    err_gt = _compare_sets(geronimus(pairs, tgt_frame), source)
+    err_round = _compare_sets(geronimus(pairs, kernel), source)
 
     return {
         "edge": edge.id, "kind": "christoffel-geronimus", "anchor": edge.anchor, "N": N,

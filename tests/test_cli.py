@@ -246,6 +246,27 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, monkeypatch, argv)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("export",),
+    ("verify", "--family", "hermite", "--checks", "favard", "--digits", "15"),
+], ids=["export", "verify"])
+def test_output_under_a_regular_file_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # the error open() gives, the same for every command; verify meets it
+    # before any check runs
+    from minusone import orthogonality
+
+    def favard_check(*args):
+        raise AssertionError("a check ran before the --output check")
+
+    monkeypatch.setattr(orthogonality, "favard_check", favard_check)
+    (tmp_path / "file").write_text("")
+    code = cli.main(list(argv) + ["--output", str(tmp_path / "file" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err.endswith(": Not a directory\n"), captured.err
+    assert captured.out == ""
+
+
 def test_dead_end_ends_only_its_own_check(capsys, monkeypatch):
     # a ParameterError inside the ladders of one edge makes its limit check
     # and its open question inconclusive; every other check still reports

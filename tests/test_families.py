@@ -219,15 +219,19 @@ def test_recurrences_are_prefixes_of_one_sequence():
     (lambda fid, params: orth.gram(fid, params, 4, PrecisionContext(15)),
      ("hermite", "little-minus1-jacobi")),
     # needs a printed (A_n, C_n): the kernel polynomials divide P_{n+1} - A_n P_n
-    (lambda fid, params: S.christoffel(fid, params, 6, CTX),
+    (lambda fid, params: S.christoffel(F.recurrences(fid, params, 6, CTX), CTX),
      ("little-minus1-jacobi", "big-minus1-jacobi")),
-], ids=["generate", "favard_scan", "gram", "christoffel"])
+    # one call for the source of each kernel pair and one for its target
+    (lambda fid, params: [S.verify_ct_gt(pair, 10, CTX) for pair in (
+        "little-minus1-jacobi:generalized-gegenbauer", "big-minus1-jacobi:chihara")],
+     ("little-minus1-jacobi", "generalized-gegenbauer", "big-minus1-jacobi", "chihara")),
+], ids=["generate", "favard_scan", "gram", "christoffel", "verify_ct_gt"])
 def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
     for fid in fids:
         table = F._ALL_RECURRENCES[fid]
         calls = []
 
-        def counted(ctx, N, table=table, **params):
+        def counted(ctx, N, table=table, calls=calls, **params):
             calls.append(N)
             return table(ctx, N, **params)
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 
-from minusone.precision import PrecisionContext
+import pytest
+
+from minusone.precision import GATES, PrecisionContext
 from minusone import families as F
 from minusone import scheme as S
 
@@ -131,7 +133,7 @@ def test_limit_floor_no_looser_than_gate_at_15_digits():
 def test_christoffel_low_degree():
     # G_0 = (P_1 - A_0 P_0)/(x - 1) = 1 since P_1 = x - 1 + A_0 (C_0 = 0)
     params = F.make_params("little-minus1-jacobi", CTX, alpha="0.5", beta="1.5")
-    g = S.christoffel("little-minus1-jacobi", params, 0, CTX)
+    g = S.christoffel(F.recurrences("little-minus1-jacobi", params, 0, CTX), CTX)
     assert g[0].degree == 0
     assert abs(g[0].coeffs[0] - 1) < CTX.tol(8)
 
@@ -152,6 +154,59 @@ def test_ct_gt_from_geronimus_side():
 def test_kernel_recurrence_map():
     rep = S.verify_recurrence_kernel_map(CTX, trials=20)
     assert rep["status"] == "pass"
+
+
+# digits of the kernel-pair mutation tests; the 100-digit run is slow
+_MUTATION_DIGITS = [15, 50, pytest.param(100, marks=pytest.mark.slow)]
+
+
+def _off_by_100_gates(monkeypatch, fid, field):
+    """Scale ``field`` of the family's n = 3 recurrence pair by 1 + 100 * (ct-gt gate)."""
+    table = F._ALL_RECURRENCES[fid]
+
+    def mutated(ctx, N, **params):
+        pairs = list(table(ctx, N, **params))
+        if N >= 3:
+            off = getattr(pairs[3], field) * (1 + 100 * GATES["ct-gt"](ctx))
+            pairs[3] = dataclasses.replace(pairs[3], **{field: off})
+        return pairs
+
+    monkeypatch.setitem(F._ALL_RECURRENCES, fid, mutated)
+
+
+@pytest.mark.parametrize("digits", _MUTATION_DIGITS)
+@pytest.mark.parametrize("fid, field, rows", [
+    ("generalized-gegenbauer", "u", ("ct-gt", "kernel-map")),
+    ("little-minus1-jacobi", "C", ("ct-gt", "kernel-map")),
+    ("little-minus1-jacobi", "A", ("kernel-map",)),
+], ids=["gg-u3", "lmj-C3", "lmj-A3"])
+def test_kernel_pair_rows_fail_on_a_coefficient_off_by_100_gates(monkeypatch, fid, field, rows,
+                                                                   digits):
+    # one coefficient off by 100 gates: each kernel-pair row it enters fails
+    # (the ct-gt row of an A_n off by 100 gates: test_kernel_division_remainder_fails_the_row)
+    ctx = PrecisionContext(digits)
+    _off_by_100_gates(monkeypatch, fid, field)
+    reports = {"ct-gt": lambda: S.verify_ct_gt("little-minus1-jacobi:generalized-gegenbauer",
+                                                10, ctx),
+               "kernel-map": lambda: S.verify_recurrence_kernel_map(ctx)}
+    for row in rows:
+        rep = reports[row]()
+        assert rep["status"] == "fail", (row, rep["residual"], rep["tolerance"])
+
+
+@pytest.mark.parametrize("digits", _MUTATION_DIGITS)
+def test_kernel_division_remainder_fails_the_row(monkeypatch, capsys, digits):
+    # an A_3 off by 100 gates leaves a genuine remainder in the kernel division:
+    # the ct-gt row fails with the relative remainder in its notes, no traceback
+    from minusone import cli
+
+    _off_by_100_gates(monkeypatch, "little-minus1-jacobi", "A")
+    code = cli.main(["verify", "--edge", "little-minus1-jacobi:generalized-gegenbauer",
+                     "--digits", str(digits), "--format", "json", "--no-timestamp"])
+    [row] = json.loads(capsys.readouterr().out)["results"]
+    assert code == cli.EXIT_FAIL
+    assert (row["check"], row["status"]) == ("ct-gt", "fail")
+    assert row["notes"].startswith("polynomial division left a genuine remainder of relative size ")
 
 
 def test_commuting_squares():
