@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import log
 from typing import Callable
+
+from mpmath.libmp import (
+    from_man_exp, ln2_fixed, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_pi, pi_fixed,
+    round_nearest as RND, to_fixed,
+)
 
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
 from .base import InadmissibleParameterError, WeightSpec, _parity
@@ -65,7 +71,8 @@ def _w_hermite(ctx):
 def _w_generalized_hermite(ctx, alpha):
     mp = ctx.mp
     _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
-    dens = lambda x, *offsets: abs(x) ** (2 * alpha) * mp.exp(-x * x)
+    e = 2 * alpha
+    dens = lambda x, *offsets: abs(x) ** e * mp.exp(-x * x)
     zero = mp.mpf(0)
     return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens, even=True)
 
@@ -100,10 +107,11 @@ def _w_generalized_gegenbauer(ctx, alpha, beta):
     mp = ctx.mp
     _require(alpha > -1 and beta > 0, "alpha > -1 and beta > 0", "A.8")
     zero = mp.mpf(0)
+    e = 2 * alpha + 1
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return abs(x) ** (2 * alpha + 1) * (p * m) ** beta
+        return abs(x) ** e * (p * m) ** beta
 
     return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens, even=True)
 
@@ -170,14 +178,22 @@ def _w_big_m1j(ctx, alpha, beta, c):
 # (DLMF 5.4.3, 5.4.4), so |Gamma(ix) / Gamma(2ix)|^2 = 4 cosh(pi x), which
 # is finite at x = 0, and 1 / |Gamma(1/2 + ix)|^2 = cosh(pi x) / pi.  The
 # remaining moduli, |Gamma(a + iy)| with a > 0, come from one call of the
-# fixed-point kernel ``log_abs_gamma_sum`` per density call: the density is
-# exp(2 * sum of log|Gamma|) times the cosh factor.  Each spec builds its
-# ``StirlingSeries`` constants once, in its closure.  The symmetric
+# fixed-point kernel ``log_abs_gamma_sum`` per density call, on the raw value
+# of x: each spec prepares its ``StirlingSeries`` once, in its closure, with
+# the real parts a_j and the offsets b_j of y_j = b_j + x (or b_j + x/2)
+# (``precision``, The |Gamma| kernel).  The density is then
+# exp(c + 2 sum of log|Gamma|) cosh(pi x), c = log 4 or -log pi, with the
+# exponents summed in fixed point and the cosh taken as its two
+# exponentials: neither b_j + x nor pi x is rounded, which at |x| near 2000
+# would move the density by thousands of units in the last place.  The symmetric
 # Bannai-Ito weights are even where their parameters are closed under
 # conjugation; their specs say so (``WeightSpec.even``), as those of the
 # Hermite and Gegenbauer families do, and the node tables then sweep each
 # pair +-x once (``quadrature``, Even weights).  Every density is a pure
 # function of its arguments.
+
+
+_BITS_PER_E2 = 2 / log(2) / 2 ** 32     # log2(e**2t) per unit of t at 2**-32
 
 
 def _conjugate_closed(vals, mp):
@@ -191,15 +207,34 @@ def _gamma_modulus_weight(vals, mp):
 
     Even in x when vals is closed under conjugation.
     """
-    series = StirlingSeries(mp)
-    parts = [(mp.re(v), mp.im(v)) for v in vals]
-    pi = +mp.pi
+    series = StirlingSeries(mp, [(mp.re(v), mp.im(v)) for v in vals])
+    return WeightSpec(pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
+                      density=_gamma_density(series, mp, 2 * ln2_fixed(series.bits)),
+                      measure_prefactor=1 / (4 * mp.pi), even=_conjugate_closed(vals, mp))
+
+
+def _gamma_density(series, mp, log_factor):
+    """x -> exp(log_factor + 2 log_abs_gamma_sum) cosh(pi x), log_factor at 2**-series.bits.
+
+    The cosh is the two exponentials exp(v + pi|x|) + exp(v - pi|x|), v the
+    exponent less log 2, summed in fixed point; the smaller is taken at the
+    precision its size leaves, and not at all below the last bit.
+    """
+    prec, bits = mp.prec, series.bits
+    pi = pi_fixed(bits)
+    log_factor -= ln2_fixed(bits)
+    make = mp.make_mpf
 
     def dens(x, *offsets):
-        s = log_abs_gamma_sum([(a, b + x) for a, b in parts], series)
-        return 4 * mp.cosh(pi * x) * mp.exp(mp.ldexp(s, 1))
-    return WeightSpec(pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))], density=dens,
-                      measure_prefactor=1 / (4 * mp.pi), even=_conjugate_closed(vals, mp))
+        x = x._mpf_
+        t = pi * to_fixed(mpf_abs(x), bits) >> bits
+        v = 2 * log_abs_gamma_sum(series, x) + log_factor
+        value = mpf_exp(from_man_exp(v + t, -bits), prec, RND)
+        small = prec + 4 - int((t >> (bits - 32)) * _BITS_PER_E2)   # e**-2t = 2**(small-prec-4)
+        if small > 2:
+            value = mpf_add(value, mpf_exp(from_man_exp(v - t, -bits), small, RND), prec, RND)
+        return make(value)
+    return dens
 
 
 def _w_gsbi(ctx, a, b, c):
@@ -222,20 +257,14 @@ def _w_sbi(ctx, a, b):
 def _cbi_weight(al, be, ga, de, anchor, ctx):
     mp = ctx.mp
     _require(al > 0 and ga > 0, "alpha, gamma > 0", anchor)
-    series = StirlingSeries(mp)
     half = mp.mpf(1) / 2
-    # fa + ix/2 + 1, fb + ix/2 + 1, fc + ix/2 + 1/2, fd + ix/2 + 1/2 as (real part, imaginary
-    # part at x = 0) for fa = alpha + i beta, fb = gamma + i delta, fc = conj(fb), fd = conj(fa)
-    parts = [(al + 1, be), (ga + 1, de), (ga + half, -de), (al + half, -be)]
-    pi = +mp.pi
-
-    def dens(x, *offsets):
-        # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
-        xh = mp.ldexp(x, -1)
-        s = log_abs_gamma_sum([(a, b + xh) for a, b in parts], series)
-        return mp.exp(mp.ldexp(s, 1)) * mp.cosh(pi * x) / pi
-
-    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], dens)
+    # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
+    # for fa = alpha + i beta, fb = gamma + i delta, fc = conj(fb), fd = conj(fa): the terms as
+    # (real part, imaginary part at x = 0), y = that + x/2
+    terms = [(al + 1, be), (ga + 1, de), (ga + half, -de), (al + half, -be)]
+    series = StirlingSeries(mp, terms, -1)
+    log_pi = to_fixed(mpf_log(mpf_pi(series.bits + 8), series.bits + 8), series.bits)
+    return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], _gamma_density(series, mp, -log_pi))
 
 
 def _w_cbi(ctx, alpha, beta, gamma, delta):

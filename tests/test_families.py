@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 import re
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from minusone import precision
 from minusone.precision import PrecisionContext
 from minusone.polynomials import Poly, poly_rel_distance
 from test_polynomials import poly_eq
@@ -389,6 +391,28 @@ def test_gamma_modulus_densities_match_printed_products(digits):
     spec = F.weight_spec("symmetric-bannai-ito", uneven, ctx)
     x = mp.mpf("0.731")
     assert abs(spec.density(x) - spec.density(-x)) > ctx.tol(0) * spec.density(x)
+
+
+def test_power_densities_match_the_printed_formula_at_table_nodes():
+    # the generalized Hermite and Gegenbauer densities take their exponents 2 alpha and
+    # 2 alpha + 1 from their closures: bit for bit the printed formula at every node
+    work, tol = precision.gram_context(PrecisionContext(15))
+    mp = work.mp
+    printed = {
+        "generalized-hermite": lambda x, p, q: abs(x) ** (2 * p["alpha"]) * mp.exp(-x * x),
+        "generalized-gegenbauer": lambda x, p, q: abs(x) ** (2 * p["alpha"] + 1) * q ** p["beta"],
+    }
+    for fid, formula in printed.items():
+        for pt in F.fixture_points(fid):
+            params = F.make_params(fid, work, **pt)
+            spec = F.weight_spec(fid, params, work)
+            calls = []
+            dens = lambda x, lo, hi: calls.append((x, lo, hi)) or spec.density(x, lo, hi)
+            orth.build_node_table(dataclasses.replace(spec, density=dens), work, tol, 16)
+            assert calls, (fid, pt)
+            for x, lo, hi in calls:
+                q = (lo if x < 0 else 1 + x) * (1 - x if x < 0 else hi)     # (1 + x)(1 - x)
+                assert spec.density(x, lo, hi)._mpf_ == formula(x, params, q)._mpf_, (fid, pt, x)
 
 
 def test_even_flag_marks_even_weights():

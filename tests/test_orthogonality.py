@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from minusone.polynomials import Poly
-from minusone.precision import PrecisionContext
+from minusone.precision import GATES, PrecisionContext
 from minusone import families as F
 from minusone import orthogonality as orth
 
@@ -226,3 +227,28 @@ def test_singular_endpoint_gram_converges_at_full_precision():
 def test_gram_sweep_high_precision():
     for digits in (30, 100):
         _assert_gram_sweep(digits)
+
+
+_GAMMA_FAMILIES = ("continuous-bannai-ito", "continuous-minus1-hahn-1", "continuous-minus1-hahn-2",
+                   "generalized-symmetric-bannai-ito", "symmetric-bannai-ito")
+
+
+@pytest.mark.parametrize("digits", [15, 50, pytest.param(100, marks=pytest.mark.slow)])
+def test_gamma_gram_rows_fail_with_a_mutated_density(digits, monkeypatch):
+    # each |Gamma|^2 density times (1 + delta x^2), delta one Gram gate, through a wrapped
+    # families.weight_spec: the Gram row at the first fixture point fails, with residuals
+    # 12 to 65 gates at 15, 50 and 100 digits
+    ctx = PrecisionContext(digits)
+    delta = GATES["gram"](ctx)
+    weight_spec = F.weight_spec
+
+    def mutated(fid, params, work):
+        spec = weight_spec(fid, params, work)
+        d = work.mp.mpf(delta)
+        dens = spec.density
+        return dataclasses.replace(spec, density=lambda x, *o: dens(x, *o) * (1 + d * x * x))
+
+    monkeypatch.setattr(F, "weight_spec", mutated)
+    for fid in _GAMMA_FAMILIES:
+        row = orth.gram(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), 8, ctx)
+        assert row["status"] == "fail" and row["residual"] > 10 * delta, (fid, row["residual"])
