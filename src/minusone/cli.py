@@ -14,7 +14,9 @@ flag wins over the environment.
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
 and makes a missing table entry a skipped pass, a numerical dead end an
-inconclusive row and a genuine remainder of an exact division a failed row.
+inconclusive row and a genuine remainder of an exact division (an eigen image
+with a surviving pole among them) a failed row; a row that ended in an error
+has residual and tolerance null.
 Four tables name the runners: the family checks, the edge kinds, the suite
 rows of ``verify --all`` and its open questions (``scheme.OPEN_QUESTIONS``).
 """

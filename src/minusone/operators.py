@@ -15,13 +15,14 @@ not against the cancelled sum, whose rounding would otherwise read as a
 pole.  So "the singular parts cancel" is checked rather than assumed.
 
 One loop, four views.  :func:`_eigen_degrees` runs the image kernel over the
-degrees of a built operator and stops at the first dead end, an image that
-is not polynomial: 'fail' for a surviving pole, 'inconclusive' for an
-ambiguous remainder (NonDivisibleError and ReductionAmbiguityError where a
-function raises).  :func:`eigen_check`, :func:`verify_eigen`,
+degrees of a built eigen system.  A dead end, an image that is not
+polynomial, raises NonDivisibleError for a surviving pole and
+ReductionAmbiguityError for an ambiguous remainder, naming P_n and the free
+value; ``cli._row`` makes the first a failed row and the second an
+inconclusive one.  :func:`eigen_check`, :func:`verify_eigen`,
 :func:`check_diagonality` and :func:`_resolve_variant` each pick the free
 value, the reading and the degrees, and read residuals or the basis matrix
-off it.
+off it; only the reading search catches a dead end, as a failed candidate.
 
 Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
@@ -400,34 +401,39 @@ SHIFT_REFLECT_FAMILIES = tuple(fid for fid, entry in _BUILDERS.items()
 DIAGONALITY_N = 8
 
 
-def _operator_for_variant(entry, params, free, variant, ctx):
-    """The operator in reading ``variant`` at parsed ``params`` (``families.make_params``)."""
+def _system_for_variant(fid, entry, params, free, variant, ctx):
+    """The eigen system in reading ``variant`` at parsed ``params`` (``families.make_params``)."""
     den, terms, lam = entry.build(ctx, free, variant, **params)
     for reading in variant.items():
         if reading in _REWRITES:
             terms = [_REWRITES[reading](*term) for term in terms]
-    return DunklOperator(den, terms), lam
+    return EigenSystem(family=fid, operator=DunklOperator(den, terms), eigenvalue=lam,
+                       free_name=entry.free_name, free_value=free if entry.free_name else None)
 
 
-# a dead end: status -> (error where a function raises, reason)
-_NOT_POLYNOMIAL = {"inconclusive": (ReductionAmbiguityError, "remainder in the ambiguity band"),
-                   "fail": (NonDivisibleError, "a pole survives")}
+# a dead end: remainder class of the image -> (error, reason)
+_NOT_POLYNOMIAL = {"ambiguous": (ReductionAmbiguityError, "remainder in the ambiguity band"),
+                   "nonzero": (NonDivisibleError, "a pole survives")}
 
 
-def _eigen_degrees(op, lam, polys, degrees, ctx):
+def _free_label(es):
+    """' at <free name> = <value>' where the eigenvalue has a free parameter, else ''."""
+    return " at %s = %g" % (es.free_name, es.free_value) if es.free_name else ""
+
+
+def _eigen_degrees(es, polys, degrees, ctx):
     """(n, image, relative residual, status) of L P_n = lambda_n P_n per n in ``degrees``.
 
-    A dead end (module docstring) comes with image and residual None and
-    ends the loop.
+    A dead end (module docstring) raises its error, naming P_n and the free value.
     """
     mp = ctx.mp
     for n in degrees:
         p = polys[n]
-        _, image, cls = _image(op, p, ctx)
+        _, image, cls = _image(es.operator, p, ctx)
         if cls != "zero":
-            yield n, None, None, "inconclusive" if cls == "ambiguous" else "fail"
-            return
-        ev = lam(n)
+            error, reason = _NOT_POLYNOMIAL[cls]
+            raise error("image of P_%d%s is not polynomial: %s" % (n, _free_label(es), reason))
+        ev = es.eigenvalue(n)
         residual = (image - p.scale(ev)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(ev)))
         yield n, image, residual, verdict("eigen", residual, ctx)["status"]
 
@@ -436,7 +442,8 @@ def _resolve_variant(fid, ctx, params=None):
     """Search the readings of the printed operator on L P_n = lambda_n P_n,
     n = 1..3, at free = 1/2 and at ``params`` (the first fixture point when
     omitted); every combination of the family's reading axes is a candidate.
-    ``variant`` is the first passing candidate, None when none passes.
+    ``variant`` is the first passing candidate, None when none passes; a
+    candidate's residuals are None from a dead end on.
     """
     if params is None:
         params = families.fixture_points(fid)[0]
@@ -447,10 +454,13 @@ def _resolve_variant(fid, ctx, params=None):
     outcomes = []
     for values in product(*(READING_AXES[axis] for axis in axes)):
         variant = dict(zip(axes, values))
-        op, lam = _operator_for_variant(entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
-        residuals = [float(res) if status == "pass" else None
-                     for _, _, res, status in _eigen_degrees(op, lam, polys, range(1, 4), ctx)]
-        residuals += [None] * (3 - len(residuals))      # the degrees after a dead end
+        es = _system_for_variant(fid, entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
+        residuals = [None] * 3
+        try:
+            for n, _, res, status in _eigen_degrees(es, polys, range(1, 4), ctx):
+                residuals[n - 1] = float(res) if status == "pass" else None
+        except (NonDivisibleError, ReductionAmbiguityError):
+            pass
         outcomes.append({"variant": variant, "passes": None not in residuals,
                          "residuals": residuals})
     passing = [o["variant"] for o in outcomes if o["passes"]]
@@ -492,24 +502,25 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    op, lam = _operator_for_variant(entry, families.make_params(fid, ctx, **params), free,
-                                    entry.reading, ctx)
-    return EigenSystem(family=fid, operator=op, eigenvalue=lam,
-                       free_name=entry.free_name, free_value=free if entry.free_name else None)
+    return _system_for_variant(fid, entry, families.make_params(fid, ctx, **params), free,
+                               entry.reading, ctx)
 
 
 def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
-    """Check L P_n = lambda_n P_n as an exact identity; returns a report dict."""
+    """Check L P_n = lambda_n P_n as an exact identity; returns a report dict.
+
+    A dead end raises its error (module docstring).
+    """
     fid = families.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
     polys = families.generate(fid, params, n, ctx)
-    [(_, _, res, status)] = _eigen_degrees(es.operator, es.eigenvalue, polys, [n], ctx)
+    [(_, _, res, status)] = _eigen_degrees(es, polys, [n], ctx)
     return {
         "family": fid,
         "n": n,
         "free": float(es.free_value) if es.free_value is not None else None,
         "status": status,
-        "residual": float(res) if res is not None else None,
+        "residual": float(res),
         "tolerance": float(GATES["eigen"](ctx)),
     }
 
@@ -548,17 +559,12 @@ def _diagonality(matrix, eigenvalue, ctx):
 def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
     """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative.
 
-    A dead end at some P_n raises its error (:data:`_NOT_POLYNOMIAL`).
+    A dead end raises its error (module docstring).
     """
     fid = families.resolve_family(family)
     es = build_eigen_system(fid, params, ctx, free=free)
     basis = families.generate(fid, params, N, ctx)
-    images = []
-    for n, image, _, status in _eigen_degrees(es.operator, es.eigenvalue, basis, range(N + 1), ctx):
-        if image is None:
-            error, reason = _NOT_POLYNOMIAL[status]
-            raise error("operator image of P_%d is not polynomial: %s" % (n, reason))
-        images.append(image)
+    images = [image for _, image, _, _ in _eigen_degrees(es, basis, range(N + 1), ctx)]
     return {"family": es.family,
             **_diagonality(_basis_matrix(images, basis, ctx), es.eigenvalue, ctx)}
 
@@ -569,44 +575,35 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     Checks L P_n = lambda_n P_n for n <= N, at the free values 1/2 and 2
     when the eigenvalue has a free parameter, and that the matrix of L
     (free = 1/2) in the basis P_0..P_8 is diagonal with the printed
-    eigenvalues.  The row's ``tolerance`` is the eigen gate; the basis
-    matrix is gated at the looser eigen-basis gate (``precision``,
-    Precision plan).  A dead end at any degree used ends the check with its
-    status (:data:`_NOT_POLYNOMIAL`) and the degree in the notes.  A family
-    with no eigen system raises :class:`NoEigenSystemError` before any
-    polynomial is built.
+    eigenvalues.  The row's ``residual`` is the worst per-degree residual
+    and its ``tolerance`` the eigen gate; the basis matrix is gated at the
+    looser eigen-basis gate (``precision``, Precision plan).  The notes of a
+    failed row name each sub-test that failed, with its value and gate.  A
+    dead end raises its error (module docstring); a family with no eigen
+    system raises :class:`NoEigenSystemError` before any polynomial is built.
     """
     fid = families.resolve_family(family)
     top = max(N, DIAGONALITY_N)
     es = build_eigen_system(fid, params, ctx, free="0.5")
-    runs = [(es, "0.5", top)]
+    systems = [(es, top)]
     if es.free_name:
-        runs.append((build_eigen_system(fid, params, ctx, free="2"), "2", N))
+        systems.append((build_eigen_system(fid, params, ctx, free="2"), N))
     polys = families.generate(fid, params, top, ctx)
-    report = {"family": fid, "status": "pass", "residual": 0.0,
-              "tolerance": float(GATES["eigen"](ctx)),
-              "notes": "n <= %d%s; basis matrix diagonal"
-                       % (N, " at two free-parameter values" if es.free_name else "")}
-    for es, free, last in runs:
-        images = []
-        for n, image, res, status in _eigen_degrees(es.operator, es.eigenvalue, polys,
-                                                    range(last + 1), ctx):
-            if image is None:
-                at = " at %s = %s" % (es.free_name, free) if es.free_name else ""
-                report.update(status=status, residual=None,
-                              notes="image of P_%d%s is not polynomial: %s"
-                                    % (n, at, _NOT_POLYNOMIAL[status][1]))
-                return report
-            images.append(image)
-            if n <= N:
-                report["residual"] = max(report["residual"], float(res))
-                if status == "fail":
-                    report["status"] = "fail"
-        if free == "0.5":
-            basis = polys[:DIAGONALITY_N + 1]
-            report["diagonality"] = _diagonality(
-                _basis_matrix(images[:DIAGONALITY_N + 1], basis, ctx), es.eigenvalue, ctx)
-    diag = report["diagonality"]
-    if max(diag["max_offdiag"], diag["max_diag_error"]) > diag["tolerance"]:
-        report["status"] = "fail"
-    return report
+    runs = [(system, list(_eigen_degrees(system, polys, range(last + 1), ctx)))
+            for system, last in systems]
+    images = [image for _, image, _, _ in runs[0][1][:DIAGONALITY_N + 1]]     # free = 1/2
+    diag = _diagonality(_basis_matrix(images, polys[:DIAGONALITY_N + 1], ctx), es.eigenvalue, ctx)
+    res, n, system = max(((res, n, system) for system, degrees in runs
+                          for n, _, res, _ in degrees[:N + 1]), key=lambda worst: worst[0])
+    row = verdict("eigen", res, ctx)
+    failed = []
+    if row["status"] == "fail":
+        failed.append("worst residual %.3g of P_%d%s exceeds the eigen gate %.3g"
+                      % (row["residual"], n, _free_label(system), row["tolerance"]))
+    deviation = max(diag["max_offdiag"], diag["max_diag_error"])
+    if deviation > diag["tolerance"]:
+        failed.append("basis matrix P_0..P_%d not diagonal: largest relative deviation %.3g "
+                      "exceeds the eigen-basis gate %.3g" % (diag["N"], deviation, diag["tolerance"]))
+    return {"family": fid, **row, "status": "fail" if failed else "pass", "diagonality": diag,
+            "notes": "; ".join(failed) or "n <= %d%s; basis matrix diagonal"
+                     % (N, " at two free-parameter values" if es.free_name else "")}

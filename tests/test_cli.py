@@ -528,9 +528,11 @@ def test_failed_reading_search_is_a_failed_row(capsys, monkeypatch):
     # no reading of the printed operator passes: the composition rows fail,
     # not a skipped pass as for a family with no eigen system
     from minusone import operators
+    from minusone.polynomials import NonDivisibleError
 
-    def no_degree_passes(op, lam, polys, degrees, ctx):
-        yield degrees[0], None, None, "fail"
+    def no_degree_passes(es, polys, degrees, ctx):
+        raise NonDivisibleError("image of P_%d is not polynomial: a pole survives" % degrees[0])
+        yield
 
     monkeypatch.setattr(operators, "_eigen_degrees", no_degree_passes)
     code, out = run(capsys, "verify", "--all", "--checks", "square", "--digits", "15")

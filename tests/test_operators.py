@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -254,9 +255,9 @@ def test_numerically_zero_image():
 
 
 @pytest.mark.parametrize("coeff, status", [("1", "fail"), ("1e-42", "inconclusive")])
-def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
+def test_eigen_dead_end_ends_the_check(monkeypatch, capsys, coeff, status):
     # an extra c/x I term: a pole (fail), or a remainder in the ambiguity band
-    # (inconclusive) at 50 digits; the check returns instead of raising
+    # (inconclusive) at 50 digits; every view raises, and cli._row makes the row
     from minusone import cli
     from minusone.polynomials import NonDivisibleError, ReductionAmbiguityError
 
@@ -271,17 +272,71 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, coeff, status):
                 + [(den.scale(ctx.mp.mpc(coeff)), "I")], lam)
 
     monkeypatch.setitem(O._BUILDERS, fid, dataclasses.replace(entry, build=with_pole))
-    rep = O.eigen_check(fid, params_for(fid), 10, CTX)
-    assert rep["status"] == status
-    assert "P_0" in rep["notes"]
-    # the same dead end from the per-degree view and, as its error, from the basis matrix
-    assert O.verify_eigen(fid, params_for(fid), 0, CTX)["status"] == status
     error = {"fail": NonDivisibleError, "inconclusive": ReductionAmbiguityError}[status]
+    with pytest.raises(error, match="P_0 at sigma = 0.5 "):
+        O.eigen_check(fid, params_for(fid), 10, CTX)
+    with pytest.raises(error, match="P_0 at sigma = 0.5 "):
+        O.verify_eigen(fid, params_for(fid), 0, CTX)
+    with pytest.raises(error, match="P_0 at sigma = 2 "):
+        O.verify_eigen(fid, params_for(fid), 0, CTX, free="2")
     with pytest.raises(error, match="P_0"):
         O.check_diagonality(fid, params_for(fid), 8, CTX)
-    code = cli.main(["verify", "--family", fid, "--checks", "eigen", "--format", "json",
-                     "--no-timestamp"])
+    code = cli.main(["verify", "--family", fid, "--checks", "eigen", "--digits", "50",
+                     "--format", "json", "--no-timestamp"])
     assert code == (cli.EXIT_FAIL if status == "fail" else cli.EXIT_INCONCLUSIVE)
+    [row] = json.loads(capsys.readouterr().out)["results"]
+    assert (row["status"], row["residual"], row["tolerance"]) == (status, None, None), row
+    assert "P_0 at sigma = 0.5" in row["notes"], row
+
+
+@pytest.mark.parametrize("family, params, deviation", [
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, "0.033"),
+    ("continuous-minus1-hahn-1", {"alpha": "0.25", "beta": "5e7", "gamma": "0.75"}, "4.84e+09"),
+])
+def test_eigen_fail_row_names_the_sub_test_that_decided_it(family, params, deviation):
+    # the per-degree residuals pass and the basis matrix does not (its entries
+    # are judged against max|lambda_n| only): the notes give that deviation
+    # and its gate, never "basis matrix diagonal"
+    ctx = PrecisionContext(15)
+    rep = O.eigen_check(family, F.make_params(family, ctx, **params), 10, ctx)
+    assert rep["status"] == "fail" and rep["residual"] <= rep["tolerance"], rep
+    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation %s "
+                            "exceeds the eigen-basis gate 0.001" % deviation), rep["notes"]
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_dropped_operator_term_never_passes(monkeypatch, digits):
+    # every operator without one of its printed terms fails its eigen row, by
+    # a residual or by a surviving pole, or ends inconclusive; never a pass
+    from minusone import cli
+
+    ctx = PrecisionContext(digits)
+    rows = []
+    for fid, entry in list(O._BUILDERS.items()):
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        count = len(entry.build(ctx, ctx.mp.mpf(1) / 2, entry.reading, **params)[1])
+        for drop in range(count):
+            def dropped(ctx, free, variant, build=entry.build, drop=drop, **params):
+                den, terms, lam = build(ctx, free, variant, **params)
+                return den, terms[:drop] + terms[drop + 1:], lam
+
+            monkeypatch.setitem(O._BUILDERS, fid, dataclasses.replace(entry, build=dropped))
+            rows.append(cli._row(fid, "eigen", "", O.eigen_check, fid, params, 10, ctx))
+    assert len(rows) == 52
+    passed = [(r["id"], r["notes"]) for r in rows if r["status"] not in ("fail", "inconclusive")]
+    assert not passed, passed
+
+
+def test_one_image_per_free_value_and_degree(monkeypatch):
+    # eigen_check reads residuals and the basis matrix off one image pass:
+    # degrees 0..10 at each free value of the eigenvalue
+    ctx = PrecisionContext(15)
+    image = O._image
+    for fid, entry in O._BUILDERS.items():
+        calls = []
+        monkeypatch.setattr(O, "_image", lambda *args: calls.append(1) or image(*args))
+        O.eigen_check(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), 10, ctx)
+        assert len(calls) == (22 if entry.free_name else 11), (fid, len(calls))
 
 
 @pytest.mark.parametrize("digits", [15, 50])
