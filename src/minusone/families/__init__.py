@@ -181,10 +181,15 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
     if fid not in _ALL_CLOSED:
         raise NoClosedFormError("no closed form on record for %s" % fid)
     p = _ALL_CLOSED[fid](ctx, n, **_bind(fid, params, ctx))
-    if p.degree != n or p.lead_is_noise():
+    if p.degree != n or not p[n]:
         raise ParameterError(
             "closed form of %s has no degree-%d term at these parameters (parameter singularity)"
             % (fid, n))
+    if p.lead_is_noise():
+        raise ParameterError(
+            "closed form of %s lost its degree-%d term to cancellation: precision lost, its top "
+            "coefficient lies %.0f digits below the coefficient norm"
+            % (fid, n, ctx.mp.log10(p.coeff_norm() / abs(p[n]))))
     monic = p.monic(ctx).realify(ctx)
     if raw:
         return monic, p[p.degree]

@@ -539,21 +539,25 @@ def _basis_matrix(images, basis, ctx):
     return matrix
 
 
-def _diagonality(matrix, eigenvalue, ctx):
-    """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative."""
+def _diagonality(matrix, basis, eigenvalue, ctx):
+    """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative.
+
+    Entry (k, n) is scaled by ||P_k|| / (||P_n|| max(1, |lambda_n|)), ||.|| the coefficient
+    norm, as ``_eigen_degrees`` scales the residual of P_n, and gated at the eigen gate.
+    """
     mp = ctx.mp
-    N = len(matrix) - 1
-    scale = max(max(abs(eigenvalue(n)) for n in range(N + 1)), mp.mpf(1))
-    off = mp.mpf(0)
-    diag = mp.mpf(0)
-    for k in range(N + 1):
-        for n in range(N + 1):
+    norms = [p.coeff_norm() for p in basis]
+    off = diag = mp.mpf(0)
+    for n, column_norm in enumerate(norms):
+        ev = eigenvalue(n)
+        scale = column_norm * max(mp.mpf(1), abs(ev))
+        for k, row_norm in enumerate(norms):
             if k == n:
-                diag = max(diag, abs(matrix[k][n] - eigenvalue(n)))
+                diag = max(diag, abs(matrix[k][n] - ev) * row_norm / scale)
             else:
-                off = max(off, abs(matrix[k][n]))
-    return {"N": N, "max_offdiag": float(off / scale), "max_diag_error": float(diag / scale),
-            "tolerance": float(GATES["eigen-basis"](ctx))}
+                off = max(off, abs(matrix[k][n]) * row_norm / scale)
+    return {"N": len(matrix) - 1, "max_offdiag": float(off), "max_diag_error": float(diag),
+            "tolerance": float(GATES["eigen"](ctx))}
 
 
 def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
@@ -566,7 +570,7 @@ def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
     basis = families.generate(fid, params, N, ctx)
     images = [image for _, image, _, _ in _eigen_degrees(es, basis, range(N + 1), ctx)]
     return {"family": es.family,
-            **_diagonality(_basis_matrix(images, basis, ctx), es.eigenvalue, ctx)}
+            **_diagonality(_basis_matrix(images, basis, ctx), basis, es.eigenvalue, ctx)}
 
 
 def eigen_check(family, params, N, ctx: PrecisionContext):
@@ -576,9 +580,9 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     when the eigenvalue has a free parameter, and that the matrix of L
     (free = 1/2) in the basis P_0..P_8 is diagonal with the printed
     eigenvalues.  The row's ``residual`` is the worst per-degree residual
-    and its ``tolerance`` the eigen gate; the basis matrix is gated at the
-    looser eigen-basis gate (``precision``, Precision plan).  The notes of a
-    failed row name each sub-test that failed, with its value and gate.  A
+    and its ``tolerance`` the eigen gate, which also gates each basis entry
+    on its residual's scale (:func:`_diagonality`).  The notes of a failed
+    row name each sub-test that failed, with its value and gate.  A
     dead end raises its error (module docstring); a family with no eigen
     system raises :class:`NoEigenSystemError` before any polynomial is built.
     """
@@ -592,7 +596,8 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     runs = [(system, list(_eigen_degrees(system, polys, range(last + 1), ctx)))
             for system, last in systems]
     images = [image for _, image, _, _ in runs[0][1][:DIAGONALITY_N + 1]]     # free = 1/2
-    diag = _diagonality(_basis_matrix(images, polys[:DIAGONALITY_N + 1], ctx), es.eigenvalue, ctx)
+    basis = polys[:DIAGONALITY_N + 1]
+    diag = _diagonality(_basis_matrix(images, basis, ctx), basis, es.eigenvalue, ctx)
     res, n, system = max(((res, n, system) for system, degrees in runs
                           for n, _, res, _ in degrees[:N + 1]), key=lambda worst: worst[0])
     row = verdict("eigen", res, ctx)
@@ -603,7 +608,7 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     deviation = max(diag["max_offdiag"], diag["max_diag_error"])
     if deviation > diag["tolerance"]:
         failed.append("basis matrix P_0..P_%d not diagonal: largest relative deviation %.3g "
-                      "exceeds the eigen-basis gate %.3g" % (diag["N"], deviation, diag["tolerance"]))
+                      "exceeds the eigen gate %.3g" % (diag["N"], deviation, diag["tolerance"]))
     return {"family": fid, **row, "status": "fail" if failed else "pass", "diagonality": diag,
             "notes": "; ".join(failed) or "n <= %d%s; basis matrix diagonal"
                      % (N, " at two free-parameter values" if es.free_name else "")}

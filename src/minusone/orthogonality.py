@@ -174,34 +174,24 @@ def gram(family, params, N, ctx: PrecisionContext):
 
 
 def favard_scan(family, params, N, ctx: PrecisionContext):
-    """min u_n, max |Im b_n|, max |Im u_n| over n <= N; pass iff real and positive."""
-    mp = ctx.mp
+    """min u_n over 1 <= n <= N and the first nonreal n; pass iff there is none and min u_n > 0.
+
+    n is nonreal when |Im b_n| or |Im u_n| exceeds the favard-reality gate.
+    """
     fid = families.resolve_family(family)
     tol = GATES["favard-reality"](ctx)
-    min_u = None
-    max_im_b = mp.mpf(0)
-    max_im_u = mp.mpf(0)
-    first_nonreal = None
+    min_u = first_nonreal = None
     for n, pair in enumerate(families.recurrences(fid, params, N, ctx)):
-        b, u = pair.b, pair.u
-        im_b = abs(b.imag) if isinstance(b, mp.mpc) else 0
-        im_u, ru = (abs(u.imag), u.real) if isinstance(u, mp.mpc) else (0, u)
-        max_im_b = max(max_im_b, im_b)
-        max_im_u = max(max_im_u, im_u)
-        if first_nonreal is None and (im_b or im_u) and max(im_b, im_u) > tol * max(1, abs(u)):
+        if first_nonreal is None and max(abs(pair.b.imag), abs(pair.u.imag)) > tol:
             first_nonreal = n
         if n >= 1:
-            min_u = ru if min_u is None else min(min_u, ru)
-    real_ok = max_im_b <= tol and max_im_u <= tol
-    positive = min_u is not None and min_u > 0
+            min_u = pair.u.real if min_u is None else min(min_u, pair.u.real)
     return {
         "family": fid,
         "N": N,
         "min_u": float(min_u) if min_u is not None else None,
-        "max_imag_b": float(max_im_b),
-        "max_imag_u": float(max_im_u),
         "first_nonreal_n": first_nonreal,
-        "pass": bool(real_ok and positive),
+        "pass": first_nonreal is None and min_u is not None and min_u > 0,
     }
 
 
@@ -210,18 +200,26 @@ def favard_check(family, params, N, ctx: PrecisionContext):
 
     For the quasi family (CCBI) the row checks its classification instead:
     the Favard scan (n <= 5) finds a nonreal b_n or u_n at b2 = 1 and none
-    at b2 = 0.
+    at b2 = 0.  The notes of a failed row name the sub-test that failed.
     """
     info = families.family_info(family)
+    nonreal = ("first nonreal b_n or u_n at n = %%d: imaginary part above the favard-reality "
+               "gate %.3g" % GATES["favard-reality"](ctx))
+    failed = []
     if info.kind == "quasi":
-        b2_one, b2_zero = [favard_scan(info.id, {**params, "b2": ctx.mp.mpf(b2)}, 5, ctx)
-                           for b2 in (1, 0)]
-        ok = b2_one["first_nonreal_n"] is not None and b2_zero["first_nonreal_n"] is None
+        one, zero = [favard_scan(info.id, {**params, "b2": ctx.mp.mpf(b2)}, 5, ctx)["first_nonreal_n"]
+                     for b2 in (1, 0)]
+        if one is None:
+            failed.append("b2 = 1 keeps every b_n and u_n real through n = 5")
+        if zero is not None:
+            failed.append("b2 = 0: " + nonreal % zero)
         notes = "b2 != 0 breaks reality, b2 = 0 reduces to the generalized symmetric family"
     else:
         rep = favard_scan(info.id, params, N, ctx)
-        ok = rep["pass"]
         notes = "min u_n = %s over n <= %d" % (rep["min_u"], N)
-    return {"family": info.id, "status": "pass" if ok else "fail",
-            "residual": None, "tolerance": None, "notes": notes}
-
+        if rep["first_nonreal_n"] is not None:
+            failed.append(nonreal % rep["first_nonreal_n"])
+        elif not rep["pass"]:
+            failed.append(notes + " is not positive")
+    return {"family": info.id, "status": "fail" if failed else "pass",
+            "residual": None, "tolerance": None, "notes": "; ".join(failed) or notes}

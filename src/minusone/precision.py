@@ -18,17 +18,15 @@ d = ``ctx.digits``; :func:`verdict` turns a residual into the row's
     kind                                      gate at d digits
     closed-form, eigen, exact, ct-gt,         10**(10 - d)
       kernel-map, square (algebraic rows)
-    eigen-basis (eigen's basis matrix)        10**(12 - d)
     gram                                      10**-(d/2)
     limit                                     1e-8
     limit-floor ("converged exactly")         10**(12 - d)
     favard-reality (Im b_n, Im u_n)           10**(8 - d)
 
-The eigen row reports its 10**(10 - d) as ``tolerance``, while its basis
-matrix is gated at the looser 10**(12 - d).  Where a status depends on
-more than residual <= gate, the check keeps that logic: the Gram's
-convergence and the square's two ladders amend the verdict, and eigen's
-dead ends and basis matrix and the limit's order fits read only the gate.
+Where a status depends on more than residual <= gate, the check keeps
+that logic: the Gram's convergence and the square's two ladders amend the
+verdict, and eigen's dead ends and basis matrix (each entry on the scale
+of its degree's residual) and the limit's order fits read only the gate.
 Two checks run at a precision of their own.  A Gram's node table (:func:`gram_context`) runs
 at max(15, d//2 + 5) digits with node tolerance 10**-(d//2 + 15), fifteen
 digits below its gate; mpmath runs GUARD_DIGITS = 15 further, at
@@ -196,7 +194,6 @@ def _tol(offset):
 GATES = {
     "closed-form": _tol(10), "eigen": _tol(10), "exact": _tol(10), "ct-gt": _tol(10),
     "kernel-map": _tol(10), "square": _tol(10),
-    "eigen-basis": _tol(12),
     "gram": lambda ctx: 10.0 ** -(ctx.digits / 2),
     "limit": lambda ctx: ctx.mp.mpf("1e-8"),
     "limit-floor": _tol(12),

@@ -621,6 +621,16 @@ def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkey
         F.closed_form("hermite", {}, 3, CTX)
 
 
+def test_closed_form_that_loses_its_top_coefficient_names_precision():
+    # at gamma = 1e12 the degree-10 term is there, but cancellation among terms
+    # of size about gamma^n leaves it ~120 digits below the coefficient norm
+    ctx = PrecisionContext(15)
+    params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5", gamma="1e12")
+    with pytest.raises(ParameterError, match="degree-10 term to cancellation: precision lost, "
+                                             "its top coefficient lies 120 digits below"):
+        F.closed_form("chihara", params, 10, ctx)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("digits", [15, 50, 100])
 def test_closed_forms_match_recurrence_to_degree_40(digits):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from minusone.precision import PrecisionContext
+from minusone.precision import GATES, PrecisionContext
 from minusone.polynomials import Poly, RationalFunction, divide_exact
 from test_polynomials import poly_eq
 from minusone import families as F
@@ -289,19 +289,31 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, capsys, coeff, status):
     assert "P_0 at sigma = 0.5" in row["notes"], row
 
 
-@pytest.mark.parametrize("family, params, deviation", [
-    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, "0.033"),
-    ("continuous-minus1-hahn-1", {"alpha": "0.25", "beta": "5e7", "gamma": "0.75"}, "4.84e+09"),
-])
-def test_eigen_fail_row_names_the_sub_test_that_decided_it(family, params, deviation):
-    # the per-degree residuals pass and the basis matrix does not (its entries
-    # are judged against max|lambda_n| only): the notes give that deviation
-    # and its gate, never "basis matrix diagonal"
+def test_eigen_fail_row_names_the_sub_test_that_decided_it():
+    # at gamma = 1e12 the per-degree residuals pass and the basis matrix does
+    # not (the monomial-to-P basis change loses the digits, ROADMAP item 2):
+    # the notes give that deviation and its gate, never "basis matrix diagonal"
     ctx = PrecisionContext(15)
-    rep = O.eigen_check(family, F.make_params(family, ctx, **params), 10, ctx)
+    params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5", gamma="1e12")
+    rep = O.eigen_check("chihara", params, 10, ctx)
     assert rep["status"] == "fail" and rep["residual"] <= rep["tolerance"], rep
-    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation %s "
-                            "exceeds the eigen-basis gate 0.001" % deviation), rep["notes"]
+    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation 6 "
+                            "exceeds the eigen gate 1e-05"), rep["notes"]
+
+
+@pytest.mark.parametrize("family, params, digits", [
+    ("continuous-minus1-hahn-1", {"alpha": "0.25", "beta": "5e7", "gamma": "0.75"}, 15),
+    ("continuous-minus1-hahn-2", {"alpha": "0.25", "beta": "5e7", "gamma": "0.75"}, 15),
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, 15),
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, 50),
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, 100),
+])
+def test_eigen_row_passes_where_the_coefficients_grow_with_a_parameter(family, params, digits):
+    # each basis entry is judged on its residual's scale, so coefficients of
+    # size beta^n or gamma^n no longer read as an off-diagonal entry
+    ctx = PrecisionContext(digits)
+    rep = O.eigen_check(family, F.make_params(family, ctx, **params), 10, ctx)
+    assert rep["status"] == "pass", rep["notes"]
 
 
 @pytest.mark.parametrize("digits", [15, 50])
@@ -325,6 +337,27 @@ def test_dropped_operator_term_never_passes(monkeypatch, digits):
     assert len(rows) == 52
     passed = [(r["id"], r["notes"]) for r in rows if r["status"] not in ("fail", "inconclusive")]
     assert not passed, passed
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_basis_matrix_catches_a_wrong_eigenvalue(monkeypatch, digits):
+    # lambda_3 off by 100 eigen gates fails every eigen row, and the basis
+    # matrix sees it on its own in each of the 14 families
+    ctx = PrecisionContext(digits)
+    off = 1 + 100 * GATES["eigen"](ctx)
+    caught = []
+    for fid, entry in list(O._BUILDERS.items()):
+        def wrong(ctx, free, variant, build=entry.build, **params):
+            den, terms, lam = build(ctx, free, variant, **params)
+            return den, terms, lambda n: lam(n) * off if n == 3 else lam(n)
+
+        monkeypatch.setitem(O._BUILDERS, fid, dataclasses.replace(entry, build=wrong))
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        assert O.eigen_check(fid, params, 10, ctx)["status"] == "fail", fid
+        diag = O.check_diagonality(fid, params, 8, ctx)
+        if max(diag["max_offdiag"], diag["max_diag_error"]) > diag["tolerance"]:
+            caught.append(fid)
+    assert caught == list(O._BUILDERS)
 
 
 def test_one_image_per_free_value_and_degree(monkeypatch):

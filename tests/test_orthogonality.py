@@ -57,6 +57,48 @@ def test_favard_scan_examples():
     assert rep["first_nonreal_n"] is not None
 
 
+@pytest.mark.parametrize("scaled", [{"a1": "1e8"}, {"b1": "5e7"}])
+def test_ccbi_favard_row_passes_at_a_large_parameter(scaled):
+    # Im b_n and Im u_n are judged against the favard-reality gate alone, not
+    # against |u_n|, so Im u_n = 3.5 next to |u_n| ~ 1e8 breaks reality at b2 = 1
+    ctx = PrecisionContext(15)
+    params = F.make_params("ccbi", ctx, **{**F.fixture_points("ccbi")[0], **scaled})
+    rep = orth.favard_check("ccbi", params, 200, ctx)
+    assert rep["status"] == "pass", rep["notes"]
+
+
+@pytest.mark.parametrize("family, params, notes", [
+    ("symmetric-bannai-ito", {"a": "-1.5", "b": "0.5"},
+     "min u_n = -1.0 over n <= 200 is not positive"),
+    ("generalized-symmetric-bannai-ito",                 # a, b not a conjugate pair
+     {"a": complex(0.75, 0.5), "b": complex(0.75, 0.5), "c": 1.25},
+     "first nonreal b_n or u_n at n = 1: imaginary part above the favard-reality gate 1e-07"),
+])
+def test_failed_favard_row_names_the_sub_test_that_failed(family, params, notes):
+    ctx = PrecisionContext(15)
+    rep = orth.favard_check(family, F.make_params(family, ctx, **params), 200, ctx)
+    assert (rep["status"], rep["notes"]) == ("fail", notes)
+
+
+@pytest.mark.parametrize("one, zero, notes", [
+    (None, None, "b2 = 1 keeps every b_n and u_n real through n = 5"),
+    (2, 3, "b2 = 0: first nonreal b_n or u_n at n = 3: imaginary part above the "
+           "favard-reality gate 1e-07"),
+    (None, 0, "b2 = 1 keeps every b_n and u_n real through n = 5; b2 = 0: first nonreal "
+              "b_n or u_n at n = 0: imaginary part above the favard-reality gate 1e-07"),
+])
+def test_failed_ccbi_favard_row_names_the_half_that_broke(monkeypatch, one, zero, notes):
+    # the CCBI row classifies: nonreal at b2 = 1 (first_nonreal_n ``one``), real at b2 = 0
+    def scan(fid, params, N, ctx):
+        return {"first_nonreal_n": one if params["b2"] else zero}
+
+    monkeypatch.setattr(orth, "favard_scan", scan)
+    ctx = PrecisionContext(15)
+    params = F.make_params("ccbi", ctx, **F.fixture_points("ccbi")[0])
+    rep = orth.favard_check("ccbi", params, 200, ctx)
+    assert (rep["status"], rep["notes"]) == ("fail", notes)
+
+
 def test_recurrence_gram_matches_horner_gram(monkeypatch):
     # the Gram from recurrence values against one from generate + Horner on the same table;
     # continuous-bannai-ito has complex recurrence coefficients, generalized-hermite the most nodes
