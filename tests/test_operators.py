@@ -289,7 +289,26 @@ def test_eigen_dead_end_ends_the_check(monkeypatch, capsys, coeff, status):
     assert "P_0 at sigma = 0.5" in row["notes"], row
 
 
-def test_eigen_fail_row_names_the_sub_test_that_decided_it():
+@pytest.mark.parametrize("family, params, deviation", [
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, "0.033"),
+    ("continuous-minus1-hahn-1", {"alpha": "0.25", "beta": "5e7", "gamma": "0.75"}, "4.84e+09"),
+])
+def test_eigen_fail_row_names_the_sub_test_that_decided_it(monkeypatch, family, params, deviation):
+    # both points pass; a basis-matrix deviation planted on top of the real
+    # one (the size these rows read when the matrix was judged against
+    # max|lambda_n| alone) fails the row while every per-degree residual
+    # passes: the notes give that deviation and its gate, never "basis matrix diagonal"
+    diagonality = O._diagonality
+    monkeypatch.setattr(O, "_diagonality", lambda *args: {**diagonality(*args),
+                                                          "max_offdiag": float(deviation)})
+    ctx = PrecisionContext(15)
+    rep = O.eigen_check(family, F.make_params(family, ctx, **params), 10, ctx)
+    assert rep["status"] == "fail" and rep["residual"] <= rep["tolerance"], rep
+    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation %s "
+                            "exceeds the eigen gate 1e-05" % deviation), rep["notes"]
+
+
+def test_eigen_row_fails_on_the_basis_matrix_alone_at_chihara_gamma_1e12():
     # at gamma = 1e12 the per-degree residuals pass and the basis matrix does
     # not (the monomial-to-P basis change loses the digits, ROADMAP item 2):
     # the notes give that deviation and its gate, never "basis matrix diagonal"
