@@ -19,6 +19,9 @@ with a surviving pole among them) a failed row; a row that ended in an error
 has residual and tolerance null.
 Four tables name the runners: the family checks, the edge kinds, the suite
 rows of ``verify --all`` and its open questions (``scheme.OPEN_QUESTIONS``).
+A suite row runs when its own check or ``square`` is selected: the
+commuting squares under ``square``, the kernel recurrence map under
+``ct-gt`` or ``square``.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def cmd_list(args):
         print(json.dumps(entries, indent=2, sort_keys=True))
         return EXIT_PASS
     for e in entries:
-        tag = {"scheme": " ", "quasi": "~", "helper": "H", "q-aux": "q"}[e["kind"]]
+        tag = {"scheme": " ", "quasi": "~", "q-aux": "q"}[e["kind"]]
         print("%s %-38s params=(%s)  [%s]" % (tag, e["id"], ", ".join(e["parameters"]), e["anchor"]))
         print("    %s; admissible: %s" % (e["name"], e["admissible"]))
     print("%d entries" % len(entries))
@@ -316,8 +319,8 @@ def cmd_verify(args):
     for edge in edges:
         results.extend(_edge_results(edge, ctx, checks))
     if args.all:
-        if "square" in checks:
-            results.extend(_row(*row, ctx) for row in _SUITE_ROWS)
+        results.extend(_row(*row, ctx) for row in _SUITE_ROWS
+                       if row[1] in checks or "square" in checks)
         results.extend(_row(id, check, "", run, ctx) for id, check, run in scheme.OPEN_QUESTIONS)
 
     results.sort(key=lambda r: (r["id"], r["check"], str(r["notes"])))

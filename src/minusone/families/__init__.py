@@ -1,5 +1,5 @@
 """The family catalog: one entry per continuous -1 family, plus the q-aux
-families driving the q -> -1 edges and the Wilson-type helpers.
+families driving the q -> -1 edges.
 
 Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``make_params``, ``recurrences`` (and its entry ``recurrence``),
@@ -12,12 +12,12 @@ reports ``status``, ``residual``, ``tolerance`` and ``notes``.  A family
 has a closed form or a measure when its table entry exists; a measure is one
 ``WEIGHTS`` entry, the weight with its printed norms.  The registry merges
 the families of ``catalog`` and ``qaux``, each stated in its module's own
-table, as the recurrence and closed-form tables are merged.  Eigen systems
-belong to the Dunkl operator layer, which imports this package; this
-package imports nothing above it.  A family's coefficients are one
-sequence per (family, parameters, N): ``recurrences`` and ``norms`` return
-degrees 0..N from one call, and ``recurrence`` and ``norm`` are their entry
-n.
+table, as the recurrence tables are merged; only ``catalog`` states closed
+forms.  Eigen systems belong to the Dunkl operator layer, which imports
+this package; this package imports nothing above it.  A family's
+coefficients are one sequence per (family, parameters, N): ``recurrences``
+and ``norms`` return degrees 0..N from one call, and ``recurrence`` and
+``norm`` are their entry n.
 
 Parameters are parsed once, here: each dispatcher converts the names of
 the family's schema (``FamilyInfo.params``) in the caller's context and
@@ -49,13 +49,12 @@ from .base import (
     WeightSpec,
 )
 from .catalog import ALIASES, CLOSED_FORMS, FAMILIES, RECURRENCES
-from .qaux import Q_CLOSED_FORMS, Q_FAMILIES, Q_RECURRENCES
+from .qaux import Q_FAMILIES, Q_RECURRENCES
 from .fixtures import FIXTURES
 from .weights import WEIGHTS
 
 REGISTRY = {**FAMILIES, **Q_FAMILIES}
 _ALL_RECURRENCES = {**RECURRENCES, **Q_RECURRENCES}
-_ALL_CLOSED = {**CLOSED_FORMS, **Q_CLOSED_FORMS}
 
 # numerical dead ends at a parameter point: each ends only the check it arises in, as inconclusive
 DEAD_ENDS = (ParameterError, ReductionAmbiguityError, ZeroDenominatorError)
@@ -171,16 +170,12 @@ def polys_from_pairs(pairs, ctx: PrecisionContext):
     return polys
 
 
-def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: bool = False):
-    """Hypergeometric closed form of P_n, renormalized monic.
-
-    With ``raw=True`` returns (monic_poly, computed_leading_coefficient) so
-    the printed normalization itself can be checked against 1.
-    """
+def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext):
+    """Hypergeometric closed form of P_n, renormalized monic."""
     fid = resolve_family(family)
-    if fid not in _ALL_CLOSED:
+    if fid not in CLOSED_FORMS:
         raise NoClosedFormError("no closed form on record for %s" % fid)
-    p = _ALL_CLOSED[fid](ctx, n, **_bind(fid, params, ctx))
+    p = CLOSED_FORMS[fid](ctx, n, **_bind(fid, params, ctx))
     if p.degree != n or not p[n]:
         raise ParameterError(
             "closed form of %s has no degree-%d term at these parameters (parameter singularity)"
@@ -190,10 +185,7 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext, raw: b
             "closed form of %s lost its degree-%d term to cancellation: precision lost, its top "
             "coefficient lies %.0f digits below the coefficient norm"
             % (fid, n, ctx.mp.log10(p.coeff_norm() / abs(p[n]))))
-    monic = p.monic(ctx).realify(ctx)
-    if raw:
-        return monic, p[p.degree]
-    return monic
+    return p.monic(ctx).realify(ctx)
 
 
 def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):

@@ -38,7 +38,7 @@ class FamilyInfo:
     id: str
     name: str
     params: tuple
-    kind: str                 # "scheme" | "quasi" | "helper" | "q-aux"
+    kind: str                 # "scheme" | "quasi" | "q-aux"
     row: int | None           # parameter-count row in the scheme chart (scheme families)
     admissible: str           # human-readable admissibility clause
     anchor: str               # source anchor for the formulas, e.g. "A.3"

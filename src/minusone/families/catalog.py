@@ -4,17 +4,16 @@ Formulas follow the source compendium (anchors A.1-A.14 plus the sections
 introducing the continuous complementary Bannai-Ito family).  Every closed
 form is assembled exactly as printed, including its prefactors, and then
 renormalized monic by dividing by the computed leading coefficient; the raw
-leading coefficient is available so the printed normalization itself can be
-tested.  Every series is summed by ``hyp_terminating_poly``, and a pattern
+form is the ``CLOSED_FORMS`` entry, so the printed normalization itself can
+be tested.  Every series is summed by ``hyp_terminating_poly``, and a pattern
 printed for two families is written once: the big and little -1 Jacobi
 closed forms (A.2, A.7) both call ``_m1j_template`` with their series
 variable, linear factor and c factors, as the three continuous Bannai-Ito
 type forms call ``_cbi_template``, and the symmetric, generalized symmetric
-and complementary Bannai-Ito forms (with the Wilson and continuous dual
-Hahn helpers) call the Wilson-type ``base._wilson_series``.  The sign factor
-written theta(x) in split-support weights is implemented as sgn(x), the
-unique choice making those densities nonnegative on both support
-components.
+and complementary Bannai-Ito forms call the Wilson-type
+``base._wilson_series``.  The sign factor written theta(x) in split-support
+weights is implemented as sgn(x), the unique choice making those densities
+nonnegative on both support components.
 """
 
 from __future__ import annotations

@@ -79,16 +79,6 @@ FIXTURES = {
         {"a1": "0.75", "b1": "0.333333333333333333333333333333333333", "a2": "1", "b2": "0.5"},
         {"a1": "0.5", "b1": "1", "a2": "2", "b2": "0.333333333333333333333333333333333333"},
     ],
-    "wilson": [
-        {"a": "0.5", "b": "1", "c": "1.5", "d": "2"},
-        {"a": "1", "b": "1", "c": "1", "d": "1"},
-        {"a": "0.25", "b": "0.75", "c": "1.25", "d": "1.75"},
-    ],
-    "continuous-dual-hahn": [
-        {"a": "0.5", "b": "1", "c": "1.5"},
-        {"a": "1", "b": "1", "c": "1"},
-        {"a": "0.25", "b": "0.75", "c": "1.25"},
-    ],
     "little-q-jacobi-dilated": [
         {"a": "0.25", "b": "0.5", "q": "-0.9"},
         {"a": "0.5", "b": "0.25", "q": "-0.95"},

@@ -1,14 +1,9 @@
-"""Auxiliary q-families feeding the q -> -1 limit edges, plus the Wilson and
-continuous dual Hahn helpers (recurrence and closed form of each, from the
-standard catalog).
+"""Auxiliary q-families feeding the q -> -1 limit edges.
 
 The dilated little q-Jacobi, continuous q-Hahn (specialized a=c, b=d, with
 the variable already rescaled) and q-Meixner-Pollaczek recurrences follow
-the source text; the big q-Jacobi monic recurrence and the two helpers are
-sourced from the standard hypergeometric catalog and marked external.  The
-two helper closed forms are the Wilson-type template ``base._wilson_series``
-in x, read as polynomials in y = x^2: Wilson's 4F3 and the continuous dual
-Hahn 3F2, which lacks Wilson's upper parameter n + s - 1.
+the source text; the big q-Jacobi monic recurrence is sourced from the
+standard hypergeometric catalog and marked external.
 
 The middle recurrence coefficient of the dilated little q-Jacobi is printed
 as 1 - A_n + C_n in the source; both sign readings are implemented
@@ -18,8 +13,7 @@ reproduces the little -1 Jacobi coefficients.
 
 from __future__ import annotations
 
-from ..polynomials import Poly
-from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, _wilson_series, denominator_check
+from .base import FamilyInfo, ParameterError, RecurrencePair, _from_AC, denominator_check
 
 
 Q_FAMILIES = {info.id: info for info in (
@@ -39,14 +33,6 @@ Q_FAMILIES = {info.id: info for info in (
         id="q-meixner-pollaczek", name="q-Meixner-Pollaczek",
         params=("a", "phi", "q"), kind="q-aux", row=None,
         admissible="-1 < q < 0 near -1 on the limit ladder", anchor="ss4"),
-    FamilyInfo(
-        id="wilson", name="Wilson (monic, variable x^2)",
-        params=("a", "b", "c", "d"), kind="helper", row=None,
-        admissible="standard catalog conditions", anchor="external", external=True),
-    FamilyInfo(
-        id="continuous-dual-hahn", name="Continuous dual Hahn (monic, variable x^2)",
-        params=("a", "b", "c"), kind="helper", row=None,
-        admissible="standard catalog conditions", anchor="external", external=True),
 )}
 
 
@@ -136,59 +122,9 @@ def _recs_q_mp(ctx, N, a, phi, q):
             for n in range(N + 1)]
 
 
-def _recs_wilson(ctx, N, a, b, c, d):
-    mp = ctx.mp
-    s = a + b + c + d
-    check = denominator_check(ctx)
-    AC = []
-    for k in range(N + 1):
-        t = 2 * k + s
-        ka = k + a
-        A = (k + s - 1) * (ka + b) * (ka + c) * (ka + d) / check((t - 1) * t, "(2n+s-1)(2n+s)")
-        if k == 0:
-            C = mp.mpc(0)
-        else:
-            C = k * (k + b + c - 1) * (k + b + d - 1) * (k + c + d - 1) \
-                / check((t - 2) * (t - 1), "(2n+s-2)(2n+s-1)")
-        AC.append((A, C))
-    aa = a * a
-    return _from_AC(AC, lambda A, C: A + C - aa)
-
-
-def _recs_cdh(ctx, N, a, b, c):
-    mp = ctx.mp
-    aa = a * a
-    AC = [((k + a + b) * (k + a + c), mp.mpc(0) if k == 0 else k * (k + b + c - 1))
-          for k in range(N + 1)]
-    return _from_AC(AC, lambda A, C: A + C - aa)
-
-
-def _in_y(series, pref):
-    """series * pref in y = x^2: its even coefficients; the odd ones are rounding noise."""
-    return Poly(series.scale(pref).coeffs[::2])
-
-
-def _cf_wilson(ctx, n, a, b, c, d):
-    """Monic Wilson polynomial in y = x^2: the 4F3 with upper parameter n+s-1, s = a+b+c+d."""
-    s = a + b + c + d
-    return _in_y(*_wilson_series(ctx, n, a, [b, c, d], n + s - 1))
-
-
-def _cf_cdh(ctx, n, a, b, c):
-    """Monic continuous dual Hahn polynomial in y = x^2: the Wilson series' 3F2."""
-    return _in_y(*_wilson_series(ctx, n, a, [b, c]))
-
-
 Q_RECURRENCES = {
     "little-q-jacobi-dilated": _recs_little_q_dilated,
     "big-q-jacobi": _recs_big_q_jacobi,
     "continuous-q-hahn": _recs_continuous_q_hahn,
     "q-meixner-pollaczek": _recs_q_mp,
-    "wilson": _recs_wilson,
-    "continuous-dual-hahn": _recs_cdh,
-}
-
-Q_CLOSED_FORMS = {
-    "wilson": _cf_wilson,
-    "continuous-dual-hahn": _cf_cdh,
 }

@@ -490,8 +490,7 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
 
     ``free`` binds the free parameter (sigma or epsilon) of the second-order
     families; default 1/2.  A family with no builder (the quasi-orthogonal
-    CCBI, the q-aux families and the helpers) raises
-    :class:`NoEigenSystemError`.
+    CCBI and the q-aux families) raises :class:`NoEigenSystemError`.
     """
     mp = ctx.mp
     fid = families.resolve_family(family)

@@ -27,10 +27,10 @@ division itself adds no more than one rounding.  What it cannot restore is
 the error the coefficient already carries relative to the norm: making p
 monic turns it into a relative error of every coefficient, log2(norm/|lead|)
 bits more than per-coefficient floats would give.  On the catalog's raw
-closed forms at the fixture points that gap grows by about 8 bits per
-degree: 64 bits at n = 12, 130 at n = 20, 224 at n = 30 and 312 at n = 40
-(continuous dual Hahn, 100 digits).  GUARD_BITS = 320 covers it up to
-n = 40; past that the gap outgrows the guard.  The wide mantissas cost
+closed forms at the fixture points that gap grows by at most about 3.5
+bits per degree: 27 bits at n = 12, 54 at n = 20, 93 at n = 30 and 136 at
+n = 40 (continuous Bannai-Ito, 100 digits).  GUARD_BITS = 320 covers it to
+n = 40 with more than half its bits to spare.  The wide mantissas cost
 little time, since Python int arithmetic at a few hundred bits is
 dominated by call overhead.
 

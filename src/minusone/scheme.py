@@ -8,9 +8,11 @@ Each edge carries its parameter map where it is registered (see
 reading checks of :data:`OPEN_QUESTIONS` all read the maps from there.
 
 Limit verification compares both the transformed polynomials and the
-transformed recurrence coefficients, fits the convergence order from the
-error ladder, and Richardson-extrapolates the last three points; the
-extrapolated error enters the pass/fail bound only.  Every gate, and the
+transformed recurrence coefficients, fits the convergence order p from the
+last three points of the error ladder, and Richardson-extrapolates from the
+last two rungs at that order; the factor 10^p - 1 assumes that consecutive
+ladder values differ by a factor of 10, as those of ``default_ladder`` do.
+The extrapolated error enters the pass/fail bound only.  Every gate, and the
 ladders' working precision, is read from the plan in ``precision``.
 """
 
@@ -379,21 +381,25 @@ def _order_note(order):
 
 
 def default_ladder(direction, ctx):
+    """h = 10^1 .. 10^6 toward h -> inf, else 10^-1 .. 10^-6: the step of 10 that
+    the Richardson factor of ``verify_limit`` assumes."""
     mp = ctx.mp
     if direction == "h->inf":
         return [mp.mpf(10) ** k for k in range(1, 7)]
     return [mp.mpf(10) ** -k for k in range(1, 7)]
 
 
-def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
-    """Ladder convergence of a limit or q-limit edge.
+def verify_limit(edge, N, ctx: PrecisionContext):
+    """Ladder convergence of a limit or q-limit edge over ``default_ladder``.
 
     Passes iff polynomial-coefficient and recurrence-coefficient errors both
     decay monotonically with fitted order >= 1 and the Richardson
-    extrapolation of the last three ladder points lands within the limit
-    gate of the target, or the last ladder error is below the "converged
-    exactly" floor; the ladder runs in ``precision.ladder_context`` (gate,
-    floor and context: ``precision``, Precision plan).
+    extrapolation lands within the limit gate of the target, or the last
+    ladder error is below the "converged exactly" floor.  The order p is
+    fitted from the last three ladder points; the extrapolation runs from
+    the last two rungs with the factor 10^p - 1, which assumes a ladder step
+    of 10.  The ladder runs in ``precision.ladder_context`` (gate, floor and
+    context: ``precision``, Precision plan).
     The residual is the extrapolated error; the notes give the fitted
     order and the ladder errors; ``rungs`` holds the rescaled source
     polynomials P_0 .. P_N at each ladder point.
@@ -402,8 +408,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
         edge = resolve_edge(edge)
     ctx = ladder_context(ctx)
     mp = ctx.mp
-    if ladder is None:
-        ladder = default_ladder(edge.direction, ctx)
+    ladder = default_ladder(edge.direction, ctx)
     tgt_params = _mapdata(edge, ctx, h=ladder[0])[1]
     target_pairs = families.recurrences(edge.target, tgt_params, N, ctx)
     target = families.polys_from_pairs(target_pairs[:N], ctx)
@@ -435,7 +440,7 @@ def verify_limit(edge, N, ctx: PrecisionContext, ladder=None):
     order_poly = fit_order(errors)
     order_rec = fit_order(rec_errors)
 
-    # Richardson on the last three ladder points, coefficient-wise
+    # Richardson from the last two rungs, coefficient-wise, at the fitted order
     ext_err = None
     if len(ladder_polys) >= 3 and order_poly is not None:
         p = mp.mpf(max(order_poly, 1.0))

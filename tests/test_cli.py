@@ -21,14 +21,14 @@ def run(capsys, *argv):
 def test_list_counts(capsys):
     code, out = run(capsys, "list")
     assert code == 0
-    assert "21 entries" in out
+    assert "19 entries" in out
 
     code, out = run(capsys, "list", "--scheme-only")
     assert "15 entries" in out
 
     code, out = run(capsys, "list", "--format", "json")
     entries = json.loads(out)
-    assert isinstance(entries, list) and len(entries) == 21
+    assert isinstance(entries, list) and len(entries) == 19
     assert all("admissible" in e and "anchor" in e for e in entries)
 
 
@@ -301,6 +301,23 @@ def test_unknown_check_usage_error(capsys):
         for checks in ("nonesuch", ""):
             code, out = run(capsys, "verify", *scope, "--checks", checks)
             assert code == cli.EXIT_USAGE and out == "", (scope, checks)
+
+
+def test_suite_rows_run_under_their_own_check_or_square(capsys):
+    # the commuting squares run under square; the kernel recurrence map, a ct-gt
+    # row, runs under ct-gt or square; the open questions run under any selection
+    from minusone import scheme
+
+    questions = {(id, check) for id, check, _ in scheme.OPEN_QUESTIONS}
+    kernel_map = ("kernel-recurrence-map", "ct-gt")
+    squares = {("commuting-square:%s" % which, "square") for which in scheme.SQUARES}
+    christoffel = {(e.id, "ct-gt") for e in scheme.edge_catalog() if e.kind == "christoffel"}
+    for checks, expected in (("square", squares | {kernel_map} | questions),
+                             ("ct-gt", christoffel | {kernel_map} | questions)):
+        code, out = run(capsys, "verify", "--all", "--checks", checks, "--digits", "15",
+                        "--format", "json", "--no-timestamp")
+        rows = [(r["id"], r["check"]) for r in json.loads(out)["results"]]
+        assert len(rows) == len(set(rows)) and set(rows) == expected, (checks, rows)
 
 
 def test_empty_edge_selection_usage_error(capsys):

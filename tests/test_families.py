@@ -32,7 +32,7 @@ def P(fid, **kw):
 
 
 def test_catalog_counts_and_aliases():
-    assert len(F.family_ids()) == 21
+    assert len(F.family_ids()) == 19
     assert len(F.scheme_ids()) == 15
     assert len(F.orthogonal_ids()) == 14
     assert F.resolve_family("cbi") == "continuous-bannai-ito"
@@ -140,7 +140,8 @@ def test_closed_form_leading_coefficient_is_one():
                 "continuous-complementary-bannai-ito"):
         params = P(fid, **F.fixture_points(fid)[0])
         for n in (1, 3, 4, 7):
-            _, lead = F.closed_form(fid, params, n, CTX, raw=True)
+            raw = F.CLOSED_FORMS[fid](CTX, n, **F._bind(fid, params, CTX))
+            lead = raw[raw.degree]
             expected = 1
             if n % 2 and fid in ("little-minus1-jacobi", "special-little-minus1-jacobi"):
                 expected = (-1) ** ((n - 1) // 2 + 1)
@@ -174,7 +175,6 @@ def test_gamma_reflection_covariance():
 def test_decomposition_consistency_random_points():
     # b_n and u_n = A_{n-1} C_n as each A/C family prints them, at random points
     one_minus = lambda p, A, C: 1 - A - C
-    wilson_b = lambda p, A, C: A + C - p["a"] ** 2
 
     def q_hahn_b(p, A, C):
         eip = MP.exp(1j * p["phi"])
@@ -195,9 +195,7 @@ def test_decomposition_consistency_random_points():
                 ("little-q-jacobi-dilated", {"a": al / 4, "b": be / 4, "q": q}, one_minus, 1),
                 ("little-q-jacobi-dilated", {"a": al / 4, "b": be / 4, "q": q, "bn_sign": "plus"},
                  lambda p, A, C: 1 - A + C, 1),
-                ("continuous-q-hahn", {"a": al / 4, "b": be / 4, "phi": phi, "q": q}, q_hahn_b, 4),
-                ("wilson", {"a": al, "b": be, "c": c + 1, "d": al + be}, wilson_b, 1),
-                ("continuous-dual-hahn", {"a": al, "b": be, "c": c + 1}, wilson_b, 1)):
+                ("continuous-q-hahn", {"a": al / 4, "b": be / 4, "phi": phi, "q": q}, q_hahn_b, 4)):
             n = rng.randint(1, 12)
             pairs = F.recurrences(fid, params, n, CTX)
             pair, prev = pairs[n], pairs[n - 1]
@@ -245,7 +243,7 @@ def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
 # table -> (function of an entry, its leading arguments before the parameters)
 _TABLES = {
     "recurrences": (F._ALL_RECURRENCES, lambda fn: fn, ("ctx", "N")),
-    "closed forms": (F._ALL_CLOSED, lambda fn: fn, ("ctx", "n")),
+    "closed forms": (F.CLOSED_FORMS, lambda fn: fn, ("ctx", "n")),
     "weight specs": (F.WEIGHTS, lambda measure: measure.spec, ("ctx",)),
     "norms": (F.WEIGHTS, lambda measure: measure.norms, ("ctx", "N")),
     "eigen builders": (O._BUILDERS, lambda entry: entry.build, ("ctx", "free", "variant")),
@@ -270,7 +268,7 @@ def test_table_functions_take_the_schema_by_name(table):
 
 _MISSING = [
     ("recurrences", lambda fid, params: F.recurrences(fid, params, 3, CTX), F._ALL_RECURRENCES),
-    ("closed_form", lambda fid, params: F.closed_form(fid, params, 3, CTX), F._ALL_CLOSED),
+    ("closed_form", lambda fid, params: F.closed_form(fid, params, 3, CTX), F.CLOSED_FORMS),
     ("weight_spec", lambda fid, params: F.weight_spec(fid, params, CTX), F.WEIGHTS),
     ("norms", lambda fid, params: F.norms(fid, params, 3, CTX), F.WEIGHTS),
     ("build_eigen_system", lambda fid, params: O.build_eigen_system(fid, params, CTX), O._BUILDERS),
@@ -497,7 +495,7 @@ def test_weight_inadmissible():
     with pytest.raises(InadmissibleParameterError):
         F.weight_spec("big-minus1-jacobi", P("big-minus1-jacobi", alpha="0.5", beta="1", c="1.5"), CTX)
     with pytest.raises(NoWeightError):
-        F.weight_spec("wilson", P("wilson", a="1", b="1", c="1", d="1"), CTX)
+        F.weight_spec("big-q-jacobi", P("big-q-jacobi", **F.fixture_points("big-q-jacobi")[0]), CTX)
 
 
 def test_norm_values():
@@ -546,19 +544,8 @@ def test_eigen_system_errors():
     with pytest.raises(NoEigenSystemError):
         O.build_eigen_system("ccbi", P("ccbi", **F.fixture_points("ccbi")[0]), CTX)
     with pytest.raises(NoEigenSystemError):
-        O.build_eigen_system("wilson", P("wilson", **F.fixture_points("wilson")[0]), CTX)
-
-
-def test_helper_families_closed_forms():
-    # Wilson / continuous dual Hahn helpers agree with their recurrences to
-    # 10**-(digits + 14), far inside the tol(10) gate: their series is summed
-    # with guard bits like every other closed form
-    for digits in (15, 50):
-        ctx = PrecisionContext(digits)
-        for fid in ("wilson", "continuous-dual-hahn"):
-            for point in F.fixture_points(fid):
-                row = F.closed_form_check(fid, F.make_params(fid, ctx, **point), 12, ctx)
-                assert row["residual"] <= ctx.tol(-14), (digits, fid, point, row["residual"])
+        O.build_eigen_system("big-q-jacobi", P("big-q-jacobi", **F.fixture_points("big-q-jacobi")[0]),
+                             CTX)
 
 
 def test_every_closed_form_is_summed_by_hyp_terminating_poly(monkeypatch):
@@ -576,47 +563,19 @@ def test_every_closed_form_is_summed_by_hyp_terminating_poly(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("minusone") and getattr(module, "hyp_terminating_poly", None) is original:
             monkeypatch.setattr(module, "hyp_terminating_poly", counted)
-    for fid in sorted(F._ALL_CLOSED):
+    for fid in sorted(F.CLOSED_FORMS):
         calls.clear()
         F.closed_form(fid, P(fid, **F.fixture_points(fid)[0]), 3, CTX)
         assert calls, fid
 
 
-@pytest.mark.parametrize("digits", [15, 50])
-def test_helper_series_in_x_has_only_rounding_noise_in_odd_coefficients(monkeypatch, digits):
-    # the helpers are read in y = x^2 from the even coefficients of the
-    # Wilson-type series in x; the odd ones are rounding noise, at most
-    # 2**-(prec + GUARD_BITS/2) of the coefficient norm
-    from minusone.families import qaux
-    from minusone.polynomials import GUARD_BITS
-
-    ctx = PrecisionContext(digits)
-    in_y, seen = qaux._in_y, []
-
-    def capture(series, pref):
-        seen.append(series.scale(pref))
-        return in_y(series, pref)
-
-    monkeypatch.setattr(qaux, "_in_y", capture)
-    bound = ctx.mp.mpf(2) ** -(ctx.mp.prec + GUARD_BITS // 2)
-    for fid in ("wilson", "continuous-dual-hahn"):
-        for point in F.fixture_points(fid):
-            params = F.make_params(fid, ctx, **point)
-            for n in range(13):
-                seen.clear()
-                F.closed_form(fid, params, n, ctx)
-                [p] = seen
-                odd = max((abs(c) for c in p.coeffs[1::2]), default=0)
-                assert odd <= bound * p.coeff_norm(), (fid, point, n, odd)
-
-
 def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkeypatch):
-    raw = F._ALL_CLOSED["hermite"]
+    raw = F.CLOSED_FORMS["hermite"]
 
     def no_top(ctx, n):
         return Poly(list(raw(ctx, n).coeffs[:-1]) + [ctx.mp.mpc(0)])
 
-    monkeypatch.setitem(F._ALL_CLOSED, "hermite", no_top)
+    monkeypatch.setitem(F.CLOSED_FORMS, "hermite", no_top)
     with pytest.raises(ParameterError, match="no degree-3 term"):
         F.closed_form("hermite", {}, 3, CTX)
 
@@ -637,7 +596,7 @@ def test_closed_forms_match_recurrence_to_degree_40(digits):
     # a true leading coefficient far below the coefficient norm is kept: the
     # raw form is tested against its own rounding unit, not trimmed at tol(6)
     ctx = PrecisionContext(digits)
-    for fid in sorted(F._ALL_CLOSED):
+    for fid in sorted(F.CLOSED_FORMS):
         for point in F.fixture_points(fid):
             params = F.make_params(fid, ctx, **point)
             polys = F.generate(fid, params, 40, ctx)
@@ -664,7 +623,7 @@ def test_registry_merges_the_catalog_and_qaux_tables():
     assert not set(catalog.FAMILIES) & set(qaux.Q_FAMILIES)
     assert F.REGISTRY == {**catalog.FAMILIES, **qaux.Q_FAMILIES}
     assert {info.kind for info in catalog.FAMILIES.values()} == {"scheme", "quasi"}
-    assert {info.kind for info in qaux.Q_FAMILIES.values()} == {"q-aux", "helper"}
+    assert {info.kind for info in qaux.Q_FAMILIES.values()} == {"q-aux"}
     assert set(F.REGISTRY) == set(F._ALL_RECURRENCES)
 
 

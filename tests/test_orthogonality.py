@@ -265,6 +265,17 @@ def test_singular_endpoint_gram_converges_at_full_precision():
     assert error < 1e-45, error
 
 
+@pytest.mark.parametrize("digits", [15, 20, 30, 50])
+def test_chihara_gram_far_out_on_the_line_is_never_a_false_fail(digits):
+    # at beta = 1.5e8 the two support pieces lie near |x| = 1e8, where the Gram
+    # rows lose about 20 digits to cancellation in the recurrence; a table that
+    # finds the mass must not turn that rounding into a FAIL of a correct weight
+    ctx = PrecisionContext(digits)
+    params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5e8", gamma="0.25")
+    row = orth.gram("chihara", params, 8, ctx)
+    assert row["status"] in ("pass", "inconclusive"), (digits, row)
+
+
 @pytest.mark.slow
 def test_gram_sweep_high_precision():
     for digits in (30, 100):

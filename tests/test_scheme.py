@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from minusone.precision import GATES, PrecisionContext
+from minusone.precision import GATES, PrecisionContext, ladder_context
 from minusone import families as F
 from minusone import scheme as S
 
@@ -119,13 +119,25 @@ def test_one_recurrence_table_call_per_ladder_point(monkeypatch):
     assert calls == {edge.source: len(rep["ladder"]), edge.target: 1}
 
 
-def test_limit_floor_no_looser_than_gate_at_15_digits():
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_default_ladder_steps_by_ten(digits):
+    # verify_limit's Richardson factor 10^p - 1 assumes this step; a ladder
+    # edit without a matching factor edit turns this red
+    ctx = ladder_context(PrecisionContext(digits))
+    for direction in ("h->inf", "h->0", "eps->0"):
+        ladder = S.default_ladder(direction, ctx)
+        assert len(ladder) >= 3, direction
+        for near, far in zip(ladder, ladder[1:]):
+            step = far / near if direction == "h->inf" else near / far
+            assert abs(step / 10 - 1) <= 2 ** (4 - ctx.mp.prec), (digits, direction, step)
+
+
+def test_limit_floor_no_looser_than_gate_at_15_digits(monkeypatch):
     # at 15 digits the "converged exactly" floor tol(12) would be 1e-3; the
     # ladder runs at 20 digits, where the 8.8e-8 extrapolated error of this
     # short ladder is over the 1e-8 gate
-    ladder = [10 ** k for k in range(1, 6)]
-    rep = S.verify_limit("chihara:minus1-meixner-pollaczek", 6, PrecisionContext(15),
-                         ladder=ladder)
+    monkeypatch.setattr(S, "default_ladder", lambda direction, ctx: [10 ** k for k in range(1, 6)])
+    rep = S.verify_limit("chihara:minus1-meixner-pollaczek", 6, PrecisionContext(15))
     assert rep["extrapolated_error"] > 1e-8
     assert rep["status"] == "fail"
 
