@@ -85,7 +85,6 @@ def _build_parser():
 
     sp = sub.add_parser("export", help="emit the scheme graph")
     sp.add_argument("--format", choices=("dot", "json"), default="dot")
-    sp.add_argument("--include-aux", action="store_true")
     sp.add_argument("--output", default=None)
     return p
 
@@ -344,7 +343,7 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    return _emit(scheme.export_graph(args.format, include_aux=args.include_aux), args.output)
+    return _emit(scheme.export_graph(args.format), args.output)
 
 
 def main(argv=None):

@@ -77,7 +77,6 @@ class DunklOperator:
 
 @dataclass
 class EigenSystem:
-    family: str
     operator: DunklOperator
     eigenvalue: Callable             # n -> lambda_n (free parameter already bound)
     free_name: str | None = None     # "sigma" / "epsilon" when the eigenvalue carries one
@@ -401,13 +400,13 @@ SHIFT_REFLECT_FAMILIES = tuple(fid for fid, entry in _BUILDERS.items()
 DIAGONALITY_N = 8
 
 
-def _system_for_variant(fid, entry, params, free, variant, ctx):
+def _system_for_variant(entry, params, free, variant, ctx):
     """The eigen system in reading ``variant`` at parsed ``params`` (``families.make_params``)."""
     den, terms, lam = entry.build(ctx, free, variant, **params)
     for reading in variant.items():
         if reading in _REWRITES:
             terms = [_REWRITES[reading](*term) for term in terms]
-    return EigenSystem(family=fid, operator=DunklOperator(den, terms), eigenvalue=lam,
+    return EigenSystem(operator=DunklOperator(den, terms), eigenvalue=lam,
                        free_name=entry.free_name, free_value=free if entry.free_name else None)
 
 
@@ -454,7 +453,7 @@ def _resolve_variant(fid, ctx, params=None):
     outcomes = []
     for values in product(*(READING_AXES[axis] for axis in axes)):
         variant = dict(zip(axes, values))
-        es = _system_for_variant(fid, entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
+        es = _system_for_variant(entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
         residuals = [None] * 3
         try:
             for n, _, res, status in _eigen_degrees(es, polys, range(1, 4), ctx):
@@ -501,7 +500,7 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    return _system_for_variant(fid, entry, families.make_params(fid, ctx, **params), free,
+    return _system_for_variant(entry, families.make_params(fid, ctx, **params), free,
                                entry.reading, ctx)
 
 
@@ -559,16 +558,16 @@ def _diagonality(matrix, basis, eigenvalue, ctx):
             "tolerance": float(GATES["eigen"](ctx))}
 
 
-def check_diagonality(family, params, N, ctx: PrecisionContext, free=None):
+def check_diagonality(family, params, N, ctx: PrecisionContext):
     """Max off-diagonal entry and max diagonal deviation from lambda_n, both relative.
 
     A dead end raises its error (module docstring).
     """
     fid = families.resolve_family(family)
-    es = build_eigen_system(fid, params, ctx, free=free)
+    es = build_eigen_system(fid, params, ctx)
     basis = families.generate(fid, params, N, ctx)
     images = [image for _, image, _, _ in _eigen_degrees(es, basis, range(N + 1), ctx)]
-    return {"family": es.family,
+    return {"family": fid,
             **_diagonality(_basis_matrix(images, basis, ctx), basis, es.eigenvalue, ctx)}
 
 

@@ -24,13 +24,14 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   ``families.weights``).  It builds each factor that vanishes at an
   endpoint from them, and keeps its relative accuracy where x rounds onto
   the endpoint (the (x, xc) integrand of Boost.Math's tanh_sinh).
-- Stop rule.  A sweep drops a node, and stops, when a map offset is 0;
-  otherwise the term cutoff (below) ends it.  The offsets do not underflow
+- Stop rule.  A sweep ends at the term cutoff (Guard integrand, below) or
+  at the node cap.  No map offset is ever 0: the offsets do not underflow
   (mpmath exponents are unbounded), so a sweep runs past the node where x
   rounds onto its endpoint.  The mass below that node, at offsets under
   about eps |endpoint|, is 2 sqrt(eps |endpoint|) for an offset^(-1/2)
   singularity: a stop there would floor the error near the square root of
-  the working precision.
+  the working precision.  A piece whose ends coincide at the working
+  precision gets no node, and does not converge.
 - Guard integrand.  density * (1+x^2)**ceil(max_degree/2) stands in for
   every polynomial factor up to max_degree.  It drives the term cutoff (a
   sweep stops once four successive terms fall below ~10**-(digits+10) of
@@ -110,8 +111,9 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   4 sqrt(nodes) 2**-(prec + GUARD_BITS) |a| |b|.  With sqrt(NODE_CAP) =
   2**10 that is below one rounding at the working precision.  It sums the
   final mesh only; no coarse-mesh estimate is embedded in it.
-- Node cap.  A piece stops refining at 2**20 nodes, which turns a runaway
-  integrand into an explicit non-convergence report.
+- Node cap.  A piece holds at most NODE_CAP = 2**20 nodes: a sweep adds no
+  node past it, and the piece then stops refining, unconverged, which turns
+  a runaway integrand into an explicit non-convergence report.
 
 ``integrate`` is the table built on density * f (max_degree = 0) plus a dot
 product over it.  Its error estimate is the table's predicted error
@@ -142,7 +144,6 @@ class QuadratureResult:
     error_estimate: object
     node_count: int
     converged: bool
-    levels: int = 0
     last_two: tuple = ()
 
     def __repr__(self):
@@ -228,8 +229,6 @@ def _map_tanh_sinh(lo, hi, mp):
         q = mpf_exp(mpf_mul(rate, mpf_sub(e, r, prec, RND), prec, RND), prec, RND)
         d = mpf_add(q, fone, prec, RND)
         near = mpf_div(mpf_mul(width, q, prec, RND), d, prec, RND)
-        if near == fzero:
-            return None
         w = mpf_div(mpf_mul(mpf_mul(half_pi, mpf_add(e, r, prec, RND), prec, RND), near, prec, RND),
                     d, prec, RND)
         if t[0]:                          # t < 0
@@ -256,8 +255,6 @@ def _map_half_line(anchor, direction, mp):
         else:
             d = mpf_rdiv_int(1, e, prec, RND)                               # exp(-t)
             g = mpf_mul(e, mpf_exp(mpf_neg(d, prec, RND), prec, RND), prec, RND)   # exp(t - exp(-t))
-        if g == fzero:
-            return None
         w = mpf_mul(mpf_add(d, fone, prec, RND), g, prec, RND)
         if direction > 0:
             return mpf_add(anchor, g, prec, RND), w, g, finf
@@ -292,11 +289,11 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ev
 
     Each piece is refined until its guard sum converges (module docstring,
     Convergence), MAX_LEVELS meshes have been swept or it holds NODE_CAP
-    nodes, so the table is valid for
-    polynomial factors up to max_degree.  A piece that yields no node (one
-    of zero width at the working precision) does not converge.  (The guard
-    must be smooth: a |x|**d factor would spoil the double-exponential
-    trapezoid convergence with its kink.)  The nodes are listed in sweep
+    nodes, so the table is valid for polynomial factors up to max_degree.
+    (The guard must be smooth: a |x|**d factor would spoil the
+    double-exponential trapezoid convergence with its kink.)  A piece whose
+    ends coincide at the working precision is settled before any sweep: no
+    node, level 0, not converged, guard sums 0.  The nodes are listed in sweep
     order, which no reader of a table depends on.  The density is called as
     density(x, x - lo, hi - x), the offsets as the map computes them (module
     docstring, Offsets).  With ``even``, the density is even and the pieces
@@ -318,7 +315,9 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ev
     for lo, hi in pieces:
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         twin = built.get((-hi, -lo)) if even else None
-        if twin is None:
+        if lo == hi:               # zero width at this precision: no node, not converged
+            piece = [], 0, False, mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        elif twin is None:
             piece = built[lo, hi] = _refine(_component_map(lo, hi, mp), density, mp, tol,
                                             eps_term, gd, even and lo == -hi)
         else:                      # the twin's nodes, negated
@@ -358,8 +357,7 @@ def _refine(phi, density, mp, tol, eps_term, gd, mirror):
         converged = level > 0 and d <= tol * scale
         if not converged and level > 1 and d * d <= model_tol * scale * change:
             converged, predicted = True, d * d / change
-        # a piece with no node (zero width at this precision) ends unconverged
-        if converged or not pts or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
+        if converged or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
             return pts, level, converged, previous, guard, predicted
         previous, change = guard, d
         h = h / 2
@@ -369,20 +367,19 @@ def _refine(phi, density, mp, tol, eps_term, gd, mirror):
 def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
     """Add this level's nodes to pts, sweeping outward until terms die off.
 
-    Node k sits at t = k 2**-level.  Returns the sum of the guard terms
-    w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
+    Node k sits at t = k 2**-level.  Each sweep ends at the term cutoff or
+    where pts holds NODE_CAP nodes (module docstring, Stop rule), the node
+    cap checked once, before a node is added.  Returns the sum of the guard
+    terms w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
     e = exp(|t|) through the same products (module docstring, Raw values).
-    With ``mirror`` the -t sweep repeats the +t sweep negated (module
-    docstring, Even weights).
+    With ``mirror`` the -t sweep repeats the +t sweep negated, up to the cap
+    (module docstring, Even weights).
     """
     prec = mp.prec
     make = mp.make_mpf
 
     def handle(k, e):
-        node = phi(from_man_exp(k, -level), e)
-        if node is None:       # an offset the density sees is 0 (module docstring, Stop rule)
-            return None
-        x, w, lo_off, hi_off = node
+        x, w, lo_off, hi_off = phi(from_man_exp(k, -level), e)
         value = density(make(x), make(lo_off), make(hi_off))
         try:
             value = value._mpf_
@@ -393,13 +390,8 @@ def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
         guard = mpf_pow_int(mpf_add(mpf_mul(x, x, prec, RND), fone, prec, RND), gd, prec, RND)
         return mpf_mul(wd, guard, prec, RND)
 
-    added = fzero
+    added = handle(0, fone) if level == 0 else fzero
     step = 2 if level else 1
-    if level == 0:
-        g = handle(0, fone)
-        if g is None:
-            return added
-        added = mpf_add(added, g, prec, RND)
     wp = prec + GUARD_BITS
     first = mpf_exp(from_man_exp(1, -level), wp)          # exp(h): both sweeps start at |k| = 1
     factor = mpf_exp(from_man_exp(step, -level), wp)
@@ -410,10 +402,8 @@ def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
         cut = mpf_mul(eps, eps, prec, RND)                 # eps * max(peak, eps)
         start, terms = len(pts), []
         k, e = direction, first
-        while True:
+        while len(pts) < NODE_CAP:
             g = handle(k, e)
-            if g is None:
-                break
             added = mpf_add(added, g, prec, RND)
             terms.append(g)
             r = mpf_abs(g, prec, RND)
@@ -428,14 +418,10 @@ def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
                 small_run = 0
             k += step * direction
             e = mpf_mul(e, factor, wp, RND)
-            if len(pts) >= NODE_CAP:
-                return added
-    if mirror:                 # the -t sweep: the same terms, in the same order
-        for (x, wd), g in zip(pts[start:], terms):
+    if mirror:                 # the -t sweep: the same terms, in the same order, up to the cap
+        for (x, wd), g in zip(pts[start:start + NODE_CAP - len(pts)], terms):
             pts.append((mpf_neg(x), wd))
             added = mpf_add(added, g, prec, RND)
-            if len(pts) >= NODE_CAP:
-                break
     return added
 
 
@@ -461,4 +447,4 @@ def integrate(spec, f, ctx: PrecisionContext, tol=None):
     table = build_node_table(spec.pieces, integrand, ctx, tol, 0)
     return QuadratureResult(value=table.dot(table.row(table.weights)), error_estimate=table.error,
                             node_count=len(table.xs), converged=table.converged,
-                            levels=table.levels, last_two=table.last_two)
+                            last_two=table.last_two)

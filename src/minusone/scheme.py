@@ -653,19 +653,19 @@ _CHART = ("continuous-complementary-bannai-ito", "continuous-bannai-ito",
 _EDGE_STYLE = {
     "specialization": 'style=solid',
     "limit": 'style=dashed',
-    "q-limit": 'style=dashed, color=gray40',
     "christoffel": 'style=solid, color=blue',
     "geronimus": 'style=solid, color=blue',
 }
 
 
-def export_graph(fmt="dot", include_aux=False):
+def export_graph(fmt="dot"):
     """Emit the scheme graph.
 
     DOT: the 15 scheme nodes (the quasi-orthogonal CCBI dashed) arranged by
-    parameter-count row, with edge styles by kind; q-limit edges appear only
-    with ``include_aux``.  JSON: every catalog edge with kind, anchor, label
-    and direction.
+    parameter-count row, and the catalog edges between them, styled by kind;
+    the q-limit edges, whose sources are q-families, are left out.  JSON:
+    the 15 nodes and every catalog edge with kind, anchor, label and
+    direction.
     """
     rows = {}
     for fid in _CHART:
@@ -693,12 +693,8 @@ def export_graph(fmt="dot", include_aux=False):
             style = ', style=dashed' if info.kind == "quasi" else ''
             lines.append('  "%s" [label="%s\\n(%d)"%s];' % (fid, info.name, row, style))
         lines.append("  { rank=same; %s }" % " ".join('"%s";' % f for f in rows[row]))
-    if include_aux:
-        for fid in families.family_ids("q-aux"):
-            lines.append('  "%s" [label="%s", shape=ellipse, style=dotted];'
-                         % (fid, families.family_info(fid).name))
     for e in edge_catalog():
-        if not include_aux and (e.source not in scheme_nodes or e.target not in scheme_nodes):
+        if e.source not in scheme_nodes or e.target not in scheme_nodes:
             continue
         lines.append('  "%s" -> "%s" [%s, label="%s"];'
                      % (e.source, e.target, _EDGE_STYLE[e.kind], e.kind))

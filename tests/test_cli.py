@@ -126,6 +126,19 @@ def test_export_dot_and_json(capsys, tmp_path):
     assert all("anchor" in e for e in payload["edges"])
 
 
+def test_export_writes_the_committed_chart(capsys, tmp_path):
+    # the DOT chart byte for byte; the JSON as parsed (the demo's json.dump ends without a newline)
+    root = pathlib.Path(__file__).parents[1]
+    dot, payload = tmp_path / "chart.dot", tmp_path / "chart.json"
+    assert cli.main(["export", "--output", str(dot)]) == cli.EXIT_PASS
+    assert dot.read_bytes() == (root / "minus_one_scheme.dot").read_bytes()
+    assert cli.main(["export", "--format", "json", "--output", str(payload)]) == cli.EXIT_PASS
+    assert json.loads(payload.read_text()) == json.loads((root / "minus_one_scheme.json").read_text())
+    with pytest.raises(SystemExit) as exc:            # the chart has no aux mode
+        cli.main(["export", "--include-aux"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])          # missing required scope

@@ -231,6 +231,47 @@ def test_a_piece_without_nodes_does_not_converge():
                                        ctx.tol(5), 4).converged
 
 
+@pytest.mark.parametrize("digits", [15, 50])
+def test_a_piece_where_the_density_is_zero_ends_at_the_cutoff_floor(monkeypatch, digits):
+    # no offset rule ends such a sweep: with peak 0 only the floor eps * max(peak, eps) does,
+    # after four zero terms each way.  A cutoff relative to the peak alone sweeps to the cap
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    monkeypatch.setattr(quadrature, "NODE_CAP", 4096)
+    zero = lambda x, a, b: mp.mpf(0)
+    for piece in ((mp.mpf(-1), mp.mpf(0)), (mp.ninf, mp.inf)):
+        table = quadrature.build_node_table([piece], zero, ctx, ctx.tol(5), 4)
+        assert (len(table.xs), table.levels, table.converged) == (17, 2, True), piece
+        assert table.last_two == (0, 0) and table.dot(table.row(table.weights)) == 0, piece
+    step = lambda x, a, b: mp.mpf(1 if x > 0 else 0)
+    split = quadrature.build_node_table([(mp.mpf(-1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))], step,
+                                        ctx, ctx.tol(5), 4)
+    assert split.converged and len(split.xs) == {15: 108, 50: 354}[digits]
+    assert abs(split.dot(split.row(split.weights)) - 1) <= ctx.tol(5)
+
+
+def _hermite_table(ctx, even):
+    spec = F.weight_spec("hermite", F.make_params("hermite", ctx, **F.fixture_points("hermite")[0]),
+                         ctx)
+    return quadrature.build_node_table(spec.pieces, spec.density, ctx, ctx.tol(8), 0, even)
+
+
+@pytest.mark.parametrize("cap", range(14, 26))
+def test_the_node_cap_is_exact(monkeypatch, cap):
+    # a sweep that ended at the cap once let the next sweep, or the mirror, add one node more.
+    # Uncapped, the Hermite table converges over 75 nodes
+    ctx = PrecisionContext(15)
+    mp = ctx.mp
+    assert [len(_hermite_table(ctx, even).xs) for even in (False, True)] == [75, 75]
+    monkeypatch.setattr(quadrature, "NODE_CAP", cap)
+    for even in (False, True):
+        table = _hermite_table(ctx, even)
+        assert (len(table.xs), table.converged) == (cap, False), even
+    growing = quadrature.build_node_table([(mp.ninf, mp.inf)], lambda x, a, b: mp.exp(x * x), ctx,
+                                          ctx.tol(8), 0)
+    assert (len(growing.xs), growing.converged) == (cap, False)
+
+
 @pytest.mark.parametrize("width", ["1e-12", "1e-20"])
 def test_stop_rule_is_relative_below_mass_one(width):
     # int_0^w sqrt((x - 0)(w - x)) dx = pi w^2 / 8.  Scaled by max(|guard|, 1), the stop rule

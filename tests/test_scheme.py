@@ -236,6 +236,25 @@ def test_commuting_squares():
             assert rep["order_path_" + path] == ladder["order_poly"], (which, path)
 
 
+def test_commuting_square_fails_when_either_path_fails(monkeypatch):
+    # one path's ladder report says fail: the square row fails, its c -> 0 leg residual unchanged
+    verify_limit = S.verify_limit
+    for which in ("little", "gegenbauer"):
+        passing = S.verify_commuting_square(which, CTX)
+        assert passing["status"] == "pass", which
+        for failing_id, _ in S.SQUARES[which]:
+            def failing_path(edge, N, ctx, failing_id=failing_id):
+                rep = verify_limit(edge, N, ctx)
+                return {**rep, "status": "fail"} if edge.id == failing_id else rep
+
+            with monkeypatch.context() as m:
+                m.setattr(S, "verify_limit", failing_path)
+                rep = S.verify_commuting_square(which, CTX)
+            assert rep["status"] == "fail", (which, failing_id)
+            assert (rep["residual"], rep["exact_leg_error"]) == (
+                passing["residual"], passing["exact_leg_error"]), (which, failing_id)
+
+
 def test_commuting_square_reads_its_ladders_rungs(monkeypatch):
     # the c -> 0 leg compares the two paths' ladder rungs, so a square builds
     # only its two ladders' sequences: a target and 6 rungs each
