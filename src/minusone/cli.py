@@ -7,16 +7,20 @@ alone); 3 usage errors (an unknown family, edge or check, bad --params or
 --params outside --family, an edge with no check of its own, a negative
 --n, --digits below 15, a MINUS_ONE_DIGITS that is not an integer of at
 least 15, or an --output that cannot be opened: verify opens it for append,
-creating it, after its other usage checks), with no report.
+creating it, after its other usage checks), with no report.  A usage error
+is an UnknownFamilyError or a ParameterError that reaches ``main``, which
+alone catches them and prints the message as raised.
 MINUS_ONE_DIGITS overrides the default precision; an explicit --digits
 flag wins over the environment.
 
 Each check returns its own row fields ``status``, ``residual``,
 ``tolerance`` and ``notes``; ``_row`` adds the id, check name and anchor,
-and makes a missing table entry a skipped pass, a numerical dead end an
-inconclusive row and a genuine remainder of an exact division (an eigen image
-with a surviving pole among them) a failed row; a row that ended in an error
-has residual and tolerance null.
+and ends a check that raised by the one table ``_ENDS`` from error class to
+row: a missing table entry is a skipped pass, a numerical dead end (a
+ParameterError raised inside a check among them, so it never reaches the
+usage handler) an inconclusive row and a genuine remainder of an exact
+division (an eigen image with a surviving pole among them) a failed row; a
+row that ended in an error has residual and tolerance null.
 Four tables name the runners: the family checks, the edge kinds, the suite
 rows of ``verify --all`` and its open questions (``scheme.OPEN_QUESTIONS``).
 A suite row runs when its own check or ``square`` is selected: the
@@ -34,8 +38,8 @@ import time
 
 from . import families, operators, orthogonality, scheme
 from .families import ParameterError, UnknownFamilyError
-from .polynomials import NonDivisibleError
-from .precision import PrecisionContext
+from .polynomials import NonDivisibleError, ReductionAmbiguityError
+from .precision import PrecisionContext, ZeroDenominatorError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -177,23 +181,19 @@ def cmd_list(args):
 
 
 def cmd_tabulate(args):
-    try:
-        ctx = _pick_digits(args)
-        if args.n < 0:
-            raise ParameterError("--n must be >= 0, got %d" % args.n)
-        fid = families.resolve_family(args.family)
-        params = _parse_params(args.params, fid, ctx)
-        pairs = families.recurrences(fid, params, args.n, ctx)
-        polys = families.polys_from_pairs(pairs[:args.n], ctx)
-        rows = [{
-            "n": n,
-            "b": _num_str(ctx, pair.b),
-            "u": _num_str(ctx, pair.u) if n >= 1 else None,
-            "coeffs": [_num_str(ctx, c) for c in polys[n].coeffs],
-        } for n, pair in enumerate(pairs)]
-    except (UnknownFamilyError, ParameterError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    ctx = _pick_digits(args)
+    if args.n < 0:
+        raise ParameterError("--n must be >= 0, got %d" % args.n)
+    fid = families.resolve_family(args.family)
+    params = _parse_params(args.params, fid, ctx)
+    pairs = families.recurrences(fid, params, args.n, ctx)
+    polys = families.polys_from_pairs(pairs[:args.n], ctx)
+    rows = [{
+        "n": n,
+        "b": _num_str(ctx, pair.b),
+        "u": _num_str(ctx, pair.u) if n >= 1 else None,
+        "coeffs": [_num_str(ctx, c) for c in polys[n].coeffs],
+    } for n, pair in enumerate(pairs)]
     if args.format == "json":
         return _emit(json.dumps({"family": fid, "digits": ctx.digits, "rows": rows},
                                 indent=2, sort_keys=True), args.output)
@@ -204,25 +204,26 @@ def cmd_tabulate(args):
     return _emit("\n".join(lines), args.output)
 
 
-# a check whose table has no entry for the family: a skipped pass, with this note
-_SKIPS = {families.NoClosedFormError: "no closed form on record",
-          families.NoWeightError: "no continuous measure on record",
-          families.NoEigenSystemError: "no eigenvalue equation on record"}
+# error that ends a check -> (row status, the fixed note of a skip; None: the error's message)
+_ENDS = {families.NoClosedFormError: ("pass", "no closed form on record (skipped)"),
+         families.NoWeightError: ("pass", "no continuous measure on record (skipped)"),
+         families.NoEigenSystemError: ("pass", "no eigenvalue equation on record (skipped)"),
+         ParameterError: ("inconclusive", None),
+         ReductionAmbiguityError: ("inconclusive", None),
+         ZeroDenominatorError: ("inconclusive", None),
+         NonDivisibleError: ("fail", None)}
 
 
 def _row(id, check, anchor, run, *args):
     """The report row of run(*args), a check's report with its status, residual, tolerance
-    and notes.  A family with no table entry for the check gets a skipped pass; a numerical
-    dead end ends this check alone, as inconclusive, and an inexact kernel division as failed."""
-    rep = {"residual": None, "tolerance": None}        # the fields of a check that ended early
+    and notes; an error of ``_ENDS`` ends the check with its status, residual and
+    tolerance null."""
+    rep = {"residual": None, "tolerance": None}
     try:
         rep = run(*args)
-    except tuple(_SKIPS) as exc:
-        rep.update(status="pass", notes=_SKIPS[type(exc)] + " (skipped)")
-    except families.DEAD_ENDS as exc:
-        rep.update(status="inconclusive", notes=str(exc))
-    except NonDivisibleError as exc:
-        rep.update(status="fail", notes=str(exc))
+    except tuple(_ENDS) as exc:
+        status, note = next(_ENDS[c] for c in type(exc).__mro__ if c in _ENDS)
+        rep.update(status=status, notes=note or str(exc))
     return {"id": id, "check": check, "status": rep["status"], "residual": rep["residual"],
             "tolerance": rep["tolerance"], "anchor": anchor, "notes": rep["notes"]}
 
@@ -275,37 +276,33 @@ def cmd_verify(args):
                     else FAMILY_CHECKS + EDGE_CHECKS)
     checks = (list(dict.fromkeys(args.checks.split(","))) if args.checks is not None
               else list(scope_checks))
-    try:
-        ctx = _pick_digits(args)
-        config = {"digits": ctx.digits}
-        for c in checks:
-            if c not in scope_checks:
-                raise UnknownFamilyError("unknown check %r" % c)
-        if args.params and not args.family:
-            raise ParameterError("--params applies to --family scope only")
-        if args.family:
-            fid = families.resolve_family(args.family)
-            params = (_parse_params(args.params, fid, ctx) if args.params
-                      else families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
-            config.update({"scope": "family", "id": fid, "checks": checks})
-            points, edges = [(fid, params)], []
-        elif args.edge:
-            edge = scheme.resolve_edge(args.edge)
-            check = _EDGE_RUNNERS.get(edge.kind, (None,))[0]
-            if check not in checks:
-                why = ("--checks %s selects nothing" % args.checks if check else
-                       "checked by its christoffel pair %s:%s" % (edge.target, edge.source))
-                raise ParameterError("edge %s of kind %s: %s" % (edge.id, edge.kind, why))
-            config.update({"scope": "edge", "id": edge.id, "checks": checks})
-            points, edges = [], [edge]
-        else:
-            config.update({"scope": "all", "checks": checks})
-            points = [(fid, families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
-                      for fid in families.scheme_ids()]
-            edges = scheme.edge_catalog()
-    except (KeyError, ParameterError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    ctx = _pick_digits(args)
+    config = {"digits": ctx.digits}
+    for c in checks:
+        if c not in scope_checks:
+            raise ParameterError("unknown check %r" % c)
+    if args.params and not args.family:
+        raise ParameterError("--params applies to --family scope only")
+    if args.family:
+        fid = families.resolve_family(args.family)
+        params = (_parse_params(args.params, fid, ctx) if args.params
+                  else families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
+        config.update({"scope": "family", "id": fid, "checks": checks})
+        points, edges = [(fid, params)], []
+    elif args.edge:
+        edge = scheme.resolve_edge(args.edge)
+        check = _EDGE_RUNNERS.get(edge.kind, (None,))[0]
+        if check not in checks:
+            why = ("--checks %s selects nothing" % args.checks if check else
+                   "checked by its christoffel pair %s:%s" % (edge.target, edge.source))
+            raise ParameterError("edge %s of kind %s: %s" % (edge.id, edge.kind, why))
+        config.update({"scope": "edge", "id": edge.id, "checks": checks})
+        points, edges = [], [edge]
+    else:
+        config.update({"scope": "all", "checks": checks})
+        points = [(fid, families.make_params(fid, ctx, **families.fixture_points(fid)[0]))
+                  for fid in families.scheme_ids()]
+        edges = scheme.edge_catalog()
     if args.output:
         try:
             open(args.output, "a").close()
@@ -348,8 +345,12 @@ def cmd_export(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    return {"list": cmd_list, "tabulate": cmd_tabulate, "verify": cmd_verify,
-            "export": cmd_export}[args.command](args)
+    try:
+        return {"list": cmd_list, "tabulate": cmd_tabulate, "verify": cmd_verify,
+                "export": cmd_export}[args.command](args)
+    except (UnknownFamilyError, ParameterError) as exc:
+        sys.stderr.write("error: %s\n" % exc.args[0])       # str() of a KeyError quotes it
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ raises the same ParameterError, naming the same factor, at the same n.
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext, ZeroDenominatorError, verdict
-from ..polynomials import Poly, ReductionAmbiguityError, poly_rel_distance
+from ..precision import PrecisionContext, verdict
+from ..polynomials import Poly, poly_rel_distance
 from .base import (
     FamilyInfo,
     InadmissibleParameterError,
@@ -55,9 +55,6 @@ from .weights import WEIGHTS
 
 REGISTRY = {**FAMILIES, **Q_FAMILIES}
 _ALL_RECURRENCES = {**RECURRENCES, **Q_RECURRENCES}
-
-# numerical dead ends at a parameter point: each ends only the check it arises in, as inconclusive
-DEAD_ENDS = (ParameterError, ReductionAmbiguityError, ZeroDenominatorError)
 
 
 def resolve_family(name: str) -> str:

@@ -8,32 +8,35 @@ each operator share one small denominator D (1, x^2, 1 + 4x^2 or 4x^4), and
 each builder states it: it returns D and the numerators N_j, so that
 L p = (sum_j N_j symbol_j(p)) / D.  No denominator is found by a gcd: a
 tolerant gcd of Chihara's dxR coefficient is already ambiguous at 15
-digits.  An image then costs one polynomial division by D, and its
-remainder is classified by the two-threshold rule of
-:func:`remainder_class` against the largest summed term N_j symbol_j(p),
-not against the cancelled sum, whose rounding would otherwise read as a
-pole.  So "the singular parts cancel" is checked rather than assumed.
+digits.  An image then costs one polynomial division by D, and
+:func:`_image` hands its remainder to ``polynomials.judge_remainder``,
+which judges it against the largest summed term N_j symbol_j(p), not
+against the cancelled sum, whose rounding would otherwise read as a pole,
+and raises if it is not zero.  So "the singular parts cancel" is checked
+rather than assumed.
 
 One loop, four views.  :func:`_eigen_degrees` runs the image kernel over the
 degrees of a built eigen system.  A dead end, an image that is not
-polynomial, raises NonDivisibleError for a surviving pole and
-ReductionAmbiguityError for an ambiguous remainder, naming P_n and the free
-value; ``cli._row`` makes the first a failed row and the second an
-inconclusive one.  :func:`eigen_check`, :func:`verify_eigen`,
-:func:`check_diagonality` and :func:`_resolve_variant` each pick the free
-value, the reading and the degrees, and read residuals or the basis matrix
-off it; only the reading search catches a dead end, as a failed candidate.
+polynomial, raises the error of :func:`_image` (NonDivisibleError for a
+surviving pole, ReductionAmbiguityError for an ambiguous remainder) with
+P_n and the free value added to its message; ``cli._row`` makes the first
+a failed row and the second an inconclusive one.  :func:`eigen_check`,
+:func:`verify_eigen`, :func:`check_diagonality` and :func:`_resolve_variant`
+each pick the free value, the reading and the degrees, and read residuals or
+the basis matrix off it; only the reading search catches a dead end, as a
+failed candidate.
 
 Two readings are possible wherever the source composes a shift or a
 derivative with the reflection (and, for the first-order reflection
-operators, for the sign of the [R - I] bracket); for the continuous
+operators, for the sign of the [I - R] bracket); for the continuous
 Bannai-Ito block the printed A coefficient has a second reading with beta
 and delta doubled.  Each symbol has one meaning: the builder reads
 ``acoeff``, and every other reading is a rewrite of the built term list
 (:data:`_REWRITES`).  The passing reading of each family is catalog data,
 one field of its :data:`_BUILDERS` entry, whose keys are the axes that
 :func:`_resolve_variant` searches on low degrees; the tests hold the entry
-to the search.
+to the search.  The builders write the passing reading, the first value of
+each axis in :data:`READING_AXES`, so only the search applies a rewrite.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from . import families
 from .families import NoEigenSystemError
 from .precision import GATES, PrecisionContext, verdict
 from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
-                          divmod_poly, remainder_class)
+                          divmod_poly, judge_remainder)
 
 # composition readings
 SHIFT_AFTER_REFLECT = "shift-after-reflect"    # (S+R f)(x) = f(-x-i)
@@ -84,27 +87,18 @@ class EigenSystem:
 
 
 def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
-    """L p = num / D by one division: (num, quotient, remainder class).
-
-    The class is 'zero' when L p is the quotient polynomial, 'nonzero' when
-    a pole survives and 'ambiguous' in between; the remainder is judged
-    against the largest summed term.
-    """
+    """L p, the quotient of num / D by one division; its remainder is judged by
+    :func:`judge_remainder` against the largest summed term, so a pole raises."""
     i = ctx.mp.mpc(0, 1)
     parts = [n * _SYMBOLS[symbol](p, i) for n, symbol in op.terms]
-    num = sum(parts[1:], parts[0])
-    quot, rem = divmod_poly(num, op.den, ctx)
-    return num, quot, remainder_class(rem, max(part.coeff_norm() for part in parts), ctx)
+    quot, rem = divmod_poly(sum(parts[1:], parts[0]), op.den, ctx)
+    judge_remainder(rem, max(part.coeff_norm() for part in parts), ctx)
+    return quot
 
 
 def apply(op: DunklOperator, p: Poly, ctx: PrecisionContext) -> RationalFunction:
-    """Sum of coefficient x (symbol applied to p), reduced."""
-    num, quot, cls = _image(op, p, ctx)
-    if cls == "zero":
-        return RationalFunction(quot)
-    if cls == "ambiguous":
-        raise ReductionAmbiguityError("singular part of the image is neither cleanly zero nor nonzero")
-    return RationalFunction(num, op.den).reduce(ctx)
+    """L p as a RationalFunction over 1; an image that is not polynomial raises (:func:`_image`)."""
+    return RationalFunction(_image(op, p, ctx))
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +211,8 @@ def _build_minus1_mp(ctx, free, variant, alpha, gamma):
 
 
 def _reflection_first_order(F, G):
-    """F [R - I] + G dxR."""
-    return [(F, "R"), (-F, "I"), (G, "dxR")]
+    """F [I - R] + G dxR."""
+    return [(-F, "R"), (F, "I"), (G, "dxR")]
 
 
 def _build_big_m1j(ctx, free, variant, alpha, beta, c):
@@ -379,7 +373,7 @@ _BUILDERS = {
 READING_AXES = {
     "composition": (SHIFT_AFTER_REFLECT, REFLECT_AFTER_SHIFT),
     "dxr": (OUTER_DIFF, OUTER_REFLECT),
-    "bracket": ("RI", "IR"),
+    "bracket": ("IR", "RI"),
     "acoeff": ("doubled", "printed"),
 }
 
@@ -389,7 +383,7 @@ READING_AXES = {
 _REWRITES = {
     ("composition", REFLECT_AFTER_SHIFT): lambda c, s: (c, {"S+R": "S-R", "S-R": "S+R"}.get(s, s)),
     ("dxr", OUTER_REFLECT): lambda c, s: (-c if s == "dxR" else c, s),
-    ("bracket", "IR"): lambda c, s: (-c if s in ("R", "I") else c, s),
+    ("bracket", "RI"): lambda c, s: (-c if s in ("R", "I") else c, s),
 }
 
 # families whose printed operator composes S+/S- with R
@@ -410,11 +404,6 @@ def _system_for_variant(entry, params, free, variant, ctx):
                        free_name=entry.free_name, free_value=free if entry.free_name else None)
 
 
-# a dead end: remainder class of the image -> (error, reason)
-_NOT_POLYNOMIAL = {"ambiguous": (ReductionAmbiguityError, "remainder in the ambiguity band"),
-                   "nonzero": (NonDivisibleError, "a pole survives")}
-
-
 def _free_label(es):
     """' at <free name> = <value>' where the eigenvalue has a free parameter, else ''."""
     return " at %s = %g" % (es.free_name, es.free_value) if es.free_name else ""
@@ -428,10 +417,10 @@ def _eigen_degrees(es, polys, degrees, ctx):
     mp = ctx.mp
     for n in degrees:
         p = polys[n]
-        _, image, cls = _image(es.operator, p, ctx)
-        if cls != "zero":
-            error, reason = _NOT_POLYNOMIAL[cls]
-            raise error("image of P_%d%s is not polynomial: %s" % (n, _free_label(es), reason))
+        try:
+            image = _image(es.operator, p, ctx)
+        except (NonDivisibleError, ReductionAmbiguityError) as exc:
+            raise type(exc)("image of P_%d%s is not polynomial: %s" % (n, _free_label(es), exc)) from exc
         ev = es.eigenvalue(n)
         residual = (image - p.scale(ev)).coeff_norm() / (p.coeff_norm() * max(mp.mpf(1), abs(ev)))
         yield n, image, residual, verdict("eigen", residual, ctx)["status"]

@@ -35,13 +35,16 @@ little time, since Python int arithmetic at a few hundred bits is
 dominated by call overhead.
 
 Zero tests.  Every test in this layer is relative to a coefficient norm
-(``trim``, ``realify``, :func:`poly_rel_distance`, :func:`remainder_class`),
+(``trim``, ``realify``, :func:`poly_rel_distance`, :func:`judge_remainder`),
 and remainders follow a two-threshold rule so that "the singular parts
 cancel" is a falsifiable assertion rather than silent rounding:
 
 * relative remainder below ``10**(6 - digits)``  -> treated as zero,
 * between that and ``10**(10 - digits)``          -> ReductionAmbiguityError,
-* above                                           -> genuinely nonzero.
+* above                                           -> NonDivisibleError.
+
+:func:`judge_remainder` alone applies the rule and raises; :func:`poly_gcd`
+reads its NonDivisibleError as one more Euclid step.
 """
 
 from __future__ import annotations
@@ -438,33 +441,30 @@ def divmod_poly(p: Poly, d: Poly, ctx: PrecisionContext):
     return quot, rem
 
 
-def remainder_class(rem: Poly, scale, ctx: PrecisionContext):
-    """Two-threshold zero test: 'zero' | 'ambiguous' | 'nonzero'."""
-    if scale == 0:
-        return "zero"
-    r = rem.coeff_norm() / scale
+def judge_remainder(rem: Poly, scale, ctx: PrecisionContext):
+    """The two-threshold rule (module docstring) on ``rem`` relative to ``scale``.
+
+    Returns when the remainder counts as zero; raises ReductionAmbiguityError
+    in the band and NonDivisibleError above it, each naming its relative size.
+    """
+    r = rem.coeff_norm() / scale if scale else 0
     if r < ctx.tol(6):
-        return "zero"
+        return
+    size = ctx.mp.nstr(r)
     if r < ctx.tol(10):
-        return "ambiguous"
-    return "nonzero"
-
-
-def divide_exact(p: Poly, d: Poly, ctx: PrecisionContext):
-    """Division that must be exact; remainder handled by the two-threshold rule."""
-    q, r = divmod_poly(p, d, ctx)
-    scale = max(p.coeff_norm(), (q * d).coeff_norm())
-    cls = remainder_class(r, scale, ctx)
-    if cls == "zero":
-        return q
-    size = ctx.mp.nstr(r.coeff_norm() / scale)
-    if cls == "ambiguous":
         raise ReductionAmbiguityError("remainder of relative size %s is in the ambiguity band" % size)
     raise NonDivisibleError("polynomial division left a genuine remainder of relative size %s" % size)
 
 
+def divide_exact(p: Poly, d: Poly, ctx: PrecisionContext):
+    """Division that must be exact; the remainder is judged by :func:`judge_remainder`."""
+    q, r = divmod_poly(p, d, ctx)
+    judge_remainder(r, max(p.coeff_norm(), (q * d).coeff_norm()), ctx)
+    return q
+
+
 def poly_gcd(p: Poly, q: Poly, ctx: PrecisionContext):
-    """Tolerant Euclid; remainders are classified by the two-threshold rule."""
+    """Tolerant Euclid; remainders are judged by :func:`judge_remainder`."""
     a = p.trim(ctx)
     b = q.trim(ctx)
     if not _sqmax(b):
@@ -475,12 +475,12 @@ def poly_gcd(p: Poly, q: Poly, ctx: PrecisionContext):
         if b.degree > a.degree:
             a, b = b, a
         _, r = divmod_poly(a, b, ctx)
-        cls = remainder_class(r, max(a.coeff_norm(), b.coeff_norm()), ctx)
-        if cls == "zero":
+        try:
+            judge_remainder(r, max(a.coeff_norm(), b.coeff_norm()), ctx)
+        except NonDivisibleError:
+            a, b = b, r.trim(ctx)
+        else:
             return b.monic(ctx)
-        if cls == "ambiguous":
-            raise ReductionAmbiguityError("gcd remainder fell in the ambiguity band")
-        a, b = b, r.trim(ctx)
         if b.degree == 0:
             return Poly.constant(1)
 

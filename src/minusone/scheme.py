@@ -316,11 +316,11 @@ def edge_catalog():
 
 def resolve_edge(selector: str) -> SchemeEdge:
     if ":" not in selector:
-        raise KeyError("edge selector must be source:target, got %r" % selector)
+        raise families.ParameterError("edge selector must be source:target, got %r" % selector)
     src, dst = selector.split(":", 1)
     key = "%s:%s" % (families.resolve_family(src), families.resolve_family(dst))
     if key not in EDGES:
-        raise KeyError("no scheme edge %s" % key)
+        raise families.ParameterError("no scheme edge %s" % key)
     return EDGES[key]
 
 

@@ -308,6 +308,22 @@ def test_dead_end_ends_only_its_own_check(capsys, monkeypatch):
     assert code == cli.EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--edge", "hermite"], "edge selector must be source:target, got 'hermite'"),
+    (["verify", "--edge", "hermite:foo"], "unknown family 'foo'"),
+    (["verify", "--edge", "hermite:gegenbauer"], "no scheme edge hermite:gegenbauer"),
+    (["tabulate", "--family", "foo"], "unknown family 'foo'"),
+    (["verify", "--family", "hermite", "--checks", "foo"], "unknown check 'foo'"),
+    (["verify", "--family", "hermite", "--params", "alpha"], "bad parameter assignment 'alpha'"),
+])
+def test_usage_errors_print_as_written(capsys, argv, message):
+    # one line on stderr, the message as raised: never the quoted repr of a KeyError
+    code = cli.main(argv + ["--digits", "15"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_unknown_check_usage_error(capsys):
     # an explicit empty --checks selects nothing: a usage error, not every check
     for scope in (["--all"], ["--edge", "gen-hermite:hermite"], ["--family", "hermite"]):

@@ -47,6 +47,11 @@ def test_hermite_recurrence_values():
     assert abs(F.recurrence("hermite", {}, 3, CTX).u - MP.mpf("1.5")) == 0
 
 
+def test_recurrence_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        F.recurrence("hermite", {}, -1, CTX)
+
+
 def test_cbi_recurrence_hand_values():
     params = P("cbi", alpha="0", beta="1", gamma="0", delta="0")
     assert abs(F.recurrence("cbi", params, 0, CTX).b - 1) < CTX.tol(6)

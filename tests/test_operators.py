@@ -133,11 +133,27 @@ def test_resolve_composition_convention():
         assert O.verify_eigen("cbi", params, n, CTX)["status"] == "pass"
 
 
+def test_composition_resolution_is_for_the_shift_reflect_families():
+    with pytest.raises(ValueError, match="applies to the S\\+R families, not hermite"):
+        O.resolve_composition_convention("hermite", {}, CTX)
+
+
 def test_operator_matrix_diagonality():
     for fid in ("hermite", "chihara", "continuous-minus1-hahn-1", "symmetric-bannai-ito"):
         rep = O.check_diagonality(fid, params_for(fid), 8, CTX)
         assert rep["max_offdiag"] <= rep["tolerance"], fid
         assert rep["max_diag_error"] <= rep["tolerance"], fid
+
+
+def test_builders_write_the_resolved_reading(monkeypatch):
+    # each entry's reading is the first value of every axis it searches, so no
+    # build applies a rewrite: without any, every eigen row still passes
+    ctx = PrecisionContext(15)
+    monkeypatch.setattr(O, "_REWRITES", {})
+    for fid, entry in O._BUILDERS.items():
+        assert entry.reading == {axis: O.READING_AXES[axis][0] for axis in entry.reading}, fid
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        assert O.eigen_check(fid, params, 10, ctx)["status"] == "pass", fid
 
 
 def test_first_order_families_resolved_reading():
@@ -245,8 +261,11 @@ def test_numerically_zero_image():
     params = F.make_params(fid, CTX, a="1.1", b="1.3", c="0.7")
     op = O.build_eigen_system(fid, params, CTX, free="0.7").operator
     p0 = F.generate(fid, params, 0, CTX)[0]
-    num, _, cls = O._image(op, p0, CTX)
-    assert cls == "zero" and num.coeff_norm() > 0
+    parts = [num * O._SYMBOLS[sym](p0, MP.mpc(0, 1)) for num, sym in op.terms]
+    num = sum(parts[1:], parts[0])
+    assert num.coeff_norm() > 0
+    # _image raises unless the remainder of num / D counts as zero
+    assert O._image(op, p0, CTX).coeff_norm() <= CTX.tol(10)
     # the tolerant reduction of num / D, blind to the term size, keeps the
     # noise as a ratio with a pole
     assert RationalFunction(num, op.den).reduce(CTX).den.degree > 0

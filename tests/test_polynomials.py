@@ -140,6 +140,11 @@ def test_divide_exact_raises_on_remainder():
         divide_exact(X * X + 1, X - 1, CTX)
 
 
+def test_division_by_the_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        divmod_poly(X, Poly([CTX.mp.mpf(0)]), CTX)
+
+
 def test_ambiguity_band():
     # a remainder placed deliberately inside (1e-44, 1e-40) at 50 digits
     eps = CTX.mp.mpf("1e-42")
@@ -153,6 +158,26 @@ def test_monic_and_trim():
     tiny = CTX.mp.mpf("1e-60")
     q = Poly([1, 1, tiny]).trim(CTX)
     assert q.degree == 1
+
+
+def test_a_noise_lead_has_no_monic_form():
+    # a top coefficient below the rounding of the norm, though not 0
+    noise = Poly([1, CTX.mp.mpf("1e-150")])
+    assert noise[1] != 0
+    with pytest.raises(ZeroDivisionError, match="rounding noise"):
+        noise.monic(CTX)
+
+
+@pytest.mark.parametrize("coeff, error, match", [
+    ("1", TypeError, "ints, mpf or mpc values"),
+    (1.5, TypeError, "ints, mpf or mpc values"),
+    (CTX.mp.inf, ValueError, "not finite"),
+    (CTX.mp.nan, ValueError, "not finite"),
+    (CTX.mp.mpc(1, CTX.mp.inf), ValueError, "not finite"),
+])
+def test_coefficients_are_finite_numbers(coeff, error, match):
+    with pytest.raises(error, match=match):
+        Poly([1, coeff])
 
 
 def test_hyp_terminating_poly_matches_scalar():

@@ -39,6 +39,11 @@ def test_pochhammer_values():
     assert abs(pochhammer(CTX.mp.mpf("0.5"), 3, CTX) - CTX.mp.mpf("1.875")) == 0
 
 
+def test_pochhammer_rejects_a_negative_n():
+    with pytest.raises(ValueError, match="n >= 0, got -1"):
+        pochhammer(CTX.mp.mpf(3), -1, CTX)
+
+
 def test_pochhammer_splitting_identity():
     rng = random.Random(3)
     for _ in range(20):

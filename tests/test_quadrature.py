@@ -108,6 +108,15 @@ def test_density_values_must_be_real():
         integrate(_spec(-1, 1, lambda x, a, b: 1), lambda x: MP.mpc(1, 1), CTX)
 
 
+@pytest.mark.parametrize("value, why", [(MP.mpc(1, 1), "not real"), (MP.inf, "not finite"),
+                                        (MP.nan, "not finite")])
+def test_a_row_takes_finite_real_values_only(value, why):
+    table = quadrature.build_node_table([(MP.mpf(-1), MP.mpf(1))], lambda x, a, b: 1, CTX,
+                                        CTX.tol(8), 0)
+    with pytest.raises(ValueError, match=why):
+        table.row([value] * len(table.xs))
+
+
 def _direct_map(lo, hi, mp):
     """The DE maps evaluated from t alone, as the reference for the stepped ones.
 

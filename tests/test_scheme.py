@@ -150,6 +150,17 @@ def test_christoffel_low_degree():
     assert abs(g[0].coeffs[0] - 1) < CTX.tol(8)
 
 
+def test_christoffel_needs_the_printed_decomposition():
+    # the Hermite pairs carry no printed (A_n, C_n): no kernel polynomials
+    with pytest.raises(F.ParameterError, match=r"no printed \(A_n, C_n\) decomposition"):
+        S.christoffel(F.recurrences("hermite", {}, 3, CTX), CTX)
+
+
+def test_export_graph_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="format must be 'dot' or 'json'"):
+        S.export_graph("svg")
+
+
 def test_ct_gt_pairs():
     for pair in ("little-minus1-jacobi:generalized-gegenbauer",
                  "special-little-minus1-jacobi:gegenbauer",
