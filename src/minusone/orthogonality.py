@@ -16,7 +16,8 @@ node.  Each row then goes to block fixed point, and each <P_n, P_m> is one
 ``NodeTable.dot``, exact and rounded once; its error bound, below one
 rounding at p, is in ``quadrature``.  The rows need a positive measure: a
 nonreal b_n or u_n, or a weight that is negative or not real, raises
-ParameterError naming the first one.  The Gram is the orthogonality
+ParameterError naming the first one, as does a density value that is not
+a finite real, which ends the table's sweep.  The Gram is the orthogonality
 oracle: matching the printed norms through degree N fixes the moments of
 the weight through degree 2N.
 Favard scans read positivity straight off the recurrence coefficients.
@@ -36,8 +37,8 @@ their tables:
 
     d                          15     20     30     50    100
     working digits             30     30     35     45     70
-    headroom, first point    16.7   19.7   20.0   19.9   20.1
-    headroom, all 3 points   16.5   19.4   19.7   19.6   19.8
+    headroom, first point    16.7   19.7   20.0   20.0   20.1
+    headroom, all 3 points   16.5   19.5   19.7   19.6   19.8
     nodes, all 3 points     11272  13665  16198  21131  29174
 
 It does not grow with d: the working precision follows the gate.  It is
@@ -65,11 +66,16 @@ def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
     """Weight spec and node table for polynomial factors up to max_degree.
 
     The table's context and node tolerance are ``precision.gram_context``'s.
-    Returns (work, spec, table) with work the table's context.
+    Returns (work, spec, table) with work the table's context.  A density
+    value that is not a finite real raises ParameterError naming its node,
+    as a weight that is not one does in ``_root_rows``.
     """
     work, tol = gram_context(ctx)
     spec = families.weight_spec(fid, params, work)
-    table = build_node_table(spec, work, tol, max_degree)
+    try:
+        table = build_node_table(spec, work, tol, max_degree)
+    except ValueError as exc:      # the sweep's: a density value that is not a finite real
+        raise ParameterError(str(exc)) from exc
     return work, spec, table
 
 

@@ -26,7 +26,7 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   the endpoint (the (x, xc) integrand of Boost.Math's tanh_sinh).
 - Stop rule.  A sweep ends at the term cutoff (Guard integrand, below) or
   at the node cap.  No map offset is ever 0: the offsets do not underflow
-  (mpmath exponents are unbounded), so a sweep runs past the node where x
+  (their exponents are unbounded), so a sweep runs past the node where x
   rounds onto its endpoint.  The mass below that node, at offsets under
   about eps |endpoint|, is 2 sqrt(eps |endpoint|) for an offset^(-1/2)
   singularity: a stop there would floor the error near the square root of
@@ -66,39 +66,41 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
     then 5e-11) that predicts 5e-33, and the next mesh moves by 2e-25.
 - Refinement.  Each level halves the mesh and sweeps only the new odd
   multiples, reusing every earlier node.
-- Raw values.  The maps take t and e = exp(|t|), and the sweep carries x,
-  w, the offsets, the guard terms and its cutoff state, as libmp values
-  (mpmath.libmp's (sign, man, exp, bc) tuples).  It calls the libmp
-  functions that mpmath's operators would call, at the working precision
-  and rounding to nearest, so every value rounds as the mpf expression
-  would; the density alone sees mpf values.  A sweep carries e from node
-  to node by one multiplication by exp(step * h), rounded at GUARD_BITS
-  past the working precision (Bailey, Jeyabalan & Li, Exp. Math. 14
-  (2005)); after n products e is off by about n 2**-(prec + GUARD_BITS),
-  relative, far below a rounding at prec.  sinh then needs no
-  transcendental call, tanh-sinh one exp, of -2|u|, and the half-line
-  one exp.  Measured on the first fixture points' Gram tables at 50 digits
-  (45 working digits, 2-vCPU VM, density values served from a dict), a
-  node cost about 7.3 multiplications, one integer power, 5.2 additions,
-  2.5 divisions and 3.0 comparisons through mpmath's operators, 42 us per
-  table node; as libmp calls it is 6.3, 1, 5.4, 1.8 and 2.3 per swept
-  node (even weights sweep about half of their nodes), 24 us per table
-  node.
+- Sweep arithmetic.  The maps and the sweep work on Python integers, at
+  b = p + GUARD_BITS bits (p the working precision).  e = exp(|t|), carried
+  from node to node by one multiplication by exp(step * h) (Bailey,
+  Jeyabalan & Li, Exp. Math. 14 (2005)), 1/e and the bounded values built
+  from them are fixed point at 2**-b; after n products e is off by about
+  n 2**-b, relative.  q = exp(-2|u|), exp(-exp(-t)), the offsets, w and
+  the guard terms are (man, exp) pairs, so an offset of 1e-300 keeps b
+  bits; x is anchor +- offset (``_x``).  Guard terms compare as (exp, man)
+  keys and are summed in block fixed point (One dot product) when the
+  sweep ends.  Only x, the offsets handed to the density and the table's
+  (x, h * w * density) become libmp values, rounded at p.  A tanh-sinh
+  node at -t reuses its twin's at +t.  Per swept node (max_degree 16):
+  tanh-sinh 11 multiplications, 4 divisions, one exp_basecase and 3
+  roundings (its -t twin 7, 1, 0, 3), half-line 9, 2, 1, 2, sinh 7, 1,
+  0, 1; a table node adds one rounding.  On the first fixture points'
+  Gram tables (2-vCPU VM, density values from a dict, medians of five
+  runs), in us per table node, against the same sweep on libmp values
+  rounded after every operation:
+
+      digits            15     50    100
+      libmp values    21.8   23.7   27.1
+      integers         9.7    9.6   11.9
+
 - Even weights.  A node depends on |t| and the sign of t only, and the +t
   and -t sweeps of a level run the same sequence of products, so on a
   piece with lo = -hi, x(-t) = -x(t) and w(-t) = w(t) bit for bit.  With
   ``even`` (``WeightSpec.even``: density(-x, hi_off, lo_off) equals
   density(x, lo_off, hi_off) bit for bit, and the pieces are closed under
   x -> -x) such a piece sweeps +t only and appends each node's mirror,
-  (-x, same weight), adding the same guard terms in the same order: the
-  table is the full sweep's, bit for bit.  A piece whose mirror was
-  already built copies it, negated.  A half-line twin lists its nodes as
-  its own sweep would; a tanh-sinh twin (generalized Gegenbauer) has its
-  +t and -t sweeps swapped, so its guard sums, ``last_two`` and
-  ``error``, add the same terms in another order and can differ in the
-  last bit (the Gram reads neither).  The density is then called for
-  about half of the nodes.  ``integrate`` never passes ``even``: its f
-  need not be even.
+  (-x, same weight), adding the same guard terms: the table is the full
+  sweep's, bit for bit.  A piece whose mirror was already built copies it,
+  negated; that is its own sweep's table, guard sums and ``error``
+  included, since the block sums do not depend on the order of their
+  terms.  The density is then called for about half of the nodes.
+  ``integrate`` never passes ``even``: its f need not be even.
 - One dot product.  ``NodeTable.dot`` is the only summation over a table:
   ``integrate`` and the Gram matrix both go through it.  Its operands are
   rows in block fixed point (Wilkinson, Rounding Errors in Algebraic
@@ -126,15 +128,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from mpmath.libmp import (finf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp,
-                          mpf_gt, mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_shift,
-                          mpf_sub, round_nearest as RND)
+from mpmath.libmp import (from_man_exp, fzero, ln2_fixed, mpf_neg, mpf_pi, mpf_sub,
+                          round_nearest as RND, to_fixed)
+from mpmath.libmp.libelefun import exp_basecase
 
 from .precision import PrecisionContext
 
 NODE_CAP = 1 << 20
 MAX_LEVELS = 12            # meshes per piece: h = 1, 1/2, ..., 2**-11
-GUARD_BITS = 32            # bits past the working precision: fixed-point rows, stepped exp(|t|)
+GUARD_BITS = 32            # bits past the working precision: fixed-point rows, the sweep's integers
 MODEL_MARGIN = 1000        # the error model must predict tol / MODEL_MARGIN (module docstring)
 
 
@@ -209,6 +211,33 @@ def block_row(mans, exps, bits):
     return Row([m << (e - exp) if e >= exp else m >> (exp - e) for m, e in zip(mans, exps)], exp)
 
 
+def _pair(v, bits):
+    """A finite nonzero libmp value as (man, exp), man a signed integer of ``bits`` bits."""
+    sign, man, exp, bc = v
+    shift = bits - bc
+    return (-man if sign else man) << shift, exp - shift
+
+
+def _anchor(v, bits):
+    """A libmp endpoint as the (man, exp) of ``_x``: man of ``bits`` bits, None for 0."""
+    return _pair(v, bits) if v[1] else None
+
+
+def _x(anchor, sign, m, e, bits):
+    """anchor + sign * m 2**e as (man, exp): the node x of a map.
+
+    Exact, except that an offset far below the anchor is truncated, in
+    magnitude, 2**-bits below the anchor's last bit; x(-t) = -x(t) holds
+    bit for bit on a piece with lo = -hi.  Next to an endpoint at 0 (anchor
+    None) x is the offset itself, at its relative accuracy.
+    """
+    if anchor is None:
+        return sign * m, e
+    am, ae = anchor
+    z = max(min(e, ae), ae - bits)
+    return (am << ae - z) + sign * (m << e - z if e >= z else m >> z - e), z
+
+
 def _map_tanh_sinh(lo, hi, mp):
     """x(t) evaluated as a distance from the nearer endpoint.
 
@@ -218,22 +247,30 @@ def _map_tanh_sinh(lo, hi, mp):
     offset from the other end is width minus it, at least width/2, and
     1/cosh(u)^2 = 4q/(1+q)^2.
     """
-    prec = mp.prec
+    bits = mp.prec + GUARD_BITS
+    one = 1 << bits
     lo, hi = lo._mpf_, hi._mpf_
-    width = mpf_sub(hi, lo, prec, RND)
-    rate = (-mp.pi / 2)._mpf_            # -2|u| = rate * (e - 1/e)
-    half_pi = (mp.pi / 2)._mpf_          # w = half_pi * (e + 1/e) * near / (1 + q)
+    width_m, width_e = _pair(mpf_sub(hi, lo, bits, RND), bits)
+    pi = to_fixed(mpf_pi(bits + 8), bits)
+    ln2 = ln2_fixed(bits)
+    anchors = _anchor(hi, bits), _anchor(lo, bits)
+    swept = {}                     # e -> (near_m, n, w_m) of the node at +t, for the one at -t
 
-    def phi(t, e):
-        r = mpf_rdiv_int(1, e, prec, RND)
-        q = mpf_exp(mpf_mul(rate, mpf_sub(e, r, prec, RND), prec, RND), prec, RND)
-        d = mpf_add(q, fone, prec, RND)
-        near = mpf_div(mpf_mul(width, q, prec, RND), d, prec, RND)
-        w = mpf_div(mpf_mul(mpf_mul(half_pi, mpf_add(e, r, prec, RND), prec, RND), near, prec, RND),
-                    d, prec, RND)
-        if t[0]:                          # t < 0
-            return mpf_add(lo, near, prec, RND), w, near, mpf_sub(width, near, prec, RND)
-        return mpf_sub(hi, near, prec, RND), w, mpf_sub(width, near, prec, RND), near
+    def phi(k, level, e, r):
+        if k < 0 and e in swept:
+            near_m, n, w_m = swept.pop(e)
+        else:
+            n, f = divmod(-pi * (e - r) >> bits + 1, ln2)          # -2|u| = n log 2 + f, n <= 0
+            qm = exp_basecase(f, bits)                              # q = qm 2**(n - bits) <= 1
+            d = one + (qm >> -n)                                    # 1 + q
+            near_m = width_m * qm // d
+            w_m = (pi * (e + r) >> bits + 1) * near_m // d
+            if k > 0:
+                swept[e] = near_m, n, w_m
+        near, w = (near_m, width_e + n), (w_m, width_e + n)
+        far = width_m - (near_m >> -n), width_e
+        x = _x(anchors[k < 0], 1 if k < 0 else -1, near_m, width_e + n, bits)
+        return (x, w, near, far) if k < 0 else (x, w, far, near)
     return phi
 
 
@@ -245,34 +282,38 @@ def _map_half_line(anchor, direction, mp):
     terms that die double-exponentially in t.  exp(t - exp(-t)) is the
     offset from the finite end.
     """
-    prec = mp.prec
-    anchor = anchor._mpf_
+    bits = mp.prec + GUARD_BITS
+    one = 1 << bits
+    ln2 = ln2_fixed(bits)
+    anchor = _anchor(anchor._mpf_, bits)
 
-    def phi(t, e):
-        if t[0]:                          # t < 0
-            d = e
-            g = mpf_div(mpf_exp(mpf_neg(d, prec, RND), prec, RND), e, prec, RND)
-        else:
-            d = mpf_rdiv_int(1, e, prec, RND)                               # exp(-t)
-            g = mpf_mul(e, mpf_exp(mpf_neg(d, prec, RND), prec, RND), prec, RND)   # exp(t - exp(-t))
-        w = mpf_mul(mpf_add(d, fone, prec, RND), g, prec, RND)
-        if direction > 0:
-            return mpf_add(anchor, g, prec, RND), w, g, finf
-        return mpf_sub(anchor, g, prec, RND), w, finf, g
+    def phi(k, level, e, r):
+        d = e if k < 0 else r                                       # exp(-t)
+        n, f = divmod(-d, ln2)
+        gm, ge = exp_basecase(f, bits), n - bits                    # exp(-exp(-t))
+        gm = gm * (r if k < 0 else e) >> bits                       # exp(t - exp(-t))
+        w = (one + d) * gm >> bits, ge
+        x = _x(anchor, direction, gm, ge, bits)
+        return (x, w, (gm, ge), None) if direction > 0 else (x, w, None, (gm, ge))
     return phi
 
 
 def _map_sinh(mp):
-    prec = mp.prec
+    exp = -(mp.prec + GUARD_BITS) - 1
 
-    def phi(t, e):
-        r = mpf_rdiv_int(1, e, prec, RND)
-        x = mpf_shift(mpf_sub(e, r, prec, RND), -1)
-        return (mpf_neg(x) if t[0] else x), mpf_shift(mpf_add(e, r, prec, RND), -1), finf, finf
+    def phi(k, level, e, r):
+        return ((r - e if k < 0 else e - r), exp), (e + r, exp), None, None
     return phi
 
 
 def _component_map(lo, hi, mp):
+    """The map of a (lo, hi) piece, phi(k, level, e, r).
+
+    phi gives the node at t = k 2**-level from e = exp(|t|) and r = 1/e,
+    fixed point at 2**-(prec + GUARD_BITS): x, w, x - lo and hi - x as
+    (man, exp) pairs, None for an infinite offset (module docstring, Sweep
+    arithmetic).
+    """
     lo_inf = mp.isinf(lo)
     hi_inf = mp.isinf(hi)
     if not lo_inf and not hi_inf:
@@ -298,9 +339,11 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ev
     density(x, x - lo, hi - x), the offsets as the map computes them (module
     docstring, Offsets).  With ``even``, the density is even and the pieces
     are closed under x -> -x, and each pair +-x is swept once (module
-    docstring, Even weights).
+    docstring, Even weights).  A density value that is not real or not
+    finite raises ValueError at its node.
     """
     mp = ctx.mp
+    prec = mp.prec
     tol = mp.mpf(tol)
     eps_term = ctx.tol(-10)._mpf_  # ~1e-(digits+10): term cutoff relative to the peak
     gd = (max_degree + 1) // 2
@@ -327,9 +370,9 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ev
         converged_all = converged_all and converged
         last_two = (last_two[0] + previous, last_two[1] + guard)
         error += predicted
-        for x, w in pts:
+        for x, (wm, we) in pts:
             xs.append(make(x))
-            ws.append(make(mpf_shift(w, -level)))      # h * w, exactly: h = 2**-level
+            ws.append(make(_round(wm, we - level, prec)))   # h * w: h = 2**-level
     return NodeTable(xs=xs, weights=ws, levels=levels_used,
                      converged=converged_all, last_two=last_two, error=error, mp=mp)
 
@@ -337,21 +380,20 @@ def build_node_table(pieces, density, ctx: PrecisionContext, tol, max_degree, ev
 def _refine(phi, density, mp, tol, eps_term, gd, mirror):
     """One piece, refined mesh by mesh (module docstring, Convergence).
 
-    Returns (pts, level, converged, previous, guard, predicted): the raw
-    (x, w * density) of its nodes in sweep order, its last level, whether
-    it converged, its guard sums on the last two meshes and the predicted
-    error of the last.
+    Returns (pts, level, converged, previous, guard, predicted): its nodes
+    in sweep order, each x as a libmp value with w * density as (man, exp),
+    its last level, whether it converged, its guard sums on the last two
+    meshes and the predicted error of the last.
     """
     model_tol = tol / MODEL_MARGIN
     pts = []
-    h = mp.mpf(1)
     previous = mp.mpf(0)           # a single mesh is compared against 0
     change = None                  # d_(k-1), the change at the level before
-    total = mp.mpf(0)              # sum of w*density*(1+x^2)**gd over pts
+    total = 0, 0                   # sum of w*density*(1+x^2)**gd over pts, as (man, exp)
     level = 0
     while True:
-        total += mp.make_mpf(_sweep_level(phi, level, pts, density, mp, eps_term, gd, mirror))
-        guard = h * total
+        total = _sum(total, _sweep_level(phi, level, pts, density, mp, eps_term, gd, mirror))
+        guard = mp.make_mpf(_round(total[0], total[1] - level, mp.prec))   # h * total
         d = predicted = abs(guard - previous)
         scale = abs(guard)
         converged = level > 0 and d <= tol * scale
@@ -360,8 +402,15 @@ def _refine(phi, density, mp, tol, eps_term, gd, mirror):
         if converged or level + 1 >= MAX_LEVELS or len(pts) >= NODE_CAP:
             return pts, level, converged, previous, guard, predicted
         previous, change = guard, d
-        h = h / 2
         level += 1
+
+
+def _sum(a, b):
+    """a + b for (man, exp) pairs, exactly."""
+    if not a[0] or not b[0]:
+        return b if a[0] == 0 else a
+    (am, ae), (bm, be) = sorted((a, b), key=lambda p: p[1])
+    return am + (bm << be - ae), ae
 
 
 def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
@@ -370,59 +419,118 @@ def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):
     Node k sits at t = k 2**-level.  Each sweep ends at the term cutoff or
     where pts holds NODE_CAP nodes (module docstring, Stop rule), the node
     cap checked once, before a node is added.  Returns the sum of the guard
-    terms w*density*(1+x^2)**gd over the new nodes.  Both sweeps carry
-    e = exp(|t|) through the same products (module docstring, Raw values).
-    With ``mirror`` the -t sweep repeats the +t sweep negated, up to the cap
-    (module docstring, Even weights).
+    terms w*density*(1+x^2)**gd over the new nodes, as (man, exp).  Both
+    sweeps carry e = exp(|t|) through the same products (module docstring,
+    Sweep arithmetic).  With ``mirror`` the -t sweep repeats the +t sweep
+    negated, up to the cap (module docstring, Even weights).
     """
     prec = mp.prec
+    bits = prec + GUARD_BITS
+    one = 1 << bits
     make = mp.make_mpf
+    inf = mp.inf
+    one_squared = one << bits
+    term_m, term_e = [], []
 
     def handle(k, e):
-        x, w, lo_off, hi_off = phi(from_man_exp(k, -level), e)
-        value = density(make(x), make(lo_off), make(hi_off))
-        try:
-            value = value._mpf_
-        except AttributeError:
-            value = _real(value, x, mp)
-        wd = mpf_mul(w, value, prec, RND)
-        pts.append((x, wd))
-        guard = mpf_pow_int(mpf_add(mpf_mul(x, x, prec, RND), fone, prec, RND), gd, prec, RND)
-        return mpf_mul(wd, guard, prec, RND)
+        """Node k: append (x, w * density) to pts and its guard term to the term lists.
 
-    added = handle(0, fone) if level == 0 else fzero
+        Returns the term's ``_key``."""
+        x, (wm, we), lo_off, hi_off = phi(k, level, e, one_squared // e)
+        x = _round(*x, prec)
+        value = density(make(x), inf if lo_off is None else make(_round(*lo_off, prec)),
+                        inf if hi_off is None else make(_round(*hi_off, prec)))
+        try:
+            sign, vm, ve, bc = value._mpf_
+        except AttributeError:
+            sign, vm, ve, bc = _real(value, x, mp)
+        if bc < 0:
+            raise ValueError("integrand is not finite at x = %s: %s" % (make(x), value))
+        g = wm * vm
+        pts.append((x, (-g if sign else g, we + ve)))
+        _, xm, xe, _ = x
+        shift = xe + bits
+        xf = xm << shift if shift >= 0 else xm >> -shift                # |x| at 2**-bits
+        p, n = one + (xf * xf >> bits), gd                              # g *= (1 + x^2)**gd
+        while n:
+            if n & 1:
+                g = g * p >> bits
+            n >>= 1
+            if n:
+                p = p * p >> bits
+        shift = bits - g.bit_length()                                   # g to bits bits
+        g = g << shift if shift >= 0 else g >> -shift
+        term_m.append(-g if sign else g)
+        term_e.append(we + ve - shift)
+        return (term_e[-1], g) if g else _ZERO
+
+    if level == 0:
+        handle(0, one)
     step = 2 if level else 1
-    wp = prec + GUARD_BITS
-    first = mpf_exp(from_man_exp(1, -level), wp)          # exp(h): both sweeps start at |k| = 1
-    factor = mpf_exp(from_man_exp(step, -level), wp)
+    first = exp_basecase(1 << bits - level, bits)           # exp(h): both sweeps start at |k| = 1
+    factor = exp_basecase(step << bits - level, bits)
+    eps_m, eps_e = _pair(eps, bits)
+    floor = _key(eps_m * eps_m, 2 * eps_e, bits)
 
     for direction in (1,) if mirror else (1, -1):
         small_run = 0
-        peak = fzero
-        cut = mpf_mul(eps, eps, prec, RND)                 # eps * max(peak, eps)
-        start, terms = len(pts), []
+        peak = _ZERO
+        cut = floor                                         # eps * max(peak, eps)
+        start, first_term = len(pts), len(term_m)
         k, e = direction, first
         while len(pts) < NODE_CAP:
-            g = handle(k, e)
-            added = mpf_add(added, g, prec, RND)
-            terms.append(g)
-            r = mpf_abs(g, prec, RND)
-            if mpf_gt(r, peak):
+            r = handle(k, e)
+            if r > peak:
                 peak = r
-                cut = mpf_mul(eps, eps if mpf_gt(eps, peak) else peak, prec, RND)
-            if mpf_lt(r, cut):
+                cut = (floor if (eps_e, eps_m) > peak
+                       else _key(eps_m * peak[1], eps_e + peak[0], bits))
+            if r < cut:
                 small_run += 1
                 if small_run >= 4:
                     break
             else:
                 small_run = 0
             k += step * direction
-            e = mpf_mul(e, factor, wp, RND)
-    if mirror:                 # the -t sweep: the same terms, in the same order, up to the cap
-        for (x, wd), g in zip(pts[start:start + NODE_CAP - len(pts)], terms):
-            pts.append((mpf_neg(x), wd))
-            added = mpf_add(added, g, prec, RND)
-    return added
+            e = e * factor >> bits
+    if mirror:                 # the -t sweep: the same nodes negated and terms, up to the cap
+        room = NODE_CAP - len(pts)
+        pts += [(mpf_neg(x), wd) for x, wd in pts[start:start + room]]
+        term_m += term_m[first_term:first_term + room]
+        term_e += term_e[first_term:first_term + room]
+    row = block_row(term_m, term_e, bits)
+    return sum(row.mans), row.exp
+
+
+_ZERO = (-float("inf"), 0)     # the key of a zero term: below every other
+
+
+def _key(man, exp, bits):
+    """|man| * 2**exp as (exp', man') with man' of ``bits`` bits, ordered as the values are."""
+    if not man:
+        return _ZERO
+    man = abs(man)
+    shift = bits - man.bit_length()
+    return (exp - shift, man << shift) if shift >= 0 else (exp - shift, man >> -shift)
+
+
+def _round(man, exp, prec):
+    """man * 2**exp as a libmp value rounded to nearest at prec bits (from_man_exp's rounding)."""
+    sign = man < 0
+    if sign:
+        man = -man
+    shift = man.bit_length() - prec
+    if shift > 0:
+        low = man & (1 << shift) - 1
+        man >>= shift
+        half = 1 << shift - 1
+        if low > half or low == half and man & 1:
+            man += 1
+        exp += shift
+    if not man:
+        return fzero
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
 
 
 def _real(value, x, mp):

@@ -612,6 +612,28 @@ def test_gram_over_an_empty_node_table_is_inconclusive(capsys, gamma, digits):
     assert out.startswith("INCONCLUSIVE") and "over 0 nodes" in out, out
 
 
+@pytest.mark.parametrize("value, why", [("inf", "not finite"), ("nan", "not finite"),
+                                        ("1+1j", "not real")])
+def test_a_density_value_that_is_not_a_finite_real_ends_the_gram_inconclusive(monkeypatch,
+                                                                              value, why):
+    # the sweep's ValueError becomes the Gram's ParameterError: one inconclusive row that names
+    # the node, where a bare ValueError escaped cli._ENDS and ended the run
+    from minusone import families
+    from minusone.families import WeightSpec
+    from minusone.precision import PrecisionContext
+
+    def weight_spec(fid, params, work):
+        mp = work.mp
+        return WeightSpec([(mp.mpf(-1), mp.mpf(1))],
+                          lambda x, a, b: mp.mpmathify(value) if x > 0.5 else mp.mpf(1))
+    monkeypatch.setattr(families, "weight_spec", weight_spec)
+    ctx = PrecisionContext(15)
+    params = families.make_params("gegenbauer", ctx, **families.fixture_points("gegenbauer")[0])
+    rows = cli._family_results("gegenbauer", params, ctx, ("orthogonality",))
+    assert [(r["check"], r["status"]) for r in rows] == [("orthogonality", "inconclusive")]
+    assert why + " at x = 0.9" in rows[0]["notes"], rows[0]["notes"]
+
+
 def test_closed_form_that_loses_precision_is_inconclusive(capsys):
     code, out = run(capsys, "verify", "--family", "chihara", "--params",
                     "alpha=0.5,beta=1.5,gamma=1e12", "--digits", "15", "--checks", "closed-form")

@@ -1,6 +1,8 @@
 import math
+import time
 
 import pytest
+from mpmath.libmp import mpf_neg
 
 from minusone.precision import PrecisionContext, gram_context
 from minusone.quadrature import integrate
@@ -117,6 +119,16 @@ def test_a_row_takes_finite_real_values_only(value, why):
         table.row([value] * len(table.xs))
 
 
+@pytest.mark.parametrize("value", [MP.inf, MP.nan], ids=["inf", "nan"])
+def test_a_density_value_that_is_not_finite_ends_the_sweep(value):
+    # the term cutoff never fires on an inf or nan term, so the sweep ran on towards NODE_CAP
+    spec = _spec(-1, 1, lambda x, a, b: value if x > 0.5 else MP.mpf(1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not finite at x = 0.9"):
+        integrate(spec, lambda x: 1, CTX)
+    assert time.perf_counter() - start < 1
+
+
 def _direct_map(lo, hi, mp):
     """The DE maps evaluated from t alone, as the reference for the stepped ones.
 
@@ -145,39 +157,95 @@ def _direct_map(lo, hi, mp):
     return tanh_sinh
 
 
+def _node_t(lo_off, hi_off, levels, mp):
+    """t of a node on (0, hi) from its offsets, on the mesh 2**-(levels - 1) of its table."""
+    if mp.isinf(hi_off):               # x - 0 = exp(t - exp(-t)): solve for t
+        log_off = mp.log(lo_off)
+        t = mp.findroot(lambda t: t - mp.exp(-t) - log_off,
+                        log_off if log_off > 0 else -mp.log(1 - log_off))
+    else:                              # near / far = q = exp(-pi sinh|t|), near lo for t < 0
+        near, far, sign = (lo_off, hi_off, -1) if lo_off < hi_off else (hi_off, lo_off, 1)
+        t = sign * mp.asinh(mp.log(far / near) / mp.pi)
+    k = mp.nint(t * 2 ** (levels - 1))
+    assert abs(t * 2 ** (levels - 1) - k) < mp.mpf("1e-6"), (t, levels)
+    return k / 2 ** (levels - 1)
+
+
 @pytest.mark.parametrize("digits", [15, 50])
-def test_stepped_maps_match_direct_evaluation(digits, monkeypatch):
-    # every node of the 14 Gram tables (fixture point 0, N = 8): x, w and the finite offsets
+def test_offsets_keep_their_relative_accuracy_below_the_fixed_point_scale(digits):
+    # next to an endpoint at 0 the sweeps reach near offsets below 2**-(prec + GUARD_BITS),
+    # where a fixed point at that scale would flush them to 0.  At every node x, w and both
+    # finite offsets agree with the direct maps evaluated 40 digits wider to 2**-(p - 16),
+    # relative, and x > 0
+    ctx = PrecisionContext(digits)
+    mp, wide = ctx.mp, PrecisionContext(digits + 40).mp
+    floor = mp.mpf(2) ** -(mp.prec + quadrature.GUARD_BITS)
+    for hi in (mp.mpf(1), mp.mpf("1e-12"), mp.inf):
+        nodes = []
+
+        def density(x, a, b):
+            value = mp.exp(-a) / mp.sqrt(a) if mp.isinf(b) else 1 / mp.sqrt(a * b)
+            nodes.append((x, a, b, value))
+            return value
+        table = quadrature.build_node_table([(mp.mpf(0), hi)], density, ctx, ctx.tol(8), 16)
+        assert table.converged and len(nodes) == len(table.xs), hi
+        direct = _direct_map(wide.mpf(0), wide.mpf(hi), wide)
+        h = mp.mpf(2) ** (1 - table.levels)
+        for (x, a, b, value), weight in zip(nodes, table.weights):
+            t = _node_t(wide.mpf(a), wide.mpf(b), table.levels, wide)
+            for got, ref in zip((x, weight / (h * value), a, b), direct(t)):
+                if wide.isfinite(ref):
+                    assert abs(got - ref) <= abs(ref) * 2 ** (16 - mp.prec), (hi, t, got, ref)
+            assert x > 0, (hi, t, x)
+        assert min(min(a, b) for _, a, b, _ in nodes) < floor, hi
+
+
+def _stepped_cases():
+    """(digits, fixture point): point 0 at 15 and 50 digits in tier 1, the rest under -m slow."""
+    for digits in (15, 50, 100):
+        for point in range(3):
+            marks = () if digits < 100 and point == 0 else pytest.mark.slow
+            yield pytest.param(digits, point, marks=marks,
+                               id=str(digits) if point == 0 else "%d-%d" % (digits, point))
+
+
+@pytest.mark.parametrize("digits, point", _stepped_cases())
+def test_stepped_maps_match_direct_evaluation(digits, point, monkeypatch):
+    # every node of the 14 Gram tables (N = 8) at one fixture point: x, w and the finite offsets
     # from e^|t| carried by multiplication agree with sinh/cosh/exp of t to 2**-(p - 16), and
-    # tables built from the direct maps have the same nodes and levels.  The maps take t and
-    # e^|t| and return the node as raw libmp values
+    # tables built from the direct maps have the same nodes and levels.  A map takes the node
+    # k at t = k 2**-level with e^|t| and e^-|t| fixed point, and returns the node as
+    # (man, exp) pairs, None for an infinite offset
     ctx = PrecisionContext(digits)
     stepped_map = quadrature._component_map
     worst = []
 
     def checked_map(lo, hi, mp):
         phi, direct = stepped_map(lo, hi, mp), _direct_map(lo, hi, mp)
+        value = lambda v: mp.inf if v is None else mp.mpf(v)
 
-        def both(t, e):
-            node = phi(t, e)
+        def both(k, level, e, r):
+            node = phi(k, level, e, r)
             if node is not None:
-                ref = direct(mp.make_mpf(t))
+                ref = direct(mp.mpf(k) / 2 ** level)
                 worst.append(max(abs(a - b) / abs(b) if b else abs(a)
-                                 for a, b in zip(map(mp.make_mpf, node), ref) if mp.isfinite(b))
+                                 for a, b in zip(map(value, node), ref) if mp.isfinite(b))
                              * 2 ** (mp.prec - 16))
             return node
         return both
 
     def direct_map(lo, hi, mp):
         direct = _direct_map(lo, hi, mp)
+        pair = lambda v: None if mp.isinf(v) else (-v._mpf_[1] if v._mpf_[0] else v._mpf_[1],
+                                                    v._mpf_[2])
 
-        def from_t(t, e):
-            node = direct(mp.make_mpf(t))
-            return tuple(v._mpf_ for v in node) if all(node[2:]) else None
+        def from_t(k, level, e, r):
+            node = direct(mp.mpf(k) / 2 ** level)
+            return tuple(map(pair, node)) if all(node[2:]) else None
         return from_t
 
     for fid in F.orthogonal_ids():
-        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[point])
         monkeypatch.setattr(quadrature, "_component_map", checked_map)
         _, _, table = orth._boosted_table(fid, params, ctx, 16)
         monkeypatch.setattr(quadrature, "_component_map", direct_map)
@@ -211,6 +279,23 @@ def test_even_sweep_matches_full_sweep(digits):
         assert mirrored == full, (digits, fid)
         compared += 1
     assert compared == 6
+
+
+def test_a_piece_copied_from_its_mirror_is_its_own_sweep():
+    # the copy of an even weight's mirror piece, negated, is the table the piece's own sweep
+    # gives, bit for bit, guard sums and predicted error included: the block sums of the guard
+    # terms do not depend on their order
+    twins = 0
+    for fid, work, tol, spec in _even_specs(15):
+        if len(spec.pieces) == 2:
+            first, second = [quadrature.build_node_table([piece], spec.density, work, tol, 16)
+                             for piece in spec.pieces]
+            assert sorted((mpf_neg(x._mpf_), w._mpf_) for x, w in zip(first.xs, first.weights)) \
+                == sorted((x._mpf_, w._mpf_) for x, w in zip(second.xs, second.weights)), fid
+            assert (first.levels, first.converged, first.last_two, first.error) == \
+                (second.levels, second.converged, second.last_two, second.error), fid
+            twins += 1
+    assert twins == 2
 
 
 def test_symmetric_table_mirrors_its_density():
