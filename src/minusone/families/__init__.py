@@ -202,15 +202,20 @@ def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
 
 
 def _measure(family: str, params: dict, ctx: PrecisionContext):
-    """The family's ``WEIGHTS`` entry and its parsed parameters."""
+    """The family's record, its ``WEIGHTS`` entry and its parsed parameters."""
     fid = resolve_family(family)
     if fid not in WEIGHTS:
         raise NoWeightError("no continuous orthogonality measure on record for %s" % fid)
-    return WEIGHTS[fid], _bind(fid, params, ctx)
+    return REGISTRY[fid], WEIGHTS[fid], _bind(fid, params, ctx)
 
 
 def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
-    measure, bound = _measure(family, params, ctx)
+    """The family's weight at ``params``; InadmissibleParameterError, quoting the clause, where
+    ``FamilyInfo.admits`` rejects them (the weights assume the clause)."""
+    info, measure, bound = _measure(family, params, ctx)
+    if info.admits is not None and not info.admits(ctx, **bound):
+        raise InadmissibleParameterError("parameters violate the admissibility clause [%s]: %s"
+                                         % (info.anchor, info.admissible))
     return measure.spec(ctx, **bound)
 
 
@@ -222,7 +227,7 @@ def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
     ``norm(family, params, n, ctx)``.
     """
     mp = ctx.mp
-    measure, bound = _measure(family, params, ctx)
+    _, measure, bound = _measure(family, params, ctx)
     return [mp.re(mp.mpc(value)) for value in measure.norms(ctx, N, **bound)]
 
 

@@ -18,7 +18,8 @@ class ParameterError(ValueError):
 
 
 class InadmissibleParameterError(ParameterError):
-    """Parameters violate the admissibility clause of an orthogonality relation."""
+    """Parameters outside a family's printed admissibility clause: raised by ``weight_spec``
+    alone, where ``FamilyInfo.admits`` rejects them, quoting ``FamilyInfo.admissible``."""
 
 
 class NoEigenSystemError(LookupError):
@@ -40,8 +41,9 @@ class FamilyInfo:
     params: tuple
     kind: str                 # "scheme" | "quasi" | "q-aux"
     row: int | None           # parameter-count row in the scheme chart (scheme families)
-    admissible: str           # human-readable admissibility clause
+    admissible: str           # the printed admissibility clause
     anchor: str               # source anchor for the formulas, e.g. "A.3"
+    admits: Callable | None = None  # (ctx, **params) -> bool: that clause as a test; None: none to test
     external: bool = False    # data sourced from the standard hypergeometric catalog
     symmetric: bool = False   # b_n identically zero
 
@@ -74,6 +76,13 @@ def denominator_check(ctx: PrecisionContext):
             raise ParameterError("printed denominator vanishes: %s = %s" % (what, ctx.mp.nstr(value)))
         return value
     return check
+
+
+def _conjugate_pairs(ctx, vals):
+    """True when the conjugate of each value is one of vals, to tol(4) relative: the printed
+    "non-real parameters in conjugate pairs", tolerating rounding."""
+    mp = ctx.mp
+    return all(min(abs(mp.conj(v) - w) for w in vals) <= ctx.tol(4) * (1 + abs(v)) for v in vals)
 
 
 def _parity(n):

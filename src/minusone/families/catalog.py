@@ -23,6 +23,7 @@ from ..polynomials import Poly, hyp_terminating_poly
 from .base import (
     FamilyInfo,
     RecurrencePair,
+    _conjugate_pairs,
     _from_AC,
     _parity,
     _wilson_series,
@@ -37,57 +38,69 @@ FAMILIES = {info.id: info for info in (
     FamilyInfo(
         id="continuous-bannai-ito", name="Continuous Bannai-Ito",
         params=("alpha", "beta", "gamma", "delta"), kind="scheme", row=4,
-        admissible="alpha, beta, gamma, delta > 0", anchor="A.1"),
+        admissible="alpha, beta, gamma, delta > 0", anchor="A.1",
+        admits=lambda ctx, alpha, beta, gamma, delta: min(alpha, beta, gamma, delta) > 0),
     FamilyInfo(
         id="big-minus1-jacobi", name="Big -1 Jacobi",
         params=("alpha", "beta", "c"), kind="scheme", row=3,
-        admissible="alpha > 0, beta > 0, 0 <= c < 1", anchor="A.2"),
+        admissible="alpha > 0, beta > 0, 0 <= c < 1", anchor="A.2",
+        admits=lambda ctx, alpha, beta, c: alpha > 0 and beta > 0 and 0 <= c < 1),
     FamilyInfo(
         id="chihara", name="Chihara",
         params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-        admissible="alpha > -1, beta > 0", anchor="A.3"),
+        admissible="alpha > -1, beta > 0", anchor="A.3",
+        admits=lambda ctx, alpha, beta, gamma: alpha > -1 and beta > 0),
     FamilyInfo(
         id="continuous-minus1-hahn-1", name="Continuous -1 Hahn (type 1)",
         params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-        admissible="alpha, beta, gamma > 0", anchor="A.4"),
+        admissible="alpha, beta, gamma > 0", anchor="A.4",
+        admits=lambda ctx, alpha, beta, gamma: min(alpha, beta, gamma) > 0),
     FamilyInfo(
         id="continuous-minus1-hahn-2", name="Continuous -1 Hahn (type 2)",
         params=("alpha", "beta", "gamma"), kind="scheme", row=3,
-        admissible="alpha, beta, gamma > 0", anchor="A.5"),
+        admissible="alpha, beta, gamma > 0", anchor="A.5",
+        admits=lambda ctx, alpha, beta, gamma: min(alpha, beta, gamma) > 0),
     FamilyInfo(
         id="generalized-symmetric-bannai-ito", name="Generalized symmetric Bannai-Ito",
-        params=("a", "b", "c"), kind="scheme", row=3,
+        params=("a", "b", "c"), kind="scheme", row=3, symmetric=True, anchor="A.6",
         admissible="Re(a), Re(b), Re(c) > 0, a+b+c > 1, non-real parameters in conjugate pairs",
-        anchor="A.6", symmetric=True),
+        admits=lambda ctx, a, b, c: (min(ctx.mp.re(a), ctx.mp.re(b), ctx.mp.re(c)) > 0
+                                     and ctx.mp.re(a + b + c) > 1 and _conjugate_pairs(ctx, (a, b, c)))),
     FamilyInfo(
         id="little-minus1-jacobi", name="Little -1 Jacobi",
         params=("alpha", "beta"), kind="scheme", row=2,
-        admissible="alpha > 0, beta > 0", anchor="A.7"),
+        admissible="alpha > 0, beta > 0", anchor="A.7",
+        admits=lambda ctx, alpha, beta: alpha > 0 and beta > 0),
     FamilyInfo(
         id="generalized-gegenbauer", name="Generalized Gegenbauer",
         params=("alpha", "beta"), kind="scheme", row=2,
-        admissible="alpha > -1, beta > 0", anchor="A.8", symmetric=True),
+        admissible="alpha > -1, beta > 0", anchor="A.8", symmetric=True,
+        admits=lambda ctx, alpha, beta: alpha > -1 and beta > 0),
     FamilyInfo(
         id="minus1-meixner-pollaczek", name="-1 Meixner-Pollaczek",
         params=("alpha", "gamma"), kind="scheme", row=2,
-        admissible="alpha > -1/2", anchor="A.9"),
+        admissible="alpha > -1/2", anchor="A.9",
+        admits=lambda ctx, alpha, gamma: alpha > -0.5),
     FamilyInfo(
         id="symmetric-bannai-ito", name="Symmetric Bannai-Ito",
-        params=("a", "b"), kind="scheme", row=2,
+        params=("a", "b"), kind="scheme", row=2, symmetric=True, anchor="A.10",
         admissible="Re(a), Re(b) > 0, non-real parameters in conjugate pairs",
-        anchor="A.10", symmetric=True),
+        admits=lambda ctx, a, b: min(ctx.mp.re(a), ctx.mp.re(b)) > 0 and _conjugate_pairs(ctx, (a, b))),
     FamilyInfo(
         id="special-little-minus1-jacobi", name="Special little -1 Jacobi",
         params=("alpha",), kind="scheme", row=1,
-        admissible="alpha > 0", anchor="A.11"),
+        admissible="alpha > 0", anchor="A.11",
+        admits=lambda ctx, alpha: alpha > 0),
     FamilyInfo(
         id="gegenbauer", name="Gegenbauer",
         params=("alpha",), kind="scheme", row=1,
-        admissible="alpha > -1/2, alpha != 0", anchor="A.12", symmetric=True),
+        admissible="alpha > -1/2, alpha != 0", anchor="A.12", symmetric=True,
+        admits=lambda ctx, alpha: alpha > -0.5 and alpha != 0),
     FamilyInfo(
         id="generalized-hermite", name="Generalized Hermite",
         params=("alpha",), kind="scheme", row=1,
-        admissible="alpha > -1/2", anchor="A.13", symmetric=True),
+        admissible="alpha > -1/2", anchor="A.13", symmetric=True,
+        admits=lambda ctx, alpha: alpha > -0.5),
     FamilyInfo(
         id="hermite", name="Hermite",
         params=(), kind="scheme", row=0,

@@ -15,7 +15,8 @@ h_0 .. h_N of the orthogonality relation under the printed inner product,
 so quadrature results can be compared against them directly, and a weight
 cannot be on record without them.  ``measure_prefactor`` records the
 constant sitting inside the printed inner product (1/(4 pi) for the
-Gamma-weight symmetric families, 1 elsewhere).
+Gamma-weight symmetric families, 1 elsewhere).  The weights assume the
+family's admissibility clause unchecked: ``families.weight_spec`` tests it.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from mpmath.libmp import (
 )
 
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
-from .base import InadmissibleParameterError, WeightSpec, _parity
-
-
-def _require(cond, clause, anchor):
-    if not cond:
-        raise InadmissibleParameterError(
-            "parameters violate the admissibility clause [%s]: %s" % (anchor, clause))
+from .base import WeightSpec, _parity
 
 
 def _one_pm_x(x, lo_off, hi_off):
@@ -70,7 +65,6 @@ def _w_hermite(ctx):
 
 def _w_generalized_hermite(ctx, alpha):
     mp = ctx.mp
-    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.13")
     e = 2 * alpha
     dens = lambda x, *offsets: abs(x) ** e * mp.exp(-x * x)
     zero = mp.mpf(0)
@@ -79,7 +73,6 @@ def _w_generalized_hermite(ctx, alpha):
 
 def _w_minus1_mp(ctx, alpha, gamma):
     mp = ctx.mp
-    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.9")
     g = abs(gamma)
     ex = alpha - mp.mpf(1) / 2
 
@@ -93,7 +86,6 @@ def _w_minus1_mp(ctx, alpha, gamma):
 
 def _w_gegenbauer(ctx, alpha):
     mp = ctx.mp
-    _require(alpha > mp.mpf(-1) / 2, "alpha > -1/2", "A.12")
     e = alpha - mp.mpf(1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
@@ -105,7 +97,6 @@ def _w_gegenbauer(ctx, alpha):
 
 def _w_generalized_gegenbauer(ctx, alpha, beta):
     mp = ctx.mp
-    _require(alpha > -1 and beta > 0, "alpha > -1 and beta > 0", "A.8")
     zero = mp.mpf(0)
     e = 2 * alpha + 1
 
@@ -118,7 +109,6 @@ def _w_generalized_gegenbauer(ctx, alpha, beta):
 
 def _w_chihara(ctx, alpha, beta, gamma):
     mp = ctx.mp
-    _require(alpha > -1 and beta > 0, "alpha > -1 and beta > 0", "A.3")
     g = abs(gamma)
     top = mp.sqrt(1 + gamma * gamma)
 
@@ -134,7 +124,6 @@ def _w_chihara(ctx, alpha, beta, gamma):
 
 def _w_little_m1j(ctx, alpha, beta):
     mp = ctx.mp
-    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0", "A.7")
     zero = mp.mpf(0)
     e1 = (beta - 1) / 2
 
@@ -147,7 +136,6 @@ def _w_little_m1j(ctx, alpha, beta):
 
 def _w_special_lj(ctx, alpha):
     mp = ctx.mp
-    _require(alpha > 0, "alpha > 0", "A.11")
     e = (alpha - 1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
@@ -159,7 +147,6 @@ def _w_special_lj(ctx, alpha):
 
 def _w_big_m1j(ctx, alpha, beta, c):
     mp = ctx.mp
-    _require(alpha > 0 and beta > 0 and 0 <= c < 1, "alpha > 0, beta > 0 and 0 <= c < 1", "A.2")
     e1, e2 = (alpha - 1) / 2, (beta + 1) / 2
 
     def dens(x, lo_off=None, hi_off=None):
@@ -238,48 +225,31 @@ def _gamma_density(series, mp, log_factor):
 
 
 def _w_gsbi(ctx, a, b, c):
-    mp = ctx.mp
-    vals = [mp.mpc(a), mp.mpc(b), mp.mpc(c)]
-    _require(all(mp.re(v) > 0 for v in vals), "Re(a), Re(b), Re(c) > 0", "A.6")
-    _require(mp.re(a + b + c) > 1, "a + b + c > 1", "A.6")
-    conj_closed = all(min(abs(mp.conj(v) - w) for w in vals) <= ctx.tol(4) * (1 + abs(v))
-                      for v in vals)
-    _require(conj_closed, "non-real parameters occur in conjugate pairs", "A.6")
-    return _gamma_modulus_weight(vals, mp)
+    return _gamma_modulus_weight([ctx.mp.mpc(v) for v in (a, b, c)], ctx.mp)
 
 
 def _w_sbi(ctx, a, b):
-    mp = ctx.mp
-    _require(mp.re(a) > 0 and mp.re(b) > 0, "Re(a), Re(b) > 0", "A.10")
-    return _gamma_modulus_weight([mp.mpc(a), mp.mpc(b)], mp)
+    return _gamma_modulus_weight([ctx.mp.mpc(v) for v in (a, b)], ctx.mp)
 
 
-def _cbi_weight(al, be, ga, de, anchor, ctx):
+def _w_cbi(ctx, alpha, beta, gamma, delta):
     mp = ctx.mp
-    _require(al > 0 and ga > 0, "alpha, gamma > 0", anchor)
     half = mp.mpf(1) / 2
     # |Gamma(fa+ix/2+1) Gamma(fb+ix/2+1) Gamma(fc+ix/2+1/2) Gamma(fd+ix/2+1/2) / Gamma(1/2+ix)|^2
     # for fa = alpha + i beta, fb = gamma + i delta, fc = conj(fb), fd = conj(fa): the terms as
     # (real part, imaginary part at x = 0), y = that + x/2
-    terms = [(al + 1, be), (ga + 1, de), (ga + half, -de), (al + half, -be)]
+    terms = [(alpha + 1, beta), (gamma + 1, delta), (gamma + half, -delta), (alpha + half, -beta)]
     series = StirlingSeries(mp, terms, -1)
     log_pi = to_fixed(mpf_log(mpf_pi(series.bits + 8), series.bits + 8), series.bits)
     return WeightSpec([(mp.mpf("-inf"), mp.mpf("+inf"))], _gamma_density(series, mp, -log_pi))
 
 
-def _w_cbi(ctx, alpha, beta, gamma, delta):
-    _require(alpha > 0 and beta > 0 and gamma > 0 and delta > 0, "alpha, beta, gamma, delta > 0", "A.1")
-    return _cbi_weight(alpha, beta, gamma, delta, "A.1", ctx)
-
-
 def _w_c1h1(ctx, alpha, beta, gamma):
-    _require(beta > 0, "alpha, beta, gamma > 0", "A.4")
-    return _cbi_weight(alpha, beta, gamma, beta, "A.4", ctx)
+    return _w_cbi(ctx, alpha, beta, gamma, beta)
 
 
 def _w_c1h2(ctx, alpha, beta, gamma):
-    _require(beta > 0, "alpha, beta, gamma > 0", "A.5")
-    return _cbi_weight(alpha, beta, gamma, -beta, "A.5", ctx)
+    return _w_cbi(ctx, alpha, beta, gamma, -beta)
 
 
 # ----------------------------------------------------------------------

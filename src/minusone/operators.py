@@ -32,11 +32,11 @@ operators, for the sign of the [I - R] bracket); for the continuous
 Bannai-Ito block the printed A coefficient has a second reading with beta
 and delta doubled.  Each symbol has one meaning: the builder reads
 ``acoeff``, and every other reading is a rewrite of the built term list
-(:data:`_REWRITES`).  The passing reading of each family is catalog data,
-one field of its :data:`_BUILDERS` entry, whose keys are the axes that
-:func:`_resolve_variant` searches on low degrees; the tests hold the entry
-to the search.  The builders write the passing reading, the first value of
-each axis in :data:`READING_AXES`, so only the search applies a rewrite.
+(:data:`_REWRITES`).  The reading axes of each family are catalog data,
+one field of its :data:`_BUILDERS` entry, and :func:`_resolve_variant`
+searches them on low degrees.  The builders write the passing reading, the
+first value of each axis in :data:`READING_AXES`, so only the search
+applies a rewrite; the tests hold that reading to the search.
 """
 
 from __future__ import annotations
@@ -344,19 +344,19 @@ def _build_sbi(ctx, free, variant, a, b):
 class _EigenEntry:
     build: Callable          # (ctx, free, variant, **params) -> (D, terms, n -> lambda_n)
     free_name: str | None    # the eigenvalue's free parameter (None: the printed one has none)
-    reading: dict            # the reading that satisfies the eigen equation (_resolve_variant)
+    axes: tuple              # the reading axes of READING_AXES that _resolve_variant searches
 
 
-_DXR = {"dxr": OUTER_DIFF}
-_FIRST_ORDER = {"dxr": OUTER_DIFF, "bracket": "IR"}
-_SHIFT_REFLECT = {"composition": SHIFT_AFTER_REFLECT, "acoeff": "doubled"}
+_DXR = ("dxr",)
+_FIRST_ORDER = ("dxr", "bracket")
+_SHIFT_REFLECT = ("composition", "acoeff")
 
-# family id -> its eigen system as printed; the tests hold each reading to the search
+# family id -> its eigen system as printed; the tests hold the builders' reading to the search
 _BUILDERS = {
-    "hermite": _EigenEntry(_build_hermite, "epsilon", {}),
-    "generalized-hermite": _EigenEntry(_build_generalized_hermite, "epsilon", {}),
-    "gegenbauer": _EigenEntry(_build_gegenbauer, "epsilon", {}),
-    "generalized-gegenbauer": _EigenEntry(_build_generalized_gegenbauer, "epsilon", {}),
+    "hermite": _EigenEntry(_build_hermite, "epsilon", ()),
+    "generalized-hermite": _EigenEntry(_build_generalized_hermite, "epsilon", ()),
+    "gegenbauer": _EigenEntry(_build_gegenbauer, "epsilon", ()),
+    "generalized-gegenbauer": _EigenEntry(_build_generalized_gegenbauer, "epsilon", ()),
     "chihara": _EigenEntry(_build_chihara, "epsilon", _DXR),
     "minus1-meixner-pollaczek": _EigenEntry(_build_minus1_mp, "epsilon", _DXR),
     "big-minus1-jacobi": _EigenEntry(_build_big_m1j, None, _FIRST_ORDER),
@@ -365,8 +365,8 @@ _BUILDERS = {
     "continuous-bannai-ito": _EigenEntry(_build_cbi, None, _SHIFT_REFLECT),
     "continuous-minus1-hahn-1": _EigenEntry(_build_c1h1, None, _SHIFT_REFLECT),
     "continuous-minus1-hahn-2": _EigenEntry(_build_c1h2, None, _SHIFT_REFLECT),
-    "generalized-symmetric-bannai-ito": _EigenEntry(_build_gsbi, "sigma", {}),
-    "symmetric-bannai-ito": _EigenEntry(_build_sbi, "sigma", {}),
+    "generalized-symmetric-bannai-ito": _EigenEntry(_build_gsbi, "sigma", ()),
+    "symmetric-bannai-ito": _EigenEntry(_build_sbi, "sigma", ()),
 }
 
 # the readings of each axis; the builders write the first
@@ -388,7 +388,7 @@ _REWRITES = {
 
 # families whose printed operator composes S+/S- with R
 SHIFT_REFLECT_FAMILIES = tuple(fid for fid, entry in _BUILDERS.items()
-                               if "composition" in entry.reading)
+                               if "composition" in entry.axes)
 
 # degree of the basis P_0..P_N whose operator matrix the CLI checks for diagonality
 DIAGONALITY_N = 8
@@ -438,10 +438,9 @@ def _resolve_variant(fid, ctx, params=None):
     params = families.make_params(fid, ctx, **params)
     polys = families.generate(fid, params, 3, ctx)
     entry = _BUILDERS[fid]
-    axes = list(entry.reading)
     outcomes = []
-    for values in product(*(READING_AXES[axis] for axis in axes)):
-        variant = dict(zip(axes, values))
+    for values in product(*(READING_AXES[axis] for axis in entry.axes)):
+        variant = dict(zip(entry.axes, values))
         es = _system_for_variant(entry, params, ctx.mp.mpf(1) / 2, variant, ctx)
         residuals = [None] * 3
         try:
@@ -489,8 +488,7 @@ def build_eigen_system(family, params, ctx: PrecisionContext, free=None) -> Eige
         free = mp.mpf(1) / 2
     else:
         free = mp.mpf(free) if isinstance(free, (str, int, float)) else free
-    return _system_for_variant(entry, families.make_params(fid, ctx, **params), free,
-                               entry.reading, ctx)
+    return _system_for_variant(entry, families.make_params(fid, ctx, **params), free, {}, ctx)
 
 
 def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):

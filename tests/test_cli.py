@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -452,6 +453,19 @@ _BOXES = {
     "symmetric-bannai-ito": {"a": (0.1, 2), "b": (0.1, 2)},
 }
 _ALGEBRA_CHECKS = "closed-form,eigen,favard"
+
+
+def test_admissible_boxes_lie_inside_the_printed_clause():
+    # every corner of each box satisfies the family's clause as a test (FamilyInfo.admits)
+    from minusone import families
+    from minusone.precision import PrecisionContext
+
+    ctx = PrecisionContext(15)
+    for family, box in _BOXES.items():
+        admits = families.family_info(family).admits
+        for corner in itertools.product(*box.values()):
+            params = families.make_params(family, ctx, **dict(zip(box, map(str, corner))))
+            assert admits is None or admits(ctx, **params), (family, corner)
 
 
 def _quiet_verify(family, params, digits):

@@ -21,6 +21,7 @@ from minusone.families import (
     NoWeightError,
     ParameterError,
     UnknownFamilyError,
+    weights,
 )
 
 CTX = PrecisionContext(50)
@@ -252,6 +253,8 @@ _TABLES = {
     "weight specs": (F.WEIGHTS, lambda measure: measure.spec, ("ctx",)),
     "norms": (F.WEIGHTS, lambda measure: measure.norms, ("ctx", "N")),
     "eigen builders": (O._BUILDERS, lambda entry: entry.build, ("ctx", "free", "variant")),
+    "admissibility tests": ({fid: info for fid, info in F.REGISTRY.items() if info.admits},
+                            lambda info: info.admits, ("ctx",)),
 }
 
 
@@ -381,19 +384,19 @@ def test_gamma_modulus_densities_match_printed_products(digits):
                          "continuous-bannai-ito", "continuous-minus1-hahn-1",
                          "continuous-minus1-hahn-2")
              for pt in F.fixture_points(fid)]
-    # {a, b} not closed under conjugation: an admissible symmetric Bannai-Ito weight that is not even
+    # {a, b} not closed under conjugation: a symmetric Bannai-Ito weight that is not even, built
+    # by the weight builder, which assumes the clause (weight_spec rejects the point)
     uneven = {"a": mp.mpc(1, mp.mpf(1) / 2), "b": mp.mpf(1)}
-    cases.append(("symmetric-bannai-ito", uneven))
-    for fid, params in cases:
-        spec = F.weight_spec(fid, params, ctx)
+    uneven_spec = weights._w_sbi(ctx, **uneven)
+    specs = [(fid, params, F.weight_spec(fid, params, ctx)) for fid, params in cases]
+    for fid, params, spec in specs + [("symmetric-bannai-ito", uneven, uneven_spec)]:
         for s in GAMMA_DENSITY_XS:
             x = mp.mpf(s)
             ref = _printed_gamma_density(fid, params, x, ctx)
             got = spec.density(x)
             assert abs(got - ref) <= ctx.tol(10) * ref, (digits, fid, params, s)
-    spec = F.weight_spec("symmetric-bannai-ito", uneven, ctx)
     x = mp.mpf("0.731")
-    assert abs(spec.density(x) - spec.density(-x)) > ctx.tol(0) * spec.density(x)
+    assert abs(uneven_spec.density(x) - uneven_spec.density(-x)) > ctx.tol(0) * uneven_spec.density(x)
 
 
 def test_power_densities_match_the_printed_formula_at_table_nodes():
@@ -443,7 +446,7 @@ def test_even_flag_marks_even_weights():
                        "generalized-symmetric-bannai-ito", "symmetric-bannai-ito"}
     # the uneven point of test_gamma_modulus_densities_match_printed_products
     uneven = {"a": mp.mpc(1, mp.mpf(1) / 2), "b": mp.mpf(1)}
-    assert not F.weight_spec("symmetric-bannai-ito", uneven, CTX).even
+    assert not weights._w_sbi(CTX, **uneven).even
 
 
 def test_weight_density_nonnegative_on_support():
@@ -501,6 +504,59 @@ def test_weight_inadmissible():
         F.weight_spec("big-minus1-jacobi", P("big-minus1-jacobi", alpha="0.5", beta="1", c="1.5"), CTX)
     with pytest.raises(NoWeightError):
         F.weight_spec("big-q-jacobi", P("big-q-jacobi", **F.fixture_points("big-q-jacobi")[0]), CTX)
+
+
+# one point per weighted family on or past a bound its printed clause excludes
+_OUTSIDE = {
+    "continuous-bannai-ito": {"delta": "0"},
+    "big-minus1-jacobi": {"c": "1"},
+    "chihara": {"alpha": "-1"},
+    "continuous-minus1-hahn-1": {"alpha": "0"},
+    "continuous-minus1-hahn-2": {"alpha": "-0.5"},
+    "generalized-symmetric-bannai-ito": {"a": "0.25", "b": "0.25", "c": "0.5"},    # a+b+c = 1
+    "little-minus1-jacobi": {"beta": "0"},
+    "generalized-gegenbauer": {"beta": "0"},
+    "minus1-meixner-pollaczek": {"alpha": "-0.5"},
+    "symmetric-bannai-ito": {"a": "0"},
+    "special-little-minus1-jacobi": {"alpha": "0"},
+    "gegenbauer": {"alpha": "0"},
+    "generalized-hermite": {"alpha": "-0.5"},
+}
+
+
+def test_every_weighted_family_but_hermite_tests_its_clause():
+    assert {fid for fid, info in F.REGISTRY.items() if info.admits} == set(F.WEIGHTS) - {"hermite"}
+    assert set(_OUTSIDE) == set(F.WEIGHTS) - {"hermite"}
+
+
+@pytest.mark.parametrize("fid", sorted(_OUTSIDE))
+def test_inadmissible_gram_row_quotes_the_printed_clause(fid):
+    # the row's note is the clause `minusone list` prints, word for word
+    ctx = PrecisionContext(15)
+    info = F.family_info(fid)
+    params = F.make_params(fid, ctx, **{**F.fixture_points(fid)[0], **_OUTSIDE[fid]})
+    assert not info.admits(ctx, **params)
+    [row] = cli._family_results(fid, params, ctx, ["orthogonality"])
+    assert (row["status"], row["notes"]) == (
+        "inconclusive",
+        "parameters violate the admissibility clause [%s]: %s" % (info.anchor, info.admissible))
+
+
+def test_fixture_points_lie_inside_the_printed_clause():
+    for fid, info in F.REGISTRY.items():
+        for pt in F.fixture_points(fid):
+            assert info.admits is None or info.admits(CTX, **P(fid, **pt)), (fid, pt)
+
+
+def test_symmetric_flag_marks_vanishing_b_n():
+    # `minusone list --format json` publishes the flag: it is set exactly where every b_n,
+    # n <= 12, vanishes at every fixture point
+    families = F.scheme_ids() + F.family_ids("q-aux")
+    assert len(families) == 19
+    for fid in families:
+        zero = all(pair.b == 0 for pt in F.fixture_points(fid)
+                   for pair in F.recurrences(fid, P(fid, **pt), 12, CTX))
+        assert F.family_info(fid).symmetric == zero, fid
 
 
 def test_norm_values():

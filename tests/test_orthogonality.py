@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -168,14 +169,26 @@ def test_kernel_rows_stay_narrow():
 def test_gram_needs_a_positive_measure():
     from minusone import cli, quadrature
 
-    # symmetric Bannai-Ito at a = 1 + i/2: u_1 = 1 + i/2, so no positive measure exists
+    # symmetric Bannai-Ito at a = 1 + i/2: u_1 = 1 + i/2, so no positive measure exists, and
+    # the printed clause (non-real parameters in conjugate pairs) rules the point out
     ctx = PrecisionContext(30)
     mp = ctx.mp
     params = {"a": mp.mpc(1, 0.5), "b": mp.mpf(1)}
-    with pytest.raises(F.ParameterError, match="u_1"):
+    with pytest.raises(F.InadmissibleParameterError, match=re.escape("[A.10]")):
         orth.gram("symmetric-bannai-ito", params, 8, ctx)
     [result] = cli._family_results("symmetric-bannai-ito", params, ctx, ["orthogonality"])
-    assert result["status"] == "inconclusive" and "not real" in result["notes"]
+    assert result["status"] == "inconclusive" and "[A.10]" in result["notes"], result
+
+    # a pair conjugate to within the clause's rounding, tol(4), but not to the table's, tol(0):
+    # the nonreal coefficient still ends the Gram
+    near_ctx = PrecisionContext(15)
+    near = {"a": near_ctx.mp.mpc(0.75, 0.5), "b": near_ctx.mp.mpc(0.75, -(0.5 + 1e-12)),
+            "c": near_ctx.mp.mpf(1.25)}
+    with pytest.raises(F.ParameterError, match="u_1 = .* is not real"):
+        orth.gram("generalized-symmetric-bannai-ito", near, 8, near_ctx)
+    [result] = cli._family_results("generalized-symmetric-bannai-ito", near, near_ctx,
+                                   ["orthogonality"])
+    assert result["status"] == "inconclusive" and "not real" in result["notes"], result
 
     # a conjugate pair keeps the generalized symmetric recurrence real
     params = {"a": mp.mpc(0.75, 0.5), "b": mp.mpc(0.75, -0.5), "c": mp.mpf(1.25)}
