@@ -3,7 +3,9 @@ families driving the q -> -1 edges.
 
 Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``make_params``, ``recurrences`` (and its entry ``recurrence``),
-``generate`` (and ``polys_from_pairs`` for a caller that holds the pairs),
+``factored_u`` (an orthogonal family's u_n as factors in m on each parity
+class, ``FACTORED_U``), ``generate`` (and ``polys_from_pairs`` for a
+caller that holds the pairs),
 ``closed_form``, ``weight_spec`` and ``norms`` (and its entry ``norm``),
 with ``fixture_points`` supplying the reference parameter sets the
 verification suites run at.
@@ -48,7 +50,7 @@ from .base import (
     UnknownFamilyError,
     WeightSpec,
 )
-from .catalog import ALIASES, CLOSED_FORMS, FAMILIES, RECURRENCES
+from .catalog import ALIASES, CLOSED_FORMS, FACTORED_U, FAMILIES, RECURRENCES
 from .qaux import Q_FAMILIES, Q_RECURRENCES
 from .fixtures import FIXTURES
 from .weights import WEIGHTS
@@ -141,6 +143,12 @@ def recurrence(family: str, params: dict, n: int, ctx: PrecisionContext) -> Recu
     if n < 0:
         raise ValueError("n must be >= 0")
     return recurrences(family, params, n, ctx)[n]
+
+
+def factored_u(family: str, params: dict, ctx: PrecisionContext):
+    """u_n of an orthogonal family as (its ``FactoredU`` on n = 2m, on n = 2m + 1)."""
+    fid = resolve_family(family)
+    return FACTORED_U[fid](ctx, **_bind(fid, params, ctx))
 
 
 def generate(family: str, params: dict, N: int, ctx: PrecisionContext):

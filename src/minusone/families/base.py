@@ -78,11 +78,47 @@ def denominator_check(ctx: PrecisionContext):
     return check
 
 
+@dataclass(frozen=True)
+class FactoredU:
+    """u_n on one parity class n = 2m + e as a function of m: ``const`` times the factors
+    p m + q of ``num`` and (p m + q)^2 + w of ``quad``, over the factors p m + q of ``den``.
+    Each p is a real number; q and w take the family's parameters."""
+    const: object
+    num: tuple = ()           # (p, q)
+    den: tuple = ()           # (p, q)
+    quad: tuple = ()          # (p, q, w)
+
+    def value(self, m):
+        value = self.const
+        for p, q in self.num:
+            value *= p * m + q
+        for p, q, w in self.quad:
+            value *= (p * m + q) ** 2 + w
+        for p, q in self.den:
+            value /= p * m + q
+        return value
+
+
+def _near(ctx, v, w):
+    """True when w lies within tol(4) relative of v."""
+    return abs(v - w) <= ctx.tol(4) * (1 + abs(v))
+
+
 def _conjugate_pairs(ctx, vals):
-    """True when the conjugate of each value is one of vals, to tol(4) relative: the printed
-    "non-real parameters in conjugate pairs", tolerating rounding."""
-    mp = ctx.mp
-    return all(min(abs(mp.conj(v) - w) for w in vals) <= ctx.tol(4) * (1 + abs(v)) for v in vals)
+    """True when vals pair off one to one, each value with another ``_near`` its conjugate, a
+    real value (one ``_near`` its conjugate) with itself: the printed "non-real parameters in
+    conjugate pairs" as a multiset match, tolerating rounding."""
+    left = list(vals)
+    while left:
+        v = left.pop()
+        conj = ctx.mp.conj(v)
+        if _near(ctx, conj, v):
+            continue
+        partner = next((k for k, w in enumerate(left) if _near(ctx, conj, w)), None)
+        if partner is None:
+            return False
+        del left[partner]
+    return True
 
 
 def _parity(n):

@@ -1,4 +1,4 @@
-"""The continuous -1 families: recurrences, closed forms, weights, norms.
+"""The continuous -1 families: recurrences, factored u_n, closed forms.
 
 Formulas follow the source compendium (anchors A.1-A.14 plus the sections
 introducing the continuous complementary Bannai-Ito family).  Every closed
@@ -21,6 +21,7 @@ from __future__ import annotations
 from ..precision import pochhammer
 from ..polynomials import Poly, hyp_terminating_poly
 from .base import (
+    FactoredU,
     FamilyInfo,
     RecurrencePair,
     _conjugate_pairs,
@@ -141,11 +142,21 @@ def _half(ctx):
 #
 # Sequence functions (ctx, N, **params) -> [RecurrencePair, n = 0..N], the
 # parameters by their schema names, written as the package docstring describes.
+# Beside each orthogonal family's sequence function, its u_n as data:
+# (ctx, **params) -> (u on n = 2m, u on n = 2m + 1), each a ``FactoredU`` in
+# m, read off the same printed formula (for the -1 Jacobi families the
+# product A_(n-1) C_n).  Every printed denominator of b_n is one of u_n or
+# u_(n+1), so ``den`` names every denominator the recurrence tests.
 
 
 def _recs_hermite(ctx, N):
     zero = ctx.mp.mpf(0)
     return [RecurrencePair(b=zero, u=ctx.mp.mpf(n) / 2) for n in range(N + 1)]
+
+
+def _u_hermite(ctx):
+    """n / 2."""
+    return tuple(FactoredU(_half(ctx), num=((2, e),)) for e in (0, 1))
 
 
 def _alternating(ga):
@@ -167,6 +178,15 @@ def _recs_generalized_hermite(ctx, N, alpha):
 
 def _recs_minus1_mp(ctx, N, alpha, gamma):
     return _hermite_like(alpha, _alternating(gamma), N, ctx)
+
+
+def _u_generalized_hermite(ctx, alpha):
+    """The u_n of ``_hermite_like``."""
+    return FactoredU(1, num=((1, 0),)), FactoredU(1, num=((1, alpha + _half(ctx)),))
+
+
+def _u_minus1_mp(ctx, alpha, gamma):
+    return _u_generalized_hermite(ctx, alpha)
 
 
 def _gg_like(al, be, bs, N, ctx):
@@ -194,6 +214,18 @@ def _recs_chihara(ctx, N, alpha, beta, gamma):
     return _gg_like(alpha, beta, _alternating(gamma), N, ctx)
 
 
+def _u_generalized_gegenbauer(ctx, alpha, beta):
+    """The u_n of ``_gg_like``, t = 2m + alpha + beta: m (m + beta) / (t (t + 1)) on n = 2m
+    and (m + alpha + 1)(m + alpha + beta + 1) / ((t + 1)(t + 2)) on n = 2m + 1."""
+    s = alpha + beta
+    return (FactoredU(1, num=((1, 0), (1, beta)), den=((2, s), (2, s + 1))),
+            FactoredU(1, num=((1, alpha + 1), (1, s + 1)), den=((2, s + 1), (2, s + 2))))
+
+
+def _u_chihara(ctx, alpha, beta, gamma):
+    return _u_generalized_gegenbauer(ctx, alpha, beta)
+
+
 def _recs_gegenbauer(ctx, N, alpha):
     al2 = 2 * alpha
     check = denominator_check(ctx)
@@ -206,6 +238,13 @@ def _recs_gegenbauer(ctx, N, alpha):
     return pairs[:N + 1]
 
 
+def _u_gegenbauer(ctx, alpha):
+    """n (n + 2alpha - 1) / ((2n + 2alpha - 2)(2n + 2alpha)), n = 2m + e."""
+    al2 = 2 * alpha
+    return tuple(FactoredU(1, num=((2, e), (2, e + al2 - 1)),
+                           den=((4, 2 * e + al2 - 2), (4, 2 * e + al2))) for e in (0, 1))
+
+
 def _recs_symmetric_bannai_ito(ctx, N, a, b):
     zero = ctx.mp.mpf(0)
     pairs = []
@@ -213,6 +252,10 @@ def _recs_symmetric_bannai_ito(ctx, N, a, b):
         odd, m = _parity(n)
         pairs.append(RecurrencePair(b=zero, u=(m + a) * (m + b) if odd else m * (m + a + b - 1)))
     return pairs
+
+
+def _u_symmetric_bannai_ito(ctx, a, b):
+    return FactoredU(1, num=((1, 0), (1, a + b - 1))), FactoredU(1, num=((1, a), (1, b)))
 
 
 def _recs_gsbi(ctx, N, a, b, c):
@@ -231,6 +274,13 @@ def _recs_gsbi(ctx, N, a, b, c):
             u = (m + s - 1) * (m + c) * (m + a) * (m + b) / den
         pairs.append(RecurrencePair(b=zero, u=u))
     return pairs[:N + 1]
+
+
+def _u_gsbi(ctx, a, b, c):
+    s = a + b + c
+    return (FactoredU(1, num=((1, 0), (1, a + b - 1), (1, a + c - 1), (1, b + c - 1)),
+                      den=((2, s - 2), (2, s - 1))),
+            FactoredU(1, num=((1, s - 1), (1, c), (1, a), (1, b)), den=((2, s - 1), (2, s))))
 
 
 def _recs_ccbi(ctx, N, a1, b1, a2, b2):
@@ -285,6 +335,18 @@ def _recs_cbi(ctx, N, alpha, beta, gamma, delta):
     return _cbi_like(alpha, gamma, N, ctx, pair)
 
 
+def _u_cbi(ctx, alpha, beta, gamma, delta):
+    """n (n + 4alpha + 4gamma + 2)(d1^2 + 4(beta + delta)^2) / (4 d1^2) on n = 2m and
+    (n + 4alpha + 1)(n + 4gamma + 1)(d1^2 + 4(beta - delta)^2) / (4 d1^2) on n = 2m + 1,
+    d1 = n + 2alpha + 2gamma + 1; -1 Hahn I and II are delta = beta and delta = -beta."""
+    g, quarter = 2 * alpha + 2 * gamma, ctx.mp.mpf(1) / 4
+    d_even, d_odd = (2, g + 1), (2, g + 2)
+    return (FactoredU(quarter, num=((2, 0), (2, 2 * g + 2)), den=(d_even, d_even),
+                      quad=((2, g + 1, 4 * (beta + delta) ** 2),)),
+            FactoredU(quarter, num=((2, 4 * alpha + 2), (2, 4 * gamma + 2)), den=(d_odd, d_odd),
+                      quad=((2, g + 2, 4 * (beta - delta) ** 2),)))
+
+
 def _recs_c1h1(ctx, N, alpha, beta, gamma):
     al4, ga4, be2, be16 = 4 * alpha, 4 * gamma, 2 * beta, 16 * beta ** 2
 
@@ -296,6 +358,10 @@ def _recs_c1h1(ctx, N, alpha, beta, gamma):
     return _cbi_like(alpha, gamma, N, ctx, pair)
 
 
+def _u_c1h1(ctx, alpha, beta, gamma):
+    return _u_cbi(ctx, alpha, beta, gamma, beta)
+
+
 def _recs_c1h2(ctx, N, alpha, beta, gamma):
     al4, ga4, be2, be16 = 4 * alpha, 4 * gamma, 2 * beta, 16 * beta ** 2
 
@@ -305,6 +371,10 @@ def _recs_c1h2(ctx, N, alpha, beta, gamma):
         return (be2 - be2 * (n + ga4 + 1) / d1,
                 (n + al4 + 1) * (n + ga4 + 1) * (d1sq + be16) / (4 * d1sq))
     return _cbi_like(alpha, gamma, N, ctx, pair)
+
+
+def _u_c1h2(ctx, alpha, beta, gamma):
+    return _u_cbi(ctx, alpha, beta, gamma, -beta)
 
 
 def _m1j_like(N, ctx, t0, nums, what):
@@ -324,11 +394,24 @@ def _m1j_like(N, ctx, t0, nums, what):
     return _from_AC(AC)
 
 
+def _u_m1j_like(s, even, odd, c_even=1, c_odd=1):
+    """u_n = A_(n-1) C_n of ``_m1j_like`` with t_n = 2n + s: a_(n-1) c_n / t_n^2, as
+    t_(n-1) + 2 = t_n.  Its numerator is c_even times the factors ``even`` on n = 2m, c_odd
+    times ``odd`` on n = 2m + 1."""
+    return (FactoredU(c_even, num=even, den=((4, s),) * 2),
+            FactoredU(c_odd, num=odd, den=((4, s + 2),) * 2))
+
+
 def _recs_big_m1j(ctx, N, alpha, beta, c):
     opc, omc = 1 + c, 1 - c
     return _m1j_like(N, ctx, lambda n2: n2 + alpha + beta,
                      lambda n: (opc * (n + alpha + 1), omc * n) if n % 2 == 0
                      else (omc * (n + alpha + beta + 1), opc * (n + beta)), "2n+alpha+beta")
+
+
+def _u_big_m1j(ctx, alpha, beta, c):
+    s, opc, omc = alpha + beta, 1 + c, 1 - c
+    return _u_m1j_like(s, ((2, 0), (2, s)), ((2, alpha + 1), (2, beta + 1)), omc * omc, opc * opc)
 
 
 def _recs_little_m1j(ctx, N, alpha, beta):
@@ -337,8 +420,17 @@ def _recs_little_m1j(ctx, N, alpha, beta):
                      else (n + alpha + beta + 1, n + alpha), "2n+alpha+beta")
 
 
+def _u_little_m1j(ctx, alpha, beta):
+    s = alpha + beta
+    return _u_m1j_like(s, ((2, 0), (2, s)), ((2, beta + 1), (2, alpha + 1)))
+
+
 def _recs_special_lj(ctx, N, alpha):
     return _m1j_like(N, ctx, lambda n2: n2 + alpha, lambda n: (n + alpha + 1, ctx.mp.mpf(n)), "2n+alpha")
+
+
+def _u_special_lj(ctx, alpha):
+    return _u_m1j_like(alpha, ((2, 0), (2, alpha)), ((2, 1), (2, alpha + 1)))
 
 
 # sequence functions (ctx, N, **params) -> [RecurrencePair for n = 0..N]
@@ -358,6 +450,24 @@ RECURRENCES = {
     "big-minus1-jacobi": _recs_big_m1j,
     "little-minus1-jacobi": _recs_little_m1j,
     "special-little-minus1-jacobi": _recs_special_lj,
+}
+
+# the u_n of each orthogonal family as data: (ctx, **params) -> (u on n = 2m, u on n = 2m + 1)
+FACTORED_U = {
+    "hermite": _u_hermite,
+    "generalized-hermite": _u_generalized_hermite,
+    "minus1-meixner-pollaczek": _u_minus1_mp,
+    "generalized-gegenbauer": _u_generalized_gegenbauer,
+    "chihara": _u_chihara,
+    "gegenbauer": _u_gegenbauer,
+    "symmetric-bannai-ito": _u_symmetric_bannai_ito,
+    "generalized-symmetric-bannai-ito": _u_gsbi,
+    "continuous-bannai-ito": _u_cbi,
+    "continuous-minus1-hahn-1": _u_c1h1,
+    "continuous-minus1-hahn-2": _u_c1h2,
+    "big-minus1-jacobi": _u_big_m1j,
+    "little-minus1-jacobi": _u_little_m1j,
+    "special-little-minus1-jacobi": _u_special_lj,
 }
 
 

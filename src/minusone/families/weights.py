@@ -367,11 +367,12 @@ def _norm_sbi(ctx, n, a, b):
     return mp.re(value)
 
 
-def _cbi_norms(al, be, ga, de, N, ctx):
-    """h_0 .. h_N of the continuous Bannai-Ito-type families: h_0 once, then kappa_n."""
+def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
+    """h_0 .. h_N of the continuous Bannai-Ito-type families: h_0 once, then kappa_n; -1 Hahn I
+    and II are delta = beta and delta = -beta."""
     mp = ctx.mp
     i = mp.mpc(0, 1)
-    fa, fb = al + i * be, ga + i * de
+    fa, fb = alpha + i * beta, gamma + i * delta
     fc, fd = mp.conj(fb), mp.conj(fa)
     half = mp.mpf(1) / 2
     h0 = mp.gamma(fa + fb + 3 * half) * mp.gamma(fa + fc + 1) * mp.gamma(fb + fc + 1) \
@@ -382,29 +383,26 @@ def _cbi_norms(al, be, ga, de, N, ctx):
         odd, m = _parity(n)
         top = m + 1 if odd else m
         common = mp.mpf(4) ** n * mp.factorial(m) \
-            * pochhammer(2 * al + 1, top, ctx) * pochhammer(2 * ga + 1, top, ctx) \
-            / (pochhammer(2 * al + 2 * ga + 2, n, ctx) * pochhammer(mp.mpf(m) + 2 * al + 2 * ga + 2, top, ctx))
+            * pochhammer(2 * alpha + 1, top, ctx) * pochhammer(2 * gamma + 1, top, ctx) \
+            / (pochhammer(2 * alpha + 2 * gamma + 2, n, ctx)
+               * pochhammer(mp.mpf(m) + 2 * alpha + 2 * gamma + 2, top, ctx))
         prod1 = mp.mpf(1)
         for k in range(1, top + 1):
-            prod1 *= (k + al + ga) ** 2 + (be - de) ** 2
+            prod1 *= (k + alpha + gamma) ** 2 + (beta - delta) ** 2
         prod2 = mp.mpf(1)
         for k in range(1, m + 1):
-            prod2 *= (k + al + ga + half) ** 2 + (be + de) ** 2
+            prod2 *= (k + alpha + gamma + half) ** 2 + (beta + delta) ** 2
         kappa = common * prod1 * prod2
         out.append(mp.re(4 * mp.pi * h0 * kappa))
     return out
 
 
-def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
-    return _cbi_norms(alpha, beta, gamma, delta, N, ctx)
-
-
 def _norms_c1h1(ctx, N, alpha, beta, gamma):
-    return _cbi_norms(alpha, beta, gamma, beta, N, ctx)
+    return _norms_cbi(ctx, N, alpha, beta, gamma, beta)
 
 
 def _norms_c1h2(ctx, N, alpha, beta, gamma):
-    return _cbi_norms(alpha, beta, gamma, -beta, N, ctx)
+    return _norms_cbi(ctx, N, alpha, beta, gamma, -beta)
 
 
 def _each_degree(formula):

@@ -1,4 +1,4 @@
-"""Gram matrices against the printed norms, and Favard scans.
+"""Gram matrices against the printed norms, and the Favard row.
 
 ``gram`` and ``favard_check`` are the orthogonality and Favard rows of
 ``minusone verify``: each reports ``status``, ``residual``, ``tolerance``
@@ -20,7 +20,24 @@ ParameterError naming the first one, as does a density value that is not
 a finite real, which ends the table's sweep.  The Gram is the orthogonality
 oracle: matching the printed norms through degree N fixes the moments of
 the weight through degree 2N.
-Favard scans read positivity straight off the recurrence coefficients.
+
+Favard.  Favard's theorem gives a positive measure when every b_n is real
+and every u_n > 0, n >= 1, and ``favard_check`` decides that for all n.
+Each orthogonal family states its u_n on each parity class n = 2m + e as
+factors in m (``families.factored_u``).  The row reads the recurrence
+through n = FAVARD_N0 = 16, 8 points per class, and checks each u_n there
+against its factors under the algebraic gate; the residual weighs each
+difference against the rounding its factors allow (``_error_scale``).
+Printed u_n on one class are rational in m of degrees (num, den) with
+num + den <= 6, and a difference of two has a numerator of degree at most
+num + den, so agreement at 8 points makes the recurrence's u_n the printed
+one for every m.  The sign then comes from the factors alone
+(``_sign_failure``): u_n keeps its sign between the real roots of its
+factors, and a non-real factor pairs off with its conjugate into a
+positive one.  An integer root n >= 1 of a denominator ends the row as a
+ParameterError (inconclusive), one of the numerator makes u_n = 0 and
+fails it.  Families without factors, the q-aux families whose u_n carry
+q^n, scan u_n > 0 for n <= N (``favard_scan``).
 
 Precision.  ``gram`` reads its gate, 10**-(d/2) on the diagonal and off
 it, and its tables' precision from the plan in ``precision``; it reports
@@ -54,7 +71,10 @@ from mpmath.libmp import to_fixed
 
 from . import families, quadrature
 from .families import ParameterError
+from .families.base import _conjugate_pairs, _near, denominator_check
 from .precision import GATES, PrecisionContext, gram_context, verdict
+
+FAVARD_N0 = 16      # u_1 .. u_16, 8 points per parity class (module docstring, Favard)
 
 
 def build_node_table(spec, ctx: PrecisionContext, tol, max_degree):
@@ -179,19 +199,22 @@ def gram(family, params, N, ctx: PrecisionContext):
     }
 
 
+def _first_nonreal(pairs, ctx: PrecisionContext):
+    """The first n whose |Im b_n| or |Im u_n| exceeds the favard-reality gate, or None."""
+    tol = GATES["favard-reality"](ctx)
+    return next((n for n, pair in enumerate(pairs)
+                 if max(abs(pair.b.imag), abs(pair.u.imag)) > tol), None)
+
+
 def favard_scan(family, params, N, ctx: PrecisionContext):
     """min u_n over 1 <= n <= N and the first nonreal n; pass iff there is none and min u_n > 0.
 
     n is nonreal when |Im b_n| or |Im u_n| exceeds the favard-reality gate.
     """
     fid = families.resolve_family(family)
-    tol = GATES["favard-reality"](ctx)
-    min_u = first_nonreal = None
-    for n, pair in enumerate(families.recurrences(fid, params, N, ctx)):
-        if first_nonreal is None and max(abs(pair.b.imag), abs(pair.u.imag)) > tol:
-            first_nonreal = n
-        if n >= 1:
-            min_u = pair.u.real if min_u is None else min(min_u, pair.u.real)
+    pairs = families.recurrences(fid, params, N, ctx)
+    min_u = min((pair.u.real for pair in pairs[1:]), default=None)
+    first_nonreal = _first_nonreal(pairs, ctx)
     return {
         "family": fid,
         "N": N,
@@ -201,16 +224,95 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
     }
 
 
-def favard_check(family, params, N, ctx: PrecisionContext):
-    """The Favard row: real b_n and u_n with u_n > 0 for n <= N, no residual or tolerance.
+def _error_scale(u, m):
+    """The scale of the rounding error of u at m: u with each factor p m + q of ``num`` and
+    ``quad`` taken at |p| m + |q| (no cancellation), times the largest (|p| m + |q|) / |p m + q|
+    of ``den`` (the condition of a denominator near its zero)."""
+    scale, cond = abs(u.const), 1
+    for p, q in u.num:
+        scale *= abs(p) * m + abs(q)
+    for p, q, w in u.quad:
+        scale *= (abs(p) * m + abs(q)) ** 2 + abs(w)
+    for p, q in u.den:
+        value = abs(p * m + q)
+        scale /= value
+        cond = max(cond, (abs(p) * m + abs(q)) / value)
+    return scale * cond
 
-    For the quasi family (CCBI) the row checks its classification instead:
-    the Favard scan (n <= 5) finds a nonreal b_n or u_n at b2 = 1 and none
-    at b2 = 0.  The notes of a failed row name the sub-test that failed.
+
+def _cross_check(pairs, classes, ctx: PrecisionContext):
+    """(worst, n): the largest |u_n - factored u_n| / ``_error_scale`` over the pairs' n >= 1."""
+    worst, at = ctx.mp.mpf(0), None
+    for n, pair in enumerate(pairs[1:], 1):
+        u, m = classes[n % 2], n // 2
+        diff = abs(pair.u - u.value(m))
+        if diff:
+            scale = _error_scale(u, m)
+            err = diff / scale if scale else ctx.mp.inf
+            if err > worst:
+                worst, at = err, n
+    return worst, at
+
+
+def _sign_failure(classes, ctx: PrecisionContext):
+    """None when the factored u_n > 0 for every n >= 1, else the note of the first failure.
+
+    On each class n = 2m + e, m >= 1 - e, a quadratic factor is split into its two
+    linear factors, p m + q +- sqrt(-w).  A factor whose root -q/p is not real must pair
+    off with a conjugate one, of the numerator or of the denominator as it is
+    (``base._conjugate_pairs``); the pair is positive for real m.  The real factors
+    change sign only at their roots, so u_n is positive on the class when it is at its
+    first m, at the first integer past each root and at each integer root.  Raises
+    ParameterError where a denominator factor is within ``denominator_check``'s floor of 0
+    at an integer n >= 1, before any sign is read.
+    """
+    mp = ctx.mp
+    check = denominator_check(ctx)
+    failures = []
+    for e, u in enumerate(classes):
+        m0 = 1 - e
+        num = [(p, mp.mpc(q)) for p, q in u.num]
+        num += [(p, mp.mpc(q) + s * mp.sqrt(-mp.mpc(w))) for p, q, w in u.quad for s in (1, -1)]
+        real, paired = [], True
+        for factors, is_den in ((num, False), ([(p, mp.mpc(q)) for p, q in u.den], True)):
+            roots = [(-q / p, p, q) for p, q in factors]
+            paired = paired and _conjugate_pairs(ctx, [r for r, _, _ in roots])
+            real += [(r.real, p, q.real, is_den) for r, p, q in roots if _near(ctx, mp.conj(r), r)]
+        for r, p, q, is_den in real:
+            k = int(mp.nint(r))
+            if is_den and k >= m0:
+                check(p * k + q, "a factor of the denominator of u_%d" % (2 * k + e))
+        if not paired:
+            failures.append((0, "the factors of u_n on n = 2m + %d are neither real nor in "
+                                "conjugate pairs" % e))
+            continue
+        marks = {m0} | {k for r, _, _, _ in real for k in (int(mp.floor(r)) + 1, int(mp.nint(r)))}
+        for m in sorted(k for k in marks if k >= m0):
+            sign = mp.sign(mp.re(u.const))
+            for _, p, q, _ in real:
+                sign *= mp.sign(p * m + q)
+            if sign <= 0:
+                n = 2 * m + e
+                value = mp.nstr(mp.re(u.value(m)), 8)
+                failures.append((n, "u_%d = %s is not positive" % (n, value)))
+                break
+    return min(failures)[1] if failures else None
+
+
+def favard_check(family, params, N, ctx: PrecisionContext):
+    """The Favard row: real b_n and u_n > 0 for every n >= 1 (module docstring, Favard).
+
+    Its residual and tolerance are those of the cross-check of u_n against
+    its factors; a family without factors (q-aux) scans n <= N and reports
+    none.  For the quasi family (CCBI) the row checks its classification
+    instead: the Favard scan (n <= 5) finds a nonreal b_n or u_n at b2 = 1
+    and none at b2 = 0.  The notes of a failed row name the sub-test that
+    failed.
     """
     info = families.family_info(family)
     nonreal = ("first nonreal b_n or u_n at n = %%d: imaginary part above the favard-reality "
                "gate %.3g" % GATES["favard-reality"](ctx))
+    row = {"residual": None, "tolerance": None}
     failed = []
     if info.kind == "quasi":
         one, zero = [favard_scan(info.id, {**params, "b2": ctx.mp.mpf(b2)}, 5, ctx)["first_nonreal_n"]
@@ -220,12 +322,28 @@ def favard_check(family, params, N, ctx: PrecisionContext):
         if zero is not None:
             failed.append("b2 = 0: " + nonreal % zero)
         notes = "b2 != 0 breaks reality, b2 = 0 reduces to the generalized symmetric family"
-    else:
+    elif info.id not in families.FACTORED_U:
         rep = favard_scan(info.id, params, N, ctx)
         notes = "min u_n = %s over n <= %d" % (rep["min_u"], N)
         if rep["first_nonreal_n"] is not None:
             failed.append(nonreal % rep["first_nonreal_n"])
         elif not rep["pass"]:
             failed.append(notes + " is not positive")
-    return {"family": info.id, "status": "fail" if failed else "pass",
-            "residual": None, "tolerance": None, "notes": "; ".join(failed) or notes}
+    else:
+        pairs = families.recurrences(info.id, params, FAVARD_N0, ctx)
+        classes = families.factored_u(info.id, params, ctx)
+        signs = _sign_failure(classes, ctx)     # first: a printed denominator zero ends the row
+        worst, at = _cross_check(pairs, classes, ctx)
+        row = verdict("favard", worst, ctx)
+        first = _first_nonreal(pairs, ctx)
+        notes = ("u_n > 0 for all n by its printed factors, which match the recurrence "
+                 "through n = %d" % FAVARD_N0)
+        if first is not None:
+            failed.append(nonreal % first)
+        elif row["status"] == "fail":
+            failed.append("u_%d differs from its printed factors by %.3g of their scale, above "
+                          "the favard gate" % (at, worst))
+        elif signs:
+            failed.append(signs)
+    return {"family": info.id, **row, "status": "fail" if failed else "pass",
+            "notes": "; ".join(failed) or notes}

@@ -17,7 +17,7 @@ d = ``ctx.digits``; :func:`verdict` turns a residual into the row's
 
     kind                                      gate at d digits
     closed-form, eigen, exact, ct-gt,         10**(10 - d)
-      kernel-map, square (algebraic rows)
+      kernel-map, square, favard (algebraic rows)
     gram                                      10**-(d/2)
     limit                                     1e-8
     limit-floor ("converged exactly")         10**(12 - d)
@@ -193,7 +193,7 @@ def _tol(offset):
 # the precision plan (module docstring): check kind -> gate(ctx)
 GATES = {
     "closed-form": _tol(10), "eigen": _tol(10), "exact": _tol(10), "ct-gt": _tol(10),
-    "kernel-map": _tol(10), "square": _tol(10),
+    "kernel-map": _tol(10), "square": _tol(10), "favard": _tol(10),
     "gram": lambda ctx: 10.0 ** -(ctx.digits / 2),
     "limit": lambda ctx: ctx.mp.mpf("1e-8"),
     "limit-floor": _tol(12),

@@ -222,6 +222,8 @@ def test_recurrences_are_prefixes_of_one_sequence():
 @pytest.mark.parametrize("run, fids", [
     (lambda fid, params: F.generate(fid, params, 8, CTX), ("hermite", "little-minus1-jacobi")),
     (lambda fid, params: orth.favard_scan(fid, params, 8, CTX), ("hermite", "little-minus1-jacobi")),
+    (lambda fid, params: orth.favard_check(fid, params, 200, CTX),
+     ("hermite", "little-minus1-jacobi")),
     (lambda fid, params: orth.gram(fid, params, 4, PrecisionContext(15)),
      ("hermite", "little-minus1-jacobi")),
     # needs a printed (A_n, C_n): the kernel polynomials divide P_{n+1} - A_n P_n
@@ -231,7 +233,7 @@ def test_recurrences_are_prefixes_of_one_sequence():
     (lambda fid, params: [S.verify_ct_gt(pair, 10, CTX) for pair in (
         "little-minus1-jacobi:generalized-gegenbauer", "big-minus1-jacobi:chihara")],
      ("little-minus1-jacobi", "generalized-gegenbauer", "big-minus1-jacobi", "chihara")),
-], ids=["generate", "favard_scan", "gram", "christoffel", "verify_ct_gt"])
+], ids=["generate", "favard_scan", "favard_check", "gram", "christoffel", "verify_ct_gt"])
 def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
     for fid in fids:
         table = F._ALL_RECURRENCES[fid]
@@ -255,6 +257,7 @@ _TABLES = {
     "eigen builders": (O._BUILDERS, lambda entry: entry.build, ("ctx", "free", "variant")),
     "admissibility tests": ({fid: info for fid, info in F.REGISTRY.items() if info.admits},
                             lambda info: info.admits, ("ctx",)),
+    "factored u_n": (F.FACTORED_U, lambda fn: fn, ("ctx",)),
 }
 
 
@@ -542,6 +545,19 @@ def test_inadmissible_gram_row_quotes_the_printed_clause(fid):
         "parameters violate the admissibility clause [%s]: %s" % (info.anchor, info.admissible))
 
 
+@pytest.mark.parametrize("fid, params, admitted", [
+    ("generalized-symmetric-bannai-ito", {"a": 1 + 1j, "b": 1 - 1j, "c": 1 + 1j}, False),
+    ("generalized-symmetric-bannai-ito", {"a": 1 + 1j, "b": 1 - 1j, "c": 1}, True),
+    ("generalized-symmetric-bannai-ito", {"a": 1 + 1j, "b": 1 + 1j, "c": 1 - 1j}, False),
+    ("symmetric-bannai-ito", {"a": 1 + 1j, "b": 1 + 1j}, False),
+    ("symmetric-bannai-ito", {"a": 1 + 1j, "b": 1 - 1j}, True),
+])
+def test_conjugate_pair_clause_pairs_values_one_to_one(fid, params, admitted):
+    # "non-real parameters in conjugate pairs": each non-real value needs a partner of its own
+    ctx = PrecisionContext(15)
+    assert F.family_info(fid).admits(ctx, **F.make_params(fid, ctx, **params)) == admitted
+
+
 def test_fixture_points_lie_inside_the_printed_clause():
     for fid, info in F.REGISTRY.items():
         for pt in F.fixture_points(fid):
@@ -664,6 +680,17 @@ def test_closed_forms_match_recurrence_to_degree_40(digits):
             for n in range(41):
                 cf = F.closed_form(fid, params, n, ctx)
                 assert poly_rel_distance(polys[n], cf) <= ctx.tol(10), (fid, point, n)
+
+
+def test_factored_u_is_the_recurrence_u_n():
+    # past the Favard row's n <= 16, at every fixture point
+    for fid in F.orthogonal_ids():
+        for pt in F.fixture_points(fid):
+            params = P(fid, **pt)
+            classes = F.factored_u(fid, params, CTX)
+            for n, pair in enumerate(F.recurrences(fid, params, 60, CTX)[1:], 1):
+                assert abs(pair.u - classes[n % 2].value(n // 2)) <= CTX.tol(10) * abs(pair.u), \
+                    (fid, pt, n)
 
 
 def test_favard_admissible_regions():

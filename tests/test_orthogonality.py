@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import pytest
@@ -69,8 +70,7 @@ def test_ccbi_favard_row_passes_at_a_large_parameter(scaled):
 
 
 @pytest.mark.parametrize("family, params, notes", [
-    ("symmetric-bannai-ito", {"a": "-1.5", "b": "0.5"},
-     "min u_n = -1.0 over n <= 200 is not positive"),
+    ("symmetric-bannai-ito", {"a": "-1.5", "b": "0.5"}, "u_1 = -0.75 is not positive"),
     ("generalized-symmetric-bannai-ito",                 # a, b not a conjugate pair
      {"a": complex(0.75, 0.5), "b": complex(0.75, 0.5), "c": 1.25},
      "first nonreal b_n or u_n at n = 1: imaginary part above the favard-reality gate 1e-07"),
@@ -79,6 +79,151 @@ def test_failed_favard_row_names_the_sub_test_that_failed(family, params, notes)
     ctx = PrecisionContext(15)
     rep = orth.favard_check(family, F.make_params(family, ctx, **params), 200, ctx)
     assert (rep["status"], rep["notes"]) == ("fail", notes)
+
+
+@pytest.mark.parametrize("family, params, status, notes", [
+    ("generalized-gegenbauer", {"alpha": "0.6", "beta": "-1.5"}, "fail",
+     "u_2 = -0.21645022 is not positive"),
+    ("gegenbauer", {"alpha": "-0.5"}, "fail", "u_2 = 0.0 is not positive"),    # n + 2alpha = 1
+    ("gegenbauer", {"alpha": "-7.3"}, "fail", "u_1 = -0.079365079 is not positive"),
+    ("big-minus1-jacobi", {"alpha": "0.5", "beta": "1.5", "c": "1"}, "fail",
+     "u_2 = 0.0 is not positive"),                                               # (1 - c)^2 = 0
+    # 2m + alpha + beta = 0 at m = 20: past the recurrence's n <= 16, read off the factors
+    ("generalized-gegenbauer", {"alpha": "0.5", "beta": "-40.5"}, "inconclusive",
+     "printed denominator vanishes: a factor of the denominator of u_40 = 0.0"),
+    ("generalized-gegenbauer", {"alpha": "0.5", "beta": "-4.5"}, "inconclusive",
+     "printed denominator vanishes: (2n+alpha+beta+1)(2n+alpha+beta+2) = 0.0"),
+    ("chihara", {"alpha": "0.5", "beta": "1.5", "gamma": "1e8"}, "pass",
+     "u_n > 0 for all n by its printed factors, which match the recurrence through n = 16"),
+])
+def test_favard_row_decides_every_n_from_the_factors(family, params, status, notes):
+    from minusone import cli
+
+    ctx = PrecisionContext(15)
+    [row] = cli._family_results(family, F.make_params(family, ctx, **params), ctx, ["favard"])
+    assert (row["status"], row["notes"]) == (status, notes)
+
+
+def test_favard_row_of_a_q_aux_family_scans_to_n():
+    # the q-aux u_n carry q^n and have no factored form
+    ctx = PrecisionContext(15)
+    fid = "continuous-q-hahn"
+    rep = orth.favard_check(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), 200, ctx)
+    assert rep["status"] == "pass" and rep["notes"].endswith("over n <= 200"), rep
+    assert rep["residual"] is None and rep["tolerance"] is None
+
+
+# (numerator degree, denominator degree) in m of the printed u_n on n = 2m and on n = 2m + 1
+_U_DEGREES = {
+    "hermite": ((1, 0), (1, 0)),
+    "generalized-hermite": ((1, 0), (1, 0)),
+    "minus1-meixner-pollaczek": ((1, 0), (1, 0)),
+    "symmetric-bannai-ito": ((2, 0), (2, 0)),
+    "generalized-gegenbauer": ((2, 2), (2, 2)),
+    "chihara": ((2, 2), (2, 2)),
+    "gegenbauer": ((2, 2), (2, 2)),
+    "big-minus1-jacobi": ((2, 2), (2, 2)),
+    "little-minus1-jacobi": ((2, 2), (2, 2)),
+    "special-little-minus1-jacobi": ((2, 2), (2, 2)),
+    "generalized-symmetric-bannai-ito": ((4, 2), (4, 2)),
+    "continuous-bannai-ito": ((4, 2), (4, 2)),
+    "continuous-minus1-hahn-1": ((4, 2), (4, 2)),
+    "continuous-minus1-hahn-2": ((4, 2), (4, 2)),
+}
+
+
+def test_favard_cross_check_reads_more_points_than_the_degree_of_a_difference():
+    # two rational functions of m of degrees (num, den) differ by (N1 D2 - N2 D1) / (D1 D2),
+    # whose numerator has degree <= num + den: zero at more points of a class than that, the
+    # recurrence's u_n is the printed one for every m
+    assert set(_U_DEGREES) == set(F.FACTORED_U) == set(F.orthogonal_ids())
+    points = [len(range(2 - e, orth.FAVARD_N0 + 1, 2)) for e in (0, 1)]
+    assert points == [8, 8]
+    for fid, degrees in _U_DEGREES.items():
+        classes = F.factored_u(fid, F.make_params(fid, CTX, **F.fixture_points(fid)[0]), CTX)
+        for e, (u, (num, den)) in enumerate(zip(classes, degrees)):
+            assert (len(u.num) + 2 * len(u.quad), len(u.den)) == (num, den), (fid, e)
+            assert points[e] > num + den, (fid, e)
+
+
+def _admissible_points(fid, count, ctx, seed=11):
+    """``count`` seeded random points that ``FamilyInfo.admits`` accepts; Hermite's fixture."""
+    info = F.family_info(fid)
+    if info.admits is None:
+        return [F.make_params(fid, ctx, **F.fixture_points(fid)[0])]
+    rng, points = random.Random("%s:%d" % (fid, seed)), []
+    while len(points) < count:
+        params = F.make_params(fid, ctx, **{name: "%.6g" % rng.uniform(-2, 4)
+                                            for name in info.params})
+        if info.admits(ctx, **params):
+            points.append(params)
+    return points
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("fid", sorted(F.WEIGHTS))
+def test_favard_row_passes_for_all_n_at_random_admissible_points(fid, digits):
+    ctx = PrecisionContext(digits)
+    for params in _admissible_points(fid, 5, ctx):
+        rep = orth.favard_check(fid, params, 200, ctx)
+        assert rep["status"] == "pass" and "for all n" in rep["notes"], (params, rep)
+
+
+def test_favard_row_fails_on_a_negated_u_3(monkeypatch):
+    ctx = PrecisionContext(15)
+    for fid in F.orthogonal_ids():
+        table = F._ALL_RECURRENCES[fid]
+
+        def negated(ctx, N, table=table, **params):
+            pairs = list(table(ctx, N, **params))
+            pairs[3] = dataclasses.replace(pairs[3], u=-pairs[3].u)
+            return pairs
+
+        monkeypatch.setitem(F._ALL_RECURRENCES, fid, negated)
+        rep = orth.favard_check(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), 200, ctx)
+        assert rep["status"] == "fail", (fid, rep)
+
+
+def _data(u):
+    """Where each datum of a FactoredU sits: ("const", None, None) and (field, factor, entry)."""
+    yield "const", None, None
+    for field in ("num", "den", "quad"):
+        for i, factor in enumerate(getattr(u, field)):
+            for j in range(len(factor)):
+                yield field, i, j
+
+
+def _off(u, where, by):
+    """u with the datum at ``where`` scaled by 1 + by, or set to ``by`` where it is 0."""
+    field, i, j = where
+    off = lambda x: x * (1 + by) if x else by
+    if field == "const":
+        return dataclasses.replace(u, const=off(u.const))
+    factors = [list(factor) for factor in getattr(u, field)]
+    factors[i][j] = off(factors[i][j])
+    return dataclasses.replace(u, **{field: tuple(map(tuple, factors))})
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_favard_row_fails_on_a_factor_datum_off_by_100_gates(monkeypatch, digits):
+    # every datum of every family's factored u_n, one at a time: the cross-check catches it
+    ctx = PrecisionContext(digits)
+    by = 100 * GATES["favard"](ctx)
+    for fid in F.orthogonal_ids():
+        table = F.FACTORED_U[fid]
+        params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+        for e, u in enumerate(F.factored_u(fid, params, ctx)):
+            for where in _data(u):
+                def mutated(ctx, e=e, where=where, **params):
+                    classes = list(table(ctx, **params))
+                    classes[e] = _off(classes[e], where, by)
+                    return tuple(classes)
+
+                monkeypatch.setitem(F.FACTORED_U, fid, mutated)
+                rep = orth.favard_check(fid, params, 200, ctx)
+                assert rep["status"] == "fail", (fid, e, where, rep)
+                assert "differs from its printed factors" in rep["notes"], (fid, e, where, rep)
+            monkeypatch.setitem(F.FACTORED_U, fid, table)
 
 
 @pytest.mark.parametrize("one, zero, notes", [

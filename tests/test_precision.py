@@ -127,6 +127,7 @@ _PLAN = {
     "ct-gt": lambda mp, d: mp.mpf(10) ** (10 - d),
     "kernel-map": lambda mp, d: mp.mpf(10) ** (10 - d),
     "square": lambda mp, d: mp.mpf(10) ** (10 - d),
+    "favard": lambda mp, d: mp.mpf(10) ** (10 - d),
     "gram": lambda mp, d: 10.0 ** -(d / 2),
     "limit": lambda mp, d: mp.mpf("1e-8"),
     "limit-floor": lambda mp, d: mp.mpf(10) ** (12 - d),
