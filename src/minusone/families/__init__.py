@@ -37,7 +37,7 @@ raises the same ParameterError, naming the same factor, at the same n.
 
 from __future__ import annotations
 
-from ..precision import PrecisionContext, verdict
+from ..precision import PrecisionContext, is_real, verdict
 from ..polynomials import Poly, poly_rel_distance
 from .base import (
     FamilyInfo,
@@ -230,13 +230,17 @@ def weight_spec(family: str, params: dict, ctx: PrecisionContext) -> WeightSpec:
 def norms(family: str, params: dict, N: int, ctx: PrecisionContext):
     """Predicted squared norms of monic P_0 .. P_N under the printed inner product.
 
-    One call shares what the degrees have in common (the seven-gamma h_0 of
-    the continuous Bannai-Ito-type norms); entry n is
-    ``norm(family, params, n, ctx)``.
+    One call shares what the degrees have in common (the seven-gamma h_0 of the continuous
+    Bannai-Ito-type norms); entry n is ``norm(family, params, n, ctx)``.  ParameterError
+    names the first norm that fails the reality gate (``precision.is_real``).
     """
     mp = ctx.mp
     _, measure, bound = _measure(family, params, ctx)
-    return [mp.re(mp.mpc(value)) for value in measure.norms(ctx, N, **bound)]
+    values = [mp.mpc(value) for value in measure.norms(ctx, N, **bound)]
+    for n, value in enumerate(values):
+        if not is_real(value, ctx):
+            raise ParameterError("printed norm h_%d = %s is not real" % (n, mp.nstr(value, 8)))
+    return [value.real for value in values]
 
 
 def norm(family: str, params: dict, n: int, ctx: PrecisionContext):

@@ -81,44 +81,28 @@ def denominator_check(ctx: PrecisionContext):
 @dataclass(frozen=True)
 class FactoredU:
     """u_n on one parity class n = 2m + e as a function of m: ``const`` times the factors
-    p m + q of ``num`` and (p m + q)^2 + w of ``quad``, over the factors p m + q of ``den``.
-    Each p is a real number; q and w take the family's parameters."""
+    p m + q of ``num`` over those of ``den``, each p real and q from the family's parameters.
+    A quadratic without real roots, the continuous Bannai-Ito block's (2m + q)^2 + 4w^2, is
+    its two exactly conjugate factors 2m + q +- 2iw."""
     const: object
     num: tuple = ()           # (p, q)
     den: tuple = ()           # (p, q)
-    quad: tuple = ()          # (p, q, w)
 
     def value(self, m):
         value = self.const
         for p, q in self.num:
             value *= p * m + q
-        for p, q, w in self.quad:
-            value *= (p * m + q) ** 2 + w
         for p, q in self.den:
             value /= p * m + q
         return value
 
 
-def _near(ctx, v, w):
-    """True when w lies within tol(4) relative of v."""
-    return abs(v - w) <= ctx.tol(4) * (1 + abs(v))
-
-
-def _conjugate_pairs(ctx, vals):
-    """True when vals pair off one to one, each value with another ``_near`` its conjugate, a
-    real value (one ``_near`` its conjugate) with itself: the printed "non-real parameters in
-    conjugate pairs" as a multiset match, tolerating rounding."""
-    left = list(vals)
-    while left:
-        v = left.pop()
-        conj = ctx.mp.conj(v)
-        if _near(ctx, conj, v):
-            continue
-        partner = next((k for k, w in enumerate(left) if _near(ctx, conj, w)), None)
-        if partner is None:
-            return False
-        del left[partner]
-    return True
+def conjugate_closed(vals, mp):
+    """True when the multiset vals equals its conjugate, exactly: the printed "non-real
+    parameters in conjugate pairs".  Each v needs as many w with Re w = Re v and Im w = -Im v
+    as there are values equal to v; ``mp.conj`` would round v to the context."""
+    mirrors = lambda v, w: v.real == w.real and v.imag == mp.fneg(w.imag, exact=True)
+    return all(sum(mirrors(v, w) for w in vals) == vals.count(v) for v in vals)
 
 
 def _parity(n):

@@ -24,10 +24,10 @@ from .base import (
     FactoredU,
     FamilyInfo,
     RecurrencePair,
-    _conjugate_pairs,
     _from_AC,
     _parity,
     _wilson_series,
+    conjugate_closed,
     denominator_check,
 )
 
@@ -66,7 +66,7 @@ FAMILIES = {info.id: info for info in (
         params=("a", "b", "c"), kind="scheme", row=3, symmetric=True, anchor="A.6",
         admissible="Re(a), Re(b), Re(c) > 0, a+b+c > 1, non-real parameters in conjugate pairs",
         admits=lambda ctx, a, b, c: (min(ctx.mp.re(a), ctx.mp.re(b), ctx.mp.re(c)) > 0
-                                     and ctx.mp.re(a + b + c) > 1 and _conjugate_pairs(ctx, (a, b, c)))),
+                                     and ctx.mp.re(a + b + c) > 1 and conjugate_closed([a, b, c], ctx.mp))),
     FamilyInfo(
         id="little-minus1-jacobi", name="Little -1 Jacobi",
         params=("alpha", "beta"), kind="scheme", row=2,
@@ -86,7 +86,7 @@ FAMILIES = {info.id: info for info in (
         id="symmetric-bannai-ito", name="Symmetric Bannai-Ito",
         params=("a", "b"), kind="scheme", row=2, symmetric=True, anchor="A.10",
         admissible="Re(a), Re(b) > 0, non-real parameters in conjugate pairs",
-        admits=lambda ctx, a, b: min(ctx.mp.re(a), ctx.mp.re(b)) > 0 and _conjugate_pairs(ctx, (a, b))),
+        admits=lambda ctx, a, b: min(ctx.mp.re(a), ctx.mp.re(b)) > 0 and conjugate_closed([a, b], ctx.mp)),
     FamilyInfo(
         id="special-little-minus1-jacobi", name="Special little -1 Jacobi",
         params=("alpha",), kind="scheme", row=1,
@@ -338,13 +338,15 @@ def _recs_cbi(ctx, N, alpha, beta, gamma, delta):
 def _u_cbi(ctx, alpha, beta, gamma, delta):
     """n (n + 4alpha + 4gamma + 2)(d1^2 + 4(beta + delta)^2) / (4 d1^2) on n = 2m and
     (n + 4alpha + 1)(n + 4gamma + 1)(d1^2 + 4(beta - delta)^2) / (4 d1^2) on n = 2m + 1,
-    d1 = n + 2alpha + 2gamma + 1; -1 Hahn I and II are delta = beta and delta = -beta."""
-    g, quarter = 2 * alpha + 2 * gamma, ctx.mp.mpf(1) / 4
+    d1 = n + 2alpha + 2gamma + 1, and d1^2 + 4w^2 = (d1 + 2iw)(d1 - 2iw); -1 Hahn I and II
+    are delta = beta and delta = -beta."""
+    mp, g, quarter = ctx.mp, 2 * alpha + 2 * gamma, ctx.mp.mpf(1) / 4
+    pair = lambda q, w: ((2, mp.mpc(q, 2 * w)), (2, mp.mpc(q, -2 * w)))    # exact conjugates
     d_even, d_odd = (2, g + 1), (2, g + 2)
-    return (FactoredU(quarter, num=((2, 0), (2, 2 * g + 2)), den=(d_even, d_even),
-                      quad=((2, g + 1, 4 * (beta + delta) ** 2),)),
-            FactoredU(quarter, num=((2, 4 * alpha + 2), (2, 4 * gamma + 2)), den=(d_odd, d_odd),
-                      quad=((2, g + 2, 4 * (beta - delta) ** 2),)))
+    return (FactoredU(quarter, num=((2, 0), (2, 2 * g + 2), *pair(g + 1, beta + delta)),
+                      den=(d_even, d_even)),
+            FactoredU(quarter, num=((2, 4 * alpha + 2), (2, 4 * gamma + 2),
+                                    *pair(g + 2, beta - delta)), den=(d_odd, d_odd)))
 
 
 def _recs_c1h1(ctx, N, alpha, beta, gamma):

@@ -13,9 +13,9 @@ computes those factors from x, as printed.  ``WEIGHTS`` holds one measure
 per family, its weight spec with its printed norms: the right-hand sides
 h_0 .. h_N of the orthogonality relation under the printed inner product,
 so quadrature results can be compared against them directly, and a weight
-cannot be on record without them.  ``measure_prefactor`` records the
-constant sitting inside the printed inner product (1/(4 pi) for the
-Gamma-weight symmetric families, 1 elsewhere).  The weights assume the
+cannot be on record without them; ``families.norms`` judges them real.
+``measure_prefactor`` records the constant sitting inside the printed inner
+product (1/(4 pi) for the Gamma-weight symmetric families, 1 elsewhere).  The weights assume the
 family's admissibility clause unchecked: ``families.weight_spec`` tests it.
 """
 
@@ -32,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from ..precision import StirlingSeries, log_abs_gamma_sum, pochhammer
-from .base import WeightSpec, _parity
+from .base import WeightSpec, _parity, conjugate_closed
 
 
 def _one_pm_x(x, lo_off, hi_off):
@@ -183,11 +183,6 @@ def _w_big_m1j(ctx, alpha, beta, c):
 _BITS_PER_E2 = 2 / log(2) / 2 ** 32     # log2(e**2t) per unit of t at 2**-32
 
 
-def _conjugate_closed(vals, mp):
-    """True when the multiset vals equals its conjugate, exactly."""
-    return all(vals.count(mp.conj(v)) == vals.count(v) for v in vals)
-
-
 def _gamma_modulus_weight(vals, mp):
     """The weight 4 cosh(pi x) |prod Gamma(v + ix)|^2 = |Gamma(ix) prod Gamma(v + ix) / Gamma(2ix)|^2
     on the whole line, with the printed 1/(4 pi) before its integral.
@@ -197,7 +192,7 @@ def _gamma_modulus_weight(vals, mp):
     series = StirlingSeries(mp, [(mp.re(v), mp.im(v)) for v in vals])
     return WeightSpec(pieces=[(mp.mpf("-inf"), mp.mpf("+inf"))],
                       density=_gamma_density(series, mp, 2 * ln2_fixed(series.bits)),
-                      measure_prefactor=1 / (4 * mp.pi), even=_conjugate_closed(vals, mp))
+                      measure_prefactor=1 / (4 * mp.pi), even=conjugate_closed(vals, mp))
 
 
 def _gamma_density(series, mp, log_factor):
@@ -341,6 +336,23 @@ def _norm_special_lj(ctx, n, alpha):
         * mp.gamma(1 + alpha / 2) / mp.gamma(1 + alpha)
 
 
+def _paired_product(f, args, mp):
+    """prod f(z) over args, f real on the real line, each pair of exact conjugates among args
+    (``base.conjugate_closed``) taken once as the real |f(z)|^2: at conjugate-closed
+    parameters the printed norms are real by construction.  (``mp.conj`` would round a
+    value read in a wider context.)"""
+    left, product = list(args), 1
+    while left:
+        z = left.pop(0)
+        value = f(z)
+        k = next((k for k, w in enumerate(left) if z.imag and conjugate_closed([z, w], mp)), None)
+        if k is not None:
+            value = mp.fdot([value.real, value.imag], [value.real, value.imag])
+            del left[k]
+        product *= value
+    return product
+
+
 def _norm_gsbi(ctx, n, a, b, c):
     # the printed kappa_n is the squared norm of the even member of degree
     # 2n (its index runs over the underlying Wilson degree); odd-degree
@@ -348,23 +360,24 @@ def _norm_gsbi(ctx, n, a, b, c):
     mp = ctx.mp
     s = a + b + c
     odd, m = _parity(n)
-    value = mp.gamma(m + a + b) * mp.gamma(m + a + c) * mp.gamma(m + b + c) \
-        * mp.gamma(m + a) * mp.gamma(m + b) * mp.gamma(m + c) * mp.factorial(m) \
+    # the pair sums are formed before m is added, so conjugate sums are exact mirrors
+    value = _paired_product(mp.gamma, (m + (a + b), m + (a + c), m + (b + c), m + a, m + b,
+                                       m + c), mp) * mp.factorial(m) \
         / (mp.gamma(2 * m + s) * pochhammer(mp.mpf(m) + s - 1, m, ctx))
     if odd:
-        value *= (m + s - 1) * (m + c) * (m + a) * (m + b) \
+        value *= _paired_product(lambda z: z, (m + s - 1, m + c, m + a, m + b), mp) \
             / ((2 * m + s - 1) * (2 * m + s))
-    return mp.re(value)
+    return value
 
 
 def _norm_sbi(ctx, n, a, b):
     # same even-index convention as the generalized symmetric family
     mp = ctx.mp
     odd, m = _parity(n)
-    value = mp.gamma(m + a + b) * mp.gamma(m + a) * mp.gamma(m + b) * mp.factorial(m)
+    value = _paired_product(mp.gamma, (m + a + b, m + a, m + b), mp) * mp.factorial(m)
     if odd:
         value *= (m + a) * (m + b)
-    return mp.re(value)
+    return value
 
 
 def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
@@ -375,9 +388,10 @@ def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
     fa, fb = alpha + i * beta, gamma + i * delta
     fc, fd = mp.conj(fb), mp.conj(fa)
     half = mp.mpf(1) / 2
-    h0 = mp.gamma(fa + fb + 3 * half) * mp.gamma(fa + fc + 1) * mp.gamma(fb + fc + 1) \
-        * mp.gamma(fa + fd + 1) * mp.gamma(fb + fd + 1) * mp.gamma(fc + fd + 3 * half) \
-        / mp.gamma(fa + fb + fc + fd + 2)
+    # fa + fb + fc + fd is 2 alpha + 2 gamma, whose complex sum would round to Im != 0
+    h0 = _paired_product(mp.gamma, (fa + fb + 3 * half, fa + fc + 1, fb + fc + 1, fa + fd + 1,
+                                    fb + fd + 1, fc + fd + 3 * half), mp) \
+        / mp.gamma(2 * alpha + 2 * gamma + 2)
     out = []
     for n in range(N + 1):
         odd, m = _parity(n)
@@ -386,14 +400,10 @@ def _norms_cbi(ctx, N, alpha, beta, gamma, delta):
             * pochhammer(2 * alpha + 1, top, ctx) * pochhammer(2 * gamma + 1, top, ctx) \
             / (pochhammer(2 * alpha + 2 * gamma + 2, n, ctx)
                * pochhammer(mp.mpf(m) + 2 * alpha + 2 * gamma + 2, top, ctx))
-        prod1 = mp.mpf(1)
-        for k in range(1, top + 1):
-            prod1 *= (k + alpha + gamma) ** 2 + (beta - delta) ** 2
-        prod2 = mp.mpf(1)
-        for k in range(1, m + 1):
-            prod2 *= (k + alpha + gamma + half) ** 2 + (beta + delta) ** 2
-        kappa = common * prod1 * prod2
-        out.append(mp.re(4 * mp.pi * h0 * kappa))
+        kappa = common * mp.fprod((k + alpha + gamma) ** 2 + (beta - delta) ** 2
+                                  for k in range(1, top + 1)) \
+            * mp.fprod((k + alpha + gamma + half) ** 2 + (beta + delta) ** 2 for k in range(1, m + 1))
+        out.append(4 * mp.pi * h0 * kappa)
     return out
 
 

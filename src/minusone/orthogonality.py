@@ -15,7 +15,8 @@ and u_n fixed point at 2**-(p + GUARD_BITS), truncating relative to each
 node.  Each row then goes to block fixed point, and each <P_n, P_m> is one
 ``NodeTable.dot``, exact and rounded once; its error bound, below one
 rounding at p, is in ``quadrature``.  The rows need a positive measure: a
-nonreal b_n or u_n, or a weight that is negative or not real, raises
+b_n or u_n that fails the reality gate (``precision.is_real``, at the
+table's digits), or a weight that is negative or not real, raises
 ParameterError naming the first one, as does a density value that is not
 a finite real, which ends the table's sweep.  The Gram is the orthogonality
 oracle: matching the printed norms through degree N fixes the moments of
@@ -25,19 +26,20 @@ Favard.  Favard's theorem gives a positive measure when every b_n is real
 and every u_n > 0, n >= 1, and ``favard_check`` decides that for all n.
 Each orthogonal family states its u_n on each parity class n = 2m + e as
 factors in m (``families.factored_u``).  The row reads the recurrence
-through n = FAVARD_N0 = 16, 8 points per class, and checks each u_n there
-against its factors under the algebraic gate; the residual weighs each
-difference against the rounding its factors allow (``_error_scale``).
-Printed u_n on one class are rational in m of degrees (num, den) with
-num + den <= 6, and a difference of two has a numerator of degree at most
-num + den, so agreement at 8 points makes the recurrence's u_n the printed
-one for every m.  The sign then comes from the factors alone
-(``_sign_failure``): u_n keeps its sign between the real roots of its
-factors, and a non-real factor pairs off with its conjugate into a
-positive one.  An integer root n >= 1 of a denominator ends the row as a
-ParameterError (inconclusive), one of the numerator makes u_n = 0 and
-fails it.  Families without factors, the q-aux families whose u_n carry
-q^n, scan u_n > 0 for n <= N (``favard_scan``).
+through n = FAVARD_N0 = 16, 8 points per class: each b_n and u_n must pass
+the reality gate at d, each u_n must match its factors under the algebraic
+gate, and the residual weighs each difference against the rounding its
+factors allow (``_error_scale``).  Printed u_n on one class are rational in
+m of degrees (num, den) with num + den <= 6, and a difference of two has a
+numerator of degree at most num + den, so agreement at 8 points makes the
+recurrence's u_n the printed one for every m.  The sign then comes from the
+factors alone (``_sign_failure``): u_n keeps its sign between the real
+roots of its factors, and a non-real factor pairs off with its exact
+conjugate (``base.conjugate_closed``) into a positive one.  An integer root
+n >= 1 of a denominator ends the row as a ParameterError (inconclusive),
+one of the numerator makes u_n = 0 and fails it.  Families without
+factors, the q-aux families whose u_n carry q^n, scan u_n > 0 for n <= N
+(``favard_scan``).
 
 Precision.  ``gram`` reads its gate, 10**-(d/2) on the diagonal and off
 it, and its tables' precision from the plan in ``precision``; it reports
@@ -71,8 +73,8 @@ from mpmath.libmp import to_fixed
 
 from . import families, quadrature
 from .families import ParameterError
-from .families.base import _conjugate_pairs, _near, denominator_check
-from .precision import GATES, PrecisionContext, gram_context, verdict
+from .families.base import conjugate_closed, denominator_check
+from .precision import PrecisionContext, gram_context, is_real, verdict
 
 FAVARD_N0 = 16      # u_1 .. u_16, 8 points per parity class (module docstring, Favard)
 
@@ -100,20 +102,16 @@ def _boosted_table(fid, params, ctx: PrecisionContext, max_degree):
 
 
 def _real_pairs(fid, params, N, work: PrecisionContext):
-    """Real (b_n, u_n) for n < N, with u_0 = 0.
-
-    A nonreal coefficient rules out a positive measure; an imaginary part
-    below 10**-digits of |z| is rounding and is dropped.
-    """
+    """Real (b_n, u_n) for n < N, with u_0 = 0: a coefficient that fails the reality gate
+    (``precision.is_real``) rules out a positive measure, one that passes drops its
+    imaginary part as rounding."""
     mp = work.mp
 
     def real(z, name):
-        if isinstance(z, mp.mpc):
-            if abs(z.imag) > work.tol(0) * max(1, abs(z)):
-                raise ParameterError("recurrence coefficient %s = %s is not real: no positive "
-                                     "measure" % (name, mp.nstr(z, 8)))
-            z = z.real
-        return mp.mpf(z)
+        if not is_real(z, work):
+            raise ParameterError("recurrence coefficient %s = %s is not real: no positive "
+                                 "measure" % (name, mp.nstr(z, 8)))
+        return mp.mpf(z.real)
 
     return [(real(pair.b, "b_%d" % n), real(pair.u, "u_%d" % n) if n else mp.mpf(0))
             for n, pair in enumerate(families.recurrences(fid, params, N - 1, work))]
@@ -200,17 +198,14 @@ def gram(family, params, N, ctx: PrecisionContext):
 
 
 def _first_nonreal(pairs, ctx: PrecisionContext):
-    """The first n whose |Im b_n| or |Im u_n| exceeds the favard-reality gate, or None."""
-    tol = GATES["favard-reality"](ctx)
+    """The first n whose b_n or u_n fails the reality gate (``precision.is_real``), or None."""
     return next((n for n, pair in enumerate(pairs)
-                 if max(abs(pair.b.imag), abs(pair.u.imag)) > tol), None)
+                 if not (is_real(pair.b, ctx) and is_real(pair.u, ctx))), None)
 
 
 def favard_scan(family, params, N, ctx: PrecisionContext):
-    """min u_n over 1 <= n <= N and the first nonreal n; pass iff there is none and min u_n > 0.
-
-    n is nonreal when |Im b_n| or |Im u_n| exceeds the favard-reality gate.
-    """
+    """min u_n over 1 <= n <= N and the first nonreal n (``_first_nonreal``); pass iff there
+    is none and min u_n > 0."""
     fid = families.resolve_family(family)
     pairs = families.recurrences(fid, params, N, ctx)
     min_u = min((pair.u.real for pair in pairs[1:]), default=None)
@@ -225,14 +220,12 @@ def favard_scan(family, params, N, ctx: PrecisionContext):
 
 
 def _error_scale(u, m):
-    """The scale of the rounding error of u at m: u with each factor p m + q of ``num`` and
-    ``quad`` taken at |p| m + |q| (no cancellation), times the largest (|p| m + |q|) / |p m + q|
-    of ``den`` (the condition of a denominator near its zero)."""
+    """The scale of the rounding error of u at m: u with each factor p m + q of ``num`` taken
+    at |p| m + |q| (no cancellation), times the largest (|p| m + |q|) / |p m + q| of ``den``
+    (the condition of a denominator near its zero)."""
     scale, cond = abs(u.const), 1
     for p, q in u.num:
         scale *= abs(p) * m + abs(q)
-    for p, q, w in u.quad:
-        scale *= (abs(p) * m + abs(q)) ** 2 + abs(w)
     for p, q in u.den:
         value = abs(p * m + q)
         scale /= value
@@ -257,27 +250,24 @@ def _cross_check(pairs, classes, ctx: PrecisionContext):
 def _sign_failure(classes, ctx: PrecisionContext):
     """None when the factored u_n > 0 for every n >= 1, else the note of the first failure.
 
-    On each class n = 2m + e, m >= 1 - e, a quadratic factor is split into its two
-    linear factors, p m + q +- sqrt(-w).  A factor whose root -q/p is not real must pair
-    off with a conjugate one, of the numerator or of the denominator as it is
-    (``base._conjugate_pairs``); the pair is positive for real m.  The real factors
+    On each class n = 2m + e, m >= 1 - e, a factor whose root -q/p is not real must pair
+    off with its exact conjugate (``base.conjugate_closed``), of the numerator or of the
+    denominator as it is; the pair is positive for real m.  The real factors (Im q = 0)
     change sign only at their roots, so u_n is positive on the class when it is at its
     first m, at the first integer past each root and at each integer root.  Raises
-    ParameterError where a denominator factor is within ``denominator_check``'s floor of 0
-    at an integer n >= 1, before any sign is read.
+    ParameterError where a denominator factor is within ``denominator_check``'s floor of
+    0 at an integer n >= 1, before any sign is read.
     """
     mp = ctx.mp
     check = denominator_check(ctx)
     failures = []
     for e, u in enumerate(classes):
         m0 = 1 - e
-        num = [(p, mp.mpc(q)) for p, q in u.num]
-        num += [(p, mp.mpc(q) + s * mp.sqrt(-mp.mpc(w))) for p, q, w in u.quad for s in (1, -1)]
         real, paired = [], True
-        for factors, is_den in ((num, False), ([(p, mp.mpc(q)) for p, q in u.den], True)):
-            roots = [(-q / p, p, q) for p, q in factors]
-            paired = paired and _conjugate_pairs(ctx, [r for r, _, _ in roots])
-            real += [(r.real, p, q.real, is_den) for r, p, q in roots if _near(ctx, mp.conj(r), r)]
+        for factors, is_den in ((u.num, False), (u.den, True)):
+            factors = [(p, mp.mpc(q)) for p, q in factors]
+            paired = paired and conjugate_closed([-q / p for p, q in factors], mp)
+            real += [(-q.real / p, p, q.real, is_den) for p, q in factors if not q.imag]
         for r, p, q, is_den in real:
             k = int(mp.nint(r))
             if is_den and k >= m0:
@@ -310,8 +300,8 @@ def favard_check(family, params, N, ctx: PrecisionContext):
     failed.
     """
     info = families.family_info(family)
-    nonreal = ("first nonreal b_n or u_n at n = %%d: imaginary part above the favard-reality "
-               "gate %.3g" % GATES["favard-reality"](ctx))
+    nonreal = ("first nonreal b_n or u_n at n = %%d: imaginary part above the reality gate at "
+               "%d digits" % ctx.digits)
     row = {"residual": None, "tolerance": None}
     failed = []
     if info.kind == "quasi":

@@ -21,7 +21,10 @@ d = ``ctx.digits``; :func:`verdict` turns a residual into the row's
     gram                                      10**-(d/2)
     limit                                     1e-8
     limit-floor ("converged exactly")         10**(12 - d)
-    favard-reality (Im b_n, Im u_n)           10**(8 - d)
+
+One rule reads no residual, the reality gate (:func:`is_real`): a computed
+z is real when |Im z| <= 10**-D min(max(1, |z|), 10**8), D the digits of
+its context.  The Gram and the Favard row read it.
 
 Where a status depends on more than residual <= gate, the check keeps
 that logic: the Gram's convergence and the square's two ladders amend the
@@ -197,7 +200,6 @@ GATES = {
     "gram": lambda ctx: 10.0 ** -(ctx.digits / 2),
     "limit": lambda ctx: ctx.mp.mpf("1e-8"),
     "limit-floor": _tol(12),
-    "favard-reality": _tol(8),
 }
 
 # the least d at which the limit-floor gate is no looser than the limit gate
@@ -209,6 +211,13 @@ def verdict(kind: str, residual, ctx: PrecisionContext):
     tol = GATES[kind](ctx)
     return {"residual": float(residual), "tolerance": float(tol),
             "status": "pass" if residual <= tol else "fail"}
+
+
+def is_real(z, ctx: PrecisionContext):
+    """The reality gate (module docstring): |Im z| <= 10**-digits min(max(1, |z|), 10**8).
+    Above |z| = 10**8 the bound is absolute: a value real in exact arithmetic must come out
+    with Im z = 0 there, as the printed norms do (``weights._paired_product``)."""
+    return abs(z.imag) <= ctx.tol(0) * min(max(1, abs(z)), 10 ** 8)
 
 
 def gram_context(ctx: PrecisionContext):

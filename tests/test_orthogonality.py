@@ -61,8 +61,8 @@ def test_favard_scan_examples():
 
 @pytest.mark.parametrize("scaled", [{"a1": "1e8"}, {"b1": "5e7"}])
 def test_ccbi_favard_row_passes_at_a_large_parameter(scaled):
-    # Im b_n and Im u_n are judged against the favard-reality gate alone, not
-    # against |u_n|, so Im u_n = 3.5 next to |u_n| ~ 1e8 breaks reality at b2 = 1
+    # the reality gate weighs Im b_n and Im u_n against |z| only up to 1e8, so
+    # Im u_n = 3.5 next to |u_n| ~ 1e16 still breaks reality at b2 = 1
     ctx = PrecisionContext(15)
     params = F.make_params("ccbi", ctx, **{**F.fixture_points("ccbi")[0], **scaled})
     rep = orth.favard_check("ccbi", params, 200, ctx)
@@ -73,7 +73,7 @@ def test_ccbi_favard_row_passes_at_a_large_parameter(scaled):
     ("symmetric-bannai-ito", {"a": "-1.5", "b": "0.5"}, "u_1 = -0.75 is not positive"),
     ("generalized-symmetric-bannai-ito",                 # a, b not a conjugate pair
      {"a": complex(0.75, 0.5), "b": complex(0.75, 0.5), "c": 1.25},
-     "first nonreal b_n or u_n at n = 1: imaginary part above the favard-reality gate 1e-07"),
+     "first nonreal b_n or u_n at n = 1: imaginary part above the reality gate at 15 digits"),
 ])
 def test_failed_favard_row_names_the_sub_test_that_failed(family, params, notes):
     ctx = PrecisionContext(15)
@@ -142,7 +142,7 @@ def test_favard_cross_check_reads_more_points_than_the_degree_of_a_difference():
     for fid, degrees in _U_DEGREES.items():
         classes = F.factored_u(fid, F.make_params(fid, CTX, **F.fixture_points(fid)[0]), CTX)
         for e, (u, (num, den)) in enumerate(zip(classes, degrees)):
-            assert (len(u.num) + 2 * len(u.quad), len(u.den)) == (num, den), (fid, e)
+            assert (len(u.num), len(u.den)) == (num, den), (fid, e)
             assert points[e] > num + den, (fid, e)
 
 
@@ -160,13 +160,86 @@ def _admissible_points(fid, count, ctx, seed=11):
     return points
 
 
+_PAIR_FAMILIES = ("generalized-symmetric-bannai-ito", "symmetric-bannai-ito")
+
+
+def _conjugate_pair_points(fid, count, ctx, seed=11):
+    """``count`` seeded random points of a family of ``_PAIR_FAMILIES`` that ``admits``
+    accepts, with a = x + iy and b = x - iy exactly and c real."""
+    info, mp = F.family_info(fid), ctx.mp
+    rng, points = random.Random("%s:pairs:%d" % (fid, seed)), []
+    while len(points) < count:
+        x, y, c = (mp.mpf("%.6g" % rng.uniform(-2, 4)) for _ in range(3))
+        values = {"a": mp.mpc(x, y), "b": mp.mpc(x, -y), "c": c}
+        params = F.make_params(fid, ctx, **{name: values[name] for name in info.params})
+        if info.admits(ctx, **params):
+            points.append(params)
+    return points
+
+
 @pytest.mark.parametrize("digits", [15, 50])
 @pytest.mark.parametrize("fid", sorted(F.WEIGHTS))
 def test_favard_row_passes_for_all_n_at_random_admissible_points(fid, digits):
+    # the conjugate-pair families also at non-real points, where their factors pair off
     ctx = PrecisionContext(digits)
-    for params in _admissible_points(fid, 5, ctx):
+    pairs = _conjugate_pair_points(fid, 5, ctx) if fid in _PAIR_FAMILIES else []
+    for params in _admissible_points(fid, 5, ctx) + pairs:
         rep = orth.favard_check(fid, params, 200, ctx)
         assert rep["status"] == "pass" and "for all n" in rep["notes"], (params, rep)
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("fid", _PAIR_FAMILIES)
+def test_gram_passes_at_a_conjugate_pair_point(fid, digits):
+    # also far out, a = 30.1 + 10.3i, where h_0 ~ 1e140: the Gamma arguments pair off, so
+    # the printed norms are real exactly and the reality gate has no rounding to misread;
+    # in the generalized family the pair also sits in (a, c) and in (b, c)
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    z, w, r = mp.mpc("30.1", "10.3"), mp.mpc("30.1", "-10.3"), mp.mpf("1.7")
+    far = [{"a": z, "b": w, "c": r}]
+    if fid == "generalized-symmetric-bannai-ito":
+        far += [{"a": z, "b": r, "c": w}, {"a": r, "b": z, "c": w}]
+    for params in _conjugate_pair_points(fid, 1, ctx) + [
+            F.make_params(fid, ctx, **{name: p[name] for name in F.family_info(fid).params})
+            for p in far]:
+        rep = orth.gram(fid, params, 8, ctx)
+        assert rep["status"] == "pass", (params, rep["notes"])
+        assert all(not h.imag for h in F.WEIGHTS[fid].norms(ctx, 8, **params)), params
+
+
+@pytest.mark.parametrize("fid", ["continuous-bannai-ito", "continuous-minus1-hahn-1",
+                                 "continuous-minus1-hahn-2"])
+def test_cbi_block_gram_passes_at_non_dyadic_parameters(fid):
+    # beta + delta rounds at these points, and h_0 reaches 1e102 and beyond: the printed
+    # norms must still be real exactly, or the reality gate would end the Gram on rounding
+    ctx = PrecisionContext(15)
+    for point in ({"alpha": "25", "beta": "0.1", "gamma": "0.25", "delta": "0.7"},
+                  {"alpha": "5e7", "beta": "0.333333333333333333333333333333333333",
+                   "gamma": "1", "delta": "0.25"}):
+        params = F.make_params(fid, ctx, **{name: point[name]
+                                            for name in F.family_info(fid).params})
+        rep = orth.gram(fid, params, 8, ctx)
+        assert rep["status"] == "pass", (params, rep["notes"])
+        assert all(not h.imag for h in F.WEIGHTS[fid].norms(ctx, 8, **params)), params
+
+
+def test_gram_ends_on_a_printed_norm_that_is_not_real(monkeypatch):
+    from minusone import cli
+
+    ctx = PrecisionContext(15)
+    fid = "symmetric-bannai-ito"
+    measure = F.WEIGHTS[fid]
+
+    def nonreal(ctx, N, **params):
+        values = measure.norms(ctx, N, **params)
+        return values[:1] + [values[1] * ctx.mp.mpc(1, 1e-6)] + values[2:]
+
+    monkeypatch.setitem(F.WEIGHTS, fid, dataclasses.replace(measure, norms=nonreal))
+    params = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+    [row] = cli._family_results(fid, params, ctx, ["orthogonality"])
+    assert row["status"] == "inconclusive", row
+    assert re.fullmatch(r"printed norm h_1 = \(.*\) is not real", row["notes"]), row
 
 
 def test_favard_row_fails_on_a_negated_u_3(monkeypatch):
@@ -187,7 +260,7 @@ def test_favard_row_fails_on_a_negated_u_3(monkeypatch):
 def _data(u):
     """Where each datum of a FactoredU sits: ("const", None, None) and (field, factor, entry)."""
     yield "const", None, None
-    for field in ("num", "den", "quad"):
+    for field in ("num", "den"):
         for i, factor in enumerate(getattr(u, field)):
             for j in range(len(factor)):
                 yield field, i, j
@@ -229,9 +302,9 @@ def test_favard_row_fails_on_a_factor_datum_off_by_100_gates(monkeypatch, digits
 @pytest.mark.parametrize("one, zero, notes", [
     (None, None, "b2 = 1 keeps every b_n and u_n real through n = 5"),
     (2, 3, "b2 = 0: first nonreal b_n or u_n at n = 3: imaginary part above the "
-           "favard-reality gate 1e-07"),
+           "reality gate at 15 digits"),
     (None, 0, "b2 = 1 keeps every b_n and u_n real through n = 5; b2 = 0: first nonreal "
-              "b_n or u_n at n = 0: imaginary part above the favard-reality gate 1e-07"),
+              "b_n or u_n at n = 0: imaginary part above the reality gate at 15 digits"),
 ])
 def test_failed_ccbi_favard_row_names_the_half_that_broke(monkeypatch, one, zero, notes):
     # the CCBI row classifies: nonreal at b2 = 1 (first_nonreal_n ``one``), real at b2 = 0
@@ -311,7 +384,7 @@ def test_kernel_rows_stay_narrow():
             assert max(abs(v).bit_length() for v in row.mans) < work.mp.prec + 32 + 64, fid
 
 
-def test_gram_needs_a_positive_measure():
+def test_gram_needs_a_positive_measure(monkeypatch):
     from minusone import cli, quadrature
 
     # symmetric Bannai-Ito at a = 1 + i/2: u_1 = 1 + i/2, so no positive measure exists, and
@@ -324,15 +397,30 @@ def test_gram_needs_a_positive_measure():
     [result] = cli._family_results("symmetric-bannai-ito", params, ctx, ["orthogonality"])
     assert result["status"] == "inconclusive" and "[A.10]" in result["notes"], result
 
-    # a pair conjugate to within the clause's rounding, tol(4), but not to the table's, tol(0):
-    # the nonreal coefficient still ends the Gram
+    # a pair conjugate only to within 1e-12 is not a conjugate pair: the clause ends the Gram
     near_ctx = PrecisionContext(15)
     near = {"a": near_ctx.mp.mpc(0.75, 0.5), "b": near_ctx.mp.mpc(0.75, -(0.5 + 1e-12)),
             "c": near_ctx.mp.mpf(1.25)}
-    with pytest.raises(F.ParameterError, match="u_1 = .* is not real"):
+    with pytest.raises(F.InadmissibleParameterError, match=re.escape("[A.6]")):
         orth.gram("generalized-symmetric-bannai-ito", near, 8, near_ctx)
     [result] = cli._family_results("generalized-symmetric-bannai-ito", near, near_ctx,
                                    ["orthogonality"])
+    assert result["status"] == "inconclusive" and "[A.6]" in result["notes"], result
+
+    # past the clause, a recurrence coefficient that fails the reality gate still ends the Gram
+    fid = "symmetric-bannai-ito"
+    table = F._ALL_RECURRENCES[fid]
+
+    def nonreal_u_1(ctx, N, **params):
+        pairs = list(table(ctx, N, **params))
+        pairs[1] = dataclasses.replace(pairs[1], u=pairs[1].u + ctx.mp.mpc(0, 1e-3))
+        return pairs
+
+    monkeypatch.setitem(F._ALL_RECURRENCES, fid, nonreal_u_1)
+    sbi = F.make_params(fid, ctx, **F.fixture_points(fid)[0])
+    with pytest.raises(F.ParameterError, match="u_1 = .* is not real"):
+        orth.gram(fid, sbi, 8, ctx)
+    [result] = cli._family_results(fid, sbi, ctx, ["orthogonality"])
     assert result["status"] == "inconclusive" and "not real" in result["notes"], result
 
     # a conjugate pair keeps the generalized symmetric recurrence real
@@ -346,6 +434,35 @@ def test_gram_needs_a_positive_measure():
                                         ctx.tol(8), 0)
     with pytest.raises(F.ParameterError, match="nonnegative"):
         orth._root_rows(table, [])
+
+
+# a = x + iy and b = conj(a) - i delta: the clause admits the point exactly when delta = 0, at
+# every precision, and the orthogonality and Favard rows follow it
+_PAIR_SWEEP = {"generalized-symmetric-bannai-ito": ("A.6", "0.75", "0.5", {"c": "1.25"}),
+               "symmetric-bannai-ito": ("A.10", "0.6", "0.3", {})}
+
+
+@pytest.mark.parametrize("delta", ["0", "1e-20", "1e-16", "1e-14", "1e-12", "1e-8"])
+@pytest.mark.parametrize("fid", sorted(_PAIR_SWEEP))
+@pytest.mark.parametrize("digits", [15, 20] + [pytest.param(d, marks=pytest.mark.slow)
+                                               for d in (16, 18, 50)])
+def test_conjugate_pair_clause_decides_the_gram_and_favard_rows(digits, fid, delta):
+    from minusone import cli
+
+    anchor, x, y, rest = _PAIR_SWEEP[fid]
+    exact = PrecisionContext(60).mp          # 75 digits: b keeps delta = 1e-20 at every d
+    a, b = exact.mpc(x, y), exact.mpc(x, -(exact.mpf(y) + exact.mpf(delta)))
+    ctx = PrecisionContext(digits)
+    params = F.make_params(fid, ctx, a=a, b=b, **rest)
+    assert F.family_info(fid).admits(ctx, **params) == (delta == "0")
+    rows = {row["check"]: row for row in
+            cli._family_results(fid, params, ctx, ["orthogonality", "favard"])}
+    gram, favard = rows["orthogonality"], rows["favard"]
+    if delta == "0":
+        assert (gram["status"], favard["status"]) == ("pass", "pass"), rows
+    else:
+        assert gram["status"] == "inconclusive" and "[%s]" % anchor in gram["notes"], gram
+        assert favard["status"] == "fail", favard
 
 
 def test_gaussian_half_line_tables_node_count():

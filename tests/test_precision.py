@@ -18,6 +18,7 @@ from minusone.precision import (
     ZeroDenominatorError,
     gram_context,
     hyp_terminating,
+    is_real,
     ladder_context,
     log_abs_gamma_sum,
     pochhammer,
@@ -131,7 +132,6 @@ _PLAN = {
     "gram": lambda mp, d: 10.0 ** -(d / 2),
     "limit": lambda mp, d: mp.mpf("1e-8"),
     "limit-floor": lambda mp, d: mp.mpf(10) ** (12 - d),
-    "favard-reality": lambda mp, d: mp.mpf(10) ** (8 - d),
 }
 
 
@@ -156,6 +156,12 @@ def test_precision_plan(digits):
     ladder = ladder_context(ctx)
     assert ladder.digits == max(digits, 20)
     assert (ladder is ctx) == (digits >= 20)
+
+    # the reality gate: |Im z| <= 10**-d min(max(1, |z|), 10**8), at its edge and past it
+    for size in (mp.mpf("1e-3"), mp.mpf(1), mp.mpf(10) ** 5, mp.mpf(10) ** 8, mp.mpf(10) ** 12):
+        edge = ctx.tol(0) * min(max(1, size), 10 ** 8)
+        assert is_real(mp.mpc(size, edge / 2), ctx) and is_real(size, ctx)
+        assert not is_real(mp.mpc(size, 2 * edge), ctx)
 
 
 # The log|Gamma| kernel.  Its documented bound (module docstring): at most 10 n units of
