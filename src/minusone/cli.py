@@ -343,8 +343,12 @@ def cmd_export(args):
     return _emit(scheme.export_graph(args.format), args.output)
 
 
+# built once: parse_args leaves the parser as it found it, so one process serves many requests
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return {"list": cmd_list, "tabulate": cmd_tabulate, "verify": cmd_verify,
                 "export": cmd_export}[args.command](args)

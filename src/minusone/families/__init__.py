@@ -5,8 +5,8 @@ Public operations: ``resolve_family``, ``family_info`` and the id lists,
 ``make_params``, ``recurrences`` (and its entry ``recurrence``),
 ``factored_u`` (an orthogonal family's u_n as factors in m on each parity
 class, ``FACTORED_U``), ``generate`` (and ``polys_from_pairs`` for a
-caller that holds the pairs),
-``closed_form``, ``weight_spec`` and ``norms`` (and its entry ``norm``),
+caller that holds the pairs), ``closed_forms`` (and its entry
+``closed_form``), ``weight_spec`` and ``norms`` (and its entry ``norm``),
 with ``fixture_points`` supplying the reference parameter sets the
 verification suites run at.
 ``closed_form_check`` is the closed-form row of ``minusone verify``: it
@@ -17,9 +17,9 @@ the families of ``catalog`` and ``qaux``, each stated in its module's own
 table, as the recurrence tables are merged; only ``catalog`` states closed
 forms.  Eigen systems belong to the Dunkl operator layer, which imports
 this package; this package imports nothing above it.  A family's
-coefficients are one sequence per (family, parameters, N): ``recurrences``
-and ``norms`` return degrees 0..N from one call, and ``recurrence`` and
-``norm`` are their entry n.
+coefficients are one sequence per (family, parameters, N): ``recurrences``,
+``closed_forms`` and ``norms`` return degrees 0..N from one call, and
+``recurrence``, ``closed_form`` and ``norm`` are their entry n.
 
 Parameters are parsed once, here: each dispatcher converts the names of
 the family's schema (``FamilyInfo.params``) in the caller's context and
@@ -175,12 +175,17 @@ def polys_from_pairs(pairs, ctx: PrecisionContext):
     return polys
 
 
-def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext):
-    """Hypergeometric closed form of P_n, renormalized monic."""
+def _raw_closed_forms(family: str, params: dict, N: int, ctx: PrecisionContext):
+    """The family id and its ``CLOSED_FORMS`` entry's raw P_0 .. P_N."""
     fid = resolve_family(family)
     if fid not in CLOSED_FORMS:
         raise NoClosedFormError("no closed form on record for %s" % fid)
-    p = CLOSED_FORMS[fid](ctx, n, **_bind(fid, params, ctx))
+    return fid, CLOSED_FORMS[fid](ctx, N, **_bind(fid, params, ctx))
+
+
+def _judged(fid, p, n, ctx: PrecisionContext):
+    """The raw closed form p of P_n renormalized monic; ParameterError where its top term is
+    missing or lost to cancellation."""
     if p.degree != n or not p[n]:
         raise ParameterError(
             "closed form of %s has no degree-%d term at these parameters (parameter singularity)"
@@ -191,6 +196,25 @@ def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext):
             "coefficient lies %.0f digits below the coefficient norm"
             % (fid, n, ctx.mp.log10(p.coeff_norm() / abs(p[n]))))
     return p.monic(ctx).realify(ctx)
+
+
+def closed_forms(family: str, params: dict, N: int, ctx: PrecisionContext):
+    """Hypergeometric closed forms of P_0 .. P_N, each renormalized monic.
+
+    One call sums every degree over the shared pFq bases of the family's
+    template (``catalog``); entry n is ``closed_form(family, params, n, ctx)``.
+    ParameterError names the first degree whose top term is missing or lost.
+    """
+    fid, raw = _raw_closed_forms(family, params, N, ctx)
+    return [_judged(fid, p, n, ctx) for n, p in enumerate(raw)]
+
+
+def closed_form(family: str, params: dict, n: int, ctx: PrecisionContext):
+    """Hypergeometric closed form of P_n, renormalized monic; only its own top term is judged."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    fid, raw = _raw_closed_forms(family, params, n, ctx)
+    return _judged(fid, raw[n], n, ctx)
 
 
 def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
@@ -204,8 +228,8 @@ def closed_form_check(family: str, params: dict, N: int, ctx: PrecisionContext):
     fid = resolve_family(family)
     polys = generate(fid, params, N, ctx)
     worst = mp.mpf(0)
-    for n in range(N + 1):
-        worst = max(worst, poly_rel_distance(polys[n], closed_form(fid, params, n, ctx)))
+    for p, form in zip(polys, closed_forms(fid, params, N, ctx)):
+        worst = max(worst, poly_rel_distance(p, form))
     return {"family": fid, **verdict("closed-form", worst, ctx), "notes": ""}
 
 

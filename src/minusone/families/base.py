@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..precision import PrecisionContext, pochhammer
-from ..polynomials import Poly, hyp_terminating_poly
+from ..precision import PrecisionContext, pochhammer, pochhammers
+from ..polynomials import Poly, hyp_basis, hyp_terminating_poly
 
 
 class UnknownFamilyError(KeyError):
@@ -110,22 +110,37 @@ def _parity(n):
     return n % 2, n // 2
 
 
-def _wilson_series(ctx, n, a, bs, upper=None):
-    """The Wilson-type series S in x and its printed prefactor, as (S, pref).
+def _parity_forms(ctx, N, bases, dens, front, upper=None):
+    """The raw closed forms P_0 .. P_N of one terminating series per parity class.
 
-    S = sum_k (-n)_k (upper)_k (ix+a)_k (-ix+a)_k / (k! prod_b (a+b)_k), summed
-    by ``hyp_terminating_poly``; pref = (-1)^n prod_b (a+b)_n / (upper)_n.
-    Without ``upper`` neither (upper)_k nor (upper)_n enters.
+    On n = 2m + e, P_n is pref S, times ``front`` on odd n:
+    S = sum_k (-m)_k (upper)_k B_k / (k! prod_b (b)_k), summed by
+    ``hyp_terminating_poly`` over the basis B = bases[e] (``hyp_basis``) with
+    the lower parameters b of dens[e], and pref = (-1)^m prod_b (b)_m / (upper)_m,
+    with upper = upper(e, m).  Without ``upper`` neither (upper)_k nor
+    (upper)_m enters.  Each (b)_m is read from one ``pochhammers`` list.
     """
+    rising = [[pochhammers(b, (N - e) // 2, ctx) for b in lows] for e, lows in enumerate(dens)]
+    forms = []
+    for n in range(N + 1):
+        odd, m = _parity(n)
+        nums, pref = [-m], (-1) ** m
+        for values in rising[odd]:
+            pref *= values[m]
+        if upper is not None:
+            nums.append(upper(odd, m))
+            pref /= pochhammer(nums[-1], m, ctx)
+        series = hyp_terminating_poly(m, nums, dens[odd], bases[odd], ctx)
+        forms.append(front.scale(pref) * series if odd else series.scale(pref))
+    return forms
+
+
+def _wilson_forms(ctx, N, wa, bs, front, upper=None):
+    """The Wilson-type closed forms: ``_parity_forms`` over (ix+a)_k (-ix+a)_k with the
+    lower parameters a + b, b in ``bs``, where a = wa[e] on n = 2m + e."""
     ix = Poly((0, ctx.mp.mpc(0, 1)))
-    dens = [a + b for b in bs]
-    nums = [-n] + ([] if upper is None else [upper]) + [ix + a, -ix + a]
-    pref = (-1) ** n
-    for d in dens:
-        pref *= pochhammer(d, n, ctx)
-    if upper is not None:
-        pref /= pochhammer(upper, n, ctx)
-    return hyp_terminating_poly(n, nums, dens, 1, ctx), pref
+    bases = [hyp_basis((N - e) // 2, [ix + a, -ix + a], 1, ctx) for e, a in enumerate(wa)]
+    return _parity_forms(ctx, N, bases, [[a + b for b in bs] for a in wa], front, upper)
 
 
 def _from_AC(AC, b_of=lambda A, C: 1 - A - C, u_over=None):

@@ -5,28 +5,36 @@ introducing the continuous complementary Bannai-Ito family).  Every closed
 form is assembled exactly as printed, including its prefactors, and then
 renormalized monic by dividing by the computed leading coefficient; the raw
 form is the ``CLOSED_FORMS`` entry, so the printed normalization itself can
-be tested.  Every series is summed by ``hyp_terminating_poly``, and a pattern
-printed for two families is written once: the big and little -1 Jacobi
-closed forms (A.2, A.7) both call ``_m1j_template`` with their series
-variable, linear factor and c factors, as the three continuous Bannai-Ito
-type forms call ``_cbi_template``, and the symmetric, generalized symmetric
-and complementary Bannai-Ito forms call the Wilson-type
-``base._wilson_series``.  The sign factor written theta(x) in split-support
+be tested.  A ``CLOSED_FORMS`` entry returns the raw P_0 .. P_N from one
+call, on one shared-basis engine: each series' polynomial part
+B_k(x) = prod(polynomial parameters)_k z^k is built once by ``hyp_basis``,
+every degree sums its scalar coefficients over it with
+``hyp_terminating_poly``, and a prefactor Pochhammer whose base is free of
+the degree is read from one ``pochhammers`` list.  A pattern printed for
+two families is written once: the big and little -1 Jacobi closed forms
+(A.2, A.7) both call ``_m1j_template`` with their series variable, linear
+factor and c factors, as the three continuous Bannai-Ito type forms call
+``_cbi_template``, and the symmetric, generalized symmetric and
+complementary Bannai-Ito forms call the Wilson-type ``base._wilson_forms``.
+The forms of one series per parity class, the Wilson type and the
+Hermite and Gegenbauer types in x^2 (``_in_x2``), are all summed by
+``base._parity_forms``.  The sign factor written theta(x) in split-support
 weights is implemented as sgn(x), the unique choice making those densities
 nonnegative on both support components.
 """
 
 from __future__ import annotations
 
-from ..precision import pochhammer
-from ..polynomials import Poly, hyp_terminating_poly
+from ..precision import pochhammer, pochhammers
+from ..polynomials import Poly, hyp_basis, hyp_terminating_poly
 from .base import (
     FactoredU,
     FamilyInfo,
     RecurrencePair,
     _from_AC,
     _parity,
-    _wilson_series,
+    _parity_forms,
+    _wilson_forms,
     conjugate_closed,
     denominator_check,
 )
@@ -475,98 +483,77 @@ FACTORED_U = {
 
 # ----------------------------------------------------------------------
 # closed forms (raw, before monic renormalization)
+#
+# Sequence functions (ctx, N, **params) -> [raw P_n, n = 0..N].
 
 
-def _cf_hermite_like(al_half, n, ctx, gamma_shift=None):
-    """(-1)^m (al+1/2)_m [x or (x-gamma)] 1F1(-m; al+1/2; x^2-gamma^2) pattern."""
-    mp = ctx.mp
+def _in_x2(ctx, N, lows, gamma_shift=None, upper=None):
+    """The 1F1 / 2F1 pattern in z = x^2 - gamma^2: ``_parity_forms`` over z^k with the lower
+    parameter lows[e] on n = 2m + e, times x - gamma on odd n (gamma = 0 without a shift)."""
     x = Poly.x(ctx)
     z = x * x if gamma_shift is None else x * x - Poly.constant(gamma_shift ** 2)
-    odd, m = _parity(n)
-    a = al_half + (1 if odd else 0)
-    series = hyp_terminating_poly(m, [-mp.mpf(m)], [a], z, ctx)
-    pref = (-1) ** m * pochhammer(a, m, ctx)
-    if odd:
-        lead = x if gamma_shift is None else x - Poly.constant(gamma_shift)
-        return lead.scale(pref) * series
-    return series.scale(pref)
-
-
-def _cf_hermite(ctx, n):
-    return _cf_hermite_like(_half(ctx), n, ctx)
-
-
-def _cf_generalized_hermite(ctx, n, alpha):
-    return _cf_hermite_like(alpha + _half(ctx), n, ctx)
-
-
-def _cf_minus1_mp(ctx, n, alpha, gamma):
-    return _cf_hermite_like(alpha + _half(ctx), n, ctx, gamma_shift=gamma)
-
-
-def _cf_gg_like(al, be, n, ctx, gamma_shift=None):
-    """Generalized Gegenbauer / Chihara 2F1 pattern in x^2 - gamma^2."""
-    mp = ctx.mp
-    x = Poly.x(ctx)
-    z = x * x if gamma_shift is None else x * x - Poly.constant(gamma_shift ** 2)
-    odd, m = _parity(n)
-    if not odd:
-        series = hyp_terminating_poly(m, [-mp.mpf(m), m + al + be + 1], [al + 1], z, ctx)
-        pref = (-1) ** m * pochhammer(al + 1, m, ctx) / pochhammer(mp.mpf(m) + al + be + 1, m, ctx)
-        return series.scale(pref)
-    series = hyp_terminating_poly(m, [-mp.mpf(m), m + al + be + 2], [al + 2], z, ctx)
-    pref = (-1) ** m * pochhammer(al + 2, m, ctx) / pochhammer(mp.mpf(m) + al + be + 2, m, ctx)
     lead = x if gamma_shift is None else x - Poly.constant(gamma_shift)
-    return lead.scale(pref) * series
+    basis = hyp_basis(N // 2, [], z, ctx)
+    return _parity_forms(ctx, N, (basis, basis), [[low] for low in lows], lead, upper)
 
 
-def _cf_generalized_gegenbauer(ctx, n, alpha, beta):
-    return _cf_gg_like(alpha, beta, n, ctx)
+def _cf_hermite_like(al_half, N, ctx, gamma_shift=None):
+    """(-1)^m (al+1/2)_m [x or (x-gamma)] 1F1(-m; al+1/2; x^2-gamma^2) pattern."""
+    return _in_x2(ctx, N, (al_half, al_half + 1), gamma_shift)
 
 
-def _cf_chihara(ctx, n, alpha, beta, gamma):
-    return _cf_gg_like(alpha, beta, n, ctx, gamma_shift=gamma)
+def _cf_hermite(ctx, N):
+    return _cf_hermite_like(_half(ctx), N, ctx)
 
 
-def _cf_gegenbauer(ctx, n, alpha):
-    mp = ctx.mp
-    x = Poly.x(ctx)
-    z = x * x
-    odd, m = _parity(n)
-    if not odd:
-        series = hyp_terminating_poly(m, [-mp.mpf(m), m + alpha], [_half(ctx)], z, ctx)
-        pref = (-1) ** m * pochhammer(_half(ctx), m, ctx) / pochhammer(mp.mpf(m) + alpha, m, ctx)
-        return series.scale(pref)
-    series = hyp_terminating_poly(m, [-mp.mpf(m), m + alpha + 1], [3 * _half(ctx)], z, ctx)
-    pref = (-1) ** m * pochhammer(3 * _half(ctx), m, ctx) / pochhammer(mp.mpf(m) + alpha + 1, m, ctx)
-    return (x.scale(pref)) * series
+def _cf_generalized_hermite(ctx, N, alpha):
+    return _cf_hermite_like(alpha + _half(ctx), N, ctx)
 
 
-def _cf_symmetric_bannai_ito(ctx, n, a, b):
-    odd, m = _parity(n)
-    series, pref = _wilson_series(ctx, m, odd, [a, b])
-    return Poly.x(ctx).scale(pref) * series if odd else series.scale(pref)
+def _cf_minus1_mp(ctx, N, alpha, gamma):
+    return _cf_hermite_like(alpha + _half(ctx), N, ctx, gamma_shift=gamma)
 
 
-def _cf_gsbi(ctx, n, a, b, c):
+def _cf_gg_like(al, be, N, ctx, gamma_shift=None):
+    """Generalized Gegenbauer / Chihara 2F1(-m, m+alpha+beta+1+e; alpha+1+e) pattern in
+    x^2 - gamma^2, on n = 2m + e."""
+    return _in_x2(ctx, N, (al + 1, al + 2), gamma_shift, lambda e, m: m + al + be + (1 + e))
+
+
+def _cf_generalized_gegenbauer(ctx, N, alpha, beta):
+    return _cf_gg_like(alpha, beta, N, ctx)
+
+
+def _cf_chihara(ctx, N, alpha, beta, gamma):
+    return _cf_gg_like(alpha, beta, N, ctx, gamma_shift=gamma)
+
+
+def _cf_gegenbauer(ctx, N, alpha):
+    """2F1(-m, m+alpha+e; 1/2+e; x^2) on n = 2m + e."""
+    return _in_x2(ctx, N, (_half(ctx), 3 * _half(ctx)), upper=lambda e, m: m + alpha + e)
+
+
+def _cf_symmetric_bannai_ito(ctx, N, a, b):
+    return _wilson_forms(ctx, N, (0, 1), [a, b], Poly.x(ctx))
+
+
+def _cf_gsbi(ctx, N, a, b, c):
     s = a + b + c
-    odd, m = _parity(n)
-    series, pref = _wilson_series(ctx, m, odd, [a, b, c], m + s if odd else m + s - 1)
-    return Poly.x(ctx).scale(pref) * series if odd else series.scale(pref)
+    return _wilson_forms(ctx, N, (0, 1), [a, b, c], Poly.x(ctx),
+                         lambda odd, m: m + s if odd else m + s - 1)
 
 
-def _cf_ccbi(ctx, n, a1, b1, a2, b2):
+def _cf_ccbi(ctx, N, a1, b1, a2, b2):
     """Wilson-based closed form with parameters (A, B, C, D) and the argument x^2."""
     i = ctx.mp.mpc(0, 1)
-    odd, m = _parity(n)
-    A = i * b2 + odd
+    As = (i * b2, i * b2 + 1)
     B, C, D = a1 + i * b1, a1 - i * b1, a2 - i * b2
-    s = A + B + C + D
-    series, pref = _wilson_series(ctx, m, A, [B, C, D], m + s - 1)
-    return (Poly.x(ctx) - Poly.constant(b2)).scale(pref) * series if odd else series.scale(pref)
+    sums = [A + B + C + D for A in As]
+    return _wilson_forms(ctx, N, As, [B, C, D], Poly.x(ctx) - Poly.constant(b2),
+                         lambda odd, m: m + sums[odd] - 1)
 
 
-def _cbi_template(al, be, ga, de, n, ctx):
+def _cbi_template(al, be, ga, de, N, ctx):
     """Shared closed form of the continuous Bannai-Ito / continuous -1 Hahn block."""
     mp = ctx.mp
     i = mp.mpc(0, 1)
@@ -575,54 +562,54 @@ def _cbi_template(al, be, ga, de, n, ctx):
     fc = ga - i * de
     fd = al - i * be
     g = 2 * al + 2 * ga + 1
-    x = Poly.x(ctx)
     ihalf = Poly((mp.mpc(0), i / 2))      # i x / 2
+    K = N // 2
 
-    def kappa1(m):
-        return pochhammer(3 * _half(ctx) + fa + fb, m, ctx) * pochhammer(1 + fb + fc, m, ctx) \
-            * pochhammer(1 + fb + fd, m, ctx) / pochhammer(mp.mpf(m) + g + 1, m, ctx)
+    # the low series (m, kappa1) and the high series (m - 1 or m, kappa2), each with its
+    # lower parameters, its basis and the rising factorials of its prefactor
+    def series(shift, lows, plus, minus):
+        rising = [pochhammers(b, K, ctx) for b in lows]
 
-    def kappa2(m):
-        return pochhammer(5 * _half(ctx) + fa + fb, m, ctx) * pochhammer(2 + fb + fc, m, ctx) \
-            * pochhammer(2 + fb + fd, m, ctx) / pochhammer(mp.mpf(m) + g + 2, m, ctx)
+        def kappa(m):
+            return rising[0][m] * rising[1][m] * rising[2][m] / pochhammer(mp.mpf(m) + g + shift, m, ctx)
+        basis = hyp_basis(K, [ihalf + Poly.constant(plus), -ihalf + Poly.constant(minus)], 1, ctx)
+        return lambda m: hyp_terminating_poly(m, [-mp.mpf(m), m + g + shift], lows, basis, ctx), kappa
 
-    dens_low = [3 * _half(ctx) + fa + fb, 1 + fb + fc, 1 + fb + fd]
-    dens_high = [5 * _half(ctx) + fa + fb, 2 + fb + fc, 2 + fb + fd]
-    nums_low = lambda m: [-mp.mpf(m), m + g + 1, ihalf + Poly.constant(fb),
-                          -ihalf + Poly.constant(fb + _half(ctx))]
-    nums_high = lambda m: [-mp.mpf(m), m + g + 2, ihalf + Poly.constant(fb + 1),
-                           -ihalf + Poly.constant(fb + 3 * _half(ctx))]
+    low, kappa1 = series(1, [3 * _half(ctx) + fa + fb, 1 + fb + fc, 1 + fb + fd], fb, fb + _half(ctx))
+    high, kappa2 = series(2, [5 * _half(ctx) + fa + fb, 2 + fb + fc, 2 + fb + fd],
+                          fb + 1, fb + 3 * _half(ctx))
     front = ihalf - Poly.constant(fb + _half(ctx))   # i x/2 - b - 1/2
 
-    odd, m = _parity(n)
-    if not odd:
-        second = hyp_terminating_poly(m, nums_low(m), dens_low, 1, ctx).scale(kappa1(m))
-        if m == 0:
-            total = second
+    forms = []
+    for n in range(N + 1):
+        odd, m = _parity(n)
+        if not odd:
+            second = low(m).scale(kappa1(m))
+            if m == 0:
+                total = second
+            else:
+                xi = mp.mpf(m) * (m + fc + fd + _half(ctx)) / (2 * m + g)
+                total = (front * high(m - 1)).scale(xi * kappa2(m - 1)) + second
         else:
-            xi = mp.mpf(m) * (m + fc + fd + _half(ctx)) / (2 * m + g)
-            first = front * hyp_terminating_poly(m - 1, nums_high(m - 1), dens_high, 1, ctx)
-            total = first.scale(xi * kappa2(m - 1)) + second
-    else:
-        eta = (m + fb + fc + 1) * (m + fb + fd + 1) / (2 * m + g + 1)
-        first = front * hyp_terminating_poly(m, nums_high(m), dens_high, 1, ctx)
-        total = first.scale(kappa2(m)) + hyp_terminating_poly(m, nums_low(m), dens_low, 1, ctx).scale(eta * kappa1(m))
-    return total.scale((-2 * i) ** n)
+            eta = (m + fb + fc + 1) * (m + fb + fd + 1) / (2 * m + g + 1)
+            total = (front * high(m)).scale(kappa2(m)) + low(m).scale(eta * kappa1(m))
+        forms.append(total.scale((-2 * i) ** n))
+    return forms
 
 
-def _cf_cbi(ctx, n, alpha, beta, gamma, delta):
-    return _cbi_template(alpha, beta, gamma, delta, n, ctx)
+def _cf_cbi(ctx, N, alpha, beta, gamma, delta):
+    return _cbi_template(alpha, beta, gamma, delta, N, ctx)
 
 
-def _cf_c1h1(ctx, n, alpha, beta, gamma):
-    return _cbi_template(alpha, beta, gamma, beta, n, ctx)
+def _cf_c1h1(ctx, N, alpha, beta, gamma):
+    return _cbi_template(alpha, beta, gamma, beta, N, ctx)
 
 
-def _cf_c1h2(ctx, n, alpha, beta, gamma):
-    return _cbi_template(alpha, beta, gamma, -beta, n, ctx)
+def _cf_c1h2(ctx, N, alpha, beta, gamma):
+    return _cbi_template(alpha, beta, gamma, -beta, N, ctx)
 
 
-def _m1j_template(ctx, n, alpha, beta, z, linear, one_plus_c, one_minus_c2):
+def _m1j_template(ctx, N, alpha, beta, z, linear, one_plus_c, one_minus_c2):
     """The -1 Jacobi closed form shared by the big (A.2) and little (A.7) families.
 
     With s = (2m+alpha+beta+2)/2, n = 2m is 2F1(-m, s; (alpha+1)/2; z) plus
@@ -634,34 +621,39 @@ def _m1j_template(ctx, n, alpha, beta, z, linear, one_plus_c, one_minus_c2):
     """
     mp = ctx.mp
     one_plus_al = denominator_check(ctx)(1 + alpha, "1+alpha")
-    odd, m = _parity(n)
     ap1_2 = (alpha + 1) / 2
     ap3_2 = (alpha + 3) / 2
-    s = (2 * m + alpha + beta + 2) / 2
-    f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], z, ctx)
-    if not odd:
-        if m == 0:
-            total = f1
+    basis = hyp_basis(N // 2, [], z, ctx)
+    rising = pochhammers(ap1_2, (N + 1) // 2, ctx)
+    forms = []
+    for n in range(N + 1):
+        odd, m = _parity(n)
+        s = (2 * m + alpha + beta + 2) / 2
+        f1 = hyp_terminating_poly(m, [-mp.mpf(m), s], [ap1_2], basis, ctx)
+        if not odd:
+            if m == 0:
+                total = f1
+            else:
+                f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], basis, ctx)
+                total = f1 + (linear * f2).scale(2 * m / (one_plus_c * one_plus_al))
+            eta = one_minus_c2 ** m * rising[m] / pochhammer(s, m, ctx)
         else:
-            f2 = hyp_terminating_poly(m - 1, [-(mp.mpf(m) - 1), s], [ap3_2], z, ctx)
-            total = f1 + (linear * f2).scale(2 * m / (one_plus_c * one_plus_al))
-        eta = one_minus_c2 ** m * pochhammer(ap1_2, m, ctx) / pochhammer(s, m, ctx)
-        return total.scale(eta)
-    f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], z, ctx)
-    total = f1 - (linear * f2).scale((2 * m + alpha + beta + 2) / (one_plus_c * one_plus_al))
-    eta = one_plus_c * one_minus_c2 ** m * pochhammer(ap1_2, m + 1, ctx) / pochhammer(s, m + 1, ctx)
-    return total.scale(eta)
+            f2 = hyp_terminating_poly(m, [-mp.mpf(m), (2 * m + alpha + beta + 4) / 2], [ap3_2], basis, ctx)
+            total = f1 - (linear * f2).scale((2 * m + alpha + beta + 2) / (one_plus_c * one_plus_al))
+            eta = one_plus_c * one_minus_c2 ** m * rising[m + 1] / pochhammer(s, m + 1, ctx)
+        forms.append(total.scale(eta))
+    return forms
 
 
-def _cf_big_m1j(ctx, n, alpha, beta, c):
+def _cf_big_m1j(ctx, N, alpha, beta, c):
     mp = ctx.mp
     one_minus_c2 = denominator_check(ctx)(1 - c * c, "1-c^2")
     z = Poly((1 / one_minus_c2, mp.mpf(0), -1 / one_minus_c2))   # (1-x^2)/(1-c^2)
     one_minus_x = Poly((mp.mpf(1), mp.mpf(-1)))
-    return _m1j_template(ctx, n, alpha, beta, z, one_minus_x, 1 + c, one_minus_c2)
+    return _m1j_template(ctx, N, alpha, beta, z, one_minus_x, 1 + c, one_minus_c2)
 
 
-def _cf_little_m1j(ctx, n, alpha, beta):
+def _cf_little_m1j(ctx, N, alpha, beta):
     """Little -1 Jacobi closed form.
 
     The odd-degree block of the printed representation carries a first
@@ -671,12 +663,12 @@ def _cf_little_m1j(ctx, n, alpha, beta):
     open-question report.
     """
     x = Poly.x(ctx)
-    return _m1j_template(ctx, n, alpha, beta, x * x, x, 1, 1)
+    return _m1j_template(ctx, N, alpha, beta, x * x, x, 1, 1)
 
 
-def _cf_special_lj(ctx, n, alpha):
+def _cf_special_lj(ctx, N, alpha):
     """Special little -1 Jacobi; odd block parameter fixed as in the little -1 Jacobi."""
-    return _cf_little_m1j(ctx, n, ctx.mp.mpf(0), alpha)
+    return _cf_little_m1j(ctx, N, ctx.mp.mpf(0), alpha)
 
 
 CLOSED_FORMS = {

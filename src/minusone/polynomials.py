@@ -303,21 +303,6 @@ class Poly:
                       [a + di * b for a, b in zip([src_im[k]] + im, re + [0])])
         return _new(re, im, self.exp, *_meet(self.mp, self.width, mp, None))
 
-    def dilate(self, s):
-        """p(x) -> p(s*x), from the exact powers of s with one rounding."""
-        sr, si, se, mp, width = _split(s)
-        n = len(self.re)
-        re, im, pr, pi = [], [], 1, 0
-        for k in range(n):
-            # c_k s^k at exponent exp + k*se, aligned to the lowest exponent
-            shift = (n - 1 - k) * -se if se < 0 else k * se
-            a, b = self.re[k], self.im[k]
-            re.append((a * pr - b * pi) << shift)
-            im.append((a * pi + b * pr) << shift)
-            pr, pi = pr * sr - pi * si, pr * si + pi * sr
-        exp = self.exp + ((n - 1) * se if se < 0 else 0)
-        return _new(re, im, exp, *_meet(self.mp, self.width, mp, width))
-
     def coeff_norm(self):
         """max_k |c_k|, as an mpf of ``mp`` (an int or float without a context)."""
         return _root(self.mp, _sqmax(self), 2 * self.exp)
@@ -547,34 +532,43 @@ def _plus_int(scalar, k):
     return r + (k << -e), i, e
 
 
-def hyp_terminating_poly(n: int, numerators, denominators, z, ctx: PrecisionContext):
-    """Terminating pFq sum whose numerator parameters and argument may be polynomials.
+def hyp_basis(K: int, polys, z, ctx: PrecisionContext):
+    """B_0 .. B_K of the terminating pFq sums that share their polynomial parts.
 
-    ``numerators`` may mix scalars and :class:`Poly` values (the series in a
-    family's variable x enters through degree-1 parameters such as i*x/2 + b);
-    denominators must be scalars; ``z`` may be a scalar or a Poly.  Returns
-    sum_{k=0..n} [prod (num)_k / prod (den)_k] z^k / k! as a Poly.
+    B_k = prod_a (a)_k z^k over the :class:`Poly` numerator parameters
+    ``polys`` (the series in a family's variable x enters through degree-1
+    parameters such as i*x/2 + b) and the argument ``z``, a Poly or the
+    integer 1.  Each B_(k+1) is B_k times a + k for each a, then times z.
+    """
+    basis = [_new([1], [0], 0, ctx.mp, ctx.mp.prec + GUARD_BITS)]
+    for k in range(K):
+        term = basis[-1]
+        for a in polys:
+            term = term * (a + k)
+        basis.append(term * z if isinstance(z, Poly) else term)
+    return basis
 
-    Each step multiplies the term by the polynomial factors and then by one
-    Gaussian ratio: the scalar numerator factors (and a scalar z) over
-    (k + 1) prod (b + k), both formed exactly in integers.
+
+def hyp_terminating_poly(n: int, numerators, denominators, basis, ctx: PrecisionContext):
+    """Terminating pFq sum over a basis from :func:`hyp_basis` with K >= n.
+
+    ``numerators`` and ``denominators`` are the scalar parameters; the
+    polynomial ones and the argument are in ``basis``.  Returns
+    sum_{k=0..n} [prod (num)_k / prod (den)_k] B_k / k! as a Poly.
+
+    The scalar coefficient of B_k is carried at the mantissa width of the
+    context; each step multiplies it by one Gaussian ratio, the numerator
+    factors over (k + 1) prod (b + k), both formed exactly in integers.
     """
     mp = ctx.mp
     width = mp.prec + GUARD_BITS
-    polys = [a for a in numerators if isinstance(a, Poly)]
-    scalars = [_split(a) for a in numerators if not isinstance(a, Poly)]
+    scalars = [_split(a) for a in numerators]
     dens = [_split(b) for b in denominators]
-    zpoly = z if isinstance(z, Poly) else None
-    zr, zi, ze = _split(1 if zpoly is not None else z)[:3]
     _, tol_man, tol_exp, _ = ctx.tol(6)._mpf_
 
-    total = _new([0], [0], 0, mp, width)
-    term = _new([1], [0], 0, mp, width)
-    for k in range(n + 1):
-        total = total + term
-        if k == n:
-            break
-        nr, ni, ne = zr, zi, ze
+    total = coef = basis[0]
+    for k in range(n):
+        nr, ni, ne = 1, 0, 0
         for a in scalars:
             ar, ai, ae = _plus_int(a, k)
             nr, ni, ne = nr * ar - ni * ai, nr * ai + ni * ar, ne + ae
@@ -590,11 +584,7 @@ def hyp_terminating_poly(n: int, numerators, denominators, z, ctx: PrecisionCont
                 raise ZeroDenominatorError("denominator: lower parameter %d of %d = %s vanishes at k = %d"
                                            % (j + 1, len(dens), mp.nstr(value), k))
             dr, di, de = dr * br - di * bi, dr * bi + di * br, de + be
-        for a in polys:
-            term = term * (a + k)
-        if zpoly is not None:
-            term = term * zpoly
-        re, im, s = _ratio(term.re, term.im, (nr, ni), (dr, di), width)
-        term = _new(re, im, term.exp + ne - de - s, mp, width)
+        re, im, s = _ratio(coef.re, coef.im, (nr, ni), (dr, di), width)
+        coef = _new(re, im, coef.exp + ne - de - s, mp, width)
+        total = total + basis[k + 1] * coef
     return total
-

@@ -256,12 +256,17 @@ def pochhammer(a, n: int, ctx: PrecisionContext):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0, got %d" % n)
+    return pochhammers(a, n, ctx)[n]
+
+
+def pochhammers(a, K: int, ctx: PrecisionContext):
+    """(a)_0 .. (a)_K, each from the last by one product: entry n is ``pochhammer(a, n, ctx)``."""
     mp = ctx.mp
     a = mp.mpc(a)
-    value = mp.mpc(1)
-    for k in range(n):
-        value *= a + k
-    return value
+    values = [mp.mpc(1)]
+    for k in range(K):
+        values.append(values[-1] * (a + k))
+    return values
 
 
 def hyp_terminating(numerators, denominators, z, ctx: PrecisionContext):

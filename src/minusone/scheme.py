@@ -7,8 +7,14 @@ Each edge carries its parameter map where it is registered (see
 :class:`SchemeEdge`); the verifiers, the commuting squares and the
 reading checks of :data:`OPEN_QUESTIONS` all read the maps from there.
 
-Limit verification compares both the transformed polynomials and the
-transformed recurrence coefficients, fits the convergence order p from the
+Every frame is built from rescaled recurrence pairs: U_n(x) = S_n(s x)/s^n
+satisfies the three-term recurrence of S_n with the pairs (b_n/s, u_n/s^2),
+so ``families.polys_from_pairs`` on those pairs gives the source of a
+specialization or limit edge, and the target of a Christoffel edge, in the
+compared frame.
+
+Limit verification compares both the rescaled polynomials and the
+rescaled recurrence pairs, fits the convergence order p from the
 last three points of the error ladder, and Richardson-extrapolates from the
 last two rungs at that order; the factor 10^p - 1 assumes that consecutive
 ladder values differ by a factor of 10, as those of ``default_ladder`` do.
@@ -47,8 +53,10 @@ class SchemeEdge:
     On specialization and limit edges the source is compared in the target
     frame: U_n(x) = S_n(s x) / s^n against T_n(x).  On a Christoffel edge s
     is the target-frame scale: the kernel sequence of the source is compared
-    against T_n(s x) / s^n.  A Geronimus edge has no map (``params`` is
-    None); it is checked through the Christoffel edge of its pair.
+    against T_n(s x) / s^n.  Either frame is built by the recurrence from the
+    rescaled pairs (b_n/s, u_n/s^2) of the sequence it rescales.  A Geronimus
+    edge has no map (``params`` is None); it is checked through the
+    Christoffel edge of its pair.
     """
     source: str
     target: str
@@ -331,12 +339,9 @@ def _mapdata(edge: SchemeEdge, ctx: PrecisionContext, h=None):
     return edge.params(f, h, mp)
 
 
-def _transform(polys, s, ctx):
-    mp = ctx.mp
-    out = []
-    for n, p in enumerate(polys):
-        out.append(p.dilate(s).scale(1 / mp.mpc(s) ** n))
-    return out
+def _frame(pairs, s):
+    """The pairs (b_n/s, u_n/s^2) of U_n(x) = S_n(s x)/s^n, for the pairs (b_n, u_n) of S_n."""
+    return [families.RecurrencePair(b=pair.b / s, u=pair.u / s ** 2) for pair in pairs]
 
 
 def _compare_sets(upolys, tpolys):
@@ -346,23 +351,13 @@ def _compare_sets(upolys, tpolys):
     return worst
 
 
-def _compare_recurrence(source_pairs, target_pairs, s, ctx):
-    mp = ctx.mp
-    worst = mp.mpf(0)
-    for sp, tp in zip(source_pairs, target_pairs):
-        b_err = abs(mp.mpc(sp.b) / s - mp.mpc(tp.b))
-        u_err = abs(mp.mpc(sp.u) / s ** 2 - mp.mpc(tp.u))
-        scale = max(mp.mpf(1), abs(mp.mpc(tp.b)), abs(mp.mpc(tp.u)))
-        worst = max(worst, b_err / scale, u_err / scale)
-    return worst
-
-
 def verify_exact(edge, N, ctx: PrecisionContext):
     """Coefficient-level equality of an exact specialization edge for n <= N."""
     if isinstance(edge, str):
         edge = resolve_edge(edge)
     src_params, tgt_params, s = _mapdata(edge, ctx)
-    source = _transform(families.generate(edge.source, src_params, N, ctx), s, ctx)
+    source = families.polys_from_pairs(
+        _frame(families.recurrences(edge.source, src_params, N - 1, ctx), s), ctx)
     target = families.generate(edge.target, tgt_params, N, ctx)
     err = _compare_sets(source, target)
     return {
@@ -418,11 +413,12 @@ def verify_limit(edge, N, ctx: PrecisionContext):
     ladder_polys = []
     for h in ladder:
         src_params, _, s = _mapdata(edge, ctx, h=h)
-        source_pairs = families.recurrences(edge.source, src_params, N, ctx)
-        upolys = _transform(families.polys_from_pairs(source_pairs[:N], ctx), s, ctx)
+        source_pairs = _frame(families.recurrences(edge.source, src_params, N, ctx), s)
+        upolys = families.polys_from_pairs(source_pairs[:N], ctx)
         ladder_polys.append(upolys)
         errors.append(_compare_sets(upolys, target))
-        rec_errors.append(_compare_recurrence(source_pairs, target_pairs, s, ctx))
+        rec_errors.append(max(max(abs(sp.b - tp.b), abs(sp.u - tp.u)) / max(1, abs(tp.b), abs(tp.u))
+                              for sp, tp in zip(source_pairs, target_pairs)))
 
     floor = GATES["limit-floor"](ctx)
     bound = GATES["limit"](ctx)
@@ -508,7 +504,8 @@ def verify_ct_gt(pair_edge, N, ctx: PrecisionContext):
     pairs = families.recurrences(edge.source, src_params, N, ctx)
     source = families.polys_from_pairs(pairs, ctx)[: N + 1]
     kernel = christoffel(pairs, ctx)
-    tgt_frame = _transform(families.generate(edge.target, tgt_params, N, ctx), s, ctx)
+    tgt_frame = families.polys_from_pairs(
+        _frame(families.recurrences(edge.target, tgt_params, N - 1, ctx), s), ctx)
     err_ct = _compare_sets(kernel, tgt_frame)
     err_gt = _compare_sets(geronimus(pairs, tgt_frame), source)
     err_round = _compare_sets(geronimus(pairs, kernel), source)

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from minusone import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -144,6 +147,38 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])          # missing required scope
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def _alone(argv):
+    """(exit code, stdout, stderr) of one request in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "minusone.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of one ``cli.main`` call in this process."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("first", [["--checks", "eigen"], ["--bogus"]],
+                         ids=["one-check", "usage-error"])
+def test_requests_in_one_process_report_what_each_reports_alone(capsys, first):
+    # the parser is built once, at import: neither a request nor a usage error
+    # leaves anything behind that the next request of the same process reads
+    common = ["verify", "--family", "hermite", "--digits", "15", "--format", "json",
+              "--no-timestamp"]
+    requests = [common + first, common]
+    got = [_in_process(capsys, argv) for argv in requests]
+    assert got == [_alone(argv) for argv in requests]
+    assert got[0][0] == (cli.EXIT_PASS if first == ["--checks", "eigen"] else cli.EXIT_USAGE)
+    assert len(json.loads(got[1][1])["results"]) == 4
 
 
 def test_unparsable_params_are_a_usage_error(capsys):

@@ -146,7 +146,7 @@ def test_closed_form_leading_coefficient_is_one():
                 "continuous-complementary-bannai-ito"):
         params = P(fid, **F.fixture_points(fid)[0])
         for n in (1, 3, 4, 7):
-            raw = F.CLOSED_FORMS[fid](CTX, n, **F._bind(fid, params, CTX))
+            raw = F.CLOSED_FORMS[fid](CTX, n, **F._bind(fid, params, CTX))[n]
             lead = raw[raw.degree]
             expected = 1
             if n % 2 and fid in ("little-minus1-jacobi", "special-little-minus1-jacobi"):
@@ -251,7 +251,7 @@ def test_one_recurrence_table_call_per_sequence(monkeypatch, run, fids):
 # table -> (function of an entry, its leading arguments before the parameters)
 _TABLES = {
     "recurrences": (F._ALL_RECURRENCES, lambda fn: fn, ("ctx", "N")),
-    "closed forms": (F.CLOSED_FORMS, lambda fn: fn, ("ctx", "n")),
+    "closed forms": (F.CLOSED_FORMS, lambda fn: fn, ("ctx", "N")),
     "weight specs": (F.WEIGHTS, lambda measure: measure.spec, ("ctx",)),
     "norms": (F.WEIGHTS, lambda measure: measure.norms, ("ctx", "N")),
     "eigen builders": (O._BUILDERS, lambda entry: entry.build, ("ctx", "free", "variant")),
@@ -649,12 +649,26 @@ def test_every_closed_form_is_summed_by_hyp_terminating_poly(monkeypatch):
 def test_closed_form_without_a_top_coefficient_is_a_parameter_singularity(monkeypatch):
     raw = F.CLOSED_FORMS["hermite"]
 
-    def no_top(ctx, n):
-        return Poly(list(raw(ctx, n).coeffs[:-1]) + [ctx.mp.mpc(0)])
+    def no_top(ctx, N):
+        forms = raw(ctx, N)
+        return forms[:-1] + [Poly(list(forms[-1].coeffs[:-1]) + [ctx.mp.mpc(0)])]
 
     monkeypatch.setitem(F.CLOSED_FORMS, "hermite", no_top)
     with pytest.raises(ParameterError, match="no degree-3 term"):
         F.closed_form("hermite", {}, 3, CTX)
+
+
+def test_closed_forms_share_one_computation_bit_for_bit():
+    # entry n of one call over 0..12, of a call that stops at n, and closed_form(n) hold the
+    # same integers: no basis, rising factorial or series of degree n depends on N
+    bits = lambda p: (p.re, p.im, p.exp, p.width)
+    for fid in sorted(F.CLOSED_FORMS):
+        for point in F.fixture_points(fid):
+            params = P(fid, **point)
+            forms = F.closed_forms(fid, params, 12, CTX)
+            for n, form in enumerate(forms):
+                assert (bits(form) == bits(F.closed_forms(fid, params, n, CTX)[n])
+                        == bits(F.closed_form(fid, params, n, CTX))), (fid, point, n)
 
 
 def test_closed_form_that_loses_its_top_coefficient_names_precision():

@@ -6,6 +6,7 @@ import pytest
 from minusone.precision import GATES, PrecisionContext, ladder_context
 from minusone import families as F
 from minusone import scheme as S
+from minusone.polynomials import Poly
 
 CTX = PrecisionContext(50)
 MP = CTX.mp
@@ -87,6 +88,41 @@ def test_exact_specializations():
             continue
         rep = S.verify_exact(e, 10, CTX)
         assert rep["status"] == "pass", (e.id, rep)
+
+
+def _dilate_and_scale(polys, s, ctx):
+    """The frame U_n(x) = S_n(s x) / s^n of each S_n, coefficient by coefficient: c_k s^(k-n)."""
+    s = ctx.mp.mpc(s)
+    return [Poly([c * s ** k / s ** n for k, c in enumerate(p.coeffs)]) for n, p in enumerate(polys)]
+
+
+def _frame_error(family, params, s, N, ctx):
+    """The rescaled-pair frame P_0 .. P_N of ``family`` against ``_dilate_and_scale``."""
+    framed = F.polys_from_pairs(S._frame(F.recurrences(family, params, N - 1, ctx), s), ctx)
+    return S._compare_sets(framed, _dilate_and_scale(F.generate(family, params, N, ctx), s, ctx))
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_frames_from_rescaled_pairs_are_the_dilated_polynomials(digits):
+    # every exact edge's source and every ct-gt edge's target frame at its fixture, and
+    # every limit edge's first and last rungs, within the algebraic gate
+    ctx = PrecisionContext(digits)
+    gate = GATES["exact"](ctx)
+    for edge in S.edge_catalog():
+        if edge.kind in ("specialization", "christoffel"):
+            src, tgt, s = S._mapdata(edge, ctx)
+            family, params = ((edge.source, src) if edge.kind == "specialization"
+                              else (edge.target, tgt))
+            assert _frame_error(family, params, s, 10, ctx) <= gate, edge.id
+        elif edge.kind in ("limit", "q-limit"):
+            lctx = ladder_context(ctx)
+            rungs = S.verify_limit(edge, S.LADDER_N, ctx)["rungs"]
+            ladder = S.default_ladder(edge.direction, lctx)
+            for h, rung in ((ladder[0], rungs[0]), (ladder[-1], rungs[-1])):
+                src, _, s = S._mapdata(edge, lctx, h=h)
+                polys = F.generate(edge.source, src, S.LADDER_N, lctx)
+                assert (S._compare_sets(rung, _dilate_and_scale(polys, s, lctx))
+                        <= GATES["exact"](lctx)), (edge.id, h)
 
 
 def test_limit_edge_cbi_to_big():
