@@ -38,7 +38,7 @@ raises the same ParameterError, naming the same factor, at the same n.
 from __future__ import annotations
 
 from ..precision import PrecisionContext, is_real, verdict
-from ..polynomials import Poly, poly_rel_distance
+from ..polynomials import Poly, _three_term, poly_rel_distance
 from .base import (
     FamilyInfo,
     InadmissibleParameterError,
@@ -162,16 +162,9 @@ def generate(family: str, params: dict, N: int, ctx: PrecisionContext):
 
 def polys_from_pairs(pairs, ctx: PrecisionContext):
     """P_0 .. P_K from the pairs (b_n, u_n), n < K, of x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}."""
-    x = Poly.x(ctx)
     polys = [Poly.constant(ctx.mp.mpc(1))]
-    prev = None
-    for pair in pairs:
-        cur = polys[-1]
-        nxt = (x - pair.b) * cur
-        if prev is not None:
-            nxt = nxt - prev.scale(pair.u)
-        prev = cur
-        polys.append(nxt)
+    for n, pair in enumerate(pairs):
+        polys.append(_three_term(polys[n], polys[n - 1] if n else None, pair.b, pair.u))
     return polys
 
 

@@ -8,12 +8,12 @@ each operator share one small denominator D (1, x^2, 1 + 4x^2 or 4x^4), and
 each builder states it: it returns D and the numerators N_j, so that
 L p = (sum_j N_j symbol_j(p)) / D.  No denominator is found by a gcd: a
 tolerant gcd of Chihara's dxR coefficient is already ambiguous at 15
-digits.  An image then costs one polynomial division by D, and
-:func:`_image` hands its remainder to ``polynomials.judge_remainder``,
-which judges it against the largest summed term N_j symbol_j(p), not
-against the cancelled sum, whose rounding would otherwise read as a pole,
-and raises if it is not zero.  So "the singular parts cancel" is checked
-rather than assumed.
+digits.  :func:`_image` forms the parts N_j symbol_j(p) and their sum
+exactly, rounds the sum once and divides it by D; ``judge_remainder``
+judges the remainder against the largest part, not against the cancelled
+sum, whose rounding would otherwise read as a pole, and raises if it is not
+zero.  So "the singular parts cancel" is checked rather than assumed.
+:func:`eigen_check` shares each P_n's symbol images between its free values.
 
 One loop, four views.  :func:`_eigen_degrees` runs the image kernel over the
 degrees of a built eigen system.  A dead end, an image that is not
@@ -49,7 +49,7 @@ from . import families
 from .families import NoEigenSystemError
 from .precision import GATES, PrecisionContext, verdict
 from .polynomials import (NonDivisibleError, Poly, RationalFunction, ReductionAmbiguityError,
-                          divmod_poly, judge_remainder)
+                          _coordinates, _sum_of_products, divmod_poly, judge_remainder)
 
 # composition readings
 SHIFT_AFTER_REFLECT = "shift-after-reflect"    # (S+R f)(x) = f(-x-i)
@@ -86,13 +86,17 @@ class EigenSystem:
     free_value: object = None
 
 
-def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext):
-    """L p, the quotient of num / D by one division; its remainder is judged by
-    :func:`judge_remainder` against the largest summed term, so a pole raises."""
+def _image(op: DunklOperator, p: Poly, ctx: PrecisionContext, symbols=None):
+    """L p, the quotient of num / D, its remainder judged against the largest part so that
+    a pole raises (module docstring); ``symbols`` caches the symbol images of p."""
     i = ctx.mp.mpc(0, 1)
-    parts = [n * _SYMBOLS[symbol](p, i) for n, symbol in op.terms]
-    quot, rem = divmod_poly(sum(parts[1:], parts[0]), op.den, ctx)
-    judge_remainder(rem, max(part.coeff_norm() for part in parts), ctx)
+    symbols = {} if symbols is None else symbols
+    for _, symbol in op.terms:
+        if symbol not in symbols:
+            symbols[symbol] = _SYMBOLS[symbol](p, i)
+    num, scale = _sum_of_products([(n, symbols[symbol]) for n, symbol in op.terms], ctx)
+    quot, rem = divmod_poly(num, op.den, ctx)
+    judge_remainder(rem, scale, ctx)
     return quot
 
 
@@ -409,16 +413,17 @@ def _free_label(es):
     return " at %s = %g" % (es.free_name, es.free_value) if es.free_name else ""
 
 
-def _eigen_degrees(es, polys, degrees, ctx):
+def _eigen_degrees(es, polys, degrees, ctx, symbols=None):
     """(n, image, relative residual, status) of L P_n = lambda_n P_n per n in ``degrees``.
 
-    A dead end (module docstring) raises its error, naming P_n and the free value.
+    ``symbols``, if given, holds a symbol-image dict per P_n.  A dead end (module
+    docstring) raises its error, naming P_n and the free value.
     """
     mp = ctx.mp
     for n in degrees:
         p = polys[n]
         try:
-            image = _image(es.operator, p, ctx)
+            image = _image(es.operator, p, ctx, symbols and symbols[n])
         except (NonDivisibleError, ReductionAmbiguityError) as exc:
             raise type(exc)("image of P_%d%s is not polynomial: %s" % (n, _free_label(es), exc)) from exc
         ev = es.eigenvalue(n)
@@ -510,18 +515,9 @@ def verify_eigen(family, params, n, ctx: PrecisionContext, free=None):
     }
 
 
-def _basis_matrix(images, basis, ctx):
+def _basis_matrix(images, basis):
     """Coordinates of the images in the basis, by back-substitution from the top degree."""
-    mp = ctx.mp
-    N = len(basis) - 1
-    matrix = [[mp.mpc(0)] * (N + 1) for _ in range(N + 1)]
-    for n, rest in enumerate(images):
-        for k in range(N, -1, -1):
-            c = mp.mpc(rest[k])
-            matrix[k][n] = c
-            if c != 0:
-                rest = rest - basis[k].scale(c)
-    return matrix
+    return [list(row) for row in zip(*(_coordinates(image, basis) for image in images))]
 
 
 def _diagonality(matrix, basis, eigenvalue, ctx):
@@ -555,7 +551,7 @@ def check_diagonality(family, params, N, ctx: PrecisionContext):
     basis = families.generate(fid, params, N, ctx)
     images = [image for _, image, _, _ in _eigen_degrees(es, basis, range(N + 1), ctx)]
     return {"family": fid,
-            **_diagonality(_basis_matrix(images, basis, ctx), basis, es.eigenvalue, ctx)}
+            **_diagonality(_basis_matrix(images, basis), basis, es.eigenvalue, ctx)}
 
 
 def eigen_check(family, params, N, ctx: PrecisionContext):
@@ -578,11 +574,12 @@ def eigen_check(family, params, N, ctx: PrecisionContext):
     if es.free_name:
         systems.append((build_eigen_system(fid, params, ctx, free="2"), N))
     polys = families.generate(fid, params, top, ctx)
-    runs = [(system, list(_eigen_degrees(system, polys, range(last + 1), ctx)))
+    symbols = [{} for _ in polys]         # the symbol images do not depend on the free value
+    runs = [(system, list(_eigen_degrees(system, polys, range(last + 1), ctx, symbols)))
             for system, last in systems]
     images = [image for _, image, _, _ in runs[0][1][:DIAGONALITY_N + 1]]     # free = 1/2
     basis = polys[:DIAGONALITY_N + 1]
-    diag = _diagonality(_basis_matrix(images, basis, ctx), basis, es.eigenvalue, ctx)
+    diag = _diagonality(_basis_matrix(images, basis), basis, es.eigenvalue, ctx)
     res, n, system = max(((res, n, system) for system, degrees in runs
                           for n, _, res, _ in degrees[:N + 1]), key=lambda worst: worst[0])
     row = verdict("eigen", res, ctx)

@@ -12,7 +12,9 @@ mpmath context of precision p bits is inexact, with mantissa width
 W = p + GUARD_BITS.  Every operation forms its result exactly in integers
 and then renormalizes it: when the largest component |re[k]| or |im[k]| has
 more than W bits, every component is shifted right by the excess, rounding
-to nearest.  A polynomial built only from ``int`` values (``Poly.constant(1)``,
+to nearest.  A result of several terms, sum_j c_j x**d_j q_j, is one such
+operation (``_fused``): the three-term step, the pFq sum, the operator image.
+A polynomial built only from ``int`` values (``Poly.constant(1)``,
 ``Poly.x(ctx)``, and sums, products, shifts by +-i, reflections and
 derivatives of such) is exact and never rounded.
 
@@ -122,7 +124,9 @@ def _new(re, im, exp, mp, width):
 def _smul(sr, si, re, im):
     """(sr + i si) times the Gaussian vector (re, im)."""
     if not si:
-        return [sr * v for v in re], [sr * v for v in im]
+        if sr == 1:
+            return re, im
+        return [sr * v for v in re], [sr * v for v in im] if any(im) else im
     return ([sr * a - si * b for a, b in zip(re, im)],
             [si * a + sr * b for a, b in zip(re, im)])
 
@@ -224,14 +228,14 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        return _combine(self, other, False)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        return _combine(self, other, True)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         return Poly.constant(other).__sub__(self)
@@ -242,17 +246,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        a, b = (self, other) if len(self.re) >= len(other.re) else (other, self)
-        m = len(a.re)
-        re = [0] * (m + len(b.re) - 1)
-        im = [0] * len(re)
-        for j, (br, bi) in enumerate(zip(b.re, b.im)):
-            if not (br or bi):
-                continue
-            pr, pi = _smul(br, bi, a.re, a.im)
-            re[j:j + m] = [u + v for u, v in zip(re[j:j + m], pr)]
-            im[j:j + m] = [u + v for u, v in zip(im[j:j + m], pi)]
-        return _new(re, im, a.exp + b.exp, *_meet(a.mp, a.width, b.mp, b.width))
+        return _new(*_product(self, other), *_meet(self.mp, self.width, other.mp, other.width))
 
     __rmul__ = __mul__
 
@@ -347,22 +341,76 @@ class Poly:
         return "Poly(%s)" % (list(self.coeffs),)
 
 
-def _combine(p, q, subtract):
-    """p + q or p - q, aligned to the lower exponent and rounded once."""
+def _product(a, b):
+    """The exact product of two Polys as (re, im, exp), unrounded."""
+    a, b = (a, b) if len(a.re) >= len(b.re) else (b, a)
+    re = [0] * (len(a.re) + len(b.re) - 1)
+    im = [0] * len(re)
+    for j, (br, bi) in enumerate(zip(b.re, b.im)):
+        if br or bi:
+            _add_at(re, im, j, *_smul(br, bi, a.re, a.im))
+    return re, im, a.exp + b.exp
+
+
+def _add_at(re, im, j, pr, pi):
+    """(re, im) += x**j (pr, pi), in place."""
+    end = j + len(pr)
+    re[j:end] = [u + v for u, v in zip(re[j:end], pr)]
+    if any(pi):
+        im[j:end] = [u + v for u, v in zip(im[j:end], pi)]
+
+
+def _fused(terms, mp, width):
+    """sum_j (cr + i ci) 2**ce x**d q over terms (cr, ci, ce, d, q), q a Poly: each scalar
+    shifted to the lowest exponent of the terms, the sum formed exactly and rounded once."""
+    low = min(ce + q.exp for _, _, ce, _, q in terms)
+    size = max(d + len(q.re) for _, _, _, d, q in terms)
+    re, im = [0] * size, [0] * size
+    for cr, ci, ce, d, q in terms:
+        if cr or ci:
+            s = ce + q.exp - low
+            _add_at(re, im, d, *_smul(cr << s, ci << s, q.re, q.im))
+    return _new(re, im, low, mp, width)
+
+
+def _three_term(cur, prev, b, u):
+    """x P_n - b P_n - u P_(n-1) at the width of P_n = ``cur``; ``prev`` is P_(n-1), None for n = 0."""
+    br, bi, be = _split(b)[:3]
+    terms = [(1, 0, 0, 1, cur), (-br, -bi, be, 0, cur)]
+    if prev is not None:
+        ur, ui, ue = _split(u)[:3]
+        terms.append((-ur, -ui, ue, 0, prev))
+    return _fused(terms, cur.mp, cur.width)
+
+
+def _coordinates(p, basis):
+    """The coordinates of p in a monic basis P_0 .. P_N, by back-substitution from the top
+    degree; each step p - c_k P_k is one kernel (:func:`_fused`)."""
+    coords = [0] * len(basis)
+    for k in range(min(len(p.re), len(basis)) - 1, -1, -1):
+        coords[k], cr, ci = p[k], p.re[k], p.im[k]
+        if cr or ci:
+            p = _fused([(1, 0, 0, 0, p), (-cr, -ci, p.exp, 0, basis[k])], p.mp, p.width)
+    return coords
+
+
+def _sum_of_products(pairs, ctx):
+    """(sum_j a_j b_j, max_j norm(a_j b_j)) over Poly pairs: the parts and their sum exact,
+    the sum rounded once at the context's width, the largest part norm read by one root."""
+    parts = [_new(*_product(a, b), None, None) for a, b in pairs]
+    low = min(q.exp for q in parts)
+    scale = max(_sqmax(q) << 2 * (q.exp - low) for q in parts)
+    mp = ctx.mp
+    return _fused([(1, 0, 0, 0, q) for q in parts], mp, mp.prec + GUARD_BITS), _root(mp, scale, 2 * low)
+
+
+def _combine(p, q, sign):
+    """p + sign q, aligned to the lower exponent and rounded once."""
     e = min(p.exp, q.exp)
-    pr, pi, qr, qi = p.re, p.im, q.re, q.im
-    if p.exp > e:
-        d = p.exp - e
-        pr, pi = [v << d for v in pr], [v << d for v in pi]
-    if q.exp > e:
-        d = q.exp - e
-        qr, qi = [v << d for v in qr], [v << d for v in qi]
-    if subtract:
-        re = [a - b for a, b in zip_longest(pr, qr, fillvalue=0)]
-        im = [a - b for a, b in zip_longest(pi, qi, fillvalue=0)]
-    else:
-        re = [a + b for a, b in zip_longest(pr, qr, fillvalue=0)]
-        im = [a + b for a, b in zip_longest(pi, qi, fillvalue=0)]
+    pr, pi = _smul(1 << p.exp - e, 0, p.re, p.im)
+    qr, qi = _smul(sign << q.exp - e, 0, q.re, q.im)
+    re = [a + b for a, b in zip_longest(pr, qr, fillvalue=0)]
+    im = [a + b for a, b in zip_longest(pi, qi, fillvalue=0)]
     return _new(re, im, e, *_meet(p.mp, p.width, q.mp, q.width))
 
 
@@ -558,7 +606,8 @@ def hyp_terminating_poly(n: int, numerators, denominators, basis, ctx: Precision
 
     The scalar coefficient of B_k is carried at the mantissa width of the
     context; each step multiplies it by one Gaussian ratio, the numerator
-    factors over (k + 1) prod (b + k), both formed exactly in integers.
+    factors over (k + 1) prod (b + k), both formed exactly in integers; the
+    sum of the c_k B_k is formed exactly and rounded once.
     """
     mp = ctx.mp
     width = mp.prec + GUARD_BITS
@@ -566,7 +615,8 @@ def hyp_terminating_poly(n: int, numerators, denominators, basis, ctx: Precision
     dens = [_split(b) for b in denominators]
     _, tol_man, tol_exp, _ = ctx.tol(6)._mpf_
 
-    total = coef = basis[0]
+    cr, ci, ce = 1, 0, 0
+    terms = [(1, 0, 0, 0, basis[0])]
     for k in range(n):
         nr, ni, ne = 1, 0, 0
         for a in scalars:
@@ -584,7 +634,7 @@ def hyp_terminating_poly(n: int, numerators, denominators, basis, ctx: Precision
                 raise ZeroDenominatorError("denominator: lower parameter %d of %d = %s vanishes at k = %d"
                                            % (j + 1, len(dens), mp.nstr(value), k))
             dr, di, de = dr * br - di * bi, dr * bi + di * br, de + be
-        re, im, s = _ratio(coef.re, coef.im, (nr, ni), (dr, di), width)
-        coef = _new(re, im, coef.exp + ne - de - s, mp, width)
-        total = total + basis[k + 1] * coef
-    return total
+        re, im, s = _ratio([cr], [ci], (nr, ni), (dr, di), width)
+        (cr,), (ci,), ce = _round(re, im, ce + ne - de - s, width)
+        terms.append((cr, ci, ce, 0, basis[k + 1]))
+    return _fused(terms, mp, width)

@@ -75,7 +75,8 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   the guard terms are (man, exp) pairs, so an offset of 1e-300 keeps b
   bits; x is anchor +- offset (``_x``).  Guard terms compare as (exp, man)
   keys and are summed in block fixed point (One dot product) when the
-  sweep ends.  Only x, the offsets handed to the density and the table's
+  sweep ends.  A piece's running total of those sums is cut b bits below
+  its own top, as a row is, so no integer grows with the density's range.  Only x, the offsets handed to the density and the table's
   (x, h * w * density) become libmp values, rounded at p.  A tanh-sinh
   node at -t reuses its twin's at +t.  Per swept node (max_degree 16):
   tanh-sinh 11 multiplications, 4 divisions, one exp_basecase and 3
@@ -392,7 +393,8 @@ def _refine(phi, density, mp, tol, eps_term, gd, mirror):
     total = 0, 0                   # sum of w*density*(1+x^2)**gd over pts, as (man, exp)
     level = 0
     while True:
-        total = _sum(total, _sweep_level(phi, level, pts, density, mp, eps_term, gd, mirror))
+        total = _sum(total, _sweep_level(phi, level, pts, density, mp, eps_term, gd, mirror),
+                     mp.prec + GUARD_BITS)
         guard = mp.make_mpf(_round(total[0], total[1] - level, mp.prec))   # h * total
         d = predicted = abs(guard - previous)
         scale = abs(guard)
@@ -405,12 +407,10 @@ def _refine(phi, density, mp, tol, eps_term, gd, mirror):
         level += 1
 
 
-def _sum(a, b):
-    """a + b for (man, exp) pairs, exactly."""
-    if not a[0] or not b[0]:
-        return b if a[0] == 0 else a
-    (am, ae), (bm, be) = sorted((a, b), key=lambda p: p[1])
-    return am + (bm << be - ae), ae
+def _sum(a, b, bits):
+    """a + b for (man, exp) pairs, cut ``bits`` bits below its top as ``block_row`` cuts a row."""
+    row = block_row([a[0], b[0]], [a[1], b[1]], bits)
+    return sum(row.mans), row.exp
 
 
 def _sweep_level(phi, level, pts, density, mp, eps, gd, mirror):

@@ -693,9 +693,9 @@ def test_closed_form_that_loses_precision_is_inconclusive(capsys):
 # Chihara at alpha = 0.5, beta = 1.5, gamma = 10^k: the coefficients of P_n grow
 # like gamma^n.  The eigen rows that still fail lose their basis matrix to the
 # monomial-to-P basis change (their per-degree residuals pass); each is named,
-# so the test turns red when one is fixed (ROADMAP item 2).
-_CHIHARA_EIGEN_FAILS = ({(15, k) for k in range(11, 17)} | {(50, k) for k in range(13, 17)}
-                        | {(100, k) for k in range(13, 17)})
+# so the test turns red when one is fixed (ROADMAP item 3).  At 15 digits and
+# gamma = 1e16, P_8 spans about gamma^8 = 2^425, more than the 320 guard bits.
+_CHIHARA_EIGEN_FAILS = {(15, 16)}
 _CHIHARA_CLOSED_FORM_FAILS = {(100, 13)}      # residual 6.6e-83 against 1e-90
 
 

@@ -327,14 +327,17 @@ def test_eigen_fail_row_names_the_sub_test_that_decided_it(monkeypatch, family, 
 
 
 def test_eigen_row_fails_on_the_basis_matrix_alone_at_chihara_gamma_1e12():
-    # at gamma = 1e12 the per-degree residuals pass and the basis matrix does
-    # not (the monomial-to-P basis change loses the digits, ROADMAP item 2):
-    # the notes give that deviation and its gate, never "basis matrix diagonal"
+    # at gamma = 1e12 the images, formed exactly and rounded once, pass; at
+    # gamma = 1e16 the per-degree residuals pass and the basis matrix does not
+    # (the monomial-to-P basis change loses the digits, ROADMAP item 3): the
+    # notes give that deviation and its gate, never "basis matrix diagonal"
     ctx = PrecisionContext(15)
     params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5", gamma="1e12")
+    assert O.eigen_check("chihara", params, 10, ctx)["status"] == "pass"
+    params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5", gamma="1e16")
     rep = O.eigen_check("chihara", params, 10, ctx)
     assert rep["status"] == "fail" and rep["residual"] <= rep["tolerance"], rep
-    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation 6 "
+    assert rep["notes"] == ("basis matrix P_0..P_8 not diagonal: largest relative deviation 2.57 "
                             "exceeds the eigen gate 1e-05"), rep["notes"]
 
 
@@ -407,6 +410,33 @@ def test_one_image_per_free_value_and_degree(monkeypatch):
         monkeypatch.setattr(O, "_image", lambda *args: calls.append(1) or image(*args))
         O.eigen_check(fid, F.make_params(fid, ctx, **F.fixture_points(fid)[0]), 10, ctx)
         assert len(calls) == (22 if entry.free_name else 11), (fid, len(calls))
+
+
+def test_shared_symbol_images_match_separately_built_systems(monkeypatch):
+    # eigen_check computes each symbol image of P_n once for both free values;
+    # every image it gets equals, bit for bit, the one a separately built
+    # system gets from its own symbol images
+    ctx = PrecisionContext(15)
+    image, symbols = O._image, dict(O._SYMBOLS)
+    seen, applied = [], []
+
+    def counted(f):
+        return lambda p, i: applied.append(1) or f(p, i)
+
+    monkeypatch.setattr(O, "_image", lambda *args: seen.append(image(*args)) or seen[-1])
+    monkeypatch.setattr(O, "_SYMBOLS", {name: counted(f) for name, f in symbols.items()})
+    for fid, entry in O._BUILDERS.items():
+        if not entry.free_name:
+            continue
+        seen.clear()
+        applied.clear()
+        params = F.fixture_points(fid)[0]
+        O.eigen_check(fid, F.make_params(fid, ctx, **params), 10, ctx)
+        systems = [O.build_eigen_system(fid, params, ctx, free=free) for free in ("0.5", "2")]
+        assert len(applied) == 11 * len({symbol for _, symbol in systems[0].operator.terms}), fid
+        polys = F.generate(fid, params, 10, ctx)
+        alone = [image(es.operator, p, ctx) for es in systems for p in polys]
+        assert [(q.re, q.im, q.exp) for q in seen] == [(q.re, q.im, q.exp) for q in alone], fid
 
 
 @pytest.mark.parametrize("digits", [15, 50])

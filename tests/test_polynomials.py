@@ -5,6 +5,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minusone import polynomials as P
 from minusone.precision import PrecisionContext
 from minusone.polynomials import (
     NonDivisibleError,
@@ -359,3 +360,129 @@ def test_integer_polynomials_stay_exact():
     assert max(c for c, _ in rp) > Fraction(2) ** 400
     for out, ref in checks:
         assert ref_of(out) == [(Fraction(a), Fraction(b)) for a, b in ref]
+
+
+# ----------------------------------------------------------------------
+# the kernels against the Poly compositions they replaced, kept here as
+# references.  A kernel forms its result exactly and rounds it once; each
+# rounding moves a coefficient by at most 2**(1/2 - W) of the norm of what it
+# rounds (module docstring, Error bound), so a kernel lies within one rounding
+# of the exact result, and within the composition's roundings plus its own of
+# the composition.
+
+KERNEL = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def assert_within_roundings(out, ref, rounded, ctx):
+    """|out - ref| <= 2**(1/2 - W) max_j norm(rounded_j) per rounding, compared squared and exactly.
+
+    ``ref`` is a Poly or an exact reference list; ``rounded`` the results that were rounded.
+    """
+    ref = ref_of(ref) if isinstance(ref, Poly) else ref
+    err2 = ref_norm2(ref_add(ref_of(out), ref, -1))
+    top2 = max(ref_norm2(r if isinstance(r, list) else ref_of(r)) for r in rounded)
+    width = ctx.mp.prec + P.GUARD_BITS
+    assert err2 * 4 ** width <= 2 * len(rounded) ** 2 * top2, (float(err2), float(top2))
+
+
+def old_three_term(cur, prev, b, u, ctx):
+    """(x - b) P_n - u P_(n-1) as Poly operations; the result and each rounded intermediate."""
+    head = (Poly.x(ctx) - b) * cur
+    if prev is None:
+        return head, [head]
+    tail = prev.scale(u)
+    out = head - tail
+    return out, [head, tail, out]
+
+
+@DIGITS
+def test_three_term_kernel_matches_the_composition(digits):
+    ctx = CTXS[digits]
+
+    @KERNEL
+    @given(polys, st.lists(gaussian, max_size=8), gaussian, gaussian)
+    def check(a, c, s, t):
+        cur, prev = make_poly(ctx, a), make_poly(ctx, c) if c else None
+        b, u = make_poly(ctx, [s])[0], make_poly(ctx, [t])[0]
+        out = P._three_term(cur, prev, b, u)
+        rb, ru = ref_of(Poly([b]))[0], ref_of(Poly([u]))[0]
+        exact = ref_mul([ref_cadd((0, 0), rb, -1), (1, 0)], ref_of(cur))
+        if prev is not None:
+            exact = ref_add(exact, [ref_cmul(ru, v) for v in ref_of(prev)], -1)
+        assert_within_roundings(out, exact, [exact], ctx)
+        old, rounded = old_three_term(cur, prev, b, u, ctx)
+        assert_within_roundings(out, old, rounded + [out], ctx)
+
+    check()
+
+
+def old_hyp_terminating_poly(n, numerators, denominators, basis, ctx):
+    """sum c_k B_k with c_k carried as a one-coefficient Poly and every product and sum rounded."""
+    width = ctx.mp.prec + P.GUARD_BITS
+    scalars = [P._split(a) for a in numerators]
+    dens = [P._split(b) for b in denominators]
+    total = coef = basis[0]
+    rounded = []
+    for k in range(n):
+        nr, ni, ne = 1, 0, 0
+        for a in scalars:
+            ar, ai, ae = P._plus_int(a, k)
+            nr, ni, ne = nr * ar - ni * ai, nr * ai + ni * ar, ne + ae
+        dr, di, de = k + 1, 0, 0
+        for b in dens:
+            br, bi, be = P._plus_int(b, k)
+            dr, di, de = dr * br - di * bi, dr * bi + di * br, de + be
+        re, im, s = P._ratio(coef.re, coef.im, (nr, ni), (dr, di), width)
+        coef = P._new(re, im, coef.exp + ne - de - s, ctx.mp, width)
+        term = basis[k + 1] * coef
+        total = total + term
+        rounded += [term, total]
+    return total, rounded
+
+
+@DIGITS
+def test_pfq_kernel_matches_the_composition(digits):
+    ctx = CTXS[digits]
+    mp = ctx.mp
+    positive = st.fractions(min_value=Fraction(1, 10), max_value=8, max_denominator=10 ** 6)
+
+    @KERNEL
+    @given(st.integers(0, 8), gaussian, positive, st.lists(gaussian, min_size=2, max_size=2),
+           st.lists(gaussian, min_size=1, max_size=3))
+    def check(n, a, b, lin, z):
+        nums = [-mp.mpf(n), make_poly(ctx, [a])[0]]
+        dens = [mp.mpf(b.numerator) / b.denominator]
+        basis = hyp_basis(n, [make_poly(ctx, lin)], make_poly(ctx, z), ctx)
+        out = hyp_terminating_poly(n, nums, dens, basis, ctx)
+        old, rounded = old_hyp_terminating_poly(n, nums, dens, basis, ctx)
+        assert_within_roundings(out, old, rounded + [out], ctx)
+
+    check()
+
+
+@DIGITS
+def test_image_kernel_matches_the_composition(digits):
+    ctx = CTXS[digits]
+
+    @KERNEL
+    @given(st.lists(st.tuples(polys, polys), min_size=1, max_size=5))
+    def check(pairs):
+        pairs = [(make_poly(ctx, a), make_poly(ctx, b)) for a, b in pairs]
+        out, scale = P._sum_of_products(pairs, ctx)
+        exact = [ref_mul(ref_of(a), ref_of(b)) for a, b in pairs]
+        total = exact[0]
+        for part in exact[1:]:
+            total = ref_add(total, part)
+        assert_within_roundings(out, total, [total], ctx)
+        parts = [a * b for a, b in pairs]
+        old = parts[0]
+        rounded = list(parts)
+        for part in parts[1:]:
+            old = old + part
+            rounded.append(old)
+        assert_within_roundings(out, old, rounded + [out], ctx)
+        # the judge scale: the largest part norm, read once instead of per rounded part
+        old_scale = max(part.coeff_norm() for part in parts)
+        assert abs(scale - old_scale) <= scale * 2 ** (2 - ctx.mp.prec), (scale, old_scale)
+
+    check()

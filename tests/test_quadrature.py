@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -419,3 +424,42 @@ def test_fixture_node_count_at_fifteen_digits():
 def test_fixture_node_count_at_hundred_digits():
     # 43 511 nodes with the two-mesh stop rule alone
     assert _fixture_nodes(100) <= 32000
+
+
+# one parameter of a first fixture point times 10^12 and 10^16, and Chihara at
+# alpha = 0.5, gamma = 0.5 with a large beta: the density's dynamic range grows
+# with the parameter, and a running guard total that followed it raised
+# MemoryError or OverflowError instead of ending the row
+_WIDE_RANGE = ([(fid, {**F.fixture_points(fid)[0], name: F.fixture_points(fid)[0][name] + scale})
+                for fid, names in (("big-minus1-jacobi", ("alpha", "beta")), ("chihara", ("alpha", "beta")),
+                                   ("gegenbauer", ("alpha",)), ("generalized-gegenbauer", ("beta",)),
+                                   ("generalized-hermite", ("alpha",)),
+                                   ("little-minus1-jacobi", ("alpha", "beta")),
+                                   ("minus1-meixner-pollaczek", ("alpha", "gamma")),
+                                   ("special-little-minus1-jacobi", ("alpha",)))
+                for name in names for scale in ("e12", "e16")]
+               + [("chihara", {"alpha": "0.5", "beta": beta, "gamma": "0.5"})
+                  for beta in ("1e10", "1e12", "1e20", "1e80", "1e300")])
+
+_CAPPED = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from minusone import cli, families as F
+from minusone.precision import PrecisionContext
+ctx = PrecisionContext(15)
+print(json.dumps([cli._family_results(fid, F.make_params(fid, ctx, **point), ctx,
+                                      ("orthogonality",))[0]["status"]
+                  for fid, point in json.loads(sys.argv[1])]))
+"""
+
+
+def test_wide_range_densities_end_their_gram_row_in_bounded_memory():
+    # each row ends as pass, fail or inconclusive in a process capped at 2 GB
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, json.dumps(_WIDE_RANGE)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    statuses = json.loads(proc.stdout)
+    assert len(statuses) == len(_WIDE_RANGE) == 29
+    assert set(statuses) <= {"pass", "fail", "inconclusive"}, list(zip(_WIDE_RANGE, statuses))
