@@ -27,7 +27,7 @@ from math import log
 from typing import Callable
 
 from mpmath.libmp import (
-    from_man_exp, ln2_fixed, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_pi, pi_fixed,
+    from_man_exp, ln2_fixed, mpf_abs, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pi, pi_fixed,
     round_nearest as RND, to_fixed,
 )
 
@@ -53,6 +53,25 @@ def _inner(x, g, lo_off, hi_off):
     return lo_off if x > 0 else hi_off
 
 
+_SQUARINGS = 32        # the most squarings a density power pays for (``_power``)
+
+
+def _power(e, mp):
+    """x -> x**e for a density factor x >= 0, e an exponent formed from the parameters.
+
+    mpmath's ** takes an e with 2e integral by repeated squaring, about log2|e| products:
+    a thousand at e = 1e300.  From |e| = 2**_SQUARINGS on, x**e is exp(e log x) instead,
+    log x taken with the bits of e on top, as exp carries the absolute error of its
+    argument into its result's relative error.
+    """
+    if abs(e) < 2 ** _SQUARINGS:
+        return lambda x: x ** e
+    prec = mp.prec
+    wp = prec + mp.mag(e) + 10
+    e = e._mpf_
+    return lambda x: mp.make_mpf(mpf_exp(mpf_mul(e, mpf_log(x._mpf_, wp, RND), wp, RND), prec, RND))
+
+
 # ----------------------------------------------------------------------
 # weight specs
 
@@ -65,8 +84,8 @@ def _w_hermite(ctx):
 
 def _w_generalized_hermite(ctx, alpha):
     mp = ctx.mp
-    e = 2 * alpha
-    dens = lambda x, *offsets: abs(x) ** e * mp.exp(-x * x)
+    power = _power(2 * alpha, mp)
+    dens = lambda x, *offsets: power(abs(x)) * mp.exp(-x * x)
     zero = mp.mpf(0)
     return WeightSpec([(mp.mpf("-inf"), zero), (zero, mp.mpf("+inf"))], dens, even=True)
 
@@ -74,23 +93,23 @@ def _w_generalized_hermite(ctx, alpha):
 def _w_minus1_mp(ctx, alpha, gamma):
     mp = ctx.mp
     g = abs(gamma)
-    ex = alpha - mp.mpf(1) / 2
+    power = _power(alpha - mp.mpf(1) / 2, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         near, far = _inner(x, g, lo_off, hi_off), abs(x) + g     # x^2 - gamma^2 = near * far
         lead = far if (x > 0) == (gamma > 0) else near          # sgn(x) (x + gamma)
-        return lead * (near * far) ** ex * mp.exp(-x * x)
+        return lead * power(near * far) * mp.exp(-x * x)
 
     return WeightSpec([(mp.mpf("-inf"), -g), (g, mp.mpf("+inf"))], dens)
 
 
 def _w_gegenbauer(ctx, alpha):
     mp = ctx.mp
-    e = alpha - mp.mpf(1) / 2
+    power = _power(alpha - mp.mpf(1) / 2, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return (p * m) ** e
+        return power(p * m)
 
     return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens, even=True)
 
@@ -98,11 +117,11 @@ def _w_gegenbauer(ctx, alpha):
 def _w_generalized_gegenbauer(ctx, alpha, beta):
     mp = ctx.mp
     zero = mp.mpf(0)
-    e = 2 * alpha + 1
+    power_x, power_pm = _power(2 * alpha + 1, mp), _power(beta, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return abs(x) ** e * (p * m) ** beta
+        return power_x(abs(x)) * power_pm(p * m)
 
     return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens, even=True)
 
@@ -111,13 +130,14 @@ def _w_chihara(ctx, alpha, beta, gamma):
     mp = ctx.mp
     g = abs(gamma)
     top = mp.sqrt(1 + gamma * gamma)
+    power_a, power_b = _power(alpha, mp), _power(beta, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         s = abs(x)
         near, far = _inner(x, g, lo_off, hi_off), s + g         # x^2 - gamma^2 = near * far
         edge = top - s if lo_off is None else (hi_off if x > 0 else lo_off)
         lead = far if (x > 0) == (gamma > 0) else near          # sgn(x) (x + gamma)
-        return lead * (near * far) ** alpha * (edge * (top + s)) ** beta   # 1 + gamma^2 - x^2
+        return lead * power_a(near * far) * power_b(edge * (top + s))   # 1 + gamma^2 - x^2
 
     return WeightSpec([(-top, -g), (g, top)], dens)
 
@@ -125,34 +145,34 @@ def _w_chihara(ctx, alpha, beta, gamma):
 def _w_little_m1j(ctx, alpha, beta):
     mp = ctx.mp
     zero = mp.mpf(0)
-    e1 = (beta - 1) / 2
+    power_x, power_pm = _power(alpha, mp), _power((beta - 1) / 2, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return abs(x) ** alpha * (p * m) ** e1 * p
+        return power_x(abs(x)) * power_pm(p * m) * p
 
     return WeightSpec([(mp.mpf(-1), zero), (zero, mp.mpf(1))], dens)
 
 
 def _w_special_lj(ctx, alpha):
     mp = ctx.mp
-    e = (alpha - 1) / 2
+    power = _power((alpha - 1) / 2, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
-        return (p * m) ** e * p
+        return power(p * m) * p
 
     return WeightSpec([(mp.mpf(-1), mp.mpf(1))], dens)
 
 
 def _w_big_m1j(ctx, alpha, beta, c):
     mp = ctx.mp
-    e1, e2 = (alpha - 1) / 2, (beta + 1) / 2
+    power_pm, power_c = _power((alpha - 1) / 2, mp), _power((beta + 1) / 2, mp)
 
     def dens(x, lo_off=None, hi_off=None):
         p, m = _one_pm_x(x, lo_off, hi_off)
         near, far = _inner(x, c, lo_off, hi_off), abs(x) + c     # x^2 - c^2 = near * far
-        return p / (far if x > 0 else near) * (p * m) ** e1 * (near * far) ** e2
+        return p / (far if x > 0 else near) * power_pm(p * m) * power_c(near * far)
 
     # sgn(x) / (c + x) = 1 / |c + x|: its pole sits at the -c endpoint, effective exponent
     # (beta-1)/2 there

@@ -2,9 +2,9 @@
 
 Every numeric routine in this package is a pure function of its inputs plus
 an explicitly passed :class:`PrecisionContext`.  A context owns a private
-mpmath context (so two contexts never share global state) and runs it with
-guard digits on top of the advertised precision; tolerances quoted against
-``digits`` therefore have headroom.
+mpmath context, one per digit count per thread (so two threads never share
+precision state), and runs it with guard digits on top of the advertised
+precision; tolerances quoted against ``digits`` therefore have headroom.
 
 Complex values are plain ``mpf``/``mpc`` instances belonging to the
 context.  Conjugation, modulus and arithmetic behave as usual; all special
@@ -127,6 +127,8 @@ It does not grow with |y|.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from math import exp, lgamma, log, pi
 
 from mpmath.ctx_mp import MPContext
@@ -146,6 +148,9 @@ _LOG_STEPS = 7          # its log table holds log(1 + i j/2**7), j = 0 .. 2**7
 _LOG_GUARD = 20         # and its complex logs run at 2**-(bits + 20) past the bits of the largest A
 _TWO_53 = float(2 ** 53)
 _TWO_M53 = 1 / _TWO_53
+# the contexts a thread keeps interned (PrecisionContext), the one asked for last kept longest
+CONTEXTS_PER_THREAD = 8
+_interned = threading.local()
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -162,17 +167,40 @@ class PrecisionContext:
         mpmath context runs at ``digits + GUARD_DIGITS``.  What a check
         certifies at this precision is its gate (:data:`GATES`), not
         ``digits``: an algebraic row certifies digits - 10.
+
+    A context is a value: nothing assigns its precision after construction,
+    and its tolerance cache memoizes a pure function.  So each thread interns
+    one per digit count, and ``PrecisionContext(d) is PrecisionContext(d)``
+    within a thread: a process builds an mpmath context (0.3 ms and more)
+    once per digit count, not once per request, Gram and ladder.  Two threads
+    never share one, as mpmath's special functions raise ``mp.prec`` for the
+    length of a call.  A thread keeps the CONTEXTS_PER_THREAD digit counts it
+    asked for last; one evicted is built anew when next asked for.
     """
 
-    def __init__(self, digits: int = 50):
+    def __new__(cls, digits: int = 50):
         digits = int(digits)
         if digits < 15:
             raise ValueError("precision must be at least 15 digits, got %d" % digits)
+        table = getattr(_interned, "table", None)
+        if table is None:
+            table = _interned.table = OrderedDict()
+        self = table.get(digits)
+        if self is not None:
+            table.move_to_end(digits)
+            return self
+        self = table[digits] = super().__new__(cls)
+        if len(table) > CONTEXTS_PER_THREAD:
+            table.popitem(last=False)
         self.digits = digits
         ctx = MPContext()
         ctx.dps = digits + GUARD_DIGITS
         self.mp = ctx
         self._tols = {}
+        return self
+
+    def __init__(self, digits: int = 50):
+        """Runs on every call, interned or not, and does nothing: ``__new__`` builds a context."""
 
     def tol(self, offset: int):
         """Return 10**(offset - digits); e.g. ``tol(4)`` is 1e-46 at 50 digits.
@@ -216,19 +244,24 @@ def verdict(kind: str, residual, ctx: PrecisionContext):
 def is_real(z, ctx: PrecisionContext):
     """The reality gate (module docstring): |Im z| <= 10**-digits min(max(1, |z|), 10**8).
     Above |z| = 10**8 the bound is absolute: a value real in exact arithmetic must come out
-    with Im z = 0 there, as the printed norms do (``weights._paired_product``)."""
-    return abs(z.imag) <= ctx.tol(0) * min(max(1, abs(z)), 10 ** 8)
+    with Im z = 0 there, as the printed norms do (``weights._paired_product``).  A z with
+    Im z exactly 0 is real at once, whatever its real part, without the modulus."""
+    im = z.imag
+    return not im or abs(im) <= ctx.tol(0) * min(max(1, abs(z)), 10 ** 8)
 
 
 def gram_context(ctx: PrecisionContext):
-    """(context, node tolerance) of a Gram's node table: max(15, d//2 + 5) digits, 10**-(d//2 + 15)."""
+    """(context, node tolerance) of a Gram's node table: max(15, d//2 + 5) digits, 10**-(d//2 + 15).
+
+    The thread's interned context at that count: at 15 digits the caller's own."""
     half = ctx.digits // 2
     work = PrecisionContext(max(15, half + 5))
-    return work, work.mp.mpf(10) ** -(half + 15)
+    return work, work.tol(work.digits - half - 15)
 
 
 def ladder_context(ctx: PrecisionContext):
-    """The context a limit ladder runs in: ctx from LADDER_MIN_DIGITS digits on, else a new one at that."""
+    """The context a limit ladder runs in: ctx from LADDER_MIN_DIGITS digits on, else the thread's
+    interned context at LADDER_MIN_DIGITS."""
     return ctx if ctx.digits >= LADDER_MIN_DIGITS else PrecisionContext(LADDER_MIN_DIGITS)
 
 

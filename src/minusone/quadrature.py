@@ -84,11 +84,13 @@ RIMS 9 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)):
   0, 1; a table node adds one rounding.  On the first fixture points'
   Gram tables (2-vCPU VM, density values from a dict, medians of five
   runs), in us per table node, against the same sweep on libmp values
-  rounded after every operation:
+  rounded after every operation (the integers row re-measured after the
+  running total was cut to b bits; before the cut it read 9.1, 9.1 and
+  11.1 in the same session):
 
       digits            15     50    100
       libmp values    21.8   23.7   27.1
-      integers         9.7    9.6   11.9
+      integers         9.0    8.9   11.0
 
 - Even weights.  A node depends on |t| and the sign of t only, and the +t
   and -t sweeps of a level run the same sequence of products, so on a

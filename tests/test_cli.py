@@ -9,8 +9,9 @@ import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
 
-from minusone import cli
+from minusone import cli, precision
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -428,6 +429,12 @@ def test_verify_all_matches_golden_report(capsys, digits):
                     "--no-timestamp")
     assert code == 0
     assert out == (GOLDEN / ("verify-all-d%d.json" % digits)).read_text()
+    # the thread's interned contexts, shared by every row, come out at their own precision
+    for d, ctx in precision._interned.table.items():
+        built = MPContext()
+        built.dps = d + precision.GUARD_DIGITS
+        assert (ctx.digits, ctx.mp.dps, ctx.mp.prec) == (d, built.dps, built.prec)
+    assert digits in precision._interned.table
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ import re
 import sys
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from minusone import precision
 from minusone.precision import PrecisionContext
@@ -422,6 +423,23 @@ def test_power_densities_match_the_printed_formula_at_table_nodes():
             for x, lo, hi in calls:
                 q = (lo if x < 0 else 1 + x) * (1 - x if x < 0 else hi)     # (1 + x)(1 - x)
                 assert spec.density(x, lo, hi)._mpf_ == formula(x, params, q)._mpf_, (fid, pt, x)
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_huge_density_exponents_are_good_to_the_last_bits(digits):
+    # from |e| = 2**32 on a density power is exp(e log x), log x with the bits of e on
+    # top: within a few units of 2**-prec of x**e taken with 1100 more bits
+    mp = PrecisionContext(digits).mp
+    ref = MPContext()
+    ref.prec = mp.prec + 1100
+    for e in (2 ** 32, mp.mpf("4294967296.5"), mp.mpf("1e80"), mp.mpf("-1e80"), mp.mpf("1e300")):
+        power = weights._power(mp.mpf(e), mp)
+        for x in (mp.mpf("0.37"), 1 - mp.mpf(10) ** -digits, mp.mpf("1.5"), mp.mpf("1e-30")):
+            exact = ref.mpf(x) ** ref.mpf(mp.mpf(e))
+            assert abs(ref.mpf(power(x)) / exact - 1) <= 4 * ref.mpf(2) ** -mp.prec, (e, x)
+    small = weights._power(mp.mpf(2 ** 32 - 1), mp)
+    x = mp.mpf("0.999")
+    assert small(x)._mpf_ == (x ** (2 ** 32 - 1))._mpf_       # below the bound: mpmath's **
 
 
 def test_even_flag_marks_even_weights():

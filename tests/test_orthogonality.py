@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -549,6 +550,18 @@ def test_chihara_gram_far_out_on_the_line_is_never_a_false_fail(digits):
     params = F.make_params("chihara", ctx, alpha="0.5", beta="1.5e8", gamma="0.25")
     row = orth.gram("chihara", params, 8, ctx)
     assert row["status"] in ("pass", "inconclusive"), (digits, row)
+
+
+@pytest.mark.parametrize("beta", ["1e80", "1e300"])
+def test_chihara_gram_at_a_huge_exponent_ends_inconclusive_at_once(beta):
+    # (1 + gamma^2 - x^2)^beta: mpmath's ** would square about log2(beta) times per node
+    # (2 s for the row at 1e300); the density takes exp(beta log) there
+    ctx = PrecisionContext(15)
+    params = F.make_params("chihara", ctx, alpha="0.5", beta=beta, gamma="0.5")
+    start = time.perf_counter()
+    row = orth.gram("chihara", params, 8, ctx)
+    assert time.perf_counter() - start < 0.5
+    assert row["status"] == "inconclusive", row
 
 
 @pytest.mark.slow

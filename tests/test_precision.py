@@ -1,5 +1,8 @@
+import ast
 import math
+import pathlib
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +13,11 @@ from mpmath.libmp import (
 )
 
 from minusone import families as F
+from minusone import precision
 from minusone.precision import (
+    CONTEXTS_PER_THREAD,
     GATES,
+    GUARD_DIGITS,
     STIRLING_GUARD_BITS,
     PrecisionContext,
     StirlingSeries,
@@ -109,6 +115,60 @@ def test_hyp_against_brute_force_double():
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def test_a_context_is_interned_per_digit_count_and_thread():
+    ctx = PrecisionContext(15)
+    assert PrecisionContext(15) is ctx and PrecisionContext("15") is ctx
+    assert PrecisionContext(16) is not ctx
+    other = []
+    thread = threading.Thread(target=lambda: other.append(PrecisionContext(15)))
+    thread.start()
+    thread.join()
+    assert other[0] is not ctx and other[0].mp is not ctx.mp and other[0].digits == 15
+    assert gram_context(ctx)[0] is ctx                 # a Gram at 15 digits works in ctx
+    assert ladder_context(ctx) is PrecisionContext(20)
+
+
+def test_a_thread_keeps_a_bounded_number_of_contexts():
+    # a sweep over 15 to 200 digits keeps the CONTEXTS_PER_THREAD counts asked for last, 15
+    # among them as it is asked for between each; an evicted one is built anew
+    kept = PrecisionContext(15)
+    for digits in range(15, 201):
+        PrecisionContext(digits)
+        PrecisionContext(15)
+    table = precision._interned.table
+    assert len(table) == CONTEXTS_PER_THREAD and PrecisionContext(15) is kept
+    assert list(table)[-2:] == [200, 15]
+    assert PrecisionContext(100).mp.dps == 100 + GUARD_DIGITS
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minusone"
+
+
+def test_nothing_assigns_a_precision_after_construction():
+    # interned contexts are shared by every caller of the thread: a .prec or .dps is assigned
+    # only where PrecisionContext builds its mpmath context
+    found = []
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "PrecisionContext":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__new__":
+                        allowed.update(id(node) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute) and sub.attr in ("prec", "dps")
+                            and id(sub) not in allowed):
+                        found.append("%s:%d" % (path.name, sub.lineno))
+    assert not found, found
+    assert (_SRC / "precision.py").exists()
+
+
 @pytest.mark.parametrize("digits", [15, 50, 100])
 def test_tol_is_computed_once_and_exact(digits):
     ctx = PrecisionContext(digits)
@@ -162,6 +222,10 @@ def test_precision_plan(digits):
         edge = ctx.tol(0) * min(max(1, size), 10 ** 8)
         assert is_real(mp.mpc(size, edge / 2), ctx) and is_real(size, ctx)
         assert not is_real(mp.mpc(size, 2 * edge), ctx)
+    # Im z exactly 0 is real whatever Re z is; an Im z of nan is not
+    for re in (mp.mpf(0), mp.mpf(-3), mp.inf, -mp.inf, mp.nan):
+        assert is_real(mp.mpc(re, 0), ctx) and is_real(re, ctx)
+    assert not is_real(mp.mpc(1, mp.nan), ctx) and not is_real(mp.mpc(mp.nan, mp.nan), ctx)
 
 
 # The log|Gamma| kernel.  Its documented bound (module docstring): at most 10 n units of
